@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_core::reliable::ReliableBroadcast;
-use uba_net::{decisions, run_local_cluster_with_restart, KillSpec, NetConfig, NetReport, Wire};
+use uba_net::{decisions, ClusterSpec, KillSpec, NetConfig, NetReport, Wire};
 use uba_sim::{sparse_ids, ChurnSchedule, NodeId, Process, SyncEngine};
 use uba_trace::NoopTracer;
 
@@ -142,12 +142,9 @@ where
         .expect("reference twin must complete");
 
     // 2. The engine with the same crash scripted as a churn `Restart`.
-    let fresh = factory()
-        .into_iter()
-        .find(|p| p.id() == victim)
-        .expect("factory covers the victim");
+    let fresh = || factory().swap_remove(spec.victim_idx);
     let mut churn = ChurnSchedule::new();
-    churn.restart(spec.kill_at, fresh);
+    churn.restart(spec.kill_at, fresh());
     let mut engine = SyncEngine::builder()
         .correct_many(factory())
         .churn(churn)
@@ -162,26 +159,21 @@ where
     // removed afterwards.
     let journal_dir =
         std::env::temp_dir().join(format!("uba-t12-{}-cell{tag}", std::process::id()));
-    let kill = KillSpec {
-        victim,
-        kill_at: spec.kill_at,
-        restart_delay: Duration::ZERO,
-        journal_dir: journal_dir.clone(),
-        tear_journal: spec.torn,
+    let drill = ClusterSpec {
+        kill: Some(KillSpec {
+            victim,
+            reborn: fresh(),
+            kill_at: spec.kill_at,
+            restart_delay: Duration::ZERO,
+            journal_dir: journal_dir.clone(),
+            tear_journal: spec.torn,
+        }),
+        ..ClusterSpec::default()
     };
-    let reports = run_local_cluster_with_restart(
-        &ids,
-        |id| {
-            factory()
-                .into_iter()
-                .find(|p| p.id() == id)
-                .expect("factory covers every id")
-        },
-        net_config(),
-        |_| NoopTracer,
-        &kill,
-    )
-    .expect("network run must complete");
+    let reports = drill
+        .run(factory(), net_config(), |_| NoopTracer, |_| None)
+        .expect("network run must complete")
+        .reports;
     let _ = std::fs::remove_dir_all(&journal_dir);
     let net = decisions(&reports);
 

@@ -29,10 +29,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use uba_net::{
-    decisions, run_local_cluster_with_proxy, run_local_cluster_with_restart_through_proxy,
-    KillSpec, LinkPlan, NetConfig, WanProfile, Wire,
-};
+use uba_net::{decisions, ClusterSpec, KillSpec, LinkPlan, NetConfig, ProxySpec, WanProfile, Wire};
 use uba_sim::{NodeId, Process, SyncEngine};
 use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
@@ -200,15 +197,17 @@ where
         .expect("engine twin must complete");
 
     let registry = SharedRuntimeMetrics::new();
-    let (reports, _events) = run_local_cluster_with_proxy(
-        factory(),
-        config,
-        |_| NoopTracer,
-        |_| None,
-        &plan,
-        Some(registry.clone()),
-    )
-    .expect("proxied run must complete");
+    let proxied = ClusterSpec {
+        proxy: Some(ProxySpec {
+            plan,
+            link_metrics: Some(registry.clone()),
+        }),
+        ..ClusterSpec::default()
+    };
+    let reports = proxied
+        .run(factory(), config, |_| NoopTracer, |_| None)
+        .expect("proxied run must complete")
+        .reports;
     let net = decisions(&reports);
 
     let snapshot = registry.snapshot();
@@ -286,30 +285,25 @@ fn run_rejoin_through_proxy() -> (u64, u64, bool) {
         .expect("engine twin must complete");
 
     let journal_dir = std::env::temp_dir().join(format!("uba-t13-{}", std::process::id()));
-    let kill = KillSpec {
-        victim,
-        kill_at,
-        restart_delay: Duration::ZERO,
-        journal_dir: journal_dir.clone(),
-        tear_journal: false,
+    let drill = ClusterSpec {
+        proxy: Some(ProxySpec {
+            plan: LinkPlan::new(seed),
+            link_metrics: None,
+        }),
+        kill: Some(KillSpec {
+            victim,
+            reborn: factory().swap_remove(victim_idx),
+            kill_at,
+            restart_delay: Duration::ZERO,
+            journal_dir: journal_dir.clone(),
+            tear_journal: false,
+        }),
+        hostile: None,
     };
-    let plan = LinkPlan::new(seed);
-    let (reports, _events) = run_local_cluster_with_restart_through_proxy(
-        &ids,
-        |id| {
-            factory()
-                .into_iter()
-                .find(|p| p.id() == id)
-                .expect("factory covers every id")
-        },
-        net_config(),
-        |_| NoopTracer,
-        |_| None,
-        &kill,
-        &plan,
-        None,
-    )
-    .expect("proxied rejoin run must complete");
+    let reports = drill
+        .run(factory(), net_config(), |_| NoopTracer, |_| None)
+        .expect("proxied rejoin run must complete")
+        .reports;
     let _ = std::fs::remove_dir_all(&journal_dir);
     let net = decisions(&reports);
     let rounds = reports

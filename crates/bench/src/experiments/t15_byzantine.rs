@@ -28,7 +28,7 @@ use std::time::Duration;
 use uba_adversary::attacks::ConsensusEquivocator;
 use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
-use uba_net::{run_local_cluster_with_byzantine, AttackKind, NetConfig};
+use uba_net::{AttackKind, AttackPlan, ClusterSpec, NetConfig};
 use uba_sim::{NodeId, SyncEngine};
 use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
@@ -216,16 +216,22 @@ pub(crate) fn run_spec(spec: &CellSpec) -> ByzCell {
     });
 
     let registry = SharedRuntimeMetrics::new();
-    let run = run_local_cluster_with_byzantine(
-        honest_members(&setup),
-        &setup.faulty,
-        kind,
-        spec.seed,
-        config_for(spec.attack),
-        |_| NoopTracer,
-        |_| Some(registry.clone()),
-    )
-    .expect("honest members must survive the attack");
+    let attacked = ClusterSpec {
+        hostile: Some(AttackPlan::new(
+            spec.seed,
+            kind,
+            setup.faulty.iter().copied(),
+        )),
+        ..ClusterSpec::default()
+    };
+    let run = attacked
+        .run(
+            honest_members(&setup),
+            config_for(spec.attack),
+            |_| NoopTracer,
+            |_| Some(registry.clone()),
+        )
+        .expect("honest members must survive the attack");
 
     let snapshot = registry.snapshot();
     let family = |prefix: &str| -> u64 {
@@ -236,7 +242,7 @@ pub(crate) fn run_spec(spec: &CellSpec) -> ByzCell {
             .sum()
     };
     let round_micros: Vec<u64> = run
-        .honest
+        .reports
         .values()
         .flat_map(|r| r.round_micros.iter().copied())
         .collect();
@@ -246,21 +252,21 @@ pub(crate) fn run_spec(spec: &CellSpec) -> ByzCell {
         round_micros.iter().sum::<u64>() / round_micros.len() as u64
     };
     ByzCell {
-        decided: run.honest.values().filter(|r| r.output.is_some()).count() as u64,
+        decided: run.reports.values().filter(|r| r.output.is_some()).count() as u64,
         rounds: run
-            .honest
+            .reports
             .values()
             .filter_map(|r| r.decided_round)
             .max()
             .unwrap_or(0),
-        evictions: run.honest.values().map(|r| r.evicted.len() as u64).sum(),
-        timeouts: run.honest.values().map(|r| r.timeouts).sum(),
+        evictions: run.reports.values().map(|r| r.evicted.len() as u64).sum(),
+        timeouts: run.reports.values().map(|r| r.timeouts).sum(),
         misbehavior: family("net_misbehavior_total"),
         byz_frames: run.byzantine.values().map(|r| r.frames_sent).sum(),
         mean_us,
         max_us: round_micros.iter().copied().max().unwrap_or(0),
         net_outcomes: run
-            .honest
+            .reports
             .iter()
             .filter_map(|(&id, r)| {
                 let out = r.output.as_ref()?;

@@ -64,8 +64,9 @@
 //! honest member's trace lands in `PREFIX-<attack>-<id>.jsonl` and the
 //! merged misbehavior counters in `PREFIX-<attack>-misbehavior.prom`
 //! (Prometheus text format), the postmortem artifacts the `byz-smoke` CI
-//! job uploads. Requires `n > 3f`; incompatible with `--kill` and the WAN
-//! proxy flags.
+//! job uploads. Requires `n > 3f`; not offered together with `--kill` and
+//! the WAN proxy flags (the harness composes all three, this command line
+//! does not yet).
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -78,11 +79,9 @@ use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
 use uba_core::reliable::ReliableBroadcast;
 use uba_net::{
-    decisions, family_sum, member_port, run_local_cluster_with_byzantine,
-    run_local_cluster_with_metrics, run_local_cluster_with_proxy,
-    run_local_cluster_with_restart_and_metrics, run_local_cluster_with_restart_through_proxy,
-    scrape_metrics, series_value, serve_metrics, AttackKind, KillSpec, LinkPlan, LinkSpec,
-    MetricsServer, NetConfig, RetryPolicy, WanProfile, Wire,
+    decisions, family_sum, member_port, scrape_metrics, series_value, serve_metrics, AttackKind,
+    AttackPlan, ClusterRun, ClusterSpec, KillSpec, LinkPlan, LinkSpec, MetricsServer, NetConfig,
+    ProxySpec, RetryPolicy, WanProfile, Wire,
 };
 use uba_sim::{sparse_ids, NodeId, Process, SyncEngine};
 use uba_trace::{JsonlTracer, SharedRuntimeMetrics, Tracer};
@@ -617,84 +616,55 @@ where
         // final summary line.
         link_registry = Some(SharedRuntimeMetrics::new());
     }
-    let mut metrics_for = |id: NodeId| registries.get(&id).cloned();
-
-    let (reports, link_events) = match args.kill {
-        None => match &plan {
-            None => run_local_cluster_with_metrics(
-                factory(),
-                config,
-                |_| JsonlTracer::in_memory(),
-                &mut metrics_for,
-            )
-            .map(|reports| (reports, Vec::new()))
-            .map_err(|e| format!("cluster run failed: {e}"))?,
-            Some(plan) => run_local_cluster_with_proxy(
-                factory(),
-                config,
-                |_| JsonlTracer::in_memory(),
-                &mut metrics_for,
-                plan,
-                link_registry.clone(),
-            )
-            .map_err(|e| format!("cluster run failed: {e}"))?,
-        },
-        Some(kill_at) => {
-            let victim = member_ids[args.victim];
-            let journal_dir = args.journal_dir.clone().unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("uba-cluster-{}", std::process::id()))
-            });
-            // `--restart-at R2` approximates "back around round R2" by
-            // holding the victim down one barrier timeout per round.
-            let down_rounds = args.restart_at.map_or(0, |r| r - kill_at);
-            let spec = KillSpec {
-                victim,
-                kill_at,
-                restart_delay: Duration::from_millis(args.timeout_ms * down_rounds),
-                journal_dir,
-                tear_journal: args.tear_journal,
-            };
-            println!(
-                "kill: node {victim} at round {kill_at}, down {}ms{}, journals in {}",
-                args.timeout_ms * down_rounds,
-                if args.tear_journal {
-                    ", journal tail torn"
-                } else {
-                    ""
-                },
-                spec.journal_dir.display()
-            );
-            let build = |id| {
-                factory()
-                    .into_iter()
-                    .find(|p: &P| p.id() == id)
-                    .expect("factory covers every id")
-            };
-            match &plan {
-                None => run_local_cluster_with_restart_and_metrics(
-                    &member_ids,
-                    build,
-                    config,
-                    |_| JsonlTracer::in_memory(),
-                    &mut metrics_for,
-                    &spec,
-                )
-                .map(|reports| (reports, Vec::new()))
-                .map_err(|e| format!("cluster run failed: {e}"))?,
-                Some(plan) => run_local_cluster_with_restart_through_proxy(
-                    &member_ids,
-                    build,
-                    config,
-                    |_| JsonlTracer::in_memory(),
-                    &mut metrics_for,
-                    &spec,
-                    plan,
-                    link_registry.clone(),
-                )
-                .map_err(|e| format!("cluster run failed: {e}"))?,
-            }
+    let kill = args.kill.map(|kill_at| {
+        let victim = member_ids[args.victim];
+        // `--restart-at R2` approximates "back around round R2" by holding
+        // the victim down one barrier timeout per round.
+        let down_ms = args.timeout_ms * args.restart_at.map_or(0, |r| r - kill_at);
+        let journal_dir = args.journal_dir.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("uba-cluster-{}", std::process::id()))
+        });
+        println!(
+            "kill: node {victim} at round {kill_at}, down {down_ms}ms{}, journals in {}",
+            if args.tear_journal {
+                ", journal tail torn"
+            } else {
+                ""
+            },
+            journal_dir.display()
+        );
+        KillSpec {
+            victim,
+            reborn: factory()
+                .into_iter()
+                .find(|p| p.id() == victim)
+                .expect("factory covers every id"),
+            kill_at,
+            restart_delay: Duration::from_millis(down_ms),
+            journal_dir,
+            tear_journal: args.tear_journal,
         }
+    });
+    let spec = ClusterSpec {
+        proxy: plan.clone().map(|plan| ProxySpec {
+            plan,
+            link_metrics: link_registry.clone(),
+        }),
+        kill,
+        hostile: None,
     };
+    let ClusterRun {
+        reports,
+        link_events,
+        ..
+    } = spec
+        .run(
+            factory(),
+            config,
+            |_| JsonlTracer::in_memory(),
+            |id| registries.get(&id).cloned(),
+        )
+        .map_err(|e| format!("cluster run failed: {e}"))?;
 
     if let Some(prefix) = &args.trace_out {
         for (id, report) in &reports {
@@ -853,18 +823,25 @@ where
             config.history_rounds = 2;
         }
         let registry = SharedRuntimeMetrics::new();
-        let run = run_local_cluster_with_byzantine(
-            factory(&setup.correct),
-            &setup.faulty,
-            kind.clone(),
-            args.seed,
-            config,
-            |_| JsonlTracer::in_memory(),
-            |_| Some(registry.clone()),
-        )
-        .map_err(|e| format!("byzantine cluster run ({}) failed: {e}", kind.name()))?;
+        let spec = ClusterSpec {
+            hostile: Some(AttackPlan::new(
+                args.seed,
+                kind.clone(),
+                setup.faulty.iter().copied(),
+            )),
+            ..ClusterSpec::default()
+        };
+        let honest = spec
+            .run(
+                factory(&setup.correct),
+                config,
+                |_| JsonlTracer::in_memory(),
+                |_| Some(registry.clone()),
+            )
+            .map_err(|e| format!("byzantine cluster run ({}) failed: {e}", kind.name()))?
+            .reports;
 
-        let net = decisions(&run.honest);
+        let net = decisions(&honest);
         let ok = net.len() == setup.correct.len() && agrees(&net);
         all_ok &= ok;
         let snapshot = registry.snapshot();
@@ -873,9 +850,9 @@ where
             .filter(|(name, _)| name.starts_with("net_misbehavior_total"))
             .map(|(_, v)| v)
             .sum();
-        let evictions: u64 = run.honest.values().map(|r| r.evicted.len() as u64).sum();
-        let timeouts: u64 = run.honest.values().map(|r| r.timeouts).sum();
-        let rounds = run.honest.values().map(|r| r.rounds).max().unwrap_or(0);
+        let evictions: u64 = honest.values().map(|r| r.evicted.len() as u64).sum();
+        let timeouts: u64 = honest.values().map(|r| r.timeouts).sum();
+        let rounds = honest.values().map(|r| r.rounds).max().unwrap_or(0);
         println!(
             "{:<14} {:>6} {:>8} {:>9} {:>8} {:>6}/{}  {}",
             kind.name(),
@@ -896,7 +873,7 @@ where
             // The postmortem artifacts: each honest member's trace, plus
             // the merged misbehavior/eviction counters as a Prometheus
             // text-format snapshot.
-            for (id, report) in &run.honest {
+            for (id, report) in &honest {
                 let path = format!("{prefix}-{}-{id}.jsonl", kind.name());
                 std::fs::write(&path, report.tracer.to_jsonl())
                     .map_err(|e| format!("writing {path}: {e}"))?;
@@ -915,6 +892,27 @@ where
         }
     );
     Ok(all_ok)
+}
+
+/// Runs `factory`'s processes (built over the honest members' ids) as the
+/// command line asks: beside `--byzantine` hostile members, or as the plain
+/// sim-twin check.
+fn run<P, F>(
+    args: &Args,
+    factory: F,
+    agrees: impl Fn(&BTreeMap<NodeId, P::Output>) -> bool,
+) -> Result<bool, String>
+where
+    P: Process + Send,
+    P::Msg: Wire,
+    P::Output: Send + PartialEq + Debug,
+    F: Fn(&[NodeId]) -> Vec<P>,
+{
+    if args.byzantine > 0 {
+        return run_byzantine(args, factory, agrees);
+    }
+    let ids = sparse_ids(args.nodes as usize, args.seed);
+    run_twin(args, || factory(&ids), agrees)
 }
 
 /// Prints any divergence between the two decision maps.
@@ -962,7 +960,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let ids = sparse_ids(args.nodes as usize, args.seed);
     // Exact-agreement algorithms must decide one common value; approximate
     // agreement legitimately decides near-but-unequal values, so under
     // impairment only termination is asserted for it (the sim comparison
@@ -974,91 +971,47 @@ fn main() -> ExitCode {
         };
         values.all(|v| v == first)
     }
-    let result = if args.byzantine > 0 {
-        match args.algo {
-            Algo::Consensus => run_byzantine(
-                &args,
-                |ids: &[NodeId]| {
-                    ids.iter()
-                        .enumerate()
-                        .map(|(i, &id)| EarlyConsensus::new(id, (args.seed >> (i % 64)) & 1))
-                        .collect()
-                },
-                unanimous,
-            ),
-            Algo::Reliable => run_byzantine(
-                &args,
-                |ids: &[NodeId]| {
-                    // The designated sender must be honest: a hostile
-                    // sender is free to say nothing, which trivially
-                    // satisfies reliable broadcast.
-                    let sender = ids[0];
-                    let payload = format!("rb-{}", args.seed);
-                    ids.iter()
-                        .map(|&id| {
-                            let own = (id == sender).then(|| payload.clone());
-                            ReliableBroadcast::new(id, sender, own).with_horizon(6)
-                        })
-                        .collect()
-                },
-                unanimous,
-            ),
-            Algo::Approx => run_byzantine(
-                &args,
-                |ids: &[NodeId]| {
-                    ids.iter()
-                        .enumerate()
-                        .map(|(i, &id)| {
-                            let input = ((args.seed % 97) as f64) + i as f64;
-                            ApproxAgreement::new(id, input).with_iterations(3)
-                        })
-                        .collect()
-                },
-                |outputs| !outputs.is_empty(),
-            ),
-        }
-    } else {
-        match args.algo {
-            Algo::Consensus => run_twin(
-                &args,
-                || {
-                    ids.iter()
-                        .enumerate()
-                        .map(|(i, &id)| EarlyConsensus::new(id, (args.seed >> (i % 64)) & 1))
-                        .collect()
-                },
-                unanimous,
-            ),
-            Algo::Reliable => {
+    let result = match args.algo {
+        Algo::Consensus => run(
+            &args,
+            |ids| {
+                ids.iter()
+                    .enumerate()
+                    .map(|(i, &id)| EarlyConsensus::new(id, (args.seed >> (i % 64)) & 1))
+                    .collect()
+            },
+            unanimous,
+        ),
+        Algo::Reliable => run(
+            &args,
+            |ids| {
+                // The designated sender is the first *honest* member: a
+                // hostile sender is free to say nothing, which trivially
+                // satisfies reliable broadcast.
                 let sender = ids[0];
                 let payload = format!("rb-{}", args.seed);
-                run_twin(
-                    &args,
-                    || {
-                        ids.iter()
-                            .map(|&id| {
-                                let own = (id == sender).then(|| payload.clone());
-                                ReliableBroadcast::new(id, sender, own).with_horizon(6)
-                            })
-                            .collect()
-                    },
-                    unanimous,
-                )
-            }
-            Algo::Approx => run_twin(
-                &args,
-                || {
-                    ids.iter()
-                        .enumerate()
-                        .map(|(i, &id)| {
-                            let input = ((args.seed % 97) as f64) + i as f64;
-                            ApproxAgreement::new(id, input).with_iterations(3)
-                        })
-                        .collect()
-                },
-                |outputs| !outputs.is_empty(),
-            ),
-        }
+                ids.iter()
+                    .map(|&id| {
+                        let own = (id == sender).then(|| payload.clone());
+                        ReliableBroadcast::new(id, sender, own).with_horizon(6)
+                    })
+                    .collect()
+            },
+            unanimous,
+        ),
+        Algo::Approx => run(
+            &args,
+            |ids| {
+                ids.iter()
+                    .enumerate()
+                    .map(|(i, &id)| {
+                        let input = ((args.seed % 97) as f64) + i as f64;
+                        ApproxAgreement::new(id, input).with_iterations(3)
+                    })
+                    .collect()
+            },
+            |outputs| !outputs.is_empty(),
+        ),
     };
 
     match result {

@@ -31,18 +31,15 @@
 //! the process.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::time::Instant;
 
 use uba_core::consensus::{phase_of_round, ConsensusMsg, INIT_ROUNDS};
 use uba_sim::NodeId;
 
-use crate::conn::{connect_with_retry, handshake, spawn_reader, LinkEvent, Links};
-use crate::node::NetConfig;
+use crate::conn::{LinkEvent, Links, Mesh};
+use crate::node::{pair_retry, NetConfig};
 use crate::wire::{Frame, Wire};
 
 /// One scripted hostile behavior, the wire-level mirror of the simulator's
@@ -219,11 +216,6 @@ pub struct ByzantineNode {
     config: NetConfig,
 }
 
-/// Raw write halves of every live connection, keyed by peer. The framed
-/// path goes through [`Links`] like an honest node; the raw clones exist so
-/// poison attacks can write bytes `write_frame` would refuse.
-type RawWriters = Arc<Mutex<BTreeMap<NodeId, TcpStream>>>;
-
 /// Per-honest-peer bookkeeping for the barrier-following loop.
 #[derive(Debug, Default)]
 struct PeerTrack {
@@ -265,16 +257,13 @@ impl ByzantineNode {
     ) -> io::Result<ByzReport> {
         let me = self.me;
         let correct = self.plan.correct_of(roster);
-        let links = Links::new();
-        let raws: RawWriters = Arc::new(Mutex::new(BTreeMap::new()));
-        let (tx, rx) = mpsc::channel::<LinkEvent>();
-
-        spawn_byz_acceptor(listener, me, links.clone(), Arc::clone(&raws), tx.clone());
+        let mesh = Mesh::open(me, Some(listener))?;
+        let links = &mesh.links;
         for (&peer, &addr) in roster {
             if peer > me {
                 // Dial failures are fine: the peer may accept us later, or
                 // never — a hostile node takes what it can get.
-                let _ = byz_dial(addr, me, peer, &self.config, &links, &raws, &tx);
+                let _ = mesh.dial(addr, peer, pair_retry(self.config.retry, me, peer), |_| {});
             }
         }
 
@@ -292,37 +281,21 @@ impl ByzantineNode {
             if correct.iter().all(|id| connected.contains(id)) {
                 break;
             }
-            match rx.recv_timeout(
-                self.config
-                    .round_timeout
-                    .min(setup_deadline - Instant::now()),
-            ) {
-                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Ok(report),
-            }
+            let wait = setup_deadline.saturating_duration_since(Instant::now());
+            let _ = mesh.next_event(self.config.round_timeout.min(wait));
         }
 
         if self.plan.kind == AttackKind::Stall {
             // The whole attack is silence: drain events until every honest
             // peer writes us off and closes, then leave.
-            self.stall(&rx, &links, &mut track, &mut report);
-            links.shutdown_all();
+            self.stall(&mesh, &mut track, &mut report);
             return Ok(report);
         }
 
         let mut round: u64 = 1;
         loop {
             report.rounds = round;
-            self.act(
-                round,
-                &correct,
-                roster,
-                &links,
-                &raws,
-                &tx,
-                &mut track,
-                &mut report,
-            );
+            let poison = self.act(round, &correct, roster, &mesh, &mut track, &mut report);
 
             // Publish the barrier marker; a Byzantine member always claims
             // `decided` so honest shutdown-in-unison is never blocked on us.
@@ -336,7 +309,14 @@ impl ByzantineNode {
                 }
             }
 
-            self.barrier(round, &rx, &links, &mut track);
+            // Poison goes behind the honest-looking round, barrier marker
+            // included: the victim's reader takes those first, so the victim
+            // keeps pace with the cluster while its strike ledger fills.
+            if let Some((victim, bytes)) = poison {
+                report.frames_sent += u64::from(links.send_raw(victim, bytes));
+            }
+
+            self.barrier(round, &mesh, &mut track);
 
             let live: Vec<&PeerTrack> = track.values().filter(|t| !t.gone).collect();
             if live.is_empty() {
@@ -354,23 +334,22 @@ impl ByzantineNode {
             }
         }
 
-        links.shutdown_all();
-        Ok(report)
+        Ok(report) // dropping the mesh closes every socket
     }
 
-    /// One round of scripted hostile traffic.
-    #[allow(clippy::too_many_arguments)]
+    /// One round of scripted hostile framed traffic. Returns the raw bytes
+    /// (and their victim) a poison script wants written behind the round's
+    /// barrier marker.
     fn act(
         &self,
         round: u64,
         correct: &[NodeId],
         roster: &BTreeMap<NodeId, SocketAddr>,
-        links: &Links,
-        raws: &RawWriters,
-        events: &Sender<LinkEvent>,
+        mesh: &Mesh,
         track: &mut BTreeMap<NodeId, PeerTrack>,
         report: &mut ByzReport,
-    ) {
+    ) -> Option<(NodeId, &'static [u8])> {
+        let links = &mesh.links;
         // The deterministic victim of the point-to-point attacks: the
         // lowest-id honest peer still talking to us.
         let victim = correct
@@ -381,7 +360,7 @@ impl ByzantineNode {
         // this round's strike has a socket to ride on.
         if matches!(self.plan.kind, AttackKind::Corrupt | AttackKind::Oversize) {
             if let Some(victim) = victim {
-                self.redial_if_needed(victim, roster, links, raws, events, track);
+                self.redial_if_needed(victim, roster, mesh, track);
             }
         }
 
@@ -409,26 +388,18 @@ impl ByzantineNode {
                 if round == 1 {
                     report.frames_sent += broadcast(links, correct, &rotor_init_frame(1));
                 }
-                if let Some(victim) = victim {
-                    // Honest-looking barrier first (written below), poison
-                    // after: the victim keeps making progress while its
-                    // strike ledger fills. A malformed body behind a valid
-                    // length prefix: tag 0xEE exists in no codec.
-                    report.frames_sent +=
-                        raw_write(raws, victim, &[5, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE]);
-                }
+                // A malformed body behind a valid length prefix: tag 0xEE
+                // exists in no codec.
+                return victim.map(|v| (v, &[5, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE][..]));
             }
             AttackKind::Oversize => {
                 if round == 1 {
                     report.frames_sent += broadcast(links, correct, &rotor_init_frame(1));
                 }
-                if let Some(victim) = victim {
-                    // A 4 GiB length prefix. The hardened `read_frame`
-                    // must refuse it before allocating (satellite test in
-                    // `wire.rs`), so this costs the victim nothing but a
-                    // strike entry.
-                    report.frames_sent += raw_write(raws, victim, &0xFFFF_FFFFu32.to_le_bytes());
-                }
+                // A 4 GiB length prefix. The hardened `read_frame` must
+                // refuse it before allocating (satellite test in `wire.rs`),
+                // so this costs the victim nothing but a strike entry.
+                return victim.map(|v| (v, &[0xFF; 4][..]));
             }
             AttackKind::Flood { frames_per_round } => {
                 let noise = rotor_init_frame(round);
@@ -459,6 +430,7 @@ impl ByzantineNode {
                 }
             }
         }
+        None
     }
 
     /// Re-establishes the link to `peer` if a poison write burned it: each
@@ -469,12 +441,10 @@ impl ByzantineNode {
         &self,
         peer: NodeId,
         roster: &BTreeMap<NodeId, SocketAddr>,
-        links: &Links,
-        raws: &RawWriters,
-        events: &Sender<LinkEvent>,
+        mesh: &Mesh,
         track: &mut BTreeMap<NodeId, PeerTrack>,
     ) {
-        if links.connected().contains(&peer) {
+        if mesh.links.connected().contains(&peer) {
             return;
         }
         let entry = track.entry(peer).or_default();
@@ -488,7 +458,8 @@ impl ByzantineNode {
         // A redial that keeps failing means the peer banned us (or died);
         // the close accounting in `handle_event` and the give-up budget in
         // `barrier` take it from there.
-        if byz_dial(addr, self.me, peer, &self.config, links, raws, events).is_err() {
+        let retry = pair_retry(self.config.retry, self.me, peer);
+        if mesh.dial(addr, peer, retry, |_| {}).is_err() {
             entry.closes += 1;
             if entry.closes >= 2 {
                 entry.gone = true;
@@ -499,13 +470,7 @@ impl ByzantineNode {
     /// Waits out one barrier: collects `Done` markers from the live honest
     /// peers, charging silence and link loss exactly like an honest node
     /// would (minus the attribution — an attacker keeps no ledger).
-    fn barrier(
-        &self,
-        round: u64,
-        rx: &Receiver<LinkEvent>,
-        links: &Links,
-        track: &mut BTreeMap<NodeId, PeerTrack>,
-    ) {
+    fn barrier(&self, round: u64, mesh: &Mesh, track: &mut BTreeMap<NodeId, PeerTrack>) {
         let deadline = Instant::now() + self.config.round_timeout;
         loop {
             let satisfied = track
@@ -534,15 +499,8 @@ impl ByzantineNode {
                 }
                 return;
             }
-            match rx.recv_timeout(deadline - now) {
-                Ok(event) => handle_event(event, links, track),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    for t in track.values_mut() {
-                        t.gone = true;
-                    }
-                    return;
-                }
+            if let Some(event) = mesh.next_event(deadline - now) {
+                handle_event(event, &mesh.links, track);
             }
         }
     }
@@ -550,13 +508,7 @@ impl ByzantineNode {
     /// The `Stall` script: total silence until every honest peer writes us
     /// off (omission give-up) and the links die, or the cluster's worst-case
     /// run time elapses.
-    fn stall(
-        &self,
-        rx: &Receiver<LinkEvent>,
-        links: &Links,
-        track: &mut BTreeMap<NodeId, PeerTrack>,
-        report: &mut ByzReport,
-    ) {
+    fn stall(&self, mesh: &Mesh, track: &mut BTreeMap<NodeId, PeerTrack>, report: &mut ByzReport) {
         // Honest peers write a silent member off after `give_up_after`
         // barrier timeouts, then finish their run and close; a couple of
         // extra rounds of slack covers the decision tail.
@@ -567,10 +519,9 @@ impl ByzantineNode {
             if track.values().all(|t| t.gone) {
                 break;
             }
-            match rx.recv_timeout(self.config.round_timeout.min(deadline - Instant::now())) {
-                Ok(event) => handle_event(event, links, track),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if let Some(event) = mesh.next_event(self.config.round_timeout.min(wait)) {
+                handle_event(event, &mesh.links, track);
             }
         }
         report.peers_lost = track.values().filter(|t| t.gone).count() as u64;
@@ -675,98 +626,4 @@ pub fn equivocation_frames(round: u64, correct: &[NodeId], a: u64, b: u64) -> Ve
             )
         })
         .collect()
-}
-
-/// Writes raw bytes straight onto the socket to `peer`, bypassing
-/// `write_frame` and its bounds. Returns 1 if the write went out (for the
-/// frame counter), 0 if the link is gone.
-fn raw_write(raws: &RawWriters, peer: NodeId, bytes: &[u8]) -> u64 {
-    let mut table = raws.lock().expect("raw writers lock");
-    let Some(stream) = table.get_mut(&peer) else {
-        return 0;
-    };
-    if stream
-        .write_all(bytes)
-        .and_then(|()| stream.flush())
-        .is_ok()
-    {
-        1
-    } else {
-        table.remove(&peer);
-        0
-    }
-}
-
-/// The attacker's accept loop: like
-/// [`spawn_acceptor`](crate::conn::spawn_acceptor), but it also stashes a
-/// raw clone of each accepted stream so poison attacks can write bytes the
-/// framed path refuses.
-fn spawn_byz_acceptor(
-    listener: TcpListener,
-    me: NodeId,
-    links: Links,
-    raws: RawWriters,
-    events: Sender<LinkEvent>,
-) {
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            if stream.set_nodelay(true).is_err() {
-                continue;
-            }
-            let Ok(peer) = handshake(&mut stream, me) else {
-                continue;
-            };
-            let (Ok(reader_half), Ok(raw_half)) = (stream.try_clone(), stream.try_clone()) else {
-                continue;
-            };
-            raws.lock()
-                .expect("raw writers lock")
-                .insert(peer, raw_half);
-            let generation = links.install(peer, stream);
-            if events
-                .send(LinkEvent::Connected { peer, generation })
-                .is_err()
-            {
-                return;
-            }
-            spawn_reader(reader_half, peer, generation, links.clone(), events.clone());
-        }
-    });
-}
-
-/// The attacker's dialer: like [`dial_peer`](crate::conn::dial_peer), but
-/// keeps a raw clone of the stream (see [`spawn_byz_acceptor`]) and does
-/// not insist the endpoint announce the expected id — an attacker is not
-/// picky about who it talks to.
-fn byz_dial(
-    addr: SocketAddr,
-    me: NodeId,
-    peer: NodeId,
-    config: &NetConfig,
-    links: &Links,
-    raws: &RawWriters,
-    events: &Sender<LinkEvent>,
-) -> io::Result<()> {
-    let mut policy = config.retry;
-    policy.jitter_seed = me.raw() ^ peer.raw().rotate_left(32);
-    let mut stream = connect_with_retry(addr, policy, |_| {})?;
-    let announced = handshake(&mut stream, me)?;
-    let (reader_half, raw_half) = (stream.try_clone()?, stream.try_clone()?);
-    raws.lock()
-        .expect("raw writers lock")
-        .insert(announced, raw_half);
-    let generation = links.install(announced, stream);
-    let _ = events.send(LinkEvent::Connected {
-        peer: announced,
-        generation,
-    });
-    spawn_reader(
-        reader_half,
-        announced,
-        generation,
-        links.clone(),
-        events.clone(),
-    );
-    Ok(())
 }

@@ -1,24 +1,22 @@
-//! [`run_local_cluster`]: spawn an n-member localhost cluster, one OS
-//! thread per member, and collect every member's [`NetReport`].
+//! [`ClusterSpec`]: the one harness that starts, runs and stops an n-member
+//! localhost cluster, one OS thread per member (the crate docs' *Starting a
+//! cluster* section is the overview).
 //!
 //! The startup sequence is race-free by construction: every member's
 //! listener is **bound before any thread spawns**, so a dialer can never
 //! hit a peer whose port does not exist yet (it can still hit one whose
 //! accept loop is not running — that is what the dial retry/backoff
 //! absorbs). Ports are OS-assigned (`127.0.0.1:0`), so clusters never
-//! collide with each other or with anything else on the machine.
-//!
-//! [`run_local_cluster_with_restart`] is the crash-recovery drill: every
-//! member keeps a durable round journal, one designated victim is killed at
-//! the start of a chosen round, and after a configurable downtime it is
-//! rebuilt from its journal and rejoins via the backfill protocol
-//! (DESIGN.md §9). The T12 experiment and the CI kill-and-rejoin smoke run
-//! are built on it.
+//! collide with each other or with anything else on the machine. Every
+//! fallible step (binding, journals, the proxy) precedes the first thread,
+//! so a start-up error leaves nothing running; and every node tears its own
+//! mesh down when its run ends ([`crate::conn`]), so a joined cluster holds
+//! no descriptor and no thread.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,281 +27,67 @@ use std::time::Duration;
 use uba_sim::{NodeId, Process};
 use uba_trace::{RoundJournal, SharedRuntimeMetrics, TraceEvent, Tracer};
 
-use crate::byzantine::{AttackKind, AttackPlan, ByzReport, ByzantineNode};
+use crate::byzantine::{AttackPlan, ByzReport, ByzantineNode};
 use crate::node::{NetConfig, NetError, NetNode, NetReport};
 use crate::proxy::{FaultProxy, LinkPlan};
 use crate::wire::Wire;
 
-/// A member's id paired with its running thread, as the cluster runners
-/// collect them for the panic-safe join.
-pub(crate) type MemberHandle<O, T> = (
-    NodeId,
-    thread::JoinHandle<Result<NetReport<O, T>, NetError>>,
-);
+/// What surrounds the honest members of a cluster run. The three options
+/// are orthogonal; [`Default`] — none of them — is the plain run.
+pub struct ClusterSpec<P> {
+    /// Front every member, honest or hostile, with a WAN [`FaultProxy`]:
+    /// the nodes dial the shaping relays and everything above the sockets
+    /// runs unmodified (a zero-impairment plan is byte-identical to no
+    /// proxy modulo the extra hop — see [`crate::proxy`]). Impairments that
+    /// exceed the configured timeouts (a partition outlasting
+    /// `give_up_after`, say) can legitimately end a run in
+    /// [`NetError::RoundLimit`].
+    pub proxy: Option<ProxySpec>,
+    /// The crash-recovery drill (DESIGN.md §9): every member keeps a
+    /// durable round journal, and the victim is killed, held down, rebuilt
+    /// from its journal and rejoins over the backfill protocol — through
+    /// the proxy, if there is one (nobody dials a rejoiner, so the fronts'
+    /// fixed relay targets stay correct across the restart).
+    pub kill: Option<KillSpec<P>>,
+    /// One scripted [`ByzantineNode`] per member of the plan's conspirator
+    /// set, all executing the same seeded script (so they compute identical
+    /// equivocation splits, like the simulator's adversary acting for every
+    /// faulty node). An attacker crashing or erroring is equivalent to it
+    /// going silent, which the honest side already tolerates: it reports an
+    /// all-zero [`ByzReport`] and never fails the run.
+    pub hostile: Option<AttackPlan>,
+}
 
-/// What a proxied cluster run returns: every member's report plus the
-/// proxy's link-shaping trace events (drops, delays, partitions, heals)
-/// in emission order.
-pub type ProxiedRun<O, T> = (BTreeMap<NodeId, NetReport<O, T>>, Vec<TraceEvent>);
-
-/// Joins every member thread and folds the results, panic-safely. Each
-/// thread body is wrapped in `catch_unwind`, so a panicking member
-/// surfaces as [`NetError::MemberPanicked`] instead of poisoning the
-/// join; the surviving members, woken by the shared abort flag the wrapper
-/// flips, report [`NetError::Aborted`]. Error priority: a panic beats
-/// everything (it is the root cause), any other member failure beats the
-/// collateral aborts.
-pub(crate) fn collect_reports<O, T>(
-    handles: Vec<MemberHandle<O, T>>,
-) -> Result<BTreeMap<NodeId, NetReport<O, T>>, NetError> {
-    let mut reports = BTreeMap::new();
-    let mut panicked = None;
-    let mut first_error = None;
-    let mut aborted = None;
-    for (id, handle) in handles {
-        // The catch_unwind wrapper already converts panics; join() itself
-        // failing means one escaped anyway (e.g. out of a Drop) — treat it
-        // the same way.
-        let result = handle
-            .join()
-            .unwrap_or(Err(NetError::MemberPanicked { id }));
-        match result {
-            Ok(report) => {
-                reports.insert(id, report);
-            }
-            Err(err @ NetError::MemberPanicked { .. }) => {
-                if panicked.is_none() {
-                    panicked = Some(err);
-                }
-            }
-            Err(NetError::Aborted) => {
-                if aborted.is_none() {
-                    aborted = Some(NetError::Aborted);
-                }
-            }
-            Err(err) => {
-                if first_error.is_none() {
-                    first_error = Some(err);
-                }
-            }
+impl<P> Default for ClusterSpec<P> {
+    fn default() -> Self {
+        ClusterSpec {
+            proxy: None,
+            kill: None,
+            hostile: None,
         }
     }
-    if let Some(err) = panicked {
-        return Err(err);
-    }
-    if let Some(err) = first_error {
-        return Err(err);
-    }
-    if let Some(err) = aborted {
-        return Err(err);
-    }
-    Ok(reports)
 }
 
-/// Runs one process per cluster member over localhost TCP and returns each
-/// member's report, keyed by node id.
-///
-/// `tracer_for` builds each member's tracer (members run on separate
-/// threads, so they cannot share one); pass `|_| NoopTracer` to trace
-/// nothing. Processes carry their own ids — duplicate ids are a caller
-/// bug and panic.
-///
-/// # Errors
-///
-/// The first member failure in id order ([`NetError::RoundLimit`],
-/// [`NetError::InvariantViolated`], or a transport [`NetError::Io`]); all
-/// threads are joined either way. A member thread that *panics* surfaces
-/// as [`NetError::MemberPanicked`] — the panic aborts the surviving
-/// members (they bail out at their next barrier check instead of waiting
-/// out their timeouts) and the harness reports it as a typed failure
-/// rather than poisoning the run.
-///
-/// # Panics
-///
-/// Panics if two processes share an id.
-///
-/// # Examples
-///
-/// ```no_run
-/// use uba_core::consensus::EarlyConsensus;
-/// use uba_net::{run_local_cluster, NetConfig};
-/// use uba_sim::sparse_ids;
-/// use uba_trace::NoopTracer;
-///
-/// let ids = sparse_ids(4, 42);
-/// let members = ids.iter().map(|&id| EarlyConsensus::new(id, 1u64));
-/// let reports = run_local_cluster(members, NetConfig::default(), |_| NoopTracer)?;
-/// for report in reports.values() {
-///     assert_eq!(report.output, Some(1));
-/// }
-/// # Ok::<(), uba_net::NetError>(())
-/// ```
-pub fn run_local_cluster<P, T>(
-    processes: impl IntoIterator<Item = P>,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-{
-    run_local_cluster_with_metrics(processes, config, tracer_for, |_| None)
-}
-
-/// [`run_local_cluster`] with a wall-clock runtime-metrics registry per
-/// member: `metrics_for` returns the [`SharedRuntimeMetrics`] handle a
-/// member should record into (share a clone with a
-/// [`serve_metrics`](crate::serve_metrics) endpoint to scrape it live), or
-/// `None` to run that member uninstrumented at zero cost.
-///
-/// # Errors
-///
-/// As [`run_local_cluster`].
-///
-/// # Panics
-///
-/// As [`run_local_cluster`].
-pub fn run_local_cluster_with_metrics<P, T>(
-    processes: impl IntoIterator<Item = P>,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-    metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-{
-    run_cluster(processes, config, tracer_for, metrics_for, None).map(|(reports, _)| reports)
-}
-
-/// [`run_local_cluster_with_metrics`] behind a WAN [`FaultProxy`]: every
-/// member is fronted by a shaping relay applying `plan`, the nodes dial
-/// the fronts, and everything above the sockets runs unmodified. Returns
-/// the reports **plus** the `net_link_*` trace events the proxy collected
-/// (drops, delays, partitions, heals); per-link counters land in
-/// `link_metrics`, if attached.
-///
-/// A zero-impairment `plan` is byte-identical to [`run_local_cluster`]
-/// modulo the extra hop — see the [`crate::proxy`] module docs.
-///
-/// # Errors
-///
-/// As [`run_local_cluster`]. Note that under impairments that exceed the
-/// configured timeouts (a partition outlasting `give_up_after`, say) the
-/// cluster can legitimately fail with [`NetError::RoundLimit`].
-///
-/// # Panics
-///
-/// Panics if two processes share an id. A panicking member thread is
-/// *not* propagated: it aborts the surviving members and surfaces as
-/// [`NetError::MemberPanicked`].
-pub fn run_local_cluster_with_proxy<P, T>(
-    processes: impl IntoIterator<Item = P>,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-    metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-    plan: &LinkPlan,
-    link_metrics: Option<SharedRuntimeMetrics>,
-) -> Result<ProxiedRun<P::Output, T>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-{
-    run_cluster(
-        processes,
-        config,
-        tracer_for,
-        metrics_for,
-        Some((plan, link_metrics)),
-    )
-}
-
-/// The shared plain-runner body: bind listeners, optionally interpose the
-/// fault proxy, spawn one panic-guarded thread per member, fold reports.
-fn run_cluster<P, T>(
-    processes: impl IntoIterator<Item = P>,
-    config: NetConfig,
-    mut tracer_for: impl FnMut(NodeId) -> T,
-    mut metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-    proxy: Option<(&LinkPlan, Option<SharedRuntimeMetrics>)>,
-) -> Result<ProxiedRun<P::Output, T>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-{
-    // Bind every listener first, then build the shared roster.
-    let mut members = Vec::new();
-    let mut roster = BTreeMap::new();
-    for process in processes {
-        let id = process.id();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        assert!(
-            roster.insert(id, addr).is_none(),
-            "duplicate cluster member id {id}"
-        );
-        members.push((id, process, listener));
-    }
-
-    // With a proxy, the nodes dial the fronts; the real roster stays the
-    // relay targets.
-    let fault_proxy = match proxy {
-        Some((plan, link_metrics)) => Some(FaultProxy::spawn(&roster, plan.clone(), link_metrics)?),
-        None => None,
-    };
-    let dial_roster = fault_proxy
-        .as_ref()
-        .map_or(&roster, FaultProxy::roster)
-        .clone();
-
-    let abort = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|(id, process, listener)| {
-            let mut node = NetNode::new(process, config.clone())
-                .with_tracer(tracer_for(id))
-                .with_abort_flag(Arc::clone(&abort));
-            if let Some(runtime) = metrics_for(id) {
-                node = node.with_runtime_metrics(runtime);
-            }
-            let roster = dial_roster.clone();
-            let abort = Arc::clone(&abort);
-            let handle = thread::spawn(move || {
-                match catch_unwind(AssertUnwindSafe(move || node.run(listener, &roster))) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        abort.store(true, Ordering::SeqCst);
-                        Err(NetError::MemberPanicked { id })
-                    }
-                }
-            });
-            (id, handle)
-        })
-        .collect();
-
-    let result = collect_reports(handles);
-    let events = fault_proxy.map_or_else(Vec::new, |p| {
-        let events = p.take_events();
-        p.shutdown();
-        events
-    });
-    result.map(|reports| (reports, events))
-}
-
-/// Fault-injection script for [`run_local_cluster_with_restart`]: which
-/// member dies, when, and how it comes back.
+/// The WAN emulation of a cluster run.
 #[derive(Debug, Clone)]
-pub struct KillSpec {
-    /// The member to kill (must be one of the cluster's ids).
+pub struct ProxySpec {
+    /// The seeded impairment script.
+    pub plan: LinkPlan,
+    /// Registry for the `net_link_*` counter families, if wanted.
+    pub link_metrics: Option<SharedRuntimeMetrics>,
+}
+
+/// The scripted crash of a cluster run: who dies, when, and how it comes
+/// back. A cluster that finishes before `kill_at` is just a journaled run.
+#[derive(Debug)]
+pub struct KillSpec<P> {
+    /// The member to kill (must be one of the honest members' ids).
     pub victim: NodeId,
+    /// The victim's second incarnation: the same process in its **initial**
+    /// state, built with the same arguments as the first — determinism of
+    /// the processes makes the replayed incarnation converge to the crashed
+    /// one's state. The victim's report (and tracer) is the reborn one's.
+    pub reborn: P,
     /// The round at whose *start* the victim dies: its sockets close before
     /// it executes the round, so peers see EOF and round `kill_at` traffic
     /// never leaves the victim.
@@ -324,7 +108,274 @@ pub struct KillSpec {
     pub tear_journal: bool,
 }
 
-/// The journal file for one member under `dir` — shared by the runner, the
+/// What a cluster run returned.
+#[derive(Debug)]
+pub struct ClusterRun<O, T> {
+    /// The honest members' reports (with their per-node eviction ledgers),
+    /// keyed by id.
+    pub reports: BTreeMap<NodeId, NetReport<O, T>>,
+    /// The proxy's link-shaping trace events (drops, delays, partitions,
+    /// heals) in emission order; empty without a proxy.
+    pub link_events: Vec<TraceEvent>,
+    /// Each hostile member's observations, keyed by id; empty without
+    /// hostile members.
+    pub byzantine: BTreeMap<NodeId, ByzReport>,
+}
+
+/// A member's id paired with its running thread.
+type MemberHandle<R> = (NodeId, thread::JoinHandle<Result<R, NetError>>);
+
+/// A cluster whose threads are running; [`join`](Self::join) waits for them.
+pub struct RunningCluster<O, T> {
+    members: Vec<MemberHandle<NetReport<O, T>>>,
+    hostiles: Vec<MemberHandle<ByzReport>>,
+    proxy: Option<FaultProxy>,
+}
+
+impl<P> ClusterSpec<P>
+where
+    P: Process + Send,
+    P::Msg: Wire,
+    P::Output: Send,
+{
+    /// Runs one process per cluster member over localhost TCP, surrounded
+    /// by whatever the spec asks for, and returns each member's report.
+    ///
+    /// `tracer_for` builds each member's tracer (members run on separate
+    /// threads, so they cannot share one); pass `|_| NoopTracer` to trace
+    /// nothing. `metrics_for` returns the wall-clock registry a member
+    /// records into (share a clone with [`crate::serve_metrics`] to scrape
+    /// it live), or `None` to run it uninstrumented at zero cost.
+    ///
+    /// # Errors
+    ///
+    /// Start-up I/O failures; then the first honest member failure in id
+    /// order ([`NetError::RoundLimit`], [`NetError::InvariantViolated`], a
+    /// transport [`NetError::Io`]); all threads are joined either way. A
+    /// member thread that *panics* surfaces as
+    /// [`NetError::MemberPanicked`]: the panic aborts the surviving members
+    /// (they bail out at their next barrier check instead of waiting out
+    /// their timeouts) and is reported as a typed failure rather than
+    /// poisoning the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if ids collide (among the processes, among the hostile ids,
+    /// or across the two), or if the kill victim is not an honest member.
+    pub fn run<T: Tracer + Send + 'static>(
+        self,
+        processes: impl IntoIterator<Item = P>,
+        config: NetConfig,
+        tracer_for: impl FnMut(NodeId) -> T,
+        metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
+    ) -> Result<ClusterRun<P::Output, T>, NetError> {
+        self.spawn(processes, config, tracer_for, metrics_for)?
+            .join()
+    }
+
+    /// The non-blocking half of [`run`](Self::run): binds, spawns every
+    /// thread and returns at once.
+    ///
+    /// # Errors
+    ///
+    /// The start-up failures of [`run`](Self::run); it panics as `run` does.
+    pub fn spawn<T: Tracer + Send + 'static>(
+        self,
+        processes: impl IntoIterator<Item = P>,
+        config: NetConfig,
+        mut tracer_for: impl FnMut(NodeId) -> T,
+        mut metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
+    ) -> Result<RunningCluster<P::Output, T>, NetError> {
+        let processes: Vec<P> = processes.into_iter().collect();
+        let hostile_ids = self.hostile.iter().flat_map(|plan| &plan.byzantine);
+        let (listeners, roster) =
+            bind_roster(processes.iter().map(P::id).chain(hostile_ids.copied()))?;
+        let mut listeners = listeners.into_iter();
+
+        let mut kill = self.kill;
+        if let Some(kill) = &kill {
+            assert!(
+                processes.iter().any(|p| p.id() == kill.victim),
+                "kill victim {} is not an honest cluster member",
+                kill.victim
+            );
+            std::fs::create_dir_all(&kill.journal_dir)?;
+        }
+        let mut members = Vec::new();
+        for (process, listener) in processes.into_iter().zip(&mut listeners) {
+            let id = process.id();
+            let journal = kill
+                .as_ref()
+                .map(|kill| RoundJournal::create(journal_path(&kill.journal_dir, id), id.raw()))
+                .transpose()?;
+            members.push((id, process, listener, journal));
+        }
+
+        // With a proxy, every dial — including a rejoiner's — goes through
+        // the fronts; the real roster stays the relay targets.
+        let proxy = match self.proxy {
+            Some(spec) => Some(FaultProxy::spawn(&roster, spec.plan, spec.link_metrics)?),
+            None => None,
+        };
+        let roster = proxy.as_ref().map_or(&roster, FaultProxy::roster).clone();
+
+        let abort = Arc::new(AtomicBool::new(false));
+        let members = members
+            .into_iter()
+            .map(|(id, process, listener, journal)| {
+                // Both incarnations of a victim share one registry, so a
+                // scrape across the restart shows what the rejoin cost.
+                let runtime = metrics_for(id);
+                let mut equip = |process| {
+                    let node = NetNode::new(process, config.clone())
+                        .with_tracer(tracer_for(id))
+                        .with_abort_flag(Arc::clone(&abort));
+                    match runtime.clone() {
+                        Some(runtime) => node.with_runtime_metrics(runtime),
+                        None => node,
+                    }
+                };
+                let mut node = equip(process);
+                if let Some(journal) = journal {
+                    node = node.with_journal(journal);
+                }
+                let roster = roster.clone();
+                let Some(kill) = kill.take_if(|kill| kill.victim == id) else {
+                    return spawn_member(id, &abort, move || node.run(listener, &roster));
+                };
+                let node = node.kill_at_round(kill.kill_at);
+                let reborn = equip(kill.reborn);
+                spawn_member(id, &abort, move || match node.run(listener, &roster) {
+                    Err(NetError::Killed(_)) => {
+                        thread::sleep(kill.restart_delay);
+                        let path = journal_path(&kill.journal_dir, id);
+                        if kill.tear_journal {
+                            tear_tail(&path)?;
+                        }
+                        let (journal, recovery) = RoundJournal::resume(&path)?;
+                        reborn.with_journal(journal).resume(&recovery, &roster)
+                    }
+                    // Decided before the kill round: nothing to recover.
+                    other => other,
+                })
+            })
+            .collect();
+        let hostiles = self
+            .hostile
+            .iter()
+            .flat_map(|plan| plan.byzantine.iter().map(move |&id| (id, plan.clone())))
+            .zip(listeners)
+            .map(|((id, plan), listener)| {
+                let node = ByzantineNode::new(id, plan, config.clone());
+                let roster = roster.clone();
+                // A flag of its own: the attacker's health never aborts
+                // the honest members.
+                spawn_member(id, &Arc::default(), move || {
+                    Ok(node.run(listener, &roster).unwrap_or_default())
+                })
+            })
+            .collect();
+        Ok(RunningCluster {
+            members,
+            hostiles,
+            proxy,
+        })
+    }
+}
+
+impl<O, T> RunningCluster<O, T> {
+    /// Joins every thread, stops the proxy, and folds the results.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterSpec::run`].
+    pub fn join(self) -> Result<ClusterRun<O, T>, NetError> {
+        let reports = collect_reports(self.members);
+        let byzantine = self
+            .hostiles
+            .into_iter()
+            .map(|(id, handle)| {
+                let report = handle.join().ok().and_then(Result::ok);
+                (id, report.unwrap_or_default())
+            })
+            .collect();
+        let link_events = self.proxy.map_or_else(Vec::new, FaultProxy::shutdown);
+        reports.map(|reports| ClusterRun {
+            reports,
+            link_events,
+            byzantine,
+        })
+    }
+}
+
+/// Binds one OS-assigned localhost listener per id, in order, and builds
+/// the shared roster. Panics on a duplicate id.
+fn bind_roster(
+    ids: impl Iterator<Item = NodeId>,
+) -> io::Result<(Vec<TcpListener>, BTreeMap<NodeId, SocketAddr>)> {
+    let mut listeners = Vec::new();
+    let mut roster = BTreeMap::new();
+    for id in ids {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        assert!(
+            roster.insert(id, listener.local_addr()?).is_none(),
+            "duplicate cluster member id {id}"
+        );
+        listeners.push(listener);
+    }
+    Ok((listeners, roster))
+}
+
+/// Starts one member thread, panic-guarded: a panicking body raises `abort`
+/// (waking the members that share the flag, who then report
+/// [`NetError::Aborted`]) and surfaces as [`NetError::MemberPanicked`]
+/// instead of poisoning the join.
+fn spawn_member<R: Send + 'static>(
+    id: NodeId,
+    abort: &Arc<AtomicBool>,
+    body: impl FnOnce() -> Result<R, NetError> + Send + 'static,
+) -> MemberHandle<R> {
+    let abort = Arc::clone(abort);
+    let handle = thread::spawn(move || {
+        catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|_| {
+            abort.store(true, Ordering::SeqCst);
+            Err(NetError::MemberPanicked { id })
+        })
+    });
+    (id, handle)
+}
+
+/// Joins every member thread and folds the results into the reports or the
+/// most telling failure: a panic beats everything (it is the root cause),
+/// any other member failure beats the collateral aborts, and among equals
+/// the first in id order stands.
+fn collect_reports<R>(handles: Vec<MemberHandle<R>>) -> Result<BTreeMap<NodeId, R>, NetError> {
+    let severity = |err: &NetError| match err {
+        NetError::MemberPanicked { .. } => 2,
+        NetError::Aborted => 0,
+        _ => 1,
+    };
+    let mut reports = BTreeMap::new();
+    let mut worst: Option<NetError> = None;
+    for (id, handle) in handles {
+        // The guard in `spawn_member` already converts panics; join()
+        // itself failing means one escaped anyway (e.g. out of a Drop) —
+        // treat it the same way.
+        let joined = handle.join();
+        match joined.unwrap_or(Err(NetError::MemberPanicked { id })) {
+            Ok(report) => {
+                reports.insert(id, report);
+            }
+            Err(err) if worst.as_ref().is_none_or(|w| severity(&err) > severity(w)) => {
+                worst = Some(err);
+            }
+            Err(_) => {}
+        }
+    }
+    worst.map_or(Ok(reports), Err)
+}
+
+/// The journal file for one member under `dir` — shared by the harness, the
 /// `cluster` binary, and CI artifact collection.
 pub fn journal_path(dir: &Path, id: NodeId) -> PathBuf {
     dir.join(format!("node-{}.jsonl", id.raw()))
@@ -346,375 +397,46 @@ fn tear_tail(path: &Path) -> io::Result<()> {
         .set_len(keep as u64)
 }
 
-/// Runs a cluster like [`run_local_cluster`], but with durable journals and
-/// one scripted crash: the `spec.victim` dies at the start of round
-/// `spec.kill_at`, sleeps out its downtime, recovers its journal (optionally
-/// torn), replays it into a freshly built process, and rejoins the cluster
-/// over the `SyncRequest`/`Backfill` protocol.
-///
-/// `build` must return the member in its **initial** state every time it is
-/// called with the same id — it is called once per member plus once more
-/// for the victim's second incarnation; determinism of the processes makes
-/// the replayed incarnation converge to the crashed one's state.
-///
-/// The victim's report (and tracer) in the returned map is from the
-/// **resumed** incarnation. If the cluster finishes before `kill_at`, no
-/// crash happens and the run is an ordinary journaled run.
+/// The plain run — [`ClusterSpec::default`]`().run(..)` without runtime
+/// metrics — returning just the reports (the crate docs have an example).
 ///
 /// # Errors
 ///
-/// As [`run_local_cluster`], plus journal I/O failures.
-///
-/// # Panics
-///
-/// Panics if `spec.victim` is not among the built members' ids or on
-/// duplicate ids; a panicking member thread surfaces as
-/// [`NetError::MemberPanicked`].
-pub fn run_local_cluster_with_restart<P, T, F>(
-    ids: &[NodeId],
-    build: F,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-    spec: &KillSpec,
-) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    run_local_cluster_with_restart_and_metrics(ids, build, config, tracer_for, |_| None, spec)
-}
-
-/// [`run_local_cluster_with_restart`] with per-member runtime metrics, as in
-/// [`run_local_cluster_with_metrics`]. The victim's **second incarnation
-/// records into the same registry** as its first — counters survive the
-/// crash (the registry lives in this process, not the "crashed" node), so a
-/// scrape across the restart shows the reconnects and backfill frames the
-/// rejoin cost.
-///
-/// # Errors
-///
-/// As [`run_local_cluster_with_restart`].
-///
-/// # Panics
-///
-/// As [`run_local_cluster_with_restart`].
-pub fn run_local_cluster_with_restart_and_metrics<P, T, F>(
-    ids: &[NodeId],
-    build: F,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-    metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-    spec: &KillSpec,
-) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    run_restart_cluster(ids, build, config, tracer_for, metrics_for, spec, None)
-        .map(|(reports, _)| reports)
-}
-
-/// [`run_local_cluster_with_restart_and_metrics`] behind a WAN
-/// [`FaultProxy`], as in [`run_local_cluster_with_proxy`]: the kill, the
-/// downtime and the journal rejoin all happen *through* the shaping
-/// relays, and the proxy's `net_link_*` trace events are returned
-/// alongside the reports. This is the T12-through-proxy configuration —
-/// with a zero-impairment plan it must behave exactly like the direct
-/// restart drill.
-///
-/// # Errors
-///
-/// As [`run_local_cluster_with_restart`].
-///
-/// # Panics
-///
-/// Panics if `spec.victim` is not among `ids` or on duplicate ids; a
-/// panicking member thread surfaces as [`NetError::MemberPanicked`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_local_cluster_with_restart_through_proxy<P, T, F>(
-    ids: &[NodeId],
-    build: F,
-    config: NetConfig,
-    tracer_for: impl FnMut(NodeId) -> T,
-    metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-    spec: &KillSpec,
-    plan: &LinkPlan,
-    link_metrics: Option<SharedRuntimeMetrics>,
-) -> Result<ProxiedRun<P::Output, T>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    run_restart_cluster(
-        ids,
-        build,
-        config,
-        tracer_for,
-        metrics_for,
-        spec,
-        Some((plan, link_metrics)),
-    )
-}
-
-/// The shared restart-runner body; see
-/// [`run_local_cluster_with_restart`] for the drill it scripts.
-#[allow(clippy::too_many_arguments)]
-fn run_restart_cluster<P, T, F>(
-    ids: &[NodeId],
-    mut build: F,
-    config: NetConfig,
-    mut tracer_for: impl FnMut(NodeId) -> T,
-    mut metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-    spec: &KillSpec,
-    proxy: Option<(&LinkPlan, Option<SharedRuntimeMetrics>)>,
-) -> Result<ProxiedRun<P::Output, T>, NetError>
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    T: Tracer + Send + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    assert!(
-        ids.contains(&spec.victim),
-        "kill victim {} is not a cluster member",
-        spec.victim
-    );
-    std::fs::create_dir_all(&spec.journal_dir)?;
-
-    // Bind every listener first (same race-free startup as the plain
-    // runner), then build processes, journals and the shared roster.
-    let mut members = Vec::new();
-    let mut roster = BTreeMap::new();
-    for &id in ids {
-        let process = build(id);
-        assert_eq!(process.id(), id, "build({id}) returned a different id");
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        assert!(
-            roster.insert(id, addr).is_none(),
-            "duplicate cluster member id {id}"
-        );
-        let journal = RoundJournal::create(journal_path(&spec.journal_dir, id), id.raw())?;
-        members.push((id, process, listener, journal));
-    }
-    // The victim's second incarnation, built up front so the victim thread
-    // owns everything it needs.
-    let reborn = build(spec.victim);
-
-    // With a proxy, every dial — including the rejoiner's — goes through
-    // the fronts. The victim's rebind reuses its original inner address
-    // only for identity; nobody dials a rejoiner (it dials the peers), so
-    // the fronts' fixed relay targets stay correct across the restart.
-    let fault_proxy = match proxy {
-        Some((plan, link_metrics)) => Some(FaultProxy::spawn(&roster, plan.clone(), link_metrics)?),
-        None => None,
-    };
-    let dial_roster = fault_proxy
-        .as_ref()
-        .map_or(&roster, FaultProxy::roster)
-        .clone();
-
-    let abort = Arc::new(AtomicBool::new(false));
-    let mut reborn = Some((reborn, tracer_for(spec.victim)));
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|(id, process, listener, journal)| {
-            let runtime = metrics_for(id);
-            let mut node = NetNode::new(process, config.clone())
-                .with_tracer(tracer_for(id))
-                .with_journal(journal)
-                .with_abort_flag(Arc::clone(&abort));
-            if let Some(rt) = runtime.clone() {
-                node = node.with_runtime_metrics(rt);
-            }
-            let roster = dial_roster.clone();
-            let abort = Arc::clone(&abort);
-            let handle = if id == spec.victim {
-                node = node.kill_at_round(spec.kill_at);
-                let (fresh, tracer) = reborn.take().expect("one victim");
-                let config = config.clone();
-                let spec = spec.clone();
-                let abort_flag = Arc::clone(&abort);
-                let body = move || match node.run(listener, &roster) {
-                    Err(NetError::Killed(_)) => {
-                        thread::sleep(spec.restart_delay);
-                        let path = journal_path(&spec.journal_dir, id);
-                        if spec.tear_journal {
-                            tear_tail(&path)?;
-                        }
-                        let (journal, recovery) = RoundJournal::resume(&path)?;
-                        let mut node = NetNode::new(fresh, config)
-                            .with_tracer(tracer)
-                            .with_journal(journal)
-                            .with_abort_flag(abort_flag);
-                        if let Some(rt) = runtime {
-                            // Same registry as the first incarnation, so
-                            // the rejoin's reconnect/backfill cost lands in
-                            // the counters a scrape already watches.
-                            node = node.with_runtime_metrics(rt);
-                        }
-                        node.resume(&recovery, &roster)
-                    }
-                    // Decided before the kill round: nothing to recover.
-                    other => other,
-                };
-                thread::spawn(move || match catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        abort.store(true, Ordering::SeqCst);
-                        Err(NetError::MemberPanicked { id })
-                    }
-                })
-            } else {
-                thread::spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(move || node.run(listener, &roster))) {
-                        Ok(result) => result,
-                        Err(_) => {
-                            abort.store(true, Ordering::SeqCst);
-                            Err(NetError::MemberPanicked { id })
-                        }
-                    }
-                })
-            };
-            (id, handle)
-        })
-        .collect();
-
-    let result = collect_reports(handles);
-    let events = fault_proxy.map_or_else(Vec::new, |p| {
-        let events = p.take_events();
-        p.shutdown();
-        events
-    });
-    result.map(|reports| (reports, events))
-}
-
-/// What a mixed honest/hostile cluster run returned: the honest members'
-/// reports (with their per-node eviction ledgers) and each Byzantine
-/// member's script summary.
-#[derive(Debug)]
-pub struct ByzantineRun<O, T> {
-    /// The honest members' reports, keyed by id.
-    pub honest: BTreeMap<NodeId, NetReport<O, T>>,
-    /// Each hostile member's observations, keyed by id. A Byzantine thread
-    /// that errors or panics contributes a default (all-zero) report — the
-    /// attacker's health is never allowed to fail the run.
-    pub byzantine: BTreeMap<NodeId, ByzReport>,
-}
-
-/// Runs an adversarial localhost cluster: the honest `processes` as in
-/// [`run_local_cluster`], plus one scripted [`ByzantineNode`] per id in
-/// `byzantine_ids`, all executing the same seeded [`AttackKind`] (so
-/// multiple conspirators compute identical equivocation splits, exactly
-/// like the simulator's adversary acting for every faulty node).
-///
-/// The full roster — honest and hostile — is bound before any thread
-/// spawns, so the mesh forms exactly as in the benign runners. Honest
-/// failures are reported as usual; hostile threads are best-effort (an
-/// attacker crashing or erroring is equivalent to it going silent, which
-/// the honest side already tolerates).
-///
-/// # Errors
-///
-/// As [`run_local_cluster`], for the honest members only.
-///
-/// # Panics
-///
-/// Panics if ids collide (among processes, among `byzantine_ids`, or
-/// across the two sets).
-pub fn run_local_cluster_with_byzantine<P, T>(
+/// As [`ClusterSpec::run`]; like it, panics if two processes share an id.
+pub fn run_local_cluster<P, T>(
     processes: impl IntoIterator<Item = P>,
-    byzantine_ids: &[NodeId],
-    kind: AttackKind,
-    seed: u64,
     config: NetConfig,
-    mut tracer_for: impl FnMut(NodeId) -> T,
-    mut metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
-) -> Result<ByzantineRun<P::Output, T>, NetError>
+    tracer_for: impl FnMut(NodeId) -> T,
+) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
 where
     P: Process + Send,
     P::Msg: Wire,
     P::Output: Send,
     T: Tracer + Send + 'static,
 {
-    // Bind every listener — honest and hostile — before any thread spawns.
-    let mut members = Vec::new();
-    let mut roster = BTreeMap::new();
-    for process in processes {
-        let id = process.id();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        assert!(
-            roster.insert(id, addr).is_none(),
-            "duplicate cluster member id {id}"
-        );
-        members.push((id, process, listener));
-    }
-    let mut hostiles = Vec::new();
-    for &id in byzantine_ids {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        assert!(
-            roster.insert(id, addr).is_none(),
-            "duplicate cluster member id {id}"
-        );
-        let plan = AttackPlan::new(seed, kind.clone(), byzantine_ids.iter().copied());
-        hostiles.push((id, ByzantineNode::new(id, plan, config.clone()), listener));
-    }
+    run_local_cluster_with_metrics(processes, config, tracer_for, |_| None)
+}
 
-    let abort = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|(id, process, listener)| {
-            let mut node = NetNode::new(process, config.clone())
-                .with_tracer(tracer_for(id))
-                .with_abort_flag(Arc::clone(&abort));
-            if let Some(runtime) = metrics_for(id) {
-                node = node.with_runtime_metrics(runtime);
-            }
-            let roster = roster.clone();
-            let abort = Arc::clone(&abort);
-            let handle = thread::spawn(move || {
-                match catch_unwind(AssertUnwindSafe(move || node.run(listener, &roster))) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        abort.store(true, Ordering::SeqCst);
-                        Err(NetError::MemberPanicked { id })
-                    }
-                }
-            });
-            (id, handle)
-        })
-        .collect();
-    let byz_handles: Vec<_> = hostiles
-        .into_iter()
-        .map(|(id, node, listener)| {
-            let roster = roster.clone();
-            let handle = thread::spawn(move || {
-                catch_unwind(AssertUnwindSafe(move || node.run(listener, &roster)))
-                    .unwrap_or_else(|_| Ok(ByzReport::default()))
-                    .unwrap_or_default()
-            });
-            (id, handle)
-        })
-        .collect();
-
-    let honest = collect_reports(handles);
-    let byzantine = byz_handles
-        .into_iter()
-        .map(|(id, handle)| (id, handle.join().unwrap_or_default()))
-        .collect();
-    honest.map(|honest| ByzantineRun { honest, byzantine })
+/// [`run_local_cluster`] with a runtime-metrics registry per member.
+///
+/// # Errors
+///
+/// As [`ClusterSpec::run`]; like it, panics if two processes share an id.
+pub fn run_local_cluster_with_metrics<P, T>(
+    processes: impl IntoIterator<Item = P>,
+    config: NetConfig,
+    tracer_for: impl FnMut(NodeId) -> T,
+    metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
+) -> Result<BTreeMap<NodeId, NetReport<P::Output, T>>, NetError>
+where
+    P: Process + Send,
+    P::Msg: Wire,
+    P::Output: Send,
+    T: Tracer + Send + 'static,
+{
+    ClusterSpec::default()
+        .run(processes, config, tracer_for, metrics_for)
+        .map(|run| run.reports)
 }
 
 /// The decisions of a cluster run: each member's output, keyed by id, for

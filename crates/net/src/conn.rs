@@ -1,5 +1,6 @@
 //! Connection management: dialing with retry/backoff, the `Hello`
-//! handshake, per-connection reader threads, and the shared writer table.
+//! handshake, per-connection reader threads, the shared writer table, the
+//! crate's one accept loop, and the `Mesh` that owns a node's sockets.
 //!
 //! Topology is a full mesh with a deterministic dialing convention: each
 //! node **dials** every peer with a *larger* id and **accepts** from every
@@ -10,18 +11,57 @@
 //! stamp their close notifications with the generation they served, so a
 //! stale `Closed` event from a connection that was already replaced by a
 //! reconnect cannot tear down the fresh link.
+//!
+//! # The accept loop
+//!
+//! Every listener in the crate — a node's mesh listener, the fault proxy's
+//! fronts, the log service's client port, the metrics endpoint — runs
+//! `accept_loop`: one thread that hands each accepted stream to a
+//! closure. The contract is the closure's: it **must return in bounded
+//! time** (hand long conversations to a thread of their own, put a timeout
+//! on anything read inline), because `AcceptLoop::stop` sets the stop
+//! flag, wakes the blocked `accept` with a throwaway connection to the
+//! listener's own address, and then *waits for the loop to end*. The loop
+//! re-checks the flag after every wake, before touching the stream, so the
+//! wake connection (or a real one racing it) is never served once stop
+//! began.
+//!
+//! # Teardown
+//!
+//! A `Mesh` gives everything back when it is dropped, on every exit path
+//! of the code that owns it (return, `?`, panic unwind), in this order:
+//!
+//! 1. **stop the acceptor** — once it has ended no new link can appear;
+//! 2. **shut every socket down** (both directions) — peers read EOF, and
+//!    the local readers parked on the cloned read halves wake up;
+//! 3. **wait for the readers to end**, each dropping its half first.
+//!
+//! Step 3 cannot hang because every socket a reader may be parked on is
+//! either in the [`Links`] table (shut down in step 2) or was shut down
+//! when it left the table (replaced by a reconnect, failed write,
+//! eviction). A node must only drop its mesh after its last frame is
+//! written: `write_frame` flushes per frame, so anything sent before the
+//! drop reaches the peer ahead of the EOF.
+//!
+//! Descriptors go back to the OS; the accept-loop and reader *threads* go
+//! back to a process-wide pool (`run_pooled`) and serve the next
+//! connection. An n-node mesh is n² short-lived blocking threads, and
+//! creating and exiting them costs more than everything else in setting a
+//! mesh up and tearing it down (DESIGN.md §8 has the n=16 numbers) — so a
+//! process keeps as many parked threads as its busiest moment needed.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::io::{self, BufReader, BufWriter, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use uba_sim::NodeId;
 
-use crate::wire::{read_frame, write_frame, Frame};
+use crate::wire::{read_frame, write_frame, Frame, FrameFault};
 
 /// Backoff schedule for dialing a peer that is not accepting yet.
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +198,9 @@ pub enum LinkEvent {
         peer: NodeId,
         /// The generation that read the bad bytes.
         generation: u64,
-        /// The decoder's error message (names the violated bound).
+        /// Which bound the bytes violated, as the decoder raised it.
+        kind: FrameFault,
+        /// The decoder's error message, for the trace.
         info: String,
     },
 }
@@ -168,108 +210,158 @@ struct Link {
     generation: u64,
 }
 
+impl Link {
+    /// Shuts the socket down in both directions. `TcpStream::shutdown` acts
+    /// on the underlying descriptor, so it also unblocks the reader thread
+    /// parked on the cloned read half, and the peer observes EOF exactly as
+    /// it would for a killed OS process.
+    fn shutdown(&self) {
+        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+    }
+}
+
+#[derive(Default)]
+struct Table {
+    links: HashMap<NodeId, Link>,
+    next_generation: u64,
+    /// Readers started by [`Links::adopt`], awaited by [`Links::close`].
+    readers: Vec<Task>,
+}
+
 /// The shared table of outbound halves of the mesh, one writer per peer.
 ///
 /// Send failures mark the link dead (the reader thread on the same socket
 /// reports `Closed` with the cause); the round loop then decides between
-/// waiting for a reconnect and declaring the peer gone.
-#[derive(Clone)]
+/// waiting for a reconnect and declaring the peer gone. A link that leaves
+/// the table for any reason other than its own reader ending is shut down
+/// on the way out — the invariant [`close`](Self::close) relies on.
+#[derive(Clone, Default)]
 pub struct Links {
-    inner: Arc<Mutex<HashMap<NodeId, Link>>>,
-    next_generation: Arc<Mutex<u64>>,
-}
-
-impl Default for Links {
-    fn default() -> Self {
-        Self::new()
-    }
+    table: Arc<Mutex<Table>>,
 }
 
 impl Links {
     /// An empty table.
     pub fn new() -> Self {
-        Links {
-            inner: Arc::new(Mutex::new(HashMap::new())),
-            next_generation: Arc::new(Mutex::new(0)),
-        }
+        Self::default()
+    }
+
+    /// Every update leaves the table valid, so a lock poisoned by a
+    /// panicking holder is still good — and `close` runs in `Drop`, which
+    /// must not panic.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs (or replaces) the writer for `peer`, returning the new
-    /// link's generation.
+    /// link's generation. A replaced link is shut down.
     pub fn install(&self, peer: NodeId, stream: TcpStream) -> u64 {
-        let generation = {
-            let mut next = self.next_generation.lock().expect("links lock");
-            *next += 1;
-            *next
+        let mut table = self.table();
+        table.next_generation += 1;
+        let generation = table.next_generation;
+        let link = Link {
+            writer: BufWriter::new(stream),
+            generation,
         };
-        self.inner.lock().expect("links lock").insert(
-            peer,
-            Link {
-                writer: BufWriter::new(stream),
-                generation,
-            },
-        );
+        if let Some(replaced) = table.links.insert(peer, link) {
+            replaced.shutdown();
+        }
         generation
+    }
+
+    /// Turns a handshaken connection into a live link: installs the
+    /// writer, reports [`LinkEvent::Connected`], and spawns the reader
+    /// thread on a clone of the stream.
+    pub(crate) fn adopt(
+        &self,
+        peer: NodeId,
+        stream: TcpStream,
+        events: &Sender<LinkEvent>,
+    ) -> io::Result<u64> {
+        let reader_half = stream.try_clone()?;
+        let generation = self.install(peer, stream);
+        let _ = events.send(LinkEvent::Connected { peer, generation });
+        let reader = spawn_reader(reader_half, peer, generation, self.clone(), events.clone());
+        let mut table = self.table();
+        // Reconnects must not grow the list without bound.
+        table.readers.retain(|reader| !reader.is_finished());
+        table.readers.push(reader);
+        Ok(generation)
     }
 
     /// Drops the writer for `peer` if (and only if) it still serves
     /// `generation`.
     pub fn remove(&self, peer: NodeId, generation: u64) {
-        let mut table = self.inner.lock().expect("links lock");
-        if table.get(&peer).is_some_and(|l| l.generation == generation) {
-            table.remove(&peer);
+        let mut table = self.table();
+        if table
+            .links
+            .get(&peer)
+            .is_some_and(|l| l.generation == generation)
+        {
+            table.links.remove(&peer);
         }
     }
 
     /// Writes one frame to `peer`. Returns `false` if no live link exists
-    /// or the write failed (the link is dropped; the reader thread reports
-    /// the close).
+    /// or the write failed (the link is shut down and dropped; the reader
+    /// thread reports the close).
     pub fn send(&self, peer: NodeId, frame: &Frame) -> bool {
-        let mut table = self.inner.lock().expect("links lock");
-        let Some(link) = table.get_mut(&peer) else {
+        let mut table = self.table();
+        let Some(link) = table.links.get_mut(&peer) else {
             return false;
         };
         if write_frame(&mut link.writer, frame).is_ok() {
-            true
-        } else {
-            table.remove(&peer);
-            false
+            return true;
+        }
+        link.shutdown();
+        table.links.remove(&peer);
+        false
+    }
+
+    /// Writes `bytes` to `peer`'s socket as they are, bypassing
+    /// `write_frame` and its bounds — how a scripted
+    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. The
+    /// buffered writer is flushed after every frame, so the bytes land
+    /// exactly between two frames. `false` if no live link took them.
+    pub(crate) fn send_raw(&self, peer: NodeId, bytes: &[u8]) -> bool {
+        let mut table = self.table();
+        let Some(link) = table.links.get_mut(&peer) else {
+            return false;
+        };
+        link.writer.get_mut().write_all(bytes).is_ok()
+    }
+
+    /// Shuts down every live connection, clears the table, and waits for
+    /// the readers to end — steps 2 and 3 of the teardown in the [module
+    /// docs](self). Must not race a connection being adopted: a `Mesh`
+    /// stops its acceptor first.
+    pub fn close(&self) {
+        let (links, readers) = {
+            let mut table = self.table();
+            let links: Vec<Link> = table.links.drain().map(|(_, link)| link).collect();
+            (links, std::mem::take(&mut table.readers))
+        };
+        // Outside the lock: every woken reader takes it to remove itself.
+        for link in &links {
+            link.shutdown();
+        }
+        for reader in readers {
+            reader.wait();
         }
     }
 
-    /// Shuts down every live connection (both directions) and clears the
-    /// table. This is the crash-injection path: the process "dies", so its
-    /// sockets must actually close — because `TcpStream::shutdown` acts on
-    /// the underlying descriptor, it also unblocks the reader threads
-    /// parked on the cloned read halves, and peers observe EOF exactly as
-    /// they would for a killed OS process.
-    pub fn shutdown_all(&self) {
-        let mut table = self.inner.lock().expect("links lock");
-        for (_, link) in table.drain() {
-            let _ = link.writer.get_ref().shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// Shuts down `peer`'s connection (both directions, any generation) and
-    /// drops its writer: the eviction path for a misbehaving peer. Like
-    /// [`shutdown_all`](Self::shutdown_all), the socket-level shutdown
-    /// unblocks the reader thread parked on the cloned read half, so the
-    /// offender observes a hard close immediately.
+    /// Shuts down `peer`'s connection (any generation) and drops its
+    /// writer: the eviction path for a misbehaving peer, who observes a
+    /// hard close immediately.
     pub fn shutdown_peer(&self, peer: NodeId) {
-        let mut table = self.inner.lock().expect("links lock");
-        if let Some(link) = table.remove(&peer) {
-            let _ = link.writer.get_ref().shutdown(std::net::Shutdown::Both);
+        if let Some(link) = self.table().links.remove(&peer) {
+            link.shutdown();
         }
     }
 
     /// The peers with a live link, in no particular order.
     pub fn connected(&self) -> Vec<NodeId> {
-        self.inner
-            .lock()
-            .expect("links lock")
-            .keys()
-            .copied()
-            .collect()
+        self.table().links.keys().copied().collect()
     }
 }
 
@@ -296,17 +388,17 @@ pub fn handshake(stream: &mut TcpStream, me: NodeId) -> io::Result<NodeId> {
     }
 }
 
-/// Spawns the reader thread for an established connection: decodes frames
-/// into [`LinkEvent::Frame`]s until EOF or error, then reports
+/// Starts the reader of an established connection: decodes frames into
+/// [`LinkEvent::Frame`]s until EOF or error, then reports
 /// [`LinkEvent::Closed`] and removes the link (generation-guarded).
-pub fn spawn_reader(
+fn spawn_reader(
     stream: TcpStream,
     peer: NodeId,
     generation: u64,
     links: Links,
     events: Sender<LinkEvent>,
-) {
-    thread::spawn(move || {
+) -> Task {
+    run_pooled(move || {
         let mut reader = BufReader::new(stream);
         loop {
             match read_frame(&mut reader) {
@@ -317,12 +409,13 @@ pub fn spawn_reader(
                 }
                 Ok(None) => break, // clean EOF
                 Err(err) => {
-                    // An InvalidData error is the codec refusing bytes no
-                    // honest peer can send; attribute it before closing.
-                    if err.kind() == io::ErrorKind::InvalidData {
+                    // The codec refusing bytes no honest peer can send:
+                    // attribute it before closing.
+                    if let Some(kind) = FrameFault::of(&err) {
                         let _ = events.send(LinkEvent::Corrupt {
                             peer,
                             generation,
+                            kind,
                             info: err.to_string(),
                         });
                     }
@@ -332,80 +425,236 @@ pub fn spawn_reader(
         }
         links.remove(peer, generation);
         let _ = events.send(LinkEvent::Closed { peer, generation });
-    });
+    })
 }
 
-/// Spawns the accept loop for node `me`: for every inbound connection,
-/// handshakes, installs the writer, reports [`LinkEvent::Connected`], and
-/// spawns a reader. Runs until the listener errors or the event channel
-/// closes (both mean the node is shutting down).
-///
-/// Accepting is also how reconnects work: a peer that lost its socket
-/// simply dials again, and the fresh link replaces the dead one in the
-/// table (the old reader's `Closed` event carries a stale generation and is
-/// ignored).
-pub fn spawn_acceptor(listener: TcpListener, me: NodeId, links: Links, events: Sender<LinkEvent>) {
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
-            if stream.set_nodelay(true).is_err() {
-                continue;
-            }
-            let Ok(peer) = handshake(&mut stream, me) else {
-                continue; // not a protocol peer; ignore the connection
-            };
-            let Ok(reader_half) = stream.try_clone() else {
-                continue;
-            };
-            let generation = links.install(peer, stream);
-            if events
-                .send(LinkEvent::Connected { peer, generation })
-                .is_err()
-            {
-                return; // node loop is gone
-            }
-            spawn_reader(reader_half, peer, generation, links.clone(), events.clone());
-        }
-    });
+/// A pooled job; it hands back the sender whose drop marks it ended.
+type Job = Box<dyn FnOnce() -> Sender<()> + Send>;
+
+/// The parked threads of the process-wide pool, each waiting on its inbox.
+static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
+
+/// A job running on a pooled thread.
+#[derive(Debug)]
+pub(crate) struct Task {
+    /// Disconnects once the job has ended, dropped everything it owned, and
+    /// its thread is parked again (or died of the job's panic).
+    done: Receiver<()>,
 }
 
-/// Dials `peer` at `addr` (with retry), handshakes, verifies the announced
-/// id, installs the writer, reports [`LinkEvent::Connected`], and spawns
-/// the reader thread.
+impl Task {
+    fn wait(self) {
+        let _ = self.done.recv();
+    }
+
+    fn is_finished(&self) -> bool {
+        matches!(self.done.try_recv(), Err(mpsc::TryRecvError::Disconnected))
+    }
+}
+
+/// Runs `job` on a parked thread of the pool, or on a new one if none is
+/// parked; either way the thread parks again when the job ends (the [module
+/// docs](self) say why). A panicking job takes only its own thread down.
+pub(crate) fn run_pooled(job: impl FnOnce() + Send + 'static) -> Task {
+    // Pushes and pops leave the list valid, so a poisoned lock is still good.
+    let idle = || IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+    let (ended, done) = mpsc::channel();
+    let job: Job = Box::new(move || {
+        job();
+        ended
+    });
+    let parked = idle().pop();
+    match parked {
+        // A parked thread is blocked on its inbox; it cannot have gone away.
+        Some(parked) => parked.send(job).expect("parked pool thread is alive"),
+        // Detached on purpose: a pool thread lives as long as the process.
+        None => drop(thread::spawn(move || {
+            let (inbox, jobs) = mpsc::channel();
+            let mut job = job;
+            loop {
+                let ended = job();
+                idle().push(inbox.clone());
+                drop(ended);
+                let Ok(next) = jobs.recv() else { return };
+                job = next;
+            }
+        })),
+    }
+    Task { done }
+}
+
+/// How long an accept loop sleeps after a failed `accept` (descriptor
+/// exhaustion is the realistic cause) before trying again, so a transient
+/// failure neither kills the listener nor spins a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// A running [`accept_loop`]; [`stop`](Self::stop) it to get the listener's
+/// descriptor and thread back. Dropping the handle instead leaves the loop
+/// serving until the process exits.
+#[derive(Debug)]
+pub(crate) struct AcceptLoop {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    running: Task,
+}
+
+/// Runs `on_stream` for every connection `listener` accepts, on one
+/// pooled thread, until [`AcceptLoop::stop`]. See the [module
+/// docs](self) for the contract `on_stream` must keep.
 ///
 /// # Errors
 ///
-/// Connect/handshake I/O errors, or [`io::ErrorKind::InvalidData`] if the
-/// endpoint announces an id other than `peer` (a mis-wired address book —
-/// the transport refuses to attribute its frames).
-pub fn dial_peer(
-    addr: SocketAddr,
-    me: NodeId,
-    peer: NodeId,
-    policy: RetryPolicy,
-    links: &Links,
-    events: &Sender<LinkEvent>,
-    on_retry: impl FnMut(u32),
-) -> io::Result<u64> {
-    let mut stream = connect_with_retry(addr, policy, on_retry)?;
-    let announced = handshake(&mut stream, me)?;
-    if announced != peer {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("dialed {peer} but endpoint announced {announced}"),
-        ));
+/// Propagates the listener's local-address lookup failure.
+pub(crate) fn accept_loop(
+    listener: TcpListener,
+    mut on_stream: impl FnMut(TcpStream) + Send + 'static,
+) -> io::Result<AcceptLoop> {
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopping = Arc::clone(&stop);
+    let running = run_pooled(move || {
+        for stream in listener.incoming() {
+            if stopping.load(Ordering::SeqCst) {
+                break;
+            }
+            match stream {
+                Ok(stream) => on_stream(stream),
+                Err(_) => thread::sleep(ACCEPT_BACKOFF),
+            }
+        }
+    });
+    Ok(AcceptLoop {
+        addr,
+        stop,
+        running,
+    })
+}
+
+impl AcceptLoop {
+    /// The listener's bound address.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
     }
-    let reader_half = stream.try_clone()?;
-    let generation = links.install(peer, stream);
-    let _ = events.send(LinkEvent::Connected { peer, generation });
-    spawn_reader(reader_half, peer, generation, links.clone(), events.clone());
-    Ok(generation)
+
+    /// Stops accepting and waits for the loop to end (flag, wake, join —
+    /// the [module docs](self)). If the wake connection cannot be made the
+    /// loop is left to end at its next wake instead of blocking the caller
+    /// forever.
+    pub(crate) fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if TcpStream::connect(self.addr).is_ok() {
+            self.running.wait();
+        }
+    }
+}
+
+/// Upper bound on the inbound handshake, which runs inline in the accept
+/// loop: a connector that never sends its `Hello` must not park the loop
+/// (and with it the node's teardown) forever. As long as the default dial
+/// budget — a dialer that cannot say `Hello` within the time it would
+/// itself keep retrying is not a peer.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One node's live transport: the writer table, the channel its readers
+/// and acceptor report into, and the accept loop. Dropping it runs the
+/// teardown in the [module docs](self).
+pub(crate) struct Mesh {
+    me: NodeId,
+    /// The outbound halves, one per connected peer.
+    pub(crate) links: Links,
+    events_tx: Sender<LinkEvent>,
+    events: Receiver<LinkEvent>,
+    acceptor: Option<AcceptLoop>,
+}
+
+impl Mesh {
+    /// Opens node `me`'s mesh. With a `listener`, every inbound connection
+    /// is handshaken (under [`HANDSHAKE_TIMEOUT`]) and adopted as a link —
+    /// which is also how reconnects work: a peer that lost its socket
+    /// simply dials again, and the fresh link replaces the dead one (whose
+    /// reader's `Closed` event carries a stale generation and is ignored).
+    /// Without one (a rejoiner: nobody dials it) the mesh only dials.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the listener's local-address lookup failure.
+    pub(crate) fn open(me: NodeId, listener: Option<TcpListener>) -> io::Result<Mesh> {
+        let links = Links::new();
+        let (events_tx, events) = mpsc::channel();
+        let acceptor = match listener {
+            None => None,
+            Some(listener) => {
+                let (links, events) = (links.clone(), events_tx.clone());
+                Some(accept_loop(listener, move |mut stream| {
+                    let ready = stream.set_nodelay(true).is_ok()
+                        && stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_ok();
+                    if !ready {
+                        return;
+                    }
+                    let Ok(peer) = handshake(&mut stream, me) else {
+                        return; // not a protocol peer; ignore the connection
+                    };
+                    if stream.set_read_timeout(None).is_ok() {
+                        let _ = links.adopt(peer, stream, &events);
+                    }
+                })?)
+            }
+        };
+        Ok(Mesh {
+            me,
+            links,
+            events_tx,
+            events,
+            acceptor,
+        })
+    }
+
+    /// Dials `peer` at `addr` (with retry, `on_retry(attempt)` before each
+    /// backoff sleep), handshakes, verifies the announced id, and adopts
+    /// the connection as a link, returning its generation.
+    ///
+    /// # Errors
+    ///
+    /// Connect/handshake I/O errors, or [`io::ErrorKind::InvalidData`] if
+    /// the endpoint announces an id other than `peer` (a mis-wired address
+    /// book — the transport refuses to attribute its frames).
+    pub(crate) fn dial(
+        &self,
+        addr: SocketAddr,
+        peer: NodeId,
+        policy: RetryPolicy,
+        on_retry: impl FnMut(u32),
+    ) -> io::Result<u64> {
+        let mut stream = connect_with_retry(addr, policy, on_retry)?;
+        let announced = handshake(&mut stream, self.me)?;
+        if announced != peer {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("dialed {peer} but endpoint announced {announced}"),
+            ));
+        }
+        self.links.adopt(peer, stream, &self.events_tx)
+    }
+
+    /// The next link event, waiting at most `wait`. `None` is a timeout:
+    /// the mesh holds a sender itself, so the channel cannot disconnect.
+    pub(crate) fn next_event(&self, wait: Duration) -> Option<LinkEvent> {
+        self.events.recv_timeout(wait).ok()
+    }
+}
+
+impl Drop for Mesh {
+    fn drop(&mut self) {
+        if let Some(acceptor) = self.acceptor.take() {
+            acceptor.stop();
+        }
+        self.links.close();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     #[test]
     fn retry_backs_off_then_succeeds() {
@@ -473,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_all_closes_every_link_and_clears_the_table() {
+    fn close_shuts_every_link_down_and_clears_the_table() {
         let links = Links::new();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -483,7 +732,7 @@ mod tests {
         let (_b_accepted, _) = listener.accept().unwrap();
         links.install(NodeId::new(1), a);
         links.install(NodeId::new(2), b);
-        links.shutdown_all();
+        links.close();
         assert!(links.connected().is_empty());
         // The peer side of a shut-down socket reads EOF, like a dead process.
         let mut reader = BufReader::new(a_accepted);
@@ -495,54 +744,42 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
-
-        let (bob_tx, bob_rx) = mpsc::channel();
-        let bob_links = Links::new();
-        spawn_acceptor(listener, bob, bob_links.clone(), bob_tx);
-
-        let (alice_tx, alice_rx) = mpsc::channel();
-        let alice_links = Links::new();
-        dial_peer(
-            addr,
-            alice,
-            bob,
-            RetryPolicy::default(),
-            &alice_links,
-            &alice_tx,
-            |_| {},
-        )
-        .unwrap();
+        let bob_mesh = Mesh::open(bob, Some(listener)).unwrap();
+        let alice_mesh = Mesh::open(alice, None).unwrap();
+        alice_mesh
+            .dial(addr, bob, RetryPolicy::default(), |_| {})
+            .unwrap();
 
         // Both sides report Connected with the right peer.
-        match alice_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+        let wait = Duration::from_secs(5);
+        match alice_mesh.next_event(wait).unwrap() {
             LinkEvent::Connected { peer, .. } => assert_eq!(peer, bob),
             other => panic!("expected Connected, got {other:?}"),
         }
-        match bob_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+        match bob_mesh.next_event(wait).unwrap() {
             LinkEvent::Connected { peer, .. } => assert_eq!(peer, alice),
             other => panic!("expected Connected, got {other:?}"),
         }
 
         // Alice -> Bob through the writer table; Bob's reader attributes it.
-        assert!(alice_links.send(
-            bob,
-            &Frame::Done {
-                round: 1,
-                decided: false,
-            },
-        ));
-        match bob_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+        let done = Frame::Done {
+            round: 1,
+            decided: false,
+        };
+        assert!(alice_mesh.links.send(bob, &done));
+        match bob_mesh.next_event(wait).unwrap() {
             LinkEvent::Frame { from, frame } => {
                 assert_eq!(from, alice);
-                assert_eq!(
-                    frame,
-                    Frame::Done {
-                        round: 1,
-                        decided: false,
-                    }
-                );
+                assert_eq!(frame, done);
             }
             other => panic!("expected Frame, got {other:?}"),
+        }
+
+        // Dropping Alice's mesh closes her sockets: Bob's reader sees EOF.
+        drop(alice_mesh);
+        match bob_mesh.next_event(wait).unwrap() {
+            LinkEvent::Closed { peer, .. } => assert_eq!(peer, alice),
+            other => panic!("expected Closed, got {other:?}"),
         }
     }
 
@@ -550,21 +787,26 @@ mod tests {
     fn dialing_a_mislabeled_peer_is_refused() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (tx, _rx) = mpsc::channel();
-        spawn_acceptor(listener, NodeId::new(9), Links::new(), tx);
-
-        let (tx2, _rx2) = mpsc::channel();
-        let err = dial_peer(
-            addr,
-            NodeId::new(1),
-            NodeId::new(2), // address book says 2, endpoint says 9
-            RetryPolicy::default(),
-            &Links::new(),
-            &tx2,
-            |_| {},
-        )
-        .unwrap_err();
+        let _nine = Mesh::open(NodeId::new(9), Some(listener)).unwrap();
+        let err = Mesh::open(NodeId::new(1), None)
+            .unwrap()
+            // address book says 2, endpoint says 9
+            .dial(addr, NodeId::new(2), RetryPolicy::default(), |_| {})
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_stopped_accept_loop_releases_its_port_and_serves_nothing_more() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (served_tx, served) = mpsc::channel();
+        let accepting = accept_loop(listener, move |_| served_tx.send(()).unwrap()).unwrap();
+        let addr = accepting.addr();
+        TcpStream::connect(addr).unwrap();
+        served.recv_timeout(Duration::from_secs(5)).unwrap();
+        accepting.stop();
+        assert!(served.try_recv().is_err(), "the wake was not served");
+        assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
     }
 
     #[test]

@@ -17,14 +17,17 @@
 //! * [`codec`] — `Wire` impls for the `uba-core` protocol payloads, so the
 //!   bundled algorithms run over TCP out of the box;
 //! * [`conn`] — dialing with retry/backoff, the handshake that pins each
-//!   connection to a sender id, per-connection reader threads, and the
-//!   generation-guarded writer table that makes reconnects safe;
+//!   connection to a sender id, per-connection reader threads, the
+//!   generation-guarded writer table that makes reconnects safe, the one
+//!   stoppable accept loop every listener in the crate runs, and the mesh
+//!   teardown that gives a finished node's sockets and threads back;
 //! * [`sync`] — the [`RoundSynchronizer`], a pure state machine enforcing
 //!   the send/deliver barrier (unit-testable without sockets);
 //! * [`node`] — [`NetNode`], one cluster member: process + transport +
 //!   round loop, with [`uba_trace`] observability throughout;
-//! * [`cluster`] — [`run_local_cluster`], an n-member localhost cluster in
-//!   one call (the `cluster` binary wraps it on the command line);
+//! * [`cluster`] — [`ClusterSpec`], the one harness that starts, runs and
+//!   stops a localhost cluster (see *Starting a cluster* below; the
+//!   `cluster` binary wraps it on the command line);
 //! * [`proxy`] — [`FaultProxy`], a deterministic WAN emulation layer: a
 //!   seeded [`LinkPlan`] of per-link latency/jitter/loss/bandwidth and
 //!   scheduled partitions, applied by shaping relays between the sockets
@@ -44,9 +47,29 @@
 //! * [`byzantine`] — [`ByzantineNode`], a scripted hostile member driven by
 //!   a seeded [`AttackPlan`] mirroring the simulator's adversary
 //!   vocabulary (equivocation, replay, corruption, floods, stalls,
-//!   backfill abuse), plus [`run_local_cluster_with_byzantine`] to stand up
-//!   mixed honest/hostile clusters — the T15 experiment and the threat
-//!   model in DESIGN.md §13 build on it.
+//!   backfill abuse) — the T15 experiment and the threat model in
+//!   DESIGN.md §13 build on it.
+//!
+//! ## Starting a cluster
+//!
+//! There is one way: fill in a [`ClusterSpec`] and call
+//! [`run`](ClusterSpec::run) (or [`spawn`](ClusterSpec::spawn), then
+//! [`join`](RunningCluster::join) later — what [`spawn_log_cluster`] does).
+//! Its three options are orthogonal and all off by default:
+//!
+//! * `proxy` — front every member with the WAN [`FaultProxy`];
+//! * `kill` — the crash-recovery drill: durable journals, one scripted
+//!   crash, rejoin over the backfill protocol ([`KillSpec`]);
+//! * `hostile` — scripted [`ByzantineNode`]s beside the honest members.
+//!
+//! The result is one [`ClusterRun`]: the honest members' reports, the
+//! proxy's link events, the hostile members' summaries. The harness binds
+//! every listener before any thread starts, guards every member thread
+//! against panics ([`NetError::MemberPanicked`]), and holds no descriptor
+//! or thread once `run` returns: every node tears its own mesh down
+//! however its run ends ([`conn`] documents the order).
+//! [`run_local_cluster`] and [`run_local_cluster_with_metrics`] are the
+//! default spec spelled as functions.
 //!
 //! ## Timeouts are omissions
 //!
@@ -104,10 +127,8 @@ pub mod wire;
 
 pub use byzantine::{equivocation_frames, AttackKind, AttackPlan, ByzReport, ByzantineNode};
 pub use cluster::{
-    decisions, journal_path, run_local_cluster, run_local_cluster_with_byzantine,
-    run_local_cluster_with_metrics, run_local_cluster_with_proxy, run_local_cluster_with_restart,
-    run_local_cluster_with_restart_and_metrics, run_local_cluster_with_restart_through_proxy,
-    ByzantineRun, KillSpec,
+    decisions, journal_path, run_local_cluster, run_local_cluster_with_metrics, ClusterRun,
+    ClusterSpec, KillSpec, ProxySpec, RunningCluster,
 };
 pub use conn::{connect_with_retry, LinkEvent, Links, RetryPolicy};
 pub use metrics_http::{
@@ -120,4 +141,4 @@ pub use service::{
     LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
 pub use sync::{DataOutcome, DoneOutcome, RoundSynchronizer};
-pub use wire::{read_frame, write_frame, Frame, Wire, MAX_FRAME};
+pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

@@ -27,12 +27,11 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use uba_trace::SharedRuntimeMetrics;
+
+use crate::conn::{accept_loop, AcceptLoop};
 
 /// How long one scrape connection may take to send its request line and
 /// headers before the server gives up on it.
@@ -44,25 +43,18 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 /// short-lived tests that outlive their cluster).
 #[derive(Debug)]
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: AcceptLoop,
 }
 
 impl MetricsServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops the acceptor thread and joins it.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept call with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        self.acceptor.stop();
     }
 }
 
@@ -77,28 +69,12 @@ pub fn serve_metrics(
     registry: SharedRuntimeMetrics,
 ) -> io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let handle = thread::Builder::new()
-        .name(format!("metrics-http-{addr}"))
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // Serve inline: scrapes are rare and tiny, so a second
-                // thread per connection would buy nothing.
-                let _ = serve_one(stream, &registry);
-            }
-        })
-        .expect("spawning the metrics endpoint thread");
-    Ok(MetricsServer {
-        addr,
-        stop,
-        handle: Some(handle),
-    })
+    // Serve inline: scrapes are rare and tiny (and bounded by
+    // `REQUEST_TIMEOUT`), so a thread per connection would buy nothing.
+    let acceptor = accept_loop(listener, move |stream| {
+        let _ = serve_one(stream, &registry);
+    })?;
+    Ok(MetricsServer { acceptor })
 }
 
 /// Answers a single HTTP exchange on `stream`.

@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -27,9 +26,9 @@ use uba_trace::{
     SharedRuntimeMetrics, TraceEvent, Tracer,
 };
 
-use crate::conn::{dial_peer, spawn_acceptor, LinkEvent, Links, RetryPolicy};
+use crate::conn::{LinkEvent, Links, Mesh, RetryPolicy};
 use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer};
-use crate::wire::{Frame, Wire};
+use crate::wire::{Frame, FrameFault, Wire};
 
 /// Tuning knobs of a networked node.
 #[derive(Debug, Clone)]
@@ -116,8 +115,8 @@ pub enum NetError {
     /// [`NetNode::resume`].
     Killed(u64),
     /// A cluster member's thread panicked. Reported by the
-    /// [`run_local_cluster`](crate::run_local_cluster) harness family,
-    /// which converts the panic into this typed error, keeps draining the
+    /// [`ClusterSpec`](crate::ClusterSpec) harness, which converts the
+    /// panic into this typed error, keeps draining the
     /// surviving members, and flips their abort flag so they shut down
     /// promptly instead of grinding out their give-up budgets.
     MemberPanicked {
@@ -235,9 +234,11 @@ fn frame_quota_len(frame: &Frame) -> u64 {
 /// The process's payload type must implement [`Wire`] — the impls for all
 /// `uba-core` payloads ship in [`crate::codec`].
 ///
-/// See [`run_local_cluster`](crate::run_local_cluster) for the one-call
-/// way to run a whole localhost cluster; `NetNode` is the building block
-/// when each member runs in its own OS process.
+/// See [`ClusterSpec`](crate::ClusterSpec) for the one-call way to run a
+/// whole localhost cluster; `NetNode` is the building block when each
+/// member runs in its own OS process. However a run ends, the node closes
+/// its sockets, stops its accept loop and waits for its readers on the way
+/// out ([`crate::conn`] documents the order).
 pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     process: P,
     config: NetConfig,
@@ -398,31 +399,14 @@ where
     ) -> Result<NetReport<P::Output, T>, NetError> {
         let me = self.process.id();
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != me).collect();
-        let links = Links::new();
-        let (events_tx, events) = mpsc::channel::<LinkEvent>();
-        spawn_acceptor(listener, me, links.clone(), events_tx.clone());
-
         let mut sync = RoundSynchronizer::<P::Msg>::new(me, peers.iter().copied())
             .with_round_window(self.config.history_rounds as u64);
 
-        // Dial every peer with a larger id; smaller ids dial us. Each pair
-        // gets its own jitter stream so simultaneous (re)starts spread out.
-        let runtime = self.runtime.clone();
-        for &peer in peers.iter().filter(|&&p| p > me) {
-            let addr = roster[&peer];
-            let retry = pair_retry(self.config.retry, me, peer);
-            dial_peer(addr, me, peer, retry, &links, &events_tx, |attempt| {
-                if let Some(rt) = &runtime {
-                    rt.inc("net_dial_retries_total");
-                }
-                trace(&mut self.tracer, || TraceEvent::Net {
-                    round: 0,
-                    kind: NetEventKind::Retry,
-                    node: me.raw(),
-                    peer: Some(peer.raw()),
-                    info: format!("dial attempt {attempt} failed"),
-                });
-            })?;
+        // Dial every peer with a larger id; smaller ids dial us.
+        let larger = peers.iter().copied().filter(|&p| p > me);
+        let (mesh, unreachable) = self.open_mesh(Some(listener), roster, larger, 0)?;
+        if let Some((_, err)) = unreachable.into_iter().next() {
+            return Err(err.into());
         }
 
         // Wait for the full mesh. Fast peers may already be sending round-1
@@ -434,18 +418,10 @@ where
             if remaining.is_zero() {
                 break;
             }
-            match events.recv_timeout(remaining) {
-                Ok(event) => {
-                    self.handle_link_event(event, &mut sync, &mut connected, me, &links);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Io(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "event channel closed during setup",
-                    )))
-                }
-            }
+            let Some(event) = mesh.next_event(remaining) else {
+                break;
+            };
+            self.handle_link_event(event, &mut sync, &mut connected, me, &mesh.links);
         }
         for &peer in peers.iter().filter(|p| !connected.contains(p)) {
             // Never came up: run without it, as if it crashed before round 1.
@@ -459,7 +435,7 @@ where
             });
         }
 
-        self.run_rounds(sync, links, events, connected, Vec::new(), None)
+        self.run_rounds(sync, mesh, connected, Vec::new(), None)
     }
 
     /// Rebuilds a crashed node from its recovered journal and re-enters the
@@ -519,54 +495,29 @@ where
         let next_round = recovery.last_round().map_or(1, |r| r + 1);
 
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != me).collect();
-        let links = Links::new();
-        let (events_tx, events) = mpsc::channel::<LinkEvent>();
         let mut sync =
             RoundSynchronizer::<P::Msg>::resume_at(me, peers.iter().copied(), next_round)
                 .with_round_window(self.config.history_rounds as u64);
-        let connected: BTreeSet<NodeId> = BTreeSet::new();
-        let runtime = self.runtime.clone();
-        for &peer in &peers {
-            let retry = pair_retry(self.config.retry, me, peer);
-            let dialed = dial_peer(
-                roster[&peer],
-                me,
-                peer,
-                retry,
-                &links,
-                &events_tx,
-                |attempt| {
-                    if let Some(rt) = &runtime {
-                        rt.inc("net_dial_retries_total");
-                    }
-                    trace(&mut self.tracer, || TraceEvent::Net {
-                        round: next_round,
-                        kind: NetEventKind::Retry,
-                        node: me.raw(),
-                        peer: Some(peer.raw()),
-                        info: format!("rejoin dial attempt {attempt} failed"),
-                    });
-                },
-            );
-            if dialed.is_err() {
-                // Unreachable while we were down (it may have crashed too):
-                // rejoin without it; its silence budget governs from here.
-                sync.peer_gone(peer);
-                trace(&mut self.tracer, || TraceEvent::Net {
-                    round: next_round,
-                    kind: NetEventKind::PeerGone,
-                    node: me.raw(),
-                    peer: Some(peer.raw()),
-                    info: "unreachable during rejoin".to_string(),
-                });
-            }
+        let (mesh, unreachable) =
+            self.open_mesh(None, roster, peers.iter().copied(), next_round)?;
+        for (peer, _) in unreachable {
+            // Unreachable while we were down (it may have crashed too, or
+            // finished and closed): rejoin without it.
+            sync.peer_gone(peer);
+            trace(&mut self.tracer, || TraceEvent::Net {
+                round: next_round,
+                kind: NetEventKind::PeerGone,
+                node: me.raw(),
+                peer: Some(peer.raw()),
+                info: "unreachable during rejoin".to_string(),
+            });
         }
 
         // Announce the rejoin: ask every reachable peer for the rounds we
         // slept through (their own sends only — see `RoundHistory`).
         let request = Frame::SyncRequest { since: next_round };
         for peer in sync.expected().collect::<Vec<_>>() {
-            links.send(peer, &request);
+            mesh.links.send(peer, &request);
             count_sent(&self.runtime, peer, &request);
             // Only the peers we asked may answer with Backfill frames;
             // unsolicited backfill from anyone else is rejoin-path abuse.
@@ -588,22 +539,62 @@ where
             ),
         });
 
-        self.run_rounds(sync, links, events, connected, inbox, decided_round)
+        self.run_rounds(sync, mesh, BTreeSet::new(), inbox, decided_round)
+    }
+
+    /// Opens this node's [`Mesh`] — accepting on `listener`, if it has one —
+    /// and dials `targets`, tracing every retry against `round`. Each pair
+    /// gets its own jitter stream so simultaneous (re)starts spread out.
+    /// Returns the mesh and the targets that stayed unreachable for the
+    /// whole retry budget, with the last error.
+    fn open_mesh(
+        &mut self,
+        listener: Option<TcpListener>,
+        roster: &BTreeMap<NodeId, SocketAddr>,
+        targets: impl Iterator<Item = NodeId>,
+        round: u64,
+    ) -> io::Result<(Mesh, Vec<(NodeId, io::Error)>)> {
+        let me = self.process.id();
+        let mesh = Mesh::open(me, listener)?;
+        let mut unreachable = Vec::new();
+        for peer in targets {
+            let retry = pair_retry(self.config.retry, me, peer);
+            let dialed = mesh.dial(roster[&peer], peer, retry, |attempt| {
+                if let Some(rt) = &self.runtime {
+                    rt.inc("net_dial_retries_total");
+                }
+                trace(&mut self.tracer, || TraceEvent::Net {
+                    round,
+                    kind: NetEventKind::Retry,
+                    node: me.raw(),
+                    peer: Some(peer.raw()),
+                    info: format!("dial attempt {attempt} failed"),
+                });
+            });
+            if let Err(err) = dialed {
+                unreachable.push((peer, err));
+            }
+        }
+        Ok((mesh, unreachable))
     }
 
     /// The shared lock-step loop behind [`run`](Self::run) and
     /// [`resume`](Self::resume): step, flush, barrier, advance — until the
-    /// whole cluster decided or a limit trips.
+    /// whole cluster decided or a limit trips. Owns the `mesh`: whichever
+    /// way the loop is left — decided, killed, aborted, an error — dropping
+    /// it closes the sockets (peers read EOF), stops the acceptor and joins
+    /// the readers. On the success path that is after the final round's
+    /// `Done` markers were written, so peers still at that barrier get them.
     fn run_rounds(
         mut self,
         mut sync: RoundSynchronizer<P::Msg>,
-        links: Links,
-        events: mpsc::Receiver<LinkEvent>,
+        mesh: Mesh,
         mut connected: BTreeSet<NodeId>,
         mut inbox: Vec<Envelope<P::Msg>>,
         mut decided_round: Option<u64>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
         let me = self.process.id();
+        let links = &mesh.links;
         let mut timeouts: u64 = 0;
         let mut round_micros: Vec<u64> = Vec::new();
         if let Some(rt) = &self.runtime {
@@ -616,15 +607,12 @@ where
         loop {
             let round = sync.current_round();
             if self.aborted() {
-                // Harness teardown (a sibling member panicked): close the
-                // sockets so peers see EOF, and report the abort.
-                links.shutdown_all();
+                // Harness teardown (a sibling member panicked).
                 return Err(NetError::Aborted);
             }
             if self.kill_at == Some(round) {
                 // Injected crash: die like an OS process would — sockets
                 // closed (peers read EOF), nothing flushed, no goodbye.
-                links.shutdown_all();
                 return Err(NetError::Killed(round));
             }
             if round > self.config.max_rounds {
@@ -648,7 +636,7 @@ where
                 step_micros = micros_since(phase);
                 let phase = Instant::now();
                 for outgoing in outbox.drain() {
-                    self.dispatch(outgoing.dest, outgoing.msg, round, &mut sync, &links, me);
+                    self.dispatch(outgoing.dest, outgoing.msg, round, &mut sync, links, me);
                 }
                 send_micros = micros_since(phase);
             }
@@ -682,28 +670,16 @@ where
                 } else {
                     remaining
                 };
-                match events.recv_timeout(slice) {
-                    Ok(event) => {
-                        let handling = Instant::now();
-                        self.handle_link_event(event, &mut sync, &mut connected, me, &links);
-                        deliver_micros += micros_since(handling);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.aborted() {
-                            links.shutdown_all();
-                            return Err(NetError::Aborted);
-                        }
-                        // Not necessarily the deadline: the loop head
-                        // recomputes the remaining budget and exits when
-                        // it truly is.
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(NetError::Io(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "event channel closed mid-round",
-                        )))
-                    }
+                if let Some(event) = mesh.next_event(slice) {
+                    let handling = Instant::now();
+                    self.handle_link_event(event, &mut sync, &mut connected, me, links);
+                    deliver_micros += micros_since(handling);
+                } else if self.aborted() {
+                    return Err(NetError::Aborted);
                 }
+                // A timed-out slice is not necessarily the deadline: the
+                // loop head recomputes the remaining budget and exits when
+                // it truly is.
             }
             let barrier_micros = micros_since(phase);
 
@@ -851,7 +827,6 @@ where
                 let mut remaining = self.config.round_pace.saturating_sub(started.elapsed());
                 while !remaining.is_zero() {
                     if self.aborted() {
-                        links.shutdown_all();
                         return Err(NetError::Aborted);
                     }
                     let slice = remaining.min(ABORT_POLL);
@@ -1041,15 +1016,15 @@ where
                 // guarded). The peer may redial; if it stays silent the
                 // barrier timeout and the give-up budget take over.
             }
-            LinkEvent::Corrupt { peer, info, .. } => {
-                // The reader refused bytes no honest peer can produce: an
-                // oversized length prefix or an undecodable frame body.
-                let kind = if info.contains("exceeds MAX_FRAME") {
-                    "oversize_frame"
-                } else {
-                    "malformed_frame"
+            LinkEvent::Corrupt {
+                peer, kind, info, ..
+            } => {
+                // The reader refused bytes no honest peer can produce.
+                let strike = match kind {
+                    FrameFault::Oversize(_) => "oversize_frame",
+                    FrameFault::Malformed => "malformed_frame",
                 };
-                self.misbehave(peer, kind, info, sync, links);
+                self.misbehave(peer, strike, info, sync, links);
             }
             LinkEvent::Frame { from, frame } => {
                 if self.banned.contains(&from) {
@@ -1388,7 +1363,7 @@ fn single_node_view<'a, P: Process>(
 /// Derives the per-(dialer, peer) retry policy: same base schedule, but a
 /// jitter stream seeded from the pair, so a mass restart spreads its
 /// redials instead of hammering every listener in lockstep.
-fn pair_retry(base: RetryPolicy, me: NodeId, peer: NodeId) -> RetryPolicy {
+pub(crate) fn pair_retry(base: RetryPolicy, me: NodeId, peer: NodeId) -> RetryPolicy {
     base.with_jitter_seed(base.jitter_seed ^ me.raw().rotate_left(32) ^ peer.raw())
 }
 

@@ -34,15 +34,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use uba_sim::NodeId;
 use uba_trace::{metric_name, NetEventKind, SharedRuntimeMetrics, TraceEvent};
 
-use crate::conn::splitmix64;
+use crate::conn::{accept_loop, splitmix64, AcceptLoop};
 use crate::wire::{read_frame, write_frame, Frame};
 
 /// The golden-ratio increment splitmix64 itself uses; decorrelates the
@@ -321,12 +320,11 @@ impl WanProfile {
 }
 
 /// Shared state of one proxy mesh: the plan, the optional runtime-metrics
-/// registry, the collected `net_link_*` trace events, and the stop flag.
+/// registry, and the collected `net_link_*` trace events.
 struct ProxyShared {
     plan: LinkPlan,
     metrics: Option<SharedRuntimeMetrics>,
     events: Mutex<Vec<TraceEvent>>,
-    stop: AtomicBool,
 }
 
 /// A running WAN fault proxy mesh: one front listener per cluster member.
@@ -338,12 +336,12 @@ struct ProxyShared {
 /// according to the plan's directed-link specs.
 ///
 /// Dropping the proxy without [`shutdown`](Self::shutdown) leaves its
-/// threads relaying until the process exits (harmless for tests, same
+/// fronts accepting until the process exits (harmless for tests, same
 /// contract as [`crate::MetricsServer`]).
 pub struct FaultProxy {
     fronts: BTreeMap<NodeId, SocketAddr>,
     shared: Arc<ProxyShared>,
-    acceptors: Vec<JoinHandle<()>>,
+    acceptors: Vec<AcceptLoop>,
 }
 
 impl FaultProxy {
@@ -365,7 +363,6 @@ impl FaultProxy {
             plan,
             metrics,
             events: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
         });
         let mut fronts = BTreeMap::new();
         let mut acceptors = Vec::new();
@@ -373,9 +370,9 @@ impl FaultProxy {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             fronts.insert(owner, listener.local_addr()?);
             let shared = Arc::clone(&shared);
-            acceptors.push(thread::spawn(move || {
-                accept_loop(listener, owner, target, shared)
-            }));
+            acceptors.push(accept_loop(listener, move |client| {
+                relay(client, owner, target, &shared);
+            })?);
         }
         Ok(FaultProxy {
             fronts,
@@ -390,63 +387,47 @@ impl FaultProxy {
         &self.fronts
     }
 
-    /// Drains the `net_link_*` trace events collected so far. Events of
-    /// one direction are in order; the interleaving across links follows
-    /// wall-clock observation order.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
+    /// Stops accepting, waits for the accept loops to end, and returns the
+    /// `net_link_*` trace events collected (one direction's events are in
+    /// order; the interleaving across links follows wall-clock observation
+    /// order). Established relays drain on their own when their endpoints
+    /// close.
+    pub fn shutdown(self) -> Vec<TraceEvent> {
+        for acceptor in self.acceptors {
+            acceptor.stop();
+        }
         std::mem::take(&mut *self.shared.events.lock().expect("proxy events lock"))
-    }
-
-    /// Stops accepting and joins the acceptor threads. Established relays
-    /// drain on their own when the endpoints close.
-    pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for addr in self.fronts.values() {
-            // Unblock the accept call; the loop re-checks the flag first.
-            let _ = TcpStream::connect(addr);
-        }
-        for handle in self.acceptors {
-            let _ = handle.join();
-        }
     }
 }
 
-/// The accept loop of one member's front: relay every inbound connection
-/// to the member's real address through a pair of shaping threads.
-fn accept_loop(listener: TcpListener, owner: NodeId, target: SocketAddr, shared: Arc<ProxyShared>) {
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(client) = stream else { break };
-        if client.set_nodelay(true).is_err() {
-            continue;
-        }
-        let Ok(upstream) = TcpStream::connect(target) else {
-            continue; // member already gone; the dialer sees the close
-        };
-        if upstream.set_nodelay(true).is_err() {
-            continue;
-        }
-        // The dialer identifies itself in its first frame (`Hello`); both
-        // directions share the discovery. The node behind this front never
-        // sends protocol traffic before the handshake completes, and the
-        // handshake completes only after the inbound `Hello` passed
-        // through (and filled this cell) — so the outbound direction
-        // always knows the dialer by the time attribution matters.
-        let dialer: Arc<OnceLock<NodeId>> = Arc::new(OnceLock::new());
-        let (Ok(client_r), Ok(upstream_r)) = (client.try_clone(), upstream.try_clone()) else {
-            continue;
-        };
-        {
-            let (dialer, shared) = (Arc::clone(&dialer), Arc::clone(&shared));
-            thread::spawn(move || pump(client_r, upstream, owner, true, dialer, shared));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || pump(upstream_r, client, owner, false, dialer, shared));
-        }
+/// One inbound connection on `owner`'s front: relay it to the member's
+/// real address through a pair of shaping threads.
+fn relay(client: TcpStream, owner: NodeId, target: SocketAddr, shared: &Arc<ProxyShared>) {
+    if client.set_nodelay(true).is_err() {
+        return;
     }
+    let Ok(upstream) = TcpStream::connect(target) else {
+        return; // member already gone; the dialer sees the close
+    };
+    if upstream.set_nodelay(true).is_err() {
+        return;
+    }
+    // The dialer identifies itself in its first frame (`Hello`); both
+    // directions share the discovery. The node behind this front never
+    // sends protocol traffic before the handshake completes, and the
+    // handshake completes only after the inbound `Hello` passed through
+    // (and filled this cell) — so the outbound direction always knows the
+    // dialer by the time attribution matters.
+    let dialer: Arc<OnceLock<NodeId>> = Arc::new(OnceLock::new());
+    let (Ok(client_r), Ok(upstream_r)) = (client.try_clone(), upstream.try_clone()) else {
+        return;
+    };
+    {
+        let (dialer, shared) = (Arc::clone(&dialer), Arc::clone(shared));
+        thread::spawn(move || pump(client_r, upstream, owner, true, dialer, shared));
+    }
+    let shared = Arc::clone(shared);
+    thread::spawn(move || pump(upstream_r, client, owner, false, dialer, shared));
 }
 
 /// What the shaper decided for one frame.

@@ -35,9 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -46,8 +44,9 @@ use uba_core::ordering::{OrderMsg, TotalOrdering};
 use uba_sim::{Context, Dest, Envelope, NodeId, Outbox, Process};
 use uba_trace::{metric_name, NetEventKind, NoopTracer, SharedRuntimeMetrics, TraceEvent, Tracer};
 
-use crate::cluster::{collect_reports, MemberHandle};
-use crate::node::{NetConfig, NetError, NetNode, NetReport};
+use crate::cluster::{ClusterSpec, RunningCluster};
+use crate::conn::{accept_loop, AcceptLoop};
+use crate::node::{NetConfig, NetError, NetReport};
 use crate::wire::{read_frame, write_frame, Frame, Wire};
 
 /// One client submission, as ordered by a shard's instance.
@@ -473,7 +472,7 @@ fn serve_connection<T: Tracer>(
     // this socket, so dropping our handle alone would NOT close the
     // connection — shut the socket down explicitly or the client never
     // sees the disconnect.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn serve_frames<T: Tracer>(
@@ -558,9 +557,7 @@ type Connections = Arc<Mutex<Vec<(TcpStream, thread::JoinHandle<()>)>>>;
 /// [`ClientServer::shutdown`] once readers are done (the ordering run
 /// finishing does *not* stop it — sealed prefixes stay readable).
 pub struct ClientServer<T: Tracer> {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: thread::JoinHandle<()>,
+    acceptor: AcceptLoop,
     connections: Connections,
     tracer: Arc<Mutex<T>>,
 }
@@ -568,7 +565,7 @@ pub struct ClientServer<T: Tracer> {
 impl<T: Tracer> std::fmt::Debug for ClientServer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
     }
 }
@@ -590,42 +587,27 @@ pub fn serve_clients<T: Tracer + Send + 'static>(
     runtime: Option<SharedRuntimeMetrics>,
     tracer: T,
 ) -> io::Result<ClientServer<T>> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
     let connections: Connections = Arc::new(Mutex::new(Vec::new()));
     let tracer = Arc::new(Mutex::new(tracer));
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        let connections = Arc::clone(&connections);
-        let tracer = Arc::clone(&tracer);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // Request/response over tiny frames: Nagle + delayed ACK
-                // would put ~40ms under every ack.
-                let _ = stream.set_nodelay(true);
-                let Ok(watch) = stream.try_clone() else {
-                    continue;
-                };
-                let ingress = ingress.clone();
-                let runtime = runtime.clone();
-                let tracer = Arc::clone(&tracer);
-                let handle = thread::spawn(move || {
-                    serve_connection(stream, ingress, node, runtime, tracer);
-                });
-                connections
-                    .lock()
-                    .expect("connection table lock poisoned")
-                    .push((watch, handle));
-            }
-        })
-    };
+    let (table, shared_tracer) = (Arc::clone(&connections), Arc::clone(&tracer));
+    let acceptor = accept_loop(listener, move |stream| {
+        // Request/response over tiny frames: Nagle + delayed ACK would put
+        // ~40ms under every ack.
+        let _ = stream.set_nodelay(true);
+        let Ok(watch) = stream.try_clone() else {
+            return;
+        };
+        let (ingress, runtime) = (ingress.clone(), runtime.clone());
+        let tracer = Arc::clone(&shared_tracer);
+        let handle = thread::spawn(move || {
+            serve_connection(stream, ingress, node, runtime, tracer);
+        });
+        table
+            .lock()
+            .expect("connection table lock poisoned")
+            .push((watch, handle));
+    })?;
     Ok(ClientServer {
-        addr,
-        stop,
         acceptor,
         connections,
         tracer,
@@ -635,16 +617,13 @@ pub fn serve_clients<T: Tracer + Send + 'static>(
 impl<T: Tracer> ClientServer<T> {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops accepting, severs the live connections, joins every serving
     /// thread, and returns the tracer with the recorded client events.
     pub fn shutdown(self) -> T {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.acceptor.join();
+        self.acceptor.stop();
         let connections = std::mem::take(
             &mut *self
                 .connections
@@ -652,7 +631,7 @@ impl<T: Tracer> ClientServer<T> {
                 .expect("connection table lock poisoned"),
         );
         for (stream, handle) in connections {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
         Arc::try_unwrap(self.tracer)
@@ -808,7 +787,9 @@ type LogReport<T> = NetReport<Vec<Vec<Record>>, T>;
 pub struct LogCluster<T: Tracer> {
     client_addrs: BTreeMap<NodeId, SocketAddr>,
     ingresses: BTreeMap<NodeId, LogIngress>,
-    members: Vec<MemberHandle<Vec<Vec<Record>>, T>>,
+    /// The ordering loops, until [`join_ordering`](Self::join_ordering)
+    /// collects them.
+    ordering: Option<RunningCluster<Vec<Vec<Record>>, T>>,
     servers: Vec<ClientServer<NoopTracer>>,
 }
 
@@ -844,27 +825,22 @@ pub fn spawn_log_cluster<T>(
     shards: u32,
     ingest_until: u64,
     config: NetConfig,
-    mut tracer_for: impl FnMut(NodeId) -> T,
+    tracer_for: impl FnMut(NodeId) -> T,
     mut metrics_for: impl FnMut(NodeId) -> Option<SharedRuntimeMetrics>,
 ) -> Result<LogCluster<T>, NetError>
 where
     T: Tracer + Send + 'static,
 {
     let horizon = service_horizon(ids.len(), ingest_until);
-    // Bind every listener — inter-node and client — before any thread
-    // spawns, then build the shared roster.
+    // One client listener, ingress and service process per member; the
+    // harness then binds the inter-node roster and starts the ordering
+    // loops, with the same registry the member's client side records into.
     let mut members = Vec::new();
-    let mut roster = BTreeMap::new();
+    let mut runtimes = BTreeMap::new();
     let mut client_addrs = BTreeMap::new();
     let mut ingresses = BTreeMap::new();
     let mut servers = Vec::new();
     for &id in ids {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        assert!(
-            roster.insert(id, addr).is_none(),
-            "duplicate cluster member id {id}"
-        );
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
         let runtime = metrics_for(id);
         let ingress = LogIngress::new(shards);
@@ -882,38 +858,16 @@ where
         if let Some(rt) = runtime.clone() {
             process = process.with_runtime_metrics(rt);
         }
-        members.push((id, process, listener, runtime));
+        members.push(process);
+        runtimes.insert(id, runtime);
     }
-
-    let abort = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = members
-        .into_iter()
-        .map(|(id, process, listener, runtime)| {
-            let mut node = NetNode::new(process, config.clone())
-                .with_tracer(tracer_for(id))
-                .with_abort_flag(Arc::clone(&abort));
-            if let Some(rt) = runtime {
-                node = node.with_runtime_metrics(rt);
-            }
-            let roster = roster.clone();
-            let abort = Arc::clone(&abort);
-            let handle = thread::spawn(move || {
-                match catch_unwind(AssertUnwindSafe(move || node.run(listener, &roster))) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        abort.store(true, Ordering::SeqCst);
-                        Err(NetError::MemberPanicked { id })
-                    }
-                }
-            });
-            (id, handle)
-        })
-        .collect();
-
+    let ordering = ClusterSpec::default().spawn(members, config, tracer_for, |id| {
+        runtimes.remove(&id).flatten()
+    })?;
     Ok(LogCluster {
         client_addrs,
         ingresses,
-        members: handles,
+        ordering: Some(ordering),
         servers,
     })
 }
@@ -937,7 +891,10 @@ impl<T: Tracer> LogCluster<T> {
     ///
     /// As [`run_local_cluster`](crate::run_local_cluster).
     pub fn join_ordering(&mut self) -> Result<BTreeMap<NodeId, LogReport<T>>, NetError> {
-        collect_reports(std::mem::take(&mut self.members))
+        match self.ordering.take() {
+            Some(ordering) => ordering.join().map(|run| run.reports),
+            None => Ok(BTreeMap::new()),
+        }
     }
 
     /// Stops the client listeners. Call after

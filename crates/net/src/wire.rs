@@ -36,6 +36,7 @@
 //! synchronizer deduplicates `(sender, payload)` pairs per round on the
 //! *decoded* value, so encode/decode must round-trip exactly.
 
+use std::fmt;
 use std::io::{self, Read, Write};
 
 use uba_sim::NodeId;
@@ -44,6 +45,38 @@ use uba_sim::NodeId;
 /// malicious length prefix must not make the receiver allocate unbounded
 /// memory before reading a single payload byte.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
+/// Why [`read_frame`] refused bytes no honest peer can produce. It is the
+/// payload of the [`io::ErrorKind::InvalidData`] error `read_frame` returns
+/// (recover it with [`FrameFault::of`]), so a receiver classifies the
+/// misbehavior where the error was raised, never by its message text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameFault {
+    /// The length prefix (carried) exceeds [`MAX_FRAME`].
+    Oversize(u32),
+    /// The body decodes to no frame.
+    Malformed,
+}
+
+impl FrameFault {
+    /// The fault `err` carries, if [`read_frame`] raised it.
+    pub fn of(err: &io::Error) -> Option<FrameFault> {
+        err.get_ref()?.downcast_ref::<FrameFault>().copied()
+    }
+}
+
+impl fmt::Display for FrameFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameFault::Oversize(len) => {
+                write!(f, "frame length prefix {len} exceeds MAX_FRAME")
+            }
+            FrameFault::Malformed => write!(f, "malformed frame body"),
+        }
+    }
+}
+
+impl std::error::Error for FrameFault {}
 
 /// Types that can be carried as a protocol payload on the wire.
 ///
@@ -499,7 +532,7 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
 /// frames); a connection cut mid-frame is an [`io::ErrorKind::UnexpectedEof`]
 /// error, and a malformed body or oversized length prefix is
-/// [`io::ErrorKind::InvalidData`].
+/// [`io::ErrorKind::InvalidData`] carrying the [`FrameFault`].
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len_bytes = [0u8; 4];
     // A clean EOF before any length byte means the peer hung up politely.
@@ -511,14 +544,14 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Frame>> {
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame length prefix {len} exceeds MAX_FRAME"),
+            FrameFault::Oversize(len),
         ));
     }
     let mut body = vec![0u8; len as usize];
     reader.read_exact(&mut body)?;
     Frame::decode_body(&body)
         .map(Some)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed frame body"))
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, FrameFault::Malformed))
 }
 
 #[cfg(test)]

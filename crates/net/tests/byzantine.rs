@@ -1,6 +1,6 @@
 //! Hardening tests driving a real [`NetNode`] against scripted hostile
 //! peers, plus end-to-end mixed honest/hostile clusters via
-//! [`run_local_cluster_with_byzantine`].
+//! [`ClusterSpec`]'s `hostile` option.
 //!
 //! The attribution contract under test (DESIGN.md §13): *malice* (floods,
 //! malformed frames, protocol abuse) is charged as strikes and ends in an
@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    read_frame, run_local_cluster_with_byzantine, write_frame, AttackKind, Frame, NetConfig,
-    NetNode, RetryPolicy,
+    read_frame, write_frame, AttackKind, AttackPlan, ClusterSpec, Frame, FrameFault, LinkPlan,
+    NetConfig, NetNode, ProxySpec, RetryPolicy,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process};
 use uba_trace::{metric_name, RingTracer, SharedRuntimeMetrics, TraceEvent};
@@ -138,6 +138,14 @@ fn fault_kinds(tracer: &RingTracer) -> Vec<&'static str> {
             _ => None,
         })
         .collect()
+}
+
+/// Strikes of `kind` charged to the scripted peer (id 0).
+fn strikes(metrics: &SharedRuntimeMetrics, kind: &str) -> u64 {
+    metrics.snapshot().counter(&metric_name(
+        "net_misbehavior_total",
+        &[("kind", kind), ("peer", "0")],
+    ))
 }
 
 #[test]
@@ -289,9 +297,10 @@ fn corrupt_frame_burns_the_link_and_is_charged_as_malice() {
     // reader reports Corrupt, the node charges `malformed_frame`, and the
     // connection dies. One strike is not an eviction — the subsequent
     // silence is then priced as ordinary omissions.
-    stream
-        .write_all(&[5, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE])
-        .unwrap();
+    let poison = [5, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE];
+    let refusal = read_frame(&mut &poison[..]).unwrap_err();
+    assert_eq!(FrameFault::of(&refusal), Some(FrameFault::Malformed));
+    stream.write_all(&poison).unwrap();
     stream.flush().unwrap();
 
     let report = handle.join().unwrap().expect("node finishes alone");
@@ -299,11 +308,14 @@ fn corrupt_frame_burns_the_link_and_is_charged_as_malice() {
         report.evicted.is_empty(),
         "one strike stays below the eviction threshold"
     );
-    let malformed = metrics.snapshot().counter(&metric_name(
-        "net_misbehavior_total",
-        &[("kind", "malformed_frame"), ("peer", "0")],
-    ));
-    assert_eq!(malformed, 1, "the poison write was attributed");
+    assert_eq!(
+        (
+            strikes(&metrics, "malformed_frame"),
+            strikes(&metrics, "oversize_frame")
+        ),
+        (1, 0),
+        "the poison write was attributed, under the decoder's own verdict"
+    );
     let kinds = kinds(&report.tracer);
     assert!(kinds.contains(&"net_byz_misbehavior"), "strike traced");
     assert!(kinds.contains(&"net_peer_gone"), "then ordinary give-up");
@@ -318,15 +330,24 @@ fn oversize_length_prefix_is_charged_without_allocation() {
     // A 4 GiB length prefix. The codec must refuse it before allocating
     // (unit-tested in wire.rs); here we assert the refusal is *attributed*
     // as oversize misbehavior rather than treated as a clean close.
-    stream.write_all(&0xFFFF_FFFFu32.to_le_bytes()).unwrap();
+    let poison = 0xFFFF_FFFFu32.to_le_bytes();
+    let refusal = read_frame(&mut &poison[..]).unwrap_err();
+    assert_eq!(
+        FrameFault::of(&refusal),
+        Some(FrameFault::Oversize(0xFFFF_FFFF))
+    );
+    stream.write_all(&poison).unwrap();
     stream.flush().unwrap();
 
     let report = handle.join().unwrap().expect("node finishes alone");
-    let oversize = metrics.snapshot().counter(&metric_name(
-        "net_misbehavior_total",
-        &[("kind", "oversize_frame"), ("peer", "0")],
-    ));
-    assert_eq!(oversize, 1, "the oversize prefix was attributed");
+    assert_eq!(
+        (
+            strikes(&metrics, "oversize_frame"),
+            strikes(&metrics, "malformed_frame")
+        ),
+        (1, 0),
+        "the oversize prefix was attributed, under the decoder's own verdict"
+    );
     let traced = report.tracer.events().any(|e| match e {
         TraceEvent::Net { info, .. } => {
             e.kind() == "net_byz_misbehavior" && info.contains("oversize_frame")
@@ -386,6 +407,16 @@ fn adversarial_cluster(
     kind: AttackKind,
     config: NetConfig,
 ) -> BTreeMap<NodeId, uba_net::NetReport<u64, RingTracer>> {
+    adversarial_run(kind, config, None).reports
+}
+
+/// [`adversarial_cluster`], optionally through a WAN proxy, returning the
+/// whole run.
+fn adversarial_run(
+    kind: AttackKind,
+    config: NetConfig,
+    proxy: Option<ProxySpec>,
+) -> uba_net::ClusterRun<u64, RingTracer> {
     let ids = sparse_ids(5, 41);
     let byz = ids[2];
     let honest: Vec<NodeId> = ids.iter().copied().filter(|&id| id != byz).collect();
@@ -393,41 +424,66 @@ fn adversarial_cluster(
         .iter()
         .enumerate()
         .map(|(i, &id)| EarlyConsensus::new(id, (i % 2) as u64));
-    let run = run_local_cluster_with_byzantine(
-        members,
-        &[byz],
-        kind,
-        41,
-        config,
-        |_| RingTracer::new(4096),
-        |_| None,
-    )
-    .expect("honest members complete despite the hostile one");
-    let outputs: Vec<Option<u64>> = run.honest.values().map(|r| r.output).collect();
+    let spec = ClusterSpec {
+        proxy,
+        hostile: Some(AttackPlan::new(41, kind, [byz])),
+        ..ClusterSpec::default()
+    };
+    let run = spec
+        .run(members, config, |_| RingTracer::new(4096), |_| None)
+        .expect("honest members complete despite the hostile one");
+    let outputs: Vec<Option<u64>> = run.reports.values().map(|r| r.output).collect();
     assert_eq!(outputs.len(), honest.len(), "every honest member reported");
     assert!(
         outputs.windows(2).all(|w| w[0] == w[1] && w[0].is_some()),
         "honest agreement violated: {outputs:?}"
     );
-    run.honest
+    run
 }
 
 #[test]
 fn equivocating_member_cannot_break_honest_agreement() {
-    let reports = adversarial_cluster(
-        AttackKind::Equivocate { a: 0, b: 1 },
-        NetConfig {
-            round_timeout: Duration::from_secs(2),
-            setup_timeout: Duration::from_secs(10),
-            max_rounds: 100,
-            ..NetConfig::default()
-        },
-    );
+    let equivocate = AttackKind::Equivocate { a: 0, b: 1 };
+    let config = NetConfig {
+        round_timeout: Duration::from_secs(2),
+        setup_timeout: Duration::from_secs(10),
+        max_rounds: 100,
+        ..NetConfig::default()
+    };
+    let direct = adversarial_cluster(equivocate.clone(), config.clone());
     // Value equivocation is model-allowed lying: it must be absorbed by
     // n > 3f, not punished — no honest node evicts anyone.
-    for report in reports.values() {
+    for report in direct.values() {
         assert!(report.evicted.is_empty(), "equivocation is tolerated");
     }
+
+    // `proxy` and `hostile` compose: the same script behind a
+    // zero-impairment relay is the same run — same honest decisions in the
+    // same rounds, still no strike — and the relay had nothing to report.
+    let proxied = adversarial_run(
+        equivocate,
+        config,
+        Some(ProxySpec {
+            plan: LinkPlan::new(41),
+            link_metrics: None,
+        }),
+    );
+    let outcome = |r: &uba_net::NetReport<u64, RingTracer>| (r.output, r.decided_round);
+    assert_eq!(
+        proxied.reports.values().map(outcome).collect::<Vec<_>>(),
+        direct.values().map(outcome).collect::<Vec<_>>(),
+    );
+    for report in proxied.reports.values() {
+        assert!(report.evicted.is_empty(), "still tolerated");
+        let kinds = kinds(&report.tracer);
+        assert!(!kinds.contains(&"net_byz_misbehavior"), "0 strikes");
+    }
+    assert!(
+        proxied.link_events.is_empty(),
+        "no drop, no sever: {:?}",
+        proxied.link_events
+    );
+    assert_eq!(proxied.byzantine.len(), 1, "the hostile member reported");
 }
 
 #[test]

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    decisions, read_frame, run_local_cluster, run_local_cluster_with_proxy, write_frame,
-    FaultProxy, Frame, LinkPlan, LinkSpec, NetConfig, NetError, NetNode, RetryPolicy, WanProfile,
+    decisions, read_frame, run_local_cluster, write_frame, ClusterRun, ClusterSpec, FaultProxy,
+    Frame, LinkPlan, LinkSpec, NetConfig, NetError, NetNode, ProxySpec, RetryPolicy, WanProfile,
     Wire,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process, SyncEngine};
@@ -113,15 +113,20 @@ where
         .expect("simulator twin must complete");
     let plan = LinkPlan::new(seed);
     assert!(plan.is_zero_impairment());
-    let (reports, events) = run_local_cluster_with_proxy(
-        factory(),
-        test_config(),
-        |_| NoopTracer,
-        |_| None,
-        &plan,
-        None,
-    )
-    .expect("proxied run must complete");
+    let proxied = ClusterSpec {
+        proxy: Some(ProxySpec {
+            plan,
+            link_metrics: None,
+        }),
+        ..ClusterSpec::default()
+    };
+    let ClusterRun {
+        reports,
+        link_events: events,
+        ..
+    } = proxied
+        .run(factory(), test_config(), |_| NoopTracer, |_| None)
+        .expect("proxied run must complete");
     assert!(
         events.is_empty(),
         "a zero-impairment proxy records nothing: {events:?}"
@@ -250,8 +255,7 @@ fn loss_is_asymmetric_per_direction() {
     assert_eq!(report.output, Some(1));
     assert_eq!(report.timeouts, 0, "control frames are never lossy");
 
-    let events = proxy.take_events();
-    proxy.shutdown();
+    let events = proxy.shutdown();
     assert!(
         events.iter().any(|e| e.kind() == "net_link_drop"),
         "the drop is traced: {events:?}"
@@ -317,8 +321,7 @@ fn partition_severs_mid_run_then_heals() {
     assert_eq!(report.output, Some(5));
     assert!(report.timeouts >= 1, "the severed round missed its barrier");
 
-    let events = proxy.take_events();
-    proxy.shutdown();
+    let events = proxy.shutdown();
     let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
     assert!(
         kinds.contains(&"net_link_partition"),
@@ -336,15 +339,25 @@ fn lossy_profile_cluster_still_agrees() {
     let ids = sparse_ids(4, seed);
     let plan = WanProfile::Lossy.plan(seed, &ids);
     let registry = SharedRuntimeMetrics::new();
-    let (reports, events) = run_local_cluster_with_proxy(
-        consensus_cluster(seed, 4),
-        test_config(),
-        |_| NoopTracer,
-        |_| None,
-        &plan,
-        Some(registry.clone()),
-    )
-    .expect("lossy run must still decide");
+    let lossy = ClusterSpec {
+        proxy: Some(ProxySpec {
+            plan,
+            link_metrics: Some(registry.clone()),
+        }),
+        ..ClusterSpec::default()
+    };
+    let ClusterRun {
+        reports,
+        link_events: events,
+        ..
+    } = lossy
+        .run(
+            consensus_cluster(seed, 4),
+            test_config(),
+            |_| NoopTracer,
+            |_| None,
+        )
+        .expect("lossy run must still decide");
 
     let net = decisions(&reports);
     assert_eq!(net.len(), 4, "termination under 2% loss");

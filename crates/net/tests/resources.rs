@@ -1,0 +1,90 @@
+//! A finished cluster gives everything back (ROADMAP 3d): its descriptors
+//! to the OS, its accept-loop and reader threads to the process-wide pool
+//! that the next cluster draws from — so after the first cluster has
+//! filled the pool, a process holds exactly as many descriptors *and*
+//! threads after a run as before it.
+//!
+//! Teardown is synchronous — every node stops its acceptor and waits for
+//! its readers before it reports, the harness joins every node — so the
+//! counts are compared for equality, not bounded. This file keeps a single
+//! `#[test]` so that no sibling test's threads share the process.
+#![cfg(target_os = "linux")]
+
+use std::time::Duration;
+
+use uba_core::consensus::EarlyConsensus;
+use uba_net::{run_local_cluster, spawn_log_cluster, NetConfig};
+use uba_sim::sparse_ids;
+use uba_trace::NoopTracer;
+
+const N: usize = 8;
+
+/// Open descriptors and live threads of this process, from `/proc/self`.
+fn held() -> (usize, usize) {
+    let entries = |dir| std::fs::read_dir(dir).expect("procfs").count();
+    (entries("/proc/self/fd"), entries("/proc/self/task"))
+}
+
+/// [`held`], once the kernel has caught up with the harness's joins: `join`
+/// returns when an exiting thread releases its stack, a few instructions
+/// before the kernel unlinks it from `/proc/self/task`. Only that window is
+/// waited out — a thread the program still owns never leaves the listing,
+/// so a leak fails the comparison all the same.
+fn held_after_joins(threads_at_most: usize) -> (usize, usize) {
+    for _ in 0..100 {
+        if held().1 <= threads_at_most {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    held()
+}
+
+fn run_one_cluster(seed: u64, config: &NetConfig) {
+    let members = sparse_ids(N, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, id)| EarlyConsensus::new(id, (i % 2) as u64));
+    let reports = run_local_cluster(members, config.clone(), |_| NoopTracer).expect("cluster runs");
+    assert_eq!(reports.len(), N);
+}
+
+#[test]
+fn finished_clusters_hold_no_descriptor_and_no_thread_of_their_own() {
+    let config = NetConfig {
+        round_timeout: Duration::from_secs(10),
+        ..NetConfig::default()
+    };
+
+    // The first cluster fills the pool: at most its N acceptors and
+    // N(N-1) readers stay, parked; every descriptor is back already.
+    let cold = held();
+    run_one_cluster(0, &config);
+    let warm = held_after_joins(cold.1 + N * N);
+    assert_eq!(warm.0, cold.0, "descriptors after the first cluster");
+    assert!(
+        warm.1 <= cold.1 + N * N,
+        "threads parked after the first cluster: {} -> {}",
+        cold.1,
+        warm.1
+    );
+
+    for seed in 1..=3 {
+        run_one_cluster(seed, &config);
+    }
+    assert_eq!(
+        held_after_joins(warm.1),
+        warm,
+        "(descriptors, threads) after three more n=8 run_local_cluster calls"
+    );
+
+    let mut cluster = spawn_log_cluster(&sparse_ids(4, 7), 2, 1, config, |_| NoopTracer, |_| None)
+        .expect("log cluster spawns");
+    assert_eq!(cluster.join_ordering().expect("ordering ends").len(), 4);
+    cluster.shutdown();
+    assert_eq!(
+        held_after_joins(warm.1),
+        warm,
+        "(descriptors, threads) after spawn_log_cluster, join_ordering, shutdown"
+    );
+}

@@ -1,15 +1,18 @@
 //! Transport-behavior tests driving a real [`NetNode`] against *scripted*
 //! raw-TCP peers: a peer that misses the barrier (timeout → omission), a
 //! peer that duplicates frames (dropped per the model's per-round rule),
-//! and a peer that drops its connection mid-run and redials (reconnect).
+//! a peer that drops its connection mid-run and redials (reconnect), and a
+//! monitor that rejects a round (typed error, traced verdict, closed
+//! sockets).
 
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use uba_net::{read_frame, write_frame, Frame, NetConfig, NetNode, RetryPolicy};
-use uba_sim::{Context, NodeId, Process};
-use uba_trace::{RingTracer, TraceEvent};
+use uba_net::{read_frame, write_frame, Frame, NetConfig, NetError, NetNode, RetryPolicy};
+use uba_sim::{Context, MonitorView, NodeId, Process, ViolationReport};
+use uba_trace::{RingTracer, TraceEvent, Tracer};
 
 /// A minimal networked process: broadcasts its round number for `rounds`
 /// rounds, then outputs the total number of messages it received.
@@ -378,4 +381,93 @@ fn reconnecting_peer_keeps_its_identity_across_links() {
         .filter(|e| e.kind() == "net_connect")
         .count();
     assert!(connects >= 2, "both links traced, saw {connects}");
+}
+
+/// A tracer whose events outlive the node: a run that ends in `Err` takes
+/// its own tracer down with it.
+#[derive(Clone, Default)]
+struct SharedTracer(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl Tracer for SharedTracer {
+    fn record(&mut self, event: TraceEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+#[test]
+fn monitor_violation_is_a_typed_error_a_traced_verdict_and_closed_sockets() {
+    let me = NodeId::new(1);
+    let peer = NodeId::new(0);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> =
+        [(me, addr), (peer, "127.0.0.1:1".parse().unwrap())].into();
+    let events = SharedTracer::default();
+    let tracer = events.clone();
+    let handle = std::thread::spawn(move || {
+        NetNode::new(Counter::new(me, 5), quick_config(10))
+            .with_tracer(tracer)
+            .with_monitor(move |view: &MonitorView<'_, Counter>| {
+                if view.round < 2 {
+                    return Ok(());
+                }
+                Err(ViolationReport {
+                    round: view.round,
+                    spec: "round two never ends".to_string(),
+                    nodes: vec![me],
+                    violations: vec!["it ended".to_string()],
+                })
+            })
+            .run(listener, &roster)
+    });
+
+    // Make both barriers, so the monitor sees round 2 end.
+    let mut stream = script_dial(addr, peer);
+    for round in 1..=2 {
+        let done = Frame::Done {
+            round,
+            decided: false,
+        };
+        write_frame(&mut stream, &done).unwrap();
+    }
+
+    match handle.join().unwrap() {
+        Err(NetError::InvariantViolated(report)) => {
+            assert_eq!((report.round, report.nodes), (2, vec![me]));
+        }
+        other => panic!(
+            "expected InvariantViolated, got {:?}",
+            other.map(|r| r.output)
+        ),
+    }
+    let verdicts: Vec<TraceEvent> = events
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|e| e.kind() == "monitor_verdict")
+        .cloned()
+        .collect();
+    assert!(
+        matches!(
+            verdicts[..],
+            [TraceEvent::MonitorVerdict {
+                round: 2,
+                ok: false,
+                ..
+            }]
+        ),
+        "exactly the failing verdict is traced: {verdicts:?}"
+    );
+
+    // The node gave its sockets back on the way out: after the frames it
+    // had already sent, the peer reads EOF (not a timeout), and the
+    // listener is gone.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    while let Some(frame) = read_frame(&mut stream).expect("EOF, not a timeout") {
+        assert!(matches!(frame, Frame::Data { .. } | Frame::Done { .. }));
+    }
+    assert!(TcpStream::connect(addr).is_err(), "listener closed");
 }
