@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_core::reliable::ReliableBroadcast;
-use uba_net::{decisions, run_local_cluster, NetConfig, NetReport, Wire};
+use uba_net::{decisions, run_local_cluster, NetConfig, RunSummary, Wire};
 use uba_sim::{sparse_ids, NodeId, Process, SyncEngine};
 use uba_trace::NoopTracer;
 
@@ -41,13 +41,12 @@ struct Cell {
     sim_outputs: BTreeMap<NodeId, String>,
     sim_rounds: u64,
     net_outputs: BTreeMap<NodeId, String>,
-    net_rounds: u64,
-    round_micros: Vec<u64>,
+    net: RunSummary,
 }
 
 impl Cell {
     fn matches(&self) -> bool {
-        self.sim_outputs == self.net_outputs && self.sim_rounds == self.net_rounds
+        self.sim_outputs == self.net_outputs && self.sim_rounds == self.net.decided_round
     }
 }
 
@@ -66,29 +65,22 @@ where
         .expect("simulator twin must complete");
     let reports = run_local_cluster(factory(), net_config(), |_| NoopTracer)
         .expect("network run must complete");
-    let net = decisions(&reports);
     Cell {
-        sim_outputs: sim
-            .outputs
-            .iter()
-            .map(|(&id, o)| (id, format!("{o:?}")))
-            .collect(),
+        sim_outputs: render(&sim.outputs),
         sim_rounds: sim.decided_round.values().copied().max().unwrap_or(0),
-        net_outputs: net.iter().map(|(&id, o)| (id, format!("{o:?}"))).collect(),
-        net_rounds: net_decided_rounds(&reports),
-        round_micros: reports
-            .values()
-            .flat_map(|r| r.round_micros.iter().copied())
-            .collect(),
+        net_outputs: render(&decisions(&reports)),
+        net: RunSummary::of(&reports),
     }
 }
 
-fn net_decided_rounds<O, T>(reports: &BTreeMap<NodeId, NetReport<O, T>>) -> u64 {
-    reports
-        .values()
-        .filter_map(|r| r.decided_round)
-        .max()
-        .unwrap_or(0)
+/// Outputs rendered via `Debug`, so one comparison covers every algorithm.
+pub(crate) fn render<O: std::fmt::Debug>(
+    outputs: &BTreeMap<NodeId, O>,
+) -> BTreeMap<NodeId, String> {
+    outputs
+        .iter()
+        .map(|(&id, o)| (id, format!("{o:?}")))
+        .collect()
 }
 
 pub(crate) fn consensus_cluster(seed: u64, n: usize) -> Vec<EarlyConsensus<u64>> {
@@ -155,21 +147,15 @@ pub fn run() -> Vec<Table> {
             n.to_string(),
             seed.to_string(),
             cell.sim_rounds.to_string(),
-            cell.net_rounds.to_string(),
+            cell.net.decided_round.to_string(),
             if cell.matches() { "match" } else { "MISMATCH" }.to_string(),
         ]);
-        let mean = if cell.round_micros.is_empty() {
-            0
-        } else {
-            cell.round_micros.iter().sum::<u64>() / cell.round_micros.len() as u64
-        };
-        let max = cell.round_micros.iter().copied().max().unwrap_or(0);
         latency.row(&[
             algo.to_string(),
             n.to_string(),
-            cell.net_rounds.to_string(),
-            mean.to_string(),
-            max.to_string(),
+            cell.net.decided_round.to_string(),
+            cell.net.mean_us.to_string(),
+            cell.net.max_us.to_string(),
         ]);
     }
     vec![equivalence, latency]
@@ -191,7 +177,7 @@ mod tests {
                 cell.sim_outputs,
                 cell.sim_rounds,
                 cell.net_outputs,
-                cell.net_rounds
+                cell.net.decided_round
             );
         }
         for &(n, seed) in &RELIABLE_CELLS {

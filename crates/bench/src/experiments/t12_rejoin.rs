@@ -21,24 +21,12 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use uba_core::consensus::EarlyConsensus;
-use uba_core::reliable::ReliableBroadcast;
-use uba_net::{decisions, ClusterSpec, KillSpec, NetConfig, NetReport, Wire};
-use uba_sim::{sparse_ids, ChurnSchedule, NodeId, Process, SyncEngine};
+use uba_net::{decisions, ClusterSpec, KillSpec, RunSummary, Wire};
+use uba_sim::{ChurnSchedule, NodeId, Process, SyncEngine};
 use uba_trace::NoopTracer;
 
+use crate::experiments::t11_net::{consensus_cluster, net_config, reliable_cluster, render};
 use crate::Table;
-
-/// Transport config for the rejoin drill: generous timeouts (the claim is
-/// about decisions, not deadlines) and a round budget matching the twins.
-fn net_config() -> NetConfig {
-    NetConfig {
-        round_timeout: Duration::from_secs(10),
-        setup_timeout: Duration::from_secs(30),
-        max_rounds: 200,
-        ..NetConfig::default()
-    }
-}
 
 /// One rejoin cell: which algorithm, how big, who dies when, and whether
 /// the journal's final line is torn before recovery.
@@ -109,21 +97,6 @@ impl Cell {
     }
 }
 
-fn render<O: std::fmt::Debug>(outputs: &BTreeMap<NodeId, O>) -> BTreeMap<NodeId, String> {
-    outputs
-        .iter()
-        .map(|(&id, o)| (id, format!("{o:?}")))
-        .collect()
-}
-
-fn net_decided_rounds<O, T>(reports: &BTreeMap<NodeId, NetReport<O, T>>) -> u64 {
-    reports
-        .values()
-        .filter_map(|r| r.decided_round)
-        .max()
-        .unwrap_or(0)
-}
-
 /// Runs one cell's three executions over `factory()`'s processes.
 fn run_cell<P, F>(spec: &CellSpec, tag: usize, factory: F) -> Cell
 where
@@ -183,27 +156,8 @@ where
         restart_outputs: render(&restarted.outputs),
         restart_rounds: restarted.decided_round.values().copied().max().unwrap_or(0),
         net_outputs: render(&net),
-        net_rounds: net_decided_rounds(&reports),
+        net_rounds: RunSummary::of(&reports).decided_round,
     }
-}
-
-fn consensus_cluster(seed: u64, n: usize) -> Vec<EarlyConsensus<u64>> {
-    let ids = sparse_ids(n, seed);
-    ids.iter()
-        .enumerate()
-        .map(|(i, &id)| EarlyConsensus::new(id, (seed >> (i % 64)) & 1))
-        .collect()
-}
-
-fn reliable_cluster(seed: u64, n: usize) -> Vec<ReliableBroadcast<u64>> {
-    let ids = sparse_ids(n, seed);
-    let sender = ids[0];
-    ids.iter()
-        .map(|&id| {
-            let own = (id == sender).then_some(seed);
-            ReliableBroadcast::new(id, sender, own).with_horizon(6)
-        })
-        .collect()
 }
 
 /// Runs one cell by index (shared with the tests).

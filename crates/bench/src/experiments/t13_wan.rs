@@ -29,11 +29,13 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use uba_net::{decisions, ClusterSpec, KillSpec, LinkPlan, NetConfig, ProxySpec, WanProfile, Wire};
+use uba_net::{
+    decisions, ClusterSpec, KillSpec, LinkPlan, NetConfig, ProxySpec, RunSummary, WanProfile, Wire,
+};
 use uba_sim::{NodeId, Process, SyncEngine};
 use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
-use crate::experiments::t11_net::{consensus_cluster, net_config, reliable_cluster};
+use crate::experiments::t11_net::{consensus_cluster, net_config, reliable_cluster, render};
 use crate::Table;
 
 /// Transport config for the partition cells: the severed rounds each cost
@@ -168,13 +170,6 @@ fn expects_engine_identity(profile: &str) -> bool {
     matches!(profile, "clean" | "geo")
 }
 
-fn render<O: std::fmt::Debug>(outputs: &BTreeMap<NodeId, O>) -> BTreeMap<NodeId, String> {
-    outputs
-        .iter()
-        .map(|(&id, o)| (id, format!("{o:?}")))
-        .collect()
-}
-
 /// Runs one soak cell: the engine reference plus the proxied cluster.
 fn run_cell<P, F>(spec: &CellSpec, factory: F) -> WanCell
 where
@@ -210,37 +205,18 @@ where
         .reports;
     let net = decisions(&reports);
 
-    let snapshot = registry.snapshot();
-    let family = |prefix: &str| {
-        snapshot
-            .counters()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    };
-    let round_micros: Vec<u64> = reports
-        .values()
-        .flat_map(|r| r.round_micros.iter().copied())
-        .collect();
-    let mean_us = if round_micros.is_empty() {
-        0
-    } else {
-        round_micros.iter().sum::<u64>() / round_micros.len() as u64
-    };
+    let links = registry.snapshot();
+    let summary = RunSummary::of(&reports);
     WanCell {
         engine_outputs: render(&reference.outputs),
         decided: net.len() as u64,
-        rounds: reports
-            .values()
-            .filter_map(|r| r.decided_round)
-            .max()
-            .unwrap_or(0),
-        timeouts: reports.values().map(|r| r.timeouts).sum(),
-        forwarded: family("net_link_frames_forwarded_total"),
-        dropped: family("net_link_frames_dropped_total"),
-        severed: family("net_link_frames_severed_total"),
-        mean_us,
-        max_us: round_micros.iter().copied().max().unwrap_or(0),
+        rounds: summary.decided_round,
+        timeouts: summary.timeouts,
+        forwarded: links.family_sum("net_link_frames_forwarded_total"),
+        dropped: links.family_sum("net_link_frames_dropped_total"),
+        severed: links.family_sum("net_link_frames_severed_total"),
+        mean_us: summary.mean_us,
+        max_us: summary.max_us,
         net_outputs: render(&net),
     }
 }
@@ -306,11 +282,7 @@ fn run_rejoin_through_proxy() -> (u64, u64, bool) {
         .reports;
     let _ = std::fs::remove_dir_all(&journal_dir);
     let net = decisions(&reports);
-    let rounds = reports
-        .values()
-        .filter_map(|r| r.decided_round)
-        .max()
-        .unwrap_or(0);
+    let rounds = RunSummary::of(&reports).decided_round;
     let matches = render(&reference.outputs) == render(&net)
         && rounds == reference.decided_round.values().copied().max().unwrap_or(0);
     (net.len() as u64, rounds, matches)

@@ -217,13 +217,7 @@ pub(crate) fn run_spec(spec: &CellSpec) -> LogCell {
 
     let batches = registries
         .values()
-        .map(|r| {
-            r.snapshot()
-                .counters()
-                .filter(|(name, _)| name.starts_with("logd_batches_total"))
-                .map(|(_, v)| v)
-                .sum::<u64>()
-        })
+        .map(|r| r.snapshot().family_sum("logd_batches_total"))
         .sum();
     let exposition = registries
         .values()

@@ -28,7 +28,7 @@ use std::time::Duration;
 use uba_adversary::attacks::ConsensusEquivocator;
 use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
-use uba_net::{AttackKind, AttackPlan, ClusterSpec, NetConfig};
+use uba_net::{AttackKind, AttackPlan, ClusterSpec, NetConfig, RunSummary};
 use uba_sim::{NodeId, SyncEngine};
 use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
@@ -233,38 +233,16 @@ pub(crate) fn run_spec(spec: &CellSpec) -> ByzCell {
         )
         .expect("honest members must survive the attack");
 
-    let snapshot = registry.snapshot();
-    let family = |prefix: &str| -> u64 {
-        snapshot
-            .counters()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    };
-    let round_micros: Vec<u64> = run
-        .reports
-        .values()
-        .flat_map(|r| r.round_micros.iter().copied())
-        .collect();
-    let mean_us = if round_micros.is_empty() {
-        0
-    } else {
-        round_micros.iter().sum::<u64>() / round_micros.len() as u64
-    };
+    let summary = RunSummary::of(&run.reports);
     ByzCell {
         decided: run.reports.values().filter(|r| r.output.is_some()).count() as u64,
-        rounds: run
-            .reports
-            .values()
-            .filter_map(|r| r.decided_round)
-            .max()
-            .unwrap_or(0),
-        evictions: run.reports.values().map(|r| r.evicted.len() as u64).sum(),
-        timeouts: run.reports.values().map(|r| r.timeouts).sum(),
-        misbehavior: family("net_misbehavior_total"),
+        rounds: summary.decided_round,
+        evictions: summary.evictions,
+        timeouts: summary.timeouts,
+        misbehavior: registry.snapshot().family_sum("net_misbehavior_total"),
         byz_frames: run.byzantine.values().map(|r| r.frames_sent).sum(),
-        mean_us,
-        max_us: round_micros.iter().copied().max().unwrap_or(0),
+        mean_us: summary.mean_us,
+        max_us: summary.max_us,
         net_outcomes: run
             .reports
             .iter()

@@ -7,8 +7,6 @@
 //!
 //! - `cargo run -p uba-bench --bin experiments` prints every table;
 //!   `--bin experiments t3` prints a single one.
-//! - `cargo bench -p uba-bench` measures wall-clock time of the same
-//!   workloads with criterion.
 //! - `cargo run -p uba-bench --bin bench-report -- --check` re-runs the
 //!   T11-class workloads with runtime metrics attached and compares them
 //!   against the committed `BENCH_sim.json` / `BENCH_net.json` trajectory

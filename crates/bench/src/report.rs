@@ -161,8 +161,8 @@ pub fn run_net_report() -> BenchReport {
             let mut exact = BTreeMap::new();
             exact.insert("decided", decided);
             exact.insert("rounds", rounds);
-            exact.insert("frames_sent", prefix_sum(&merged, "net_frames_sent_total"));
-            exact.insert("bytes_sent", prefix_sum(&merged, "net_bytes_sent_total"));
+            exact.insert("frames_sent", merged.family_sum("net_frames_sent_total"));
+            exact.insert("bytes_sent", merged.family_sum("net_bytes_sent_total"));
             Workload {
                 name: format!("{algo}-n{n}-seed{seed}"),
                 exact,
@@ -337,15 +337,6 @@ fn timing_fields(metrics: &RuntimeMetrics, base: &str) -> BTreeMap<&'static str,
     fields.insert("round_micros_mean", mean);
     fields.insert("round_micros_max", max);
     fields
-}
-
-/// Sums every counter whose name starts with `prefix` (a labelled family).
-fn prefix_sum(metrics: &RuntimeMetrics, prefix: &str) -> u64 {
-    metrics
-        .counters()
-        .filter(|(name, _)| name.starts_with(prefix))
-        .map(|(_, v)| v)
-        .sum()
 }
 
 impl BenchReport {

@@ -81,7 +81,7 @@ use uba_core::reliable::ReliableBroadcast;
 use uba_net::{
     decisions, family_sum, member_port, scrape_metrics, series_value, serve_metrics, AttackKind,
     AttackPlan, ClusterRun, ClusterSpec, KillSpec, LinkPlan, LinkSpec, MetricsServer, NetConfig,
-    ProxySpec, RetryPolicy, WanProfile, Wire,
+    ProxySpec, RetryPolicy, RunSummary, WanProfile, Wire,
 };
 use uba_sim::{sparse_ids, NodeId, Process, SyncEngine};
 use uba_trace::{JsonlTracer, SharedRuntimeMetrics, Tracer};
@@ -687,30 +687,19 @@ where
     let net = decisions(&reports);
     let matched = compare(&sim.outputs, &net);
 
-    let rounds = reports.values().map(|r| r.rounds).max().unwrap_or(0);
-    let timeouts: u64 = reports.values().map(|r| r.timeouts).sum();
-    let micros: Vec<u64> = reports
-        .values()
-        .flat_map(|r| r.round_micros.iter().copied())
-        .collect();
-    let mean = if micros.is_empty() {
-        0
-    } else {
-        micros.iter().sum::<u64>() / micros.len() as u64
-    };
-    let max = micros.iter().copied().max().unwrap_or(0);
+    let summary = RunSummary::of(&reports);
     println!(
-        "cluster: {} nodes, {} rounds, {} barrier timeouts, round latency mean {mean}us max {max}us",
-        args.nodes, rounds, timeouts
+        "cluster: {} nodes, {} rounds, {} barrier timeouts, round latency mean {}us max {}us",
+        args.nodes, summary.rounds, summary.timeouts, summary.mean_us, summary.max_us
     );
     if let Some(registry) = &link_registry {
-        let body = registry.render_prometheus();
+        let links = registry.snapshot();
         println!(
             "links: {} frames forwarded, {} dropped, {} severed, {} throttled ({} trace events)",
-            family_sum(&body, "net_link_frames_forwarded_total"),
-            family_sum(&body, "net_link_frames_dropped_total"),
-            family_sum(&body, "net_link_frames_severed_total"),
-            family_sum(&body, "net_link_frames_throttled_total"),
+            links.family_sum("net_link_frames_forwarded_total"),
+            links.family_sum("net_link_frames_dropped_total"),
+            links.family_sum("net_link_frames_severed_total"),
+            links.family_sum("net_link_frames_throttled_total"),
             link_events.len(),
         );
     }
@@ -749,19 +738,11 @@ where
     // release the scrape endpoints.
     for (id, registry) in &registries {
         let snapshot = registry.snapshot();
-        let frames_tx: u64 = snapshot
-            .counters()
-            .filter(|(name, _)| name.starts_with("net_frames_sent_total"))
-            .map(|(_, v)| v)
-            .sum();
-        let bytes_tx: u64 = snapshot
-            .counters()
-            .filter(|(name, _)| name.starts_with("net_bytes_sent_total"))
-            .map(|(_, v)| v)
-            .sum();
         println!(
-            "metrics: node {id}: {} rounds, {frames_tx} frames / {bytes_tx} bytes sent",
-            snapshot.counter("net_rounds_total")
+            "metrics: node {id}: {} rounds, {} frames / {} bytes sent",
+            snapshot.counter("net_rounds_total"),
+            snapshot.family_sum("net_frames_sent_total"),
+            snapshot.family_sum("net_bytes_sent_total"),
         );
     }
     for server in servers {
@@ -844,22 +825,14 @@ where
         let net = decisions(&honest);
         let ok = net.len() == setup.correct.len() && agrees(&net);
         all_ok &= ok;
-        let snapshot = registry.snapshot();
-        let strikes: u64 = snapshot
-            .counters()
-            .filter(|(name, _)| name.starts_with("net_misbehavior_total"))
-            .map(|(_, v)| v)
-            .sum();
-        let evictions: u64 = honest.values().map(|r| r.evicted.len() as u64).sum();
-        let timeouts: u64 = honest.values().map(|r| r.timeouts).sum();
-        let rounds = honest.values().map(|r| r.rounds).max().unwrap_or(0);
+        let summary = RunSummary::of(&honest);
         println!(
             "{:<14} {:>6} {:>8} {:>9} {:>8} {:>6}/{}  {}",
             kind.name(),
-            rounds,
-            strikes,
-            evictions,
-            timeouts,
+            summary.rounds,
+            registry.snapshot().family_sum("net_misbehavior_total"),
+            summary.evictions,
+            summary.timeouts,
             net.len(),
             setup.correct.len(),
             if ok {

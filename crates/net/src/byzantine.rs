@@ -63,8 +63,8 @@ pub enum AttackKind {
     /// copies are harmless late traffic; once the window has moved past
     /// round 1 each copy is a `stale_replay` strike.
     Replay {
-        /// Stale frames per round; `strike_limit` of them in one round
-        /// forces the eviction within that round.
+        /// Stale frames per round; [`STRIKE_LIMIT`](crate::STRIKE_LIMIT) of
+        /// them in one round forces the eviction within that round.
         burst: u32,
     },
     /// After each round's honest-looking traffic, write bytes to the victim
@@ -81,8 +81,8 @@ pub enum AttackKind {
     /// (`flood` strikes, eviction within the flooded round).
     Flood {
         /// Frames per peer per round; must exceed the victim's
-        /// `max_frames_per_round` plus its `strike_limit` to force the
-        /// eviction inside one round.
+        /// `max_frames_per_round` plus [`STRIKE_LIMIT`](crate::STRIKE_LIMIT)
+        /// to force the eviction inside one round.
         frames_per_round: u64,
     },
     /// Complete the handshake, then never send anything again — the

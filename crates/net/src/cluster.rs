@@ -439,6 +439,47 @@ where
         .map(|run| run.reports)
 }
 
+/// The figures every table of a cluster run starts from, folded over the
+/// members' reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunSummary {
+    /// Rounds executed by the member that ran longest.
+    pub rounds: u64,
+    /// The last round in which a member decided (0 if none did).
+    pub decided_round: u64,
+    /// Barrier timeouts (omissions) charged, summed across members.
+    pub timeouts: u64,
+    /// Peers evicted for misbehavior, summed across members.
+    pub evictions: u64,
+    /// Mean wall-clock round duration over all members' rounds, in
+    /// microseconds (0 without rounds).
+    pub mean_us: u64,
+    /// The slowest round of any member, in microseconds.
+    pub max_us: u64,
+}
+
+impl RunSummary {
+    /// Summarises `reports`.
+    pub fn of<O, T>(reports: &BTreeMap<NodeId, NetReport<O, T>>) -> Self {
+        let round_micros = || {
+            reports
+                .values()
+                .flat_map(|r| r.round_micros.iter().copied())
+        };
+        let each = |field: fn(&NetReport<O, T>) -> u64| reports.values().map(field);
+        RunSummary {
+            rounds: each(|r| r.rounds).max().unwrap_or(0),
+            decided_round: each(|r| r.decided_round.unwrap_or(0)).max().unwrap_or(0),
+            timeouts: each(|r| r.timeouts).sum(),
+            evictions: each(|r| r.evicted.len() as u64).sum(),
+            mean_us: (round_micros().sum::<u64>())
+                .checked_div(round_micros().count() as u64)
+                .unwrap_or(0),
+            max_us: round_micros().max().unwrap_or(0),
+        }
+    }
+}
+
 /// The decisions of a cluster run: each member's output, keyed by id, for
 /// members that decided.
 pub fn decisions<O: Clone, T>(reports: &BTreeMap<NodeId, NetReport<O, T>>) -> BTreeMap<NodeId, O> {
@@ -446,4 +487,41 @@ pub fn decisions<O: Clone, T>(reports: &BTreeMap<NodeId, NetReport<O, T>>) -> BT
         .iter()
         .filter_map(|(&id, report)| report.output.clone().map(|o| (id, o)))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_summary_folds_every_member() {
+        let report =
+            |rounds, decided_round: Option<u64>, timeouts, evicted: &[u64], micros: &[u64]| {
+                NetReport {
+                    output: decided_round.map(|_| 1u64),
+                    decided_round,
+                    rounds,
+                    timeouts,
+                    round_micros: micros.to_vec(),
+                    tracer: (),
+                    evicted: evicted.to_vec(),
+                }
+            };
+        let reports = BTreeMap::from([
+            (NodeId::new(1), report(12, Some(11), 2, &[9], &[10, 30])),
+            (NodeId::new(2), report(13, Some(12), 1, &[9, 8], &[20])),
+            (NodeId::new(3), report(7, None, 0, &[], &[])),
+        ]);
+        let expected = RunSummary {
+            rounds: 13,
+            decided_round: 12,
+            timeouts: 3,
+            evictions: 3,
+            mean_us: 20,
+            max_us: 30,
+        };
+        assert_eq!(RunSummary::of(&reports), expected);
+        let nothing = BTreeMap::<NodeId, NetReport<u64, ()>>::new();
+        assert_eq!(RunSummary::of(&nothing), RunSummary::default());
+    }
 }

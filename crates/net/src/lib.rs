@@ -23,8 +23,10 @@
 //!   teardown that gives a finished node's sockets and threads back;
 //! * [`sync`] — the [`RoundSynchronizer`], a pure state machine enforcing
 //!   the send/deliver barrier (unit-testable without sockets);
-//! * [`node`] — [`NetNode`], one cluster member: process + transport +
-//!   round loop, with [`uba_trace`] observability throughout;
+//! * [`node`] — [`NetNode`], one cluster member: a process plus the round
+//!   driver — one session per run, one wait loop (`pump`) for mesh setup,
+//!   barrier and pace window, one ledger record per peer, one place where
+//!   misbehavior is charged — with [`uba_trace`] observability throughout;
 //! * [`cluster`] — [`ClusterSpec`], the one harness that starts, runs and
 //!   stops a localhost cluster (see *Starting a cluster* below; the
 //!   `cluster` binary wraps it on the command line);
@@ -128,13 +130,13 @@ pub mod wire;
 pub use byzantine::{equivocation_frames, AttackKind, AttackPlan, ByzReport, ByzantineNode};
 pub use cluster::{
     decisions, journal_path, run_local_cluster, run_local_cluster_with_metrics, ClusterRun,
-    ClusterSpec, KillSpec, ProxySpec, RunningCluster,
+    ClusterSpec, KillSpec, ProxySpec, RunSummary, RunningCluster,
 };
 pub use conn::{connect_with_retry, LinkEvent, Links, RetryPolicy};
 pub use metrics_http::{
     family_sum, member_port, scrape_metrics, series_value, serve_metrics, MetricsServer,
 };
-pub use node::{NetConfig, NetError, NetNode, NetReport};
+pub use node::{NetConfig, NetError, NetNode, NetReport, MAX_BYTES_PER_ROUND, STRIKE_LIMIT};
 pub use proxy::{FaultProxy, LinkPlan, LinkSpec, Partition, WanProfile};
 pub use service::{
     serve_clients, service_horizon, shard_of, spawn_log_cluster, Batch, ClientServer, LogClient,

@@ -9,12 +9,24 @@
 //! late and is dropped) — precisely a fault the paper's model already
 //! accounts for, which is why correctness does not depend on tuning the
 //! timeout and why `uba-core`'s monitors attach unchanged.
+//!
+//! # The round driver
+//!
+//! `run`/`resume` wrap the node in one private `Session` (synchronizer,
+//! `Mesh`, peer ledger, backfill history) whose round loop consumes it.
+//! Waiting is `pump(deadline, until)` — mesh setup, the barrier and the
+//! `round_pace` window are one loop that never blocks longer than
+//! `ABORT_POLL` and reads the abort flag every iteration (kill round and
+//! round limit: once, at the head of a round). Per-peer state is one `Peer`
+//! record per handshaken id. Frame handlers return `Result<(), Strike>`, and
+//! the one receiver of the `Err` charges it (DESIGN.md §8, §13).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uba_sim::{
@@ -23,12 +35,24 @@ use uba_sim::{
 };
 use uba_trace::{
     metric_name, JournalEntry, JournalRecovery, NetEventKind, NoopTracer, RoundJournal,
-    SharedRuntimeMetrics, TraceEvent, Tracer,
+    RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer,
 };
 
-use crate::conn::{LinkEvent, Links, Mesh, RetryPolicy};
-use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer};
+use crate::conn::{LinkEvent, Mesh, RetryPolicy};
+use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer, DEFAULT_ROUND_WINDOW};
 use crate::wire::{Frame, FrameFault, Wire};
+
+/// Per-peer ingress quota: bytes accepted from one peer within one round
+/// (32 MiB; same strike semantics as [`NetConfig::max_frames_per_round`]).
+pub const MAX_BYTES_PER_ROUND: u64 = 32 * 1024 * 1024;
+
+/// Misbehavior strikes (quota floods, malformed/oversized frames,
+/// out-of-window rounds, post-`Done` injections, barrier equivocation,
+/// backfill abuse) a peer may accumulate before it is evicted:
+/// disconnected, removed from the barrier, and ignored for the rest of the
+/// run. Omission timeouts are *not* strikes — silence stays governed by
+/// [`NetConfig::give_up_after`].
+pub const STRIKE_LIMIT: u32 = 3;
 
 /// Tuning knobs of a networked node.
 #[derive(Debug, Clone)]
@@ -71,16 +95,6 @@ pub struct NetConfig {
     /// is `history_rounds` frames plus live traffic), so only a flooder
     /// ever trips it — DESIGN.md §13.
     pub max_frames_per_round: u64,
-    /// Per-peer ingress quota: bytes accepted from one peer within one
-    /// round (same strike semantics as `max_frames_per_round`).
-    pub max_bytes_per_round: u64,
-    /// Misbehavior strikes (quota floods, malformed/oversized frames,
-    /// out-of-window rounds, post-`Done` injections, barrier equivocation,
-    /// backfill abuse) a peer may accumulate before it is evicted:
-    /// disconnected, removed from the barrier, and ignored for the rest of
-    /// the run. Omission timeouts are *not* strikes — silence stays
-    /// governed by `give_up_after`.
-    pub strike_limit: u32,
 }
 
 impl Default for NetConfig {
@@ -91,11 +105,9 @@ impl Default for NetConfig {
             setup_timeout: Duration::from_secs(10),
             max_rounds: 10_000,
             give_up_after: 5,
-            history_rounds: 64,
+            history_rounds: DEFAULT_ROUND_WINDOW as usize,
             round_pace: Duration::ZERO,
             max_frames_per_round: 1024,
-            max_bytes_per_round: 32 * 1024 * 1024,
-            strike_limit: 3,
         }
     }
 }
@@ -179,39 +191,48 @@ pub struct NetReport<O, T> {
     pub evicted: Vec<u64>,
 }
 
-/// Who a retained outgoing payload was addressed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SentTo {
-    /// Broadcast: every present node.
-    All,
-    /// Point-to-point to one peer.
-    One(NodeId),
-}
-
 /// One round of this node's *own* outgoing traffic, kept for backfill.
 /// Only own traffic: a backfill must be as unforgeable as live traffic, so
 /// a node never relays third-party payloads (the reader attributes every
 /// frame — live or backfilled — to the connection's handshaken sender).
 #[derive(Debug, Default)]
 struct RoundHistory {
-    /// Encoded payloads in send order, with their destination.
-    sends: Vec<(SentTo, Vec<u8>)>,
+    /// Encoded payloads in send order, each with the one peer it was
+    /// addressed to (`None`: a broadcast, for every present node).
+    sends: Vec<(Option<NodeId>, Vec<u8>)>,
     /// The `decided` flag of the `Done` marker, once published.
     done: Option<bool>,
 }
 
-/// Per-peer ingress accounting and the strike ledger (DESIGN.md §13).
-/// Frame/byte counters reset at every round advance; strikes never reset —
-/// a peer that keeps misbehaving runs out of budget and is evicted.
+/// The ledger entry of one peer (DESIGN.md §13), keyed by its handshaken
+/// id — never by a socket, so a reconnect resets none of it. The frame/byte
+/// counters reset at every round advance; the rest is for the whole run.
 #[derive(Debug, Default)]
-struct PeerDiscipline {
+struct Peer {
+    /// Handshaken before: setup waits for it, later ones are reconnects.
+    seen: bool,
     /// Frames received from the peer within the current round.
-    frames_this_round: u64,
-    /// Approximate wire bytes received from the peer within the current
-    /// round (payload sizes plus small per-frame overhead).
-    bytes_this_round: u64,
-    /// Lifetime misbehavior strikes.
+    frames: u64,
+    /// Approximate wire bytes received within the current round (payload
+    /// sizes plus small per-frame overhead).
+    bytes: u64,
+    /// Lifetime misbehavior strikes; [`STRIKE_LIMIT`] of them evict.
     strikes: u32,
+    /// Evicted: link torn down, frames ignored, redials refused.
+    banned: bool,
+    /// We sent it a `SyncRequest` (resume path): the only senders a
+    /// `Backfill` frame is accepted from.
+    solicited: bool,
+    /// Round in which its `SyncRequest` was last served (no repeats).
+    served: Option<u64>,
+}
+
+/// One charge of wire misbehavior, as a frame handler reports it: the
+/// `kind` label of `net_misbehavior_total{kind,peer}` and the trace text.
+#[derive(Debug, PartialEq, Eq)]
+struct Strike {
+    kind: &'static str,
+    info: String,
 }
 
 /// Cheap upper-bound estimate of a frame's wire size, for quota accounting
@@ -247,22 +268,7 @@ pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     monitor: Option<Box<dyn RoundMonitor<P> + Send>>,
     journal: Option<RoundJournal>,
     kill_at: Option<u64>,
-    abort: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    history: BTreeMap<u64, RoundHistory>,
-    /// Per-peer ingress quotas and strike ledger.
-    discipline: BTreeMap<NodeId, PeerDiscipline>,
-    /// Peers evicted for misbehavior: links torn down, frames ignored,
-    /// reconnects refused.
-    banned: BTreeSet<NodeId>,
-    /// Peers we sent a `SyncRequest` to (resume path): the only senders a
-    /// `Backfill` frame is accepted from — anyone else pushing unsolicited
-    /// backfill is abusing the rejoin path.
-    backfill_ok: BTreeSet<NodeId>,
-    /// Round at which each peer was last served a backfill, to refuse
-    /// repeat `SyncRequest`s within one round.
-    sync_served: BTreeMap<NodeId, u64>,
-    /// Raw ids of evicted peers, in eviction order (for the report).
-    evicted: Vec<u64>,
+    abort: Option<Arc<AtomicBool>>,
 }
 
 impl<P: Process> NetNode<P, NoopTracer> {
@@ -277,12 +283,6 @@ impl<P: Process> NetNode<P, NoopTracer> {
             journal: None,
             kill_at: None,
             abort: None,
-            history: BTreeMap::new(),
-            discipline: BTreeMap::new(),
-            banned: BTreeSet::new(),
-            backfill_ok: BTreeSet::new(),
-            sync_served: BTreeMap::new(),
-            evicted: Vec::new(),
         }
     }
 }
@@ -301,12 +301,6 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
             journal: self.journal,
             kill_at: self.kill_at,
             abort: self.abort,
-            history: self.history,
-            discipline: self.discipline,
-            banned: self.banned,
-            backfill_ok: self.backfill_ok,
-            sync_served: self.sync_served,
-            evicted: self.evicted,
         }
     }
 
@@ -350,28 +344,58 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     }
 
     /// Attaches a harness-controlled abort flag: once it reads `true`, the
-    /// node shuts its sockets down and returns [`NetError::Aborted`] at the
-    /// next round boundary or barrier poll (the barrier wait degrades to
-    /// short poll slices while a flag is attached, so the reaction time is
-    /// bounded by tens of milliseconds, not by `round_timeout`). The
-    /// cluster harness uses this to tear down survivors after one member's
-    /// thread panicked.
-    pub fn with_abort_flag(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
+    /// node shuts its sockets down and returns [`NetError::Aborted`]. Every
+    /// wait of the node — mesh setup, the round barrier, the `round_pace`
+    /// window — re-reads the flag at least every few tens of milliseconds
+    /// and after every link event, so the reaction time does not depend on
+    /// `round_timeout` or on how much the peers are sending. The cluster
+    /// harness uses this to tear down survivors after one member's thread
+    /// panicked.
+    pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
     }
 
-    /// Whether the attached abort flag (if any) has been raised.
-    fn aborted(&self) -> bool {
-        self.abort
-            .as_ref()
-            .is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Relaxed))
+    /// [`NetError::Aborted`] once the attached abort flag (if any) is up.
+    fn check_abort(&self) -> Result<(), NetError> {
+        match &self.abort {
+            Some(flag) if flag.load(Ordering::Relaxed) => Err(NetError::Aborted),
+            _ => Ok(()),
+        }
+    }
+
+    /// Runs `record` on the runtime registry, if one is attached (so metric
+    /// names are formatted, and frames measured, only in that case).
+    fn metrics(&self, record: impl FnOnce(&mut RuntimeMetrics)) {
+        if let Some(rt) = &self.runtime {
+            rt.with(record);
+        }
+    }
+
+    /// Records one transport-level event, stamped with `round`. Nothing is
+    /// formatted unless the tracer is enabled.
+    fn net_event(
+        &mut self,
+        round: u64,
+        kind: NetEventKind,
+        peer: Option<NodeId>,
+        info: impl FnOnce() -> String,
+    ) {
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::Net {
+                round,
+                kind,
+                node: self.process.id().raw(),
+                peer: peer.map(NodeId::raw),
+                info: info(),
+            });
+        }
     }
 }
 
-/// How often a node with an abort flag re-checks it while parked at the
-/// round barrier. Coarse enough to cost nothing, fine enough that a
-/// harness teardown never waits a full `round_timeout`.
+/// The longest a waiting node goes without re-reading its abort flag.
+/// Coarse enough to cost nothing, fine enough that a harness teardown never
+/// waits a full `round_timeout`.
 const ABORT_POLL: Duration = Duration::from_millis(25);
 
 impl<P, T> NetNode<P, T>
@@ -397,45 +421,33 @@ where
         listener: TcpListener,
         roster: &BTreeMap<NodeId, SocketAddr>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
-        let me = self.process.id();
-        let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != me).collect();
-        let mut sync = RoundSynchronizer::<P::Msg>::new(me, peers.iter().copied())
-            .with_round_window(self.config.history_rounds as u64);
+        let id = self.process.id();
+        let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
 
         // Dial every peer with a larger id; smaller ids dial us.
-        let larger = peers.iter().copied().filter(|&p| p > me);
+        let larger = peers.iter().copied().filter(|&p| p > id);
         let (mesh, unreachable) = self.open_mesh(Some(listener), roster, larger, 0)?;
         if let Some((_, err)) = unreachable.into_iter().next() {
             return Err(err.into());
         }
+        let mut session = Session::new(self, mesh, &peers, 1);
 
         // Wait for the full mesh. Fast peers may already be sending round-1
         // traffic while we wait, so frames are processed, not discarded.
-        let mut connected: BTreeSet<NodeId> = BTreeSet::new();
-        let setup_deadline = Instant::now() + self.config.setup_timeout;
-        while !peers.iter().all(|p| connected.contains(p)) {
-            let remaining = setup_deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
+        let deadline = Instant::now() + session.node.config.setup_timeout;
+        session.pump(deadline, |s| s.peers.values().all(|peer| peer.seen))?;
+        for peer in peers {
+            if !session.peers[&peer].seen {
+                // Never came up: run without it, as if it crashed before round 1.
+                session.sync.peer_gone(peer);
+                let info = || "unreachable during setup".to_string();
+                session
+                    .node
+                    .net_event(0, NetEventKind::PeerGone, Some(peer), info);
             }
-            let Some(event) = mesh.next_event(remaining) else {
-                break;
-            };
-            self.handle_link_event(event, &mut sync, &mut connected, me, &mesh.links);
-        }
-        for &peer in peers.iter().filter(|p| !connected.contains(p)) {
-            // Never came up: run without it, as if it crashed before round 1.
-            sync.peer_gone(peer);
-            trace(&mut self.tracer, || TraceEvent::Net {
-                round: 0,
-                kind: NetEventKind::PeerGone,
-                node: me.raw(),
-                peer: Some(peer.raw()),
-                info: "unreachable during setup".to_string(),
-            });
         }
 
-        self.run_rounds(sync, mesh, connected, Vec::new(), None)
+        session.run_rounds(Vec::new(), None)
     }
 
     /// Rebuilds a crashed node from its recovered journal and re-enters the
@@ -463,11 +475,11 @@ where
         recovery: &JournalRecovery,
         roster: &BTreeMap<NodeId, SocketAddr>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
-        let me = self.process.id();
-        if recovery.node != me.raw() {
+        let id = self.process.id();
+        if recovery.node != id.raw() {
             return Err(NetError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("journal belongs to node {}, not {me}", recovery.node),
+                format!("journal belongs to node {}, not {id}", recovery.node),
             )));
         }
 
@@ -494,52 +506,37 @@ where
         }
         let next_round = recovery.last_round().map_or(1, |r| r + 1);
 
-        let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != me).collect();
-        let mut sync =
-            RoundSynchronizer::<P::Msg>::resume_at(me, peers.iter().copied(), next_round)
-                .with_round_window(self.config.history_rounds as u64);
+        let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
         let (mesh, unreachable) =
             self.open_mesh(None, roster, peers.iter().copied(), next_round)?;
+        let mut session = Session::new(self, mesh, &peers, next_round);
         for (peer, _) in unreachable {
             // Unreachable while we were down (it may have crashed too, or
             // finished and closed): rejoin without it.
-            sync.peer_gone(peer);
-            trace(&mut self.tracer, || TraceEvent::Net {
-                round: next_round,
-                kind: NetEventKind::PeerGone,
-                node: me.raw(),
-                peer: Some(peer.raw()),
-                info: "unreachable during rejoin".to_string(),
-            });
+            session.sync.peer_gone(peer);
+            let info = || "unreachable during rejoin".to_string();
+            session.net_event(NetEventKind::PeerGone, Some(peer), info);
         }
 
         // Announce the rejoin: ask every reachable peer for the rounds we
-        // slept through (their own sends only — see `RoundHistory`).
+        // slept through (their own sends only — see `RoundHistory`). Only
+        // the peers we asked may answer with Backfill frames.
         let request = Frame::SyncRequest { since: next_round };
-        for peer in sync.expected().collect::<Vec<_>>() {
-            mesh.links.send(peer, &request);
-            count_sent(&self.runtime, peer, &request);
-            // Only the peers we asked may answer with Backfill frames;
-            // unsolicited backfill from anyone else is rejoin-path abuse.
-            self.backfill_ok.insert(peer);
+        for peer in session.sync.expected().collect::<Vec<_>>() {
+            session.send(peer, &request);
+            session.peers.entry(peer).or_default().solicited = true;
         }
-        trace(&mut self.tracer, || TraceEvent::Net {
-            round: next_round,
-            kind: NetEventKind::Resume,
-            node: me.raw(),
-            peer: None,
-            info: format!(
-                "replayed {} journaled rounds{}, rejoining at round {next_round}",
-                recovery.entries.len(),
-                if recovery.torn {
-                    " (torn tail truncated)"
-                } else {
-                    ""
-                },
-            ),
+        session.net_event(NetEventKind::Resume, None, || {
+            let torn = if recovery.torn {
+                " (torn tail truncated)"
+            } else {
+                ""
+            };
+            let replayed = recovery.entries.len();
+            format!("replayed {replayed} journaled rounds{torn}, rejoining at round {next_round}")
         });
 
-        self.run_rounds(sync, mesh, BTreeSet::new(), inbox, decided_round)
+        session.run_rounds(inbox, decided_round)
     }
 
     /// Opens this node's [`Mesh`] — accepting on `listener`, if it has one —
@@ -554,22 +551,15 @@ where
         targets: impl Iterator<Item = NodeId>,
         round: u64,
     ) -> io::Result<(Mesh, Vec<(NodeId, io::Error)>)> {
-        let me = self.process.id();
-        let mesh = Mesh::open(me, listener)?;
+        let id = self.process.id();
+        let mesh = Mesh::open(id, listener)?;
         let mut unreachable = Vec::new();
         for peer in targets {
-            let retry = pair_retry(self.config.retry, me, peer);
+            let retry = pair_retry(self.config.retry, id, peer);
             let dialed = mesh.dial(roster[&peer], peer, retry, |attempt| {
-                if let Some(rt) = &self.runtime {
-                    rt.inc("net_dial_retries_total");
-                }
-                trace(&mut self.tracer, || TraceEvent::Net {
-                    round,
-                    kind: NetEventKind::Retry,
-                    node: me.raw(),
-                    peer: Some(peer.raw()),
-                    info: format!("dial attempt {attempt} failed"),
-                });
+                self.metrics(|m| m.inc("net_dial_retries_total"));
+                let info = || format!("dial attempt {attempt} failed");
+                self.net_event(round, NetEventKind::Retry, Some(peer), info);
             });
             if let Err(err) = dialed {
                 unreachable.push((peer, err));
@@ -577,77 +567,125 @@ where
         }
         Ok((mesh, unreachable))
     }
+}
 
-    /// The shared lock-step loop behind [`run`](Self::run) and
-    /// [`resume`](Self::resume): step, flush, barrier, advance — until the
-    /// whole cluster decided or a limit trips. Owns the `mesh`: whichever
-    /// way the loop is left — decided, killed, aborted, an error — dropping
-    /// it closes the sockets (peers read EOF), stops the acceptor and joins
-    /// the readers. On the success path that is after the final round's
-    /// `Done` markers were written, so peers still at that barrier get them.
+/// One run of a [`NetNode`]: the node plus the state that exists only while
+/// it is on the wire. [`run_rounds`](Self::run_rounds) consumes it, and
+/// whichever way that ends — decided, killed, aborted, an error — dropping
+/// the session drops the `mesh`, which closes the sockets (peers read EOF),
+/// stops the acceptor and joins the readers. On the success path that is
+/// after the final round's `Done` markers were written, so peers still at
+/// that barrier get them.
+struct Session<P: Process, T: Tracer> {
+    node: NetNode<P, T>,
+    sync: RoundSynchronizer<P::Msg>,
+    mesh: Mesh,
+    /// The peer ledger: one record per sender id ever heard of.
+    peers: BTreeMap<NodeId, Peer>,
+    /// Raw ids of evicted peers, in eviction order (for the report).
+    evicted: Vec<u64>,
+    /// Own traffic of the last `history_rounds` rounds, for backfills.
+    history: BTreeMap<u64, RoundHistory>,
+}
+
+impl<P, T> Session<P, T>
+where
+    P: Process,
+    P::Msg: Wire,
+    T: Tracer,
+{
+    /// A session of `node` over `mesh`, expecting `peers` at every barrier
+    /// from `first_round` on.
+    fn new(node: NetNode<P, T>, mesh: Mesh, peers: &[NodeId], first_round: u64) -> Self {
+        let id = node.process.id();
+        let sync = RoundSynchronizer::resume_at(id, peers.iter().copied(), first_round)
+            .with_round_window(node.config.history_rounds as u64);
+        Session {
+            node,
+            sync,
+            mesh,
+            peers: peers.iter().map(|&p| (p, Peer::default())).collect(),
+            evicted: Vec::new(),
+            history: BTreeMap::new(),
+        }
+    }
+
+    /// The one wait loop: hands link events to the session until `until`
+    /// holds or `deadline` passes, never blocking longer than
+    /// [`ABORT_POLL`] and reading the abort flag on every iteration.
+    /// Returns the microseconds spent handling events (the round's deliver
+    /// phase).
+    fn pump(&mut self, deadline: Instant, until: impl Fn(&Self) -> bool) -> Result<u64, NetError> {
+        let mut handling_micros = 0;
+        loop {
+            self.node.check_abort()?;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if until(self) || remaining.is_zero() {
+                return Ok(handling_micros);
+            }
+            if let Some(event) = self.mesh.next_event(remaining.min(ABORT_POLL)) {
+                let handling = Instant::now();
+                self.on_event(event);
+                handling_micros += micros_since(handling);
+            }
+        }
+    }
+
+    /// The lock-step loop behind [`NetNode::run`] and [`NetNode::resume`]:
+    /// step, flush, barrier, advance — until the whole cluster decided or a
+    /// limit trips.
     fn run_rounds(
         mut self,
-        mut sync: RoundSynchronizer<P::Msg>,
-        mesh: Mesh,
-        mut connected: BTreeSet<NodeId>,
         mut inbox: Vec<Envelope<P::Msg>>,
         mut decided_round: Option<u64>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
-        let me = self.process.id();
-        let links = &mesh.links;
         let mut timeouts: u64 = 0;
         let mut round_micros: Vec<u64> = Vec::new();
-        if let Some(rt) = &self.runtime {
-            rt.set_gauge(
-                "net_history_rounds_limit",
-                self.config.history_rounds as u64,
-            );
-        }
+        let history_rounds = self.node.config.history_rounds;
+        self.node
+            .metrics(|m| m.set_gauge("net_history_rounds_limit", history_rounds as u64));
 
         loop {
-            let round = sync.current_round();
-            if self.aborted() {
-                // Harness teardown (a sibling member panicked).
-                return Err(NetError::Aborted);
-            }
-            if self.kill_at == Some(round) {
+            let round = self.sync.current_round();
+            // Harness teardown (a sibling member panicked).
+            self.node.check_abort()?;
+            if self.node.kill_at == Some(round) {
                 // Injected crash: die like an OS process would — sockets
                 // closed (peers read EOF), nothing flushed, no goodbye.
                 return Err(NetError::Killed(round));
             }
-            if round > self.config.max_rounds {
-                return Err(NetError::RoundLimit(self.config.max_rounds));
+            if round > self.node.config.max_rounds {
+                return Err(NetError::RoundLimit(self.node.config.max_rounds));
             }
             let started = Instant::now();
-            trace(&mut self.tracer, || TraceEvent::RoundBegin { round });
+            trace(&mut self.node.tracer, || TraceEvent::RoundBegin { round });
 
             // Step the process (terminated processes leave the computation
             // and send nothing, exactly as in the engine).
             let mut step_micros = 0u64;
             let mut send_micros = 0u64;
-            if !self.process.terminated() {
+            if !self.node.process.terminated() {
                 let phase = Instant::now();
                 let mut outbox = Outbox::new();
                 let mut ctx = Context::new(round, &inbox, &mut outbox);
-                self.process.on_round(&mut ctx);
-                if decided_round.is_none() && self.process.terminated() {
+                self.node.process.on_round(&mut ctx);
+                if decided_round.is_none() && self.node.process.terminated() {
                     decided_round = Some(round);
                 }
                 step_micros = micros_since(phase);
                 let phase = Instant::now();
                 for outgoing in outbox.drain() {
-                    self.dispatch(outgoing.dest, outgoing.msg, round, &mut sync, links, me);
+                    self.dispatch(outgoing.dest, outgoing.msg);
                 }
                 send_micros = micros_since(phase);
             }
 
             // Publish the barrier marker: all our round-`round` data is out.
             let phase = Instant::now();
-            let decided = self.process.terminated();
+            let decided = self.node.process.terminated();
             let done = Frame::Done { round, decided };
-            for &peer in sync.expected().collect::<Vec<_>>().iter() {
-                links.send(peer, &done);
-                count_sent(&self.runtime, peer, &done);
+            for peer in self.sync.expected() {
+                self.send(peer, &done);
             }
             self.history.entry(round).or_default().done = Some(decided);
             send_micros += micros_since(phase);
@@ -655,93 +693,26 @@ where
             // Wait at the barrier. Time spent handing received frames to the
             // synchronizer is additionally accounted as the deliver phase.
             let phase = Instant::now();
-            let mut deliver_micros = 0u64;
-            let deadline = started + self.config.round_timeout;
-            while !sync.barrier_complete() {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                // With an abort flag attached, wait in short slices so a
-                // harness teardown is noticed mid-barrier; without one the
-                // single full-length wait is preserved unchanged.
-                let slice = if self.abort.is_some() {
-                    remaining.min(ABORT_POLL)
-                } else {
-                    remaining
-                };
-                if let Some(event) = mesh.next_event(slice) {
-                    let handling = Instant::now();
-                    self.handle_link_event(event, &mut sync, &mut connected, me, links);
-                    deliver_micros += micros_since(handling);
-                } else if self.aborted() {
-                    return Err(NetError::Aborted);
-                }
-                // A timed-out slice is not necessarily the deadline: the
-                // loop head recomputes the remaining budget and exits when
-                // it truly is.
-            }
+            let deadline = started + self.node.config.round_timeout;
+            let deliver_micros = self.pump(deadline, |s| s.sync.barrier_complete())?;
             let barrier_micros = micros_since(phase);
+            timeouts += self.charge_omissions(started);
 
-            // Charge whoever missed the deadline with an omission.
-            let missed = sync.timed_out();
-            if !missed.is_empty() {
-                timeouts += missed.len() as u64;
-                // Report the time actually spent at the barrier, not the
-                // configured budget: under WAN delays (or a sliced abort
-                // wait) the two diverge, and postmortems need the truth.
-                let waited = started.elapsed().as_millis();
-                if let Some(rt) = &self.runtime {
-                    rt.observe_micros(
-                        "net_omission_wait_micros",
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
-                for &peer in &missed {
-                    if let Some(rt) = &self.runtime {
-                        rt.inc(&metric_name(
-                            "net_omission_timeouts_total",
-                            &[("peer", &peer.raw().to_string())],
-                        ));
-                    }
-                    trace(&mut self.tracer, || TraceEvent::Net {
-                        round,
-                        kind: NetEventKind::Timeout,
-                        node: me.raw(),
-                        peer: Some(peer.raw()),
-                        info: format!("silent at barrier after {waited}ms"),
-                    });
-                    if sync.silent_rounds(peer) >= self.config.give_up_after {
-                        sync.peer_gone(peer);
-                        trace(&mut self.tracer, || TraceEvent::Net {
-                            round,
-                            kind: NetEventKind::PeerGone,
-                            node: me.raw(),
-                            peer: Some(peer.raw()),
-                            info: format!(
-                                "missed {} consecutive barriers",
-                                self.config.give_up_after
-                            ),
-                        });
-                    }
-                }
-            }
-
-            let finished = sync.all_decided(decided);
-            let delivered = sync.advance();
+            let finished = self.sync.all_decided(decided);
+            let delivered = self.sync.advance();
 
             // The ingress quota window is one round: reset the per-peer
             // frame/byte counters (strikes are lifetime and stay).
-            for discipline in self.discipline.values_mut() {
-                discipline.frames_this_round = 0;
-                discipline.bytes_this_round = 0;
+            for peer in self.peers.values_mut() {
+                peer.frames = 0;
+                peer.bytes = 0;
             }
 
             // Commit the round durably before acting on it: the journal
             // entry holds the inbox the *next* round will consume, so a
             // crash at any later point replays to exactly this state.
             let phase = Instant::now();
-            if let Some(journal) = self.journal.as_mut() {
+            if let Some(journal) = self.node.journal.as_mut() {
                 let entry = JournalEntry {
                     round,
                     decided,
@@ -756,41 +727,32 @@ where
             // Backfill history is bounded; rounds older than the window are
             // unrecoverable for rejoiners (an omission, which the model
             // already tolerates).
-            while self.history.len() > self.config.history_rounds {
+            while self.history.len() > history_rounds {
                 self.history.pop_first();
             }
 
-            trace(&mut self.tracer, || TraceEvent::RoundEnd {
+            trace(&mut self.node.tracer, || TraceEvent::RoundEnd {
                 round,
                 deliveries: delivered.len() as u64,
             });
-            trace(&mut self.tracer, || TraceEvent::Net {
-                round,
-                kind: NetEventKind::RoundAdvance,
-                node: me.raw(),
-                peer: None,
-                info: String::new(),
-            });
+            self.node
+                .net_event(round, NetEventKind::RoundAdvance, None, String::new);
             round_micros.push(started.elapsed().as_micros() as u64);
-            if let Some(rt) = &self.runtime {
-                let total = micros_since(started);
-                let retained = self.history.len() as u64;
-                rt.with(|m| {
-                    m.inc("net_rounds_total");
-                    m.observe_micros("net_round_micros", total);
-                    m.observe_micros(PHASE_STEP, step_micros);
-                    m.observe_micros(PHASE_SEND, send_micros);
-                    m.observe_micros(PHASE_DELIVER, deliver_micros);
-                    m.observe_micros(PHASE_BARRIER, barrier_micros);
-                    m.observe_micros(PHASE_JOURNAL, journal_micros);
-                    m.set_gauge("net_history_rounds_retained", retained);
-                });
-            }
+            self.node.metrics(|m| {
+                m.inc("net_rounds_total");
+                m.observe_micros("net_round_micros", micros_since(started));
+                m.observe_micros(PHASE_STEP, step_micros);
+                m.observe_micros(PHASE_SEND, send_micros);
+                m.observe_micros(PHASE_DELIVER, deliver_micros);
+                m.observe_micros(PHASE_BARRIER, barrier_micros);
+                m.observe_micros(PHASE_JOURNAL, journal_micros);
+                m.set_gauge("net_history_rounds_retained", self.history.len() as u64);
+            });
 
-            if let Some(monitor) = &mut self.monitor {
-                let view = single_node_view(round, me, &self.process, decided_round);
+            if let Some(monitor) = &mut self.node.monitor {
+                let view = single_node_view(round, &self.node.process, decided_round);
                 if let Err(report) = monitor.check(&view) {
-                    trace(&mut self.tracer, || TraceEvent::MonitorVerdict {
+                    trace(&mut self.node.tracer, || TraceEvent::MonitorVerdict {
                         round,
                         monitor: report.spec.clone(),
                         ok: false,
@@ -803,12 +765,12 @@ where
 
             if finished {
                 return Ok(NetReport {
-                    output: self.process.output(),
+                    output: self.node.process.output(),
                     decided_round,
                     rounds: round,
                     timeouts,
                     round_micros,
-                    tracer: self.tracer,
+                    tracer: self.node.tracer,
                     evicted: self.evicted,
                 });
             }
@@ -818,125 +780,425 @@ where
                 .map(|(from, msg)| Envelope::from_shared(from, msg))
                 .collect();
 
-            // Pace the round if configured: sleep out the remainder of the
+            // Pace the round if configured: wait out the remainder of the
             // minimum round duration before starting the next round. Frames
-            // arriving meanwhile queue on the event channel and are drained
-            // at the next barrier wait (they belong to the next round, since
-            // every peer paces identically). Sliced so an abort is noticed.
-            if !self.config.round_pace.is_zero() {
-                let mut remaining = self.config.round_pace.saturating_sub(started.elapsed());
-                while !remaining.is_zero() {
-                    if self.aborted() {
-                        return Err(NetError::Aborted);
-                    }
-                    let slice = remaining.min(ABORT_POLL);
-                    thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
+            // arriving meanwhile belong to the next round (every peer paces
+            // identically) and are handed to the synchronizer as they come —
+            // it buffers by round. Outside every round timer.
+            self.pump(started + self.node.config.round_pace, |_| false)?;
+        }
+    }
+
+    /// Charges whoever missed the barrier deadline with an omission, and
+    /// gives up on peers whose silence budget is spent. Returns the number
+    /// of omissions charged.
+    fn charge_omissions(&mut self, started: Instant) -> u64 {
+        let missed = self.sync.timed_out();
+        if missed.is_empty() {
+            return 0;
+        }
+        // Report the time actually spent at the barrier, not the configured
+        // budget: under WAN delays the two diverge, and postmortems need
+        // the truth.
+        let waited = started.elapsed();
+        self.node
+            .metrics(|m| m.observe_micros("net_omission_wait_micros", waited.as_micros() as u64));
+        let give_up_after = self.node.config.give_up_after;
+        for &peer in &missed {
+            self.inc_peer("net_omission_timeouts_total", peer);
+            self.net_event(NetEventKind::Timeout, Some(peer), || {
+                format!("silent at barrier after {}ms", waited.as_millis())
+            });
+            if self.sync.silent_rounds(peer) >= give_up_after {
+                self.sync.peer_gone(peer);
+                self.net_event(NetEventKind::PeerGone, Some(peer), || {
+                    format!("missed {give_up_after} consecutive barriers")
+                });
             }
         }
+        missed.len() as u64
     }
 
     /// Sends one outgoing message: encodes the payload once, fans it out to
     /// the addressed peers, and self-delivers where the model requires.
-    fn dispatch(
-        &mut self,
-        dest: Dest,
-        msg: P::Msg,
-        round: u64,
-        sync: &mut RoundSynchronizer<P::Msg>,
-        links: &Links,
-        me: NodeId,
-    ) {
+    fn dispatch(&mut self, dest: Dest, msg: P::Msg) {
+        let round = self.sync.current_round();
+        let id = self.sync.id();
         let shared = MsgRef::new(msg);
-        trace(&mut self.tracer, || TraceEvent::Send {
+        let to = match dest {
+            Dest::Broadcast => None,
+            Dest::To(to) => Some(to),
+        };
+        trace(&mut self.node.tracer, || TraceEvent::Send {
             round,
-            from: me.raw(),
-            to: match dest {
-                Dest::Broadcast => None,
-                Dest::To(to) => Some(to.raw()),
-            },
+            from: id.raw(),
+            to: to.map(NodeId::raw),
             payload: format!("{:?}", shared.get()),
             adversary: false,
         });
-        let bytes = shared.get().to_bytes();
-        match dest {
-            Dest::Broadcast => {
+        if to == Some(id) {
+            // Purely local: nothing for a rejoiner to backfill.
+            self.sync.self_deliver(shared);
+            return;
+        }
+        let payload = shared.get().to_bytes();
+        let sends = &mut self.history.entry(round).or_default().sends;
+        sends.push((to, payload.clone()));
+        let frame = Frame::Data { round, payload };
+        match to {
+            Some(to) => self.send(to, &frame),
+            None => {
                 // A broadcast reaches every present node including the
                 // sender (the engine's self-delivery rule).
-                self.history
-                    .entry(round)
-                    .or_default()
-                    .sends
-                    .push((SentTo::All, bytes.clone()));
-                let frame = Frame::Data {
-                    round,
-                    payload: bytes,
-                };
-                for peer in sync.expected().collect::<Vec<_>>() {
-                    links.send(peer, &frame);
-                    count_sent(&self.runtime, peer, &frame);
+                for peer in self.sync.expected() {
+                    self.send(peer, &frame);
                 }
-                sync.self_deliver(shared);
-            }
-            Dest::To(to) if to == me => {
-                // Purely local: nothing for a rejoiner to backfill.
-                sync.self_deliver(shared);
-            }
-            Dest::To(to) => {
-                self.history
-                    .entry(round)
-                    .or_default()
-                    .sends
-                    .push((SentTo::One(to), bytes.clone()));
-                let frame = Frame::Data {
-                    round,
-                    payload: bytes,
-                };
-                links.send(to, &frame);
-                count_sent(&self.runtime, to, &frame);
+                self.sync.self_deliver(shared);
             }
         }
+    }
+
+    /// Writes one frame to `peer`'s link and counts it (frames and wire
+    /// bytes, per peer) if a runtime registry is attached.
+    fn send(&self, peer: NodeId, frame: &Frame) {
+        self.mesh.links.send(peer, frame);
+        self.count_frame("net_frames_sent_total", "net_bytes_sent_total", peer, frame);
+    }
+
+    /// Counts one frame to or from `peer` against the runtime registry, if
+    /// one is attached. The encode-for-length cost is paid only in that case.
+    fn count_frame(&self, frames: &str, bytes: &str, peer: NodeId, frame: &Frame) {
+        self.node.metrics(|m| {
+            let peer = peer.raw().to_string();
+            m.inc(&metric_name(frames, &[("peer", &peer)]));
+            m.add(
+                &metric_name(bytes, &[("peer", &peer)]),
+                frame.encoded_len() as u64,
+            );
+        });
+    }
+
+    /// Bumps the per-peer runtime counter `name{peer}`, if a registry is
+    /// attached.
+    fn inc_peer(&self, name: &str, peer: NodeId) {
+        self.node
+            .metrics(|m| m.inc(&metric_name(name, &[("peer", &peer.raw().to_string())])));
+    }
+
+    /// Records one transport-level event at the synchronizer's current
+    /// round.
+    fn net_event(
+        &mut self,
+        kind: NetEventKind,
+        peer: Option<NodeId>,
+        info: impl FnOnce() -> String,
+    ) {
+        self.node
+            .net_event(self.sync.current_round(), kind, peer, info);
+    }
+
+    /// Feeds one link event into the session — the one place a [`Strike`]
+    /// is received and charged.
+    fn on_event(&mut self, event: LinkEvent) {
+        let (from, verdict) = match event {
+            LinkEvent::Connected { peer, .. } => return self.on_connected(peer),
+            // The writer table already dropped the link (generation
+            // guarded). The peer may redial; if it stays silent the barrier
+            // timeout and the give-up budget take over.
+            LinkEvent::Closed { .. } => return,
+            LinkEvent::Corrupt {
+                peer, kind, info, ..
+            } => {
+                // The reader refused bytes no honest peer can produce.
+                let kind = match kind {
+                    FrameFault::Oversize(_) => "oversize_frame",
+                    FrameFault::Malformed => "malformed_frame",
+                };
+                (peer, Err(Strike { kind, info }))
+            }
+            LinkEvent::Frame { from, frame } => (from, self.on_frame(from, frame)),
+        };
+        if let Err(strike) = verdict {
+            self.misbehave(from, strike);
+        }
+    }
+
+    /// A connection to `peer` completed its handshake.
+    fn on_connected(&mut self, peer: NodeId) {
+        let entry = self.peers.entry(peer).or_default();
+        if entry.banned {
+            // An evicted peer redialed: refuse it — the ban is for the rest
+            // of the run, not for one socket's lifetime.
+            self.mesh.links.shutdown_peer(peer);
+            return;
+        }
+        let seen_before = std::mem::replace(&mut entry.seen, true);
+        let name = if seen_before {
+            "net_reconnects_total"
+        } else {
+            "net_connects_total"
+        };
+        self.inc_peer(name, peer);
+        self.net_event(NetEventKind::Connect, Some(peer), String::new);
+    }
+
+    /// One frame from `from`: the ban and ingress-quota gate every frame
+    /// passes, then the handler of its kind.
+    fn on_frame(&mut self, from: NodeId, frame: Frame) -> Result<(), Strike> {
+        let max_frames = self.node.config.max_frames_per_round;
+        let peer = self.peers.entry(from).or_default();
+        if peer.banned {
+            // Frames already in flight when the eviction landed (or pushed
+            // through a fresh socket): ignored wholesale.
+            self.inc_peer("net_banned_frames_dropped_total", from);
+            return Ok(());
+        }
+        // Per-peer ingress quota: one round's worth of frames and bytes.
+        // Every frame past the quota is dropped and charged as a flood
+        // strike, so a flooder burns through its strike budget within the
+        // same round it floods.
+        peer.frames += 1;
+        peer.bytes += frame_quota_len(&frame);
+        let over_quota = peer.frames > max_frames || peer.bytes > MAX_BYTES_PER_ROUND;
+        self.count_frame(
+            "net_frames_received_total",
+            "net_bytes_received_total",
+            from,
+            &frame,
+        );
+        if over_quota {
+            let info = format!(
+                "ingress quota exceeded ({max_frames} frames max, \
+                 {MAX_BYTES_PER_ROUND} bytes max per round)"
+            );
+            return Err(Strike {
+                kind: "flood",
+                info,
+            });
+        }
+        match frame {
+            Frame::Data { round, payload } => self.on_data(from, round, &payload),
+            Frame::Done { round, decided } => self.on_done(from, round, decided),
+            Frame::SyncRequest { since } => self.on_sync_request(from, since),
+            Frame::Backfill {
+                round,
+                done,
+                decided,
+                payloads,
+            } => self.on_backfill(from, round, done.then_some(decided), &payloads),
+            Frame::SyncTips {
+                current_round,
+                oldest_retained,
+                decided,
+            } => {
+                // Informational: the peer's view of where the cluster is.
+                // Rounds below `oldest_retained` cannot be backfilled; they
+                // surface as omissions at our barrier.
+                self.net_event(NetEventKind::SyncTips, Some(from), || {
+                    format!(
+                        "peer at round {current_round}, retains from {oldest_retained}, decided {decided}"
+                    )
+                });
+                Ok(())
+            }
+            // The handshake already consumed the link's `Hello`. Client-
+            // protocol frames belong on the service's client listener
+            // ([`crate::service`]), not on an inter-node link; a peer that
+            // sends one here is confused or Byzantine either way, and
+            // ignoring the frame is the same omission-shaped response as
+            // dropping a malformed payload.
+            Frame::Hello { .. }
+            | Frame::Submit { .. }
+            | Frame::SubmitAck { .. }
+            | Frame::ReadPrefix { .. }
+            | Frame::PrefixChunk { .. } => Ok(()),
+        }
+    }
+
+    /// A `Data { round }` frame: one protocol message for `round`'s inbox.
+    fn on_data(&mut self, from: NodeId, round: u64, payload: &[u8]) -> Result<(), Strike> {
+        let Some(msg) = P::Msg::from_bytes(payload) else {
+            // A payload the protocol codec refuses: no honest peer encodes
+            // one, so it is attributable malice, not line noise (TCP
+            // checksums the stream).
+            return Err(Strike {
+                kind: "malformed_payload",
+                info: format!("undecodable Data payload for round {round}"),
+            });
+        };
+        let shared = MsgRef::new(msg);
+        let current = self.sync.current_round();
+        let to = self.sync.id().raw();
+        let outcome = self.sync.accept_data(from, round, MsgRef::clone(&shared));
+        if let Some(kind) = outcome.strike() {
+            let info = match outcome {
+                DataOutcome::Stale => format!("round {round} replayed at round {current}"),
+                DataOutcome::FarFuture => format!("round {round} pushed at round {current}"),
+                _ => format!("data for round {round} after its Done"),
+            };
+            return Err(Strike { kind, info });
+        }
+        match outcome {
+            DataOutcome::Delivered => trace(&mut self.node.tracer, || TraceEvent::Deliver {
+                round,
+                from: from.raw(),
+                to,
+                payload: format!("{:?}", shared.get()),
+                adversary: false,
+            }),
+            DataOutcome::Duplicate => trace(&mut self.node.tracer, || TraceEvent::DuplicateDrop {
+                round,
+                from: from.raw(),
+                to,
+                payload: format!("{:?}", shared.get()),
+            }),
+            _ => self.net_event(NetEventKind::LateDrop, Some(from), || {
+                format!("frame for past round {round}")
+            }),
+        }
+        Ok(())
+    }
+
+    /// A `Done { round }` barrier marker.
+    fn on_done(&mut self, from: NodeId, round: u64, decided: bool) -> Result<(), Strike> {
+        let current = self.sync.current_round();
+        let outcome = self.sync.accept_done(from, round, decided);
+        let Some(kind) = outcome.strike() else {
+            return Ok(());
+        };
+        let info = match outcome {
+            DoneOutcome::OutOfWindow => format!("Done for round {round} at round {current}"),
+            _ => format!("conflicting decided flag for round {round} (first marker stands)"),
+        };
+        Err(Strike { kind, info })
+    }
+
+    /// A `SyncRequest { since }`: `from` crashed and came back. Answers
+    /// with our tips and a backfill of our own retained traffic.
+    fn on_sync_request(&mut self, from: NodeId, since: u64) -> Result<(), Strike> {
+        let current = self.sync.current_round();
+        // One rejoin per peer per round: a crashed node asks once, so
+        // repeats within the same round are spam against the (relatively
+        // expensive) backfill path.
+        let peer = self.peers.entry(from).or_default();
+        if peer.served == Some(current) {
+            return Err(Strike {
+                kind: "sync_spam",
+                info: format!("repeat SyncRequest within round {current}"),
+            });
+        }
+        peer.served = Some(current);
+        self.net_event(NetEventKind::SyncRequest, Some(from), || {
+            format!("backfill requested since round {since}")
+        });
+        // Expect the requester at barriers again (even if the silence
+        // budget had given it up), with a clean slate.
+        self.sync.peer_rejoined(from);
+        self.net_event(NetEventKind::Rejoin, Some(from), || {
+            "expected at barriers again".to_string()
+        });
+        let tips = Frame::SyncTips {
+            current_round: current,
+            oldest_retained: self.history.keys().next().copied().unwrap_or(current),
+            decided: self.node.process.terminated(),
+        };
+        self.send(from, &tips);
+        // Replay our own retained traffic addressed to the requester, round
+        // by round in send order — never third-party payloads, so
+        // backfilled frames stay as unforgeable as live ones. The response
+        // is hard-capped at `history_rounds` rounds regardless of what
+        // `since` claims.
+        let cap = self.node.config.history_rounds;
+        for (&round, hist) in self.history.range(since..).take(cap) {
+            let backfill = Frame::Backfill {
+                round,
+                done: hist.done.is_some(),
+                decided: hist.done.unwrap_or(false),
+                payloads: hist
+                    .sends
+                    .iter()
+                    .filter(|(to, _)| to.is_none_or(|to| to == from))
+                    .map(|(_, bytes)| bytes.clone())
+                    .collect(),
+            };
+            self.send(from, &backfill);
+            self.node
+                .metrics(|m| m.inc("net_backfill_frames_served_total"));
+            let info = || format!("sent round {round}");
+            self.node
+                .net_event(current, NetEventKind::Backfill, Some(from), info);
+        }
+        Ok(())
+    }
+
+    /// A `Backfill` frame: one missed round of `from`'s own traffic, with
+    /// its `Done` flag (`done`) if it had published one. Backfill is
+    /// pull-only — it answers our `SyncRequest`; a peer pushing it
+    /// unsolicited is abusing the rejoin path to inject traffic outside the
+    /// live `Data` checks.
+    fn on_backfill(
+        &mut self,
+        from: NodeId,
+        round: u64,
+        done: Option<bool>,
+        payloads: &[Vec<u8>],
+    ) -> Result<(), Strike> {
+        if !self.peers.get(&from).is_some_and(|peer| peer.solicited) {
+            return Err(Strike {
+                kind: "unsolicited_backfill",
+                info: format!("backfill for round {round} never requested"),
+            });
+        }
+        self.node
+            .metrics(|m| m.inc("net_backfill_frames_received_total"));
+        let total = payloads.len();
+        let mut fresh = 0usize;
+        let mut malformed = false;
+        for payload in payloads {
+            let Some(msg) = P::Msg::from_bytes(payload) else {
+                malformed = true; // charged once, below
+                continue;
+            };
+            if self.sync.accept_data(from, round, MsgRef::new(msg)) == DataOutcome::Delivered {
+                fresh += 1;
+            }
+        }
+        if let Some(decided) = done {
+            self.sync.accept_done(from, round, decided);
+        }
+        self.net_event(NetEventKind::Backfill, Some(from), || {
+            format!("received round {round}: {fresh} of {total} delivered")
+        });
+        if malformed {
+            let info = format!("undecodable payload in backfill round {round}");
+            return Err(Strike {
+                kind: "malformed_payload",
+                info,
+            });
+        }
+        Ok(())
     }
 
     /// Charges one misbehavior strike against `from`: bumps the
     /// `net_misbehavior_total{kind,peer}` counter, traces a
     /// `net_byz_misbehavior` event, and evicts the peer once its strike
-    /// budget is spent. Idempotent for already-banned peers.
-    fn misbehave(
-        &mut self,
-        from: NodeId,
-        kind: &'static str,
-        info: String,
-        sync: &mut RoundSynchronizer<P::Msg>,
-        links: &Links,
-    ) {
-        if self.banned.contains(&from) {
+    /// budget ([`STRIKE_LIMIT`]) is spent. A no-op for an evicted peer.
+    fn misbehave(&mut self, from: NodeId, Strike { kind, info }: Strike) {
+        let peer = self.peers.entry(from).or_default();
+        if peer.banned {
             return;
         }
-        let strikes = {
-            let discipline = self.discipline.entry(from).or_default();
-            discipline.strikes = discipline.strikes.saturating_add(1);
-            discipline.strikes
-        };
-        if let Some(rt) = &self.runtime {
-            rt.inc(&metric_name(
-                "net_misbehavior_total",
-                &[("kind", kind), ("peer", &from.raw().to_string())],
-            ));
-        }
-        let me = sync.id();
-        let round = sync.current_round();
-        let limit = self.config.strike_limit;
-        trace(&mut self.tracer, || TraceEvent::Net {
-            round,
-            kind: NetEventKind::Misbehavior,
-            node: me.raw(),
-            peer: Some(from.raw()),
-            info: format!("{kind} (strike {strikes}/{limit}): {info}"),
+        peer.strikes = peer.strikes.saturating_add(1);
+        let strikes = peer.strikes;
+        self.node.metrics(|m| {
+            let labels = [("kind", kind), ("peer", &from.raw().to_string())];
+            m.inc(&metric_name("net_misbehavior_total", &labels));
         });
-        if strikes >= limit {
-            self.evict(from, sync, links);
+        self.net_event(NetEventKind::Misbehavior, Some(from), || {
+            format!("{kind} (strike {strikes}/{STRIKE_LIMIT}): {info}")
+        });
+        if strikes >= STRIKE_LIMIT {
+            self.evict(from);
         }
     }
 
@@ -945,416 +1207,38 @@ where
     /// for the rest of the run. Charged as a `fault/byzantine_evict` —
     /// attributable malice — in contrast to the omission accounting of a
     /// barrier timeout ([`NetEventKind::Timeout`] / `PeerGone`).
-    fn evict(&mut self, from: NodeId, sync: &mut RoundSynchronizer<P::Msg>, links: &Links) {
-        if !self.banned.insert(from) {
-            return;
-        }
-        links.shutdown_peer(from);
-        sync.peer_gone(from);
+    fn evict(&mut self, from: NodeId) {
+        self.peers.entry(from).or_default().banned = true;
+        self.mesh.links.shutdown_peer(from);
+        self.sync.peer_gone(from);
         self.evicted.push(from.raw());
-        if let Some(rt) = &self.runtime {
-            rt.inc(&metric_name(
-                "net_byz_evictions_total",
-                &[("peer", &from.raw().to_string())],
-            ));
-        }
-        let me = sync.id();
-        let round = sync.current_round();
-        trace(&mut self.tracer, || TraceEvent::Net {
-            round,
-            kind: NetEventKind::ByzEvict,
-            node: me.raw(),
-            peer: Some(from.raw()),
-            info: "strike budget exhausted; link torn down".to_string(),
+        self.inc_peer("net_byz_evictions_total", from);
+        self.net_event(NetEventKind::ByzEvict, Some(from), || {
+            "strike budget exhausted; link torn down".to_string()
         });
-        trace(&mut self.tracer, || TraceEvent::Fault {
+        let (round, node) = (self.sync.current_round(), self.sync.id().raw());
+        trace(&mut self.node.tracer, || TraceEvent::Fault {
             round,
             kind: "byzantine_evict",
-            node: me.raw(),
+            node,
             peer: Some(from.raw()),
         });
-    }
-
-    /// Feeds one link event into the synchronizer, tracing what happened.
-    /// `links` is needed to answer rejoin handshakes ([`Frame::SyncRequest`])
-    /// with tips and backfills.
-    fn handle_link_event(
-        &mut self,
-        event: LinkEvent,
-        sync: &mut RoundSynchronizer<P::Msg>,
-        connected: &mut BTreeSet<NodeId>,
-        me: NodeId,
-        links: &Links,
-    ) {
-        match event {
-            LinkEvent::Connected { peer, .. } => {
-                if self.banned.contains(&peer) {
-                    // An evicted peer redialed: refuse it — the ban is for
-                    // the rest of the run, not for one socket's lifetime.
-                    links.shutdown_peer(peer);
-                    return;
-                }
-                let first_time = connected.insert(peer);
-                if let Some(rt) = &self.runtime {
-                    let name = if first_time {
-                        "net_connects_total"
-                    } else {
-                        "net_reconnects_total"
-                    };
-                    rt.inc(&metric_name(name, &[("peer", &peer.raw().to_string())]));
-                }
-                trace(&mut self.tracer, || TraceEvent::Net {
-                    round: sync.current_round(),
-                    kind: NetEventKind::Connect,
-                    node: me.raw(),
-                    peer: Some(peer.raw()),
-                    info: String::new(),
-                });
-            }
-            LinkEvent::Closed { .. } => {
-                // The writer table already dropped the link (generation
-                // guarded). The peer may redial; if it stays silent the
-                // barrier timeout and the give-up budget take over.
-            }
-            LinkEvent::Corrupt {
-                peer, kind, info, ..
-            } => {
-                // The reader refused bytes no honest peer can produce.
-                let strike = match kind {
-                    FrameFault::Oversize(_) => "oversize_frame",
-                    FrameFault::Malformed => "malformed_frame",
-                };
-                self.misbehave(peer, strike, info, sync, links);
-            }
-            LinkEvent::Frame { from, frame } => {
-                if self.banned.contains(&from) {
-                    // Frames already in flight when the eviction landed (or
-                    // pushed through a fresh socket): ignored wholesale.
-                    if let Some(rt) = &self.runtime {
-                        rt.inc(&metric_name(
-                            "net_banned_frames_dropped_total",
-                            &[("peer", &from.raw().to_string())],
-                        ));
-                    }
-                    return;
-                }
-                count_received(&self.runtime, from, &frame);
-                // Per-peer ingress quota: one round's worth of frames and
-                // bytes. Every frame past the quota is dropped and charged
-                // as a flood strike, so a flooder burns through its strike
-                // budget within the same round it floods.
-                let over_quota = {
-                    let discipline = self.discipline.entry(from).or_default();
-                    discipline.frames_this_round += 1;
-                    discipline.bytes_this_round += frame_quota_len(&frame);
-                    discipline.frames_this_round > self.config.max_frames_per_round
-                        || discipline.bytes_this_round > self.config.max_bytes_per_round
-                };
-                if over_quota {
-                    let info = format!(
-                        "ingress quota exceeded ({} frames max, {} bytes max per round)",
-                        self.config.max_frames_per_round, self.config.max_bytes_per_round
-                    );
-                    self.misbehave(from, "flood", info, sync, links);
-                    return;
-                }
-                match frame {
-                    Frame::Hello { .. } => {} // handshake already consumed ours
-                    Frame::Data { round, payload } => {
-                        let Some(msg) = P::Msg::from_bytes(&payload) else {
-                            // A payload the protocol codec refuses: no honest
-                            // peer encodes one, so it is attributable malice,
-                            // not line noise (TCP checksums the stream).
-                            self.misbehave(
-                                from,
-                                "malformed_payload",
-                                format!("undecodable Data payload for round {round}"),
-                                sync,
-                                links,
-                            );
-                            return;
-                        };
-                        let shared = MsgRef::new(msg);
-                        let current = sync.current_round();
-                        match sync.accept_data(from, round, MsgRef::clone(&shared)) {
-                            DataOutcome::Delivered => {
-                                trace(&mut self.tracer, || TraceEvent::Deliver {
-                                    round,
-                                    from: from.raw(),
-                                    to: me.raw(),
-                                    payload: format!("{:?}", shared.get()),
-                                    adversary: false,
-                                });
-                            }
-                            DataOutcome::Duplicate => {
-                                trace(&mut self.tracer, || TraceEvent::DuplicateDrop {
-                                    round,
-                                    from: from.raw(),
-                                    to: me.raw(),
-                                    payload: format!("{:?}", shared.get()),
-                                });
-                            }
-                            DataOutcome::Late => {
-                                trace(&mut self.tracer, || TraceEvent::Net {
-                                    round: current,
-                                    kind: NetEventKind::LateDrop,
-                                    node: me.raw(),
-                                    peer: Some(from.raw()),
-                                    info: format!("frame for past round {round}"),
-                                });
-                            }
-                            DataOutcome::Stale => {
-                                self.misbehave(
-                                    from,
-                                    "stale_replay",
-                                    format!("round {round} replayed at round {current}"),
-                                    sync,
-                                    links,
-                                );
-                            }
-                            DataOutcome::FarFuture => {
-                                self.misbehave(
-                                    from,
-                                    "far_future",
-                                    format!("round {round} pushed at round {current}"),
-                                    sync,
-                                    links,
-                                );
-                            }
-                            DataOutcome::PostDone => {
-                                self.misbehave(
-                                    from,
-                                    "post_done_data",
-                                    format!("data for round {round} after its Done"),
-                                    sync,
-                                    links,
-                                );
-                            }
-                        }
-                    }
-                    Frame::Done { round, decided } => {
-                        let current = sync.current_round();
-                        match sync.accept_done(from, round, decided) {
-                            DoneOutcome::Accepted | DoneOutcome::Late => {}
-                            DoneOutcome::OutOfWindow => {
-                                self.misbehave(
-                                    from,
-                                    "done_out_of_window",
-                                    format!("Done for round {round} at round {current}"),
-                                    sync,
-                                    links,
-                                );
-                            }
-                            DoneOutcome::Conflict => {
-                                self.misbehave(
-                                    from,
-                                    "done_conflict",
-                                    format!(
-                                        "conflicting decided flag for round {round} \
-                                         (first marker stands)"
-                                    ),
-                                    sync,
-                                    links,
-                                );
-                            }
-                        }
-                    }
-                    Frame::SyncRequest { since } => {
-                        let current = sync.current_round();
-                        // One rejoin per peer per round: a crashed node asks
-                        // once, so repeats within the same round are spam
-                        // against the (relatively expensive) backfill path.
-                        if self.sync_served.get(&from) == Some(&current) {
-                            self.misbehave(
-                                from,
-                                "sync_spam",
-                                format!("repeat SyncRequest within round {current}"),
-                                sync,
-                                links,
-                            );
-                            return;
-                        }
-                        self.sync_served.insert(from, current);
-                        trace(&mut self.tracer, || TraceEvent::Net {
-                            round: current,
-                            kind: NetEventKind::SyncRequest,
-                            node: me.raw(),
-                            peer: Some(from.raw()),
-                            info: format!("backfill requested since round {since}"),
-                        });
-                        // The requester crashed and came back: expect it at
-                        // barriers again (even if the silence budget had given
-                        // it up), with a clean slate.
-                        sync.peer_rejoined(from);
-                        trace(&mut self.tracer, || TraceEvent::Net {
-                            round: current,
-                            kind: NetEventKind::Rejoin,
-                            node: me.raw(),
-                            peer: Some(from.raw()),
-                            info: "expected at barriers again".to_string(),
-                        });
-                        let oldest = self.history.keys().next().copied().unwrap_or(current);
-                        let tips = Frame::SyncTips {
-                            current_round: current,
-                            oldest_retained: oldest,
-                            decided: self.process.terminated(),
-                        };
-                        links.send(from, &tips);
-                        count_sent(&self.runtime, from, &tips);
-                        // Replay our own retained traffic addressed to the
-                        // requester, round by round in send order — never
-                        // third-party payloads, so backfilled frames stay as
-                        // unforgeable as live ones. The response is hard-
-                        // capped at `history_rounds` rounds regardless of
-                        // what `since` claims.
-                        for (&r, hist) in
-                            self.history.range(since..).take(self.config.history_rounds)
-                        {
-                            let payloads: Vec<Vec<u8>> = hist
-                                .sends
-                                .iter()
-                                .filter(|(dest, _)| {
-                                    *dest == SentTo::All || *dest == SentTo::One(from)
-                                })
-                                .map(|(_, bytes)| bytes.clone())
-                                .collect();
-                            let (done, decided) = match hist.done {
-                                Some(flag) => (true, flag),
-                                None => (false, false),
-                            };
-                            let backfill = Frame::Backfill {
-                                round: r,
-                                done,
-                                decided,
-                                payloads,
-                            };
-                            links.send(from, &backfill);
-                            count_sent(&self.runtime, from, &backfill);
-                            if let Some(rt) = &self.runtime {
-                                rt.inc("net_backfill_frames_served_total");
-                            }
-                            trace(&mut self.tracer, || TraceEvent::Net {
-                                round: current,
-                                kind: NetEventKind::Backfill,
-                                node: me.raw(),
-                                peer: Some(from.raw()),
-                                info: format!("sent round {r}"),
-                            });
-                        }
-                    }
-                    Frame::SyncTips {
-                        current_round,
-                        oldest_retained,
-                        decided,
-                    } => {
-                        // Informational: the peer's view of where the cluster
-                        // is. Rounds below `oldest_retained` cannot be
-                        // backfilled; they surface as omissions at our barrier.
-                        trace(&mut self.tracer, || {
-                            TraceEvent::Net {
-                        round: sync.current_round(),
-                        kind: NetEventKind::SyncTips,
-                        node: me.raw(),
-                        peer: Some(from.raw()),
-                        info: format!(
-                            "peer at round {current_round}, retains from {oldest_retained}, decided {decided}"
-                        ),
-                    }
-                        });
-                    }
-                    Frame::Backfill {
-                        round,
-                        done,
-                        decided,
-                        payloads,
-                    } => {
-                        // Backfill is pull-only: it answers our SyncRequest.
-                        // A peer pushing it unsolicited is abusing the
-                        // rejoin path to inject traffic outside the live
-                        // Data checks.
-                        if !self.backfill_ok.contains(&from) {
-                            self.misbehave(
-                                from,
-                                "unsolicited_backfill",
-                                format!("backfill for round {round} never requested"),
-                                sync,
-                                links,
-                            );
-                            return;
-                        }
-                        if let Some(rt) = &self.runtime {
-                            rt.inc("net_backfill_frames_received_total");
-                        }
-                        let current = sync.current_round();
-                        let total = payloads.len();
-                        let mut fresh = 0usize;
-                        let mut malformed = false;
-                        for payload in &payloads {
-                            let Some(msg) = P::Msg::from_bytes(payload) else {
-                                malformed = true; // charged once, below
-                                continue;
-                            };
-                            if sync.accept_data(from, round, MsgRef::new(msg))
-                                == DataOutcome::Delivered
-                            {
-                                fresh += 1;
-                            }
-                        }
-                        if done {
-                            sync.accept_done(from, round, decided);
-                        }
-                        if malformed {
-                            self.misbehave(
-                                from,
-                                "malformed_payload",
-                                format!("undecodable payload in backfill round {round}"),
-                                sync,
-                                links,
-                            );
-                        }
-                        trace(&mut self.tracer, || TraceEvent::Net {
-                            round: current,
-                            kind: NetEventKind::Backfill,
-                            node: me.raw(),
-                            peer: Some(from.raw()),
-                            info: format!("received round {round}: {fresh} of {total} delivered"),
-                        });
-                    }
-                    // Client-protocol frames belong on the service's client
-                    // listener ([`crate::service`]), not on an inter-node
-                    // link. A peer that sends one here is confused or
-                    // Byzantine either way; ignoring the frame is the same
-                    // omission-shaped response as dropping a malformed
-                    // payload.
-                    Frame::Submit { .. }
-                    | Frame::SubmitAck { .. }
-                    | Frame::ReadPrefix { .. }
-                    | Frame::PrefixChunk { .. } => {}
-                }
-            }
-        }
     }
 }
 
 /// Builds the single-process [`MonitorView`] a networked node can offer.
-fn single_node_view<'a, P: Process>(
+fn single_node_view<P: Process>(
     round: u64,
-    me: NodeId,
-    process: &'a P,
+    process: &P,
     decided_round: Option<u64>,
-) -> MonitorView<'a, P> {
+) -> MonitorView<'_, P> {
     static EMPTY: std::sync::OnceLock<BTreeSet<NodeId>> = std::sync::OnceLock::new();
     let empty = EMPTY.get_or_init(BTreeSet::new);
-    let mut processes = BTreeMap::new();
-    processes.insert(me, process);
-    let mut decided_rounds = BTreeMap::new();
-    if let Some(r) = decided_round {
-        decided_rounds.insert(me, r);
-    }
+    let id = process.id();
     MonitorView {
         round,
-        processes,
-        decided_rounds,
+        processes: BTreeMap::from([(id, process)]),
+        decided_rounds: decided_round.map(|r| (id, r)).into_iter().collect(),
         faulty: empty,
         crashed: empty,
     }
@@ -1363,8 +1247,8 @@ fn single_node_view<'a, P: Process>(
 /// Derives the per-(dialer, peer) retry policy: same base schedule, but a
 /// jitter stream seeded from the pair, so a mass restart spreads its
 /// redials instead of hammering every listener in lockstep.
-pub(crate) fn pair_retry(base: RetryPolicy, me: NodeId, peer: NodeId) -> RetryPolicy {
-    base.with_jitter_seed(base.jitter_seed ^ me.raw().rotate_left(32) ^ peer.raw())
+pub(crate) fn pair_retry(base: RetryPolicy, dialer: NodeId, peer: NodeId) -> RetryPolicy {
+    base.with_jitter_seed(base.jitter_seed ^ dialer.raw().rotate_left(32) ^ peer.raw())
 }
 
 /// Records an event only if the tracer is enabled, so a [`NoopTracer`]
@@ -1383,42 +1267,71 @@ const PHASE_DELIVER: &str = "net_round_phase_micros{phase=\"deliver\"}";
 const PHASE_BARRIER: &str = "net_round_phase_micros{phase=\"barrier\"}";
 const PHASE_JOURNAL: &str = "net_round_phase_micros{phase=\"journal\"}";
 
-/// Counts one outgoing frame (frames and wire bytes, per peer) against the
-/// runtime registry, if one is attached. The encode-for-length cost is paid
-/// only in that case.
-fn count_sent(runtime: &Option<SharedRuntimeMetrics>, peer: NodeId, frame: &Frame) {
-    if let Some(rt) = runtime {
-        let peer = peer.raw().to_string();
-        let bytes = frame.encoded_len() as u64;
-        rt.with(|m| {
-            m.inc(&metric_name("net_frames_sent_total", &[("peer", &peer)]));
-            m.add(
-                &metric_name("net_bytes_sent_total", &[("peer", &peer)]),
-                bytes,
-            );
-        });
-    }
-}
-
-/// Counts one incoming frame against the runtime registry, if attached.
-fn count_received(runtime: &Option<SharedRuntimeMetrics>, peer: NodeId, frame: &Frame) {
-    if let Some(rt) = runtime {
-        let peer = peer.raw().to_string();
-        let bytes = frame.encoded_len() as u64;
-        rt.with(|m| {
-            m.inc(&metric_name(
-                "net_frames_received_total",
-                &[("peer", &peer)],
-            ));
-            m.add(
-                &metric_name("net_bytes_received_total", &[("peer", &peer)]),
-                bytes,
-            );
-        });
-    }
-}
-
 /// Elapsed microseconds since `from`, saturated into `u64`.
 fn micros_since(from: Instant) -> u64 {
     u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A process that never sends and never decides.
+    struct Idle(NodeId);
+
+    impl Process for Idle {
+        type Msg = u64;
+        type Output = u64;
+
+        fn id(&self) -> NodeId {
+            self.0
+        }
+
+        fn on_round(&mut self, _: &mut Context<'_, u64>) {}
+
+        fn output(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn backfill_is_accepted_only_from_peers_the_ledger_marks_solicited() {
+        let (me, asked, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+        let node = NetNode::new(Idle(me), NetConfig::default());
+        let mesh = Mesh::open(me, None).unwrap();
+        let mut session = Session::new(node, mesh, &[asked, other], 5);
+        // What `resume` does for every peer it sends a SyncRequest to.
+        session.peers.get_mut(&asked).unwrap().solicited = true;
+
+        let backfill = |from| LinkEvent::Frame {
+            from,
+            frame: Frame::Backfill {
+                round: 5,
+                done: true,
+                decided: false,
+                payloads: vec![7u64.to_bytes()],
+            },
+        };
+        session.on_event(backfill(asked));
+        session.on_event(backfill(other));
+        assert_eq!(session.peers[&asked].strikes, 0);
+        assert_eq!(session.peers[&other].strikes, 1, "unsolicited_backfill");
+        // Only the solicited peer's round made it into the synchronizer.
+        assert_eq!(session.sync.missing(), vec![other]);
+        assert_eq!(session.sync.advance().len(), 1);
+
+        // The one field decides: flip it and the same frame is welcome.
+        session.peers.get_mut(&other).unwrap().solicited = true;
+        let next = LinkEvent::Frame {
+            from: other,
+            frame: Frame::Backfill {
+                round: 6,
+                done: false,
+                decided: false,
+                payloads: Vec::new(),
+            },
+        };
+        session.on_event(next);
+        assert_eq!(session.peers[&other].strikes, 1, "no further strike");
+    }
 }

@@ -53,8 +53,8 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use uba_sim::{MsgRef, NodeId, Payload};
 
-/// Default round window: matches `NetConfig::history_rounds`, the deepest
-/// backfill any honest peer can serve.
+/// Default round window, and the default of `NetConfig::history_rounds`
+/// (the deepest backfill any honest peer can serve): the two must match.
 pub const DEFAULT_ROUND_WINDOW: u64 = 64;
 
 /// What became of one incoming `Data` frame.
@@ -83,13 +83,16 @@ pub enum DataOutcome {
 }
 
 impl DataOutcome {
-    /// Whether this outcome is a protocol violation no honest peer can
-    /// produce (as opposed to a benign race or duplicate).
-    pub fn is_misbehavior(self) -> bool {
-        matches!(
-            self,
-            DataOutcome::Stale | DataOutcome::FarFuture | DataOutcome::PostDone
-        )
+    /// The misbehavior this outcome is charged as — the `kind` label of
+    /// `net_misbehavior_total` — if it is a protocol violation no honest
+    /// peer can produce; `None` for a benign race or duplicate.
+    pub fn strike(self) -> Option<&'static str> {
+        match self {
+            DataOutcome::Stale => Some("stale_replay"),
+            DataOutcome::FarFuture => Some("far_future"),
+            DataOutcome::PostDone => Some("post_done_data"),
+            DataOutcome::Delivered | DataOutcome::Duplicate | DataOutcome::Late => None,
+        }
     }
 }
 
@@ -111,10 +114,14 @@ pub enum DoneOutcome {
 }
 
 impl DoneOutcome {
-    /// Whether this outcome is a protocol violation no honest peer can
-    /// produce.
-    pub fn is_misbehavior(self) -> bool {
-        matches!(self, DoneOutcome::OutOfWindow | DoneOutcome::Conflict)
+    /// The misbehavior this outcome is charged as, like
+    /// [`DataOutcome::strike`].
+    pub fn strike(self) -> Option<&'static str> {
+        match self {
+            DoneOutcome::OutOfWindow => Some("done_out_of_window"),
+            DoneOutcome::Conflict => Some("done_conflict"),
+            DoneOutcome::Accepted | DoneOutcome::Late => None,
+        }
     }
 }
 
@@ -479,7 +486,6 @@ mod tests {
         // One past the window: refused before any bucket is allocated.
         assert_eq!(sync.accept_data(peer, 6, msg(6)), DataOutcome::FarFuture);
         assert_eq!(sync.accept_done(peer, 6, false), DoneOutcome::OutOfWindow);
-        assert!(sync.accept_data(peer, 6, msg(6)).is_misbehavior());
         // Advance far enough that round 1 leaves the window behind us.
         for r in 1..=6 {
             sync.accept_done(peer, r, false);
@@ -490,7 +496,6 @@ mod tests {
         assert_eq!(sync.accept_done(peer, 2, false), DoneOutcome::OutOfWindow);
         // Just inside the window on the past side stays a benign Late.
         assert_eq!(sync.accept_data(peer, 3, msg(3)), DataOutcome::Late);
-        assert!(!sync.accept_data(peer, 3, msg(3)).is_misbehavior());
     }
 
     #[test]
@@ -519,8 +524,33 @@ mod tests {
         assert_eq!(sync.accept_done(peer, 1, false), DoneOutcome::Accepted);
         // ...but flipping it is a barrier equivocation; the first stands.
         assert_eq!(sync.accept_done(peer, 1, true), DoneOutcome::Conflict);
-        assert!(sync.accept_done(peer, 1, true).is_misbehavior());
         assert!(!sync.all_decided(true), "first (undecided) marker stands");
+    }
+
+    #[test]
+    fn every_outcome_maps_to_its_documented_strike_kind() {
+        // The kind strings are label values of `net_misbehavior_total` and
+        // part of the trace text: a contract, not an implementation detail.
+        let data = [
+            (DataOutcome::Delivered, None),
+            (DataOutcome::Duplicate, None),
+            (DataOutcome::Late, None),
+            (DataOutcome::Stale, Some("stale_replay")),
+            (DataOutcome::FarFuture, Some("far_future")),
+            (DataOutcome::PostDone, Some("post_done_data")),
+        ];
+        for (outcome, kind) in data {
+            assert_eq!(outcome.strike(), kind, "{outcome:?}");
+        }
+        let done = [
+            (DoneOutcome::Accepted, None),
+            (DoneOutcome::Late, None),
+            (DoneOutcome::OutOfWindow, Some("done_out_of_window")),
+            (DoneOutcome::Conflict, Some("done_conflict")),
+        ];
+        for (outcome, kind) in done {
+            assert_eq!(outcome.strike(), kind, "{outcome:?}");
+        }
     }
 
     #[test]

@@ -400,6 +400,137 @@ fn stale_round_replay_is_striked_once_outside_the_window() {
     assert!(stale >= 3, "replays beyond the window strike, got {stale}");
 }
 
+/// Polls `read` until it returns at least `want`, for up to five seconds.
+fn wait_for(want: u64, read: impl Fn() -> u64) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    read()
+}
+
+#[test]
+fn strikes_and_the_ban_belong_to_the_peer_not_to_its_socket() {
+    // The node (id 2) accepts from a hostile peer (0) and from a keeper (1)
+    // that withholds its round-1 Done, so the node stays at that barrier
+    // (10 s budget) while the hostile peer works through three sockets.
+    let (me, hostile, keeper) = (NodeId::new(2), NodeId::new(0), NodeId::new(1));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let unused: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> =
+        [(me, addr), (hostile, unused), (keeper, unused)].into();
+    let metrics = SharedRuntimeMetrics::new();
+    let rt = metrics.clone();
+    let config = NetConfig {
+        round_timeout: Duration::from_secs(10),
+        ..hardened_config(10)
+    };
+    let handle = std::thread::spawn(move || {
+        NetNode::new(Counter::new(me, 1), config)
+            .with_tracer(RingTracer::new(4096))
+            .with_runtime_metrics(rt)
+            .run(listener, &roster)
+    });
+    let mut keeper_stream = script_dial(addr, keeper);
+    let counter = |name: &str| {
+        let name = metric_name(name, &[("peer", "0")]);
+        metrics.snapshot().counter(&name)
+    };
+    // No honest peer is a thousand rounds ahead: one strike per marker.
+    let out_of_window = Frame::Done {
+        round: 1000,
+        decided: false,
+    };
+
+    // Socket 1: two strikes, one short of the limit, then the link drops.
+    let mut first = script_dial(addr, hostile);
+    write_frame(&mut first, &out_of_window).unwrap();
+    write_frame(&mut first, &out_of_window).unwrap();
+    assert_eq!(wait_for(2, || strikes(&metrics, "done_out_of_window")), 2);
+    drop(first);
+
+    // Socket 2: the reconnect did not reset the count — the very next
+    // strike evicts. The frames behind it in the same write are already in
+    // the node's reader when the eviction lands: dropped as a banned
+    // peer's, never delivered, never struck again.
+    let mut second = script_dial(addr, hostile);
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &out_of_window).unwrap();
+    for i in 0..20u64 {
+        let frame = Frame::Data {
+            round: 1,
+            payload: i.to_le_bytes().to_vec(),
+        };
+        write_frame(&mut burst, &frame).unwrap();
+    }
+    second.write_all(&burst).unwrap();
+    assert_eq!(wait_for(1, || counter("net_byz_evictions_total")), 1);
+    assert_eq!(wait_for(1, || counter("net_reconnects_total")), 1);
+    assert!(wait_for(1, || counter("net_banned_frames_dropped_total")) >= 1);
+
+    // Socket 3: the acceptor still handshakes (it knows no ledger), but the
+    // node shuts the link on arrival — the redialer reads EOF or a reset,
+    // not a timeout, and whatever it pushed meanwhile changes nothing.
+    let mut third = script_dial(addr, hostile);
+    let _ = write_frame(&mut third, &out_of_window);
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    match read_frame(&mut third) {
+        Ok(None) => {}
+        Ok(Some(frame)) => panic!("a banned peer was sent {frame:?}"),
+        Err(err) => assert!(
+            !matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the redial was left open: {err}"
+        ),
+    }
+
+    // The keeper lets the node finish: round 1, then the deciding round 2.
+    for (round, decided) in [(1, false), (2, true)] {
+        write_frame(&mut keeper_stream, &Frame::Done { round, decided }).unwrap();
+    }
+    let report = handle.join().unwrap().expect("node finishes");
+    assert_eq!(report.evicted, vec![0], "evicted once, for the whole run");
+    assert_eq!(report.output, Some(1), "only its own broadcast delivered");
+    assert_eq!(
+        strikes(&metrics, "done_out_of_window"),
+        3,
+        "no strike after the ban"
+    );
+    assert_eq!(counter("net_byz_evictions_total"), 1);
+}
+
+#[test]
+fn backfill_nobody_asked_for_is_striked() {
+    // A node that started with `run` never sent a SyncRequest, so its
+    // ledger has no solicited peer: any Backfill is rejoin-path abuse.
+    let peer = NodeId::new(0);
+    let (addr, metrics, handle) = spawn_node(1, hardened_config(2), peer);
+    let mut stream = script_dial(addr, peer);
+    let backfill = Frame::Backfill {
+        round: 1,
+        done: true,
+        decided: false,
+        payloads: vec![7u64.to_le_bytes().to_vec()],
+    };
+    write_frame(&mut stream, &backfill).unwrap();
+    let report = handle.join().unwrap().expect("node finishes alone");
+    assert_eq!(strikes(&metrics, "unsolicited_backfill"), 1);
+    assert_eq!(
+        report.output,
+        Some(1),
+        "the pushed payload was not delivered"
+    );
+    assert!(
+        report.timeouts >= 1,
+        "nor did its Done flag make the barrier"
+    );
+}
+
 /// Shared cell driver for the end-to-end mixed-cluster tests: n honest
 /// consensus members, one scripted Byzantine member, assert honest
 /// agreement and return the reports for attack-specific checks.

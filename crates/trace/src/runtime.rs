@@ -218,6 +218,31 @@ impl RuntimeMetrics {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
+    /// Sum over every series of a counter family — the series named
+    /// `family` itself plus every `family{..labels..}` — e.g. total frames
+    /// sent across peers. The in-process counterpart of summing the lines
+    /// of one family in a Prometheus exposition.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uba_trace::RuntimeMetrics;
+    ///
+    /// let mut m = RuntimeMetrics::new();
+    /// m.add("net_frames_sent_total{peer=\"1\"}", 2);
+    /// m.add("net_frames_sent_total{peer=\"2\"}", 3);
+    /// m.inc("net_frames_sent_total_elsewhere");
+    /// assert_eq!(m.family_sum("net_frames_sent_total"), 5);
+    /// assert_eq!(m.family_sum("missing"), 0);
+    /// ```
+    pub fn family_sum(&self, family: &str) -> u64 {
+        self.counters
+            .iter()
+            .filter(|(name, _)| split_labels(name).0 == family)
+            .map(|(_, &value)| value)
+            .sum()
+    }
+
     /// Iterates all timing histograms in name order.
     pub fn timings(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.timings.iter().map(|(k, v)| (k.as_str(), v))
