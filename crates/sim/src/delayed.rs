@@ -300,7 +300,7 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
         let mut inboxes: BTreeMap<NodeId, Vec<Envelope<P::Msg>>> = BTreeMap::new();
         for (to, env) in due {
             if self.nodes.get(&to).is_some_and(|p| p.output().is_none()) {
-                self.stats.record_delivery(false);
+                self.stats.record_deliveries(false, 1);
                 if self.tracer.enabled() {
                     self.tracer.record(TraceEvent::Deliver {
                         round: tick,

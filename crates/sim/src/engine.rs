@@ -6,14 +6,16 @@
 //! full-information **rushing** adversary then sees the correct nodes'
 //! round-`r` messages and queues the faulty nodes' round-`r` messages before
 //! anything is delivered. Duplicate `(sender, payload)` pairs addressed to
-//! the same recipient within one round are discarded, as the model demands.
+//! the same recipient within one round are discarded, as the model demands;
+//! the engine decides that once per *send* from one round-wide
+//! `(sender, payload)` map, not once per envelope.
 //!
 //! On top of the Byzantine adversary the engine injects benign faults from a
 //! [`FaultPlan`] (crash-stop, crash-recovery, omission, lossy links) and
 //! checks a [`RoundMonitor`] after every round; see those types for the
 //! exact semantics.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 use uba_trace::{NodeSnapshot, NoopTracer, SharedRuntimeMetrics, Stopwatch, TraceEvent, Tracer};
@@ -27,9 +29,46 @@ use crate::monitor::{MonitorView, RoundMonitor, ViolationReport};
 use crate::process::{Context, Process};
 use crate::stats::Stats;
 
-/// Per-recipient dedup sets for one round: `(sender, shared payload)` pairs
-/// already delivered to each node.
-type SeenThisRound<M> = BTreeMap<NodeId, HashSet<(NodeId, MsgRef<M>)>>;
+/// The `(sender, message)` pairs queued in one round, in send order.
+type Traffic<M> = Vec<(NodeId, Outgoing<M>)>;
+
+/// Which recipients have already been sent one `(sender, payload)` pair this
+/// round — the value of the round-wide dedup map, looked up once per send.
+///
+/// A fault on a link holds for the whole round, so a recipient a broadcast
+/// could not reach is one no later send on that link can reach either:
+/// "seen by the round" and "seen by the recipient" differ only through
+/// point-to-point sends, which is what [`Reach::Only`] records.
+enum Reach {
+    /// The pair was broadcast: every recipient the sender can reach has it.
+    Everyone,
+    /// The pair was only sent point-to-point, to these recipients.
+    Only(BTreeSet<NodeId>),
+}
+
+/// The transient omission faults of one round (see [`FaultPlan`]).
+#[derive(Default)]
+struct Omissions {
+    /// Senders whose whole outbound traffic is lost.
+    silenced: BTreeSet<NodeId>,
+    /// Recipients whose whole inbound traffic is lost.
+    deafened: BTreeSet<NodeId>,
+    /// Directed `(from, to)` links that lose everything.
+    dead_links: HashSet<(NodeId, NodeId)>,
+}
+
+impl Omissions {
+    /// Whether any recipient-side fault is active; if not, delivery skips
+    /// the per-envelope [`loses`](Self::loses) check wholesale.
+    fn filters_recipients(&self) -> bool {
+        !(self.deafened.is_empty() && self.dead_links.is_empty())
+    }
+
+    /// Whether a message on the `from -> to` link is lost in transit.
+    fn loses(&self, from: NodeId, to: NodeId) -> bool {
+        self.deafened.contains(&to) || self.dead_links.contains(&(from, to))
+    }
+}
 
 /// The observe hook: projects a process onto the trace vocabulary's
 /// [`NodeSnapshot`]. Installed via [`EngineBuilder::observe`]; the engine
@@ -549,6 +588,17 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         self.correct.values().all(|n| n.decided_round.is_some())
     }
 
+    /// The correct nodes that take part in a round, in id order: present,
+    /// undecided and not crash-faulted. They compute, the adversary sees
+    /// them, and — scanned again after the step, so a node that decided
+    /// this round is out — they receive.
+    fn live_undecided(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.correct
+            .iter()
+            .filter(|(id, n)| n.decided_round.is_none() && !self.crashed.contains(id))
+            .map(|(id, _)| *id)
+    }
+
     /// Whether every present, non-crashed correct node has terminated.
     fn live_correct_decided(&self) -> bool {
         self.correct
@@ -596,6 +646,9 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     self.faulty.remove(&id);
                     self.crashed.remove(&id);
                     self.inboxes.remove(&id);
+                    // A later join under the same id is a new incarnation:
+                    // it has heard from nobody.
+                    self.acquaintance.remove(&id);
                     self.last_snapshots.remove(&id);
                     if let Some(log) = self.replay_log.as_mut() {
                         log.remove(&id);
@@ -633,11 +686,10 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             .replay_log
             .as_ref()
             .and_then(|log| log.get(&id))
-            .cloned()
-            .unwrap_or_default();
+            .map_or(&[][..], Vec::as_slice);
         let mut process = fresh;
         let mut decided_round = None;
-        for (past_round, inbox) in &history {
+        for (past_round, inbox) in history {
             if process.terminated() {
                 break;
             }
@@ -658,20 +710,12 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     }
 
     /// Applies the fault plan's events for `round` and returns the round's
-    /// transient filters: (senders silenced, recipients deafened, dead links).
-    fn apply_faults(
-        &mut self,
-        round: u64,
-    ) -> (
-        BTreeSet<NodeId>,
-        BTreeSet<NodeId>,
-        HashSet<(NodeId, NodeId)>,
-    ) {
-        let mut silenced = BTreeSet::new();
-        let mut deafened = BTreeSet::new();
-        let mut dead_links = HashSet::new();
+    /// transient omission faults.
+    fn apply_faults(&mut self, round: u64) -> Omissions {
+        let traced = self.tracer.enabled();
+        let mut omissions = Omissions::default();
         for fault in self.faults.for_round(round).to_vec() {
-            if self.tracer.enabled() {
+            if traced {
                 self.tracer.record(fault_to_trace(round, &fault));
             }
             match fault {
@@ -686,17 +730,146 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     self.crashed.remove(&node);
                 }
                 Fault::SilenceSend(node) => {
-                    silenced.insert(node);
+                    omissions.silenced.insert(node);
                 }
                 Fault::DropInbound(node) => {
-                    deafened.insert(node);
+                    omissions.deafened.insert(node);
                 }
                 Fault::DropLink { from, to } => {
-                    dead_links.insert((from, to));
+                    omissions.dead_links.insert((from, to));
                 }
             }
         }
-        (silenced, deafened, dead_links)
+        omissions
+    }
+
+    /// Step 3 of a round: turns the round's traffic (correct nodes' first,
+    /// then the adversary's, each in send order) into the next round's
+    /// inboxes and returns the number of duplicates dropped.
+    ///
+    /// Everything that is a property of the *send* is decided once per
+    /// send: the send-omission fault, the payload hash (`MsgRef::new`) and
+    /// the `(sender, payload)` dedup lookup; a broadcast in a round without
+    /// recipient-side faults also acquaints all its recipients at most once
+    /// per sender. What remains per envelope is a refcount bump and a push
+    /// into the recipient's slot.
+    fn deliver(
+        &mut self,
+        round: u64,
+        traffic: [Traffic<P::Msg>; 2],
+        omissions: &Omissions,
+        present_faulty: &BTreeSet<NodeId>,
+        traced: bool,
+    ) -> u64 {
+        // Recipients get dense slots: the live correct nodes — scanned after
+        // the step, so a node that decided this round no longer receives —
+        // then the present faulty ones. Crashed nodes are in neither run.
+        let recipients: Vec<NodeId> = self
+            .live_undecided()
+            .chain(present_faulty.iter().copied())
+            .collect();
+        let (live_correct, live_faulty) =
+            recipients.split_at(recipients.len() - present_faulty.len());
+        let slot_of = |to: NodeId| {
+            let in_correct = live_correct.binary_search(&to).ok();
+            in_correct.or_else(|| Some(live_correct.len() + live_faulty.binary_search(&to).ok()?))
+        };
+        let mut slots: Vec<Vec<Envelope<P::Msg>>> = recipients.iter().map(|_| Vec::new()).collect();
+        let filtered = omissions.filters_recipients();
+        let mut seen: HashMap<(NodeId, MsgRef<P::Msg>), Reach> = HashMap::new();
+        // Senders already entered into every recipient's acquaintance row.
+        let mut acquainted_everyone: BTreeSet<NodeId> = BTreeSet::new();
+        let mut duplicate_drops = 0u64;
+
+        for (sends, from_adversary) in traffic.into_iter().zip([false, true]) {
+            for (from, Outgoing { dest, msg }) in sends {
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.push(SentRecord {
+                        round,
+                        from,
+                        dest,
+                        msg: msg.clone(),
+                        from_adversary,
+                    });
+                }
+                if omissions.silenced.contains(&from) {
+                    continue; // send omission: everything from this node is lost
+                }
+                // The payload is wrapped (and hashed) exactly once per send;
+                // the dedup key and every recipient's envelope share it.
+                let msg = MsgRef::new(msg);
+                let broadcast = dest == Dest::Broadcast;
+                let targets = match dest {
+                    Dest::Broadcast => 0..recipients.len(),
+                    Dest::To(to) => match slot_of(to) {
+                        Some(slot) => slot..slot + 1,
+                        None => continue, // decided, crashed or absent: nobody to deliver to
+                    },
+                };
+                let reach = seen
+                    .entry((from, MsgRef::clone(&msg)))
+                    .or_insert_with(|| Reach::Only(BTreeSet::new()));
+                let mut delivered = 0u64;
+                for slot in targets {
+                    let to = recipients[slot];
+                    if filtered && omissions.loses(from, to) {
+                        continue; // omission fault: lost in transit
+                    }
+                    // A pair that was broadcast is a duplicate everywhere;
+                    // one only sent point-to-point, at exactly those
+                    // recipients.
+                    let fresh = match reach {
+                        Reach::Everyone => false,
+                        Reach::Only(those) if broadcast => !those.contains(&to),
+                        Reach::Only(those) => those.insert(to),
+                    };
+                    if !fresh {
+                        duplicate_drops += 1;
+                        if traced {
+                            self.tracer.record(TraceEvent::DuplicateDrop {
+                                round,
+                                from: from.raw(),
+                                to: to.raw(),
+                                payload: format!("{msg:?}"),
+                            });
+                        }
+                        continue;
+                    }
+                    if traced {
+                        self.tracer.record(TraceEvent::Deliver {
+                            round,
+                            from: from.raw(),
+                            to: to.raw(),
+                            payload: format!("{msg:?}"),
+                            adversary: from_adversary,
+                        });
+                    }
+                    if filtered || !broadcast {
+                        self.acquaintance.entry(to).or_default().insert(from);
+                    }
+                    slots[slot].push(Envelope::from_shared(from, MsgRef::clone(&msg)));
+                    delivered += 1;
+                }
+                self.stats.record_deliveries(from_adversary, delivered);
+                if broadcast {
+                    *reach = Reach::Everyone;
+                    // No recipient-side fault this round: the broadcast
+                    // reached everyone (a duplicate means the same pair got
+                    // there earlier), so one pass per sender suffices.
+                    if !filtered && acquainted_everyone.insert(from) {
+                        for &to in &recipients {
+                            self.acquaintance.entry(to).or_default().insert(from);
+                        }
+                    }
+                }
+            }
+        }
+        self.inboxes = recipients
+            .into_iter()
+            .zip(slots)
+            .filter(|(_, inbox)| !inbox.is_empty())
+            .collect();
+        duplicate_drops
     }
 
     /// Executes one synchronous round, panicking on any [`EngineError`].
@@ -721,10 +894,11 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     pub fn try_run_round(&mut self) -> Result<(), EngineError> {
         let round = self.round + 1;
         self.apply_churn(round);
-        let (silenced, deafened, dead_links) = self.apply_faults(round);
+        let omissions = self.apply_faults(round);
         self.round = round;
         self.stats.begin_round();
-        if self.tracer.enabled() {
+        let traced = self.tracer.enabled();
+        if traced {
             self.tracer.record(TraceEvent::RoundBegin { round });
         }
         // Wall-clock timers exist only while a runtime registry is
@@ -733,7 +907,6 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         let mut step_micros = 0u64;
         let mut adversary_micros = 0u64;
         let mut deliver_micros = 0u64;
-        let mut duplicate_drops = 0u64;
 
         let mut delivered = std::mem::take(&mut self.inboxes);
 
@@ -741,13 +914,8 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         // deterministic, and irrelevant to semantics since delivery is
         // simultaneous). Crashed nodes neither compute nor send.
         let step_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
-        let mut correct_traffic: Vec<(NodeId, Outgoing<P::Msg>)> = Vec::new();
-        let active: Vec<NodeId> = self
-            .correct
-            .iter()
-            .filter(|(id, n)| n.decided_round.is_none() && !self.crashed.contains(id))
-            .map(|(id, _)| *id)
-            .collect();
+        let mut correct_traffic: Traffic<P::Msg> = Vec::new();
+        let active: Vec<NodeId> = self.live_undecided().collect();
         for id in active {
             let inbox = delivered.remove(&id).unwrap_or_default();
             if let Some(log) = self.replay_log.as_mut() {
@@ -779,7 +947,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     }
                 }
                 self.stats.record_send(false);
-                if self.tracer.enabled() {
+                if traced {
                     self.tracer.record(TraceEvent::Send {
                         round,
                         from: id.raw(),
@@ -806,18 +974,13 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             .copied()
             .filter(|id| !self.crashed.contains(id))
             .collect();
-        let mut adversary_traffic: Vec<(NodeId, Outgoing<P::Msg>)> = Vec::new();
+        let mut adversary_traffic: Traffic<P::Msg> = Vec::new();
         if !self.faulty.is_empty() {
             let faulty_inboxes: BTreeMap<NodeId, Vec<Envelope<P::Msg>>> = present_faulty
                 .iter()
                 .map(|id| (*id, delivered.remove(id).unwrap_or_default()))
                 .collect();
-            let correct_ids: BTreeSet<NodeId> = self
-                .correct
-                .iter()
-                .filter(|(id, n)| n.decided_round.is_none() && !self.crashed.contains(id))
-                .map(|(id, _)| *id)
-                .collect();
+            let correct_ids: BTreeSet<NodeId> = self.live_undecided().collect();
             let view = AdversaryView {
                 round,
                 correct: &correct_ids,
@@ -832,7 +995,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     return Err(EngineError::FaultedNodeActed { round, node: from });
                 }
                 self.stats.record_send(true);
-                if self.tracer.enabled() {
+                if traced {
                     self.tracer.record(TraceEvent::Send {
                         round,
                         from: from.raw(),
@@ -843,7 +1006,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 }
                 adversary_traffic.push((from, item));
             }
-            if self.tracer.enabled() {
+            if traced {
                 self.tracer.record(TraceEvent::Adversary {
                     round,
                     sends: adversary_traffic.len() as u64,
@@ -855,125 +1018,23 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             adversary_micros = timer.elapsed_micros();
         }
 
-        // Step 3: delivery with per-recipient (sender, payload) dedup. The
-        // round's transient faults filter here — after the adversary has
-        // committed, so attacks and faults compose — and crashed nodes are
-        // excluded from the recipient set.
+        // Step 3: delivery. The round's transient faults filter here — after
+        // the adversary has committed, so attacks and faults compose.
         let deliver_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
-        let recipients: Vec<NodeId> = self
-            .correct
-            .iter()
-            .filter(|(id, n)| n.decided_round.is_none() && !self.crashed.contains(id))
-            .map(|(id, _)| *id)
-            .chain(present_faulty.iter().copied())
-            .collect();
-        let mut next: BTreeMap<NodeId, Vec<Envelope<P::Msg>>> = BTreeMap::new();
-        // Dedup keys share the payload allocation and hash via the memoized
-        // `MsgRef` hash, so inserting a broadcast for its k-th recipient is a
-        // refcount bump + one u64 write — not a deep clone + full re-hash.
-        let mut seen: SeenThisRound<P::Msg> = BTreeMap::new();
-        let mut deliver = |engine_stats: &mut Stats,
-                           acquaintance: &mut BTreeMap<NodeId, BTreeSet<NodeId>>,
-                           tracer: &mut Box<dyn Tracer>,
-                           from: NodeId,
-                           to: NodeId,
-                           msg: &MsgRef<P::Msg>,
-                           from_adversary: bool| {
-            if deafened.contains(&to) || dead_links.contains(&(from, to)) {
-                return; // omission fault: the message is lost in transit
-            }
-            let dedup = seen.entry(to).or_default();
-            if !dedup.insert((from, msg.clone())) {
-                // Duplicate within the round: discarded by the model.
-                duplicate_drops += 1;
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::DuplicateDrop {
-                        round,
-                        from: from.raw(),
-                        to: to.raw(),
-                        payload: format!("{msg:?}"),
-                    });
-                }
-                return;
-            }
-            acquaintance.entry(to).or_default().insert(from);
-            engine_stats.record_delivery(from_adversary);
-            if tracer.enabled() {
-                tracer.record(TraceEvent::Deliver {
-                    round,
-                    from: from.raw(),
-                    to: to.raw(),
-                    payload: format!("{msg:?}"),
-                    adversary: from_adversary,
-                });
-            }
-            next.entry(to)
-                .or_default()
-                .push(Envelope::from_shared(from, msg.clone()));
-        };
-
-        for (traffic, from_adversary) in [(correct_traffic, false), (adversary_traffic, true)] {
-            for (from, out) in traffic {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.push(SentRecord {
-                        round,
-                        from,
-                        dest: out.dest,
-                        msg: out.msg.clone(),
-                        from_adversary,
-                    });
-                }
-                if silenced.contains(&from) {
-                    continue; // send omission: everything from this node is lost
-                }
-                // The payload is wrapped exactly once per send; broadcast
-                // fan-out below shares it across all recipients.
-                let Outgoing { dest, msg } = out;
-                let msg = MsgRef::new(msg);
-                match dest {
-                    Dest::Broadcast => {
-                        for &to in &recipients {
-                            deliver(
-                                &mut self.stats,
-                                &mut self.acquaintance,
-                                &mut self.tracer,
-                                from,
-                                to,
-                                &msg,
-                                from_adversary,
-                            );
-                        }
-                    }
-                    Dest::To(to) => {
-                        if self
-                            .correct
-                            .get(&to)
-                            .is_some_and(|n| n.decided_round.is_none())
-                            && !self.crashed.contains(&to)
-                            || present_faulty.contains(&to)
-                        {
-                            deliver(
-                                &mut self.stats,
-                                &mut self.acquaintance,
-                                &mut self.tracer,
-                                from,
-                                to,
-                                &msg,
-                                from_adversary,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        self.inboxes = next;
+        let duplicate_drops = self.deliver(
+            round,
+            [correct_traffic, adversary_traffic],
+            &omissions,
+            &present_faulty,
+            traced,
+        );
         if let Some(timer) = deliver_timer {
             deliver_micros = timer.elapsed_micros();
         }
 
         // Emit node-state transitions: one event per present correct node
         // whose observed snapshot changed this round (in id order).
-        if self.tracer.enabled() {
+        if traced {
             if let Some(observe) = &self.observe {
                 for (&id, node) in &self.correct {
                     let snapshot = observe(&node.process);
@@ -1008,7 +1069,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 if let Err(report) = monitor.check(&view) {
                     // The verdict becomes the final event of the aborted
                     // run: a postmortem trace ends with what went wrong.
-                    if self.tracer.enabled() {
+                    if traced {
                         self.tracer.record(TraceEvent::MonitorVerdict {
                             round,
                             monitor: report.spec.clone(),
@@ -1021,7 +1082,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 }
             }
         }
-        if self.tracer.enabled() {
+        if traced {
             let deliveries = self.stats.deliveries_by_round.last().copied().unwrap_or(0);
             self.tracer
                 .record(TraceEvent::RoundEnd { round, deliveries });
@@ -1619,6 +1680,85 @@ mod tests {
         let done = engine.run_to_completion(10).expect("completes");
         assert!(done.outputs.contains_key(&NodeId::new(1)));
         assert!(!done.outputs.contains_key(&NodeId::new(2)));
+    }
+
+    /// Broadcasts every round; in its first round it also sends
+    /// point-to-point to `greets`, if any.
+    struct Greeter {
+        id: NodeId,
+        greets: Option<NodeId>,
+    }
+    impl Process for Greeter {
+        type Msg = u8;
+        type Output = ();
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_round(&mut self, ctx: &mut Context<'_, u8>) {
+            ctx.broadcast(0);
+            if let Some(to) = self.greets.take() {
+                ctx.send(to, 1);
+            }
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn leave_forgets_the_leavers_acquaintances() {
+        // Node 1 hears node 2 for two rounds, leaves, and a fresh process
+        // rejoins under the same id. The new incarnation has heard from
+        // nobody: its first point-to-point send to the old acquaintance is
+        // the typed error, not a send the dead incarnation's row allows.
+        let (one, two) = (NodeId::new(1), NodeId::new(2));
+        let plain = |id| Greeter { id, greets: None };
+        let mut churn: ChurnSchedule<Greeter> = ChurnSchedule::new();
+        churn.leave(3, one);
+        churn.join_correct(
+            4,
+            Greeter {
+                id: one,
+                greets: Some(two),
+            },
+        );
+        let mut engine = SyncEngine::builder()
+            .correct(plain(one))
+            .correct(plain(two))
+            .churn(churn)
+            .build();
+        engine.run_rounds(2);
+        assert!(engine.acquaintance()[&one].contains(&two));
+        engine.run_round();
+        assert!(
+            !engine.acquaintance().contains_key(&one),
+            "the row leaves with the node"
+        );
+        assert_eq!(
+            engine.try_run_round().unwrap_err(),
+            EngineError::AcquaintanceViolation {
+                round: 4,
+                from: one,
+                to: two,
+            }
+        );
+    }
+
+    #[test]
+    fn restart_keeps_the_acquaintance_row() {
+        // A restart is the same incarnation replayed, so what it heard
+        // before the crash still licenses its point-to-point sends.
+        let (one, two) = (NodeId::new(1), NodeId::new(2));
+        let plain = |id| Greeter { id, greets: None };
+        let mut churn: ChurnSchedule<Greeter> = ChurnSchedule::new();
+        churn.restart(3, plain(one));
+        let mut engine = SyncEngine::builder()
+            .correct(plain(one))
+            .correct(plain(two))
+            .churn(churn)
+            .build();
+        engine.run_rounds(3);
+        assert!(engine.acquaintance()[&one].contains(&two));
     }
 
     #[test]

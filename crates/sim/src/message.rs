@@ -4,10 +4,10 @@
 //!
 //! A payload is cloned **at most once per send operation**, never per
 //! recipient: the engine wraps each outgoing payload in a [`MsgRef`] (an
-//! `Arc` plus a memoized hash) and every recipient's envelope and dedup
-//! entry share that one allocation. A broadcast to `k` nodes therefore
-//! costs `k` refcount bumps instead of `2k` deep clones, which is what
-//! keeps all-to-all rounds O(n) allocations instead of O(n²).
+//! `Arc` plus a memoized hash); every recipient's envelope and the round's
+//! one dedup entry for the send share that allocation. A broadcast to `k`
+//! nodes therefore costs `k` refcount bumps instead of `2k` deep clones,
+//! which is what keeps all-to-all rounds O(n) allocations instead of O(n²).
 
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -31,7 +31,7 @@ impl<T: Clone + Eq + Hash + Debug + 'static> Payload for T {}
 /// A shared, hash-memoized payload: the unit the engine actually delivers.
 ///
 /// Wraps the payload in an [`Arc`] and records its hash once at
-/// construction, so per-recipient duplicate suppression costs a refcount
+/// construction, so the engine's per-send duplicate lookup costs a refcount
 /// bump and a 64-bit hash write instead of a deep clone and a full re-hash.
 /// Equality still compares the payloads themselves (the memoized hash is
 /// only a fast path), so dedup semantics are exactly the model's

@@ -47,23 +47,25 @@ impl Stats {
         self.deliveries_by_round.push(0);
     }
 
-    pub(crate) fn record_delivery(&mut self, from_adversary: bool) {
-        self.deliveries += 1;
+    /// Counts `count` deliveries of one send (a broadcast's whole fan-out
+    /// at once), attributed to the current round.
+    pub(crate) fn record_deliveries(&mut self, from_adversary: bool, count: u64) {
+        self.deliveries += count;
         if from_adversary {
-            self.adversary_deliveries += 1;
+            self.adversary_deliveries += count;
         } else {
-            self.correct_deliveries += 1;
+            self.correct_deliveries += count;
         }
         // A delivery before the first `begin_round` has no round to be
         // attributed to; silently dropping it from the per-round breakdown
         // would desynchronise `deliveries_by_round` from `deliveries`.
         debug_assert!(
             !self.deliveries_by_round.is_empty(),
-            "record_delivery called before begin_round: \
-             the delivery cannot be attributed to any round"
+            "record_deliveries called before begin_round: \
+             the deliveries cannot be attributed to any round"
         );
         if let Some(last) = self.deliveries_by_round.last_mut() {
-            *last += 1;
+            *last += count;
         }
     }
 
@@ -90,7 +92,7 @@ impl Stats {
             match event {
                 TraceEvent::RoundBegin { .. } => stats.begin_round(),
                 TraceEvent::Send { adversary, .. } => stats.record_send(*adversary),
-                TraceEvent::Deliver { adversary, .. } => stats.record_delivery(*adversary),
+                TraceEvent::Deliver { adversary, .. } => stats.record_deliveries(*adversary, 1),
                 _ => {}
             }
         }
@@ -129,10 +131,10 @@ mod tests {
         let mut s = Stats::new();
         s.begin_round();
         s.record_send(false);
-        s.record_delivery(false);
-        s.record_delivery(true);
+        s.record_deliveries(false, 1);
+        s.record_deliveries(true, 1);
         s.begin_round();
-        s.record_delivery(false);
+        s.record_deliveries(false, 1);
         assert_eq!(s.rounds, 2);
         assert_eq!(s.deliveries, 3);
         assert_eq!(s.correct_deliveries, 2);
@@ -148,10 +150,10 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "record_delivery called before begin_round")]
+    #[should_panic(expected = "record_deliveries called before begin_round")]
     fn delivery_before_first_round_is_rejected() {
         let mut s = Stats::new();
-        s.record_delivery(false);
+        s.record_deliveries(false, 1);
     }
 
     #[test]
@@ -211,7 +213,7 @@ mod tests {
         s.begin_round();
         s.record_send(false);
         s.record_send(true);
-        s.record_delivery(false);
+        s.record_deliveries(false, 1);
         assert_eq!(
             s.to_string(),
             "1 rounds, 2 sends (1 adversarial), 1 deliveries"

@@ -3,11 +3,18 @@
 //! of the protocols (never trust the engine just because the protocols
 //! happen to pass).
 
-use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+use uba_sim::trace::SharedRuntimeMetrics;
 use uba_sim::{
-    sparse_ids, AdversaryOutbox, AdversaryView, Context, Envelope, FnAdversary, NodeId, Process,
-    SyncEngine,
+    seeded, sparse_ids, AdversaryOutbox, AdversaryView, Context, Dest, Envelope, Fault, FaultPlan,
+    FnAdversary, NodeId, Process, Stats, SyncEngine,
 };
 
 /// All inboxes a [`Chatter`] observed, in round order.
@@ -139,6 +146,354 @@ proptest! {
         prop_assert_eq!(stats.correct_sends, n as u64 * rounds);
         prop_assert_eq!(stats.correct_deliveries, (n * n) as u64 * rounds);
         prop_assert_eq!(stats.adversary_sends, 0);
+    }
+}
+
+// ------------------------------------------------ model-based delivery oracle
+//
+// The engine decides dedup, the fault filter and acquaintance once per send.
+// The model below is the rule it must still implement, written the naive way:
+// one `(sender, payload)` set per recipient, the fault filter before the
+// dedup, everything per envelope. Random mixed traffic under random faults
+// must come out identical — inboxes in order, stats, drops, acquaintance.
+
+/// Heap-allocated, so equal payloads always sit in distinct allocations.
+type Wire = Vec<u8>;
+
+/// What one node received in one round: `(sender, payload)` in order.
+type Received = Vec<(NodeId, Wire)>;
+
+/// One scripted send operation.
+#[derive(Debug, Clone)]
+struct Scripted {
+    dest: Dest,
+    payload: u8,
+}
+
+/// A random run: who exists, what everyone sends in each round, and which
+/// faults strike. Scripts are indexed by `round - 1`.
+#[derive(Debug)]
+struct Scenario {
+    rounds: u64,
+    /// Correct node -> (round it decides in, its sends per round).
+    correct: BTreeMap<NodeId, (u64, Vec<Vec<Scripted>>)>,
+    faulty: Vec<NodeId>,
+    /// The adversary's sends per round: `(faulty sender, send)`.
+    adversary: Vec<Vec<(NodeId, Scripted)>>,
+    faults: FaultPlan,
+}
+
+impl Scenario {
+    fn sample(seed: u64) -> Scenario {
+        let mut rng = seeded(seed);
+        let n_correct = rng.gen_range(2usize..6);
+        let n_faulty = rng.gen_range(0usize..3);
+        let rounds = rng.gen_range(3u64..7);
+        // One id more than the population: a node that never exists.
+        let ids = sparse_ids(n_correct + n_faulty + 1, seed);
+        let faulty = ids[n_correct..n_correct + n_faulty].to_vec();
+        let pick = |rng: &mut StdRng| ids[rng.gen_range(0..ids.len())];
+        let sends = |rng: &mut StdRng| {
+            let mut script = Vec::new();
+            for _ in 0..rng.gen_range(0usize..5) {
+                let payload = rng.gen_range(0u8..3);
+                let broadcast = Scripted {
+                    dest: Dest::Broadcast,
+                    payload,
+                };
+                let unicast = Scripted {
+                    dest: Dest::To(pick(rng)),
+                    payload,
+                };
+                match rng.gen_range(0u8..6) {
+                    0 | 1 => script.push(broadcast),
+                    2 | 3 => script.push(unicast),
+                    // The same pair both ways round, back to back.
+                    4 => script.extend([unicast, broadcast]),
+                    _ => script.extend([broadcast, unicast]),
+                }
+            }
+            script
+        };
+        // The last round sends nothing, so every delivery is observed by
+        // whoever reads its inbox one round later.
+        let sending_rounds = rounds - 1;
+        let correct = ids[..n_correct]
+            .iter()
+            .map(|&id| {
+                let decides = rng.gen_range(2..rounds + 3);
+                let script = (0..sending_rounds).map(|_| sends(&mut rng)).collect();
+                (id, (decides, script))
+            })
+            .collect();
+        let adversary = (0..sending_rounds)
+            .map(|_| {
+                if faulty.is_empty() {
+                    return Vec::new();
+                }
+                sends(&mut rng)
+                    .into_iter()
+                    .map(|send| (faulty[rng.gen_range(0..faulty.len())], send))
+                    .collect()
+            })
+            .collect();
+        let mut faults = FaultPlan::new();
+        for round in 1..=rounds {
+            if rng.gen_bool(0.2) {
+                faults.silence_send(round, pick(&mut rng));
+            }
+            if rng.gen_bool(0.2) {
+                faults.drop_inbound(round, pick(&mut rng));
+            }
+            if rng.gen_bool(0.3) {
+                faults.drop_link(round, pick(&mut rng), pick(&mut rng));
+            }
+            if rng.gen_bool(0.15) {
+                let node = pick(&mut rng);
+                faults.crash(round, node);
+                if rng.gen_bool(0.5) {
+                    faults.recover(round + rng.gen_range(1u64..3), node);
+                }
+            }
+        }
+        Scenario {
+            rounds,
+            correct,
+            faulty,
+            adversary,
+            faults,
+        }
+    }
+}
+
+/// Plays its script, logs every inbox it is handed, decides on schedule.
+#[derive(Debug)]
+struct Actor {
+    id: NodeId,
+    decides: u64,
+    script: Vec<Vec<Scripted>>,
+    inboxes: Vec<(u64, Received)>,
+    decided: bool,
+}
+
+fn received(inbox: &[Envelope<Wire>]) -> Received {
+    inbox.iter().map(|e| (e.from, e.msg().clone())).collect()
+}
+
+impl Process for Actor {
+    type Msg = Wire;
+    type Output = ();
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_, Wire>) {
+        self.inboxes.push((ctx.round(), received(ctx.inbox())));
+        let sends = self.script.get(ctx.round() as usize - 1);
+        for send in sends.into_iter().flatten() {
+            match send.dest {
+                Dest::Broadcast => ctx.broadcast(vec![send.payload]),
+                Dest::To(to) => ctx.send(to, vec![send.payload]),
+            }
+        }
+        self.decided = ctx.round() >= self.decides;
+    }
+
+    fn output(&self) -> Option<()> {
+        self.decided.then_some(())
+    }
+}
+
+/// Everything an observer can tell about a run's deliveries.
+#[derive(Debug, Default)]
+struct Observed {
+    /// `(round, reader)` -> the inbox it was handed that round.
+    inboxes: BTreeMap<(u64, NodeId), Received>,
+    stats: Stats,
+    duplicate_drops: u64,
+    acquaintance: BTreeMap<NodeId, BTreeSet<NodeId>>,
+}
+
+fn run_engine(scenario: &Scenario) -> Observed {
+    let faulty_inboxes = Rc::new(RefCell::new(BTreeMap::new()));
+    let log = Rc::clone(&faulty_inboxes);
+    let script = scenario.adversary.clone();
+    let adversary = FnAdversary::new(
+        move |view: &AdversaryView<'_, Wire>, out: &mut AdversaryOutbox<Wire>| {
+            for (&id, inbox) in view.faulty_inboxes {
+                log.borrow_mut().insert((view.round, id), received(inbox));
+            }
+            let sends = script.get(view.round as usize - 1);
+            for (from, send) in sends.into_iter().flatten() {
+                if !view.faulty.contains(from) {
+                    continue; // crashed: must stay silent
+                }
+                match send.dest {
+                    Dest::Broadcast => out.broadcast(*from, vec![send.payload]),
+                    Dest::To(to) => out.send(*from, to, vec![send.payload]),
+                }
+            }
+        },
+    );
+    let registry = SharedRuntimeMetrics::new();
+    let mut engine = SyncEngine::builder()
+        .correct_many(
+            scenario
+                .correct
+                .iter()
+                .map(|(&id, (decides, script))| Actor {
+                    id,
+                    decides: *decides,
+                    script: script.clone(),
+                    inboxes: Vec::new(),
+                    decided: false,
+                }),
+        )
+        .faulty_many(scenario.faulty.iter().copied())
+        .adversary(adversary)
+        .faults(scenario.faults.clone())
+        // Random point-to-point sends: the relation is still recorded.
+        .enforce_acquaintance(false)
+        .runtime_metrics(registry.clone())
+        .build();
+    engine.run_rounds(scenario.rounds);
+    let mut inboxes = faulty_inboxes.borrow().clone();
+    for &id in scenario.correct.keys() {
+        let actor = engine.process(id).expect("nobody leaves");
+        for (round, inbox) in &actor.inboxes {
+            inboxes.insert((*round, id), inbox.clone());
+        }
+    }
+    Observed {
+        inboxes,
+        stats: engine.stats().clone(),
+        duplicate_drops: registry.snapshot().counter("sim_duplicate_drops_total"),
+        acquaintance: engine.acquaintance().clone(),
+    }
+}
+
+/// The reference: the model's per-round rule, one envelope at a time.
+fn run_model(scenario: &Scenario) -> Observed {
+    let mut seen_by = Observed::default();
+    let mut decided: BTreeSet<NodeId> = BTreeSet::new();
+    let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
+    let mut pending: BTreeMap<NodeId, Received> = BTreeMap::new();
+    for round in 1..=scenario.rounds {
+        let (mut silenced, mut deafened, mut dead_links) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for fault in scenario.faults.for_round(round) {
+            match *fault {
+                Fault::Crash(node) => {
+                    crashed.insert(node);
+                    pending.remove(&node);
+                }
+                Fault::Recover(node) => {
+                    crashed.remove(&node);
+                }
+                Fault::SilenceSend(node) => {
+                    silenced.insert(node);
+                }
+                Fault::DropInbound(node) => {
+                    deafened.insert(node);
+                }
+                Fault::DropLink { from, to } => {
+                    dead_links.insert((from, to));
+                }
+            }
+        }
+        seen_by.stats.rounds += 1;
+        seen_by.stats.deliveries_by_round.push(0);
+        let mut inboxes = std::mem::take(&mut pending);
+        let mut traffic: Vec<(NodeId, &Scripted, bool)> = Vec::new();
+        let live = |decided: &BTreeSet<NodeId>| -> Vec<NodeId> {
+            let taking_part = |id: &&NodeId| !decided.contains(id) && !crashed.contains(id);
+            scenario
+                .correct
+                .keys()
+                .filter(taking_part)
+                .copied()
+                .collect()
+        };
+        for id in live(&decided) {
+            let (decides, script) = &scenario.correct[&id];
+            let inbox = inboxes.remove(&id).unwrap_or_default();
+            seen_by.inboxes.insert((round, id), inbox);
+            for send in script.get(round as usize - 1).into_iter().flatten() {
+                seen_by.stats.correct_sends += 1;
+                traffic.push((id, send, false));
+            }
+            if round >= *decides {
+                decided.insert(id);
+            }
+        }
+        let present_faulty: Vec<NodeId> = scenario
+            .faulty
+            .iter()
+            .filter(|id| !crashed.contains(id))
+            .copied()
+            .collect();
+        for &id in &present_faulty {
+            let inbox = inboxes.remove(&id).unwrap_or_default();
+            seen_by.inboxes.insert((round, id), inbox);
+        }
+        let sends = scenario.adversary.get(round as usize - 1);
+        for (from, send) in sends.into_iter().flatten() {
+            if present_faulty.contains(from) {
+                seen_by.stats.adversary_sends += 1;
+                traffic.push((*from, send, true));
+            }
+        }
+        let mut recipients = live(&decided);
+        recipients.extend(&present_faulty);
+        let mut seen: BTreeMap<NodeId, BTreeSet<(NodeId, Wire)>> = BTreeMap::new();
+        for (from, send, from_adversary) in traffic {
+            if silenced.contains(&from) {
+                continue;
+            }
+            for &to in &recipients {
+                if send.dest != Dest::Broadcast && send.dest != Dest::To(to) {
+                    continue;
+                }
+                if deafened.contains(&to) || dead_links.contains(&(from, to)) {
+                    continue;
+                }
+                let wire = vec![send.payload];
+                if !seen.entry(to).or_default().insert((from, wire.clone())) {
+                    seen_by.duplicate_drops += 1;
+                    continue;
+                }
+                pending.entry(to).or_default().push((from, wire));
+                seen_by.acquaintance.entry(to).or_default().insert(from);
+                let stats = &mut seen_by.stats;
+                stats.deliveries += 1;
+                if from_adversary {
+                    stats.adversary_deliveries += 1;
+                } else {
+                    stats.correct_deliveries += 1;
+                }
+                *stats.deliveries_by_round.last_mut().expect("pushed above") += 1;
+            }
+        }
+    }
+    seen_by
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Per-send delivery is observationally the per-envelope rule.
+    #[test]
+    fn delivery_matches_the_per_envelope_model(seed in 0u64..1_000_000) {
+        let scenario = Scenario::sample(seed);
+        let (engine, model) = (run_engine(&scenario), run_model(&scenario));
+        prop_assert_eq!(engine.stats, model.stats);
+        prop_assert_eq!(engine.duplicate_drops, model.duplicate_drops);
+        prop_assert_eq!(engine.acquaintance, model.acquaintance);
+        prop_assert_eq!(engine.inboxes.len(), model.inboxes.len(), "who read an inbox when");
+        for (reader, inbox) in &model.inboxes {
+            prop_assert_eq!(engine.inboxes.get(reader), Some(inbox), "(round, reader) {:?}", reader);
+        }
     }
 }
 
