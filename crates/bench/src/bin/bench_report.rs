@@ -1,83 +1,71 @@
-//! `bench-report` — regenerate or check the committed perf trajectory.
+//! `bench-report` — regenerate or check the committed exact record.
 //!
 //! ```text
-//! bench-report              # run the workloads, print both tables
+//! bench-report              # run the recorded cells, print both tables
 //! bench-report --write      # also rewrite BENCH_sim.json / BENCH_net.json
-//! bench-report --check      # compare fresh runs against the committed files
+//! bench-report --check      # compare a fresh run with the committed files
 //! ```
 //!
-//! `--check` exits 1 when an exact (seed-determined) field changed or a
-//! measured (wall-clock) field regressed past the tolerance documented in
-//! EXPERIMENTS.md; 2 on a corrupt or missing committed file. The run is the
-//! documented reproducible invocation behind the committed numbers:
-//! `cargo run --release -p uba-bench --bin bench-report -- --write`.
+//! The documents hold only seed-determined facts, so `--check` is a byte
+//! compare: it exits 1 and prints the differing lines when a fresh render
+//! is not the committed file, 2 on a usage error or a missing committed
+//! file. `cargo run --release -p uba-bench --bin bench-report -- --write`
+//! is the reproducible invocation behind the committed numbers.
 
 use std::process::ExitCode;
 
-use uba_bench::report::{bench_path, run_net_report, run_sim_report, BenchReport};
+use uba_bench::cli::{parse_bench_report_args, BenchReportMode};
+use uba_bench::report::{bench_path, run_reports};
 
 fn main() -> ExitCode {
-    let mut write = false;
-    let mut check = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench-report [--write | --check]");
-                return ExitCode::from(2);
-            }
-            other => {
-                eprintln!("unknown flag {other:?}\nusage: bench-report [--write | --check]");
-                return ExitCode::from(2);
-            }
+    let mode = match parse_bench_report_args(std::env::args().skip(1)) {
+        Ok(mode) => mode,
+        Err(err) => {
+            eprintln!("{err}\nusage: bench-report [--write | --check]");
+            return ExitCode::from(2);
         }
-    }
-    if write && check {
-        eprintln!("--write and --check are mutually exclusive");
-        return ExitCode::from(2);
-    }
-
-    let mut failed = false;
-    for report in [run_sim_report(), run_net_report()] {
+    };
+    let mut drifted = false;
+    for report in run_reports() {
         println!("{}", report.table());
         let path = bench_path(report.kind);
-        if write {
-            if let Err(err) = std::fs::write(&path, report.to_json()) {
-                eprintln!("writing {}: {err}", path.display());
-                return ExitCode::from(2);
-            }
-            println!("wrote {}", path.display());
-        } else if check {
-            match run_check(&report) {
-                Ok(violations) if violations.is_empty() => {
-                    println!("check: {} OK against {}", report.kind, path.display());
-                }
-                Ok(violations) => {
-                    failed = true;
-                    eprintln!("check: {} FAILED against {}:", report.kind, path.display());
-                    for v in violations {
-                        eprintln!("  - {v}");
-                    }
-                }
-                Err(err) => {
-                    eprintln!("check: cannot compare {}: {err}", path.display());
+        match mode {
+            BenchReportMode::Print => {}
+            BenchReportMode::Write => {
+                if let Err(err) = std::fs::write(&path, report.to_json()) {
+                    eprintln!("writing {}: {err}", path.display());
                     return ExitCode::from(2);
+                }
+                println!("wrote {}", path.display());
+            }
+            BenchReportMode::Check => {
+                let committed = match std::fs::read_to_string(&path) {
+                    Ok(committed) => committed,
+                    Err(err) => {
+                        eprintln!(
+                            "check: cannot read {}: {err} (run with --write first)",
+                            path.display()
+                        );
+                        return ExitCode::from(2);
+                    }
+                };
+                let differing = report.check_against(&committed);
+                if differing.is_empty() {
+                    println!("check: {} OK against {}", report.kind, path.display());
+                } else {
+                    drifted = true;
+                    eprintln!("check: {} DIFFERS from {}:", report.kind, path.display());
+                    for line in differing {
+                        eprintln!("  - {line}");
+                    }
                 }
             }
         }
         println!();
     }
-    if failed {
+    if drifted {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn run_check(report: &BenchReport) -> Result<Vec<String>, String> {
-    let path = bench_path(report.kind);
-    let committed = std::fs::read_to_string(&path)
-        .map_err(|e| format!("reading committed file: {e} (run with --write first)"))?;
-    report.check_against(&committed)
 }

@@ -18,7 +18,7 @@
 use uba_bench::cli::{parse_experiments_args, ExperimentsArgs};
 use uba_bench::experiments::t10_faults;
 use uba_bench::runner::run_indexed;
-use uba_bench::{run_experiment, Table, ALL_EXPERIMENTS};
+use uba_bench::{run_experiment, Table, EXPERIMENTS};
 
 fn main() {
     let ExperimentsArgs {
@@ -31,7 +31,7 @@ fn main() {
         std::process::exit(2);
     });
     if selected.is_empty() {
-        selected = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        selected = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
     let tables: Vec<Vec<Table>> = run_indexed(jobs, selected.len(), |i| {
         let id = &selected[i];

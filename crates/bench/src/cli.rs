@@ -1,15 +1,17 @@
-//! Shared command-line parsing for the `experiments` and `soak` bins.
+//! Command-line parsing for the `experiments`, `soak` and `bench-report`
+//! bins.
 //!
-//! Both bins take the same tracing and parallelism flags; parsing lives here
-//! so the defaults exist exactly once and the error paths are unit-testable
-//! without spawning a process. A flag given as the *last* argument with no
-//! value is reported as "missing value", not smuggled through as `""`.
+//! The first two take the same tracing and parallelism flags; parsing lives
+//! here so the defaults exist exactly once and the error paths are
+//! unit-testable without spawning a process. A flag given as the *last*
+//! argument with no value is reported as "missing value", not smuggled
+//! through as `""`.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use crate::experiments::t10_faults::{Algo, HEALTHY_SEEDS};
-use crate::ALL_EXPERIMENTS;
+use crate::EXPERIMENTS;
 
 /// Default postmortem ring window (`--trace-last-n`): large enough to keep
 /// every event of a shrunk minimal case, small enough that a pathological
@@ -38,7 +40,7 @@ pub enum CliError {
         /// The argument as given.
         arg: String,
         /// What positionals/flags this bin accepts.
-        expected: &'static str,
+        expected: String,
     },
 }
 
@@ -159,7 +161,8 @@ pub fn parse_soak_args(mut args: impl Iterator<Item = String>) -> Result<SoakArg
                         arg: other.to_string(),
                         expected: "--seeds N, --broken, --trace-out DIR, \
                                    --trace-last-n N, --jobs N, or an algorithm \
-                                   (consensus, reliable, approx, rotor)",
+                                   (consensus, reliable, approx, rotor)"
+                            .to_string(),
                     });
                 }
             },
@@ -211,19 +214,55 @@ pub fn parse_experiments_args(
                 let value = require_value("--jobs", &mut args)?;
                 parsed.jobs = parse_jobs(&value)?;
             }
-            other if ALL_EXPERIMENTS.contains(&other) => {
+            other if EXPERIMENTS.iter().any(|(id, _)| *id == other) => {
                 parsed.selected.push(other.to_string());
             }
             other => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
                 return Err(CliError::Unknown {
                     arg: other.to_string(),
-                    expected: "--trace-out DIR, --trace-last-n N, --jobs N, \
-                               or an experiment id (t1..t15, f1, f2)",
+                    expected: format!(
+                        "--trace-out DIR, --trace-last-n N, --jobs N, \
+                         or an experiment id ({})",
+                        ids.join(", ")
+                    ),
                 });
             }
         }
     }
     Ok(parsed)
+}
+
+/// What the `bench-report` bin does with the fresh exact record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchReportMode {
+    /// Print the tables only.
+    Print,
+    /// Also rewrite `BENCH_sim.json` / `BENCH_net.json`.
+    Write,
+    /// Compare byte for byte with the committed files.
+    Check,
+}
+
+/// Parses the `bench-report` bin's arguments (pass
+/// `std::env::args().skip(1)`): at most one of `--write` and `--check`.
+pub fn parse_bench_report_args(
+    args: impl Iterator<Item = String>,
+) -> Result<BenchReportMode, CliError> {
+    let mut mode = BenchReportMode::Print;
+    for arg in args {
+        mode = match (arg.as_str(), mode) {
+            ("--write", BenchReportMode::Print) => BenchReportMode::Write,
+            ("--check", BenchReportMode::Print) => BenchReportMode::Check,
+            _ => {
+                return Err(CliError::Unknown {
+                    arg,
+                    expected: "--write or --check, at most one of them".to_string(),
+                });
+            }
+        };
+    }
+    Ok(mode)
 }
 
 #[cfg(test)]
@@ -346,6 +385,28 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn bench_report_takes_at_most_one_known_flag() {
+        use BenchReportMode::{Check, Print, Write};
+        assert_eq!(parse_bench_report_args(argv(&[])), Ok(Print));
+        assert_eq!(parse_bench_report_args(argv(&["--write"])), Ok(Write));
+        assert_eq!(parse_bench_report_args(argv(&["--check"])), Ok(Check));
+        for bad in [
+            &["--write", "--check"][..],
+            &["--check", "--write"],
+            &["--check", "--check"],
+            &["--help"],
+            &["sim"],
+        ] {
+            let err = parse_bench_report_args(argv(bad)).expect_err("must reject");
+            let last = bad[bad.len() - 1];
+            assert!(
+                matches!(&err, CliError::Unknown { arg, .. } if arg == last),
+                "{bad:?}: {err}"
+            );
+        }
     }
 
     fn err_flag(err: &CliError) -> &'static str {

@@ -2,10 +2,12 @@
 //!
 //! Every module exposes `run() -> Vec<Table>`; the tables' shapes (not
 //! absolute timings) are the reproduction targets — who wins, by what
-//! factor, and where thresholds fall.
+//! factor, and where thresholds fall. The real-socket experiments
+//! (T11–T15) share one cell grid and one sim/net twin runner, `grid`.
 
 pub mod f1_approx;
 pub mod f2_synchrony;
+pub(crate) mod grid;
 pub mod t10_faults;
 pub mod t11_net;
 pub mod t12_rejoin;

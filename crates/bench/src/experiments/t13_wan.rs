@@ -5,8 +5,8 @@
 //! - under **zero impairment** the [`uba_net::FaultProxy`] relay is
 //!   invisible: a
 //!   cluster running through it decides byte-identically to both the
-//!   direct-TCP run and the [`SyncEngine`] twin (the T11 claim survives
-//!   an extra hop);
+//!   direct-TCP run and the [`SyncEngine`](uba_sim::SyncEngine) twin (the
+//!   T11 claim survives an extra hop);
 //! - under the **geo** profile (latency + jitter, no loss) decisions are
 //!   *still* engine-identical — latency inside the round budget only
 //!   stretches wall-clock, never outcomes;
@@ -19,274 +19,18 @@
 //!   rejoiner dials outward and the relay fronts stay fixed.
 //!
 //! The fault table is deterministic per seed — drops, severed frames, and
-//! decisions are pure functions of the [`LinkPlan`] seed (splitmix64 per
-//! directed link and frame index), so the table is a reproduction target,
-//! not a flaky soak. Wall-clock latency columns vary by machine; their
-//! *shape* (geo ≫ clean, partition paying one round-timeout per severed
-//! barrier) is the target. `bench-report` commits the lossy/partition
-//! decision-latency distributions to `BENCH_net.json`.
+//! decisions are pure functions of the [`LinkPlan`](uba_net::LinkPlan) seed
+//! (splitmix64 per directed link and frame index), so the table is a
+//! reproduction target, not a flaky soak. Drop/sever counts are
+//! wall-clock-adjacent all the same (a slow machine's reconnects could
+//! reshuffle the frame indices the loss draws key on), so the cells'
+//! obligations in `grid` only require them to be non-zero
+//! and `bench-report` commits just the lossy/partition cells' decisions.
+//! Wall-clock latency columns vary by machine; their *shape* (geo ≫ clean,
+//! partition paying one round-timeout per severed barrier) is the target.
 
-use std::collections::BTreeMap;
-use std::time::Duration;
-
-use uba_net::{
-    decisions, ClusterSpec, KillSpec, LinkPlan, NetConfig, ProxySpec, RunSummary, WanProfile, Wire,
-};
-use uba_sim::{NodeId, Process, SyncEngine};
-use uba_trace::{NoopTracer, SharedRuntimeMetrics};
-
-use crate::experiments::t11_net::{consensus_cluster, net_config, reliable_cluster, render};
+use super::grid::{run_twin, twins, Family};
 use crate::Table;
-
-/// Transport config for the partition cells: the severed rounds each cost
-/// one barrier timeout per side, so the deadline is short, and the give-up
-/// budget is deep enough that nobody declares a severed peer gone.
-fn partition_config() -> NetConfig {
-    NetConfig {
-        round_timeout: Duration::from_millis(250),
-        give_up_after: 10,
-        ..net_config()
-    }
-}
-
-/// One WAN soak cell: which profile shapes which algorithm's links.
-pub(crate) struct CellSpec {
-    pub profile: &'static str,
-    pub algo: &'static str,
-    pub n: usize,
-    pub seed: u64,
-}
-
-/// The deterministic soak grid: every algorithm through every profile.
-/// `clean` is the control (zero-impairment plan — must match the engine
-/// exactly); `geo` must too; `lossy`/`partition` are the fault soaks.
-pub(crate) const CELLS: [CellSpec; 8] = [
-    CellSpec {
-        profile: "clean",
-        algo: "consensus",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "geo",
-        algo: "consensus",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "lossy",
-        algo: "consensus",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "partition",
-        algo: "consensus",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "clean",
-        algo: "reliable bcast",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "geo",
-        algo: "reliable bcast",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "lossy",
-        algo: "reliable bcast",
-        n: 4,
-        seed: 42,
-    },
-    CellSpec {
-        profile: "partition",
-        algo: "reliable bcast",
-        n: 5,
-        seed: 11,
-    },
-];
-
-/// Outcome of one soak cell.
-pub(crate) struct WanCell {
-    /// Outputs of the engine twin, rendered via `Debug`.
-    engine_outputs: BTreeMap<NodeId, String>,
-    /// Outputs of the proxied cluster, rendered via `Debug`.
-    net_outputs: BTreeMap<NodeId, String>,
-    /// How many members produced an output.
-    pub decided: u64,
-    /// Last decision round across the cluster.
-    pub rounds: u64,
-    /// Barrier timeouts summed across members.
-    pub timeouts: u64,
-    /// Frames relayed by the proxy.
-    pub forwarded: u64,
-    /// Data frames the loss model ate.
-    pub dropped: u64,
-    /// Frames a scheduled partition severed.
-    pub severed: u64,
-    /// Mean / max per-round wall-clock microseconds across members.
-    pub mean_us: u64,
-    pub max_us: u64,
-}
-
-impl WanCell {
-    /// Impaired-profile obligation: everyone terminated on the same value.
-    pub(crate) fn agreement(&self) -> bool {
-        self.decided == self.engine_outputs.len() as u64
-            && self
-                .net_outputs
-                .values()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                <= 1
-    }
-
-    /// Clean/geo obligation: the proxy hop changed nothing at all.
-    pub(crate) fn matches_engine(&self) -> bool {
-        self.engine_outputs == self.net_outputs
-    }
-}
-
-/// Builds the cell's link plan: `clean` is the zero-impairment control,
-/// anything else is a named [`WanProfile`].
-fn plan_for(profile: &str, seed: u64, ids: &[NodeId]) -> LinkPlan {
-    match profile {
-        "clean" => LinkPlan::new(seed),
-        name => WanProfile::parse(name)
-            .unwrap_or_else(|| panic!("unknown T13 profile {name:?}"))
-            .plan(seed, ids),
-    }
-}
-
-/// Whether the verdict for `profile` is engine-identity or agreement-only.
-/// Loss and partitions sever deliveries the engine twin performs, so only
-/// the safety obligations are comparable there.
-fn expects_engine_identity(profile: &str) -> bool {
-    matches!(profile, "clean" | "geo")
-}
-
-/// Runs one soak cell: the engine reference plus the proxied cluster.
-fn run_cell<P, F>(spec: &CellSpec, factory: F) -> WanCell
-where
-    P: Process + Send,
-    P::Msg: Wire,
-    P::Output: Send,
-    F: Fn() -> Vec<P>,
-{
-    let ids: Vec<NodeId> = factory().iter().map(|p| p.id()).collect();
-    let plan = plan_for(spec.profile, spec.seed, &ids);
-    let config = if spec.profile == "partition" {
-        partition_config()
-    } else {
-        net_config()
-    };
-
-    let mut engine = SyncEngine::builder().correct_many(factory()).build();
-    let reference = engine
-        .run_to_completion(200)
-        .expect("engine twin must complete");
-
-    let registry = SharedRuntimeMetrics::new();
-    let proxied = ClusterSpec {
-        proxy: Some(ProxySpec {
-            plan,
-            link_metrics: Some(registry.clone()),
-        }),
-        ..ClusterSpec::default()
-    };
-    let reports = proxied
-        .run(factory(), config, |_| NoopTracer, |_| None)
-        .expect("proxied run must complete")
-        .reports;
-    let net = decisions(&reports);
-
-    let links = registry.snapshot();
-    let summary = RunSummary::of(&reports);
-    WanCell {
-        engine_outputs: render(&reference.outputs),
-        decided: net.len() as u64,
-        rounds: summary.decided_round,
-        timeouts: summary.timeouts,
-        forwarded: links.family_sum("net_link_frames_forwarded_total"),
-        dropped: links.family_sum("net_link_frames_dropped_total"),
-        severed: links.family_sum("net_link_frames_severed_total"),
-        mean_us: summary.mean_us,
-        max_us: summary.max_us,
-        net_outputs: render(&net),
-    }
-}
-
-/// Runs one cell by spec (shared with the tests and `bench-report`).
-pub(crate) fn run_spec(spec: &CellSpec) -> WanCell {
-    match spec.algo {
-        "consensus" => run_cell(spec, || consensus_cluster(spec.seed, spec.n)),
-        "reliable bcast" => run_cell(spec, || reliable_cluster(spec.seed, spec.n)),
-        other => panic!("unknown T13 algorithm {other:?}"),
-    }
-}
-
-/// The cell's verdict string: engine identity where the profile preserves
-/// deliveries, agreement/termination where it does not.
-fn verdict(spec: &CellSpec, cell: &WanCell) -> &'static str {
-    if expects_engine_identity(spec.profile) {
-        if cell.matches_engine() {
-            "match"
-        } else {
-            "MISMATCH"
-        }
-    } else if cell.agreement() {
-        "agreement"
-    } else {
-        "DISAGREEMENT"
-    }
-}
-
-/// T12's rejoin drill, behind a zero-impairment proxy: kill consensus
-/// member `victim_idx` at `kill_at`, restart it, and require the whole run
-/// to still decide engine-identically despite the extra relay hop.
-fn run_rejoin_through_proxy() -> (u64, u64, bool) {
-    let (n, seed, kill_at, victim_idx) = (4, 42u64, 3u64, 0usize);
-    let factory = || consensus_cluster(seed, n);
-    let ids: Vec<NodeId> = factory().iter().map(|p| p.id()).collect();
-    let victim = ids[victim_idx];
-
-    let mut engine = SyncEngine::builder().correct_many(factory()).build();
-    let reference = engine
-        .run_to_completion(200)
-        .expect("engine twin must complete");
-
-    let journal_dir = std::env::temp_dir().join(format!("uba-t13-{}", std::process::id()));
-    let drill = ClusterSpec {
-        proxy: Some(ProxySpec {
-            plan: LinkPlan::new(seed),
-            link_metrics: None,
-        }),
-        kill: Some(KillSpec {
-            victim,
-            reborn: factory().swap_remove(victim_idx),
-            kill_at,
-            restart_delay: Duration::ZERO,
-            journal_dir: journal_dir.clone(),
-            tear_journal: false,
-        }),
-        hostile: None,
-    };
-    let reports = drill
-        .run(factory(), net_config(), |_| NoopTracer, |_| None)
-        .expect("proxied rejoin run must complete")
-        .reports;
-    let _ = std::fs::remove_dir_all(&journal_dir);
-    let net = decisions(&reports);
-    let rounds = RunSummary::of(&reports).decided_round;
-    let matches = render(&reference.outputs) == render(&net)
-        && rounds == reference.decided_round.values().copied().max().unwrap_or(0);
-    (net.len() as u64, rounds, matches)
-}
 
 /// Runs experiment T13.
 pub fn run() -> Vec<Table> {
@@ -310,101 +54,47 @@ pub fn run() -> Vec<Table> {
         "T13 — decision latency under impairment (wall-clock; shape, not numbers, is the target)",
         &["profile", "algorithm", "n", "mean us/round", "max us/round"],
     );
-    for spec in &CELLS {
-        let cell = run_spec(spec);
-        faults.row(&[
-            spec.profile.to_string(),
-            spec.algo.to_string(),
-            spec.n.to_string(),
-            spec.seed.to_string(),
-            cell.rounds.to_string(),
-            cell.timeouts.to_string(),
-            cell.forwarded.to_string(),
-            cell.dropped.to_string(),
-            cell.severed.to_string(),
-            verdict(spec, &cell).to_string(),
-        ]);
-        latency.row(&[
-            spec.profile.to_string(),
-            spec.algo.to_string(),
-            spec.n.to_string(),
-            cell.mean_us.to_string(),
-            cell.max_us.to_string(),
-        ]);
-    }
     let mut rejoin = Table::new(
         "T13 — kill/rejoin through the proxy: T12's drill behind a zero-impairment relay",
         &["algorithm", "n", "seed", "kill@", "rounds", "decisions"],
     );
-    let (decided, rounds, matches) = run_rejoin_through_proxy();
-    rejoin.row(&[
-        "consensus".to_string(),
-        4.to_string(),
-        42.to_string(),
-        3.to_string(),
-        rounds.to_string(),
-        if matches && decided == 4 {
-            "match"
-        } else {
-            "MISMATCH"
+    for cell in twins(Family::T13) {
+        let run = run_twin(cell);
+        let [algo, n, seed] = [
+            cell.algo.name().to_string(),
+            cell.n.to_string(),
+            cell.seed.to_string(),
+        ];
+        let rounds = run.summary.decided_round.to_string();
+        let verdict = cell.verdict(&run).to_string();
+        if let Some(kill) = cell.scenario.kill {
+            rejoin.row(&[algo, n, seed, kill.at.to_string(), rounds, verdict]);
+            continue;
         }
-        .to_string(),
-    ]);
+        let wan = cell
+            .scenario
+            .wan
+            .expect("every T13 cell runs through the proxy");
+        let profile = wan.name().to_string();
+        latency.row(&[
+            profile.clone(),
+            algo.clone(),
+            n.clone(),
+            run.summary.mean_us.to_string(),
+            run.summary.max_us.to_string(),
+        ]);
+        faults.row(&[
+            profile,
+            algo,
+            n,
+            seed,
+            rounds,
+            run.summary.timeouts.to_string(),
+            run.forwarded.to_string(),
+            run.dropped.to_string(),
+            run.severed.to_string(),
+            verdict,
+        ]);
+    }
     vec![faults, latency, rejoin]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Locks every cell's safety verdict: engine identity through clean and
-    /// geo links, agreement/termination through lossy and partitioned ones.
-    /// Drop/sever counts are seed-deterministic but wall-clock-adjacent
-    /// (reconnects could reshuffle frame indices), so they are reported,
-    /// not locked — the BENCH trajectory tracks them with tolerance.
-    #[test]
-    fn t13_every_cell_keeps_its_safety_obligation() {
-        for spec in &CELLS {
-            let cell = run_spec(spec);
-            if expects_engine_identity(spec.profile) {
-                assert!(
-                    cell.matches_engine(),
-                    "{} {} n={} seed={}: engine {:?} vs net {:?}",
-                    spec.profile,
-                    spec.algo,
-                    spec.n,
-                    spec.seed,
-                    cell.engine_outputs,
-                    cell.net_outputs
-                );
-            } else {
-                assert!(
-                    cell.agreement(),
-                    "{} {} n={} seed={}: decided {}/{} with outputs {:?}",
-                    spec.profile,
-                    spec.algo,
-                    spec.n,
-                    spec.seed,
-                    cell.decided,
-                    spec.n,
-                    cell.net_outputs
-                );
-            }
-            if spec.profile == "lossy" {
-                assert!(cell.dropped > 0, "lossy profile must actually drop frames");
-            }
-            if spec.profile == "partition" {
-                assert!(cell.severed > 0, "partition must actually sever frames");
-                assert!(cell.timeouts > 0, "severed barriers must time out");
-            }
-        }
-    }
-
-    /// Locks the rejoin-through-proxy drill.
-    #[test]
-    fn t13_rejoin_through_the_proxy_is_engine_identical() {
-        let (decided, rounds, matches) = run_rejoin_through_proxy();
-        assert_eq!(decided, 4, "every member decided");
-        assert!(matches, "decisions diverged at round {rounds}");
-    }
 }

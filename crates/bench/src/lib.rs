@@ -8,9 +8,10 @@
 //! - `cargo run -p uba-bench --bin experiments` prints every table;
 //!   `--bin experiments t3` prints a single one.
 //! - `cargo run -p uba-bench --bin bench-report -- --check` re-runs the
-//!   T11-class workloads with runtime metrics attached and compares them
-//!   against the committed `BENCH_sim.json` / `BENCH_net.json` trajectory
-//!   (see [`report`]); `--write` regenerates the committed files.
+//!   recorded cells of the T11–T15 grid and compares the seed-determined
+//!   facts (rounds, envelopes, frames, bytes, verdicts) byte for byte with
+//!   the committed `BENCH_sim.json` / `BENCH_net.json` (see [`report`]);
+//!   `--write` regenerates the committed files.
 //!
 //! All experiments are deterministic per seed and run in seconds on a
 //! laptop.
@@ -26,36 +27,40 @@ pub mod table;
 
 pub use table::Table;
 
-/// Every experiment id, in presentation order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "t1", "t2", "t3", "f1", "t4", "t5", "f2", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13",
-    "t14", "t15",
+/// One experiment: its id and the function that regenerates its tables.
+pub type Experiment = (&'static str, fn() -> Vec<Table>);
+
+/// Every experiment, in presentation order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("t1", experiments::t1_reliable::run),
+    ("t2", experiments::t2_rotor::run),
+    ("t3", experiments::t3_consensus::run),
+    ("f1", experiments::f1_approx::run),
+    ("t4", experiments::t4_parallel::run),
+    ("t5", experiments::t5_ordering::run),
+    ("f2", experiments::f2_synchrony::run),
+    ("t6", experiments::t6_resiliency::run),
+    ("t7", experiments::t7_baselines::run),
+    ("t8", experiments::t8_extensions::run),
+    ("t9", experiments::t9_ablation::run_experiment),
+    ("t10", experiments::t10_faults::run),
+    ("t11", experiments::t11_net::run),
+    ("t12", experiments::t12_rejoin::run),
+    ("t13", experiments::t13_wan::run),
+    ("t14", experiments::t14_logd::run),
+    ("t15", experiments::t15_byzantine::run),
 ];
 
 /// Runs one experiment by id, returning its tables.
 ///
 /// # Panics
 ///
-/// Panics on an unknown id (valid ids are in [`ALL_EXPERIMENTS`]).
+/// Panics on an unknown id (valid ids are in [`EXPERIMENTS`]; the
+/// `experiments` bin rejects unknown ids while parsing its arguments).
 pub fn run_experiment(id: &str) -> Vec<Table> {
-    match id {
-        "t1" => experiments::t1_reliable::run(),
-        "t2" => experiments::t2_rotor::run(),
-        "t3" => experiments::t3_consensus::run(),
-        "f1" => experiments::f1_approx::run(),
-        "t4" => experiments::t4_parallel::run(),
-        "t5" => experiments::t5_ordering::run(),
-        "f2" => experiments::f2_synchrony::run(),
-        "t6" => experiments::t6_resiliency::run(),
-        "t7" => experiments::t7_baselines::run(),
-        "t8" => experiments::t8_extensions::run(),
-        "t9" => experiments::t9_ablation::run_experiment(),
-        "t10" => experiments::t10_faults::run(),
-        "t11" => experiments::t11_net::run(),
-        "t12" => experiments::t12_rejoin::run(),
-        "t13" => experiments::t13_wan::run(),
-        "t14" => experiments::t14_logd::run(),
-        "t15" => experiments::t15_byzantine::run(),
-        other => panic!("unknown experiment id {other:?}; valid: {ALL_EXPERIMENTS:?}"),
-    }
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
+    run()
 }
