@@ -16,19 +16,20 @@
 //! | 4 | one rotor-coordinator step; the selected coordinator broadcasts its opinion |
 //! | 5 | with `< n_v/3` strongprefers adopt the coordinator's opinion; with a `2n_v/3` strongprefer quorum terminate |
 //!
-//! Membership is frozen after initialization ("a node only accepts messages
-//! from a node if it counted towards `n_v`"), and a counted member that goes
-//! silent is substituted by the receiver's *own most recent message of the
-//! expected type* (the caption of Algorithm 3) — this is what lets nodes
-//! that terminated a phase earlier be accounted for consistently.
+//! Initialization, the membership freeze ("a node only accepts messages from
+//! a node if it counted towards `n_v`"), the embedded rotor step and the
+//! coordinator-opinion pick are the crate's shared phase frame
+//! (`phase.rs`), as is the tally behind every threshold: a counted member
+//! that goes silent is substituted by the receiver's *own most recent
+//! message of the expected type* (the caption of Algorithm 3), which is what
+//! lets nodes that terminated a phase earlier be accounted for consistently.
+//! This file adds what is Algorithm 3's own: the input/prefer/strongprefer
+//! ladder and the early-termination rule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use uba_sim::{Context, NodeId, Process};
 
-use uba_sim::{Context, Envelope, NodeId, Process};
-
-use crate::quorum::{max_tally, meets_third, meets_two_thirds, quorum_value, tally};
-use crate::rotor::RotorCore;
-use crate::tracker::{FrozenMembership, ParticipantTracker};
+use crate::phase::{FrameMsg, PhaseFrame, RotorPart};
+use crate::quorum::{meets_third, meets_two_thirds};
 use crate::value::Value;
 
 pub mod king;
@@ -49,6 +50,23 @@ pub enum ConsensusMsg<V> {
     Prefer(V),
     /// Phase round 3: a `2n_v/3` prefer quorum was observed.
     StrongPrefer(V),
+}
+
+impl<V> FrameMsg for ConsensusMsg<V> {
+    fn from_rotor(part: RotorPart) -> Self {
+        match part {
+            RotorPart::Init => ConsensusMsg::RotorInit,
+            RotorPart::Echo(p) => ConsensusMsg::RotorEcho(p),
+        }
+    }
+
+    fn as_rotor(&self) -> Option<RotorPart> {
+        match *self {
+            ConsensusMsg::RotorInit => Some(RotorPart::Init),
+            ConsensusMsg::RotorEcho(p) => Some(RotorPart::Echo(p)),
+            _ => None,
+        }
+    }
 }
 
 /// Number of engine rounds of one phase.
@@ -90,23 +108,15 @@ pub fn phase_of_round(round: u64) -> (u64, u8) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct EarlyConsensus<V> {
-    me: NodeId,
+    frame: PhaseFrame,
     x: V,
-    tracker: ParticipantTracker,
-    frozen: Option<FrozenMembership>,
-    rotor: RotorCore,
-    /// Candidate id → distinct member senders whose echo arrived since the
-    /// last rotor step (rotor steps are 5 rounds apart here, so echoes are
-    /// buffered between steps).
-    rotor_echo_buf: BTreeMap<NodeId, BTreeSet<NodeId>>,
     sent_input: Option<V>,
     sent_prefer: Option<V>,
     sent_strong: Option<V>,
-    /// Strongprefer tally collected in phase round 4 (messages are sent in
-    /// round 3, physically arrive in round 4, and are evaluated in round 5 —
-    /// the paper's labelling).
-    strong_counts: BTreeMap<V, usize>,
-    this_phase_coordinator: Option<NodeId>,
+    /// Best-supported strongprefer and its count, tallied in phase round 4
+    /// (messages are sent in round 3, physically arrive in round 4, and are
+    /// evaluated in round 5 — the paper's labelling).
+    strongest: Option<(V, usize)>,
     decided: Option<V>,
     phases_executed: u64,
     substitution: bool,
@@ -116,17 +126,12 @@ impl<V: Value> EarlyConsensus<V> {
     /// Creates a node with input `input`.
     pub fn new(me: NodeId, input: V) -> Self {
         EarlyConsensus {
-            me,
+            frame: PhaseFrame::new(me),
             x: input,
-            tracker: ParticipantTracker::new(),
-            frozen: None,
-            rotor: RotorCore::new(),
-            rotor_echo_buf: BTreeMap::new(),
             sent_input: None,
             sent_prefer: None,
             sent_strong: None,
-            strong_counts: BTreeMap::new(),
-            this_phase_coordinator: None,
+            strongest: None,
             decided: None,
             phases_executed: 0,
             substitution: true,
@@ -155,49 +160,86 @@ impl<V: Value> EarlyConsensus<V> {
 
     /// The frozen participant estimate, once initialization completed.
     pub fn frozen_estimate(&self) -> Option<usize> {
-        self.frozen.as_ref().map(FrozenMembership::n)
+        self.frame.frozen_n()
     }
 
-    /// Tallies `extract`ed values from the member-filtered inbox, then
-    /// substitutes the receiver's own `sent` message for every frozen member
-    /// that sent nothing of this type this round.
-    fn tally_with_substitution(
-        &self,
-        inbox: &[Envelope<ConsensusMsg<V>>],
-        extract: impl Fn(&ConsensusMsg<V>) -> Option<V>,
-        sent: &Option<V>,
-    ) -> BTreeMap<V, usize> {
-        let frozen = self.frozen.as_ref().expect("initialized");
-        let mut senders: BTreeSet<NodeId> = BTreeSet::new();
-        let mut values: Vec<V> = Vec::new();
-        for env in frozen.filter_inbox(inbox) {
-            if let Some(v) = extract(env.msg()) {
-                senders.insert(env.from);
-                values.push(v);
+    /// Executes round `round` (1-based) on this round's delivered messages;
+    /// outgoing broadcasts are appended to `out`. This is the whole
+    /// protocol — the [`Process`] impl only adapts the engine's context to
+    /// it, and a protocol that embeds consensus (terminating broadcast)
+    /// calls it with a projection of its own inbox.
+    pub fn step<'a>(
+        &mut self,
+        round: u64,
+        inbox: impl IntoIterator<Item = (NodeId, &'a ConsensusMsg<V>)>,
+        out: &mut Vec<ConsensusMsg<V>>,
+    ) {
+        let Some(tick) = self.frame.begin(round, inbox, out) else {
+            return;
+        };
+        let (n, inbox) = (tick.n, &tick.inbox);
+        match tick.round {
+            1 => {
+                self.sent_prefer = None;
+                self.sent_strong = None;
+                out.push(ConsensusMsg::Input(self.x.clone()));
+                self.sent_input = Some(self.x.clone());
             }
-        }
-        let mut counts = tally(values);
-        if self.substitution {
-            if let Some(own) = sent {
-                let missing = frozen
-                    .members()
-                    .iter()
-                    .filter(|m| !senders.contains(m))
-                    .count();
-                if missing > 0 {
-                    *counts.entry(own.clone()).or_insert(0) += missing;
+            2 => {
+                // A silent member is counted with this node's own message of
+                // the slot — with nothing under the ablation.
+                let own = self.sent_input.as_ref().filter(|_| self.substitution);
+                if let Some((x, c)) = self.frame.slot(inbox, own, |m| match m {
+                    ConsensusMsg::Input(v) => Some(v),
+                    _ => None,
+                }) {
+                    if meets_two_thirds(c, n) {
+                        out.push(ConsensusMsg::Prefer(x.clone()));
+                        self.sent_prefer = Some(x);
+                    }
                 }
             }
-        }
-        counts
-    }
-
-    fn buffer_rotor_echoes(&mut self, inbox: &[Envelope<ConsensusMsg<V>>]) {
-        let frozen = self.frozen.as_ref().expect("initialized");
-        for env in frozen.filter_inbox(inbox) {
-            if let &ConsensusMsg::RotorEcho(p) = env.msg() {
-                self.rotor_echo_buf.entry(p).or_default().insert(env.from);
+            3 => {
+                let own = self.sent_prefer.as_ref().filter(|_| self.substitution);
+                if let Some((v, c)) = self.frame.slot(inbox, own, |m| match m {
+                    ConsensusMsg::Prefer(v) => Some(v),
+                    _ => None,
+                }) {
+                    if meets_third(c, n) {
+                        self.x = v.clone();
+                    }
+                    if meets_two_thirds(c, n) {
+                        out.push(ConsensusMsg::StrongPrefer(v.clone()));
+                        self.sent_strong = Some(v);
+                    }
+                }
             }
+            4 => {
+                let own = self.sent_strong.as_ref().filter(|_| self.substitution);
+                self.strongest = self.frame.slot(inbox, own, |m| match m {
+                    ConsensusMsg::StrongPrefer(v) => Some(v),
+                    _ => None,
+                });
+                if self.frame.rotor_step(n, out) {
+                    out.push(ConsensusMsg::Opinion(self.x.clone()));
+                }
+            }
+            5 => {
+                let strongest = self.strongest.take();
+                if !strongest.as_ref().is_some_and(|(_, c)| meets_third(*c, n)) {
+                    if let Some(c) = self.frame.coordinator_opinion(inbox, |m| match m {
+                        ConsensusMsg::Opinion(v) => Some(v),
+                        _ => None,
+                    }) {
+                        self.x = c.clone();
+                    }
+                }
+                if let Some((v, _)) = strongest.filter(|(_, c)| meets_two_thirds(*c, n)) {
+                    self.decided = Some(v);
+                }
+                self.phases_executed += 1;
+            }
+            _ => unreachable!("phase rounds are 1..=5"),
         }
     }
 }
@@ -207,142 +249,15 @@ impl<V: Value> Process for EarlyConsensus<V> {
     type Output = V;
 
     fn id(&self) -> NodeId {
-        self.me
+        self.frame.me()
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, ConsensusMsg<V>>) {
-        let round = ctx.round();
-        match round {
-            1 => {
-                ctx.broadcast(ConsensusMsg::RotorInit);
-                return;
-            }
-            2 => {
-                self.tracker.observe_inbox(ctx.inbox());
-                let initiators: BTreeSet<NodeId> = ctx
-                    .inbox()
-                    .iter()
-                    .filter(|e| matches!(e.msg(), ConsensusMsg::RotorInit))
-                    .map(|e| e.from)
-                    .collect();
-                for p in initiators {
-                    ctx.broadcast(ConsensusMsg::RotorEcho(p));
-                }
-                return;
-            }
-            3 => {
-                // End of initialization: everything heard during rounds 1–2
-                // (arriving in rounds 2–3) counts towards n_v; later senders
-                // are discarded.
-                self.tracker.observe_inbox(ctx.inbox());
-                self.frozen = Some(self.tracker.freeze());
-            }
-            _ => {}
-        }
-
-        self.buffer_rotor_echoes(ctx.inbox());
-        let n = self.frozen.as_ref().expect("initialized").n();
-        let (_phase, phase_round) = phase_of_round(round);
-        match phase_round {
-            1 => {
-                self.sent_prefer = None;
-                self.sent_strong = None;
-                self.strong_counts.clear();
-                self.this_phase_coordinator = None;
-                ctx.broadcast(ConsensusMsg::Input(self.x.clone()));
-                self.sent_input = Some(self.x.clone());
-            }
-            2 => {
-                let counts = self.tally_with_substitution(
-                    ctx.inbox(),
-                    |m| match m {
-                        ConsensusMsg::Input(v) => Some(v.clone()),
-                        _ => None,
-                    },
-                    &self.sent_input,
-                );
-                if let Some(x) = quorum_value(&counts, n, meets_two_thirds) {
-                    ctx.broadcast(ConsensusMsg::Prefer(x.clone()));
-                    self.sent_prefer = Some(x);
-                }
-            }
-            3 => {
-                let counts = self.tally_with_substitution(
-                    ctx.inbox(),
-                    |m| match m {
-                        ConsensusMsg::Prefer(v) => Some(v.clone()),
-                        _ => None,
-                    },
-                    &self.sent_prefer,
-                );
-                if let Some((v, c)) = max_tally(&counts) {
-                    if meets_third(c, n) {
-                        self.x = v.clone();
-                    }
-                    if meets_two_thirds(c, n) {
-                        ctx.broadcast(ConsensusMsg::StrongPrefer(v.clone()));
-                        self.sent_strong = Some(v);
-                    }
-                }
-            }
-            4 => {
-                // Strongprefers physically arrive now; evaluated in round 5.
-                self.strong_counts = self.tally_with_substitution(
-                    ctx.inbox(),
-                    |m| match m {
-                        ConsensusMsg::StrongPrefer(v) => Some(v.clone()),
-                        _ => None,
-                    },
-                    &self.sent_strong,
-                );
-                // One rotor-coordinator step.
-                let support: BTreeMap<NodeId, usize> = self
-                    .rotor_echo_buf
-                    .iter()
-                    .map(|(p, s)| (*p, s.len()))
-                    .collect();
-                self.rotor_echo_buf.clear();
-                let step = self.rotor.step(n, &support);
-                if !step.terminated {
-                    for p in &step.re_echo {
-                        ctx.broadcast(ConsensusMsg::RotorEcho(*p));
-                    }
-                    self.this_phase_coordinator = step.coordinator;
-                    if step.coordinator == Some(self.me) {
-                        ctx.broadcast(ConsensusMsg::Opinion(self.x.clone()));
-                    }
-                }
-            }
-            5 => {
-                let frozen = self.frozen.as_ref().expect("initialized");
-                let coordinator_opinion: Option<V> = self.this_phase_coordinator.and_then(|p| {
-                    let mut opinions: Vec<&V> = frozen
-                        .filter_inbox(ctx.inbox())
-                        .filter(|e| e.from == p)
-                        .filter_map(|e| match e.msg() {
-                            ConsensusMsg::Opinion(v) => Some(v),
-                            _ => None,
-                        })
-                        .collect();
-                    opinions.sort();
-                    opinions.first().map(|v| (*v).clone())
-                });
-
-                let strongest = max_tally(&self.strong_counts);
-                let has_third = strongest.as_ref().is_some_and(|(_, c)| meets_third(*c, n));
-                if !has_third {
-                    if let Some(c) = coordinator_opinion {
-                        self.x = c;
-                    }
-                }
-                if let Some((v, c)) = strongest {
-                    if meets_two_thirds(c, n) {
-                        self.decided = Some(v);
-                    }
-                }
-                self.phases_executed += 1;
-            }
-            _ => unreachable!("phase rounds are 1..=5"),
+        let mut out = Vec::new();
+        let inbox = ctx.inbox().iter().map(|e| (e.from, e.msg()));
+        self.step(ctx.round(), inbox, &mut out);
+        for msg in out {
+            ctx.broadcast(msg);
         }
     }
 
@@ -354,6 +269,7 @@ impl<V: Value> Process for EarlyConsensus<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use uba_sim::{sparse_ids, SyncEngine};
 
     fn run_all_correct(inputs: &[u64], seed: u64) -> (BTreeMap<NodeId, u64>, u64) {

@@ -12,7 +12,7 @@
 //! (`O(n)` instead of `O(f)`).
 //!
 //! Phase layout (5 engine rounds, matching
-//! [`phase_of_round`]):
+//! [`phase_of_round`](crate::consensus::phase_of_round)):
 //!
 //! 1. broadcast `input(x_v)`;
 //! 2. on a `2n_v/3` input quorum broadcast `support(x)`;
@@ -21,18 +21,16 @@
 //! 5. if the round-3 support tally was below `2n_v/3`, adopt the
 //!    coordinator's opinion.
 //!
-//! Membership freezing and silent-member substitution follow Algorithm 3's
-//! caption, which keeps the run well-defined when nodes terminate at
-//! slightly different rounds.
+//! Initialization, membership freezing, the rotor step, the coordinator
+//! pick and silent-member substitution (Algorithm 3's caption, which keeps
+//! the run well-defined when nodes terminate at slightly different rounds)
+//! are the shared phase frame (`phase.rs`); this file adds the
+//! input/support ladder and the terminate-with-the-rotor rule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use uba_sim::{Context, NodeId, Process};
 
-use uba_sim::{Context, Envelope, NodeId, Process};
-
-use crate::consensus::phase_of_round;
-use crate::quorum::{max_tally, meets_third, meets_two_thirds, quorum_value, tally};
-use crate::rotor::RotorCore;
-use crate::tracker::{FrozenMembership, ParticipantTracker};
+use crate::phase::{FrameMsg, PhaseFrame, RotorPart};
+use crate::quorum::{meets_third, meets_two_thirds};
 use crate::value::Value;
 
 /// Messages of the king consensus protocol.
@@ -48,6 +46,23 @@ pub enum KingMsg<V> {
     Input(V),
     /// Phase round 2: a `2n_v/3` input quorum was observed.
     Support(V),
+}
+
+impl<V> FrameMsg for KingMsg<V> {
+    fn from_rotor(part: RotorPart) -> Self {
+        match part {
+            RotorPart::Init => KingMsg::RotorInit,
+            RotorPart::Echo(p) => KingMsg::RotorEcho(p),
+        }
+    }
+
+    fn as_rotor(&self) -> Option<RotorPart> {
+        match *self {
+            KingMsg::RotorInit => Some(RotorPart::Init),
+            KingMsg::RotorEcho(p) => Some(RotorPart::Echo(p)),
+            _ => None,
+        }
+    }
 }
 
 /// One node's state machine for the appendix king algorithm.
@@ -70,19 +85,13 @@ pub enum KingMsg<V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct KingConsensus<V> {
-    me: NodeId,
+    frame: PhaseFrame,
     x: V,
-    tracker: ParticipantTracker,
-    frozen: Option<FrozenMembership>,
-    rotor: RotorCore,
-    rotor_echo_buf: BTreeMap<NodeId, BTreeSet<NodeId>>,
     sent_input: Option<V>,
     sent_support: Option<V>,
-    /// Support tally observed in phase round 3 (evaluated again in round 5
-    /// for the "take the king's value" rule).
-    support_counts: BTreeMap<V, usize>,
-    this_phase_coordinator: Option<NodeId>,
-    rotor_done: bool,
+    /// Count of the best-supported `support` value of phase round 3
+    /// (evaluated again in round 5 for the "take the king's value" rule).
+    support: usize,
     decided: Option<V>,
 }
 
@@ -90,17 +99,11 @@ impl<V: Value> KingConsensus<V> {
     /// Creates a node with input `input`.
     pub fn new(me: NodeId, input: V) -> Self {
         KingConsensus {
-            me,
+            frame: PhaseFrame::new(me),
             x: input,
-            tracker: ParticipantTracker::new(),
-            frozen: None,
-            rotor: RotorCore::new(),
-            rotor_echo_buf: BTreeMap::new(),
             sent_input: None,
             sent_support: None,
-            support_counts: BTreeMap::new(),
-            this_phase_coordinator: None,
-            rotor_done: false,
+            support: 0,
             decided: None,
         }
     }
@@ -109,35 +112,6 @@ impl<V: Value> KingConsensus<V> {
     pub fn current_opinion(&self) -> &V {
         &self.x
     }
-
-    fn tally_with_substitution(
-        &self,
-        inbox: &[Envelope<KingMsg<V>>],
-        extract: impl Fn(&KingMsg<V>) -> Option<V>,
-        sent: &Option<V>,
-    ) -> BTreeMap<V, usize> {
-        let frozen = self.frozen.as_ref().expect("initialized");
-        let mut senders: BTreeSet<NodeId> = BTreeSet::new();
-        let mut values: Vec<V> = Vec::new();
-        for env in frozen.filter_inbox(inbox) {
-            if let Some(v) = extract(env.msg()) {
-                senders.insert(env.from);
-                values.push(v);
-            }
-        }
-        let mut counts = tally(values);
-        if let Some(own) = sent {
-            let missing = frozen
-                .members()
-                .iter()
-                .filter(|m| !senders.contains(m))
-                .count();
-            if missing > 0 {
-                *counts.entry(own.clone()).or_insert(0) += missing;
-            }
-        }
-        counts
-    }
 }
 
 impl<V: Value> Process for KingConsensus<V> {
@@ -145,135 +119,66 @@ impl<V: Value> Process for KingConsensus<V> {
     type Output = V;
 
     fn id(&self) -> NodeId {
-        self.me
+        self.frame.me()
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, KingMsg<V>>) {
-        let round = ctx.round();
-        match round {
-            1 => {
-                ctx.broadcast(KingMsg::RotorInit);
-                return;
-            }
-            2 => {
-                self.tracker.observe_inbox(ctx.inbox());
-                let initiators: BTreeSet<NodeId> = ctx
-                    .inbox()
-                    .iter()
-                    .filter(|e| matches!(e.msg(), KingMsg::RotorInit))
-                    .map(|e| e.from)
-                    .collect();
-                for p in initiators {
-                    ctx.broadcast(KingMsg::RotorEcho(p));
+        let mut out = Vec::new();
+        let inbox = ctx.inbox().iter().map(|e| (e.from, e.msg()));
+        if let Some(tick) = self.frame.begin(ctx.round(), inbox, &mut out) {
+            let (n, inbox) = (tick.n, &tick.inbox);
+            match tick.round {
+                1 => {
+                    self.sent_support = None;
+                    out.push(KingMsg::Input(self.x.clone()));
+                    self.sent_input = Some(self.x.clone());
                 }
-                return;
-            }
-            3 => {
-                self.tracker.observe_inbox(ctx.inbox());
-                self.frozen = Some(self.tracker.freeze());
-            }
-            _ => {}
-        }
-
-        {
-            let frozen = self.frozen.as_ref().expect("initialized");
-            let echoes: Vec<(NodeId, NodeId)> = frozen
-                .filter_inbox(ctx.inbox())
-                .filter_map(|env| match *env.msg() {
-                    KingMsg::RotorEcho(p) => Some((p, env.from)),
-                    _ => None,
-                })
-                .collect();
-            for (p, from) in echoes {
-                self.rotor_echo_buf.entry(p).or_default().insert(from);
-            }
-        }
-
-        let n = self.frozen.as_ref().expect("initialized").n();
-        let (_phase, phase_round) = phase_of_round(round);
-        match phase_round {
-            1 => {
-                self.sent_support = None;
-                self.support_counts.clear();
-                self.this_phase_coordinator = None;
-                ctx.broadcast(KingMsg::Input(self.x.clone()));
-                self.sent_input = Some(self.x.clone());
-            }
-            2 => {
-                let counts = self.tally_with_substitution(
-                    ctx.inbox(),
-                    |m| match m {
-                        KingMsg::Input(v) => Some(v.clone()),
+                2 => {
+                    let own = self.sent_input.as_ref();
+                    if let Some((x, c)) = self.frame.slot(inbox, own, |m| match m {
+                        KingMsg::Input(v) => Some(v),
                         _ => None,
-                    },
-                    &self.sent_input,
-                );
-                if let Some(x) = quorum_value(&counts, n, meets_two_thirds) {
-                    ctx.broadcast(KingMsg::Support(x.clone()));
-                    self.sent_support = Some(x);
+                    }) {
+                        if meets_two_thirds(c, n) {
+                            out.push(KingMsg::Support(x.clone()));
+                            self.sent_support = Some(x);
+                        }
+                    }
                 }
-            }
-            3 => {
-                self.support_counts = self.tally_with_substitution(
-                    ctx.inbox(),
-                    |m| match m {
-                        KingMsg::Support(v) => Some(v.clone()),
+                3 => {
+                    let own = self.sent_support.as_ref();
+                    let best = self.frame.slot(inbox, own, |m| match m {
+                        KingMsg::Support(v) => Some(v),
                         _ => None,
-                    },
-                    &self.sent_support,
-                );
-                if let Some((v, c)) = max_tally(&self.support_counts) {
-                    if meets_third(c, n) {
+                    });
+                    self.support = best.as_ref().map_or(0, |(_, c)| *c);
+                    if let Some((v, _)) = best.filter(|(_, c)| meets_third(*c, n)) {
                         self.x = v;
                     }
                 }
-            }
-            4 => {
-                let support: BTreeMap<NodeId, usize> = self
-                    .rotor_echo_buf
-                    .iter()
-                    .map(|(p, s)| (*p, s.len()))
-                    .collect();
-                self.rotor_echo_buf.clear();
-                let step = self.rotor.step(n, &support);
-                if step.terminated {
-                    self.rotor_done = true;
-                } else {
-                    for p in &step.re_echo {
-                        ctx.broadcast(KingMsg::RotorEcho(*p));
-                    }
-                    self.this_phase_coordinator = step.coordinator;
-                    if step.coordinator == Some(self.me) {
-                        ctx.broadcast(KingMsg::Opinion(self.x.clone()));
+                4 => {
+                    if self.frame.rotor_step(n, &mut out) {
+                        out.push(KingMsg::Opinion(self.x.clone()));
                     }
                 }
-            }
-            5 => {
-                let frozen = self.frozen.as_ref().expect("initialized");
-                let coordinator_opinion: Option<V> = self.this_phase_coordinator.and_then(|p| {
-                    let mut opinions: Vec<&V> = frozen
-                        .filter_inbox(ctx.inbox())
-                        .filter(|e| e.from == p)
-                        .filter_map(|e| match e.msg() {
+                5 => {
+                    if !meets_two_thirds(self.support, n) {
+                        if let Some(c) = self.frame.coordinator_opinion(inbox, |m| match m {
                             KingMsg::Opinion(v) => Some(v),
                             _ => None,
-                        })
-                        .collect();
-                    opinions.sort();
-                    opinions.first().map(|v| (*v).clone())
-                });
-                let strong_enough =
-                    max_tally(&self.support_counts).is_some_and(|(_, c)| meets_two_thirds(c, n));
-                if !strong_enough {
-                    if let Some(c) = coordinator_opinion {
-                        self.x = c;
+                        }) {
+                            self.x = c.clone();
+                        }
+                    }
+                    if self.frame.rotor_terminated() {
+                        self.decided = Some(self.x.clone());
                     }
                 }
-                if self.rotor_done {
-                    self.decided = Some(self.x.clone());
-                }
+                _ => unreachable!("phase rounds are 1..=5"),
             }
-            _ => unreachable!("phase rounds are 1..=5"),
+        }
+        for msg in out {
+            ctx.broadcast(msg);
         }
     }
 
@@ -285,6 +190,7 @@ impl<V: Value> Process for KingConsensus<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use uba_sim::{sparse_ids, SyncEngine};
 
     fn run(inputs: &[bool], seed: u64) -> BTreeMap<NodeId, bool> {

@@ -38,6 +38,22 @@
 //! All protocols implement [`uba_sim::Process`] and run on the engines of
 //! the [`uba_sim`] crate.
 //!
+//! Two things exist once for several algorithms. The three rotor-driven
+//! agreements — Algorithm 3, the appendix king, Algorithm 5 — share one
+//! crate-private *phase frame* (`phase.rs`: the two initialization rounds,
+//! the freeze of `n_v`, the member filter, the embedded rotor step, the
+//! coordinator-opinion pick) and its one *substitution tally* (the caption
+//! of Algorithm 3); their modules hold only the message ladder, the
+//! termination rule and the substitution fills that differ. And nesting has
+//! one convention: a protocol that is ever embedded
+//! ([`EarlyConsensus::step`](consensus::EarlyConsensus::step),
+//! [`ParallelConsensusCore::step`](parallel::ParallelConsensusCore::step),
+//! [`TotalOrdering::step`](ordering::TotalOrdering::step)) is a method over
+//! borrowed `(sender, &message)` pairs with an out-vector, its `Process`
+//! impl is the adapter, and a host ([`trb`], [`vector`], [`ordering`]'s
+//! waves, the `uba-net` log service) projects its own inbox into it —
+//! no payload is cloned or re-hashed on the way in.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -71,6 +87,7 @@ pub mod monitor;
 pub mod observe;
 pub mod ordering;
 pub mod parallel;
+mod phase;
 pub mod quorum;
 pub mod reliable;
 pub mod renaming;

@@ -28,9 +28,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_sim::{Context, Envelope, NodeId, Process};
+use uba_sim::{Context, Dest, NodeId, Process};
 
 use crate::parallel::{ParMsg, ParallelConsensusCore};
+use crate::quorum::max_tally;
 use crate::value::Value;
 
 /// Messages of the total-ordering protocol.
@@ -61,13 +62,6 @@ pub struct OrderedEvent<V> {
 
 /// The totally ordered chain of events.
 pub type Chain<V> = Vec<OrderedEvent<V>>;
-
-/// One in-flight wave: a parallel-consensus core plus its local clock.
-#[derive(Clone, Debug)]
-struct WaveState<V> {
-    core: ParallelConsensusCore<NodeId, V>,
-    local_round: u64,
-}
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Mode {
@@ -124,8 +118,10 @@ pub struct TotalOrdering<V> {
     s: BTreeSet<NodeId>,
     /// Events this node will witness, keyed by the loop round they occur in.
     events: BTreeMap<u64, V>,
-    /// In-flight waves keyed by wave number.
-    waves: BTreeMap<u64, WaveState<V>>,
+    /// In-flight waves keyed by wave number: wave `w` starts in loop round
+    /// `w` and is stepped once per loop round, so its local round is
+    /// `r - w + 1`.
+    waves: BTreeMap<u64, ParallelConsensusCore<NodeId, V>>,
     /// Outputs of terminated waves.
     results: BTreeMap<u64, BTreeMap<NodeId, V>>,
     /// `|S|` snapshot of every wave this node started (for the finality rule).
@@ -256,114 +252,140 @@ impl<V: Value> TotalOrdering<V> {
         chain
     }
 
-    /// Processes membership announcements and returns the events received
-    /// this round, keyed by origin.
-    fn process_announcements(
+    /// Executes one round on this round's delivered messages; outgoing
+    /// messages are appended to `out`. The protocol keeps its own loop round
+    /// and reads no engine round, so this is the whole protocol: the
+    /// [`Process`] impl adapts the engine's context to it, and a host that
+    /// multiplexes several instances (the `uba-net` log service) calls it
+    /// with each instance's share of its own inbox.
+    pub fn step<'a>(
         &mut self,
-        inbox: &[Envelope<OrderMsg<V>>],
-        ctx: &mut Context<'_, OrderMsg<V>>,
-    ) -> BTreeMap<NodeId, V> {
-        let mut events: BTreeMap<NodeId, V> = BTreeMap::new();
-        for env in inbox {
-            match env.msg() {
-                OrderMsg::Present => {
-                    self.s.insert(env.from);
-                    ctx.send(env.from, OrderMsg::Ack(self.r));
-                }
-                OrderMsg::Absent => {
-                    self.s.remove(&env.from);
-                }
-                OrderMsg::Event(m, round) if *round + 1 == self.r && self.s.contains(&env.from) => {
-                    // Deterministic pick if an equivocating origin sends
-                    // several events in one round.
-                    events
-                        .entry(env.from)
-                        .and_modify(|v| {
-                            if m < v {
-                                *v = m.clone();
+        inbox: impl IntoIterator<Item = (NodeId, &'a OrderMsg<V>)>,
+        out: &mut Vec<(Dest, OrderMsg<V>)>,
+    ) {
+        match self.mode {
+            Mode::Genesis => {
+                // Founders announce themselves so everyone discovers
+                // everyone in the first loop round.
+                out.push((Dest::Broadcast, OrderMsg::Present));
+                self.mode = Mode::Running;
+                self.loop_round(inbox, out);
+            }
+            Mode::JoinAnnounce => {
+                out.push((Dest::Broadcast, OrderMsg::Present));
+                self.mode = Mode::JoinWait;
+            }
+            Mode::JoinWait => {
+                // Acks are in flight; record other joiners' presents so that
+                // simultaneous joiners know each other. An ack whose round
+                // has no successor is nobody's current round and is not
+                // counted.
+                let mut next_rounds: BTreeMap<u64, usize> = BTreeMap::new();
+                for (from, msg) in inbox {
+                    match msg {
+                        OrderMsg::Present => {
+                            self.s.insert(from);
+                        }
+                        OrderMsg::Ack(t) => {
+                            self.s.insert(from);
+                            if let Some(next) = t.checked_add(1) {
+                                *next_rounds.entry(next).or_insert(0) += 1;
                             }
-                        })
-                        .or_insert_with(|| m.clone());
+                        }
+                        _ => {}
+                    }
                 }
-                _ => {}
+                // Majority round among the acks (ties toward smaller).
+                if let Some((r, _)) = max_tally(&next_rounds) {
+                    self.r = r;
+                    self.mode = Mode::Running;
+                }
             }
-        }
-        events
-    }
-
-    /// Steps every in-flight wave with its share of this round's inbox.
-    fn step_waves(&mut self, inbox: &[Envelope<OrderMsg<V>>], ctx: &mut Context<'_, OrderMsg<V>>) {
-        let mut per_wave: BTreeMap<u64, Vec<Envelope<ParMsg<NodeId, V>>>> = BTreeMap::new();
-        for env in inbox {
-            if let OrderMsg::Wave(w, msg) = env.msg() {
-                per_wave
-                    .entry(*w)
-                    .or_default()
-                    .push(Envelope::new(env.from, msg.clone()));
-            }
-        }
-        let mut finished: Vec<u64> = Vec::new();
-        for (&w, wave) in self.waves.iter_mut() {
-            wave.local_round += 1;
-            let wave_inbox = per_wave.remove(&w).unwrap_or_default();
-            let mut out = Vec::new();
-            wave.core.on_round(wave.local_round, &wave_inbox, &mut out);
-            for msg in out {
-                ctx.broadcast(OrderMsg::Wave(w, msg));
-            }
-            if let Some(result) = wave.core.output() {
-                self.results.insert(w, result.clone());
-                finished.push(w);
-            }
-        }
-        for w in finished {
-            self.waves.remove(&w);
+            Mode::Running | Mode::Leaving => self.loop_round(inbox, out),
+            Mode::Done => {}
         }
     }
 
     /// One main-loop iteration (everything after the join protocol).
-    fn loop_round(&mut self, ctx: &mut Context<'_, OrderMsg<V>>) {
+    fn loop_round<'a>(
+        &mut self,
+        inbox: impl IntoIterator<Item = (NodeId, &'a OrderMsg<V>)>,
+        out: &mut Vec<(Dest, OrderMsg<V>)>,
+    ) where
+        V: 'a,
+    {
         self.r += 1;
-        let inbox: Vec<Envelope<OrderMsg<V>>> = ctx.inbox().to_vec();
-        let leaving_now = self.mode == Mode::Running && self.leave_at == Some(self.r);
+        let running = self.mode == Mode::Running;
 
-        let event_inputs = if self.mode == Mode::Running {
-            self.process_announcements(&inbox, ctx)
-        } else {
-            BTreeMap::new()
-        };
+        // One pass over the inbox: a running member processes membership
+        // announcements and collects this round's events by origin; every
+        // wave message goes to its wave's share.
+        let mut events: BTreeMap<NodeId, &V> = BTreeMap::new();
+        let mut per_wave: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+        for (from, msg) in inbox {
+            match msg {
+                OrderMsg::Wave(w, m) => per_wave.entry(*w).or_default().push((from, m)),
+                _ if !running => {}
+                OrderMsg::Present => {
+                    self.s.insert(from);
+                    out.push((Dest::To(from), OrderMsg::Ack(self.r)));
+                }
+                OrderMsg::Absent => {
+                    self.s.remove(&from);
+                }
+                // A round without a successor matches no loop round.
+                OrderMsg::Event(m, round)
+                    if round.checked_add(1) == Some(self.r) && self.s.contains(&from) =>
+                {
+                    // Deterministic pick if an equivocating origin sends
+                    // several events in one round.
+                    let pick = events.entry(from).or_insert(m);
+                    *pick = m.min(*pick);
+                }
+                _ => {}
+            }
+        }
 
-        if leaving_now {
-            ctx.broadcast(OrderMsg::Absent);
+        if running && self.leave_at == Some(self.r) {
+            out.push((Dest::Broadcast, OrderMsg::Absent));
             self.mode = Mode::Leaving;
         }
 
         if self.mode == Mode::Running {
             // Witness this round's event, if any.
             if let Some(m) = self.events.remove(&self.r) {
-                ctx.broadcast(OrderMsg::Event(m, self.r));
+                out.push((Dest::Broadcast, OrderMsg::Event(m, self.r)));
             }
             // Start wave r with the events received this round, with respect
             // to the current S.
-            let core =
-                ParallelConsensusCore::new(self.me, event_inputs).restrict_to(self.s.clone());
-            self.waves.insert(
-                self.r,
-                WaveState {
-                    core,
-                    local_round: 0,
-                },
-            );
+            let inputs = events.into_iter().map(|(origin, m)| (origin, m.clone()));
+            let core = ParallelConsensusCore::new(self.me, inputs).restrict_to(self.s.clone());
+            self.waves.insert(self.r, core);
             self.s_sizes.insert(self.r, self.s.len());
         }
 
-        self.step_waves(&inbox, ctx);
+        // Step every in-flight wave with its share of this round's inbox.
+        let mut wave_out = Vec::new();
+        let r = self.r;
+        self.waves.retain(|&w, wave| {
+            let wave_inbox = per_wave.remove(&w).unwrap_or_default();
+            wave.step(r - w + 1, wave_inbox, &mut wave_out);
+            out.extend(
+                wave_out
+                    .drain(..)
+                    .map(|m| (Dest::Broadcast, OrderMsg::Wave(w, m))),
+            );
+            match wave.output() {
+                Some(result) => {
+                    self.results.insert(w, result.clone());
+                    false
+                }
+                None => true,
+            }
+        });
 
-        if self.mode == Mode::Leaving && self.waves.is_empty() {
-            self.done = Some(self.chain());
-            self.mode = Mode::Done;
-        }
-        if self.mode != Mode::Done && self.horizon == Some(self.r) {
+        let left = self.mode == Mode::Leaving && self.waves.is_empty();
+        if left || self.horizon == Some(self.r) {
             self.done = Some(self.chain());
             self.mode = Mode::Done;
         }
@@ -379,53 +401,13 @@ impl<V: Value> Process for TotalOrdering<V> {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, OrderMsg<V>>) {
-        match self.mode {
-            Mode::Genesis => {
-                // Founders announce themselves so everyone discovers
-                // everyone in the first loop round.
-                ctx.broadcast(OrderMsg::Present);
-                self.mode = Mode::Running;
-                self.loop_round(ctx);
+        let mut out = Vec::new();
+        self.step(ctx.inbox().iter().map(|e| (e.from, e.msg())), &mut out);
+        for (dest, msg) in out {
+            match dest {
+                Dest::Broadcast => ctx.broadcast(msg),
+                Dest::To(to) => ctx.send(to, msg),
             }
-            Mode::JoinAnnounce => {
-                ctx.broadcast(OrderMsg::Present);
-                self.mode = Mode::JoinWait;
-            }
-            Mode::JoinWait => {
-                // Acks are in flight; record other joiners' presents so that
-                // simultaneous joiners know each other.
-                for env in ctx.inbox() {
-                    if matches!(env.msg(), OrderMsg::Present) {
-                        self.s.insert(env.from);
-                    }
-                }
-                let acks: Vec<(NodeId, u64)> = ctx
-                    .inbox()
-                    .iter()
-                    .filter_map(|e| match *e.msg() {
-                        OrderMsg::Ack(t) => Some((e.from, t)),
-                        _ => None,
-                    })
-                    .collect();
-                if !acks.is_empty() {
-                    // Majority round among the acks (ties toward smaller).
-                    let mut tallies: BTreeMap<u64, usize> = BTreeMap::new();
-                    for (_, t) in &acks {
-                        *tallies.entry(*t).or_insert(0) += 1;
-                    }
-                    let (&r0, _) = tallies
-                        .iter()
-                        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                        .expect("non-empty ack tally");
-                    self.r = r0 + 1;
-                    for (from, _) in acks {
-                        self.s.insert(from);
-                    }
-                    self.mode = Mode::Running;
-                }
-            }
-            Mode::Running | Mode::Leaving => self.loop_round(ctx),
-            Mode::Done => {}
         }
     }
 
@@ -613,6 +595,49 @@ mod tests {
                 assert_eq!(chain.len(), 4, "stayers order all events");
             }
         }
+    }
+
+    #[test]
+    fn rounds_without_a_successor_are_ignored_not_overflowed() {
+        // A Byzantine node floods `Event(_, u64::MAX)` and `Ack(u64::MAX)`.
+        // The event reaches every running member's `round + 1 == r` test;
+        // the ack reaches the joiner one round before any honest ack can
+        // (the adversary need not wait for the `present`), so it is the
+        // whole ack tally of that round. Neither round has a successor:
+        // the event matches no loop round and the ack is not adopted.
+        use uba_sim::{AdversaryOutbox, AdversaryView, FnAdversary};
+        type M = OrderMsg<u64>;
+        let ids = sparse_ids(5, 91);
+        let joiner = ids[4];
+        let byz = NodeId::new(13);
+        let adv = FnAdversary::new(
+            move |_: &AdversaryView<'_, M>, out: &mut AdversaryOutbox<M>| {
+                out.broadcast(byz, OrderMsg::Event(7, u64::MAX));
+                out.broadcast(byz, OrderMsg::Ack(u64::MAX));
+            },
+        );
+        let mut churn: ChurnSchedule<TotalOrdering<u64>> = ChurnSchedule::new();
+        churn.join_correct(5, TotalOrdering::joining(joiner).with_horizon(40));
+        let mut engine = SyncEngine::builder()
+            .correct_many(ids[..4].iter().map(|&id| {
+                TotalOrdering::genesis(id)
+                    .with_events([(3, id.raw() % 100)])
+                    .with_horizon(40)
+            }))
+            .faulty(byz)
+            .adversary(adv)
+            .churn(churn)
+            .build();
+        engine.run_rounds(10);
+        let rounds: BTreeSet<u64> = ids
+            .iter()
+            .map(|&id| engine.process(id).expect("present").round())
+            .collect();
+        assert_eq!(rounds.len(), 1, "joiner adopted the members' round");
+        let done = engine.run_to_completion(45).expect("horizon");
+        let chain = &done.outputs[&ids[0]];
+        assert_eq!(chain.len(), 4, "the honest events, and only those");
+        assert!(ids[..4].iter().all(|id| &done.outputs[id] == chain));
     }
 
     #[test]

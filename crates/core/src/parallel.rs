@@ -21,19 +21,24 @@
 //! `id:nopreference` / `id:nostrongpreference` messages let receivers
 //! distinguish an aware-but-undecided node from an unaware one.
 //!
+//! The shared initialization, membership freeze, rotor step and coordinator
+//! pick are the crate's phase frame (`phase.rs`), and every threshold is
+//! evaluated by its one substitution tally; this file adds what is
+//! Algorithm 5's own — the per-instance ladder with its explicit
+//! no-preference markers, the join windows, and which value fills a silent
+//! member's slot (`⊥`, the node's own message, or its logical input).
+//!
 //! The driving structure is exposed as [`ParallelConsensusCore`] (local
-//! round numbers, messages in/out) so that the total-ordering protocol can
-//! run one core per *wave*, and as the standalone [`ParallelConsensus`]
-//! process.
+//! round numbers, borrowed messages in, messages out) so that vector
+//! consensus can embed it and the total-ordering protocol can run one core
+//! per *wave*, and as the standalone [`ParallelConsensus`] process.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use uba_sim::{Context, Envelope, NodeId, Process};
+use uba_sim::{Context, NodeId, Process};
 
-use crate::consensus::phase_of_round;
-use crate::quorum::{max_tally, meets_third, meets_two_thirds, quorum_value};
-use crate::rotor::RotorCore;
-use crate::tracker::{FrozenMembership, ParticipantTracker};
+use crate::phase::{FrameMsg, PhaseFrame, RotorPart, Tick};
+use crate::quorum::{meets_third, meets_two_thirds};
 use crate::value::Value;
 
 /// Messages of the parallel-consensus protocol. `I` identifies the
@@ -58,19 +63,40 @@ pub enum ParMsg<I, V> {
     NoStrongPreference(I),
 }
 
-/// A received prefer-class message: `Some(value)` for `prefer(value)`,
-/// `None` for an explicit `nopreference`.
-type PreferClass<V> = Option<Option<V>>;
+impl<I, V> FrameMsg for ParMsg<I, V> {
+    fn from_rotor(part: RotorPart) -> Self {
+        match part {
+            RotorPart::Init => ParMsg::RotorInit,
+            RotorPart::Echo(p) => ParMsg::RotorEcho(p),
+        }
+    }
 
-/// What a node last sent in a given message slot of the current phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SentSlot<V> {
-    /// Nothing was sent in this slot.
-    NotSent,
-    /// An explicit no-preference marker was sent.
-    No,
-    /// A value (possibly `⊥`) was sent.
-    Val(Option<V>),
+    fn as_rotor(&self) -> Option<RotorPart> {
+        match *self {
+            ParMsg::RotorInit => Some(RotorPart::Init),
+            ParMsg::RotorEcho(p) => Some(RotorPart::Echo(p)),
+            _ => None,
+        }
+    }
+}
+
+/// What a message says in its slot: `Some(x)` names the opinion `x` (itself
+/// possibly `⊥`), `None` is the explicit no-preference marker.
+type Vote<'a, V> = Option<Option<&'a V>>;
+
+/// The best-supported opinion of a slot and its count.
+type Winner<V> = Option<(Option<V>, usize)>;
+
+/// What a silent member is counted with in a slot where this node last
+/// `sent` a value (`None`: it sent nothing, or the explicit no-preference
+/// marker): `⊥` the first time the message type is heard (phase 1), the
+/// node's own value afterwards — nothing if it named none.
+fn own_or_bottom<V>(sent: &Option<Option<V>>, phase: u64) -> Vote<'_, V> {
+    if phase == 1 {
+        Some(None)
+    } else {
+        sent.as_ref().map(Option::as_ref)
+    }
 }
 
 /// Per-instance state.
@@ -84,12 +110,13 @@ struct Instance<V> {
     /// This node's logical input this phase: its opinion at phase start.
     /// A `⊥` opinion is not broadcast, but it still drives substitution.
     logical_input: Option<V>,
-    sent_prefer: SentSlot<V>,
-    sent_strong: SentSlot<V>,
-    /// Members that sent a strongprefer-class message in phase-round 4.
-    strong_senders: BTreeSet<NodeId>,
-    /// Strongprefer tally collected in phase-round 4 (evaluated in round 5).
-    strong_counts: BTreeMap<Option<V>, usize>,
+    /// The value (possibly `⊥`) this node named in its prefer / strongprefer
+    /// of the current phase, if it named one.
+    sent_prefer: Option<Option<V>>,
+    sent_strong: Option<Option<V>>,
+    /// Best-supported strongprefer and its count, tallied in phase-round 4
+    /// (evaluated in round 5).
+    strongest: Winner<V>,
     /// Members that sent any message of this instance in the previous
     /// phase. A member silent at the input round but active last phase is
     /// an alive `⊥`-holder (substituted with `input(⊥)`); a member with no
@@ -106,10 +133,9 @@ impl<V> Instance<V> {
             x,
             joined_r5: false,
             logical_input: None,
-            sent_prefer: SentSlot::NotSent,
-            sent_strong: SentSlot::NotSent,
-            strong_senders: BTreeSet::new(),
-            strong_counts: BTreeMap::new(),
+            sent_prefer: None,
+            sent_strong: None,
+            strongest: None,
             active_prev: BTreeSet::new(),
             active_cur: BTreeSet::new(),
         }
@@ -123,19 +149,14 @@ impl<V> Instance<V> {
 /// messages.
 #[derive(Clone, Debug)]
 pub struct ParallelConsensusCore<I, V> {
-    me: NodeId,
+    frame: PhaseFrame,
     /// When set, only messages from these nodes are accepted at all — the
     /// total-ordering algorithm's "run with respect to the set S".
     restrict: Option<BTreeSet<NodeId>>,
-    tracker: ParticipantTracker,
-    frozen: Option<FrozenMembership>,
-    rotor: RotorCore,
-    rotor_echo_buf: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// This node's own input pairs, instantiated at phase 1 round 1.
     own_inputs: BTreeMap<I, V>,
     instances: BTreeMap<I, Instance<V>>,
     finished: BTreeMap<I, Option<V>>,
-    this_phase_coordinator: Option<NodeId>,
     done: Option<BTreeMap<I, V>>,
 }
 
@@ -143,16 +164,11 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
     /// Creates a core for node `me` with its input pairs.
     pub fn new<P: IntoIterator<Item = (I, V)>>(me: NodeId, inputs: P) -> Self {
         ParallelConsensusCore {
-            me,
+            frame: PhaseFrame::new(me),
             restrict: None,
-            tracker: ParticipantTracker::new(),
-            frozen: None,
-            rotor: RotorCore::new(),
-            rotor_echo_buf: BTreeMap::new(),
             own_inputs: inputs.into_iter().collect(),
             instances: BTreeMap::new(),
             finished: BTreeMap::new(),
-            this_phase_coordinator: None,
             done: None,
         }
     }
@@ -179,64 +195,63 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
         &self.finished
     }
 
-    fn known(&self, id: &I) -> bool {
-        self.instances.contains_key(id) || self.finished.contains_key(id)
+    /// One message slot for every instance at once: groups the messages
+    /// `slot` recognises by instance, opens the join window (phase 1 only:
+    /// an identifier first heard in a message that names a value — an
+    /// explicit no-preference does not create awareness), and tallies each
+    /// instance's votes with `fill` standing in for its silent members.
+    /// Returns the winners in instance order.
+    fn tally_slot<'a>(
+        &mut self,
+        tick: &Tick<'a, ParMsg<I, V>>,
+        slot: impl Fn(&'a ParMsg<I, V>) -> Option<(&'a I, Vote<'a, V>)>,
+        fill: impl for<'b> Fn(&'b Instance<V>, NodeId) -> Vote<'b, V>,
+    ) -> Vec<Winner<V>> {
+        let mut per_id: BTreeMap<&I, Vec<(NodeId, Vote<'_, V>)>> = BTreeMap::new();
+        for &(from, msg) in &tick.inbox {
+            if let Some((id, vote)) = slot(msg) {
+                per_id.entry(id).or_default().push((from, vote));
+            }
+        }
+        if tick.phase == 1 {
+            for (&id, votes) in &per_id {
+                let known = self.instances.contains_key(id) || self.finished.contains_key(id);
+                if !known && votes.iter().any(|(_, vote)| vote.is_some()) {
+                    let mut inst = Instance::new(None);
+                    inst.joined_r5 = tick.round == 4;
+                    self.instances.insert(id.clone(), inst);
+                }
+            }
+        }
+        let winners = self.instances.iter_mut().map(|(id, inst)| {
+            let votes = per_id.remove(id).unwrap_or_default();
+            inst.active_cur.extend(votes.iter().map(|(from, _)| *from));
+            let winner = self.frame.tally(votes, |m| fill(inst, m));
+            winner.map(|(v, count)| (v.cloned(), count))
+        });
+        winners.collect()
     }
 
-    /// Executes one local round. `inbox` is this round's delivered messages;
-    /// outgoing broadcasts are appended to `out`.
-    pub fn on_round(
+    /// Executes one local round (1-based) on this round's delivered
+    /// messages; outgoing broadcasts are appended to `out`. This is the
+    /// whole protocol: [`ParallelConsensus`] adapts the engine's context to
+    /// it, vector consensus and the total-ordering waves call it with a
+    /// projection of their own inbox.
+    pub fn step<'a>(
         &mut self,
         local_round: u64,
-        inbox: &[Envelope<ParMsg<I, V>>],
+        inbox: impl IntoIterator<Item = (NodeId, &'a ParMsg<I, V>)>,
         out: &mut Vec<ParMsg<I, V>>,
     ) {
-        let inbox: Vec<&Envelope<ParMsg<I, V>>> = match &self.restrict {
-            Some(allow) => inbox.iter().filter(|e| allow.contains(&e.from)).collect(),
-            None => inbox.iter().collect(),
-        };
-        match local_round {
-            1 => {
-                out.push(ParMsg::RotorInit);
-                return;
-            }
-            2 => {
-                for env in &inbox {
-                    self.tracker.observe(env.from);
-                }
-                let initiators: BTreeSet<NodeId> = inbox
-                    .iter()
-                    .filter(|e| matches!(e.msg(), ParMsg::RotorInit))
-                    .map(|e| e.from)
-                    .collect();
-                for p in initiators {
-                    out.push(ParMsg::RotorEcho(p));
-                }
-                return;
-            }
-            3 => {
-                for env in &inbox {
-                    self.tracker.observe(env.from);
-                }
-                self.frozen = Some(self.tracker.freeze());
-            }
-            _ => {}
-        }
-
-        let frozen = self.frozen.clone().expect("initialized");
-        // Everything below only accepts messages from frozen members.
-        let inbox: Vec<&Envelope<ParMsg<I, V>>> = inbox
+        let restrict = self.restrict.as_ref();
+        let inbox = inbox
             .into_iter()
-            .filter(|e| frozen.contains(e.from))
-            .collect();
-        for env in &inbox {
-            if let &ParMsg::RotorEcho(p) = env.msg() {
-                self.rotor_echo_buf.entry(p).or_default().insert(env.from);
-            }
-        }
-        let n = frozen.n();
-        let (phase, phase_round) = phase_of_round(local_round);
-        match phase_round {
+            .filter(|(from, _)| restrict.is_none_or(|allow| allow.contains(from)));
+        let Some(tick) = self.frame.begin(local_round, inbox, out) else {
+            return;
+        };
+        let (phase, n) = (tick.phase, tick.n);
+        match tick.round {
             1 => {
                 if phase == 1 {
                     let own = std::mem::take(&mut self.own_inputs);
@@ -244,12 +259,9 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
                         self.instances.insert(id, Instance::new(Some(x)));
                     }
                 }
-                self.this_phase_coordinator = None;
                 for (id, inst) in self.instances.iter_mut() {
-                    inst.sent_prefer = SentSlot::NotSent;
-                    inst.sent_strong = SentSlot::NotSent;
-                    inst.strong_senders.clear();
-                    inst.strong_counts.clear();
+                    inst.sent_prefer = None;
+                    inst.sent_strong = None;
                     inst.joined_r5 = false;
                     inst.active_prev = std::mem::take(&mut inst.active_cur);
                     inst.logical_input = inst.x.clone();
@@ -259,116 +271,57 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
                 }
             }
             2 => {
-                // Group this round's input messages per instance.
-                let mut per_id: BTreeMap<I, Vec<(NodeId, V)>> = BTreeMap::new();
-                for env in &inbox {
-                    if let ParMsg::Input(id, v) = env.msg() {
-                        per_id
-                            .entry(id.clone())
-                            .or_default()
-                            .push((env.from, v.clone()));
-                    }
-                }
                 // Join window: id:input first heard in round 2 of phase 1.
-                if phase == 1 {
-                    for id in per_id.keys() {
-                        if !self.known(id) {
-                            self.instances.insert(id.clone(), Instance::new(None));
+                let input = |m: &'a ParMsg<I, V>| match m {
+                    ParMsg::Input(id, v) => Some((id, Some(Some(v)))),
+                    _ => None,
+                };
+                let winners = self.tally_slot(&tick, input, |inst, m| {
+                    // First time this type is heard, or a member alive last
+                    // phase but silent at the input round: it logically
+                    // holds ⊥. Otherwise it terminated or is
+                    // Byzantine-silent: the receiver's own logical input
+                    // (Algorithm 3's rule).
+                    let bottom = phase == 1 || inst.active_prev.contains(&m);
+                    Some(inst.logical_input.as_ref().filter(|_| !bottom))
+                });
+                for ((id, inst), winner) in self.instances.iter_mut().zip(winners) {
+                    match winner.filter(|(_, c)| meets_two_thirds(*c, n)) {
+                        Some((x, _)) => {
+                            out.push(ParMsg::Prefer(id.clone(), x.clone()));
+                            inst.sent_prefer = Some(x);
                         }
-                    }
-                }
-                for (id, inst) in self.instances.iter_mut() {
-                    let msgs = per_id.remove(id).unwrap_or_default();
-                    let mut senders: BTreeSet<NodeId> = BTreeSet::new();
-                    let mut counts: BTreeMap<Option<V>, usize> = BTreeMap::new();
-                    for (from, v) in msgs {
-                        senders.insert(from);
-                        inst.active_cur.insert(from);
-                        *counts.entry(Some(v)).or_insert(0) += 1;
-                    }
-                    for m in frozen.members() {
-                        if senders.contains(m) {
-                            continue;
+                        None => {
+                            out.push(ParMsg::NoPreference(id.clone()));
+                            inst.sent_prefer = None;
                         }
-                        let fill = if phase == 1 {
-                            // First time this type is heard: fill input(⊥).
-                            None
-                        } else if inst.active_prev.contains(m) {
-                            // Alive last phase but silent at the input
-                            // round: it logically holds ⊥.
-                            None
-                        } else {
-                            // Terminated or Byzantine-silent: the receiver's
-                            // own logical input (Algorithm 3's rule).
-                            inst.logical_input.clone()
-                        };
-                        *counts.entry(fill).or_insert(0) += 1;
-                    }
-                    if let Some(x) = quorum_value(&counts, n, meets_two_thirds) {
-                        out.push(ParMsg::Prefer(id.clone(), x.clone()));
-                        inst.sent_prefer = SentSlot::Val(x);
-                    } else {
-                        out.push(ParMsg::NoPreference(id.clone()));
-                        inst.sent_prefer = SentSlot::No;
                     }
                 }
             }
             3 => {
-                let mut per_id: BTreeMap<I, Vec<(NodeId, PreferClass<V>)>> = BTreeMap::new();
-                for env in &inbox {
-                    match env.msg() {
-                        ParMsg::Prefer(id, v) => per_id
-                            .entry(id.clone())
-                            .or_default()
-                            .push((env.from, Some(v.clone()))),
-                        ParMsg::NoPreference(id) => {
-                            per_id.entry(id.clone()).or_default().push((env.from, None))
-                        }
-                        _ => {}
+                // Join window: id:prefer first heard in round 3 of phase 1.
+                let prefer = |m: &'a ParMsg<I, V>| match m {
+                    ParMsg::Prefer(id, v) => Some((id, Some(v.as_ref()))),
+                    ParMsg::NoPreference(id) => Some((id, None)),
+                    _ => None,
+                };
+                let winners = self.tally_slot(&tick, prefer, |inst, _| {
+                    own_or_bottom(&inst.sent_prefer, phase)
+                });
+                for ((id, inst), winner) in self.instances.iter_mut().zip(winners) {
+                    if let Some((v, _)) = winner.as_ref().filter(|(_, c)| meets_third(*c, n)) {
+                        inst.x = v.clone();
                     }
-                }
-                // Join window: id:prefer first heard in round 3 of phase 1
-                // (an explicit nopreference does not create awareness).
-                if phase == 1 {
-                    for (id, msgs) in &per_id {
-                        if !self.known(id) && msgs.iter().any(|(_, v)| v.is_some()) {
-                            self.instances.insert(id.clone(), Instance::new(None));
-                        }
-                    }
-                }
-                for (id, inst) in self.instances.iter_mut() {
-                    let msgs = per_id.remove(id).unwrap_or_default();
-                    let mut senders: BTreeSet<NodeId> = BTreeSet::new();
-                    let mut counts: BTreeMap<Option<V>, usize> = BTreeMap::new();
-                    for (from, v) in msgs {
-                        senders.insert(from);
-                        inst.active_cur.insert(from);
-                        if let Some(val) = v {
-                            *counts.entry(val).or_insert(0) += 1;
-                        }
-                    }
-                    let missing = frozen
-                        .members()
-                        .iter()
-                        .filter(|m| !senders.contains(m))
-                        .count();
-                    if phase == 1 {
-                        *counts.entry(None).or_insert(0) += missing;
-                    } else if let SentSlot::Val(own) = &inst.sent_prefer {
-                        *counts.entry(own.clone()).or_insert(0) += missing;
-                    }
-                    if let Some((v, c)) = max_tally(&counts) {
-                        if meets_third(c, n) {
-                            inst.x = v.clone();
-                        }
-                        if meets_two_thirds(c, n) {
+                    match winner.filter(|(_, c)| meets_two_thirds(*c, n)) {
+                        Some((v, _)) => {
                             out.push(ParMsg::StrongPrefer(id.clone(), v.clone()));
-                            inst.sent_strong = SentSlot::Val(v);
-                            continue;
+                            inst.sent_strong = Some(v);
+                        }
+                        None => {
+                            out.push(ParMsg::NoStrongPreference(id.clone()));
+                            inst.sent_strong = None;
                         }
                     }
-                    out.push(ParMsg::NoStrongPreference(id.clone()));
-                    inst.sent_strong = SentSlot::No;
                 }
             }
             4 => {
@@ -376,102 +329,46 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
                 // Join window: id:strongprefer "first heard during the fifth
                 // round" — the message physically arrives now and is
                 // evaluated (and the join takes effect) in round 5.
-                if phase == 1 {
-                    for env in &inbox {
-                        if let ParMsg::StrongPrefer(id, _) = env.msg() {
-                            if !self.known(id) {
-                                let mut inst = Instance::new(None);
-                                inst.joined_r5 = true;
-                                self.instances.insert(id.clone(), inst);
-                            }
-                        }
-                    }
-                }
-                for env in &inbox {
-                    match env.msg() {
-                        ParMsg::StrongPrefer(id, v) => {
-                            if let Some(inst) = self.instances.get_mut(id) {
-                                inst.strong_senders.insert(env.from);
-                                inst.active_cur.insert(env.from);
-                                *inst.strong_counts.entry(v.clone()).or_insert(0) += 1;
-                            }
-                        }
-                        ParMsg::NoStrongPreference(id) => {
-                            if let Some(inst) = self.instances.get_mut(id) {
-                                inst.strong_senders.insert(env.from);
-                                inst.active_cur.insert(env.from);
-                            }
-                        }
-                        _ => {}
-                    }
+                let strong = |m: &'a ParMsg<I, V>| match m {
+                    ParMsg::StrongPrefer(id, v) => Some((id, Some(v.as_ref()))),
+                    ParMsg::NoStrongPreference(id) => Some((id, None)),
+                    _ => None,
+                };
+                let winners = self.tally_slot(&tick, strong, |inst, _| {
+                    own_or_bottom(&inst.sent_strong, phase)
+                });
+                for (inst, winner) in self.instances.values_mut().zip(winners) {
+                    inst.strongest = winner;
                 }
                 // One shared rotor step for all instances.
-                let support: BTreeMap<NodeId, usize> = self
-                    .rotor_echo_buf
-                    .iter()
-                    .map(|(p, s)| (*p, s.len()))
-                    .collect();
-                self.rotor_echo_buf.clear();
-                let step = self.rotor.step(n, &support);
-                if !step.terminated {
-                    for p in &step.re_echo {
-                        out.push(ParMsg::RotorEcho(*p));
-                    }
-                    self.this_phase_coordinator = step.coordinator;
-                    if step.coordinator == Some(self.me) {
-                        for (id, inst) in &self.instances {
-                            if !inst.joined_r5 {
-                                out.push(ParMsg::Opinion(id.clone(), inst.x.clone()));
-                            }
+                if self.frame.rotor_step(n, out) {
+                    for (id, inst) in &self.instances {
+                        if !inst.joined_r5 {
+                            out.push(ParMsg::Opinion(id.clone(), inst.x.clone()));
                         }
                     }
                 }
             }
             5 => {
-                let mut opinions: BTreeMap<I, Vec<Option<V>>> = BTreeMap::new();
-                if let Some(p) = self.this_phase_coordinator {
-                    for env in &inbox {
-                        if env.from == p {
-                            if let ParMsg::Opinion(id, v) = env.msg() {
-                                opinions.entry(id.clone()).or_default().push(v.clone());
-                            }
+                let (frame, finished) = (&self.frame, &mut self.finished);
+                self.instances.retain(|id, inst| {
+                    let strongest = inst.strongest.take();
+                    if !strongest.as_ref().is_some_and(|(_, c)| meets_third(*c, n)) {
+                        if let Some(c) = frame.coordinator_opinion(&tick.inbox, |m| match m {
+                            ParMsg::Opinion(i, v) if i == id => Some(v),
+                            _ => None,
+                        }) {
+                            inst.x = c.clone();
                         }
                     }
-                }
-                let mut newly_finished: Vec<I> = Vec::new();
-                for (id, inst) in self.instances.iter_mut() {
-                    let mut counts = inst.strong_counts.clone();
-                    let missing = frozen
-                        .members()
-                        .iter()
-                        .filter(|m| !inst.strong_senders.contains(m))
-                        .count();
-                    if phase == 1 {
-                        *counts.entry(None).or_insert(0) += missing;
-                    } else if let SentSlot::Val(own) = &inst.sent_strong {
-                        *counts.entry(own.clone()).or_insert(0) += missing;
-                    }
-                    let strongest = max_tally(&counts);
-                    let has_third = strongest.as_ref().is_some_and(|(_, c)| meets_third(*c, n));
-                    if !has_third {
-                        if let Some(cs) = opinions.get(id) {
-                            let mut cs = cs.clone();
-                            cs.sort();
-                            if let Some(c) = cs.first() {
-                                inst.x = c.clone();
-                            }
+                    match strongest.filter(|(_, c)| meets_two_thirds(*c, n)) {
+                        Some((v, _)) => {
+                            finished.insert(id.clone(), v);
+                            false
                         }
+                        None => true,
                     }
-                    if let Some((v, c)) = strongest {
-                        if meets_two_thirds(c, n) {
-                            newly_finished.push(id.clone());
-                            self.finished.insert(id.clone(), v);
-                        }
-                    }
-                }
-                for id in newly_finished {
-                    self.instances.remove(&id);
-                }
+                });
                 // No identifier can be joined after phase 1, so once every
                 // instance has terminated the output set is final.
                 if self.instances.is_empty() && self.done.is_none() {
@@ -534,12 +431,13 @@ impl<I: Value, V: Value> Process for ParallelConsensus<I, V> {
     type Output = BTreeMap<I, V>;
 
     fn id(&self) -> NodeId {
-        self.core.me
+        self.core.frame.me()
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, ParMsg<I, V>>) {
         let mut out = Vec::new();
-        self.core.on_round(ctx.round(), ctx.inbox(), &mut out);
+        let inbox = ctx.inbox().iter().map(|e| (e.from, e.msg()));
+        self.core.step(ctx.round(), inbox, &mut out);
         for msg in out {
             ctx.broadcast(msg);
         }

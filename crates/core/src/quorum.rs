@@ -68,17 +68,6 @@ pub fn max_tally<V: Ord + Clone>(tally: &BTreeMap<V, usize>) -> Option<(V, usize
         .map(|(v, c)| (v.clone(), *c))
 }
 
-/// The unique value whose count meets `threshold(count, n)`, selected
-/// deterministically via [`max_tally`] if several qualify.
-pub fn quorum_value<V: Ord + Clone>(
-    tally: &BTreeMap<V, usize>,
-    n: usize,
-    threshold: fn(usize, usize) -> bool,
-) -> Option<V> {
-    let (v, c) = max_tally(tally)?;
-    threshold(c, n).then_some(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,12 +115,5 @@ mod tests {
         assert_eq!(max_tally(&t), Some((1, 2)));
         let empty: BTreeMap<u8, usize> = BTreeMap::new();
         assert_eq!(max_tally(&empty), None);
-    }
-
-    #[test]
-    fn quorum_value_respects_threshold() {
-        let t = tally(vec![5, 5, 5, 9]);
-        assert_eq!(quorum_value(&t, 4, meets_two_thirds), Some(5));
-        assert_eq!(quorum_value(&t, 12, meets_two_thirds), None);
     }
 }

@@ -77,7 +77,7 @@ pub struct RotorStep {
 /// // Reselecting `a` terminates the rotor.
 /// assert!(rotor.step(3, &BTreeMap::new()).terminated);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RotorCore {
     candidates: BTreeSet<NodeId>,
     selected: BTreeSet<NodeId>,
@@ -89,13 +89,7 @@ pub struct RotorCore {
 impl RotorCore {
     /// Creates an empty rotor state.
     pub fn new() -> Self {
-        RotorCore {
-            candidates: BTreeSet::new(),
-            selected: BTreeSet::new(),
-            step_index: 0,
-            terminated: false,
-            selection_log: Vec::new(),
-        }
+        Self::default()
     }
 
     /// The candidate set `C_v`, ordered by id.
@@ -166,12 +160,6 @@ impl RotorCore {
             coordinator,
             terminated: false,
         }
-    }
-}
-
-impl Default for RotorCore {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -282,20 +270,18 @@ impl<V: Value> Process for RotorCoordinator<V> {
                 // Opinion from the previous round's coordinator (checked
                 // against the unforgeable envelope sender).
                 if let Some(prev) = self.prev_coordinator {
-                    let mut opinions: Vec<&V> = ctx
+                    // A Byzantine coordinator may send several distinct
+                    // opinions in one round; pick deterministically.
+                    let opinions = ctx
                         .inbox()
                         .iter()
                         .filter(|e| e.from == prev)
                         .filter_map(|e| match e.msg() {
                             RotorMsg::Opinion(x) => Some(x),
                             _ => None,
-                        })
-                        .collect();
-                    // A Byzantine coordinator may send several distinct
-                    // opinions in one round; pick deterministically.
-                    opinions.sort();
-                    if let Some(x) = opinions.first() {
-                        self.accepted_opinions.push((round, prev, (*x).clone()));
+                        });
+                    if let Some(x) = opinions.min() {
+                        self.accepted_opinions.push((round, prev, x.clone()));
                     }
                 }
 

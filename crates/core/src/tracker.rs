@@ -59,11 +59,6 @@ impl ParticipantTracker {
         self.seen.contains(&id)
     }
 
-    /// The tracked identifiers in ascending order.
-    pub fn ids(&self) -> &BTreeSet<NodeId> {
-        &self.seen
-    }
-
     /// Freezes the current membership into an immutable snapshot, as the
     /// consensus algorithms do after their two initialization rounds
     /// ("later, a node only accepts messages from a node if it counted
@@ -82,12 +77,6 @@ pub struct FrozenMembership {
 }
 
 impl FrozenMembership {
-    /// Builds a snapshot from an explicit member set (used by protocols that
-    /// receive the set from elsewhere, e.g. a total-ordering wave's `S`).
-    pub fn from_members(members: BTreeSet<NodeId>) -> Self {
-        FrozenMembership { members }
-    }
-
     /// The frozen `n_v`.
     pub fn n(&self) -> usize {
         self.members.len()
@@ -101,15 +90,6 @@ impl FrozenMembership {
     /// Members in ascending order.
     pub fn members(&self) -> &BTreeSet<NodeId> {
         &self.members
-    }
-
-    /// Keeps only the envelopes whose senders are members — the "discard
-    /// messages from other nodes" rule of the consensus algorithms.
-    pub fn filter_inbox<'a, M>(
-        &'a self,
-        inbox: &'a [Envelope<M>],
-    ) -> impl Iterator<Item = &'a Envelope<M>> {
-        inbox.iter().filter(|e| self.members.contains(&e.from))
     }
 }
 
@@ -140,23 +120,5 @@ mod tests {
         assert_eq!(t.n(), 2);
         assert!(frozen.contains(NodeId::new(1)));
         assert!(!frozen.contains(NodeId::new(2)));
-    }
-
-    #[test]
-    fn filter_inbox_discards_non_members() {
-        let mut t = ParticipantTracker::new();
-        t.observe(NodeId::new(1));
-        let frozen = t.freeze();
-        let inbox = vec![env(1, "in"), env(2, "out")];
-        let kept: Vec<_> = frozen.filter_inbox(&inbox).collect();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(*kept[0].msg(), "in");
-    }
-
-    #[test]
-    fn from_members_builds_snapshot() {
-        let members: BTreeSet<NodeId> = [NodeId::new(4)].into();
-        let frozen = FrozenMembership::from_members(members);
-        assert_eq!(frozen.n(), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! and unforgeability follow from consensus validity, relay from consensus
 //! agreement.
 
-use uba_sim::{Context, Envelope, NodeId, Outbox, Process};
+use uba_sim::{Context, NodeId, Process};
 
 use crate::consensus::{ConsensusMsg, EarlyConsensus};
 use crate::value::Value;
@@ -72,34 +72,6 @@ impl<M: Value> TerminatingBroadcast<M> {
             inner: None,
         }
     }
-
-    /// Delegates one round to the embedded consensus, shifting the round
-    /// number by the one-round preamble and translating messages.
-    fn delegate(&mut self, ctx: &mut Context<'_, TrbMsg<M>>) {
-        let inner_round = ctx.round() - 1;
-        let inner_inbox: Vec<Envelope<ConsensusMsg<Option<M>>>> = ctx
-            .inbox()
-            .iter()
-            .filter_map(|e| match e.msg() {
-                TrbMsg::Con(c) => Some(Envelope::new(e.from, c.clone())),
-                _ => None,
-            })
-            .collect();
-        let mut inner_outbox = Outbox::new();
-        {
-            let mut inner_ctx = Context::new(inner_round, &inner_inbox, &mut inner_outbox);
-            self.inner
-                .as_mut()
-                .expect("inner consensus initialized in round 2")
-                .on_round(&mut inner_ctx);
-        }
-        for out in inner_outbox.drain() {
-            match out.dest {
-                uba_sim::Dest::Broadcast => ctx.broadcast(TrbMsg::Con(out.msg)),
-                uba_sim::Dest::To(to) => ctx.send(to, TrbMsg::Con(out.msg)),
-            }
-        }
-    }
 }
 
 impl<M: Value> Process for TerminatingBroadcast<M> {
@@ -124,20 +96,29 @@ impl<M: Value> Process for TerminatingBroadcast<M> {
         if ctx.round() == 2 {
             // The consensus input is the message received directly from the
             // sender (`⊥` otherwise); envelope sender ids are unforgeable.
-            let mut direct: Vec<&M> = ctx
+            let direct = ctx
                 .inbox()
                 .iter()
                 .filter(|e| e.from == self.sender)
                 .filter_map(|e| match e.msg() {
                     TrbMsg::Payload(m) => Some(m),
                     _ => None,
-                })
-                .collect();
-            direct.sort();
-            let input: Option<M> = direct.first().map(|m| (*m).clone());
+                });
+            let input = direct.min().cloned();
             self.inner = Some(EarlyConsensus::new(self.me, input));
         }
-        self.delegate(ctx);
+        // The embedded consensus runs one round behind, on the `Con` part of
+        // this round's inbox.
+        let inner = self.inner.as_mut().expect("initialized in round 2");
+        let inner_inbox = ctx.inbox().iter().filter_map(|e| match e.msg() {
+            TrbMsg::Con(c) => Some((e.from, c)),
+            _ => None,
+        });
+        let mut out = Vec::new();
+        inner.step(ctx.round() - 1, inner_inbox, &mut out);
+        for msg in out {
+            ctx.broadcast(TrbMsg::Con(msg));
+        }
     }
 
     fn output(&self) -> Option<Option<M>> {

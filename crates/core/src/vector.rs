@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use uba_sim::{Context, Envelope, NodeId, Process};
+use uba_sim::{Context, NodeId, Process};
 
 use crate::parallel::{ParMsg, ParallelConsensusCore};
 use crate::value::Value;
@@ -106,32 +106,23 @@ impl<V: Value> Process for VectorConsensus<V> {
             // Collect the authenticated contributions; an equivocating
             // sender is pinned to its smallest value deterministically (a
             // second value sent to other nodes is resolved by agreement).
-            let mut pairs: BTreeMap<NodeId, V> = BTreeMap::new();
+            let mut pairs: BTreeMap<NodeId, &V> = BTreeMap::new();
             for env in ctx.inbox() {
                 if let VcMsg::Contribute(v) = env.msg() {
-                    pairs
-                        .entry(env.from)
-                        .and_modify(|cur| {
-                            if v < cur {
-                                *cur = v.clone();
-                            }
-                        })
-                        .or_insert_with(|| v.clone());
+                    let pick = pairs.entry(env.from).or_insert(v);
+                    *pick = v.min(*pick);
                 }
             }
+            let pairs = pairs.into_iter().map(|(id, v)| (id, v.clone()));
             self.core = Some(ParallelConsensusCore::new(self.me, pairs));
         }
         let core = self.core.as_mut().expect("initialized in round 2");
-        let inner_inbox: Vec<Envelope<ParMsg<NodeId, V>>> = ctx
-            .inbox()
-            .iter()
-            .filter_map(|e| match e.msg() {
-                VcMsg::Par(m) => Some(Envelope::new(e.from, m.clone())),
-                _ => None,
-            })
-            .collect();
+        let inner_inbox = ctx.inbox().iter().filter_map(|e| match e.msg() {
+            VcMsg::Par(m) => Some((e.from, m)),
+            _ => None,
+        });
         let mut out = Vec::new();
-        core.on_round(ctx.round() - 1, &inner_inbox, &mut out);
+        core.step(ctx.round() - 1, inner_inbox, &mut out);
         for msg in out {
             ctx.broadcast(VcMsg::Par(msg));
         }

@@ -41,7 +41,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use uba_core::ordering::{OrderMsg, TotalOrdering};
-use uba_sim::{Context, Dest, Envelope, NodeId, Outbox, Process};
+use uba_sim::{Context, Dest, NodeId, Process};
 use uba_trace::{metric_name, NetEventKind, NoopTracer, SharedRuntimeMetrics, TraceEvent, Tracer};
 
 use crate::cluster::{ClusterSpec, RunningCluster};
@@ -268,11 +268,13 @@ impl LogIngress {
 /// multiplexed over a single round loop, fed from a [`LogIngress`].
 ///
 /// The message type tags every protocol message with its shard; `on_round`
-/// partitions the inbox by tag, steps each instance through its own
-/// sub-[`Context`] (legal because [`TotalOrdering`] keeps its own loop
-/// round and never reads the context's), and re-tags the instances'
-/// outgoing traffic into the shared outbox. Each instance therefore runs
-/// the exact single-instance execution the simulator oracles certify.
+/// partitions the inbox by tag into borrowed `(sender, message)` pairs (a
+/// single-instance inbox in all but the container: no payload is cloned or
+/// re-hashed), steps each instance on its share through
+/// [`TotalOrdering::step`] (legal because the protocol keeps its own loop
+/// round and reads no engine round), and re-tags the instances' outgoing
+/// traffic into the shared outbox. Each instance therefore runs the exact
+/// single-instance execution the simulator oracles certify.
 ///
 /// Output: the per-shard finalized record prefixes, once every instance
 /// reached the horizon.
@@ -358,11 +360,11 @@ impl<T: Tracer + 'static> Process for ShardedLog<T> {
 
         // Partition the inbox by shard tag. Out-of-range tags (a Byzantine
         // sender's prerogative) are dropped — no instance exists to confuse.
-        let mut inboxes: Vec<Vec<Envelope<OrderMsg<Batch>>>> = vec![Vec::new(); shards];
+        let mut inboxes: Vec<Vec<(NodeId, &OrderMsg<Batch>)>> = vec![Vec::new(); shards];
         for env in ctx.inbox() {
             let (shard, msg) = env.msg();
             if let Some(bucket) = inboxes.get_mut(*shard as usize) {
-                bucket.push(Envelope::new(env.from, msg.clone()));
+                bucket.push((env.from, msg));
             }
         }
 
@@ -411,16 +413,14 @@ impl<T: Tracer + 'static> Process for ShardedLog<T> {
             self.ingress.close_ingest();
         }
 
-        // Step every instance through its own sub-context and re-tag its
-        // traffic into the shared outbox.
-        let mut sub = Outbox::new();
-        for (shard, instance) in self.instances.iter_mut().enumerate() {
-            let mut sub_ctx = Context::new(round, &inboxes[shard], &mut sub);
-            instance.on_round(&mut sub_ctx);
-            for outgoing in sub.drain() {
-                match outgoing.dest {
-                    Dest::Broadcast => ctx.broadcast((shard as u32, outgoing.msg)),
-                    Dest::To(to) => ctx.send(to, (shard as u32, outgoing.msg)),
+        // Step every instance on its share and re-tag its traffic.
+        let mut sub = Vec::new();
+        for (shard, (instance, inbox)) in self.instances.iter_mut().zip(inboxes).enumerate() {
+            instance.step(inbox, &mut sub);
+            for (dest, msg) in sub.drain(..) {
+                match dest {
+                    Dest::Broadcast => ctx.broadcast((shard as u32, msg)),
+                    Dest::To(to) => ctx.send(to, (shard as u32, msg)),
                 }
             }
         }
