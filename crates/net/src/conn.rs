@@ -40,8 +40,9 @@
 //! either in the [`Links`] table (shut down in step 2) or was shut down
 //! when it left the table (replaced by a reconnect, failed write,
 //! eviction). A node must only drop its mesh after its last frame is
-//! written: `write_frame` flushes per frame, so anything sent before the
-//! drop reaches the peer ahead of the EOF.
+//! *flushed*: [`Links`] buffers what it is given, and teardown shuts the
+//! sockets down without flushing (a killed node says no goodbye). What was
+//! flushed before the drop reaches the peer ahead of the EOF.
 //!
 //! Descriptors go back to the OS; the accept-loop and reader *threads* go
 //! back to a process-wide pool (`run_pooled`) and serve the next
@@ -49,6 +50,18 @@
 //! creating and exiting them costs more than everything else in setting a
 //! mesh up and tearing it down (DESIGN.md §8 has the n=16 numbers) — so a
 //! process keeps as many parked threads as its busiest moment needed.
+//!
+//! # Writing
+//!
+//! A link's writer is buffered, and the flush belongs to the *round*, not
+//! to the frame: a node queues the round's `Data` frames and then its
+//! `Done` on each link (`Links::queue`) and hands every link's bytes to
+//! its socket in one write (`Links::flush`) — n − 1 writes per round
+//! however many frames the round carried. There are three flush points:
+//! after the round's `Done` is queued, at the end of a `SyncTips` /
+//! `Backfill` reply, and before `Links::send_raw` puts raw bytes on a
+//! socket. [`Links::send`] is queue-and-flush of one link, for callers
+//! that talk one frame at a time (the scripted `ByzantineNode`).
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -61,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use uba_sim::NodeId;
 
-use crate::wire::{read_frame, write_frame, Frame, FrameFault};
+use crate::wire::{encode_frame, read_frame, write_frame, Frame, FrameFault};
 
 /// Backoff schedule for dialing a peer that is not accepting yet.
 #[derive(Debug, Clone, Copy)]
@@ -228,13 +241,35 @@ struct Table {
     readers: Vec<Task>,
 }
 
-/// The shared table of outbound halves of the mesh, one writer per peer.
+impl Table {
+    /// Runs `op` on `peer`'s writer. `false` if there is no live link or
+    /// `op` failed; a failed link is shut down and dropped (its reader
+    /// reports the close).
+    fn write(
+        &mut self,
+        peer: NodeId,
+        op: impl FnOnce(&mut BufWriter<TcpStream>) -> io::Result<()>,
+    ) -> bool {
+        let Some(link) = self.links.get_mut(&peer) else {
+            return false;
+        };
+        if op(&mut link.writer).is_ok() {
+            return true;
+        }
+        link.shutdown();
+        self.links.remove(&peer);
+        false
+    }
+}
+
+/// The shared table of outbound halves of the mesh, one buffered writer
+/// per peer ([module docs](self), "Writing").
 ///
-/// Send failures mark the link dead (the reader thread on the same socket
-/// reports `Closed` with the cause); the round loop then decides between
-/// waiting for a reconnect and declaring the peer gone. A link that leaves
-/// the table for any reason other than its own reader ending is shut down
-/// on the way out — the invariant [`close`](Self::close) relies on.
+/// Write and flush failures mark the link dead (the reader thread on the
+/// same socket reports `Closed` with the cause); the round loop then decides
+/// between waiting for a reconnect and declaring the peer gone. A link that
+/// leaves the table for any reason other than its own reader ending is shut
+/// down on the way out — the invariant [`close`](Self::close) relies on.
 #[derive(Clone, Default)]
 pub struct Links {
     table: Arc<Mutex<Table>>,
@@ -302,33 +337,60 @@ impl Links {
         }
     }
 
-    /// Writes one frame to `peer`. Returns `false` if no live link exists
-    /// or the write failed (the link is shut down and dropped; the reader
-    /// thread reports the close).
-    pub fn send(&self, peer: NodeId, frame: &Frame) -> bool {
+    /// Queues `frame` on the link of every peer in `peers`: encoded once,
+    /// its bytes appended to each link's buffer under one table lock.
+    /// Nothing reaches a socket before [`flush`](Self::flush) unless a
+    /// buffer fills up. A link whose write fails is dropped as in
+    /// [`send`](Self::send), and so is every addressed link if the frame
+    /// exceeds `MAX_FRAME`. Returns the frame's wire size (0 if refused).
+    pub(crate) fn queue(&self, peers: impl IntoIterator<Item = NodeId>, frame: &Frame) -> usize {
+        let encoded = encode_frame(frame);
         let mut table = self.table();
-        let Some(link) = table.links.get_mut(&peer) else {
-            return false;
-        };
-        if write_frame(&mut link.writer, frame).is_ok() {
-            return true;
+        for peer in peers {
+            table.write(peer, |writer| match &encoded {
+                Ok(bytes) => writer.write_all(bytes),
+                Err(refused) => Err(refused.kind().into()),
+            });
         }
-        link.shutdown();
-        table.links.remove(&peer);
-        false
+        encoded.map_or(0, |bytes| bytes.len())
     }
 
-    /// Writes `bytes` to `peer`'s socket as they are, bypassing
-    /// `write_frame` and its bounds — how a scripted
-    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. The
-    /// buffered writer is flushed after every frame, so the bytes land
-    /// exactly between two frames. `false` if no live link took them.
+    /// Hands every link's queued bytes to its socket: one `write` per link
+    /// with anything queued. A link whose flush fails is dropped as in
+    /// [`send`](Self::send).
+    pub(crate) fn flush(&self) {
+        self.table().links.retain(|_, link| {
+            let flushed = link.writer.flush().is_ok();
+            if !flushed {
+                link.shutdown();
+            }
+            flushed
+        });
+    }
+
+    /// Queues one frame for `peer` and flushes that link, so the frame —
+    /// and anything queued before it, in order — is on the socket when this
+    /// returns. Returns `false` if no live link exists or the write failed
+    /// (the link is shut down and dropped; the reader thread reports the
+    /// close).
+    pub fn send(&self, peer: NodeId, frame: &Frame) -> bool {
+        let encoded = encode_frame(frame);
+        self.table().write(peer, |writer| {
+            writer.write_all(&encoded?)?;
+            writer.flush()
+        })
+    }
+
+    /// Writes `bytes` to `peer`'s socket as they are, bypassing the frame
+    /// codec and its bounds — how a scripted
+    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. The link's
+    /// queued frames are flushed first, so the bytes land exactly between
+    /// two frames. `false` if no live link took them.
     pub(crate) fn send_raw(&self, peer: NodeId, bytes: &[u8]) -> bool {
-        let mut table = self.table();
-        let Some(link) = table.links.get_mut(&peer) else {
-            return false;
-        };
-        link.writer.get_mut().write_all(bytes).is_ok()
+        self.table().write(peer, |writer| {
+            writer.flush()?;
+            writer.get_mut().write_all(bytes)
+        })
     }
 
     /// Shuts down every live connection, clears the table, and waits for
@@ -737,6 +799,167 @@ mod tests {
         // The peer side of a shut-down socket reads EOF, like a dead process.
         let mut reader = BufReader::new(a_accepted);
         assert!(matches!(read_frame(&mut reader), Ok(None)));
+    }
+
+    /// A table with one installed link to `peer` (no reader thread), and
+    /// the peer's end of the socket.
+    fn linked(peer: NodeId) -> (Links, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (theirs, _) = listener.accept().unwrap();
+        let links = Links::new();
+        links.install(peer, ours);
+        (links, theirs)
+    }
+
+    fn data(round: u64, value: u8) -> Frame {
+        Frame::Data {
+            round,
+            payload: vec![value],
+        }
+    }
+
+    const DONE: Frame = Frame::Done {
+        round: 1,
+        decided: false,
+    };
+
+    #[test]
+    fn queued_frames_wait_for_the_flush_and_arrive_in_order() {
+        let peer = NodeId::new(2);
+        let (links, mut theirs) = linked(peer);
+        let round: Vec<Frame> = (0..40).map(|i| data(1, i)).chain([DONE]).collect();
+        for frame in &round {
+            assert_eq!(links.queue([peer], frame), frame.encoded_len());
+        }
+        // No byte was handed to the socket, so there is nothing to wait out.
+        theirs.set_nonblocking(true).unwrap();
+        let err = theirs.peek(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        theirs.set_nonblocking(false).unwrap();
+
+        links.flush();
+        for frame in &round {
+            assert_eq!(read_frame(&mut theirs).unwrap().as_ref(), Some(frame));
+        }
+    }
+
+    #[test]
+    fn raw_bytes_land_behind_the_frames_queued_before_them() {
+        let peer = NodeId::new(2);
+        let (links, mut theirs) = linked(peer);
+        links.queue([peer], &data(1, 9));
+        links.queue([peer], &DONE);
+        // An unknown tag behind a valid length prefix.
+        assert!(links.send_raw(peer, &[1, 0, 0, 0, 0xEE]));
+        assert_eq!(read_frame(&mut theirs).unwrap(), Some(data(1, 9)));
+        assert_eq!(read_frame(&mut theirs).unwrap(), Some(DONE));
+        let err = read_frame(&mut theirs).unwrap_err();
+        assert_eq!(FrameFault::of(&err), Some(FrameFault::Malformed));
+    }
+
+    #[test]
+    fn a_sent_frame_keeps_link_order_with_the_frames_queued_before_it() {
+        let peer = NodeId::new(2);
+        let (links, mut theirs) = linked(peer);
+        links.queue([peer], &data(1, 1));
+        links.queue([peer], &data(1, 2));
+        let tips = Frame::SyncTips {
+            current_round: 1,
+            oldest_retained: 1,
+            decided: false,
+        };
+        assert!(links.send(peer, &tips), "send flushes its own link");
+        for frame in [data(1, 1), data(1, 2), tips] {
+            assert_eq!(read_frame(&mut theirs).unwrap(), Some(frame));
+        }
+    }
+
+    #[test]
+    fn a_broadcast_is_queued_on_every_addressed_link_and_no_other() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let links = Links::new();
+        let mut theirs = Vec::new();
+        for id in 1..=3 {
+            links.install(NodeId::new(id), TcpStream::connect(addr).unwrap());
+            theirs.push(listener.accept().unwrap().0);
+        }
+        // Peer 4 has no link: skipped, as a failed `send` would be.
+        links.queue([1, 2, 4].map(NodeId::new), &DONE);
+        links.queue([NodeId::new(3)], &data(1, 3));
+        links.flush();
+        assert_eq!(read_frame(&mut theirs[0]).unwrap(), Some(DONE));
+        assert_eq!(read_frame(&mut theirs[1]).unwrap(), Some(DONE));
+        assert_eq!(read_frame(&mut theirs[2]).unwrap(), Some(data(1, 3)));
+    }
+
+    #[test]
+    fn flushing_onto_a_link_the_peer_closed_drops_the_link() {
+        let (gone, stays) = (NodeId::new(2), NodeId::new(3));
+        let (links, theirs) = linked(gone);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        links.install(
+            stays,
+            TcpStream::connect(listener.local_addr().unwrap()).unwrap(),
+        );
+        let (mut kept, _) = listener.accept().unwrap();
+        drop(theirs);
+        // The first write after the close can still succeed (the kernel
+        // learns of the reset from it); one of the next must fail.
+        let mut rounds = 0;
+        while links.connected().contains(&gone) {
+            rounds += 1;
+            assert!(rounds < 1000, "writes to a closed peer keep succeeding");
+            links.queue([gone, stays], &DONE);
+            links.flush();
+        }
+        assert_eq!(links.connected(), vec![stays], "only the dead link went");
+        assert!(!links.send(gone, &DONE));
+        for _ in 0..rounds {
+            assert_eq!(read_frame(&mut kept).unwrap(), Some(DONE));
+        }
+    }
+
+    #[test]
+    fn a_frame_over_max_frame_drops_the_link_like_a_failed_write() {
+        let peer = NodeId::new(2);
+        let (links, mut theirs) = linked(peer);
+        let huge = Frame::Data {
+            round: 1,
+            payload: vec![0; crate::wire::MAX_FRAME as usize],
+        };
+        assert_eq!(links.queue([peer], &huge), 0);
+        assert!(links.connected().is_empty());
+        assert!(matches!(read_frame(&mut theirs), Ok(None)), "clean EOF");
+    }
+
+    #[test]
+    fn a_flushed_round_reaches_the_peer_ahead_of_the_teardown_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (alice, bob) = (NodeId::new(1), NodeId::new(2));
+        let bob_mesh = Mesh::open(bob, Some(listener)).unwrap();
+        let alice_mesh = Mesh::open(alice, None).unwrap();
+        alice_mesh
+            .dial(addr, bob, RetryPolicy::default(), |_| {})
+            .unwrap();
+        alice_mesh.links.queue([bob], &data(1, 5));
+        alice_mesh.links.queue([bob], &DONE);
+        alice_mesh.links.flush();
+        alice_mesh.links.queue([bob], &data(2, 6)); // never flushed
+        drop(alice_mesh);
+
+        let mut seen = Vec::new();
+        loop {
+            match bob_mesh.next_event(Duration::from_secs(5)).unwrap() {
+                LinkEvent::Connected { .. } => {}
+                LinkEvent::Frame { frame, .. } => seen.push(frame),
+                LinkEvent::Closed { peer, .. } => break assert_eq!(peer, alice),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(seen, vec![data(1, 5), DONE], "what was flushed, no more");
     }
 
     #[test]

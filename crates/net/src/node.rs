@@ -2,13 +2,14 @@
 //! drives it over TCP in lock-step rounds.
 //!
 //! The run loop mirrors the simulator's `SyncEngine` exactly, one node at a
-//! time: deliver the previous round's inbox, step the process, flush its
-//! outbox to every peer, publish the `Done` barrier marker, wait at the
-//! barrier, advance. A peer that misses the barrier deadline is charged
-//! with an **omission** for the round (its traffic, if any, arrives too
-//! late and is dropped) — precisely a fault the paper's model already
-//! accounts for, which is why correctness does not depend on tuning the
-//! timeout and why `uba-core`'s monitors attach unchanged.
+//! time: deliver the previous round's inbox, step the process, queue its
+//! outbox and then the `Done` barrier marker on every peer's link, flush
+//! each link once, wait at the barrier, advance. A peer that misses the
+//! barrier deadline is charged with an **omission** for the round (its
+//! traffic, if any, arrives too late and is dropped) — precisely a fault
+//! the paper's model already accounts for, which is why correctness does
+//! not depend on tuning the timeout and why `uba-core`'s monitors attach
+//! unchanged.
 //!
 //! # The round driver
 //!
@@ -522,8 +523,9 @@ where
         // slept through (their own sends only — see `RoundHistory`). Only
         // the peers we asked may answer with Backfill frames.
         let request = Frame::SyncRequest { since: next_round };
-        for peer in session.sync.expected().collect::<Vec<_>>() {
-            session.send(peer, &request);
+        session.queue(None, &request);
+        session.flush();
+        for peer in session.sync.expected() {
             session.peers.entry(peer).or_default().solicited = true;
         }
         session.net_event(NetEventKind::Resume, None, || {
@@ -574,7 +576,7 @@ where
 /// whichever way that ends — decided, killed, aborted, an error — dropping
 /// the session drops the `mesh`, which closes the sockets (peers read EOF),
 /// stops the acceptor and joins the readers. On the success path that is
-/// after the final round's `Done` markers were written, so peers still at
+/// after the final round's `Done` markers were flushed, so peers still at
 /// that barrier get them.
 struct Session<P: Process, T: Tracer> {
     node: NetNode<P, T>,
@@ -586,6 +588,10 @@ struct Session<P: Process, T: Tracer> {
     evicted: Vec<u64>,
     /// Own traffic of the last `history_rounds` rounds, for backfills.
     history: BTreeMap<u64, RoundHistory>,
+    /// Frames and wire bytes queued per peer since the last
+    /// [`flush`](Self::flush), which moves them into the runtime registry.
+    /// Stays empty without a registry.
+    queued: BTreeMap<NodeId, (u64, u64)>,
 }
 
 impl<P, T> Session<P, T>
@@ -607,6 +613,7 @@ where
             peers: peers.iter().map(|&p| (p, Peer::default())).collect(),
             evicted: Vec::new(),
             history: BTreeMap::new(),
+            queued: BTreeMap::new(),
         }
     }
 
@@ -632,8 +639,8 @@ where
     }
 
     /// The lock-step loop behind [`NetNode::run`] and [`NetNode::resume`]:
-    /// step, flush, barrier, advance — until the whole cluster decided or a
-    /// limit trips.
+    /// step, queue, `Done`, flush, barrier, advance — until the whole
+    /// cluster decided or a limit trips.
     fn run_rounds(
         mut self,
         mut inbox: Vec<Envelope<P::Msg>>,
@@ -680,13 +687,12 @@ where
                 send_micros = micros_since(phase);
             }
 
-            // Publish the barrier marker: all our round-`round` data is out.
+            // Publish the barrier marker behind the round's data, then put
+            // the round on the wire: one write per link.
             let phase = Instant::now();
             let decided = self.node.process.terminated();
-            let done = Frame::Done { round, decided };
-            for peer in self.sync.expected() {
-                self.send(peer, &done);
-            }
+            self.queue(None, &Frame::Done { round, decided });
+            self.flush();
             self.history.entry(round).or_default().done = Some(decided);
             send_micros += micros_since(phase);
 
@@ -819,8 +825,9 @@ where
         missed.len() as u64
     }
 
-    /// Sends one outgoing message: encodes the payload once, fans it out to
-    /// the addressed peers, and self-delivers where the model requires.
+    /// Sends one outgoing message: encodes the payload once, queues it for
+    /// the addressed peers (on the wire at the round's flush), and
+    /// self-delivers where the model requires.
     fn dispatch(&mut self, dest: Dest, msg: P::Msg) {
         let round = self.sync.current_round();
         let id = self.sync.id();
@@ -844,37 +851,53 @@ where
         let payload = shared.get().to_bytes();
         let sends = &mut self.history.entry(round).or_default().sends;
         sends.push((to, payload.clone()));
-        let frame = Frame::Data { round, payload };
-        match to {
-            Some(to) => self.send(to, &frame),
-            None => {
-                // A broadcast reaches every present node including the
-                // sender (the engine's self-delivery rule).
-                for peer in self.sync.expected() {
-                    self.send(peer, &frame);
-                }
-                self.sync.self_deliver(shared);
+        self.queue(to, &Frame::Data { round, payload });
+        if to.is_none() {
+            // A broadcast reaches every present node including the sender
+            // (the engine's self-delivery rule).
+            self.sync.self_deliver(shared);
+        }
+    }
+
+    /// Queues one frame on the link of `to` — `None`: of every peer
+    /// expected at the barrier — without writing to a socket;
+    /// [`flush`](Self::flush) does that. With a runtime registry attached
+    /// the frame is tallied per addressed peer, link or no link.
+    fn queue(&mut self, to: Option<NodeId>, frame: &Frame) {
+        // `to` alone, or everyone expected when there is no `to`.
+        let addressed = || {
+            let everyone = self.sync.expected().filter(move |_| to.is_none());
+            to.into_iter().chain(everyone)
+        };
+        let bytes = self.mesh.links.queue(addressed(), frame) as u64;
+        if self.node.runtime.is_some() {
+            for peer in addressed() {
+                let (frames, wire_bytes) = self.queued.entry(peer).or_default();
+                *frames += 1;
+                *wire_bytes += bytes;
             }
         }
     }
 
-    /// Writes one frame to `peer`'s link and counts it (frames and wire
-    /// bytes, per peer) if a runtime registry is attached.
-    fn send(&self, peer: NodeId, frame: &Frame) {
-        self.mesh.links.send(peer, frame);
-        self.count_frame("net_frames_sent_total", "net_bytes_sent_total", peer, frame);
-    }
-
-    /// Counts one frame to or from `peer` against the runtime registry, if
-    /// one is attached. The encode-for-length cost is paid only in that case.
-    fn count_frame(&self, frames: &str, bytes: &str, peer: NodeId, frame: &Frame) {
+    /// Puts everything queued on the wire, one write per link, and adds
+    /// the tallies of [`queue`](Self::queue) to
+    /// `net_frames_sent_total{peer}` / `net_bytes_sent_total{peer}` — one
+    /// registry visit per flush instead of one per frame.
+    fn flush(&mut self) {
+        self.mesh.links.flush();
+        let queued = std::mem::take(&mut self.queued);
         self.node.metrics(|m| {
-            let peer = peer.raw().to_string();
-            m.inc(&metric_name(frames, &[("peer", &peer)]));
-            m.add(
-                &metric_name(bytes, &[("peer", &peer)]),
-                frame.encoded_len() as u64,
-            );
+            for (peer, (frames, bytes)) in queued {
+                let peer = peer.raw().to_string();
+                m.add(
+                    &metric_name("net_frames_sent_total", &[("peer", &peer)]),
+                    frames,
+                );
+                m.add(
+                    &metric_name("net_bytes_sent_total", &[("peer", &peer)]),
+                    bytes,
+                );
+            }
         });
     }
 
@@ -960,12 +983,13 @@ where
         peer.frames += 1;
         peer.bytes += frame_quota_len(&frame);
         let over_quota = peer.frames > max_frames || peer.bytes > MAX_BYTES_PER_ROUND;
-        self.count_frame(
-            "net_frames_received_total",
-            "net_bytes_received_total",
-            from,
-            &frame,
-        );
+        // The encode-for-length cost is paid only with a registry attached.
+        self.node.metrics(|m| {
+            let peer = [("peer", &*from.raw().to_string())];
+            m.inc(&metric_name("net_frames_received_total", &peer));
+            let bytes = frame.encoded_len() as u64;
+            m.add(&metric_name("net_bytes_received_total", &peer), bytes);
+        });
         if over_quota {
             let info = format!(
                 "ingress quota exceeded ({max_frames} frames max, \
@@ -1102,14 +1126,16 @@ where
             oldest_retained: self.history.keys().next().copied().unwrap_or(current),
             decided: self.node.process.terminated(),
         };
-        self.send(from, &tips);
+        self.queue(Some(from), &tips);
         // Replay our own retained traffic addressed to the requester, round
         // by round in send order — never third-party payloads, so
         // backfilled frames stay as unforgeable as live ones. The response
         // is hard-capped at `history_rounds` rounds regardless of what
         // `since` claims.
         let cap = self.node.config.history_rounds;
-        for (&round, hist) in self.history.range(since..).take(cap) {
+        let retained = self.history.range(since..).take(cap);
+        for round in retained.map(|(&round, _)| round).collect::<Vec<_>>() {
+            let hist = &self.history[&round];
             let backfill = Frame::Backfill {
                 round,
                 done: hist.done.is_some(),
@@ -1121,13 +1147,16 @@ where
                     .map(|(_, bytes)| bytes.clone())
                     .collect(),
             };
-            self.send(from, &backfill);
+            self.queue(Some(from), &backfill);
             self.node
                 .metrics(|m| m.inc("net_backfill_frames_served_total"));
             let info = || format!("sent round {round}");
             self.node
                 .net_event(current, NetEventKind::Backfill, Some(from), info);
         }
+        // The whole reply goes out together; nothing else is queued while
+        // the node waits in `pump`.
+        self.flush();
         Ok(())
     }
 

@@ -507,23 +507,40 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// The frame exactly as it travels: the 4-byte length prefix, then the
+/// body, in one buffer — so whoever writes it hands the socket (or a
+/// link's `BufWriter`) one slice.
+///
+/// # Errors
+///
+/// Rejects bodies longer than [`MAX_FRAME`] with
+/// [`io::ErrorKind::InvalidData`].
+pub(crate) fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(36);
+    bytes.extend_from_slice(&[0; 4]);
+    frame.encode_body(&mut bytes);
+    let body_len = bytes.len() - 4;
+    if body_len as u64 > MAX_FRAME as u64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame body of {body_len} bytes exceeds MAX_FRAME"),
+        ));
+    }
+    bytes[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    Ok(bytes)
+}
+
+/// Writes one length-prefixed frame with a single `write_all` and flushes
+/// the writer: the frame-at-a-time path of the handshake, the fault proxy
+/// and the client port. A node's round traffic is queued and flushed once
+/// per round instead ([`crate::conn::Links`]).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; rejects bodies longer than [`MAX_FRAME`] with
 /// [`io::ErrorKind::InvalidData`].
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut body = Vec::with_capacity(32);
-    frame.encode_body(&mut body);
-    if body.len() as u64 > MAX_FRAME as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body of {} bytes exceeds MAX_FRAME", body.len()),
-        ));
-    }
-    writer.write_all(&(body.len() as u32).to_le_bytes())?;
-    writer.write_all(&body)?;
+    writer.write_all(&encode_frame(frame)?)?;
     writer.flush()
 }
 
@@ -657,6 +674,84 @@ mod tests {
             assert_eq!(read_frame(&mut reader).unwrap().as_ref(), Some(frame));
         }
         assert_eq!(read_frame(&mut reader).unwrap(), None, "clean EOF");
+    }
+
+    /// Counts the `write` calls that reach it — what would be syscalls on
+    /// a socket — and keeps the bytes.
+    #[derive(Debug, Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn round_of_frames(k: u64) -> Vec<Frame> {
+        let data = (0..k).map(|i| Frame::Data {
+            round: 7,
+            payload: i.to_bytes(),
+        });
+        let done = Frame::Done {
+            round: 7,
+            decided: false,
+        };
+        data.chain([done]).collect()
+    }
+
+    #[test]
+    fn write_frame_hands_an_unbuffered_writer_one_write() {
+        let mut socket = CountingWriter::default();
+        let frame = Frame::SubmitAck { shard: 3, seq: 17 };
+        write_frame(&mut socket, &frame).unwrap();
+        assert_eq!(socket.writes, 1, "length prefix and body in one write");
+        assert_eq!(socket.bytes.len(), frame.encoded_len());
+        assert_eq!(read_frame(&mut &socket.bytes[..]).unwrap(), Some(frame));
+    }
+
+    #[test]
+    fn a_round_of_queued_frames_is_one_write_at_the_flush() {
+        // What `Links` does per link and round: append each encoded frame to
+        // the link's `BufWriter`, flush once behind the `Done`.
+        let frames = round_of_frames(80);
+        let mut link = io::BufWriter::new(CountingWriter::default());
+        for frame in &frames {
+            link.write_all(&encode_frame(frame).unwrap()).unwrap();
+        }
+        let queued: usize = frames.iter().map(Frame::encoded_len).sum();
+        assert!(queued < 8 * 1024, "the round fits the default buffer");
+        assert_eq!(link.get_ref().writes, 0, "nothing leaves before the flush");
+        link.flush().unwrap();
+        let socket = link.into_inner().unwrap();
+        assert_eq!(socket.writes, 1, "one write per (peer, round)");
+        assert_eq!(socket.bytes.len(), queued);
+        let mut reader = &socket.bytes[..];
+        for frame in &frames {
+            assert_eq!(read_frame(&mut reader).unwrap().as_ref(), Some(frame));
+        }
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    #[test]
+    fn encode_frame_refuses_a_body_over_max_frame() {
+        let frame = Frame::Data {
+            round: 1,
+            payload: vec![0; MAX_FRAME as usize],
+        };
+        let err = encode_frame(&frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut socket = CountingWriter::default();
+        assert!(write_frame(&mut socket, &frame).is_err());
+        assert_eq!(socket.writes, 0, "refused before anything is written");
     }
 
     #[test]
