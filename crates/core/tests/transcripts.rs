@@ -6,7 +6,10 @@
 //! the king consensus, parallel consensus under an adversary that injects a
 //! fake instance and equivocates on a real one, vector consensus,
 //! terminating broadcast with an equivocating sender, and total ordering
-//! with a joiner and a leaver.
+//! with a joiner and a leaver. It also pins `EarlyConsensus` itself where the
+//! golden traces are too small to reach: 70 counted ids (more senders than
+//! one 64-bit word of a sender bitset holds) under full equivocation, and
+//! echoed candidates that are no members at all.
 //!
 //! A transcript is every send operation of the run — round, sender,
 //! destination, `Debug` payload, in the order the engine saw them — followed
@@ -15,7 +18,11 @@
 //! the sends, so two implementations with the same transcript are the same
 //! protocol. The files under `tests/golden/` were generated **before** the
 //! phase-frame refactor of `consensus.rs`, `consensus/king.rs` and
-//! `parallel.rs`; the refactored code must reproduce them byte for byte.
+//! `parallel.rs`; the refactored code must reproduce them byte for byte. The
+//! two `early-*` files were generated before the frame started counting by
+//! member slot, and are digests: a 70-id run is ~70,000 sends, so each round
+//! is recorded as its send count and an order-sensitive FNV-1a hash of the
+//! same send lines ([`digest`]).
 //!
 //! Regenerate (only for an intentional protocol change) with:
 //!
@@ -27,15 +34,18 @@ use std::collections::BTreeSet;
 use std::fmt::{Debug, Write as _};
 use std::path::PathBuf;
 
+use uba_adversary::attacks::{ConsensusEquivocator, GhostCandidateAdversary};
 use uba_core::consensus::king::{KingConsensus, KingMsg};
+use uba_core::consensus::{ConsensusMsg, EarlyConsensus};
+use uba_core::harness::Setup;
 use uba_core::ordering::TotalOrdering;
 use uba_core::parallel::{ParMsg, ParallelConsensus};
 use uba_core::trb::{TerminatingBroadcast, TrbMsg};
 use uba_core::vector::{VcMsg, VectorConsensus};
 use uba_sim::trace::{RingTracer, SharedTracer};
 use uba_sim::{
-    sparse_ids, Adversary, AdversaryOutbox, AdversaryView, ChurnSchedule, EngineBuilder,
-    FnAdversary, NodeId, Process, SyncEngine, TraceEvent,
+    sparse_ids, Adversary, AdversaryOutbox, AdversaryView, ChurnSchedule, Dest, EngineBuilder,
+    FnAdversary, NodeId, Process, SentRecord, SyncEngine, TraceEvent,
 };
 
 /// Runs `builder` to completion and renders the transcript.
@@ -69,6 +79,73 @@ where
     for (id, output) in &done.outputs {
         let round = done.decided_round[id];
         writeln!(text, "output {:#x} @r{round}: {output:?}", id.raw()).unwrap();
+    }
+    text
+}
+
+/// `EarlyConsensus<u64>` on `setup` (alternating 0/1 inputs) against
+/// `adversary`, run to completion with every send recorded.
+fn run_early<A>(setup: &Setup, adversary: A) -> SyncEngine<EarlyConsensus<u64>, A>
+where
+    A: Adversary<ConsensusMsg<u64>>,
+{
+    let mut engine = SyncEngine::builder()
+        .correct_many(
+            setup
+                .correct
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| EarlyConsensus::new(id, (i % 2) as u64)),
+        )
+        .faulty_many(setup.faulty.iter().copied())
+        .adversary(adversary)
+        .trace(true)
+        .build();
+    engine.run_to_completion(400).expect("terminates");
+    engine
+}
+
+/// The compact transcript of a finished [`run_early`]: per round the number
+/// of send operations and the FNV-1a hash of their lines — the line format
+/// of [`transcript`], in engine order — then every correct node's decision
+/// round, output and frozen `n_v`.
+fn digest<A>(engine: &SyncEngine<EarlyConsensus<u64>, A>) -> String
+where
+    A: Adversary<ConsensusMsg<u64>>,
+{
+    let mut text = String::new();
+    let mut line = String::new();
+    for sends in engine.sent_records().chunk_by(|a, b| a.round == b.round) {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for send in sends {
+            let to = match send.dest {
+                Dest::Broadcast => "*".to_owned(),
+                Dest::To(id) => format!("{:#x}", id.raw()),
+            };
+            let tag = if send.from_adversary { " [adv]" } else { "" };
+            let (round, from) = (send.round, send.from.raw());
+            line.clear();
+            writeln!(line, "r{round} {from:#x} -> {to}: {:?}{tag}", send.msg).unwrap();
+            for byte in line.bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let (round, count) = (sends[0].round, sends.len());
+        writeln!(text, "r{round}: {count} sends, fnv1a {hash:016x}").unwrap();
+    }
+    let decided = engine.decided_rounds();
+    for (id, output) in engine.outputs() {
+        let round = decided[&id];
+        let n_v = engine
+            .process(id)
+            .and_then(EarlyConsensus::frozen_estimate)
+            .expect("a decided node froze its membership");
+        writeln!(
+            text,
+            "output {:#x} @r{round}: {output} (n_v {n_v})",
+            id.raw()
+        )
+        .unwrap();
     }
     text
 }
@@ -278,4 +355,41 @@ fn total_ordering_with_a_joiner_and_a_leaver() {
     assert!(text.contains("Absent"), "the leaver announced itself");
     assert!(text.contains("777"), "the joiner's event was ordered");
     check("ordering-join-leave", &text);
+}
+
+#[test]
+fn early_consensus_equivocated_with_seventy_counted_ids() {
+    // 47 correct + 23 faulty: n_v = 70 everywhere, so member numbering
+    // crosses 64, every tally has 23 equivocated votes and the rotor
+    // reliably broadcasts 70 candidates.
+    let setup = Setup::new(47, 23, 5);
+    let text = digest(&run_early(&setup, ConsensusEquivocator::new(0u64, 1u64)));
+    assert!(text.contains("(n_v 70)"), "all 70 ids were counted");
+    check("early-equivocated-n70", &text);
+}
+
+#[test]
+fn early_consensus_with_echoed_candidates_that_are_not_members() {
+    // Ghost echoes keep arriving through the first three rotor steps: echo
+    // rows for ids that never get a member slot. With 2 of 9 faulty the
+    // ghosts stay below n_v/3 while the run takes two phases; with 3 of 9
+    // (n = 3f, agreement is not promised) they reach it at every correct
+    // node, are re-echoed, join C_v and are selected.
+    let mut text = String::new();
+    for faulty in [2, 3] {
+        let setup = Setup::new(9 - faulty, faulty, 14);
+        let adversary = GhostCandidateAdversary::new(5, 16, 14);
+        let ghost = ConsensusMsg::RotorEcho(adversary.ghosts()[0]);
+        let engine = run_early(&setup, adversary);
+        let re_echoed = |s: &SentRecord<ConsensusMsg<u64>>| !s.from_adversary && s.msg == ghost;
+        assert_eq!(
+            engine.sent_records().iter().any(re_echoed),
+            faulty == 3,
+            "correct nodes re-echo a ghost iff it reaches n_v/3"
+        );
+        writeln!(text, "== {faulty} of 9 faulty ==").unwrap();
+        text.push_str(&digest(&engine));
+    }
+    assert_eq!(text.matches("(n_v 9)").count(), 7 + 6, "faulty ids count");
+    check("early-ghost-candidates-n9", &text);
 }
