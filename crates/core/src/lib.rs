@@ -44,7 +44,13 @@
 //! the freeze of `n_v`, the member filter, the embedded rotor step, the
 //! coordinator-opinion pick) and its one *substitution tally* (the caption
 //! of Algorithm 3); their modules hold only the message ladder, the
-//! termination rule and the substitution fills that differ. And nesting has
+//! termination rule and the substitution fills that differ. The frame is
+//! also the one place that counts the rotor's echoes — most of every inbox
+//! — and it counts by *member slot* ([`tracker`]: ids numbered in
+//! first-heard order): one membership lookup per run of envelopes from the
+//! same sender, one bit per (candidate, member) in a single flat matrix, and
+//! a tally's silent members read off a sender bitset. Slot numbers are
+//! bookkeeping and never reach a message or a decision. And nesting has
 //! one convention: a protocol that is ever embedded
 //! ([`EarlyConsensus::step`](consensus::EarlyConsensus::step),
 //! [`ParallelConsensusCore::step`](parallel::ParallelConsensusCore::step),

@@ -15,6 +15,17 @@
 //! value the receiver chooses. What each algorithm adds — its message ladder,
 //! its termination rule, which value fills a silent member's slot — stays in
 //! its own file.
+//!
+//! The frame counts by **member slot** (`tracker.rs`: ids numbered in
+//! first-heard order, the freeze keeps the numbering). The rotor makes every
+//! node reliably broadcast every candidate, so nearly all of an inbox is
+//! `RotorEcho` — `n_v²` of them per round while the candidate set fills —
+//! and what the frame pays per echo is one bit: the sender is resolved to
+//! its slot once per run of envelopes from the same sender, and "distinct
+//! members that echoed `p` since the last rotor step" is a row of one flat
+//! bit matrix ([`EchoTally`]). The silent members of a substitution tally
+//! are likewise the unset bits of a sender bitset. Slots never reach a
+//! message or a decision: only counts and winners do.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,7 +34,7 @@ use uba_sim::NodeId;
 use crate::consensus::phase_of_round;
 use crate::quorum::max_tally;
 use crate::rotor::RotorCore;
-use crate::tracker::{FrozenMembership, ParticipantTracker};
+use crate::tracker::{FrozenMembership, IdSlots, ParticipantTracker};
 
 /// The embedded rotor-coordinator's share of a message enum.
 #[derive(Clone, Copy)]
@@ -49,6 +60,111 @@ pub(crate) struct Tick<'a, M> {
     pub inbox: Vec<(NodeId, &'a M)>,
 }
 
+/// Where `slot` lives in a slot-indexed bitset: word index and bit mask.
+fn locate(slot: u32) -> (usize, u64) {
+    ((slot / u64::BITS) as usize, 1 << (slot % u64::BITS))
+}
+
+/// The sender's member slot (`None`: not a member), looked up once per run
+/// of equal senders: `resolve` is only called when `from` differs from the
+/// previous envelope's sender. Grouped senders (how the engine delivers)
+/// cost one lookup each; any other order is as correct and costs one lookup
+/// per change of sender.
+#[derive(Default)]
+struct SenderRun {
+    last: Option<(NodeId, Option<u32>)>,
+}
+
+impl SenderRun {
+    fn slot(&mut self, from: NodeId, resolve: impl FnOnce(NodeId) -> Option<u32>) -> Option<u32> {
+        match self.last {
+            Some((id, slot)) if id == from => slot,
+            _ => {
+                let slot = resolve(from);
+                self.last = Some((from, slot));
+                slot
+            }
+        }
+    }
+}
+
+/// Per candidate, the distinct member slots whose echo arrived since the
+/// last rotor step (steps are 5 rounds apart, so echoes are buffered): one
+/// bit-matrix row per candidate, in the order candidates were first echoed,
+/// and the row's population count kept beside it. All rows live in one
+/// allocation — a heap object per candidate is what this replaces — and a
+/// rotor step empties the tally without freeing it.
+#[derive(Clone, Debug, Default)]
+struct EchoTally {
+    /// Candidate → row. Candidates need not be members (ghost ids).
+    rows: IdSlots,
+    /// Row → number of set bits in it.
+    counts: Vec<usize>,
+    /// `rows × words` bits, row-major; bit `s` of a row is member slot `s`.
+    bits: Vec<u64>,
+    /// Words per row: enough for the highest slot recorded so far.
+    words: usize,
+    /// The row after the last one hit. Every sender echoes the candidates
+    /// in the same (ascending) order, so this is usually the next row.
+    hint: usize,
+}
+
+impl EchoTally {
+    /// Counts `echo(candidate)` from the member in `slot`, once.
+    fn record(&mut self, candidate: NodeId, slot: u32) {
+        let (word, bit) = locate(slot);
+        if word >= self.words {
+            self.widen(word + 1);
+        }
+        let row = if self.rows.ids().get(self.hint) == Some(&candidate) {
+            self.hint
+        } else {
+            self.rows.observe(candidate) as usize
+        };
+        if row == self.counts.len() {
+            self.counts.push(0);
+            self.bits.resize(self.bits.len() + self.words, 0);
+        }
+        self.hint = row + 1;
+        let cell = &mut self.bits[row * self.words + word];
+        if *cell & bit == 0 {
+            *cell |= bit;
+            self.counts[row] += 1;
+        }
+    }
+
+    /// Re-lays the matrix out with `words` words per row (a slot crossed a
+    /// word boundary — only while membership still grows, in round 3).
+    fn widen(&mut self, words: usize) {
+        let mut bits = vec![0; self.counts.len() * words];
+        if self.words > 0 {
+            for (new, old) in bits
+                .chunks_exact_mut(words)
+                .zip(self.bits.chunks_exact(self.words))
+            {
+                new[..self.words].copy_from_slice(old);
+            }
+        }
+        self.bits = bits;
+        self.words = words;
+    }
+
+    /// The support of every candidate echoed since the last call, and a
+    /// fresh (still allocated) tally.
+    fn take_support(&mut self) -> BTreeMap<NodeId, usize> {
+        let support = self
+            .rows
+            .ascending()
+            .map(|(p, row)| (p, self.counts[row as usize]))
+            .collect();
+        self.rows.clear();
+        self.counts.clear();
+        self.bits.clear();
+        self.hint = 0;
+        support
+    }
+}
+
 /// Initialization, membership freeze, rotor and coordinator of one
 /// rotor-driven agreement.
 #[derive(Clone, Debug)]
@@ -57,9 +173,7 @@ pub(crate) struct PhaseFrame {
     tracker: ParticipantTracker,
     frozen: Option<FrozenMembership>,
     rotor: RotorCore,
-    /// Candidate id → distinct member senders whose echo arrived since the
-    /// last rotor step (steps are 5 rounds apart, so echoes are buffered).
-    echo_buf: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    echoes: EchoTally,
     /// The coordinator selected in this phase's round 4.
     coordinator: Option<NodeId>,
 }
@@ -71,7 +185,7 @@ impl PhaseFrame {
             tracker: ParticipantTracker::new(),
             frozen: None,
             rotor: RotorCore::new(),
-            echo_buf: BTreeMap::new(),
+            echoes: EchoTally::default(),
             coordinator: None,
         }
     }
@@ -126,16 +240,18 @@ impl PhaseFrame {
         // towards n_v; later senders are discarded.
         let freezing = round == 3;
         let mut kept = Vec::new();
+        let mut run = SenderRun::default();
         for (from, msg) in inbox {
-            if freezing {
-                self.tracker.observe(from);
-            } else if !self.frozen.as_ref().is_some_and(|f| f.contains(from)) {
-                continue;
-            }
-            match msg.as_rotor() {
-                Some(RotorPart::Echo(p)) => {
-                    self.echo_buf.entry(p).or_default().insert(from);
+            let slot = run.slot(from, |from| {
+                if freezing {
+                    Some(self.tracker.observe(from))
+                } else {
+                    self.frozen.as_ref().and_then(|f| f.slot(from))
                 }
+            });
+            let Some(slot) = slot else { continue };
+            match msg.as_rotor() {
+                Some(RotorPart::Echo(p)) => self.echoes.record(p, slot),
                 Some(RotorPart::Init) => {}
                 None => kept.push((from, msg)),
             }
@@ -160,9 +276,7 @@ impl PhaseFrame {
     /// for round 5; returns whether this node is it and must now send its
     /// opinion.
     pub fn rotor_step<M: FrameMsg>(&mut self, n: usize, out: &mut Vec<M>) -> bool {
-        let support = self.echo_buf.iter().map(|(p, s)| (*p, s.len())).collect();
-        self.echo_buf.clear();
-        let step = self.rotor.step(n, &support);
+        let step = self.rotor.step(n, &self.echoes.take_support());
         if step.terminated {
             return false;
         }
@@ -204,16 +318,25 @@ impl PhaseFrame {
         votes: impl IntoIterator<Item = (NodeId, Option<K>)>,
         fill: impl Fn(NodeId) -> Option<K>,
     ) -> Option<(K, usize)> {
+        let members = self.frozen.as_ref().expect("initialized");
         let mut counts: BTreeMap<K, usize> = BTreeMap::new();
-        let mut senders = BTreeSet::new();
+        // Bit `s` set: the member in slot `s` spoke.
+        let mut spoke = vec![0u64; members.n().div_ceil(u64::BITS as usize)];
+        let mut run = SenderRun::default();
         for (from, value) in votes {
-            senders.insert(from);
+            if let Some(slot) = run.slot(from, |from| members.slot(from)) {
+                let (word, bit) = locate(slot);
+                spoke[word] |= bit;
+            }
             if let Some(v) = value {
                 *counts.entry(v).or_insert(0) += 1;
             }
         }
-        let members = self.frozen.as_ref().expect("initialized").members();
-        for v in members.difference(&senders).filter_map(|&m| fill(m)) {
+        let silent = (0..members.n() as u32).filter(|&slot| {
+            let (word, bit) = locate(slot);
+            spoke[word] & bit == 0
+        });
+        for v in silent.filter_map(|slot| fill(members.id_of(slot))) {
             *counts.entry(v).or_insert(0) += 1;
         }
         max_tally(&counts)
@@ -234,5 +357,228 @@ impl PhaseFrame {
             .filter_map(|&(from, msg)| extract(msg).map(|v| (from, Some(v))));
         let (v, count) = self.tally(votes, |_| own)?;
         Some((v.clone(), count))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::consensus::ConsensusMsg;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Msg = ConsensusMsg<u8>;
+    type Inbox = Vec<(NodeId, Msg)>;
+
+    /// The frame's bookkeeping the obvious way — a set of member ids and,
+    /// per echoed candidate, a set of sender ids — which the slot-counted
+    /// frame must be indistinguishable from.
+    #[derive(Default)]
+    struct Naive {
+        seen: BTreeSet<NodeId>,
+        frozen: BTreeSet<NodeId>,
+        echo_buf: BTreeMap<NodeId, BTreeSet<NodeId>>,
+        rotor: RotorCore,
+    }
+
+    impl Naive {
+        /// Round 2: the echoes to send.
+        fn initiators(&mut self, inbox: &Inbox) -> Vec<Msg> {
+            let mut initiators = BTreeSet::new();
+            for (from, msg) in inbox {
+                self.seen.insert(*from);
+                if *msg == Msg::RotorInit {
+                    initiators.insert(*from);
+                }
+            }
+            initiators.into_iter().map(Msg::RotorEcho).collect()
+        }
+
+        /// Rounds ≥ 3: the inbox handed to the algorithm.
+        fn begin<'a>(&mut self, round: u64, inbox: &'a Inbox) -> Vec<(NodeId, &'a Msg)> {
+            let mut kept = Vec::new();
+            for (from, msg) in inbox {
+                if round == 3 {
+                    self.seen.insert(*from);
+                } else if !self.frozen.contains(from) {
+                    continue;
+                }
+                match msg {
+                    Msg::RotorEcho(p) => {
+                        self.echo_buf.entry(*p).or_default().insert(*from);
+                    }
+                    Msg::RotorInit => {}
+                    _ => kept.push((*from, msg)),
+                }
+            }
+            if round == 3 {
+                self.frozen = self.seen.clone();
+            }
+            kept
+        }
+
+        fn take_support(&mut self) -> BTreeMap<NodeId, usize> {
+            let buffered = std::mem::take(&mut self.echo_buf);
+            buffered.iter().map(|(p, s)| (*p, s.len())).collect()
+        }
+
+        fn tally(
+            &self,
+            votes: &[(NodeId, Option<u8>)],
+            fill: impl Fn(NodeId) -> Option<u8>,
+        ) -> Option<(u8, usize)> {
+            let mut counts = BTreeMap::new();
+            let mut senders = BTreeSet::new();
+            for &(from, value) in votes {
+                senders.insert(from);
+                if let Some(v) = value {
+                    *counts.entry(v).or_insert(0) += 1;
+                }
+            }
+            for v in self.frozen.difference(&senders).filter_map(|&m| fill(m)) {
+                *counts.entry(v).or_insert(0) += 1;
+            }
+            max_tally(&counts)
+        }
+    }
+
+    /// Ids are scattered, so neither id order nor arrival order is slot order.
+    fn id(index: usize) -> NodeId {
+        NodeId::new((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The inboxes of rounds 2..=12 (two rotor steps) for a node that ends up
+    /// with `members` counted ids. The last few members are first heard in
+    /// round 3; four strangers only ever speak after the freeze; candidates
+    /// are drawn from members, strangers and six ids nobody owns, a few of
+    /// them hot enough to cross the rotor's thresholds; senders are grouped
+    /// into runs in half of the rounds and shuffled in the rest; and a round
+    /// may replay the previous round's echoes.
+    fn stream(rng: &mut StdRng, members: usize) -> Vec<Inbox> {
+        let late = rng.gen_range(0..members.min(6));
+        let candidate = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => id(rng.gen_range(0..members + 10)),
+            hot => id(members.saturating_sub(hot)),
+        };
+        let mut rounds: Vec<Inbox> = Vec::new();
+        for round in 2..=12u64 {
+            let senders = match round {
+                2 => members - late,
+                3 => members,
+                _ => members + 4,
+            };
+            let mut inbox = Inbox::new();
+            for from in (0..senders).map(id) {
+                if round == 2 && rng.gen_range(0..8) > 0 {
+                    inbox.push((from, Msg::RotorInit));
+                }
+                // Everyone is heard by round 3, so `members` is exact.
+                if round == 3 || (round > 3 && rng.gen_range(0..10) > 0) {
+                    inbox.push((from, Msg::RotorEcho(id(0))));
+                }
+                for _ in 0..rng.gen_range(0..6) {
+                    inbox.push((from, Msg::RotorEcho(candidate(rng))));
+                }
+                match rng.gen_range(0..10) {
+                    0..=5 => inbox.push((from, Msg::Input(rng.gen_range(0..3)))),
+                    6 => inbox.push((from, Msg::Prefer(1))),
+                    _ => {}
+                }
+            }
+            if rng.gen_range(0..2) == 0 {
+                let replayed = rounds.last().into_iter().flatten();
+                inbox.extend(
+                    replayed
+                        .filter(|(_, m)| matches!(m, Msg::RotorEcho(_)))
+                        .cloned(),
+                );
+            }
+            if rng.gen_range(0..2) == 0 {
+                for i in (1..inbox.len()).rev() {
+                    inbox.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            rounds.push(inbox);
+        }
+        rounds
+    }
+
+    fn borrowed(inbox: &Inbox) -> impl Iterator<Item = (NodeId, &Msg)> {
+        inbox.iter().map(|(from, msg)| (*from, msg))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn slot_counting_is_indistinguishable_from_sets_of_ids(seed in 0u64..u64::MAX) {
+            // One word of slots, one short of it, one past it, and the same
+            // around two words.
+            for members in [1usize, 63, 64, 65, 128, 129] {
+                let mut rng = StdRng::seed_from_u64(seed ^ members as u64);
+                let me = id(members - 1);
+                let mut frame = PhaseFrame::new(me);
+                let mut naive = Naive::default();
+
+                let mut out: Vec<Msg> = Vec::new();
+                prop_assert!(frame.begin(1, borrowed(&Inbox::new()), &mut out).is_none());
+                prop_assert_eq!(&out, &[Msg::RotorInit]);
+
+                for (round, inbox) in (2u64..).zip(stream(&mut rng, members)) {
+                    let mut out: Vec<Msg> = Vec::new();
+                    let tick = frame.begin(round, borrowed(&inbox), &mut out);
+                    if round == 2 {
+                        prop_assert!(tick.is_none());
+                        prop_assert_eq!(out, naive.initiators(&inbox));
+                        continue;
+                    }
+                    let tick = tick.expect("a phase round");
+                    let kept = naive.begin(round, &inbox);
+                    prop_assert!(out.is_empty());
+                    prop_assert_eq!((tick.phase, tick.round), phase_of_round(round));
+                    prop_assert_eq!(tick.n, naive.frozen.len());
+                    prop_assert_eq!(tick.n, members);
+                    prop_assert_eq!(&tick.inbox, &kept);
+
+                    // A member that says `Prefer` spoke without naming a value.
+                    let votes: Vec<(NodeId, Option<u8>)> = kept
+                        .iter()
+                        .map(|&(from, msg)| match msg {
+                            Msg::Input(v) => (from, Some(*v)),
+                            _ => (from, None),
+                        })
+                        .collect();
+                    let own = |_| Some(1);
+                    let nothing = |_| None;
+                    let per_member = |m: NodeId| Some((m.raw() % 3) as u8).filter(|v| *v > 0);
+                    prop_assert_eq!(frame.tally(votes.iter().copied(), own), naive.tally(&votes, own));
+                    prop_assert_eq!(
+                        frame.tally(votes.iter().copied(), nothing),
+                        naive.tally(&votes, nothing)
+                    );
+                    prop_assert_eq!(
+                        frame.tally(votes.iter().copied(), per_member),
+                        naive.tally(&votes, per_member)
+                    );
+
+                    if tick.round == 4 {
+                        let support = naive.take_support();
+                        prop_assert_eq!(&frame.echoes.clone().take_support(), &support);
+                        let step = naive.rotor.step(tick.n, &support);
+                        let mut out: Vec<Msg> = Vec::new();
+                        let coordinating = frame.rotor_step(tick.n, &mut out);
+                        let re_echo: Vec<Msg> =
+                            step.re_echo.iter().copied().map(Msg::RotorEcho).collect();
+                        prop_assert_eq!(out, re_echo);
+                        prop_assert_eq!(
+                            coordinating,
+                            !step.terminated && step.coordinator == Some(me)
+                        );
+                        prop_assert!(frame.echoes.take_support().is_empty());
+                    }
+                }
+            }
+        }
     }
 }

@@ -40,12 +40,6 @@ pub enum RbMsg<M> {
     Echo(M),
 }
 
-/// Per-message acceptance state of one node.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct MessageState {
-    accepted_round: Option<u64>,
-}
-
 /// One node's state machine for Algorithm 1.
 ///
 /// All correct nodes (including the designated sender) run one instance per
@@ -80,7 +74,8 @@ pub struct ReliableBroadcast<M> {
     /// `Some(m)` iff this node is the designated sender.
     payload: Option<M>,
     tracker: ParticipantTracker,
-    states: BTreeMap<M, MessageState>,
+    /// Accepted message → the round it was accepted in.
+    accepted: BTreeMap<M, u64>,
     horizon: Option<u64>,
     done: Option<BTreeMap<M, u64>>,
 }
@@ -97,7 +92,7 @@ impl<M: Value> ReliableBroadcast<M> {
             sender,
             payload,
             tracker: ParticipantTracker::new(),
-            states: BTreeMap::new(),
+            accepted: BTreeMap::new(),
             horizon: None,
             done: None,
         }
@@ -112,19 +107,12 @@ impl<M: Value> ReliableBroadcast<M> {
 
     /// Messages accepted so far, with the round each was accepted in.
     pub fn accepted(&self) -> BTreeMap<M, u64> {
-        self.states
-            .iter()
-            .filter_map(|(m, st)| st.accepted_round.map(|r| (m.clone(), r)))
-            .collect()
+        self.accepted.clone()
     }
 
     /// This node's current participant estimate `n_v`.
     pub fn participant_estimate(&self) -> usize {
         self.tracker.n()
-    }
-
-    fn state(&mut self, m: &M) -> &mut MessageState {
-        self.states.entry(m.clone()).or_default()
     }
 }
 
@@ -170,24 +158,25 @@ impl<M: Value> Process for ReliableBroadcast<M> {
             _ => {
                 // Rounds 3…: count this round's echoes per message value
                 // (distinct senders; the engine already dedups exact
-                // duplicates per sender per round).
+                // duplicates per sender per round). Values are counted by
+                // reference: only one that is re-echoed or newly accepted
+                // is cloned, whatever the number of envelopes.
                 let n_v = self.tracker.n();
-                let mut counts: BTreeMap<M, usize> = BTreeMap::new();
+                let mut counts: BTreeMap<&M, usize> = BTreeMap::new();
                 for e in ctx.inbox() {
                     if let RbMsg::Echo(m) = e.msg() {
-                        *counts.entry(m.clone()).or_insert(0) += 1;
+                        *counts.entry(m).or_insert(0) += 1;
                     }
                 }
                 for (m, count) in counts {
-                    let accepted = self.state(&m).accepted_round.is_some();
-                    if accepted {
+                    if self.accepted.contains_key(m) {
                         continue;
                     }
                     if meets_third(count, n_v) {
                         ctx.broadcast(RbMsg::Echo(m.clone()));
                     }
                     if meets_two_thirds(count, n_v) {
-                        self.state(&m).accepted_round = Some(round);
+                        self.accepted.insert(m.clone(), round);
                     }
                 }
             }

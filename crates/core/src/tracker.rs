@@ -7,10 +7,66 @@
 //! known to only a subset of the correct nodes, so `n_v` legitimately
 //! differs across correct nodes — the algorithms are exactly the ones that
 //! tolerate this inconsistency.
+//!
+//! The tracker also gives every id it hears a **dense slot**: `0, 1, 2, …`
+//! in the order the ids were first heard, kept by the freeze. A protocol
+//! that counts "distinct members that said X" can then count in a bitset
+//! indexed by slot instead of a set of ids. Slot numbers depend on arrival
+//! order and are bookkeeping only: nothing a protocol sends or decides may
+//! depend on them, only on the counts and id-ordered views they index.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use uba_sim::{Envelope, NodeId};
+
+/// Ids numbered `0, 1, 2, …` in the order they were first seen.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdSlots {
+    slot_of: BTreeMap<NodeId, u32>,
+    /// Slot → id.
+    ids: Vec<NodeId>,
+}
+
+impl IdSlots {
+    /// The slot of `id`, giving it the next free one if it is new.
+    pub fn observe(&mut self, id: NodeId) -> u32 {
+        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 ids");
+        let slot = *self.slot_of.entry(id).or_insert(next);
+        if slot == next {
+            self.ids.push(id);
+        }
+        slot
+    }
+
+    pub fn slot(&self, id: NodeId) -> Option<u32> {
+        self.slot_of.get(&id).copied()
+    }
+
+    /// Ids in slot order.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// `(id, slot)` in ascending id order.
+    pub fn ascending(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.slot_of.iter().map(|(&id, &slot)| (id, slot))
+    }
+
+    /// Forgets every id.
+    pub fn clear(&mut self) {
+        self.slot_of.clear();
+        self.ids.clear();
+    }
+}
+
+/// Equal when the same ids were seen, in whatever order.
+impl PartialEq for IdSlots {
+    fn eq(&self, other: &Self) -> bool {
+        self.slot_of.keys().eq(other.slot_of.keys())
+    }
+}
+
+impl Eq for IdSlots {}
 
 /// Tracks the set of nodes a process has heard from (`n_v`).
 ///
@@ -28,7 +84,7 @@ use uba_sim::{Envelope, NodeId};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParticipantTracker {
-    seen: BTreeSet<NodeId>,
+    seen: IdSlots,
 }
 
 impl ParticipantTracker {
@@ -37,32 +93,37 @@ impl ParticipantTracker {
         Self::default()
     }
 
-    /// Records the senders of a delivered inbox.
+    /// Records the senders of a delivered inbox: one lookup per run of
+    /// envelopes from the same sender (the engine delivers a sender's
+    /// messages adjacently; any other order is just as correct).
     pub fn observe_inbox<M>(&mut self, inbox: &[Envelope<M>]) {
-        for env in inbox {
-            self.seen.insert(env.from);
+        for run in inbox.chunk_by(|a, b| a.from == b.from) {
+            self.seen.observe(run[0].from);
         }
     }
 
-    /// Records a single sender.
-    pub fn observe(&mut self, id: NodeId) {
-        self.seen.insert(id);
+    /// Records a single sender and returns its slot: `0` for the first id
+    /// ever observed, `1` for the second, and so on; observing an id again
+    /// returns the slot it already has.
+    pub fn observe(&mut self, id: NodeId) -> u32 {
+        self.seen.observe(id)
     }
 
     /// The current participant estimate `n_v`.
     pub fn n(&self) -> usize {
-        self.seen.len()
+        self.seen.ids().len()
     }
 
     /// Whether `id` has been heard from.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.seen.contains(&id)
+        self.seen.slot(id).is_some()
     }
 
     /// Freezes the current membership into an immutable snapshot, as the
     /// consensus algorithms do after their two initialization rounds
     /// ("later, a node only accepts messages from a node if it counted
-    /// towards `n_v` during the initialization").
+    /// towards `n_v` during the initialization"). The snapshot keeps the
+    /// tracker's slot numbering.
     pub fn freeze(&self) -> FrozenMembership {
         FrozenMembership {
             members: self.seen.clone(),
@@ -73,23 +134,37 @@ impl ParticipantTracker {
 /// An immutable membership snapshot with its fixed `n_v`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenMembership {
-    members: BTreeSet<NodeId>,
+    members: IdSlots,
 }
 
 impl FrozenMembership {
     /// The frozen `n_v`.
     pub fn n(&self) -> usize {
-        self.members.len()
+        self.members.ids().len()
     }
 
     /// Whether `id` was part of the snapshot.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.members.contains(&id)
+        self.members.slot(id).is_some()
+    }
+
+    /// The slot (`0..n`) of member `id`, `None` for a non-member.
+    pub fn slot(&self, id: NodeId) -> Option<u32> {
+        self.members.slot(id)
+    }
+
+    /// The member in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= n`.
+    pub fn id_of(&self, slot: u32) -> NodeId {
+        self.members.ids()[slot as usize]
     }
 
     /// Members in ascending order.
-    pub fn members(&self) -> &BTreeSet<NodeId> {
-        &self.members
+    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.members.ascending().map(|(id, _)| id)
     }
 }
 
@@ -120,5 +195,24 @@ mod tests {
         assert_eq!(t.n(), 2);
         assert!(frozen.contains(NodeId::new(1)));
         assert!(!frozen.contains(NodeId::new(2)));
+    }
+
+    #[test]
+    fn slots_follow_first_heard_order_and_survive_the_freeze() {
+        let mut t = ParticipantTracker::new();
+        t.observe_inbox(&[env(9, "a"), env(9, "b"), env(2, "c"), env(9, "d")]);
+        assert_eq!(t.observe(NodeId::new(5)), 2);
+        assert_eq!(t.observe(NodeId::new(2)), 1, "a known id keeps its slot");
+        let frozen = t.freeze();
+        assert_eq!(frozen.n(), 3);
+        assert_eq!(frozen.slot(NodeId::new(9)), Some(0));
+        assert_eq!(frozen.slot(NodeId::new(7)), None);
+        assert_eq!(frozen.id_of(2), NodeId::new(5));
+        let ascending: Vec<u64> = frozen.members().map(NodeId::raw).collect();
+        assert_eq!(ascending, [2, 5, 9]);
+        // The numbering is bookkeeping, not identity.
+        let mut other = ParticipantTracker::new();
+        other.observe_inbox(&[env(2, "x"), env(5, "y"), env(9, "z")]);
+        assert_eq!(other.freeze(), frozen);
     }
 }

@@ -17,6 +17,10 @@
 //!   round costs exactly as many clones with 32 extra messages the inner
 //!   protocol turns away at the door as it costs without them. (Before,
 //!   every layer deep-cloned and re-hashed every envelope to re-wrap it.)
+//! - `ReliableBroadcast` counts a round's echoes by reference and clones a
+//!   value when it re-echoes or accepts it: clones per echo round follow the
+//!   number of *distinct* values. (Before, every echo envelope was cloned
+//!   into the tally: `n` clones per value and round.)
 //!
 //! One file, one test, so no other test's calls can race the counters.
 
@@ -26,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use uba_core::consensus::{ConsensusMsg, EarlyConsensus};
 use uba_core::ordering::{OrderMsg, TotalOrdering};
 use uba_core::parallel::ParMsg;
+use uba_core::reliable::{RbMsg, ReliableBroadcast};
 use uba_core::trb::{TerminatingBroadcast, TrbMsg};
 use uba_core::vector::{VcMsg, VectorConsensus};
 use uba_sim::{sparse_ids, Context, Envelope, NodeId, Outbox, Process, SyncEngine};
@@ -222,4 +227,32 @@ fn protocol_work_is_per_value_and_per_send_not_per_envelope() {
     let [quiet, crowded] = round_cost(node, 5, strangers(input));
     assert_eq!(crowded, quiet, "ordering → parallel");
     assert_eq!(crowded.1, 0, "ordering → parallel hashes nothing");
+
+    // (d) One reliable-broadcast echo round: 32 counted members all echo the
+    // two values of an equivocating sender. Each value is cloned once for
+    // the re-echo and once on acceptance — not once per envelope.
+    let ids = sparse_ids(32, 4);
+    let mut node = ReliableBroadcast::new(ids[0], ids[1], None);
+    let mut outbox = Outbox::new();
+    let present: Vec<_> = ids
+        .iter()
+        .map(|&id| Envelope::new(id, RbMsg::Present))
+        .collect();
+    node.on_round(&mut Context::new(1, &[], &mut outbox));
+    node.on_round(&mut Context::new(2, &present, &mut outbox));
+    let echoes: Vec<_> = ids
+        .iter()
+        .flat_map(|&id| [1, 2].map(|v| Envelope::new(id, RbMsg::Echo(Counted(v)))))
+        .collect();
+    take_counts();
+    node.on_round(&mut Context::new(3, &echoes, &mut outbox));
+    let (clones, hashes, _) = take_counts();
+    assert_eq!(node.accepted().len(), 2, "both values reached 2n_v/3");
+    assert_eq!(
+        clones,
+        4,
+        "{} echo envelopes of 2 distinct values: re-echo + accept each",
+        echoes.len()
+    );
+    assert_eq!(hashes, 0, "reliable broadcast never hashes a value");
 }

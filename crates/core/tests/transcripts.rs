@@ -31,7 +31,7 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::fmt::{Debug, Write as _};
+use std::fmt::{Debug, Display, Write as _};
 use std::path::PathBuf;
 
 use uba_adversary::attacks::{ConsensusEquivocator, GhostCandidateAdversary};
@@ -47,6 +47,20 @@ use uba_sim::{
     sparse_ids, Adversary, AdversaryOutbox, AdversaryView, ChurnSchedule, Dest, EngineBuilder,
     FnAdversary, NodeId, Process, SentRecord, SyncEngine, TraceEvent,
 };
+
+/// One send operation as a transcript line (`*` = broadcast).
+fn send_line(
+    text: &mut String,
+    round: u64,
+    from: u64,
+    to: Option<u64>,
+    payload: impl Display,
+    adversary: bool,
+) {
+    let to = to.map_or("*".to_owned(), |id| format!("{id:#x}"));
+    let tag = if adversary { " [adv]" } else { "" };
+    writeln!(text, "r{round} {from:#x} -> {to}: {payload}{tag}").unwrap();
+}
 
 /// Runs `builder` to completion and renders the transcript.
 fn transcript<P, A>(builder: EngineBuilder<P, A>, max_rounds: u64) -> String
@@ -70,9 +84,7 @@ where
                 adversary,
             } = event
             {
-                let to = to.map_or("*".to_owned(), |id| format!("{id:#x}"));
-                let tag = if *adversary { " [adv]" } else { "" };
-                writeln!(text, "r{round} {from:#x} -> {to}: {payload}{tag}").unwrap();
+                send_line(&mut text, *round, *from, *to, payload, *adversary);
             }
         }
     });
@@ -119,13 +131,19 @@ where
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
         for send in sends {
             let to = match send.dest {
-                Dest::Broadcast => "*".to_owned(),
-                Dest::To(id) => format!("{:#x}", id.raw()),
+                Dest::Broadcast => None,
+                Dest::To(id) => Some(id.raw()),
             };
-            let tag = if send.from_adversary { " [adv]" } else { "" };
-            let (round, from) = (send.round, send.from.raw());
+            let payload = format_args!("{:?}", send.msg);
             line.clear();
-            writeln!(line, "r{round} {from:#x} -> {to}: {:?}{tag}", send.msg).unwrap();
+            send_line(
+                &mut line,
+                send.round,
+                send.from.raw(),
+                to,
+                payload,
+                send.from_adversary,
+            );
             for byte in line.bytes() {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
