@@ -23,10 +23,11 @@
 //! log cluster under client load is a different shape from a sim/net twin.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use uba_net::{shard_of, spawn_log_cluster, LogClient, NetConfig, Record};
+use uba_net::{check_exactly_once, closed_loop, spawn_log_cluster, NetConfig, Record};
 use uba_sim::sparse_ids;
 use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
@@ -182,41 +183,22 @@ pub(crate) fn run_log(spec: &LogSpec) -> LogCell {
     .expect("service cluster spawns");
 
     // Closed-loop load: one client per node, each submitting its share as
-    // fast as the acks return. Unique payloads keep dedup out of the way.
+    // fast as the acks return.
     let addrs: Vec<_> = cluster.client_addrs().values().copied().collect();
     let quota = spec.submissions.div_ceil(addrs.len());
+    let stop = &AtomicBool::new(false);
     let load_started = Instant::now();
-    let workers: Vec<_> = addrs
-        .iter()
-        .enumerate()
-        .map(|(c, &addr)| {
-            thread::spawn(move || {
-                let mut client = LogClient::connect(addr).expect("client connects");
-                let mut acked = Vec::new();
-                let mut latencies = Vec::new();
-                for i in 0..quota {
-                    let key = format!("key-{}", (c + i * 7) % 48);
-                    let payload = format!("c{c}-{i}").into_bytes();
-                    let sent = Instant::now();
-                    match client.submit(&key, &payload).expect("submit I/O") {
-                        Some((shard, _seq)) => {
-                            latencies.push(sent.elapsed().as_micros() as u64);
-                            acked.push((key, payload, shard));
-                        }
-                        None => break,
-                    }
-                }
-                (acked, latencies)
-            })
-        })
-        .collect();
     let mut acked = Vec::new();
     let mut latencies = Vec::new();
-    for worker in workers {
-        let (a, l) = worker.join().expect("client thread");
-        acked.extend(a);
-        latencies.extend(l);
-    }
+    thread::scope(|scope| {
+        let client = |(c, &addr)| scope.spawn(move || closed_loop(addr, c, quota, 48, None, stop));
+        let workers: Vec<_> = addrs.iter().enumerate().map(client).collect();
+        for worker in workers {
+            let (a, l) = worker.join().expect("client thread").expect("client I/O");
+            acked.extend(a);
+            latencies.extend(l);
+        }
+    });
     let load_micros = load_started.elapsed().as_micros() as u64;
 
     let reports = cluster.join_ordering().expect("ordering completes");
@@ -229,25 +211,7 @@ pub(crate) fn run_log(spec: &LogSpec) -> LogCell {
     let prefixes: Vec<Vec<Record>> = outputs[0].clone().unwrap_or_default();
     let ordered: u64 = prefixes.iter().map(|p| p.len() as u64).sum();
 
-    // Exactly once: each acked (key, payload) appears once in the acked
-    // shard, nothing else appears at all.
-    let mut counts: BTreeMap<(&str, &[u8]), (u32, usize)> = BTreeMap::new();
-    for (shard, prefix) in prefixes.iter().enumerate() {
-        for record in prefix {
-            counts
-                .entry((record.key.as_str(), record.payload.as_slice()))
-                .and_modify(|(_, n)| *n += 1)
-                .or_insert((shard as u32, 1));
-        }
-    }
-    let mut exactly_once = prefixes
-        .iter()
-        .enumerate()
-        .all(|(s, p)| p.iter().all(|r| shard_of(&r.key, spec.shards) == s as u32));
-    for (key, payload, shard) in &acked {
-        exactly_once &= counts.remove(&(key.as_str(), payload.as_slice())) == Some((*shard, 1));
-    }
-    exactly_once &= counts.is_empty();
+    let exactly_once = check_exactly_once(&acked, &prefixes, spec.shards).is_ok();
 
     latencies.sort_unstable();
     let ack_mean_us = latencies

@@ -9,7 +9,7 @@
 //! - the finality lag matches the rule `r − r' > 5|S|/2 + 2`.
 
 use uba_core::harness::mutual_prefix;
-use uba_core::ordering::{Chain, TotalOrdering};
+use uba_core::ordering::{OrderedEvent, TotalOrdering};
 use uba_sim::{sparse_ids, ChurnSchedule, SyncEngine};
 
 use crate::Table;
@@ -61,7 +61,7 @@ pub fn run() -> Vec<Table> {
             }
         }
         // Observe the live chains of all present, running nodes.
-        let chains: Vec<Chain<u64>> = engine
+        let chains: Vec<&[OrderedEvent<u64>]> = engine
             .correct_ids()
             .iter()
             .filter_map(|&id| engine.process(id).map(|p| p.chain()))
@@ -77,8 +77,8 @@ pub fn run() -> Vec<Table> {
             ]);
             continue;
         }
-        let min_len = chains.iter().map(Vec::len).min().unwrap_or(0);
-        let max_len = chains.iter().map(Vec::len).max().unwrap_or(0);
+        let min_len = chains.iter().map(|c| c.len()).min().unwrap_or(0);
+        let max_len = chains.iter().map(|c| c.len()).max().unwrap_or(0);
         let mut consistent = true;
         for i in 0..chains.len() {
             for j in i + 1..chains.len() {

@@ -8,7 +8,9 @@
 //! round `r'` becomes **final** once `r - r' > 5·|S^{r'}|/2 + 2` (enough
 //! rounds for the wave's consensus to have terminated everywhere), and the
 //! chain output is the concatenation of the outputs of all final waves in
-//! wave order. The two guarantees (for `n > 3f` in every round):
+//! wave order. The chain is maintained, not recomputed: each loop round ends
+//! by moving the waves that just became final off the pending maps onto the
+//! chain's end. The two guarantees (for `n > 3f` in every round):
 //!
 //! - **Chain-prefix** — the chains of any two correct nodes are prefixes of
 //!   one another;
@@ -122,15 +124,19 @@ pub struct TotalOrdering<V> {
     /// `w` and is stepped once per loop round, so its local round is
     /// `r - w + 1`.
     waves: BTreeMap<u64, ParallelConsensusCore<NodeId, V>>,
-    /// Outputs of terminated waves.
+    /// Outputs of terminated waves that are not final yet.
     results: BTreeMap<u64, BTreeMap<NodeId, V>>,
-    /// `|S|` snapshot of every wave this node started (for the finality rule).
+    /// `|S|` snapshot of every not-yet-final wave this node started (for
+    /// the finality rule); its first key is the next wave to judge.
     s_sizes: BTreeMap<u64, usize>,
+    /// The finality cursor: the newest final wave, once there is one.
+    last_final: Option<u64>,
+    /// The outputs of all final waves in wave order; only ever appended to.
+    chain: Chain<V>,
     /// Terminate and output the chain at this loop round.
     horizon: Option<u64>,
     /// Announce departure at this loop round.
     leave_at: Option<u64>,
-    done: Option<Chain<V>>,
 }
 
 impl<V: Value> TotalOrdering<V> {
@@ -145,9 +151,10 @@ impl<V: Value> TotalOrdering<V> {
             waves: BTreeMap::new(),
             results: BTreeMap::new(),
             s_sizes: BTreeMap::new(),
+            last_final: None,
+            chain: Vec::new(),
             horizon: None,
             leave_at: None,
-            done: None,
         }
     }
 
@@ -214,42 +221,40 @@ impl<V: Value> TotalOrdering<V> {
     /// from its own first wave on — it has no way to reconstruct earlier
     /// history (its chain is suffix-consistent with older members' chains).
     pub fn finality_round(&self) -> u64 {
-        let Some((&first_wave, _)) = self.s_sizes.first_key_value() else {
-            return 0;
-        };
-        let mut r_final = first_wave - 1;
-        for (&w, &s_size) in &self.s_sizes {
-            if w != r_final + 1 {
-                break;
-            }
-            // r - w > 5·s/2 + 2  ⟺  2(r - w) > 5s + 4; additionally the
-            // wave's consensus must actually have terminated (it always has
-            // by this time when n > 3f — see the paper's proof).
-            let time_ok = 2 * self.r.saturating_sub(w) > 5 * s_size as u64 + 4;
-            if time_ok && self.results.contains_key(&w) {
-                r_final = w;
-            } else {
-                break;
-            }
-        }
-        r_final
+        let first_pending = self.s_sizes.first_key_value().map(|(&w, _)| w - 1);
+        self.last_final.or(first_pending).unwrap_or(0)
     }
 
     /// The current chain: the outputs of all final waves, in wave order,
     /// events within a wave ordered by origin id.
-    pub fn chain(&self) -> Chain<V> {
-        let r_final = self.finality_round();
-        let mut chain = Vec::new();
-        for (&w, outputs) in self.results.range(..=r_final) {
-            for (&origin, value) in outputs {
-                chain.push(OrderedEvent {
-                    wave: w,
+    pub fn chain(&self) -> &[OrderedEvent<V>] {
+        &self.chain
+    }
+
+    /// Moves every wave that became final this round off `results` /
+    /// `s_sizes` onto the chain. A running node starts one wave per loop
+    /// round, so the first pending wave is always the cursor's successor.
+    fn advance_finality(&mut self) {
+        while let Some((&wave, &s_size)) = self.s_sizes.first_key_value() {
+            // r - w > 5·s/2 + 2  ⟺  2(r - w) > 5s + 4; additionally the
+            // wave's consensus must actually have terminated (it always has
+            // by this time when n > 3f — see the paper's proof).
+            if 2 * self.r.saturating_sub(wave) <= 5 * s_size as u64 + 4 {
+                break;
+            }
+            let Some(outputs) = self.results.remove(&wave) else {
+                break;
+            };
+            self.s_sizes.pop_first();
+            self.last_final = Some(wave);
+            for (origin, value) in outputs {
+                self.chain.push(OrderedEvent {
+                    wave,
                     origin,
-                    value: value.clone(),
+                    value,
                 });
             }
         }
-        chain
     }
 
     /// Executes one round on this round's delivered messages; outgoing
@@ -375,18 +380,18 @@ impl<V: Value> TotalOrdering<V> {
                     .drain(..)
                     .map(|m| (Dest::Broadcast, OrderMsg::Wave(w, m))),
             );
-            match wave.output() {
+            match wave.take_output() {
                 Some(result) => {
-                    self.results.insert(w, result.clone());
+                    self.results.insert(w, result);
                     false
                 }
                 None => true,
             }
         });
 
+        self.advance_finality();
         let left = self.mode == Mode::Leaving && self.waves.is_empty();
         if left || self.horizon == Some(self.r) {
-            self.done = Some(self.chain());
             self.mode = Mode::Done;
         }
     }
@@ -412,7 +417,11 @@ impl<V: Value> Process for TotalOrdering<V> {
     }
 
     fn output(&self) -> Option<Chain<V>> {
-        self.done.clone()
+        self.terminated().then(|| self.chain.clone())
+    }
+
+    fn terminated(&self) -> bool {
+        self.mode == Mode::Done
     }
 }
 
@@ -638,6 +647,59 @@ mod tests {
         let chain = &done.outputs[&ids[0]];
         assert_eq!(chain.len(), 4, "the honest events, and only those");
         assert!(ids[..4].iter().all(|id| &done.outputs[id] == chain));
+    }
+
+    #[test]
+    fn pending_maps_stay_within_the_finality_window() {
+        let ids = sparse_ids(4, 15);
+        let mut engine = SyncEngine::builder()
+            .correct_many(ids.iter().enumerate().map(|(i, &id)| {
+                let mine = (2..300u64).filter(move |r| r % 4 == i as u64);
+                TotalOrdering::genesis(id).with_events(mine.map(|r| (r, r)))
+            }))
+            .build();
+        engine.run_rounds(300);
+        for &id in &ids {
+            let node = engine.process(id).expect("present");
+            // n = 4: a wave is final 13 rounds after it started.
+            assert!(node.results.len() <= 16, "results: {}", node.results.len());
+            assert!(node.s_sizes.len() <= 16, "s_sizes: {}", node.s_sizes.len());
+            assert!(node.chain().len() > 250, "and the chain took them");
+            assert_eq!(node.finality_round(), node.chain().last().unwrap().wave);
+        }
+    }
+
+    #[test]
+    fn every_round_extends_the_previous_chain_under_churn() {
+        let ids = sparse_ids(5, 91);
+        let (joiner, leaver) = (ids[4], ids[0]);
+        let mut churn: ChurnSchedule<TotalOrdering<u64>> = ChurnSchedule::new();
+        churn.join_correct(5, TotalOrdering::joining(joiner).with_events([(12, 777)]));
+        let mut engine = SyncEngine::builder()
+            .correct_many(ids[..4].iter().map(|&id| {
+                let node = TotalOrdering::genesis(id).with_events([(3, id.raw() % 100)]);
+                if id == leaver {
+                    node.with_leave_at(10)
+                } else {
+                    node
+                }
+            }))
+            .churn(churn)
+            .build();
+        let mut before: BTreeMap<NodeId, Chain<u64>> = BTreeMap::new();
+        for round in 1..=45 {
+            engine.run_rounds(1);
+            for &id in &ids {
+                let Some(node) = engine.process(id) else {
+                    continue;
+                };
+                let was = before.insert(id, node.chain().to_vec()).unwrap_or_default();
+                assert!(node.chain().starts_with(&was), "{id} at round {round}");
+            }
+        }
+        assert_eq!(before.len(), 5, "every node was watched");
+        assert!(before[&joiner].iter().any(|e| e.value == 777));
+        assert_eq!(before[&ids[1]].len(), 5, "the stayers ordered every event");
     }
 
     #[test]

@@ -185,6 +185,12 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
         self.done.as_ref()
     }
 
+    /// Hands the final outputs over by move (a wave of the total-ordering
+    /// protocol is dropped once it has terminated).
+    pub(crate) fn take_output(&mut self) -> Option<BTreeMap<I, V>> {
+        self.done.take()
+    }
+
     /// Instance ids this node is currently participating in.
     pub fn active_instances(&self) -> Vec<I> {
         self.instances.keys().cloned().collect()

@@ -21,6 +21,10 @@
 //!   value when it re-echoes or accepts it: clones per echo round follow the
 //!   number of *distinct* values. (Before, every echo envelope was cloned
 //!   into the tally: `n` clones per value and round.)
+//! - `TotalOrdering` keeps its chain and lends it: reading `chain()` or
+//!   asking `terminated()` clones nothing, and `output()` clones each chain
+//!   value once. (Before, `chain()` rebuilt the chain by cloning every final
+//!   value, and `terminated()` was `output().is_some()`.)
 //!
 //! One file, one test, so no other test's calls can race the counters.
 
@@ -255,4 +259,26 @@ fn protocol_work_is_per_value_and_per_send_not_per_envelope() {
         echoes.len()
     );
     assert_eq!(hashes, 0, "reliable broadcast never hashes a value");
+
+    // (e) A terminated ordering node lends its chain; only `output()` copies.
+    let ids = sparse_ids(6, 12);
+    let mut engine = SyncEngine::builder()
+        .correct_many(ids.iter().map(|&id| ordering(id)))
+        .build();
+    engine.run_to_completion(40).expect("horizon reached");
+    let node = engine.process(ids[0]).expect("present");
+    let len = node.chain().len();
+    assert_eq!(len, 24, "six nodes, four events each, all final");
+    take_counts();
+    for _ in 0..100 {
+        assert_eq!(node.chain().len(), len);
+        assert!(node.terminated());
+    }
+    assert_eq!(take_counts().0, 0, "chain() and terminated() clone nothing");
+    assert_eq!(node.output().map(|chain| chain.len()), Some(len));
+    assert_eq!(
+        take_counts().0,
+        len as u64,
+        "output() clones the chain once"
+    );
 }

@@ -19,14 +19,13 @@
 //!         [--count N] [--rate R] [--seal-timeout-ms MS]
 //! ```
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use uba_net::{LogClient, Record};
+use uba_net::{check_exactly_once, closed_loop, shard_of, LogClient, Record};
 
 struct Args {
     addrs: Vec<String>,
@@ -107,68 +106,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// What one client thread brings home: its acked submissions (key,
-/// payload, shard) and the ack latency of each in microseconds.
-struct ClientReport {
-    acked: Vec<(String, Vec<u8>, u32)>,
-    latencies_us: Vec<u64>,
-}
-
-/// One client's submission loop. Unique payloads per submission keep the
-/// service's duplicate detection out of the measurement. Stops at its
-/// quota, on ingest close, or when `stop` flips (another client saw the
-/// close).
-fn run_client(
-    client_idx: usize,
-    addr: String,
-    quota: usize,
-    keys: usize,
-    pace: Option<Duration>,
-    stop: Arc<AtomicBool>,
-) -> Result<ClientReport, String> {
-    let mut client = LogClient::connect(&addr)
-        .map_err(|e| format!("client {client_idx}: connect {addr}: {e}"))?;
-    let mut report = ClientReport {
-        acked: Vec::with_capacity(quota),
-        latencies_us: Vec::with_capacity(quota),
-    };
-    let started = Instant::now();
-    for i in 0..quota {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // Open loop: sleep off any lead over the schedule before sending.
-        if let Some(pace) = pace {
-            let due = pace * i as u32;
-            let ahead = due.saturating_sub(started.elapsed());
-            if !ahead.is_zero() {
-                thread::sleep(ahead);
-            }
-        }
-        let key = format!("key-{}", (client_idx + i * 7) % keys);
-        let payload = format!("c{client_idx}-{i}").into_bytes();
-        let sent = Instant::now();
-        match client
-            .submit(&key, &payload)
-            .map_err(|e| format!("client {client_idx}: submit: {e}"))?
-        {
-            Some((shard, _seq)) => {
-                report.latencies_us.push(sent.elapsed().as_micros() as u64);
-                report.acked.push((key, payload, shard));
-            }
-            None => {
-                // Ingest closed: the run is over for everyone.
-                stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// Reads the sealed prefixes of shards `0..` from one endpoint until the
-/// endpoint runs out of shards is not knowable over the wire — the shard
-/// count is, by construction, the highest shard any ack named plus one.
+/// Reads the sealed prefixes of shards `0..shards` from one endpoint (a
+/// shard the endpoint does not have reads as empty).
 fn read_prefixes(addr: &str, shards: u32, timeout: Duration) -> Result<Vec<Vec<Record>>, String> {
     let mut client =
         LogClient::connect(addr).map_err(|e| format!("reader: connect {addr}: {e}"))?;
@@ -202,15 +141,18 @@ fn run(args: &Args) -> Result<bool, String> {
             let addr = args.addrs[i % args.addrs.len()].clone();
             let stop = Arc::clone(&stop);
             let keys = args.keys;
-            thread::spawn(move || run_client(i, addr, quota, keys, pace, stop))
+            thread::spawn(move || {
+                closed_loop(&addr, i, quota, keys, pace, &stop)
+                    .map_err(|e| format!("client {i} via {addr}: {e}"))
+            })
         })
         .collect();
     let mut acked = Vec::new();
     let mut latencies = Vec::new();
     for worker in workers {
-        let report = worker.join().map_err(|_| "client thread panicked")??;
-        acked.extend(report.acked);
-        latencies.extend(report.latencies_us);
+        let (a, l) = worker.join().map_err(|_| "client thread panicked")??;
+        acked.extend(a);
+        latencies.extend(l);
     }
     let elapsed = started.elapsed();
 
@@ -234,8 +176,13 @@ fn run(args: &Args) -> Result<bool, String> {
         return Ok(true);
     }
 
-    // The acks name the shards; read every endpoint's sealed prefixes.
-    let shards = acked.iter().map(|(_, _, s)| *s).max().unwrap_or(0) + 1;
+    // The shard count is not on the wire: take the smallest one, past the
+    // highest shard an ack named, that maps every acked key to its shard.
+    let named = acked.iter().map(|(_, _, s)| *s).max().unwrap_or(0) + 1;
+    let explains = |n: &u32| acked.iter().all(|(key, _, s)| shard_of(key, *n) == *s);
+    let shards = (named..named.saturating_mul(64))
+        .find(explains)
+        .unwrap_or(named);
     let timeout = Duration::from_millis(args.seal_timeout_ms);
     let mut all_prefixes = Vec::new();
     for addr in &args.addrs {
@@ -250,38 +197,8 @@ fn run(args: &Args) -> Result<bool, String> {
         }
     }
 
-    // Exactly once: every acked (key, payload) appears once, in the shard
-    // the ack named; nothing unacked appears at all (this loadgen is the
-    // only writer).
-    let mut counts: BTreeMap<(&str, &[u8]), (u32, usize)> = BTreeMap::new();
-    for (shard, prefix) in reference.iter().enumerate() {
-        for record in prefix {
-            counts
-                .entry((record.key.as_str(), record.payload.as_slice()))
-                .and_modify(|(_, n)| *n += 1)
-                .or_insert((shard as u32, 1));
-        }
-    }
-    for (key, payload, shard) in &acked {
-        match counts.remove(&(key.as_str(), payload.as_slice())) {
-            Some((s, 1)) if s == *shard => {}
-            Some((s, n)) => {
-                eprintln!(
-                    "check: acked {key:?} expected once in shard {shard}, found {n} in shard {s}"
-                );
-                ok = false;
-            }
-            None => {
-                eprintln!("check: acked {key:?} missing from the finalized log");
-                ok = false;
-            }
-        }
-    }
-    if !counts.is_empty() {
-        eprintln!(
-            "check: {} unacked records in the finalized log",
-            counts.len()
-        );
+    if let Err(why) = check_exactly_once(&acked, reference, shards) {
+        eprintln!("check: {why}");
         ok = false;
     }
     for (shard, prefix) in reference.iter().enumerate() {

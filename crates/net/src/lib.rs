@@ -139,8 +139,8 @@ pub use metrics_http::{
 pub use node::{NetConfig, NetError, NetNode, NetReport, MAX_BYTES_PER_ROUND, STRIKE_LIMIT};
 pub use proxy::{FaultProxy, LinkPlan, LinkSpec, Partition, WanProfile};
 pub use service::{
-    serve_clients, service_horizon, shard_of, spawn_log_cluster, Batch, ClientServer, LogClient,
-    LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
+    check_exactly_once, closed_loop, serve_clients, service_horizon, shard_of, spawn_log_cluster,
+    Batch, ClientServer, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
 pub use sync::{DataOutcome, DoneOutcome, RoundSynchronizer};
 pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

@@ -18,9 +18,10 @@
 //!    over the whole batch;
 //! 3. **order** — the shard's instance runs the paper's Algorithm 6 on the
 //!    batch, unchanged;
-//! 4. **finalize → read** — finalized batches are flattened into the
-//!    shard's record prefix, served to [`Frame::ReadPrefix`] as
-//!    [`Frame::PrefixChunk`].
+//! 4. **finalize → read** — each round, the events the shard's chain grew
+//!    by are appended, batch by batch, to the shard's record prefix — the
+//!    member's one published copy of the log — which [`Frame::ReadPrefix`]
+//!    reads in [`Frame::PrefixChunk`] pages of at most half a frame.
 //!
 //! Acknowledgements are durability promises: the service stops accepting
 //! new submissions strictly before the last round whose batch can still
@@ -33,9 +34,11 @@
 //! and never feeds the deterministic trace (the two-registries rule of
 //! DESIGN.md §10).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -47,7 +50,7 @@ use uba_trace::{metric_name, NetEventKind, NoopTracer, SharedRuntimeMetrics, Tra
 use crate::cluster::{ClusterSpec, RunningCluster};
 use crate::conn::{accept_loop, AcceptLoop};
 use crate::node::{NetConfig, NetError, NetReport};
-use crate::wire::{read_frame, write_frame, Frame, Wire};
+use crate::wire::{read_frame, write_frame, Frame, Wire, MAX_FRAME};
 
 /// One client submission, as ordered by a shard's instance.
 ///
@@ -67,6 +70,16 @@ pub struct Record {
     /// The per-shard ingress sequence number that node assigned.
     pub seq: u64,
 }
+
+/// Bytes `record` takes inside a [`Frame::PrefixChunk`]: its own length
+/// prefix, those of key and payload, `node` and `seq`.
+fn chunk_len(record: &Record) -> usize {
+    28 + record.key.len() + record.payload.len()
+}
+
+/// The most record bytes one [`Frame::PrefixChunk`] carries (it always
+/// carries one record): half a frame, so no prefix outgrows [`MAX_FRAME`].
+const CHUNK_BYTES: usize = MAX_FRAME as usize / 2;
 
 impl Wire for Record {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -195,38 +208,50 @@ impl LogIngress {
     pub fn submit(&self, key: String, payload: Vec<u8>, node: u64) -> Option<(u32, u64, bool)> {
         let shard = shard_of(&key, self.shards);
         let mut state = self.lock();
-        if let Some(&(shard, seq)) = state.assigned.get(&(key.clone(), payload.clone())) {
-            return Some((shard, seq, false));
+        let state = &mut *state;
+        match state.assigned.entry((key, payload)) {
+            Entry::Occupied(slot) => {
+                let (shard, seq) = *slot.get();
+                Some((shard, seq, false))
+            }
+            Entry::Vacant(_) if !state.accepting => None,
+            Entry::Vacant(slot) => {
+                let seq = state.next_seq[shard as usize];
+                state.next_seq[shard as usize] += 1;
+                let (key, payload) = slot.key().clone();
+                state.pending[shard as usize].push(Record {
+                    key,
+                    payload,
+                    node,
+                    seq,
+                });
+                slot.insert((shard, seq));
+                Some((shard, seq, true))
+            }
         }
-        if !state.accepting {
-            return None;
-        }
-        let seq = state.next_seq[shard as usize];
-        state.next_seq[shard as usize] += 1;
-        state.pending[shard as usize].push(Record {
-            key: key.clone(),
-            payload: payload.clone(),
-            node,
-            seq,
-        });
-        state.assigned.insert((key, payload), (shard, seq));
-        Some((shard, seq, true))
     }
 
     /// One shard's finalized records from index `from` on, plus whether the
     /// prefix is sealed (final). An out-of-range shard reads as empty and
     /// follows the global sealed flag.
     pub fn prefix_from(&self, shard: u32, from: u64) -> (Vec<Record>, bool) {
+        self.page_from(shard, from, usize::MAX)
+    }
+
+    /// As [`prefix_from`](Self::prefix_from), stopping before the record
+    /// that would take the page past `budget` chunk bytes — but never before
+    /// the first.
+    fn page_from(&self, shard: u32, from: u64, budget: usize) -> (Vec<Record>, bool) {
         let state = self.lock();
-        let records = state
-            .prefixes
-            .get(shard as usize)
-            .map(|prefix| {
-                let start = (from as usize).min(prefix.len());
-                prefix[start..].to_vec()
-            })
-            .unwrap_or_default();
-        (records, state.sealed)
+        let prefix = state.prefixes.get(shard as usize);
+        let rest = prefix.map_or(&[][..], |prefix| &prefix[prefix.len().min(from as usize)..]);
+        let mut used = 0usize;
+        let fits = |record: &&Record| {
+            used = used.saturating_add(chunk_len(record));
+            used <= budget
+        };
+        let page = rest.iter().take_while(fits).count().max(1).min(rest.len());
+        (rest[..page].to_vec(), state.sealed)
     }
 
     /// Whether the prefixes are final.
@@ -245,15 +270,13 @@ impl LogIngress {
         self.lock().accepting = false;
     }
 
-    /// Publishes one shard's grown finalized prefix.
-    fn publish(&self, shard: u32, prefix: Vec<Record>) {
+    /// Appends newly finalized records to one shard's prefix and returns
+    /// the prefix's new length.
+    fn append(&self, shard: u32, grown: impl IntoIterator<Item = Record>) -> usize {
         let mut state = self.lock();
-        let slot = &mut state.prefixes[shard as usize];
-        debug_assert!(
-            prefix.len() >= slot.len() && prefix[..slot.len()] == slot[..],
-            "finalized prefix shrank or rewrote history"
-        );
-        *slot = prefix;
+        let prefix = &mut state.prefixes[shard as usize];
+        prefix.extend(grown);
+        prefix.len()
     }
 
     /// Marks the prefixes final; implies the ingest cutoff.
@@ -276,16 +299,18 @@ impl LogIngress {
 /// traffic into the shared outbox. Each instance therefore runs the exact
 /// single-instance execution the simulator oracles certify.
 ///
-/// Output: the per-shard finalized record prefixes, once every instance
-/// reached the horizon.
+/// Output: the per-shard finalized record prefixes — the ingress's, read
+/// once — when every instance has reached the horizon and they are sealed.
 pub struct ShardedLog<T: Tracer = NoopTracer> {
     me: NodeId,
     ingress: LogIngress,
     instances: Vec<TotalOrdering<Batch>>,
+    /// Per shard, how many events of the instance's chain are already in
+    /// the ingress prefix.
+    published: Vec<usize>,
     ingest_until: u64,
     runtime: Option<SharedRuntimeMetrics>,
     tracer: T,
-    outputs: Option<Vec<Vec<Record>>>,
 }
 
 impl ShardedLog<NoopTracer> {
@@ -299,12 +324,12 @@ impl ShardedLog<NoopTracer> {
             .collect();
         ShardedLog {
             me,
+            published: vec![0; ingress.shards() as usize],
             ingress,
             instances,
             ingest_until,
             runtime: None,
             tracer: NoopTracer,
-            outputs: None,
         }
     }
 }
@@ -317,10 +342,10 @@ impl<T: Tracer> ShardedLog<T> {
             me: self.me,
             ingress: self.ingress,
             instances: self.instances,
+            published: self.published,
             ingest_until: self.ingest_until,
             runtime: self.runtime,
             tracer,
-            outputs: self.outputs,
         }
     }
 
@@ -335,14 +360,6 @@ impl<T: Tracer> ShardedLog<T> {
     /// The node's ingress handle.
     pub fn ingress(&self) -> &LogIngress {
         &self.ingress
-    }
-
-    /// Flattens one instance's finalized chain into the shard's record
-    /// prefix: batches in wave order, records in batch order.
-    fn flatten(
-        chain: impl IntoIterator<Item = uba_core::ordering::OrderedEvent<Batch>>,
-    ) -> Vec<Record> {
-        chain.into_iter().flat_map(|event| event.value).collect()
     }
 }
 
@@ -425,35 +442,32 @@ impl<T: Tracer + 'static> Process for ShardedLog<T> {
             }
         }
 
-        // Publish the grown finalized prefixes; seal once every instance
-        // terminated.
-        let done = self
-            .instances
-            .iter()
-            .all(|instance| instance.output().is_some());
+        // Append what each chain grew by this round — batches in wave order,
+        // records in batch order — and seal once every instance terminated.
         for (shard, instance) in self.instances.iter().enumerate() {
-            let prefix = Self::flatten(instance.chain());
+            let grown = &instance.chain()[self.published[shard]..];
+            self.published[shard] += grown.len();
+            let records = grown.iter().flat_map(|event| event.value.iter().cloned());
+            let len = self.ingress.append(shard as u32, records);
             if let Some(rt) = &self.runtime {
                 rt.set_gauge(
                     &metric_name("logd_prefix_records", &[("shard", &shard.to_string())]),
-                    prefix.len() as u64,
+                    len as u64,
                 );
             }
-            self.ingress.publish(shard as u32, prefix);
         }
-        if done {
-            self.outputs = Some(
-                self.instances
-                    .iter()
-                    .map(|instance| Self::flatten(instance.output().expect("instance done")))
-                    .collect(),
-            );
+        if self.instances.iter().all(Process::terminated) {
             self.ingress.seal();
         }
     }
 
     fn output(&self) -> Option<Self::Output> {
-        self.outputs.clone()
+        let state = self.ingress.lock();
+        state.sealed.then(|| state.prefixes.clone())
+    }
+
+    fn terminated(&self) -> bool {
+        self.ingress.sealed()
     }
 }
 
@@ -517,7 +531,7 @@ fn serve_frames<T: Tracer>(
                 }
             }
             Ok(Some(Frame::ReadPrefix { shard, from })) => {
-                let (records, sealed) = ingress.prefix_from(shard, from);
+                let (records, sealed) = ingress.page_from(shard, from, CHUNK_BYTES);
                 let served = records.len();
                 let chunk = Frame::PrefixChunk {
                     shard,
@@ -753,19 +767,23 @@ impl LogClient {
         }
     }
 
-    /// Polls [`read_prefix`](LogClient::read_prefix)` (shard, 0)` until the
-    /// prefix is sealed, then returns it whole.
+    /// Reads one shard's prefix page by page, each read starting where the
+    /// last one ended (waiting while there is nothing new), until a page is
+    /// sealed and empty; returns the whole prefix.
     ///
     /// # Errors
     ///
     /// As `read_prefix`, plus [`io::ErrorKind::TimedOut`] if the prefix is
-    /// not sealed within `timeout`.
+    /// not sealed and drained within `timeout`.
     pub fn read_sealed_prefix(&mut self, shard: u32, timeout: Duration) -> io::Result<Vec<Record>> {
         let deadline = Instant::now() + timeout;
+        let mut records = Vec::new();
         loop {
-            let page = self.read_prefix(shard, 0)?;
-            if page.sealed {
-                return Ok(page.records);
+            let page = self.read_prefix(shard, records.len() as u64)?;
+            let drained = page.records.is_empty();
+            records.extend(page.records);
+            if drained && page.sealed {
+                return Ok(records);
             }
             if Instant::now() >= deadline {
                 return Err(io::Error::new(
@@ -773,8 +791,93 @@ impl LogClient {
                     "prefix not sealed within the timeout",
                 ));
             }
-            thread::sleep(Duration::from_millis(50));
+            if drained {
+                thread::sleep(Duration::from_millis(50));
+            }
         }
+    }
+}
+
+/// One acked submission as its client remembers it: key, payload, shard.
+type Acked = (String, Vec<u8>, u32);
+
+/// One closed-loop client: submits `quota` records over `keys` keys to
+/// `addr`, each once the previous one is acked — with `pace`, no earlier
+/// than its slot in that schedule. Payloads are unique per submission, so
+/// the service's duplicate detection stays out of the way. Stops early once
+/// `stop` is set, and sets it when ingest closes. Returns the acked
+/// submissions and each ack's latency in microseconds.
+///
+/// # Errors
+///
+/// Connection or submit I/O failure.
+pub fn closed_loop(
+    addr: impl ToSocketAddrs,
+    client_idx: usize,
+    quota: usize,
+    keys: usize,
+    pace: Option<Duration>,
+    stop: &AtomicBool,
+) -> io::Result<(Vec<Acked>, Vec<u64>)> {
+    let mut client = LogClient::connect(addr)?;
+    let (mut acked, mut latencies_us) = (Vec::new(), Vec::new());
+    let started = Instant::now();
+    for i in 0..quota {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        if let Some(pace) = pace {
+            thread::sleep((pace * i as u32).saturating_sub(started.elapsed()));
+        }
+        let key = format!("key-{}", (client_idx + i * 7) % keys);
+        let payload = format!("c{client_idx}-{i}").into_bytes();
+        let sent = Instant::now();
+        let Some((shard, _seq)) = client.submit(&key, &payload)? else {
+            // Ingest closed: the run is over for everyone.
+            stop.store(true, Ordering::Relaxed);
+            break;
+        };
+        latencies_us.push(sent.elapsed().as_micros() as u64);
+        acked.push((key, payload, shard));
+    }
+    Ok((acked, latencies_us))
+}
+
+/// The service's promise, checked from the outside: every record of
+/// `prefixes` (one per shard, `shards` of them) sits in its key's shard,
+/// every `acked` `(key, payload, shard)` appears exactly once and in the
+/// shard its ack named, and nothing unacked appears at all (the caller is
+/// the only writer).
+///
+/// # Errors
+///
+/// Names the first offending key.
+pub fn check_exactly_once(
+    acked: &[Acked],
+    prefixes: &[Vec<Record>],
+    shards: u32,
+) -> Result<(), String> {
+    let mut counts: BTreeMap<(&str, &[u8]), usize> = BTreeMap::new();
+    for (shard, prefix) in prefixes.iter().enumerate() {
+        for record in prefix {
+            if shard_of(&record.key, shards) != shard as u32 {
+                return Err(format!("{:?} sits in foreign shard {shard}", record.key));
+            }
+            *counts.entry((&record.key, &record.payload)).or_default() += 1;
+        }
+    }
+    for (key, payload, shard) in acked {
+        let found = counts.remove(&(key.as_str(), payload.as_slice()));
+        let (found, home) = (found.unwrap_or(0), shard_of(key, shards));
+        if found != 1 || *shard != home {
+            return Err(format!(
+                "acked {key:?} expected once in shard {shard}, found {found} times in shard {home}"
+            ));
+        }
+    }
+    match counts.keys().next() {
+        Some((key, _)) => Err(format!("unacked {key:?} in the finalized log")),
+        None => Ok(()),
     }
 }
 
@@ -934,7 +1037,87 @@ mod tests {
             node: 9,
             seq: 17,
         };
+        // What the record adds to a chunk: its bytes behind a u32 length.
+        assert_eq!(chunk_len(&record), record.to_bytes().len() + 4);
         assert_eq!(Record::from_bytes(&record.to_bytes()), Some(record));
+    }
+
+    #[test]
+    fn a_prefix_over_max_frame_is_read_whole_page_by_page() {
+        // 20 records of 1 MiB: no single frame can carry the prefix.
+        let ingress = LogIngress::new(1);
+        let records: Vec<Record> = (0..20u64)
+            .map(|seq| Record {
+                key: format!("key-{seq}"),
+                payload: vec![seq as u8; 1 << 20],
+                node: 1,
+                seq,
+            })
+            .collect();
+        assert_eq!(ingress.append(0, records.iter().cloned()), 20);
+        ingress.seal();
+        let (page, sealed) = ingress.page_from(0, 0, CHUNK_BYTES);
+        assert_eq!((page.len(), sealed), (7, true), "whole records under 8 MiB");
+        let (page, _) = ingress.page_from(0, 19, 1);
+        assert_eq!(page.len(), 1, "a page always carries a record");
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let server = serve_clients(listener, ingress, 1, None, NoopTracer).expect("serves");
+        let mut client = LogClient::connect(server.addr()).expect("connects");
+        let read = client.read_sealed_prefix(0, Duration::from_secs(60));
+        server.shutdown();
+        assert!(
+            read.expect("sealed prefix read") == records,
+            "whole, in order"
+        );
+    }
+
+    #[test]
+    fn exactly_once_checker_names_each_kind_of_offence() {
+        let shards = 4;
+        let record = |key: &str, payload: u8| Record {
+            key: key.into(),
+            payload: vec![payload],
+            node: 1,
+            seq: 0,
+        };
+        let ack = |key: &str, payload: u8| (key.to_string(), vec![payload], shard_of(key, shards));
+        let log = |records: &[Record]| {
+            let mut prefixes = vec![Vec::new(); shards as usize];
+            for record in records {
+                prefixes[shard_of(&record.key, shards) as usize].push(record.clone());
+            }
+            prefixes
+        };
+        let acked = [ack("a", 1), ack("b", 2)];
+        let good = log(&[record("a", 1), record("b", 2)]);
+        assert_eq!(check_exactly_once(&acked, &good, shards), Ok(()));
+
+        let duplicate = log(&[record("a", 1), record("b", 2), record("a", 1)]);
+        let err = check_exactly_once(&acked, &duplicate, shards).unwrap_err();
+        assert!(err.contains("\"a\"") && err.contains("2 times"), "{err}");
+
+        let missing = log(&[record("a", 1)]);
+        let err = check_exactly_once(&acked, &missing, shards).unwrap_err();
+        assert!(err.contains("\"b\"") && err.contains("0 times"), "{err}");
+
+        let mut misplaced = good.clone();
+        let moved = misplaced[shard_of("b", shards) as usize].pop().expect("b");
+        misplaced[(shard_of("b", shards) as usize + 1) % 4].push(moved);
+        let err = check_exactly_once(&acked, &misplaced, shards).unwrap_err();
+        assert!(
+            err.contains("\"b\"") && err.contains("foreign shard"),
+            "{err}"
+        );
+        // ...and an ack that names another shard than the record sits in.
+        let mut lied = acked.clone();
+        lied[1].2 = (lied[1].2 + 1) % 4;
+        let err = check_exactly_once(&lied, &good, shards).unwrap_err();
+        assert!(err.contains("\"b\""), "{err}");
+
+        let unacked = log(&[record("a", 1), record("b", 2), record("c", 3)]);
+        let err = check_exactly_once(&acked, &unacked, shards).unwrap_err();
+        assert!(err.contains("unacked \"c\""), "{err}");
     }
 
     #[test]

@@ -69,9 +69,11 @@ pub trait Process: 'static {
 
     /// Whether the process has terminated. Defaults to `output().is_some()`.
     ///
-    /// Override only for processes that keep an output available while still
-    /// participating (e.g. the total-ordering protocol, which emits a growing
-    /// chain but never stops).
+    /// Engines ask this several times a round, so override it where building
+    /// the output costs something: the total-ordering protocol answers from
+    /// its mode flag instead of cloning its chain, the log service from its
+    /// sealed flag instead of cloning every shard's prefix. The two must
+    /// agree — `terminated()` exactly when `output()` is `Some`.
     fn terminated(&self) -> bool {
         self.output().is_some()
     }
