@@ -203,6 +203,10 @@ impl<P: Process> Adversary<P::Msg> for CrashAdversary<P> {
             if !view.faulty.contains(&id) {
                 continue;
             }
+            // Deliberately not `uba_sim::Stepper`: a Byzantine node running
+            // the real protocol is not bound by "a terminated node leaves
+            // the computation" and keeps being stepped until it crashes;
+            // T3b and `tests/consensus_matrix.rs` pin that traffic.
             let inbox = view.inbox_of(id).to_vec();
             let mut outbox = Outbox::new();
             {

@@ -537,6 +537,7 @@ fn handle_event(event: LinkEvent, links: &Links, track: &mut BTreeMap<NodeId, Pe
         LinkEvent::Frame {
             from,
             frame: Frame::Done { round, decided },
+            ..
         } => {
             if let Some(t) = track.get_mut(&from) {
                 if round >= t.done_round {

@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use uba_sim::NodeId;
 
-use crate::wire::{encode_frame, read_frame, write_frame, Frame, FrameFault};
+use crate::wire::{encode_frame, read_frame, read_sized_frame, write_frame, Frame, FrameFault};
 
 /// Backoff schedule for dialing a peer that is not accepting yet.
 #[derive(Debug, Clone, Copy)]
@@ -184,6 +184,8 @@ pub enum LinkEvent {
         from: NodeId,
         /// The frame.
         frame: Frame,
+        /// Bytes the frame occupied on the wire, length prefix included.
+        wire_bytes: usize,
     },
     /// A fresh connection to `peer` completed its handshake.
     Connected {
@@ -463,9 +465,14 @@ fn spawn_reader(
     run_pooled(move || {
         let mut reader = BufReader::new(stream);
         loop {
-            match read_frame(&mut reader) {
-                Ok(Some(frame)) => {
-                    if events.send(LinkEvent::Frame { from: peer, frame }).is_err() {
+            match read_sized_frame(&mut reader) {
+                Ok(Some((frame, wire_bytes))) => {
+                    let event = LinkEvent::Frame {
+                        from: peer,
+                        frame,
+                        wire_bytes,
+                    };
+                    if events.send(event).is_err() {
                         break; // node loop is gone; stop pumping
                     }
                 }
@@ -830,7 +837,10 @@ mod tests {
         let (links, mut theirs) = linked(peer);
         let round: Vec<Frame> = (0..40).map(|i| data(1, i)).chain([DONE]).collect();
         for frame in &round {
-            assert_eq!(links.queue([peer], frame), frame.encoded_len());
+            assert_eq!(
+                links.queue([peer], frame),
+                encode_frame(frame).unwrap().len()
+            );
         }
         // No byte was handed to the socket, so there is nothing to wait out.
         theirs.set_nonblocking(true).unwrap();
@@ -991,9 +1001,14 @@ mod tests {
         };
         assert!(alice_mesh.links.send(bob, &done));
         match bob_mesh.next_event(wait).unwrap() {
-            LinkEvent::Frame { from, frame } => {
+            LinkEvent::Frame {
+                from,
+                frame,
+                wire_bytes,
+            } => {
                 assert_eq!(from, alice);
                 assert_eq!(frame, done);
+                assert_eq!(wire_bytes, encode_frame(&done).unwrap().len());
             }
             other => panic!("expected Frame, got {other:?}"),
         }

@@ -1,15 +1,14 @@
 //! [`NetNode`]: one cluster member — a [`Process`] plus the machinery that
 //! drives it over TCP in lock-step rounds.
 //!
-//! The run loop mirrors the simulator's `SyncEngine` exactly, one node at a
-//! time: deliver the previous round's inbox, step the process, queue its
-//! outbox and then the `Done` barrier marker on every peer's link, flush
-//! each link once, wait at the barrier, advance. A peer that misses the
-//! barrier deadline is charged with an **omission** for the round (its
-//! traffic, if any, arrives too late and is dropped) — precisely a fault
-//! the paper's model already accounts for, which is why correctness does
-//! not depend on tuning the timeout and why `uba-core`'s monitors attach
-//! unchanged.
+//! The run loop is the simulator's `SyncEngine` round, one node at a time:
+//! [`Stepper::step`] on the previous round's inbox, its sends and then the
+//! `Done` barrier marker queued on every peer's link, each link flushed
+//! once, the barrier, advance. A peer that misses the barrier deadline is
+//! charged with an **omission** for the round (its traffic, if any, arrives
+//! too late and is dropped) — precisely a fault the paper's model already
+//! accounts for, which is why correctness does not depend on tuning the
+//! timeout and why `uba-core`'s monitors attach unchanged.
 //!
 //! # The round driver
 //!
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uba_sim::{
-    Context, Dest, Envelope, MonitorView, MsgRef, NodeId, Outbox, Process, RoundMonitor,
+    Envelope, MonitorView, MsgRef, NodeId, Outgoing, Process, RoundMonitor, Stepper,
     ViolationReport,
 };
 use uba_trace::{
@@ -45,6 +44,9 @@ use crate::wire::{Frame, FrameFault, Wire};
 
 /// Per-peer ingress quota: bytes accepted from one peer within one round
 /// (32 MiB; same strike semantics as [`NetConfig::max_frames_per_round`]).
+/// A frame is charged the exact size its reader took off the wire — never
+/// more than the `32 + payload bytes` estimate charged before, so no round
+/// of traffic that fitted the quota then exceeds it now.
 pub const MAX_BYTES_PER_ROUND: u64 = 32 * 1024 * 1024;
 
 /// Misbehavior strikes (quota floods, malformed/oversized frames,
@@ -214,8 +216,7 @@ struct Peer {
     seen: bool,
     /// Frames received from the peer within the current round.
     frames: u64,
-    /// Approximate wire bytes received within the current round (payload
-    /// sizes plus small per-frame overhead).
+    /// Wire bytes received within the current round.
     bytes: u64,
     /// Lifetime misbehavior strikes; [`STRIKE_LIMIT`] of them evict.
     strikes: u32,
@@ -236,20 +237,6 @@ struct Strike {
     info: String,
 }
 
-/// Cheap upper-bound estimate of a frame's wire size, for quota accounting
-/// on the hot receive path (no throwaway encode — payload length plus a
-/// small constant covers tags, rounds and flags for every variant).
-fn frame_quota_len(frame: &Frame) -> u64 {
-    let payload = match frame {
-        Frame::Data { payload, .. } => payload.len(),
-        Frame::Backfill { payloads, .. } => payloads.iter().map(|p| p.len() + 4).sum(),
-        Frame::Submit { key, payload } => key.len() + payload.len(),
-        Frame::PrefixChunk { records, .. } => records.iter().map(|r| r.len() + 4).sum(),
-        _ => 0,
-    };
-    32 + payload as u64
-}
-
 /// One member of a networked cluster: a [`Process`] driven over TCP.
 ///
 /// Generic over the process and the attached [`Tracer`] (default: none).
@@ -262,7 +249,7 @@ fn frame_quota_len(frame: &Frame) -> u64 {
 /// its sockets, stops its accept loop and waits for its readers on the way
 /// out ([`crate::conn`] documents the order).
 pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
-    process: P,
+    stepper: Stepper<P>,
     config: NetConfig,
     tracer: T,
     runtime: Option<SharedRuntimeMetrics>,
@@ -276,7 +263,7 @@ impl<P: Process> NetNode<P, NoopTracer> {
     /// Wraps `process` with the given transport configuration.
     pub fn new(process: P, config: NetConfig) -> Self {
         NetNode {
-            process,
+            stepper: Stepper::new(process),
             config,
             tracer: NoopTracer,
             runtime: None,
@@ -294,7 +281,7 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// transport-level [`TraceEvent::Net`] events.
     pub fn with_tracer<T2: Tracer>(self, tracer: T2) -> NetNode<P, T2> {
         NetNode {
-            process: self.process,
+            stepper: self.stepper,
             config: self.config,
             tracer,
             runtime: self.runtime,
@@ -357,6 +344,11 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
         self
     }
 
+    /// This node's id.
+    fn id(&self) -> NodeId {
+        self.stepper.process().id()
+    }
+
     /// [`NetError::Aborted`] once the attached abort flag (if any) is up.
     fn check_abort(&self) -> Result<(), NetError> {
         match &self.abort {
@@ -386,7 +378,7 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
             self.tracer.record(TraceEvent::Net {
                 round,
                 kind,
-                node: self.process.id().raw(),
+                node: self.id().raw(),
                 peer: peer.map(NodeId::raw),
                 info: info(),
             });
@@ -422,7 +414,7 @@ where
         listener: TcpListener,
         roster: &BTreeMap<NodeId, SocketAddr>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
-        let id = self.process.id();
+        let id = self.id();
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
 
         // Dial every peer with a larger id; smaller ids dial us.
@@ -448,12 +440,11 @@ where
             }
         }
 
-        session.run_rounds(Vec::new(), None)
+        session.run_rounds(Vec::new())
     }
 
     /// Rebuilds a crashed node from its recovered journal and re-enters the
-    /// cluster: replays the journaled inboxes through the fresh process (no
-    /// sends — the originals already happened before the crash), dials
+    /// cluster: [replays](Stepper::replay) the journaled inboxes, dials
     /// every peer, announces itself with [`Frame::SyncRequest`], collects
     /// the missed rounds from the peers' backfills, and falls back into the
     /// lock-step barrier at the first round after the journal.
@@ -469,14 +460,17 @@ where
     /// # Errors
     ///
     /// [`NetError::Io`] with [`io::ErrorKind::InvalidData`] if the journal
-    /// belongs to a different node, plus everything [`run`](Self::run) can
-    /// return.
+    /// belongs to a different node or holds a payload the codec refuses (a
+    /// torn tail never gets here — recovery drops the whole line — so that
+    /// is corruption or version skew, and replaying a shorter inbox would
+    /// rebuild a quietly different process), plus everything
+    /// [`run`](Self::run) can return.
     pub fn resume(
         mut self,
         recovery: &JournalRecovery,
         roster: &BTreeMap<NodeId, SocketAddr>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
-        let id = self.process.id();
+        let id = self.id();
         if recovery.node != id.raw() {
             return Err(NetError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -484,27 +478,17 @@ where
             )));
         }
 
-        // Deterministic replay: feed each journaled round its recorded
-        // inbox and discard the outboxes.
-        let mut inbox: Vec<Envelope<P::Msg>> = Vec::new();
-        let mut decided_round: Option<u64> = None;
+        // Entry r holds the inbox round r + 1 consumes: round r replays on
+        // entry r - 1's inbox (the first round on nothing), and the last
+        // entry's inbox is left over for the first live round.
+        let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = vec![Vec::new()];
         for entry in &recovery.entries {
-            if !self.process.terminated() {
-                let mut outbox = Outbox::new();
-                let mut ctx = Context::new(entry.round, &inbox, &mut outbox);
-                self.process.on_round(&mut ctx);
-                if decided_round.is_none() && self.process.terminated() {
-                    decided_round = Some(entry.round);
-                }
-            }
-            inbox = entry
-                .inbox
-                .iter()
-                .filter_map(|(from, bytes)| {
-                    P::Msg::from_bytes(bytes).map(|msg| Envelope::new(NodeId::new(*from), msg))
-                })
-                .collect();
+            inboxes.push(journaled_inbox(entry)?);
         }
+        let rounds = recovery.entries.iter().map(|entry| entry.round);
+        self.stepper
+            .replay(rounds.zip(inboxes.iter().map(Vec::as_slice)));
+        let inbox = inboxes.pop().unwrap_or_default();
         let next_round = recovery.last_round().map_or(1, |r| r + 1);
 
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
@@ -538,7 +522,7 @@ where
             format!("replayed {replayed} journaled rounds{torn}, rejoining at round {next_round}")
         });
 
-        session.run_rounds(inbox, decided_round)
+        session.run_rounds(inbox)
     }
 
     /// Opens this node's [`Mesh`] — accepting on `listener`, if it has one —
@@ -553,7 +537,7 @@ where
         targets: impl Iterator<Item = NodeId>,
         round: u64,
     ) -> io::Result<(Mesh, Vec<(NodeId, io::Error)>)> {
-        let id = self.process.id();
+        let id = self.id();
         let mesh = Mesh::open(id, listener)?;
         let mut unreachable = Vec::new();
         for peer in targets {
@@ -603,7 +587,7 @@ where
     /// A session of `node` over `mesh`, expecting `peers` at every barrier
     /// from `first_round` on.
     fn new(node: NetNode<P, T>, mesh: Mesh, peers: &[NodeId], first_round: u64) -> Self {
-        let id = node.process.id();
+        let id = node.id();
         let sync = RoundSynchronizer::resume_at(id, peers.iter().copied(), first_round)
             .with_round_window(node.config.history_rounds as u64);
         Session {
@@ -644,7 +628,6 @@ where
     fn run_rounds(
         mut self,
         mut inbox: Vec<Envelope<P::Msg>>,
-        mut decided_round: Option<u64>,
     ) -> Result<NetReport<P::Output, T>, NetError> {
         let mut timeouts: u64 = 0;
         let mut round_micros: Vec<u64> = Vec::new();
@@ -667,34 +650,21 @@ where
             let started = Instant::now();
             trace(&mut self.node.tracer, || TraceEvent::RoundBegin { round });
 
-            // Step the process (terminated processes leave the computation
-            // and send nothing, exactly as in the engine).
-            let mut step_micros = 0u64;
-            let mut send_micros = 0u64;
-            if !self.node.process.terminated() {
-                let phase = Instant::now();
-                let mut outbox = Outbox::new();
-                let mut ctx = Context::new(round, &inbox, &mut outbox);
-                self.node.process.on_round(&mut ctx);
-                if decided_round.is_none() && self.node.process.terminated() {
-                    decided_round = Some(round);
-                }
-                step_micros = micros_since(phase);
-                let phase = Instant::now();
-                for outgoing in outbox.drain() {
-                    self.dispatch(outgoing.dest, outgoing.msg);
-                }
-                send_micros = micros_since(phase);
-            }
-
-            // Publish the barrier marker behind the round's data, then put
-            // the round on the wire: one write per link.
             let phase = Instant::now();
-            let decided = self.node.process.terminated();
+            let sends = self.node.stepper.step(round, &inbox);
+            let step_micros = micros_since(phase);
+
+            // Queue the round's data, publish the barrier marker behind it,
+            // then put the round on the wire: one write per link.
+            let phase = Instant::now();
+            for outgoing in sends {
+                self.dispatch(outgoing);
+            }
+            let decided = self.node.stepper.decided_round().is_some();
             self.queue(None, &Frame::Done { round, decided });
             self.flush();
             self.history.entry(round).or_default().done = Some(decided);
-            send_micros += micros_since(phase);
+            let send_micros = micros_since(phase);
 
             // Wait at the barrier. Time spent handing received frames to the
             // synchronizer is additionally accounted as the deliver phase.
@@ -756,23 +726,17 @@ where
             });
 
             if let Some(monitor) = &mut self.node.monitor {
-                let view = single_node_view(round, &self.node.process, decided_round);
+                let view = single_node_view(round, &self.node.stepper);
                 if let Err(report) = monitor.check(&view) {
-                    trace(&mut self.node.tracer, || TraceEvent::MonitorVerdict {
-                        round,
-                        monitor: report.spec.clone(),
-                        ok: false,
-                        nodes: report.nodes.iter().map(|n| n.raw()).collect(),
-                        details: report.violations.clone(),
-                    });
+                    trace(&mut self.node.tracer, || report.verdict_event());
                     return Err(NetError::InvariantViolated(report));
                 }
             }
 
             if finished {
                 return Ok(NetReport {
-                    output: self.node.process.output(),
-                    decided_round,
+                    output: self.node.stepper.process().output(),
+                    decided_round: self.node.stepper.decided_round(),
                     rounds: round,
                     timeouts,
                     round_micros,
@@ -828,21 +792,14 @@ where
     /// Sends one outgoing message: encodes the payload once, queues it for
     /// the addressed peers (on the wire at the round's flush), and
     /// self-delivers where the model requires.
-    fn dispatch(&mut self, dest: Dest, msg: P::Msg) {
+    fn dispatch(&mut self, outgoing: Outgoing<P::Msg>) {
         let round = self.sync.current_round();
         let id = self.sync.id();
-        let shared = MsgRef::new(msg);
-        let to = match dest {
-            Dest::Broadcast => None,
-            Dest::To(to) => Some(to),
-        };
-        trace(&mut self.node.tracer, || TraceEvent::Send {
-            round,
-            from: id.raw(),
-            to: to.map(NodeId::raw),
-            payload: format!("{:?}", shared.get()),
-            adversary: false,
+        trace(&mut self.node.tracer, || {
+            outgoing.send_event(round, id, false)
         });
+        let to = outgoing.dest.recipient();
+        let shared = MsgRef::new(outgoing.msg);
         if to == Some(id) {
             // Purely local: nothing for a rejoiner to backfill.
             self.sync.self_deliver(shared);
@@ -939,7 +896,11 @@ where
                 };
                 (peer, Err(Strike { kind, info }))
             }
-            LinkEvent::Frame { from, frame } => (from, self.on_frame(from, frame)),
+            LinkEvent::Frame {
+                from,
+                frame,
+                wire_bytes,
+            } => (from, self.on_frame(from, frame, wire_bytes as u64)),
         };
         if let Err(strike) = verdict {
             self.misbehave(from, strike);
@@ -965,9 +926,10 @@ where
         self.net_event(NetEventKind::Connect, Some(peer), String::new);
     }
 
-    /// One frame from `from`: the ban and ingress-quota gate every frame
-    /// passes, then the handler of its kind.
-    fn on_frame(&mut self, from: NodeId, frame: Frame) -> Result<(), Strike> {
+    /// One frame from `from`, read off the wire as `wire_bytes` bytes: the
+    /// ban and ingress-quota gate every frame passes, then the handler of
+    /// its kind.
+    fn on_frame(&mut self, from: NodeId, frame: Frame, wire_bytes: u64) -> Result<(), Strike> {
         let max_frames = self.node.config.max_frames_per_round;
         let peer = self.peers.entry(from).or_default();
         if peer.banned {
@@ -981,14 +943,12 @@ where
         // strike, so a flooder burns through its strike budget within the
         // same round it floods.
         peer.frames += 1;
-        peer.bytes += frame_quota_len(&frame);
+        peer.bytes += wire_bytes;
         let over_quota = peer.frames > max_frames || peer.bytes > MAX_BYTES_PER_ROUND;
-        // The encode-for-length cost is paid only with a registry attached.
         self.node.metrics(|m| {
             let peer = [("peer", &*from.raw().to_string())];
             m.inc(&metric_name("net_frames_received_total", &peer));
-            let bytes = frame.encoded_len() as u64;
-            m.add(&metric_name("net_bytes_received_total", &peer), bytes);
+            m.add(&metric_name("net_bytes_received_total", &peer), wire_bytes);
         });
         if over_quota {
             let info = format!(
@@ -1063,18 +1023,11 @@ where
             return Err(Strike { kind, info });
         }
         match outcome {
-            DataOutcome::Delivered => trace(&mut self.node.tracer, || TraceEvent::Deliver {
-                round,
-                from: from.raw(),
-                to,
-                payload: format!("{:?}", shared.get()),
-                adversary: false,
+            DataOutcome::Delivered => trace(&mut self.node.tracer, || {
+                TraceEvent::deliver(round, from.raw(), to, &shared, false)
             }),
-            DataOutcome::Duplicate => trace(&mut self.node.tracer, || TraceEvent::DuplicateDrop {
-                round,
-                from: from.raw(),
-                to,
-                payload: format!("{:?}", shared.get()),
+            DataOutcome::Duplicate => trace(&mut self.node.tracer, || {
+                TraceEvent::duplicate_drop(round, from.raw(), to, &shared)
             }),
             _ => self.net_event(NetEventKind::LateDrop, Some(from), || {
                 format!("frame for past round {round}")
@@ -1124,7 +1077,7 @@ where
         let tips = Frame::SyncTips {
             current_round: current,
             oldest_retained: self.history.keys().next().copied().unwrap_or(current),
-            decided: self.node.process.terminated(),
+            decided: self.node.stepper.decided_round().is_some(),
         };
         self.queue(Some(from), &tips);
         // Replay our own retained traffic addressed to the requester, round
@@ -1255,19 +1208,30 @@ where
     }
 }
 
+/// Decodes the inbox a journal entry recorded for the round after its own.
+fn journaled_inbox<M: Wire + std::hash::Hash>(
+    entry: &JournalEntry,
+) -> io::Result<Vec<Envelope<M>>> {
+    let decode = |(from, bytes): &(u64, Vec<u8>)| {
+        let msg = M::from_bytes(bytes).ok_or_else(|| {
+            let round = entry.round;
+            let info = format!("journal round {round}: payload from node {from} does not decode");
+            io::Error::new(io::ErrorKind::InvalidData, info)
+        })?;
+        Ok(Envelope::new(NodeId::new(*from), msg))
+    };
+    entry.inbox.iter().map(decode).collect()
+}
+
 /// Builds the single-process [`MonitorView`] a networked node can offer.
-fn single_node_view<P: Process>(
-    round: u64,
-    process: &P,
-    decided_round: Option<u64>,
-) -> MonitorView<'_, P> {
+fn single_node_view<P: Process>(round: u64, node: &Stepper<P>) -> MonitorView<'_, P> {
     static EMPTY: std::sync::OnceLock<BTreeSet<NodeId>> = std::sync::OnceLock::new();
     let empty = EMPTY.get_or_init(BTreeSet::new);
-    let id = process.id();
+    let id = node.process().id();
     MonitorView {
         round,
-        processes: BTreeMap::from([(id, process)]),
-        decided_rounds: decided_round.map(|r| (id, r)).into_iter().collect(),
+        processes: BTreeMap::from([(id, node.process())]),
+        decided_rounds: node.decided_round().map(|r| (id, r)).into_iter().collect(),
         faulty: empty,
         crashed: empty,
     }
@@ -1304,6 +1268,8 @@ fn micros_since(from: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
+    use uba_sim::Context;
 
     /// A process that never sends and never decides.
     struct Idle(NodeId);
@@ -1323,6 +1289,16 @@ mod tests {
         }
     }
 
+    /// `frame` as the reader of `from`'s link reports it.
+    fn received(from: NodeId, frame: Frame) -> LinkEvent {
+        let wire_bytes = encode_frame(&frame).unwrap().len();
+        LinkEvent::Frame {
+            from,
+            frame,
+            wire_bytes,
+        }
+    }
+
     #[test]
     fn backfill_is_accepted_only_from_peers_the_ledger_marks_solicited() {
         let (me, asked, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
@@ -1332,14 +1308,14 @@ mod tests {
         // What `resume` does for every peer it sends a SyncRequest to.
         session.peers.get_mut(&asked).unwrap().solicited = true;
 
-        let backfill = |from| LinkEvent::Frame {
-            from,
-            frame: Frame::Backfill {
+        let backfill = |from| {
+            let frame = Frame::Backfill {
                 round: 5,
                 done: true,
                 decided: false,
                 payloads: vec![7u64.to_bytes()],
-            },
+            };
+            received(from, frame)
         };
         session.on_event(backfill(asked));
         session.on_event(backfill(other));
@@ -1351,16 +1327,141 @@ mod tests {
 
         // The one field decides: flip it and the same frame is welcome.
         session.peers.get_mut(&other).unwrap().solicited = true;
-        let next = LinkEvent::Frame {
-            from: other,
-            frame: Frame::Backfill {
-                round: 6,
-                done: false,
-                decided: false,
-                payloads: Vec::new(),
-            },
+        let next = Frame::Backfill {
+            round: 6,
+            done: false,
+            decided: false,
+            payloads: Vec::new(),
         };
-        session.on_event(next);
+        session.on_event(received(other, next));
         assert_eq!(session.peers[&other].strikes, 1, "no further strike");
+    }
+
+    #[test]
+    fn the_quota_charges_the_wire_size_which_the_old_estimate_bounded() {
+        // Every frame kind a peer link carries. The ledger used to charge
+        // `32 + payload bytes` (+4 per backfilled payload); the exact size
+        // must never exceed that, or a round that fitted the quota could
+        // newly trip it.
+        let payload = vec![0xab; 100];
+        let frames = [
+            (
+                Frame::Data {
+                    round: 5,
+                    payload: payload.clone(),
+                },
+                32 + 100,
+            ),
+            (
+                Frame::Done {
+                    round: 5,
+                    decided: true,
+                },
+                32,
+            ),
+            (Frame::SyncRequest { since: 5 }, 32),
+            (
+                Frame::SyncTips {
+                    current_round: 5,
+                    oldest_retained: 1,
+                    decided: false,
+                },
+                32,
+            ),
+            (
+                Frame::Backfill {
+                    round: 5,
+                    done: true,
+                    decided: false,
+                    payloads: vec![payload.clone(), payload],
+                },
+                32 + 2 * (100 + 4),
+            ),
+        ];
+        let (me, peer) = (NodeId::new(1), NodeId::new(2));
+        let node = NetNode::new(Idle(me), NetConfig::default());
+        let mut session = Session::new(node, Mesh::open(me, None).unwrap(), &[peer], 5);
+        let mut charged = 0;
+        for (frame, old_estimate) in frames {
+            let exact = encode_frame(&frame).unwrap().len() as u64;
+            assert!(exact <= old_estimate, "{frame:?}: {exact} > {old_estimate}");
+            session.on_event(received(peer, frame));
+            charged += exact;
+            assert_eq!(session.peers[&peer].bytes, charged);
+        }
+    }
+
+    /// Counts the `true`s it hears and decides in round 2.
+    struct Flags {
+        id: NodeId,
+        heard: u64,
+        done: Option<u64>,
+    }
+
+    impl Process for Flags {
+        type Msg = bool;
+        type Output = u64;
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn on_round(&mut self, ctx: &mut Context<'_, bool>) {
+            self.heard += ctx.inbox().iter().filter(|env| *env.msg()).count() as u64;
+            if ctx.round() == 2 {
+                self.done = Some(self.heard);
+            }
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.done
+        }
+    }
+
+    /// Recovers a one-entry journal whose only payload is the hex byte
+    /// `payload`, and resumes a lone `Flags` node from it (no peers, so no
+    /// sockets: replay precedes dialing).
+    fn resume_from(name: &str, payload: &str) -> Result<NetReport<u64, NoopTracer>, NetError> {
+        let me = NodeId::new(1);
+        let path = std::env::temp_dir().join(format!("uba-{name}-{}.jsonl", std::process::id()));
+        let journal = format!(
+            "{{\"v\":1,\"node\":1}}\n\
+             {{\"round\":1,\"decided\":false,\"inbox\":[[2,\"{payload}\"]]}}\n"
+        );
+        std::fs::write(&path, journal).unwrap();
+        let recovery = RoundJournal::recover(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!((recovery.entries.len(), recovery.torn), (1, false));
+        let flags = Flags {
+            id: me,
+            heard: 0,
+            done: None,
+        };
+        let roster = BTreeMap::from([(me, "127.0.0.1:1".parse().unwrap())]);
+        NetNode::new(flags, NetConfig::default()).resume(&recovery, &roster)
+    }
+
+    #[test]
+    fn resume_feeds_the_last_journaled_inbox_to_the_first_live_round() {
+        let report = resume_from("resume-intact", "01").expect("an intact journal resumes");
+        assert_eq!(report.decided_round, Some(2));
+        assert_eq!(report.output, Some(1), "entry 1's inbox is round 2's");
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_whose_payload_does_not_decode() {
+        // One payload byte changed: 0x02 is not a canonical bool. Replaying
+        // round 2 on an inbox without it would rebuild a different process.
+        match resume_from("resume-corrupt", "02") {
+            Err(NetError::Io(err)) => {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let text = err.to_string();
+                assert!(
+                    text.contains("round 1") && text.contains("node 2"),
+                    "{text}"
+                );
+            }
+            other => panic!("expected InvalidData, got {:?}", other.map(|r| r.output)),
+        }
     }
 }

@@ -42,7 +42,7 @@ use uba_sim::NodeId;
 use uba_trace::{metric_name, NetEventKind, SharedRuntimeMetrics, TraceEvent};
 
 use crate::conn::{accept_loop, splitmix64, AcceptLoop};
-use crate::wire::{read_frame, write_frame, Frame};
+use crate::wire::{read_sized_frame, write_frame, Frame};
 
 /// The golden-ratio increment splitmix64 itself uses; decorrelates the
 /// per-frame draw streams from the per-link seeds.
@@ -497,7 +497,7 @@ fn pump(
 ) {
     let mut reader = BufReader::new(reader);
     let mut shaper = Shaper::new();
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
+    while let Ok(Some((frame, wire_bytes))) = read_sized_frame(&mut reader) {
         if let Frame::Hello { node } = frame {
             // The connection preamble: exempt from shaping (it models the
             // TCP handshake, which the impairments sit on top of).
@@ -515,7 +515,7 @@ fn pump(
         } else {
             (Some(owner), peer)
         };
-        match shape(&frame, from, to, &mut shaper, &shared) {
+        match shape(&frame, wire_bytes as u64, from, to, &mut shaper, &shared) {
             Verdict::Drop => continue,
             Verdict::Forward(deliver_at) => {
                 let now = Instant::now();
@@ -531,9 +531,11 @@ fn pump(
     let _ = writer.shutdown(Shutdown::Write);
 }
 
-/// Applies the plan to one frame of the directed link `from -> to`.
+/// Applies the plan to one frame of the directed link `from -> to`, read
+/// off the wire as `wire_bytes` bytes.
 fn shape(
     frame: &Frame,
+    wire_bytes: u64,
     from: Option<NodeId>,
     to: Option<NodeId>,
     shaper: &mut Shaper,
@@ -585,7 +587,6 @@ fn shape(
     let arrival = Instant::now();
     let start = shaper.busy_until.max(arrival);
     let tx = spec.bandwidth.map_or(Duration::ZERO, |bps| {
-        let wire_bytes = frame.encoded_len() as u64;
         Duration::from_nanos(wire_bytes.saturating_mul(1_000_000_000) / bps.max(1))
     });
     shaper.busy_until = start + tx;

@@ -367,16 +367,6 @@ const TAG_READ_PREFIX: u8 = 0x08;
 const TAG_PREFIX_CHUNK: u8 = 0x09;
 
 impl Frame {
-    /// Total bytes this frame occupies on the wire: the 4-byte length
-    /// prefix plus the encoded body. Costs one throwaway encoding, so the
-    /// runtime-metrics byte counters call it only when a registry is
-    /// attached.
-    pub fn encoded_len(&self) -> usize {
-        let mut body = Vec::with_capacity(32);
-        self.encode_body(&mut body);
-        4 + body.len()
-    }
-
     /// Encodes the frame body (everything after the length prefix).
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
@@ -551,6 +541,13 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// error, and a malformed body or oversized length prefix is
 /// [`io::ErrorKind::InvalidData`] carrying the [`FrameFault`].
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Frame>> {
+    Ok(read_sized_frame(reader)?.map(|(frame, _)| frame))
+}
+
+/// [`read_frame`], plus the bytes the frame occupied on the wire (length
+/// prefix included): the reader holds that number already, so a received
+/// frame is never re-encoded to be weighed.
+pub(crate) fn read_sized_frame(reader: &mut impl Read) -> io::Result<Option<(Frame, usize)>> {
     let mut len_bytes = [0u8; 4];
     // A clean EOF before any length byte means the peer hung up politely.
     match reader.read(&mut len_bytes)? {
@@ -567,7 +564,7 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut body = vec![0u8; len as usize];
     reader.read_exact(&mut body)?;
     Frame::decode_body(&body)
-        .map(Some)
+        .map(|frame| Some((frame, 4 + body.len())))
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, FrameFault::Malformed))
 }
 
@@ -714,7 +711,7 @@ mod tests {
         let frame = Frame::SubmitAck { shard: 3, seq: 17 };
         write_frame(&mut socket, &frame).unwrap();
         assert_eq!(socket.writes, 1, "length prefix and body in one write");
-        assert_eq!(socket.bytes.len(), frame.encoded_len());
+        assert_eq!(socket.bytes.len(), encode_frame(&frame).unwrap().len());
         assert_eq!(read_frame(&mut &socket.bytes[..]).unwrap(), Some(frame));
     }
 
@@ -724,10 +721,12 @@ mod tests {
         // the link's `BufWriter`, flush once behind the `Done`.
         let frames = round_of_frames(80);
         let mut link = io::BufWriter::new(CountingWriter::default());
+        let mut queued = 0;
         for frame in &frames {
-            link.write_all(&encode_frame(frame).unwrap()).unwrap();
+            let bytes = encode_frame(frame).unwrap();
+            link.write_all(&bytes).unwrap();
+            queued += bytes.len();
         }
-        let queued: usize = frames.iter().map(Frame::encoded_len).sum();
         assert!(queued < 8 * 1024, "the round fits the default buffer");
         assert_eq!(link.get_ref().writes, 0, "nothing leaves before the flush");
         link.flush().unwrap();

@@ -23,8 +23,8 @@ use uba_trace::{NoopTracer, TraceEvent, Tracer};
 
 use crate::engine::{Completion, EngineError};
 use crate::id::NodeId;
-use crate::message::{Dest, Envelope, MsgRef, Outbox, Outgoing};
-use crate::process::{Context, Process};
+use crate::message::{Dest, Envelope, MsgRef, Outgoing};
+use crate::process::{Process, Stepper};
 use crate::stats::Stats;
 
 /// Deliveries scheduled per tick: `(recipient, envelope)` pairs.
@@ -131,8 +131,7 @@ impl DelayModel for PartitionDelay {
 /// All nodes are correct here — the impossibility constructions in the paper
 /// need no Byzantine nodes, only adversarial scheduling.
 pub struct DelayedEngine<P: Process, D> {
-    nodes: BTreeMap<NodeId, P>,
-    decided_round: BTreeMap<NodeId, u64>,
+    nodes: BTreeMap<NodeId, Stepper<P>>,
     /// tick -> deliveries due at that tick.
     pending: PendingDeliveries<P::Msg>,
     delay: D,
@@ -151,11 +150,11 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
         let mut map = BTreeMap::new();
         for p in nodes {
             let id = p.id();
-            assert!(map.insert(id, p).is_none(), "duplicate node id {id}");
+            let fresh = map.insert(id, Stepper::new(p)).is_none();
+            assert!(fresh, "duplicate node id {id}");
         }
         DelayedEngine {
             nodes: map,
-            decided_round: BTreeMap::new(),
             pending: BTreeMap::new(),
             delay,
             tick: 0,
@@ -187,13 +186,19 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
     pub fn outputs(&self) -> BTreeMap<NodeId, P::Output> {
         self.nodes
             .iter()
-            .filter_map(|(id, p)| p.output().map(|o| (*id, o)))
+            .filter_map(|(id, n)| n.process().output().map(|o| (*id, o)))
             .collect()
+    }
+
+    /// Present nodes that have not terminated, in id order.
+    fn undecided(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let nodes = self.nodes.iter();
+        nodes.filter_map(|(id, n)| n.decided_round().is_none().then_some(*id))
     }
 
     /// Whether every node has terminated.
     pub fn all_decided(&self) -> bool {
-        self.nodes.values().all(|p| p.output().is_some())
+        self.undecided().next().is_none()
     }
 
     /// Removes a node from the system, returning its process.
@@ -203,7 +208,7 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
     /// the removed node afterwards (via [`step_node`](Self::step_node)) is a
     /// typed [`EngineError::MissingNode`], not a panic.
     pub fn remove(&mut self, id: NodeId) -> Option<P> {
-        self.nodes.remove(&id)
+        self.nodes.remove(&id).map(Stepper::into_process)
     }
 
     /// Steps a single node with an empty inbox, at the current tick — or at
@@ -222,45 +227,25 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
         self.step_node_at(self.tick.max(1), id, Vec::new())
     }
 
-    /// Runs one node's `on_round` and schedules its sends. The single place
-    /// that touches `self.nodes` mutably, so "node absent" surfaces as the
-    /// sync engine's typed [`EngineError::MissingNode`] taxonomy.
+    /// [Steps](Stepper::step) one node and schedules its sends. The single
+    /// place that touches `self.nodes` mutably, so "node absent" surfaces as
+    /// the sync engine's typed [`EngineError::MissingNode`] taxonomy.
     fn step_node_at(
         &mut self,
         tick: u64,
         id: NodeId,
         inbox: Vec<Envelope<P::Msg>>,
     ) -> Result<(), EngineError> {
-        let mut outbox = Outbox::new();
-        {
-            let node = self.nodes.get_mut(&id).ok_or(EngineError::MissingNode {
-                round: tick,
-                node: id,
-            })?;
-            if node.output().is_some() {
-                return Ok(());
-            }
-            let mut ctx = Context::new(tick, &inbox, &mut outbox);
-            node.on_round(&mut ctx);
-            if node.terminated() {
-                self.decided_round.entry(id).or_insert(tick);
-            }
-        }
+        let node = self.nodes.get_mut(&id).ok_or(EngineError::MissingNode {
+            round: tick,
+            node: id,
+        })?;
+        let sends = node.step(tick, &inbox);
         let present: Vec<NodeId> = self.nodes.keys().copied().collect();
-        for out in outbox.drain() {
+        for out in sends {
             self.stats.record_send(false);
             if self.tracer.enabled() {
-                let to = match out.dest {
-                    Dest::Broadcast => None,
-                    Dest::To(t) => Some(t.raw()),
-                };
-                self.tracer.record(TraceEvent::Send {
-                    round: tick,
-                    from: id.raw(),
-                    to,
-                    payload: format!("{:?}", out.msg),
-                    adversary: false,
-                });
+                self.tracer.record(out.send_event(tick, id, false));
             }
             // Wrap once per send: every scheduled delivery (all broadcast
             // targets, whatever their delays) shares one payload allocation.
@@ -299,16 +284,17 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
         let due = self.pending.remove(&tick).unwrap_or_default();
         let mut inboxes: BTreeMap<NodeId, Vec<Envelope<P::Msg>>> = BTreeMap::new();
         for (to, env) in due {
-            if self.nodes.get(&to).is_some_and(|p| p.output().is_none()) {
+            let node = self.nodes.get(&to);
+            if node.is_some_and(|n| n.decided_round().is_none()) {
                 self.stats.record_deliveries(false, 1);
                 if self.tracer.enabled() {
-                    self.tracer.record(TraceEvent::Deliver {
-                        round: tick,
-                        from: env.from.raw(),
-                        to: to.raw(),
-                        payload: format!("{:?}", env.msg()),
-                        adversary: false,
-                    });
+                    self.tracer.record(TraceEvent::deliver(
+                        tick,
+                        env.from.raw(),
+                        to.raw(),
+                        env.msg(),
+                        false,
+                    ));
                 }
                 inboxes.entry(to).or_default().push(env);
             }
@@ -360,19 +346,18 @@ impl<P: Process, D: DelayModel> DelayedEngine<P, D> {
             if self.tick >= max_ticks {
                 return Err(EngineError::MaxRoundsExceeded {
                     round: self.tick,
-                    undecided: self
-                        .nodes
-                        .iter()
-                        .filter(|(_, p)| p.output().is_none())
-                        .map(|(id, _)| *id)
-                        .collect(),
+                    undecided: self.undecided().collect(),
                 });
             }
             self.try_run_tick()?;
         }
         Ok(Completion {
             outputs: self.outputs(),
-            decided_round: self.decided_round.clone(),
+            decided_round: self
+                .nodes
+                .iter()
+                .filter_map(|(id, n)| Some((*id, n.decided_round()?)))
+                .collect(),
             stats: self.stats.clone(),
         })
     }
@@ -405,6 +390,59 @@ mod tests {
         for (_, heard) in done.outputs {
             assert_eq!(heard.len(), 2, "both broadcasts arrive at tick 2");
         }
+    }
+
+    /// Broadcasts in round 1 and terminates in round 3; answers
+    /// `terminated()` from a flag and counts every `output()` call.
+    struct CountsOutputs {
+        id: NodeId,
+        done: bool,
+        output_calls: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Process for CountsOutputs {
+        type Msg = u64;
+        type Output = ();
+
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn on_round(&mut self, ctx: &mut crate::Context<'_, u64>) {
+            if ctx.round() == 1 {
+                ctx.broadcast(self.id.raw());
+            }
+            self.done = ctx.round() == 3;
+        }
+
+        fn output(&self) -> Option<()> {
+            self.output_calls.set(self.output_calls.get() + 1);
+            self.done.then_some(())
+        }
+
+        fn terminated(&self) -> bool {
+            self.done
+        }
+    }
+
+    #[test]
+    fn only_outputs_builds_an_output() {
+        // `output()` may clone a whole log; the engine must ask
+        // `terminated()` — not once per delivered envelope, not at all.
+        let output_calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let nodes = [1, 2, 3].map(|raw| CountsOutputs {
+            id: NodeId::new(raw),
+            done: false,
+            output_calls: std::rc::Rc::clone(&output_calls),
+        });
+        let mut engine = DelayedEngine::new(nodes, FixedDelay(1));
+        engine.run_ticks(2);
+        assert_eq!(engine.stats().deliveries, 9, "envelopes were delivered");
+        assert!(!engine.all_decided());
+        assert_eq!(output_calls.get(), 0);
+        let done = engine.run_to_completion(10).expect("completes");
+        assert_eq!(done.outputs.len(), 3);
+        assert_eq!(output_calls.get(), 3, "one per node, from `outputs()`");
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Executes the paper's computation model exactly: in each round every
 //! present, non-terminated correct node receives the messages sent to it in
-//! the previous round, computes, and queues messages for the next round. A
-//! full-information **rushing** adversary then sees the correct nodes'
-//! round-`r` messages and queues the faulty nodes' round-`r` messages before
-//! anything is delivered. Duplicate `(sender, payload)` pairs addressed to
-//! the same recipient within one round are discarded, as the model demands;
-//! the engine decides that once per *send* from one round-wide
-//! `(sender, payload)` map, not once per envelope.
+//! the previous round, computes, and queues messages for the next round
+//! (one [`Stepper::step`] each). A full-information **rushing** adversary
+//! then sees the correct nodes' round-`r` messages and queues the faulty
+//! nodes' round-`r` messages before anything is delivered. Duplicate
+//! `(sender, payload)` pairs addressed to the same recipient within one
+//! round are discarded, as the model demands; the engine decides that once
+//! per *send* from one round-wide `(sender, payload)` map, not once per
+//! envelope.
 //!
 //! On top of the Byzantine adversary the engine injects benign faults from a
 //! [`FaultPlan`] (crash-stop, crash-recovery, omission, lossy links) and
@@ -24,9 +25,9 @@ use crate::adversary::{Adversary, AdversaryOutbox, AdversaryView, NoAdversary};
 use crate::churn::{ChurnAction, ChurnSchedule};
 use crate::faults::{Fault, FaultPlan};
 use crate::id::NodeId;
-use crate::message::{Dest, Envelope, MsgRef, Outbox, Outgoing};
+use crate::message::{Dest, Envelope, MsgRef, Outgoing};
 use crate::monitor::{MonitorView, RoundMonitor, ViolationReport};
-use crate::process::{Context, Process};
+use crate::process::{Process, Stepper};
 use crate::stats::Stats;
 
 /// The `(sender, message)` pairs queued in one round, in send order.
@@ -80,14 +81,6 @@ pub type ObserveFn<P> = Box<dyn Fn(&P) -> NodeSnapshot>;
 /// order — kept by the engine only when the churn schedule contains a
 /// [`ChurnAction::Restart`] (see `SyncEngine::replay_log`).
 type ReplayLog<M> = BTreeMap<NodeId, Vec<(u64, Vec<Envelope<M>>)>>;
-
-/// Renders a [`Dest`] as the trace vocabulary's optional recipient.
-fn dest_to_trace(dest: Dest) -> Option<u64> {
-    match dest {
-        Dest::Broadcast => None,
-        Dest::To(to) => Some(to.raw()),
-    }
-}
 
 /// The trace rendering of one fault-plan event.
 fn fault_to_trace(round: u64, fault: &Fault) -> TraceEvent {
@@ -215,11 +208,6 @@ impl<O> Completion<O> {
     pub fn last_decided_round(&self) -> u64 {
         self.decided_round.values().copied().max().unwrap_or(0)
     }
-}
-
-struct CorrectNode<P: Process> {
-    process: P,
-    decided_round: Option<u64>,
 }
 
 /// Builds a [`SyncEngine`].
@@ -430,7 +418,7 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
 /// semantics (delivery, rushing, dedup) are described in the
 /// [`uba_sim`](crate) crate docs.
 pub struct SyncEngine<P: Process, A> {
-    correct: BTreeMap<NodeId, CorrectNode<P>>,
+    correct: BTreeMap<NodeId, Stepper<P>>,
     /// Outputs of correct nodes that have left the system.
     departed: BTreeMap<NodeId, (u64, P::Output)>,
     faulty: BTreeSet<NodeId>,
@@ -479,13 +467,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             !self.correct.contains_key(&id) && !self.faulty.contains(&id),
             "duplicate node id {id}"
         );
-        self.correct.insert(
-            id,
-            CorrectNode {
-                process,
-                decided_round: None,
-            },
-        );
+        self.correct.insert(id, Stepper::new(process));
     }
 
     fn insert_faulty(&mut self, id: NodeId) {
@@ -510,7 +492,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     pub fn active_correct_ids(&self) -> BTreeSet<NodeId> {
         self.correct
             .iter()
-            .filter(|(_, n)| n.decided_round.is_none())
+            .filter(|(_, n)| n.decided_round().is_none())
             .map(|(id, _)| *id)
             .collect()
     }
@@ -539,7 +521,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
 
     /// Immutable access to a correct node's process (for inspection).
     pub fn process(&self, id: NodeId) -> Option<&P> {
-        self.correct.get(&id).map(|n| &n.process)
+        self.correct.get(&id).map(Stepper::process)
     }
 
     /// Mutable access to a correct node's process, for injecting work
@@ -548,7 +530,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     /// the engine only guarantees that the next `on_round` observes the
     /// mutation.
     pub fn process_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.correct.get_mut(&id).map(|n| &mut n.process)
+        self.correct.get_mut(&id).map(Stepper::process_mut)
     }
 
     /// Outputs produced so far (present and departed correct nodes).
@@ -559,7 +541,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             .map(|(id, (_, o))| (*id, o.clone()))
             .collect();
         for (id, node) in &self.correct {
-            if let Some(o) = node.process.output() {
+            if let Some(o) = node.process().output() {
                 map.insert(*id, o);
             }
         }
@@ -571,7 +553,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         let mut map: BTreeMap<NodeId, u64> =
             self.departed.iter().map(|(id, (r, _))| (*id, *r)).collect();
         for (id, node) in &self.correct {
-            if let Some(r) = node.decided_round {
+            if let Some(r) = node.decided_round() {
                 map.insert(*id, r);
             }
         }
@@ -585,7 +567,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
 
     /// Whether every present correct node has terminated.
     pub fn all_correct_decided(&self) -> bool {
-        self.correct.values().all(|n| n.decided_round.is_some())
+        self.correct.values().all(|n| n.decided_round().is_some())
     }
 
     /// The correct nodes that take part in a round, in id order: present,
@@ -595,7 +577,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     fn live_undecided(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.correct
             .iter()
-            .filter(|(id, n)| n.decided_round.is_none() && !self.crashed.contains(id))
+            .filter(|(id, n)| n.decided_round().is_none() && !self.crashed.contains(id))
             .map(|(id, _)| *id)
     }
 
@@ -604,7 +586,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         self.correct
             .iter()
             .filter(|(id, _)| !self.crashed.contains(*id))
-            .all(|(_, n)| n.decided_round.is_some())
+            .all(|(_, n)| n.decided_round().is_some())
     }
 
     fn apply_churn(&mut self, round: u64) {
@@ -639,7 +621,8 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                         });
                     }
                     if let Some(node) = self.correct.remove(&id) {
-                        if let (Some(r), Some(o)) = (node.decided_round, node.process.output()) {
+                        if let (Some(r), Some(o)) = (node.decided_round(), node.process().output())
+                        {
                             self.departed.insert(id, (r, o));
                         }
                     }
@@ -670,12 +653,9 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
     }
 
     /// Rebuilds a present correct node from `fresh` (its initial state) by
-    /// silently replaying it through the node's recorded inbox history:
-    /// replay outboxes are discarded — the crashed incarnation already sent
-    /// that traffic — and the decided round is recomputed. Determinism of
-    /// the process makes the replayed incarnation converge to the crashed
-    /// one's exact state, so the run continues as if the restart never
-    /// happened; this mirrors the net transport's journal-replay rejoin.
+    /// [replaying](Stepper::replay) the node's recorded inbox history, so
+    /// the run continues as if the restart never happened — the same replay
+    /// the net transport's journal rejoin runs.
     fn restart_node(&mut self, fresh: P) {
         let id = fresh.id();
         assert!(
@@ -687,26 +667,9 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             .as_ref()
             .and_then(|log| log.get(&id))
             .map_or(&[][..], Vec::as_slice);
-        let mut process = fresh;
-        let mut decided_round = None;
-        for (past_round, inbox) in history {
-            if process.terminated() {
-                break;
-            }
-            let mut outbox = Outbox::new();
-            let mut ctx = Context::new(*past_round, inbox, &mut outbox);
-            process.on_round(&mut ctx);
-            if decided_round.is_none() && process.terminated() {
-                decided_round = Some(*past_round);
-            }
-        }
-        self.correct.insert(
-            id,
-            CorrectNode {
-                process,
-                decided_round,
-            },
-        );
+        let mut node = Stepper::new(fresh);
+        node.replay(history.iter().map(|(round, inbox)| (*round, &inbox[..])));
+        self.correct.insert(id, node);
     }
 
     /// Applies the fault plan's events for `round` and returns the round's
@@ -826,23 +789,20 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     if !fresh {
                         duplicate_drops += 1;
                         if traced {
-                            self.tracer.record(TraceEvent::DuplicateDrop {
-                                round,
-                                from: from.raw(),
-                                to: to.raw(),
-                                payload: format!("{msg:?}"),
-                            });
+                            let (from, to) = (from.raw(), to.raw());
+                            self.tracer
+                                .record(TraceEvent::duplicate_drop(round, from, to, &msg));
                         }
                         continue;
                     }
                     if traced {
-                        self.tracer.record(TraceEvent::Deliver {
+                        self.tracer.record(TraceEvent::deliver(
                             round,
-                            from: from.raw(),
-                            to: to.raw(),
-                            payload: format!("{msg:?}"),
-                            adversary: from_adversary,
-                        });
+                            from.raw(),
+                            to.raw(),
+                            &msg,
+                            from_adversary,
+                        ));
                     }
                     if filtered || !broadcast {
                         self.acquaintance.entry(to).or_default().insert(from);
@@ -921,19 +881,11 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             if let Some(log) = self.replay_log.as_mut() {
                 log.entry(id).or_default().push((round, inbox.clone()));
             }
-            let mut outbox = Outbox::new();
-            {
-                let node = self
-                    .correct
-                    .get_mut(&id)
-                    .ok_or(EngineError::MissingNode { round, node: id })?;
-                let mut ctx = Context::new(round, &inbox, &mut outbox);
-                node.process.on_round(&mut ctx);
-                if node.process.terminated() && node.decided_round.is_none() {
-                    node.decided_round = Some(round);
-                }
-            }
-            for out in outbox.drain() {
+            let node = self
+                .correct
+                .get_mut(&id)
+                .ok_or(EngineError::MissingNode { round, node: id })?;
+            for out in node.step(round, &inbox) {
                 if self.enforce_acquaintance {
                     if let Dest::To(to) = out.dest {
                         let known = self.acquaintance.get(&id).is_some_and(|s| s.contains(&to));
@@ -948,13 +900,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 }
                 self.stats.record_send(false);
                 if traced {
-                    self.tracer.record(TraceEvent::Send {
-                        round,
-                        from: id.raw(),
-                        to: dest_to_trace(out.dest),
-                        payload: format!("{:?}", out.msg),
-                        adversary: false,
-                    });
+                    self.tracer.record(out.send_event(round, id, false));
                 }
                 correct_traffic.push((id, out));
             }
@@ -996,13 +942,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 }
                 self.stats.record_send(true);
                 if traced {
-                    self.tracer.record(TraceEvent::Send {
-                        round,
-                        from: from.raw(),
-                        to: dest_to_trace(item.dest),
-                        payload: format!("{:?}", item.msg),
-                        adversary: true,
-                    });
+                    self.tracer.record(item.send_event(round, from, true));
                 }
                 adversary_traffic.push((from, item));
             }
@@ -1037,7 +977,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         if traced {
             if let Some(observe) = &self.observe {
                 for (&id, node) in &self.correct {
-                    let snapshot = observe(&node.process);
+                    let snapshot = observe(node.process());
                     if self.last_snapshots.get(&id) != Some(&snapshot) {
                         self.tracer.record(TraceEvent::NodeState {
                             round,
@@ -1056,7 +996,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             let processes: BTreeMap<NodeId, &P> = self
                 .correct
                 .iter()
-                .map(|(&id, n)| (id, &n.process))
+                .map(|(&id, n)| (id, n.process()))
                 .collect();
             let view = MonitorView {
                 round,
@@ -1067,16 +1007,8 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             };
             if let Some(monitor) = self.monitor.as_mut() {
                 if let Err(report) = monitor.check(&view) {
-                    // The verdict becomes the final event of the aborted
-                    // run: a postmortem trace ends with what went wrong.
                     if traced {
-                        self.tracer.record(TraceEvent::MonitorVerdict {
-                            round,
-                            monitor: report.spec.clone(),
-                            ok: false,
-                            nodes: report.nodes.iter().map(|n| n.raw()).collect(),
-                            details: report.violations.clone(),
-                        });
+                        self.tracer.record(report.verdict_event());
                     }
                     return Err(report.into());
                 }
@@ -1137,7 +1069,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     undecided: self
                         .correct
                         .iter()
-                        .filter(|(_, n)| n.decided_round.is_none())
+                        .filter(|(_, n)| n.decided_round().is_none())
                         .map(|(id, _)| *id)
                         .collect(),
                 });
@@ -1167,6 +1099,7 @@ impl<P: Process, A> fmt::Debug for SyncEngine<P, A> {
 mod tests {
     use super::*;
     use crate::adversary::FnAdversary;
+    use crate::process::Context;
     use crate::testutil::{CollectAll, Idle};
 
     fn ids(raw: &[u64]) -> Vec<NodeId> {

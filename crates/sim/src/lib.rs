@@ -24,7 +24,12 @@
 //!   [`DelayModel`]) for the paper's impossibility results.
 //!
 //! Protocols implement [`Process`] and are driven by an engine; the
-//! algorithms themselves live in the `uba-core` crate.
+//! algorithms themselves live in the `uba-core` crate. What one round does
+//! to one process — receive what was sent to it in the previous round,
+//! compute, queue its sends, and leave the computation once terminated — is
+//! defined once, by [`Stepper`]: both engines, the churn restart and the
+//! `uba-net` transport (live rounds and journal replay) step and replay
+//! through it, and add only delivery, faults, delays or sockets around it.
 //!
 //! # Example
 //!
@@ -71,7 +76,7 @@ pub use faults::{Fault, FaultPlan, FaultUniverse};
 pub use id::{consecutive_ids, sparse_ids, IdAllocator, NodeId};
 pub use message::{Dest, Envelope, MsgRef, Outbox, Outgoing, Payload};
 pub use monitor::{MonitorSet, MonitorView, RoundMonitor, ViolationReport};
-pub use process::{Context, Process};
+pub use process::{Context, Process, Stepper};
 pub use rng::{derive, seeded};
 pub use stats::Stats;
 

@@ -13,6 +13,8 @@ use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use uba_trace::TraceEvent;
+
 use crate::id::NodeId;
 
 /// Bound for protocol message payloads.
@@ -176,6 +178,16 @@ pub enum Dest {
     To(NodeId),
 }
 
+impl Dest {
+    /// The one node addressed; `None` for a broadcast.
+    pub fn recipient(self) -> Option<NodeId> {
+        match self {
+            Dest::Broadcast => None,
+            Dest::To(to) => Some(to),
+        }
+    }
+}
+
 /// One outgoing message: destination plus payload.
 ///
 /// Outgoing payloads stay owned (processes and adversaries build them
@@ -187,6 +199,15 @@ pub struct Outgoing<M> {
     pub dest: Dest,
     /// The protocol payload.
     pub msg: M,
+}
+
+impl<M: Debug> Outgoing<M> {
+    /// The [`TraceEvent::Send`] of `from` sending this message in `round`.
+    /// Renders the payload: call behind `Tracer::enabled`.
+    pub fn send_event(&self, round: u64, from: NodeId, adversary: bool) -> TraceEvent {
+        let to = self.dest.recipient().map(NodeId::raw);
+        TraceEvent::send(round, from.raw(), to, &self.msg, adversary)
+    }
 }
 
 /// A node's outgoing messages for the current round.

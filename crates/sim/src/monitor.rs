@@ -15,6 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use uba_trace::TraceEvent;
+
 use crate::id::NodeId;
 use crate::process::Process;
 
@@ -31,6 +33,21 @@ pub struct ViolationReport {
     pub nodes: Vec<NodeId>,
     /// Human-readable details, one entry per offending node or message.
     pub violations: Vec<String>,
+}
+
+impl ViolationReport {
+    /// The [`TraceEvent::MonitorVerdict`] of this violation — the final
+    /// event of the aborted run, so a postmortem trace ends with what went
+    /// wrong.
+    pub fn verdict_event(&self) -> TraceEvent {
+        TraceEvent::MonitorVerdict {
+            round: self.round,
+            monitor: self.spec.clone(),
+            ok: false,
+            nodes: self.nodes.iter().map(|n| n.raw()).collect(),
+            details: self.violations.clone(),
+        }
+    }
 }
 
 impl fmt::Display for ViolationReport {

@@ -8,6 +8,8 @@
 //! payloads are carried as their `Debug` rendering, produced only when a
 //! tracer is actually attached.
 
+use std::fmt::Debug;
+
 /// A point-in-time snapshot of one node's algorithm state, reported through
 /// the engine's observe hook (see `uba-core::observe`).
 ///
@@ -289,6 +291,49 @@ impl NetEventKind {
 }
 
 impl TraceEvent {
+    /// A [`Send`](Self::Send) of `payload` (`to`: `None` for a broadcast).
+    /// With [`deliver`](Self::deliver) and
+    /// [`duplicate_drop`](Self::duplicate_drop) the one place a payload is
+    /// rendered — with `{:?}` — so every engine and transport traces one
+    /// message as the same bytes. Rendering allocates: call behind
+    /// [`Tracer::enabled`](crate::Tracer::enabled).
+    pub fn send(
+        round: u64,
+        from: u64,
+        to: Option<u64>,
+        payload: &dyn Debug,
+        adversary: bool,
+    ) -> Self {
+        TraceEvent::Send {
+            round,
+            from,
+            to,
+            payload: format!("{payload:?}"),
+            adversary,
+        }
+    }
+
+    /// A [`Deliver`](Self::Deliver) of `payload`, sent in `round`.
+    pub fn deliver(round: u64, from: u64, to: u64, payload: &dyn Debug, adversary: bool) -> Self {
+        TraceEvent::Deliver {
+            round,
+            from,
+            to,
+            payload: format!("{payload:?}"),
+            adversary,
+        }
+    }
+
+    /// A [`DuplicateDrop`](Self::DuplicateDrop) of `payload`.
+    pub fn duplicate_drop(round: u64, from: u64, to: u64, payload: &dyn Debug) -> Self {
+        TraceEvent::DuplicateDrop {
+            round,
+            from,
+            to,
+            payload: format!("{payload:?}"),
+        }
+    }
+
     /// Short machine-readable event kind (the `ev` field of the JSONL
     /// encoding).
     pub fn kind(&self) -> &'static str {

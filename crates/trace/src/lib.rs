@@ -13,7 +13,7 @@
 //! 2. **Tracers** ([`Tracer`]): the no-op default ([`NoopTracer`], free on
 //!    the hot path), a bounded ring-buffer collector ([`RingTracer`],
 //!    keeping the last *N* events of a long run), a JSONL writer
-//!    ([`JsonlTracer`], behind the default `jsonl` feature), plus the
+//!    ([`JsonlTracer`]), plus the
 //!    [`Fanout`] and [`SharedTracer`] combinators used to wire one event
 //!    stream into several consumers.
 //! 3. **A metrics registry** ([`Metrics`]): counters per event kind and
@@ -38,12 +38,6 @@
 //! a [`Tracer`] and never feeds the event stream — the two registries must
 //! never mix (DESIGN.md §10).
 //!
-//! ## Feature flags
-//!
-//! * `jsonl` *(default)* — the JSON encoder ([`to_json`]), [`JsonlTracer`],
-//!   and [`RingTracer::to_jsonl`]. With `--no-default-features` the crate
-//!   is the pure in-memory core: vocabulary, no-op/ring tracers, metrics.
-//!
 //! ## Example
 //!
 //! ```
@@ -67,7 +61,6 @@
 
 mod event;
 mod journal;
-#[cfg(feature = "jsonl")]
 mod json;
 mod metrics;
 mod runtime;
@@ -75,12 +68,9 @@ mod tracer;
 
 pub use event::{NetEventKind, NodeSnapshot, TraceEvent};
 pub use journal::{JournalEntry, JournalRecovery, RoundJournal};
-#[cfg(feature = "jsonl")]
 pub use json::to_json;
 pub use metrics::{Histogram, Metrics};
 pub use runtime::{
     metric_name, RuntimeMetrics, SharedRuntimeMetrics, Span, Stopwatch, TIMING_BUCKETS_US,
 };
-#[cfg(feature = "jsonl")]
-pub use tracer::JsonlTracer;
-pub use tracer::{Fanout, NoopTracer, RingTracer, SharedTracer, Tracer};
+pub use tracer::{Fanout, JsonlTracer, NoopTracer, RingTracer, SharedTracer, Tracer};

@@ -104,7 +104,6 @@ impl RingTracer {
 
     /// Renders the retained window as JSONL (one event per line, trailing
     /// newline after each). A dropped prefix is noted on the first line.
-    #[cfg(feature = "jsonl")]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         if self.dropped > 0 {
@@ -136,7 +135,6 @@ impl Tracer for RingTracer {
 ///
 /// Write errors are counted ([`errors`](JsonlTracer::errors)) rather than
 /// propagated — a tracing failure must never abort the traced run.
-#[cfg(feature = "jsonl")]
 #[derive(Debug)]
 pub struct JsonlTracer<W: std::io::Write> {
     writer: W,
@@ -144,7 +142,6 @@ pub struct JsonlTracer<W: std::io::Write> {
     errors: u64,
 }
 
-#[cfg(feature = "jsonl")]
 impl<W: std::io::Write> JsonlTracer<W> {
     /// Creates a tracer writing to `writer`.
     pub fn new(writer: W) -> Self {
@@ -176,7 +173,6 @@ impl<W: std::io::Write> JsonlTracer<W> {
     }
 }
 
-#[cfg(feature = "jsonl")]
 impl JsonlTracer<Vec<u8>> {
     /// A tracer collecting the JSONL into an in-memory buffer.
     pub fn in_memory() -> Self {
@@ -189,7 +185,6 @@ impl JsonlTracer<Vec<u8>> {
     }
 }
 
-#[cfg(feature = "jsonl")]
 impl<W: std::io::Write> Tracer for JsonlTracer<W> {
     fn record(&mut self, event: TraceEvent) {
         let line = crate::json::to_json(&event);
@@ -302,7 +297,6 @@ mod tests {
         assert_eq!(ring.dropped(), 1);
     }
 
-    #[cfg(feature = "jsonl")]
     #[test]
     fn jsonl_tracer_writes_one_line_per_event() {
         let mut tracer = JsonlTracer::in_memory();
@@ -319,7 +313,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "jsonl")]
     #[test]
     fn ring_jsonl_notes_the_dropped_prefix() {
         let mut ring = RingTracer::new(1);
