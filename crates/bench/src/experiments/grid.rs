@@ -2,37 +2,46 @@
 //! that executes a cell both ways.
 //!
 //! T11–T13 and T15 each restate one claim as *"the TCP cluster decides what
-//! the [`SyncEngine`] twin decides"*, and `bench-report` commits the
-//! seed-determined facts of the same runs. They all read this module:
+//! the [`SyncEngine`] twin decides"*, `bench-report` commits the
+//! seed-determined facts of the same runs, and the `cluster` binary runs one
+//! cell read off its command line. They all read this module:
 //!
-//! - a **cell** is `(family, algo, n, seed, scenario)`;
+//! - a **cell** ([`TwinCell`]) is `(algo, n, seed, scenario)` plus its
+//!   obligation; the grid files it under the experiment whose tables it
+//!   feeds;
 //! - its **scenario** is [`ClusterSpec`]`{ proxy, kill, hostile }` written
 //!   down as data, plus the [`NetConfig`] the surroundings need;
 //! - its **obligation** is what must hold of the outcome — a [`Duty`]
 //!   (engine identity, or agreement only where faults sever deliveries the
 //!   engine performs) plus per-cell [`Extra`]s ("the lossy profile must
 //!   actually drop frames"). [`TwinCell::judge`] is the only statement of
-//!   it: the tables' verdict columns and the lock test both call it.
+//!   it: the tables' verdict columns, the lock test and the binary's exit
+//!   code all call it.
 //!
 //! [`run_twin`] runs a cell; each experiment's `run()` projects the
 //! outcomes onto its columns, and `report.rs` projects them onto exact
-//! fields. T14's log-service cells sit in the same [`GRID`] (so the
+//! fields. T14's log-service cells sit in the same `GRID` (so the
 //! committed record has one order) but keep their own runner — a log
 //! cluster under client load is a different shape.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::LazyLock;
 use std::time::Duration;
 
 use uba_adversary::attacks::ConsensusEquivocator;
+use uba_core::approx::ApproxAgreement;
 use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
 use uba_core::reliable::ReliableBroadcast;
 use uba_net::{
-    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, NetConfig, ProxySpec, RunSummary,
-    WanProfile, Wire,
+    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkSpec, NetConfig, NetError,
+    ProxySpec, RunSummary, WanProfile, Wire,
 };
 use uba_sim::{Adversary, ChurnSchedule, EngineBuilder, NodeId, Process, SyncEngine};
-use uba_trace::{NoopTracer, SharedRuntimeMetrics};
+use uba_trace::{NoopTracer, RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer};
 
 use crate::experiments::t10_faults::Algo;
 use crate::experiments::t14_logd::LogSpec;
@@ -49,18 +58,31 @@ pub(crate) enum Family {
 
 /// Link shaping through the [`uba_net::FaultProxy`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Wan {
+pub enum Wan {
     /// The zero-impairment control: the relay hop alone.
     Clean,
     /// A named impairment profile.
     Profile(WanProfile),
+    /// A hand-written plan (the `cluster` binary's `--link-plan`): one spec
+    /// on every link and, over a round window, a partition of the lower
+    /// half of the sorted ids from the upper half.
+    Custom {
+        /// The seed of the loss and jitter draws.
+        seed: u64,
+        /// The impairment of every link.
+        link: LinkSpec,
+        /// The partitioned rounds, `from..to`.
+        partition: Option<(u64, u64)>,
+    },
 }
 
 impl Wan {
-    pub(crate) fn name(self) -> &'static str {
+    /// The plan's name in cell names.
+    pub fn name(self) -> &'static str {
         match self {
             Wan::Clean => "clean",
             Wan::Profile(profile) => profile.name(),
+            Wan::Custom { .. } => "custom",
         }
     }
 
@@ -68,42 +90,68 @@ impl Wan {
         match self {
             Wan::Clean => LinkPlan::new(seed),
             Wan::Profile(profile) => profile.plan(seed, ids),
+            Wan::Custom {
+                seed,
+                link,
+                partition,
+            } => {
+                let plan = LinkPlan::new(seed).with_default(link);
+                let Some((from, to)) = partition else {
+                    return plan;
+                };
+                let mut sorted = ids.to_vec();
+                sorted.sort_unstable();
+                let side = sorted[..sorted.len() / 2].to_vec();
+                plan.with_partition(from..to, side)
+            }
         }
     }
 }
 
-/// The crash drill: who dies at which round start, and whether the
-/// journal's final line is torn before recovery.
+/// The crash drill: who dies at which round start, whether the journal's
+/// final line is torn before recovery, and how long the victim stays down.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Kill {
+pub struct Kill {
+    /// The round at whose start the victim dies.
     pub at: u64,
+    /// The victim's position among the honest members, by ascending id.
     pub victim_idx: usize,
+    /// Whether the journal's final line is torn before recovery.
     pub torn: bool,
+    /// How long the victim stays down; past one `round_timeout`, peers
+    /// charge it omissions.
+    pub down: Duration,
 }
 
 /// `f` scripted hostile members, all running the named
 /// [`AttackKind`] script.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Hostile {
+pub struct Hostile {
+    /// The [`AttackKind`] name.
     pub attack: &'static str,
+    /// How many hostile members there are.
     pub f: usize,
 }
 
 /// What surrounds the honest members: the three orthogonal options of
 /// [`ClusterSpec`] as data, and the transport config that goes with them.
-#[derive(Clone, Copy)]
-pub(crate) struct Scenario {
+#[derive(Clone)]
+pub struct Scenario {
+    /// The WAN proxy in front of every member, if any.
     pub wan: Option<Wan>,
+    /// The crash drill, if any.
     pub kill: Option<Kill>,
+    /// The hostile members, if any.
     pub hostile: Option<Hostile>,
-    pub config: fn() -> NetConfig,
+    /// Every member's transport config.
+    pub config: NetConfig,
 }
 
 /// The safety obligation of a cell. Agreement — every honest member
 /// decided, all on one value — is owed by every cell; identity is owed
 /// where the scenario preserves every delivery the engine performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Duty {
+pub enum Duty {
     /// Outputs and decision rounds equal the engine twin's, member by
     /// member (and the churn-`Restart` twin's, when there is a kill).
     EngineIdentical,
@@ -115,7 +163,7 @@ pub(crate) enum Duty {
 /// What else a cell owes: that its fault actually happened, and that the
 /// defense attributed it the way the threat model says (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Extra {
+pub enum Extra {
     /// The loss model ate at least one frame.
     Drops,
     /// The scheduled partition severed at least one frame.
@@ -135,24 +183,45 @@ pub(crate) enum Extra {
     EvictedByAll,
 }
 
-/// One cell of the twin grid.
-#[derive(Clone, Copy)]
-pub(crate) struct TwinCell {
-    pub family: Family,
+/// One cell of the twin grid: what runs, and what it owes.
+#[derive(Clone)]
+pub struct TwinCell {
+    /// The protocol every honest member runs.
     pub algo: Algo,
     /// Honest members (the scenario's hostile members come on top).
     pub n: usize,
+    /// Seeds the ids, the inputs and every scripted fault.
     pub seed: u64,
+    /// What surrounds the honest members.
     pub scenario: Scenario,
+    /// The safety obligation.
     pub duty: Duty,
+    /// Further obligations.
     pub extras: &'static [Extra],
-    /// Whether `bench-report` commits the cell's exact fields.
+}
+
+/// A twin cell as the grid holds it: the cell, plus which experiment's
+/// tables it feeds and whether `bench-report` commits its exact fields. It
+/// dereferences to the cell, which is all the runner and the judge read.
+pub(crate) struct GridTwin {
+    pub family: Family,
+    pub cell: TwinCell,
     pub recorded: bool,
 }
 
+impl Deref for GridTwin {
+    type Target = TwinCell;
+
+    fn deref(&self) -> &TwinCell {
+        &self.cell
+    }
+}
+
 /// One cell of the grid: a sim/net twin, or a T14 log-service run.
+// 27 cells in one static table: their size does not matter.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Cell {
-    Twin(TwinCell),
+    Twin(GridTwin),
     Logd(LogSpec),
 }
 
@@ -233,106 +302,114 @@ fn stall_config() -> NetConfig {
     }
 }
 
-const PLAIN: Scenario = Scenario {
-    wan: None,
-    kill: None,
-    hostile: None,
-    config: net_config,
-};
-
-/// A direct, fault-free, unrecorded cell that owes engine identity; the
-/// family constructors below override what their scenario changes.
-const fn twin(family: Family, algo: Algo, n: usize, seed: u64) -> TwinCell {
-    TwinCell {
-        family,
-        algo,
-        n,
-        seed,
-        scenario: PLAIN,
-        duty: EngineIdentical,
-        extras: &[],
-        recorded: false,
+fn plain() -> Scenario {
+    Scenario {
+        wan: None,
+        kill: None,
+        hostile: None,
+        config: net_config(),
     }
 }
 
-/// T11: the fault-free equivalence cells.
-const fn t11(algo: Algo, n: usize, seed: u64) -> Cell {
-    Cell::Twin(TwinCell {
-        recorded: true,
-        ..twin(Family::T11, algo, n, seed)
+/// A direct, fault-free cell that owes engine identity; the family
+/// constructors below override what their scenario changes.
+fn direct(algo: Algo, n: usize, seed: u64) -> TwinCell {
+    TwinCell {
+        algo,
+        n,
+        seed,
+        scenario: plain(),
+        duty: EngineIdentical,
+        extras: &[],
+    }
+}
+
+fn grid_twin(family: Family, cell: TwinCell, recorded: bool) -> Cell {
+    Cell::Twin(GridTwin {
+        family,
+        cell,
+        recorded,
     })
+}
+
+/// T11: the fault-free equivalence cells.
+fn t11(algo: Algo, n: usize, seed: u64) -> Cell {
+    grid_twin(Family::T11, direct(algo, n, seed), true)
 }
 
 /// T12: kill rounds precede every decision round, so the crash always
 /// actually happens; the torn cell needs `at ≥ 3` so at least one journal
 /// entry survives the tear.
-const fn t12(algo: Algo, n: usize, seed: u64, kill: Kill) -> Cell {
+fn t12(algo: Algo, n: usize, seed: u64, kill: Kill) -> Cell {
     let kill = Some(kill);
-    Cell::Twin(TwinCell {
-        scenario: Scenario { kill, ..PLAIN },
-        ..twin(Family::T12, algo, n, seed)
-    })
+    let cell = TwinCell {
+        scenario: Scenario { kill, ..plain() },
+        ..direct(algo, n, seed)
+    };
+    grid_twin(Family::T12, cell, false)
 }
 
 /// T13: `clean` is the control and must match the engine exactly; `geo`
 /// (latency inside the round budget) must too; `lossy` and `partition` are
 /// the fault soaks `bench-report` commits.
-const fn t13(wan: Wan, algo: Algo, n: usize, seed: u64, kill: Option<Kill>) -> Cell {
+fn t13(wan: Wan, algo: Algo, n: usize, seed: u64, kill: Option<Kill>) -> Cell {
     let (impaired, extras): (bool, &'static [Extra]) = match wan {
-        Wan::Clean | Wan::Profile(WanProfile::Geo) => (false, &[]),
         Wan::Profile(WanProfile::Lossy) => (true, &[Extra::Drops]),
         Wan::Profile(WanProfile::Partition) => (true, &[Extra::Severs, Extra::Timeouts]),
+        _ => (false, &[]),
     };
-    let config: fn() -> NetConfig = match wan {
-        Wan::Profile(WanProfile::Partition) => partition_config,
-        _ => net_config,
+    let config = match wan {
+        Wan::Profile(WanProfile::Partition) => partition_config(),
+        _ => net_config(),
     };
     let wan = Some(wan);
-    Cell::Twin(TwinCell {
+    let cell = TwinCell {
         scenario: Scenario {
             wan,
             kill,
             config,
-            ..PLAIN
+            ..plain()
         },
         duty: if impaired { Agreement } else { EngineIdentical },
         extras,
-        recorded: impaired,
-        ..twin(Family::T13, algo, n, seed)
-    })
+        ..direct(algo, n, seed)
+    };
+    grid_twin(Family::T13, cell, impaired)
 }
 
 /// T15: consensus over `n` honest members plus `f` hostile ones at seed
 /// 42. The equivocation cell uses the classic `n = 3f + 1` tight
 /// population; the single-attacker cells keep the honest majority ample so
 /// the verdict isolates attribution, not resilience margins.
-const fn t15(
+fn t15(
     attack: &'static str,
     n: usize,
     f: usize,
-    config: fn() -> NetConfig,
+    config: NetConfig,
     duty: Duty,
     extras: &'static [Extra],
 ) -> Cell {
     let hostile = Some(Hostile { attack, f });
-    Cell::Twin(TwinCell {
+    let cell = TwinCell {
         scenario: Scenario {
             hostile,
             config,
-            ..PLAIN
+            ..plain()
         },
         duty,
         extras,
-        recorded: true,
-        ..twin(Family::T15, Algo::Consensus, n, 42)
-    })
+        ..direct(Algo::Consensus, n, 42)
+    };
+    grid_twin(Family::T15, cell, true)
 }
 
+/// An immediate restart: the grid's kills are invisible to the protocol.
 const fn kill(at: u64, victim_idx: usize, torn: bool) -> Kill {
     Kill {
         at,
         victim_idx,
         torn,
+        down: Duration::ZERO,
     }
 }
 
@@ -361,49 +438,51 @@ const fn t14(shards: u32) -> Cell {
 
 /// Every cell, in presentation order (which is also the committed order of
 /// `BENCH_net.json`).
-pub(crate) static GRID: [Cell; 27] = [
-    t11(Algo::Consensus, 4, 42),
-    t11(Algo::Consensus, 4, 7),
-    t11(Algo::Consensus, 7, 1),
-    t11(Algo::Reliable, 4, 42),
-    t11(Algo::Reliable, 5, 11),
-    t12(Algo::Consensus, 4, 42, kill(3, 0, false)),
-    t12(Algo::Consensus, 7, 1, kill(3, 2, false)),
-    t12(Algo::Reliable, 5, 11, kill(2, 1, false)),
-    t12(Algo::Consensus, 4, 42, kill(3, 0, true)),
-    t13(Wan::Clean, Algo::Consensus, 4, 42, None),
-    t13(GEO, Algo::Consensus, 4, 42, None),
-    t13(LOSSY, Algo::Consensus, 4, 42, None),
-    t13(PARTITION, Algo::Consensus, 4, 42, None),
-    t13(Wan::Clean, Algo::Reliable, 4, 42, None),
-    t13(GEO, Algo::Reliable, 4, 42, None),
-    t13(LOSSY, Algo::Reliable, 4, 42, None),
-    t13(PARTITION, Algo::Reliable, 5, 11, None),
-    // T12's drill behind the relay: the rejoiner dials outward and the
-    // relay fronts stay fixed, so the kill is still invisible.
-    t13(Wan::Clean, Algo::Consensus, 4, 42, Some(kill(3, 0, false))),
-    t14(1),
-    t14(4),
-    t15("equivocate", 5, 2, net_config, EngineIdentical, TOLERATE),
-    t15("replay", 4, 1, replay_config, Agreement, EVICT),
-    t15("corrupt", 4, 1, evicting_config, Agreement, EVICT),
-    t15("oversize", 4, 1, evicting_config, Agreement, EVICT),
-    t15("flood", 4, 1, flood_config, Agreement, EVICT_BY_ALL),
-    t15("stall", 4, 1, stall_config, Agreement, OMISSION),
-    t15("backfill-spam", 4, 1, evicting_config, Agreement, EVICT),
-];
+pub(crate) static GRID: LazyLock<[Cell; 27]> = LazyLock::new(|| {
+    [
+        t11(Algo::Consensus, 4, 42),
+        t11(Algo::Consensus, 4, 7),
+        t11(Algo::Consensus, 7, 1),
+        t11(Algo::Reliable, 4, 42),
+        t11(Algo::Reliable, 5, 11),
+        t12(Algo::Consensus, 4, 42, kill(3, 0, false)),
+        t12(Algo::Consensus, 7, 1, kill(3, 2, false)),
+        t12(Algo::Reliable, 5, 11, kill(2, 1, false)),
+        t12(Algo::Consensus, 4, 42, kill(3, 0, true)),
+        t13(Wan::Clean, Algo::Consensus, 4, 42, None),
+        t13(GEO, Algo::Consensus, 4, 42, None),
+        t13(LOSSY, Algo::Consensus, 4, 42, None),
+        t13(PARTITION, Algo::Consensus, 4, 42, None),
+        t13(Wan::Clean, Algo::Reliable, 4, 42, None),
+        t13(GEO, Algo::Reliable, 4, 42, None),
+        t13(LOSSY, Algo::Reliable, 4, 42, None),
+        t13(PARTITION, Algo::Reliable, 5, 11, None),
+        // T12's drill behind the relay: the rejoiner dials outward and the
+        // relay fronts stay fixed, so the kill is still invisible.
+        t13(Wan::Clean, Algo::Consensus, 4, 42, Some(kill(3, 0, false))),
+        t14(1),
+        t14(4),
+        t15("equivocate", 5, 2, net_config(), EngineIdentical, TOLERATE),
+        t15("replay", 4, 1, replay_config(), Agreement, EVICT),
+        t15("corrupt", 4, 1, evicting_config(), Agreement, EVICT),
+        t15("oversize", 4, 1, evicting_config(), Agreement, EVICT),
+        t15("flood", 4, 1, flood_config(), Agreement, EVICT_BY_ALL),
+        t15("stall", 4, 1, stall_config(), Agreement, OMISSION),
+        t15("backfill-spam", 4, 1, evicting_config(), Agreement, EVICT),
+    ]
+});
 
 /// The twin cells of one experiment, in grid order.
 pub(crate) fn twins(family: Family) -> impl Iterator<Item = &'static TwinCell> {
     GRID.iter().filter_map(move |cell| match cell {
-        Cell::Twin(twin) if twin.family == family => Some(twin),
+        Cell::Twin(twin) if twin.family == family => Some(&twin.cell),
         _ => None,
     })
 }
 
 /// Each decided member's output (rendered via `Debug`, so one comparison
 /// covers every algorithm) and decision round.
-pub(crate) type Outcomes = BTreeMap<NodeId, (String, u64)>;
+pub type Outcomes = BTreeMap<NodeId, (String, u64)>;
 
 /// The last round in which anybody decided (0 if nobody did).
 pub(crate) fn last_round(outcomes: &Outcomes) -> u64 {
@@ -415,14 +494,17 @@ pub(crate) fn last_round(outcomes: &Outcomes) -> u64 {
 }
 
 /// One [`SyncEngine`] execution of a cell's population.
-pub(crate) struct EngineRun {
+pub struct EngineRun {
+    /// Each decided member's output and decision round.
     pub outcomes: Outcomes,
+    /// `sim_envelopes_delivered_total`.
     pub envelopes_delivered: u64,
+    /// `sim_duplicate_drops_total`.
     pub duplicate_drops: u64,
 }
 
 /// A cell run both ways.
-pub(crate) struct TwinOutcome {
+pub struct TwinOutcome<T = NoopTracer> {
     /// The engine twin; `None` where the attack script has no simulator
     /// counterpart.
     pub engine: Option<EngineRun>,
@@ -430,30 +512,35 @@ pub(crate) struct TwinOutcome {
     pub restart_engine: Option<EngineRun>,
     /// The honest members of the TCP cluster.
     pub net: Outcomes,
+    /// The figures of the honest members' reports.
     pub summary: RunSummary,
-    /// `net_*` counter families summed over the honest members…
+    /// Every runtime registry the run was handed, folded into one.
+    pub metrics: RuntimeMetrics,
+    /// `net_frames_sent_total`, over every peer of every honest member.
     pub frames_sent: u64,
+    /// `net_bytes_sent_total`, likewise.
     pub bytes_sent: u64,
+    /// `net_misbehavior_total`, likewise.
     pub strikes: u64,
-    /// …and `net_link_*` over the proxy's directed links.
+    /// `net_link_frames_forwarded_total`, over the proxy's directed links.
     pub forwarded: u64,
+    /// `net_link_frames_dropped_total`, likewise.
     pub dropped: u64,
+    /// `net_link_frames_severed_total`, likewise.
     pub severed: u64,
     /// Frames (incl. raw poison writes) the hostile members sent.
     pub byz_frames: u64,
+    /// Each honest member's tracer, out of its report.
+    pub tracers: BTreeMap<NodeId, T>,
+    /// The proxy's link-shaping trace events; empty without a proxy.
+    pub link_events: Vec<TraceEvent>,
 }
 
-impl TwinOutcome {
-    /// Every one of `n` honest members decided, all on one value.
-    pub(crate) fn agreement(&self, n: usize) -> bool {
-        let values: BTreeSet<&String> = self.net.values().map(|(out, _)| out).collect();
-        self.net.len() == n && values.len() <= 1
-    }
-
+impl<T> TwinOutcome<T> {
     /// The cluster reproduced the engine twin (and the churn-`Restart`
     /// twin, if the scenario kills) member by member: same outputs, same
     /// decision rounds.
-    pub(crate) fn engine_identical(&self) -> bool {
+    pub fn engine_identical(&self) -> bool {
         let mut twins = [&self.engine, &self.restart_engine].into_iter().flatten();
         self.engine.is_some() && twins.all(|twin| twin.outcomes == self.net)
     }
@@ -484,18 +571,43 @@ fn engine_run<P: Process, A: Adversary<P::Msg>>(builder: EngineBuilder<P, A>) ->
     }
 }
 
+/// Runs one cell as the grid does: untraced, into fresh registries, with
+/// its journals in a scratch directory.
+///
+/// # Panics
+///
+/// If an honest member fails its run.
+pub fn run_twin(cell: &TwinCell) -> TwinOutcome {
+    run_twin_with(cell, None, |_| NoopTracer, |_| SharedRuntimeMetrics::new())
+        .expect("the honest members must complete the run")
+}
+
 /// Runs one cell: the engine twin(s) the scenario has, then the cluster.
-pub(crate) fn run_twin(cell: &TwinCell) -> TwinOutcome {
-    let hostile = cell.scenario.hostile;
-    let setup = Setup::new(cell.n, hostile.map_or(0, |h| h.f), cell.seed);
-    let attack =
-        hostile.map(|h| AttackKind::parse(h.attack).expect("the grid names known attack scripts"));
+///
+/// `tracer_for` and `metrics_for` equip each honest member as in
+/// [`ClusterSpec::run`]; under a proxy, `metrics_for(None)` is asked for
+/// its link registry. The outcome's counters are summed over every
+/// registry handed out, so each call must hand out a registry of its own.
+/// The crash drill's journals go to [`TwinCell::journal_dir`]: a directory
+/// the caller named is kept, a scratch one is removed after the run.
+///
+/// # Errors
+///
+/// The honest members' failure, as [`ClusterSpec::run`] reports it.
+pub fn run_twin_with<T: Tracer + Send + 'static>(
+    cell: &TwinCell,
+    journal_dir: Option<&Path>,
+    tracer_for: impl FnMut(NodeId) -> T,
+    metrics_for: impl FnMut(Option<NodeId>) -> SharedRuntimeMetrics,
+) -> Result<TwinOutcome<T>, NetError> {
+    let setup = cell.setup();
+    let attack = cell.attack();
     match cell.algo {
         Algo::Consensus => {
             // Without hostile members, one seed bit per position; with
             // them, inputs alternate 0/1 — exactly the simulator-side
             // equivocation harness, so the engine twin is comparable.
-            let input = |i: usize| match hostile {
+            let input = |i: usize| match attack {
                 None => (cell.seed >> (i % 64)) & 1,
                 Some(_) => (i % 2) as u64,
             };
@@ -516,7 +628,7 @@ pub(crate) fn run_twin(cell: &TwinCell) -> TwinOutcome {
                 )),
                 Some(_) => None,
             };
-            run_both(cell, &setup, attack, engine, members)
+            run_both(cell, engine, members, journal_dir, tracer_for, metrics_for)
         }
         Algo::Reliable => {
             let sender = setup.correct[0];
@@ -531,32 +643,44 @@ pub(crate) fn run_twin(cell: &TwinCell) -> TwinOutcome {
             let engine = attack
                 .is_none()
                 .then(|| engine_run(SyncEngine::builder().correct_many(members())));
-            run_both(cell, &setup, attack, engine, members)
+            run_both(cell, engine, members, journal_dir, tracer_for, metrics_for)
         }
-        Algo::Approx | Algo::Rotor => {
-            unreachable!("no grid cell runs {}", cell.algo.name())
+        Algo::Approx => {
+            let members = || -> Vec<ApproxAgreement> {
+                let ids = setup.correct.iter().enumerate();
+                ids.map(|(i, &id)| {
+                    let input = (cell.seed % 97) as f64 + i as f64;
+                    ApproxAgreement::new(id, input).with_iterations(3)
+                })
+                .collect()
+            };
+            let engine = attack
+                .is_none()
+                .then(|| engine_run(SyncEngine::builder().correct_many(members())));
+            run_both(cell, engine, members, journal_dir, tracer_for, metrics_for)
         }
+        Algo::Rotor => unreachable!("no cell runs {}", cell.algo.name()),
     }
 }
 
-/// The algorithm-independent rest of [`run_twin`]: the churn-`Restart`
-/// twin, then `members()` inside the scenario's [`ClusterSpec`].
-fn run_both<P, F>(
+/// The algorithm-independent rest of [`run_twin_with`]: the
+/// churn-`Restart` twin, then `members()` inside the scenario's
+/// [`ClusterSpec`].
+fn run_both<P, T>(
     cell: &TwinCell,
-    setup: &Setup,
-    attack: Option<AttackKind>,
     engine: Option<EngineRun>,
-    members: F,
-) -> TwinOutcome
+    members: impl Fn() -> Vec<P>,
+    journal_dir: Option<&Path>,
+    tracer_for: impl FnMut(NodeId) -> T,
+    mut metrics_for: impl FnMut(Option<NodeId>) -> SharedRuntimeMetrics,
+) -> Result<TwinOutcome<T>, NetError>
 where
     P: Process + Send,
     P::Msg: Wire,
-    P::Output: Send,
-    F: Fn() -> Vec<P>,
+    P::Output: Send + Debug,
+    T: Tracer + Send + 'static,
 {
-    let Scenario {
-        wan, kill, config, ..
-    } = cell.scenario;
+    let Scenario { kill, .. } = cell.scenario;
     let reborn = |kill: Kill| members().swap_remove(kill.victim_idx);
     let restart_engine = kill.map(|kill| {
         let mut churn = ChurnSchedule::new();
@@ -564,65 +688,74 @@ where
         engine_run(SyncEngine::builder().correct_many(members()).churn(churn))
     });
 
-    // One registry for the honest members and the proxy's links: their
-    // counter families do not overlap, and only family sums are read.
-    let registry = SharedRuntimeMetrics::new();
-    let everyone: Vec<NodeId> = setup.correct.iter().chain(&setup.faulty).copied().collect();
-    // Journals on disk, per process and per cell, removed afterwards.
-    let journal_dir =
-        std::env::temp_dir().join(format!("uba-{}-{}", cell.name(), std::process::id()));
+    let setup = cell.setup();
+    let journals = cell.journal_dir(journal_dir);
+    let mut handed = Vec::new();
+    let mut hand_out = |owner| {
+        let registry = metrics_for(owner);
+        handed.push(registry.clone());
+        registry
+    };
     let spec = ClusterSpec {
-        proxy: wan.map(|wan| ProxySpec {
-            plan: wan.plan(cell.seed, &everyone),
-            link_metrics: Some(registry.clone()),
+        proxy: cell.link_plan().map(|plan| ProxySpec {
+            plan,
+            link_metrics: Some(hand_out(None)),
         }),
         kill: kill.map(|kill| KillSpec {
             victim: setup.correct[kill.victim_idx],
             reborn: reborn(kill),
             kill_at: kill.at,
-            restart_delay: Duration::ZERO,
-            journal_dir: journal_dir.clone(),
+            restart_delay: kill.down,
+            journal_dir: journals.clone(),
             tear_journal: kill.torn,
         }),
-        hostile: attack.map(|kind| AttackPlan::new(cell.seed, kind, setup.faulty.iter().copied())),
+        hostile: cell
+            .attack()
+            .map(|kind| AttackPlan::new(cell.seed, kind, setup.faulty.iter().copied())),
     };
-    let run = spec
-        .run(
-            members(),
-            config(),
-            |_| NoopTracer,
-            |_| Some(registry.clone()),
-        )
-        .expect("the honest members must complete the run");
-    let _ = std::fs::remove_dir_all(&journal_dir);
+    let run = spec.run(members(), cell.scenario.config.clone(), tracer_for, |id| {
+        Some(hand_out(Some(id)))
+    });
+    if kill.is_some() && journal_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&journals);
+    }
+    let run = run?;
 
-    let metrics = registry.snapshot();
-    TwinOutcome {
+    let mut metrics = RuntimeMetrics::new();
+    for registry in &handed {
+        metrics.merge(&registry.snapshot());
+    }
+    let sum = |family| metrics.family_sum(family);
+    let mut outcome = TwinOutcome {
         engine,
         restart_engine,
-        net: run
-            .reports
-            .iter()
-            .filter_map(|(&id, report)| {
-                let out = report.output.as_ref()?;
-                Some((id, (format!("{out:?}"), report.decided_round.unwrap_or(0))))
-            })
-            .collect(),
+        net: Outcomes::new(),
         summary: RunSummary::of(&run.reports),
-        frames_sent: metrics.family_sum("net_frames_sent_total"),
-        bytes_sent: metrics.family_sum("net_bytes_sent_total"),
-        strikes: metrics.family_sum("net_misbehavior_total"),
-        forwarded: metrics.family_sum("net_link_frames_forwarded_total"),
-        dropped: metrics.family_sum("net_link_frames_dropped_total"),
-        severed: metrics.family_sum("net_link_frames_severed_total"),
+        frames_sent: sum("net_frames_sent_total"),
+        bytes_sent: sum("net_bytes_sent_total"),
+        strikes: sum("net_misbehavior_total"),
+        forwarded: sum("net_link_frames_forwarded_total"),
+        dropped: sum("net_link_frames_dropped_total"),
+        severed: sum("net_link_frames_severed_total"),
         byz_frames: run.byzantine.values().map(|r| r.frames_sent).sum(),
+        metrics,
+        tracers: BTreeMap::new(),
+        link_events: run.link_events,
+    };
+    for (id, report) in run.reports {
+        if let Some(out) = &report.output {
+            let round = report.decided_round.unwrap_or(0);
+            outcome.net.insert(id, (format!("{out:?}"), round));
+        }
+        outcome.tracers.insert(id, report.tracer);
     }
+    Ok(outcome)
 }
 
 impl TwinCell {
     /// The name says what surrounds the members, in the spelling the
     /// committed workloads have always had.
-    pub(crate) fn name(&self) -> String {
+    pub fn name(&self) -> String {
         let Scenario {
             wan, kill, hostile, ..
         } = self.scenario;
@@ -641,9 +774,47 @@ impl TwinCell {
         }
     }
 
+    /// The honest and the hostile members' ids.
+    pub fn setup(&self) -> Setup {
+        let f = self.scenario.hostile.map_or(0, |h| h.f);
+        Setup::new(self.n, f, self.seed)
+    }
+
+    fn attack(&self) -> Option<AttackKind> {
+        let hostile = self.scenario.hostile?;
+        Some(AttackKind::parse(hostile.attack).expect("cells name known attack scripts"))
+    }
+
+    /// The proxy's plan over every member, honest and hostile.
+    pub fn link_plan(&self) -> Option<LinkPlan> {
+        let Setup { correct, faulty } = self.setup();
+        let everyone = [correct, faulty].concat();
+        Some(self.scenario.wan?.plan(self.seed, &everyone))
+    }
+
+    /// Where the crash drill journals: `named`, or a scratch directory of
+    /// this cell and process.
+    pub fn journal_dir(&self, named: Option<&Path>) -> PathBuf {
+        named.map_or_else(
+            || std::env::temp_dir().join(format!("uba-{}-{}", self.name(), std::process::id())),
+            Path::to_path_buf,
+        )
+    }
+
+    /// Every honest member decided — all on one value, except under
+    /// approximate agreement, whose outputs legitimately differ.
+    pub fn agreement<T>(&self, run: &TwinOutcome<T>) -> bool {
+        let values: BTreeSet<&String> = run.net.values().map(|(out, _)| out).collect();
+        run.net.len() == self.n && (self.algo == Algo::Approx || values.len() <= 1)
+    }
+
     /// The cell's obligation, stated once: `Ok` with the verdict the
     /// tables print, or the failing verdict and what exactly broke.
-    pub(crate) fn judge(&self, run: &TwinOutcome) -> Result<&'static str, (&'static str, String)> {
+    ///
+    /// # Errors
+    ///
+    /// `MISMATCH`, `DISAGREEMENT` or `VIOLATION`, with the reason.
+    pub fn judge<T>(&self, run: &TwinOutcome<T>) -> Result<&'static str, (&'static str, String)> {
         if self.duty == EngineIdentical && !run.engine_identical() {
             let twins =
                 [&run.engine, &run.restart_engine].map(|twin| twin.as_ref().map(|t| &t.outcomes));
@@ -652,7 +823,7 @@ impl TwinCell {
                 format!("engines {twins:?} vs net {:?}", run.net),
             ));
         }
-        if !run.agreement(self.n) {
+        if !self.agreement(run) {
             return Err((
                 "DISAGREEMENT",
                 format!("decided {}/{} with {:?}", run.net.len(), self.n, run.net),
@@ -693,7 +864,7 @@ impl TwinCell {
     }
 
     /// The verdict column: [`judge`](Self::judge) without the reason.
-    pub(crate) fn verdict(&self, run: &TwinOutcome) -> &'static str {
+    pub(crate) fn verdict<T>(&self, run: &TwinOutcome<T>) -> &'static str {
         self.judge(run).unwrap_or_else(|(verdict, _)| verdict)
     }
 }

@@ -7,7 +7,7 @@
 
 pub mod f1_approx;
 pub mod f2_synchrony;
-pub(crate) mod grid;
+pub mod grid;
 pub mod t10_faults;
 pub mod t11_net;
 pub mod t12_rejoin;

@@ -71,7 +71,7 @@ pub fn bench_path(kind: &str) -> PathBuf {
 /// the second.
 pub fn run_reports() -> [BenchReport; 2] {
     let (mut sim, mut net) = (Vec::new(), Vec::new());
-    for cell in &GRID {
+    for cell in GRID.iter() {
         let workload = |exact| Workload {
             name: cell.name(),
             exact,
@@ -117,7 +117,7 @@ fn exact_fields(cell: &TwinCell, run: &TwinOutcome) -> (Option<Fields>, Fields) 
         net.insert("frames_sent", run.frames_sent);
         net.insert("bytes_sent", run.bytes_sent);
     } else {
-        net.insert("agreement", u64::from(run.agreement(cell.n)));
+        net.insert("agreement", u64::from(cell.agreement(run)));
         if identical {
             net.insert("sim_match", u64::from(run.engine_identical()));
         }

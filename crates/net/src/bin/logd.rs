@@ -30,11 +30,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use uba_net::{
-    member_port, serve_metrics, spawn_log_cluster, MetricsServer, NetConfig, RetryPolicy,
-};
+use uba_net::{serve_cluster_metrics, spawn_log_cluster, NetConfig, RetryPolicy};
 use uba_sim::sparse_ids;
-use uba_trace::{NoopTracer, SharedRuntimeMetrics};
+use uba_trace::NoopTracer;
 
 struct Args {
     nodes: u64,
@@ -144,34 +142,12 @@ fn run(args: &Args) -> Result<bool, String> {
 
     // One runtime registry + exposition endpoint per member, the `cluster`
     // binary's port convention: i-th smallest id on base port + i.
-    let mut registries = std::collections::BTreeMap::new();
-    let mut servers: Vec<MetricsServer> = Vec::new();
-    if let Some(base) = &args.metrics_addr {
-        let (host, port) = base
-            .rsplit_once(':')
-            .ok_or_else(|| format!("invalid --metrics-addr {base:?} (expected HOST:PORT)"))?;
-        let port: u16 = port
-            .parse()
-            .map_err(|e| format!("invalid --metrics-addr port: {e}"))?;
-        if member_port(port, args.nodes - 1).is_none() {
-            return Err(format!(
-                "--metrics-addr port {port} + {} nodes exceeds port 65535",
-                args.nodes
-            ));
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        for (i, id) in sorted.into_iter().enumerate() {
-            let registry = SharedRuntimeMetrics::new();
-            let member = member_port(port, i as u64).expect("range validated above");
-            let addr = format!("{host}:{member}");
-            let server = serve_metrics(addr.as_str(), registry.clone())
-                .map_err(|e| format!("binding metrics endpoint {addr}: {e}"))?;
-            println!("metrics: node {id} on http://{}/metrics", server.addr());
-            registries.insert(id, registry);
-            servers.push(server);
-        }
-    }
+    let metrics = args
+        .metrics_addr
+        .as_deref()
+        .map(|addr| serve_cluster_metrics(addr, &ids, false))
+        .transpose()
+        .map_err(|e| format!("--metrics-addr: {e}"))?;
 
     let mut cluster = spawn_log_cluster(
         &ids,
@@ -179,7 +155,7 @@ fn run(args: &Args) -> Result<bool, String> {
         args.ingest_rounds,
         config,
         |_| NoopTracer,
-        |id| registries.get(&id).cloned(),
+        |id| metrics.as_ref()?.members.get(&id).cloned(),
     )
     .map_err(|e| format!("spawning the cluster: {e}"))?;
     println!(
@@ -217,8 +193,8 @@ fn run(args: &Args) -> Result<bool, String> {
     // Keep serving sealed reads for late readers, then tear down.
     std::thread::sleep(Duration::from_millis(args.linger_ms));
     cluster.shutdown();
-    for server in servers {
-        server.shutdown();
+    if let Some(metrics) = metrics {
+        metrics.shutdown();
     }
     Ok(agreed)
 }

@@ -14,184 +14,69 @@ use uba_core::OrderedF64;
 
 use crate::wire::Wire;
 
-const CONSENSUS_ROTOR_INIT: u8 = 0;
-const CONSENSUS_ROTOR_ECHO: u8 = 1;
-const CONSENSUS_OPINION: u8 = 2;
-const CONSENSUS_INPUT: u8 = 3;
-const CONSENSUS_PREFER: u8 = 4;
-const CONSENSUS_STRONG_PREFER: u8 = 5;
+/// Implements [`Wire`] for a payload enum from one table that names each
+/// variant once: its one-byte tag, then its fields, which follow the tag on
+/// the wire in the order listed. Any other tag is malformed input.
+macro_rules! wire_enum {
+    ($name:ident<$($param:ident),+> {
+        $($tag:literal => $variant:ident $(($($field:ident),+))?,)+
+    }) => {
+        impl<$($param: Wire),+> Wire for $name<$($param),+> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $(($($field),+))? => {
+                        out.push($tag);
+                        $($($field.encode(out);)+)?
+                    })+
+                }
+            }
 
-impl<V: Wire> Wire for ConsensusMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConsensusMsg::RotorInit => out.push(CONSENSUS_ROTOR_INIT),
-            ConsensusMsg::RotorEcho(node) => {
-                out.push(CONSENSUS_ROTOR_ECHO);
-                node.encode(out);
-            }
-            ConsensusMsg::Opinion(v) => {
-                out.push(CONSENSUS_OPINION);
-                v.encode(out);
-            }
-            ConsensusMsg::Input(v) => {
-                out.push(CONSENSUS_INPUT);
-                v.encode(out);
-            }
-            ConsensusMsg::Prefer(v) => {
-                out.push(CONSENSUS_PREFER);
-                v.encode(out);
-            }
-            ConsensusMsg::StrongPrefer(v) => {
-                out.push(CONSENSUS_STRONG_PREFER);
-                v.encode(out);
+            fn decode(input: &mut &[u8]) -> Option<Self> {
+                Some(match u8::decode(input)? {
+                    $($tag => $name::$variant $(($({
+                        let $field = Wire::decode(input)?;
+                        $field
+                    }),+))?,)+
+                    _ => return None,
+                })
             }
         }
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode(input)? {
-            CONSENSUS_ROTOR_INIT => ConsensusMsg::RotorInit,
-            CONSENSUS_ROTOR_ECHO => ConsensusMsg::RotorEcho(Wire::decode(input)?),
-            CONSENSUS_OPINION => ConsensusMsg::Opinion(V::decode(input)?),
-            CONSENSUS_INPUT => ConsensusMsg::Input(V::decode(input)?),
-            CONSENSUS_PREFER => ConsensusMsg::Prefer(V::decode(input)?),
-            CONSENSUS_STRONG_PREFER => ConsensusMsg::StrongPrefer(V::decode(input)?),
-            _ => return None,
-        })
-    }
+    };
 }
 
-const RB_PAYLOAD: u8 = 0;
-const RB_PRESENT: u8 = 1;
-const RB_ECHO: u8 = 2;
+wire_enum!(ConsensusMsg<V> {
+    0 => RotorInit,
+    1 => RotorEcho(node),
+    2 => Opinion(v),
+    3 => Input(v),
+    4 => Prefer(v),
+    5 => StrongPrefer(v),
+});
 
-impl<M: Wire> Wire for RbMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RbMsg::Payload(m) => {
-                out.push(RB_PAYLOAD);
-                m.encode(out);
-            }
-            RbMsg::Present => out.push(RB_PRESENT),
-            RbMsg::Echo(m) => {
-                out.push(RB_ECHO);
-                m.encode(out);
-            }
-        }
-    }
+wire_enum!(RbMsg<M> {
+    0 => Payload(m),
+    1 => Present,
+    2 => Echo(m),
+});
 
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode(input)? {
-            RB_PAYLOAD => RbMsg::Payload(M::decode(input)?),
-            RB_PRESENT => RbMsg::Present,
-            RB_ECHO => RbMsg::Echo(M::decode(input)?),
-            _ => return None,
-        })
-    }
-}
+wire_enum!(ParMsg<I, V> {
+    0 => RotorInit,
+    1 => RotorEcho(node),
+    2 => Opinion(id, v),
+    3 => Input(id, v),
+    4 => Prefer(id, v),
+    5 => NoPreference(id),
+    6 => StrongPrefer(id, v),
+    7 => NoStrongPreference(id),
+});
 
-const PAR_ROTOR_INIT: u8 = 0;
-const PAR_ROTOR_ECHO: u8 = 1;
-const PAR_OPINION: u8 = 2;
-const PAR_INPUT: u8 = 3;
-const PAR_PREFER: u8 = 4;
-const PAR_NO_PREFERENCE: u8 = 5;
-const PAR_STRONG_PREFER: u8 = 6;
-const PAR_NO_STRONG_PREFERENCE: u8 = 7;
-
-impl<I: Wire, V: Wire> Wire for ParMsg<I, V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ParMsg::RotorInit => out.push(PAR_ROTOR_INIT),
-            ParMsg::RotorEcho(node) => {
-                out.push(PAR_ROTOR_ECHO);
-                node.encode(out);
-            }
-            ParMsg::Opinion(id, v) => {
-                out.push(PAR_OPINION);
-                id.encode(out);
-                v.encode(out);
-            }
-            ParMsg::Input(id, v) => {
-                out.push(PAR_INPUT);
-                id.encode(out);
-                v.encode(out);
-            }
-            ParMsg::Prefer(id, v) => {
-                out.push(PAR_PREFER);
-                id.encode(out);
-                v.encode(out);
-            }
-            ParMsg::NoPreference(id) => {
-                out.push(PAR_NO_PREFERENCE);
-                id.encode(out);
-            }
-            ParMsg::StrongPrefer(id, v) => {
-                out.push(PAR_STRONG_PREFER);
-                id.encode(out);
-                v.encode(out);
-            }
-            ParMsg::NoStrongPreference(id) => {
-                out.push(PAR_NO_STRONG_PREFERENCE);
-                id.encode(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode(input)? {
-            PAR_ROTOR_INIT => ParMsg::RotorInit,
-            PAR_ROTOR_ECHO => ParMsg::RotorEcho(Wire::decode(input)?),
-            PAR_OPINION => ParMsg::Opinion(I::decode(input)?, Option::decode(input)?),
-            PAR_INPUT => ParMsg::Input(I::decode(input)?, V::decode(input)?),
-            PAR_PREFER => ParMsg::Prefer(I::decode(input)?, Option::decode(input)?),
-            PAR_NO_PREFERENCE => ParMsg::NoPreference(I::decode(input)?),
-            PAR_STRONG_PREFER => ParMsg::StrongPrefer(I::decode(input)?, Option::decode(input)?),
-            PAR_NO_STRONG_PREFERENCE => ParMsg::NoStrongPreference(I::decode(input)?),
-            _ => return None,
-        })
-    }
-}
-
-const ORDER_PRESENT: u8 = 0;
-const ORDER_ACK: u8 = 1;
-const ORDER_ABSENT: u8 = 2;
-const ORDER_EVENT: u8 = 3;
-const ORDER_WAVE: u8 = 4;
-
-impl<V: Wire> Wire for OrderMsg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            OrderMsg::Present => out.push(ORDER_PRESENT),
-            OrderMsg::Ack(round) => {
-                out.push(ORDER_ACK);
-                round.encode(out);
-            }
-            OrderMsg::Absent => out.push(ORDER_ABSENT),
-            OrderMsg::Event(v, round) => {
-                out.push(ORDER_EVENT);
-                v.encode(out);
-                round.encode(out);
-            }
-            OrderMsg::Wave(wave, msg) => {
-                out.push(ORDER_WAVE);
-                wave.encode(out);
-                msg.encode(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(match u8::decode(input)? {
-            ORDER_PRESENT => OrderMsg::Present,
-            ORDER_ACK => OrderMsg::Ack(u64::decode(input)?),
-            ORDER_ABSENT => OrderMsg::Absent,
-            ORDER_EVENT => OrderMsg::Event(V::decode(input)?, u64::decode(input)?),
-            ORDER_WAVE => OrderMsg::Wave(u64::decode(input)?, ParMsg::decode(input)?),
-            _ => return None,
-        })
-    }
-}
+wire_enum!(OrderMsg<V> {
+    0 => Present,
+    1 => Ack(round),
+    2 => Absent,
+    3 => Event(v, round),
+    4 => Wave(wave, msg),
+});
 
 /// `OrderedF64` travels as the IEEE-754 bit pattern of its float. Decoding
 /// re-validates through [`OrderedF64::new`], so a NaN bit pattern on the
@@ -267,6 +152,62 @@ mod tests {
         ));
         // The service's batch payloads nest a vector inside the event.
         round_trip(OrderMsg::<Vec<u64>>::Event(vec![1, 2, 3], 5));
+    }
+
+    /// The wire format itself: the tag byte and field bytes of one value of
+    /// every variant (integers little-endian, `Option` a 0/1 byte before
+    /// its value). A changed tag or field order breaks live clusters of
+    /// mixed builds, so it must fail here, not only in a round trip.
+    #[test]
+    fn every_variant_encodes_to_pinned_bytes() {
+        let id = NodeId::new(7);
+        const ID: [u8; 8] = [7, 0, 0, 0, 0, 0, 0, 0];
+        const ACK: [u8; 8] = [3, 0, 0, 0, 0, 0, 0, 0];
+        let pins: [(Vec<u8>, Vec<u8>); 22] = [
+            (ConsensusMsg::<u8>::RotorInit.to_bytes(), vec![0]),
+            (
+                ConsensusMsg::<u8>::RotorEcho(id).to_bytes(),
+                [&[1][..], &ID].concat(),
+            ),
+            (ConsensusMsg::Opinion(3u8).to_bytes(), vec![2, 3]),
+            (ConsensusMsg::Input(4u8).to_bytes(), vec![3, 4]),
+            (ConsensusMsg::Prefer(5u8).to_bytes(), vec![4, 5]),
+            (ConsensusMsg::StrongPrefer(6u8).to_bytes(), vec![5, 6]),
+            (RbMsg::Payload(9u8).to_bytes(), vec![0, 9]),
+            (RbMsg::<u8>::Present.to_bytes(), vec![1]),
+            (RbMsg::Echo(9u8).to_bytes(), vec![2, 9]),
+            (ParMsg::<u8, u8>::RotorInit.to_bytes(), vec![0]),
+            (
+                ParMsg::<u8, u8>::RotorEcho(id).to_bytes(),
+                [&[1][..], &ID].concat(),
+            ),
+            (ParMsg::Opinion(1u8, Some(2u8)).to_bytes(), vec![2, 1, 1, 2]),
+            (ParMsg::Input(1u8, 2u8).to_bytes(), vec![3, 1, 2]),
+            (ParMsg::<u8, u8>::Prefer(1, None).to_bytes(), vec![4, 1, 0]),
+            (ParMsg::<u8, u8>::NoPreference(1).to_bytes(), vec![5, 1]),
+            (
+                ParMsg::StrongPrefer(1u8, Some(2u8)).to_bytes(),
+                vec![6, 1, 1, 2],
+            ),
+            (
+                ParMsg::<u8, u8>::NoStrongPreference(1).to_bytes(),
+                vec![7, 1],
+            ),
+            (OrderMsg::<u8>::Present.to_bytes(), vec![0]),
+            (OrderMsg::<u8>::Ack(3).to_bytes(), [&[1][..], &ACK].concat()),
+            (OrderMsg::<u8>::Absent.to_bytes(), vec![2]),
+            (
+                OrderMsg::Event(9u8, 3).to_bytes(),
+                [&[3, 9][..], &ACK].concat(),
+            ),
+            (
+                OrderMsg::<u8>::Wave(1, ParMsg::NoPreference(id)).to_bytes(),
+                [&[4, 1, 0, 0, 0, 0, 0, 0, 0, 5][..], &ID].concat(),
+            ),
+        ];
+        for (i, (encoded, pinned)) in pins.iter().enumerate() {
+            assert_eq!(encoded, pinned, "pin #{i}");
+        }
     }
 
     #[test]

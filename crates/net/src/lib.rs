@@ -45,7 +45,9 @@
 //! * [`metrics_http`] — [`serve_metrics`], a tiny Prometheus text-format
 //!   exposition endpoint publishing a node's wall-clock
 //!   [`SharedRuntimeMetrics`](uba_trace::SharedRuntimeMetrics) registry
-//!   (phase timings, per-peer byte/frame counters) to live scrapes;
+//!   (phase timings, per-peer byte/frame counters) to live scrapes, and
+//!   [`serve_cluster_metrics`], one such endpoint per cluster member on
+//!   consecutive ports;
 //! * [`byzantine`] — [`ByzantineNode`], a scripted hostile member driven by
 //!   a seeded [`AttackPlan`] mirroring the simulator's adversary
 //!   vocabulary (equivocation, replay, corruption, floods, stalls,
@@ -134,7 +136,8 @@ pub use cluster::{
 };
 pub use conn::{connect_with_retry, LinkEvent, Links, RetryPolicy};
 pub use metrics_http::{
-    family_sum, member_port, scrape_metrics, series_value, serve_metrics, MetricsServer,
+    consecutive_endpoints, family_sum, scrape_metrics, series_value, serve_cluster_metrics,
+    serve_metrics, ClusterMetrics, MetricsServer,
 };
 pub use node::{NetConfig, NetError, NetNode, NetReport, MAX_BYTES_PER_ROUND, STRIKE_LIMIT};
 pub use proxy::{FaultProxy, LinkPlan, LinkSpec, Partition, WanProfile};

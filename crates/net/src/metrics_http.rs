@@ -25,10 +25,12 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use uba_sim::NodeId;
 use uba_trace::SharedRuntimeMetrics;
 
 use crate::conn::{accept_loop, AcceptLoop};
@@ -198,16 +200,107 @@ pub fn family_sum(body: &str, name: &str) -> u64 {
     sum
 }
 
-/// The metrics port of cluster member `index` when member endpoints are
-/// laid out consecutively from `base` (the `--metrics-addr HOST:PORT`
-/// convention of the `cluster` binary). Returns `None` when `base + index`
-/// does not fit in a `u16` — callers must reject such a layout up front
-/// instead of letting the port arithmetic silently wrap onto unrelated
-/// (possibly privileged) ports.
-pub fn member_port(base: u16, index: u64) -> Option<u16> {
+/// The endpoints `HOST:PORT`, `HOST:PORT+1`, … of `count` consecutive
+/// ports from `addr` = `HOST:PORT` — the `--metrics-addr` layout of the
+/// `cluster` and `logd` binaries and of `cluster scrape`.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] for a malformed `addr`, and for a range
+/// that would run past port 65535: it is rejected as a whole rather than
+/// wrapped onto unrelated (possibly privileged) ports.
+pub fn consecutive_endpoints(addr: &str, count: u64) -> io::Result<Vec<String>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    let (host, port) = addr
+        .rsplit_once(':')
+        .ok_or_else(|| invalid(format!("invalid address {addr:?} (expected HOST:PORT)")))?;
+    let port: u16 = port
+        .parse()
+        .map_err(|e| invalid(format!("invalid port in {addr:?}: {e}")))?;
+    (0..count)
+        .map(|i| member_port(port, i).map(|member| format!("{host}:{member}")))
+        .collect::<Option<_>>()
+        .ok_or_else(|| {
+            invalid(format!(
+                "port {port} + {count} endpoints exceeds port 65535"
+            ))
+        })
+}
+
+/// `base + index` as a port, or `None` when it does not fit in a `u16`.
+fn member_port(base: u16, index: u64) -> Option<u16> {
     u16::try_from(index)
         .ok()
         .and_then(|offset| base.checked_add(offset))
+}
+
+/// The live metrics endpoints of a localhost cluster, one registry each
+/// (see [`serve_cluster_metrics`]).
+#[derive(Debug)]
+pub struct ClusterMetrics {
+    /// Each member's registry, keyed by id.
+    pub members: BTreeMap<NodeId, SharedRuntimeMetrics>,
+    /// The fault proxy's `net_link_*` registry, if one was asked for.
+    pub links: Option<SharedRuntimeMetrics>,
+    servers: Vec<MetricsServer>,
+}
+
+impl ClusterMetrics {
+    /// Stops every endpoint.
+    pub fn shutdown(self) {
+        for server in self.servers {
+            server.shutdown();
+        }
+    }
+}
+
+/// Serves a fresh registry per member of `ids` on the
+/// [`consecutive_endpoints`] of `addr`: the member with the i-th smallest
+/// id on `PORT + i` and, with `links`, the fault proxy's registry on the
+/// port after the last member's. The whole range is validated before
+/// anything binds, and every bound endpoint is announced on stdout as
+/// `metrics: node <id> on http://<addr>/metrics` (`metrics: links on …`).
+///
+/// # Errors
+///
+/// As [`consecutive_endpoints`], then the first failed bind.
+pub fn serve_cluster_metrics(
+    addr: &str,
+    ids: &[NodeId],
+    links: bool,
+) -> io::Result<ClusterMetrics> {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    let endpoints = consecutive_endpoints(addr, sorted.len() as u64 + u64::from(links))?;
+    let mut metrics = ClusterMetrics {
+        members: BTreeMap::new(),
+        links: None,
+        servers: Vec::new(),
+    };
+    // `None` is the link registry, after every member.
+    let owners = sorted.into_iter().map(Some).chain(links.then_some(None));
+    for (owner, endpoint) in owners.zip(endpoints) {
+        let registry = SharedRuntimeMetrics::new();
+        let server = serve_metrics(endpoint.as_str(), registry.clone()).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("binding metrics endpoint {endpoint}: {e}"),
+            )
+        })?;
+        let url = format!("http://{}/metrics", server.addr());
+        match owner {
+            Some(id) => {
+                println!("metrics: node {id} on {url}");
+                metrics.members.insert(id, registry);
+            }
+            None => {
+                println!("metrics: links on {url}");
+                metrics.links = Some(registry);
+            }
+        }
+        metrics.servers.push(server);
+    }
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -223,6 +316,42 @@ mod tests {
         assert_eq!(member_port(65530, 6), None);
         assert_eq!(member_port(1, u64::from(u16::MAX)), None);
         assert_eq!(member_port(0, 1 << 32), None, "index alone overflows");
+    }
+
+    #[test]
+    fn endpoints_are_consecutive_from_the_base() {
+        let endpoints = consecutive_endpoints("127.0.0.1:9100", 3).unwrap();
+        assert_eq!(
+            endpoints,
+            ["127.0.0.1:9100", "127.0.0.1:9101", "127.0.0.1:9102"]
+        );
+        for bad in ["127.0.0.1", "127.0.0.1:http", "127.0.0.1:70000"] {
+            let err = consecutive_endpoints(bad, 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+        }
+    }
+
+    /// 192.0.2.1 (TEST-NET-1) is never a local address, so binding it
+    /// fails: an error other than the range check would mean a bind was
+    /// attempted before the range was validated.
+    #[test]
+    fn an_overflowing_layout_is_rejected_before_anything_binds() {
+        let ids = [NodeId::new(9), NodeId::new(3)];
+        let too_far = [
+            serve_cluster_metrics("192.0.2.1:65535", &ids, false),
+            // The members fit exactly; the link endpoint after them does not.
+            serve_cluster_metrics("192.0.2.1:65534", &ids, true),
+        ];
+        for result in too_far {
+            let err = result.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("exceeds port 65535"), "{err}");
+        }
+        let err = serve_cluster_metrics("192.0.2.1:65534", &ids, false).unwrap_err();
+        assert!(
+            err.to_string().starts_with("binding metrics endpoint"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!    stays below the simulator in the dependency graph.
 //! 2. **Tracers** ([`Tracer`]): the no-op default ([`NoopTracer`], free on
 //!    the hot path), a bounded ring-buffer collector ([`RingTracer`],
-//!    keeping the last *N* events of a long run), a JSONL writer
-//!    ([`JsonlTracer`]), plus the
-//!    [`Fanout`] and [`SharedTracer`] combinators used to wire one event
-//!    stream into several consumers.
+//!    keeping the last *N* events of a long run and rendering them as
+//!    JSONL), plus the [`Fanout`] and [`SharedTracer`] combinators used to
+//!    wire one event stream into several consumers.
 //! 3. **A metrics registry** ([`Metrics`]): counters per event kind and
 //!    fixed-bucket [`Histogram`]s (deliveries per round, `n_v` growth,
 //!    rounds to decide) folded directly from the event stream.
@@ -73,4 +72,4 @@ pub use metrics::{Histogram, Metrics};
 pub use runtime::{
     metric_name, RuntimeMetrics, SharedRuntimeMetrics, Span, Stopwatch, TIMING_BUCKETS_US,
 };
-pub use tracer::{Fanout, JsonlTracer, NoopTracer, RingTracer, SharedTracer, Tracer};
+pub use tracer::{Fanout, NoopTracer, RingTracer, SharedTracer, Tracer};

@@ -1,5 +1,5 @@
-//! Tracer implementations: no-op, bounded ring buffer, JSONL writer, and
-//! the combinators engines and harnesses compose them with.
+//! Tracer implementations: no-op and bounded ring buffer, and the
+//! combinators engines and harnesses compose them with.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -130,71 +130,6 @@ impl Tracer for RingTracer {
     }
 }
 
-/// Writes each event as one JSON line, immediately, into any
-/// [`std::io::Write`] sink.
-///
-/// Write errors are counted ([`errors`](JsonlTracer::errors)) rather than
-/// propagated — a tracing failure must never abort the traced run.
-#[derive(Debug)]
-pub struct JsonlTracer<W: std::io::Write> {
-    writer: W,
-    lines: u64,
-    errors: u64,
-}
-
-impl<W: std::io::Write> JsonlTracer<W> {
-    /// Creates a tracer writing to `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlTracer {
-            writer,
-            lines: 0,
-            errors: 0,
-        }
-    }
-
-    /// Lines successfully written.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Write errors swallowed so far.
-    pub fn errors(&self) -> u64 {
-        self.errors
-    }
-
-    /// Borrows the underlying writer.
-    pub fn get_ref(&self) -> &W {
-        &self.writer
-    }
-
-    /// Consumes the tracer, returning the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl JsonlTracer<Vec<u8>> {
-    /// A tracer collecting the JSONL into an in-memory buffer.
-    pub fn in_memory() -> Self {
-        JsonlTracer::new(Vec::new())
-    }
-
-    /// The collected JSONL as a string.
-    pub fn to_jsonl(&self) -> String {
-        String::from_utf8_lossy(&self.writer).into_owned()
-    }
-}
-
-impl<W: std::io::Write> Tracer for JsonlTracer<W> {
-    fn record(&mut self, event: TraceEvent) {
-        let line = crate::json::to_json(&event);
-        match writeln!(self.writer, "{line}") {
-            Ok(()) => self.lines += 1,
-            Err(_) => self.errors += 1,
-        }
-    }
-}
-
 /// Duplicates every event into two tracers (e.g. a postmortem collector and
 /// a [`Metrics`](crate::Metrics) registry).
 #[derive(Debug, Clone, Default)]
@@ -298,17 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_tracer_writes_one_line_per_event() {
-        let mut tracer = JsonlTracer::in_memory();
-        tracer.record(TraceEvent::RoundBegin { round: 1 });
-        tracer.record(TraceEvent::RoundEnd {
+    fn ring_jsonl_writes_one_line_per_event() {
+        let mut ring = RingTracer::new(usize::MAX);
+        ring.record(TraceEvent::RoundBegin { round: 1 });
+        ring.record(TraceEvent::RoundEnd {
             round: 1,
             deliveries: 4,
         });
-        let text = tracer.to_jsonl();
-        assert_eq!(tracer.lines(), 2);
         assert_eq!(
-            text,
+            ring.to_jsonl(),
             "{\"ev\":\"round_begin\",\"round\":1}\n{\"ev\":\"round_end\",\"round\":1,\"deliveries\":4}\n"
         );
     }
