@@ -207,12 +207,9 @@ impl<P: Process> Adversary<P::Msg> for CrashAdversary<P> {
             // the real protocol is not bound by "a terminated node leaves
             // the computation" and keeps being stepped until it crashes;
             // T3b and `tests/consensus_matrix.rs` pin that traffic.
-            let inbox = view.inbox_of(id).to_vec();
+            let inbox = view.inbox_of(id);
             let mut outbox = Outbox::new();
-            {
-                let mut ctx = Context::new(view.round, &inbox, &mut outbox);
-                process.on_round(&mut ctx);
-            }
+            process.on_round(&mut Context::new(view.round, inbox, &mut outbox));
             for outgoing in outbox.drain() {
                 match outgoing.dest {
                     Dest::Broadcast => out.broadcast(id, outgoing.msg),

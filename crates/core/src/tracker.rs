@@ -93,12 +93,17 @@ impl ParticipantTracker {
         Self::default()
     }
 
-    /// Records the senders of a delivered inbox: one lookup per run of
-    /// envelopes from the same sender (the engine delivers a sender's
-    /// messages adjacently; any other order is just as correct).
-    pub fn observe_inbox<M>(&mut self, inbox: &[Envelope<M>]) {
-        for run in inbox.chunk_by(|a, b| a.from == b.from) {
-            self.seen.observe(run[0].from);
+    /// Records the senders of a delivered inbox — a `Context::inbox()` or
+    /// any slice of envelopes: one lookup each time the sender changes (the
+    /// engine delivers a sender's messages adjacently, across the inbox's
+    /// segments too; any other order is just as correct).
+    pub fn observe_inbox<'a, M: 'a>(&mut self, inbox: impl IntoIterator<Item = &'a Envelope<M>>) {
+        let mut last = None;
+        for envelope in inbox {
+            if last != Some(envelope.from) {
+                last = Some(envelope.from);
+                self.seen.observe(envelope.from);
+            }
         }
     }
 

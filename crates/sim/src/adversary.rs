@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::id::NodeId;
-use crate::message::{Dest, Envelope, Outgoing, Payload};
+use crate::message::{Dest, Inbox, Outgoing, Payload, Segment};
 
 /// What the adversary observes in one round.
 #[derive(Debug)]
@@ -28,8 +28,10 @@ pub struct AdversaryView<'a, M> {
     /// Messages the correct nodes are sending this round (rushing: visible
     /// before the adversary commits its own messages).
     pub correct_traffic: &'a [(NodeId, Outgoing<M>)],
-    /// Messages delivered to each faulty node at the start of this round.
-    pub faulty_inboxes: &'a BTreeMap<NodeId, Vec<Envelope<M>>>,
+    /// Messages delivered to each faulty node at the start of this round,
+    /// as the engine delivered them; read one with
+    /// [`inbox_of`](Self::inbox_of).
+    pub faulty_inboxes: &'a BTreeMap<NodeId, Vec<Segment<M>>>,
 }
 
 impl<'a, M: Payload> AdversaryView<'a, M> {
@@ -41,11 +43,10 @@ impl<'a, M: Payload> AdversaryView<'a, M> {
     }
 
     /// Messages delivered to faulty node `id` this round.
-    pub fn inbox_of(&self, id: NodeId) -> &[Envelope<M>] {
+    pub fn inbox_of(&self, id: NodeId) -> Inbox<'a, M> {
         self.faulty_inboxes
             .get(&id)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or_else(Inbox::default, |inbox| Inbox::from(inbox.as_slice()))
     }
 }
 

@@ -74,7 +74,7 @@ pub use delayed::{DelayModel, DelayedEngine, FixedDelay, PartitionDelay, Uniform
 pub use engine::{Completion, EngineBuilder, EngineError, ObserveFn, SentRecord, SyncEngine};
 pub use faults::{Fault, FaultPlan, FaultUniverse};
 pub use id::{consecutive_ids, sparse_ids, IdAllocator, NodeId};
-pub use message::{Dest, Envelope, MsgRef, Outbox, Outgoing, Payload};
+pub use message::{Dest, Envelope, Inbox, InboxIter, MsgRef, Outbox, Outgoing, Payload, Segment};
 pub use monitor::{MonitorSet, MonitorView, RoundMonitor, ViolationReport};
 pub use process::{Context, Process, Stepper};
 pub use rng::{derive, seeded};

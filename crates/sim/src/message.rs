@@ -1,13 +1,22 @@
-//! Message envelopes, shared payloads and per-round outboxes.
+//! Message envelopes, shared payloads, inboxes and per-round outboxes.
 //!
 //! # Delivery memory model
 //!
 //! A payload is cloned **at most once per send operation**, never per
 //! recipient: the engine wraps each outgoing payload in a [`MsgRef`] (an
-//! `Arc` plus a memoized hash); every recipient's envelope and the round's
-//! one dedup entry for the send share that allocation. A broadcast to `k`
-//! nodes therefore costs `k` refcount bumps instead of `2k` deep clones,
-//! which is what keeps all-to-all rounds O(n) allocations instead of O(n²).
+//! `Arc` plus a memoized hash) that the round's one dedup entry for the send
+//! and every envelope carrying it share.
+//!
+//! An envelope is stored **once per broadcast**, not once per recipient: a
+//! broadcast that is fresh at every recipient of a round without
+//! recipient-side faults is one envelope in a run of such broadcasts, and
+//! every recipient's [`Inbox`] holds the run as one
+//! [`Segment::Shared`]. Only what some recipients get and others do not —
+//! point-to-point sends, a broadcast one recipient already has, anything in a
+//! round that loses messages in transit — is copied into the recipient's own
+//! [`Segment::Own`]. An all-to-all round of `n` broadcasts therefore stores
+//! `n` envelopes and hands out `n` shares of their run, instead of pushing
+//! `n²` envelopes.
 
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -121,9 +130,9 @@ impl<M: Debug> Debug for MsgRef<M> {
 /// have *received* (which is a payload-level claim, not an envelope-level
 /// one).
 ///
-/// The payload is held behind a shared [`MsgRef`]: cloning an envelope (and
-/// broadcasting one payload to `k` recipients) bumps a refcount instead of
-/// deep-cloning the message. Read it with [`msg`](Envelope::msg).
+/// The payload is held behind a shared [`MsgRef`]: cloning an envelope bumps
+/// a refcount instead of deep-cloning the message. Read it with
+/// [`msg`](Envelope::msg).
 #[derive(PartialEq, Eq, Hash, Debug)]
 pub struct Envelope<M> {
     /// Authenticated identifier of the sender.
@@ -168,6 +177,156 @@ impl<M> Clone for Envelope<M> {
         }
     }
 }
+
+/// One run of envelopes in a delivered inbox, in send order.
+#[derive(Debug)]
+pub enum Segment<M> {
+    /// A run of the round's broadcasts, shared by every recipient.
+    Shared(Arc<[Envelope<M>]>),
+    /// Envelopes only this recipient got.
+    Own(Vec<Envelope<M>>),
+}
+
+impl<M> Segment<M> {
+    /// The run's envelopes.
+    pub fn as_slice(&self) -> &[Envelope<M>] {
+        match self {
+            Segment::Shared(run) => run,
+            Segment::Own(own) => own,
+        }
+    }
+}
+
+/// The messages delivered to one process in one round, in send order: a
+/// borrowed view over the [`Segment`]s the engine delivered, or over a plain
+/// slice of envelopes (the TCP node, the delayed engine, tests).
+///
+/// `Copy`, so [`Context::inbox`](crate::Context::inbox) hands it out by value
+/// and it can be iterated as often as a protocol likes.
+#[derive(Debug)]
+pub struct Inbox<'a, M> {
+    /// A plain slice, read first; empty for an engine-delivered inbox.
+    head: &'a [Envelope<M>],
+    /// The engine's segments, read after `head`; empty for a plain slice.
+    segments: &'a [Segment<M>],
+}
+
+impl<'a, M> Inbox<'a, M> {
+    /// The envelopes, in send order.
+    pub fn iter(self) -> InboxIter<'a, M> {
+        InboxIter {
+            run: self.head.iter(),
+            rest: self.segments.iter(),
+        }
+    }
+
+    /// Number of envelopes.
+    pub fn len(self) -> usize {
+        self.iter().len()
+    }
+
+    /// Whether no envelope was delivered.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The envelopes, copied out (each copy shares its payload).
+    pub fn to_vec(self) -> Vec<Envelope<M>> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Inbox<'_, M> {}
+
+/// The empty inbox.
+impl<M> Default for Inbox<'_, M> {
+    fn default() -> Self {
+        Inbox {
+            head: &[],
+            segments: &[],
+        }
+    }
+}
+
+impl<'a, M> From<&'a [Envelope<M>]> for Inbox<'a, M> {
+    fn from(envelopes: &'a [Envelope<M>]) -> Self {
+        Inbox {
+            head: envelopes,
+            segments: &[],
+        }
+    }
+}
+
+impl<'a, M, const N: usize> From<&'a [Envelope<M>; N]> for Inbox<'a, M> {
+    fn from(envelopes: &'a [Envelope<M>; N]) -> Self {
+        Inbox::from(&envelopes[..])
+    }
+}
+
+impl<'a, M> From<&'a Vec<Envelope<M>>> for Inbox<'a, M> {
+    fn from(envelopes: &'a Vec<Envelope<M>>) -> Self {
+        Inbox::from(envelopes.as_slice())
+    }
+}
+
+impl<'a, M> From<&'a [Segment<M>]> for Inbox<'a, M> {
+    fn from(segments: &'a [Segment<M>]) -> Self {
+        Inbox {
+            head: &[],
+            segments,
+        }
+    }
+}
+
+impl<'a, M> IntoIterator for Inbox<'a, M> {
+    type Item = &'a Envelope<M>;
+    type IntoIter = InboxIter<'a, M>;
+
+    fn into_iter(self) -> InboxIter<'a, M> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Inbox`]'s envelopes, in send order.
+#[derive(Debug)]
+pub struct InboxIter<'a, M> {
+    /// The rest of the segment being read.
+    run: std::slice::Iter<'a, Envelope<M>>,
+    /// The segments after it.
+    rest: std::slice::Iter<'a, Segment<M>>,
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = &'a Envelope<M>;
+
+    fn next(&mut self) -> Option<&'a Envelope<M>> {
+        loop {
+            if let Some(envelope) = self.run.next() {
+                return Some(envelope);
+            }
+            self.run = self.rest.next()?.as_slice().iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest: usize = self
+            .rest
+            .as_slice()
+            .iter()
+            .map(|s| s.as_slice().len())
+            .sum();
+        let len = self.run.len() + rest;
+        (len, Some(len))
+    }
+}
+
+impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 
 /// Where an outgoing message is addressed.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -298,6 +457,26 @@ mod tests {
         let copy = env.clone();
         assert!(MsgRef::ptr_eq(env.shared(), copy.shared()));
         assert_eq!(env, copy);
+    }
+
+    #[test]
+    fn an_inbox_reads_its_segments_in_order() {
+        let env = |from, msg| Envelope::new(NodeId::new(from), msg);
+        let run: Arc<[Envelope<u8>]> = Arc::from(vec![env(1, 10), env(2, 20)]);
+        let segments = vec![
+            Segment::Shared(run),
+            Segment::Own(Vec::new()),
+            Segment::Own(vec![env(3, 30)]),
+        ];
+        let inbox = Inbox::from(segments.as_slice());
+        let read: Vec<u8> = inbox.iter().map(|e| *e.msg()).collect();
+        assert_eq!(read, [10, 20, 30]);
+        assert_eq!(inbox.len(), 3);
+        let mut iter = inbox.into_iter();
+        iter.next();
+        assert_eq!(iter.len(), 2, "exact size across segments");
+        assert!(Inbox::<u8>::default().is_empty());
+        assert_eq!(Inbox::from(&[env(4, 40)]).to_vec(), [env(4, 40)]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! journal replay) calls instead of spelling the rule out itself.
 
 use crate::id::NodeId;
-use crate::message::{Envelope, Outbox, Outgoing, Payload};
+use crate::message::{Inbox, Outbox, Outgoing, Payload};
 
 /// A node-local protocol state machine driven by the round engine.
 ///
@@ -139,10 +139,15 @@ impl<P: Process> Stepper<P> {
     /// first time the process is found terminated. A process that is
     /// terminated before its first step is therefore never stepped, and its
     /// decided round is the round it was first asked to take.
-    pub fn step(&mut self, round: u64, inbox: &[Envelope<P::Msg>]) -> Vec<Outgoing<P::Msg>> {
+    pub fn step<'a>(
+        &mut self,
+        round: u64,
+        inbox: impl Into<Inbox<'a, P::Msg>>,
+    ) -> Vec<Outgoing<P::Msg>> {
         if self.decided_round.is_some() {
             return Vec::new();
         }
+        let inbox: Inbox<'_, P::Msg> = inbox.into();
         let mut outbox = Outbox::new();
         if !self.process.terminated() {
             self.process
@@ -159,7 +164,10 @@ impl<P: Process> Stepper<P> {
     /// traffic; entries past termination change nothing. Determinism of the
     /// process makes this leave exactly the state and decided round of
     /// having stepped the same inboxes live.
-    pub fn replay<'a>(&mut self, history: impl IntoIterator<Item = (u64, &'a [Envelope<P::Msg>])>) {
+    pub fn replay<'a, I: Into<Inbox<'a, P::Msg>>>(
+        &mut self,
+        history: impl IntoIterator<Item = (u64, I)>,
+    ) {
         for (round, inbox) in history {
             self.step(round, inbox);
         }
@@ -173,17 +181,17 @@ impl<P: Process> Stepper<P> {
 #[derive(Debug)]
 pub struct Context<'a, M> {
     round: u64,
-    inbox: &'a [Envelope<M>],
+    inbox: Inbox<'a, M>,
     outbox: &'a mut Outbox<M>,
 }
 
 impl<'a, M: Payload> Context<'a, M> {
     /// Creates a context. Used by [`Stepper::step`]; protocol code only
     /// consumes it.
-    pub fn new(round: u64, inbox: &'a [Envelope<M>], outbox: &'a mut Outbox<M>) -> Self {
+    pub fn new(round: u64, inbox: impl Into<Inbox<'a, M>>, outbox: &'a mut Outbox<M>) -> Self {
         Context {
             round,
-            inbox,
+            inbox: inbox.into(),
             outbox,
         }
     }
@@ -194,7 +202,7 @@ impl<'a, M: Payload> Context<'a, M> {
     }
 
     /// Messages delivered this round (sent during the previous round).
-    pub fn inbox(&self) -> &'a [Envelope<M>] {
+    pub fn inbox(&self) -> Inbox<'a, M> {
         self.inbox
     }
 
@@ -228,6 +236,7 @@ mod tests {
     use crate::churn::ChurnSchedule;
     use crate::delayed::{DelayedEngine, FixedDelay};
     use crate::engine::SyncEngine;
+    use crate::message::Envelope;
     use crate::testutil::CollectAll;
 
     #[test]

@@ -14,7 +14,7 @@ use rand::Rng;
 use uba_sim::trace::SharedRuntimeMetrics;
 use uba_sim::{
     seeded, sparse_ids, AdversaryOutbox, AdversaryView, Context, Dest, Envelope, Fault, FaultPlan,
-    FnAdversary, NodeId, Process, Stats, SyncEngine,
+    FnAdversary, Inbox, NodeId, Process, Stats, SyncEngine,
 };
 
 /// All inboxes a [`Chatter`] observed, in round order.
@@ -276,7 +276,7 @@ struct Actor {
     decided: bool,
 }
 
-fn received(inbox: &[Envelope<Wire>]) -> Received {
+fn received(inbox: Inbox<'_, Wire>) -> Received {
     inbox.iter().map(|e| (e.from, e.msg().clone())).collect()
 }
 
@@ -321,8 +321,9 @@ fn run_engine(scenario: &Scenario) -> Observed {
     let script = scenario.adversary.clone();
     let adversary = FnAdversary::new(
         move |view: &AdversaryView<'_, Wire>, out: &mut AdversaryOutbox<Wire>| {
-            for (&id, inbox) in view.faulty_inboxes {
-                log.borrow_mut().insert((view.round, id), received(inbox));
+            for &id in view.faulty_inboxes.keys() {
+                log.borrow_mut()
+                    .insert((view.round, id), received(view.inbox_of(id)));
             }
             let sends = script.get(view.round as usize - 1);
             for (from, send) in sends.into_iter().flatten() {
