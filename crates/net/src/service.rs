@@ -1042,6 +1042,30 @@ mod tests {
         assert_eq!(Record::from_bytes(&record.to_bytes()), Some(record));
     }
 
+    /// A record, and the one-record batch event the service ships for a
+    /// shard, byte for byte: the payload is its `u32` length and its bytes,
+    /// inside the batch's length and the shard and event framing.
+    #[test]
+    fn records_and_shipped_batches_encode_to_pinned_bytes() {
+        let record = Record {
+            key: "k".into(),
+            payload: vec![1, 2, 3],
+            node: 9,
+            seq: 17,
+        };
+        const RECORD: [u8; 28] = [
+            1, 0, 0, 0, b'k', // key
+            3, 0, 0, 0, 1, 2, 3, // payload
+            9, 0, 0, 0, 0, 0, 0, 0, // node
+            17, 0, 0, 0, 0, 0, 0, 0, // seq
+        ];
+        assert_eq!(record.to_bytes(), RECORD);
+        let shipped: <ShardedLog as Process>::Msg = (0, OrderMsg::Event(vec![record], 5));
+        let head = [0, 0, 0, 0, 3, 1, 0, 0, 0]; // shard 0, `Event`, one record
+        let round = [5, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(shipped.to_bytes(), [&head[..], &RECORD, &round].concat());
+    }
+
     #[test]
     fn a_prefix_over_max_frame_is_read_whole_page_by_page() {
         // 20 records of 1 MiB: no single frame can carry the prefix.
