@@ -53,18 +53,22 @@
 //!
 //! # Writing
 //!
-//! A link's writer is buffered, and the flush belongs to the *round*, not
-//! to the frame: a node queues the round's `Data` frames and then its
-//! `Done` on each link (`Links::queue`) and hands every link's bytes to
-//! its socket in one write (`Links::flush`) — n − 1 writes per round
-//! however many frames the round carried. There are three flush points:
-//! after the round's `Done` is queued, at the end of a `SyncTips` /
-//! `Backfill` reply, and before `Links::send_raw` puts raw bytes on a
-//! socket. [`Links::send`] is queue-and-flush of one link, for callers
-//! that talk one frame at a time (the scripted `ByzantineNode`).
+//! A link writes through a round buffer, and the flush belongs to the
+//! *round*, not to the frame: a node queues the round's `Data` frames and
+//! then its `Done` on each link (`Links::queue`) and hands every link's
+//! bytes to its socket in one `write_all` (`Links::flush`) — n − 1 writes
+//! per round however many frames, and however many bytes, the round
+//! carried. The buffer starts empty and grows with the round; after a
+//! flush it keeps at most 64 KiB of capacity (`RETAINED_ROUND_BYTES`), so
+//! an idle link holds at most that much whatever its largest round was.
+//! There are three flush points: after the round's `Done` is queued, at
+//! the end of a `SyncTips` / `Backfill` reply, and in `Links::send_raw`,
+//! whose raw bytes go out behind what the link had queued.
+//! [`Links::send`] is queue-and-flush of one link, for callers that talk
+//! one frame at a time (the scripted `ByzantineNode`).
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write as _};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -220,8 +224,51 @@ pub enum LinkEvent {
     },
 }
 
+/// The capacity a link's round buffer keeps across a flush. A round that
+/// carried more grows the buffer for as long as it lasts and gives the
+/// excess back at its flush, so an idle link holds at most this much.
+const RETAINED_ROUND_BYTES: usize = 64 * 1024;
+
+/// A link's outbound half: the socket, and the bytes queued on it for the
+/// round ([module docs](self), "Writing"). The buffer starts empty and
+/// grows to whatever the round carries, so the flush is one `write_all`
+/// at any size.
+pub(crate) struct RoundBuffer<W: Write> {
+    socket: W,
+    queued: Vec<u8>,
+}
+
+impl<W: Write> RoundBuffer<W> {
+    pub(crate) fn new(socket: W) -> Self {
+        RoundBuffer {
+            socket,
+            queued: Vec::new(),
+        }
+    }
+
+    pub(crate) fn socket(&self) -> &W {
+        &self.socket
+    }
+
+    /// Appends `bytes` to the round; nothing reaches the socket.
+    pub(crate) fn queue(&mut self, bytes: &[u8]) {
+        self.queued.extend_from_slice(bytes);
+    }
+
+    /// Hands the queued round to the socket in one `write_all` (none if
+    /// nothing is queued) and shrinks the buffer back to
+    /// [`RETAINED_ROUND_BYTES`]. The round is gone afterwards even if the
+    /// write failed: the caller drops a link whose write failed.
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        let written = self.socket.write_all(&self.queued);
+        self.queued.clear();
+        self.queued.shrink_to(RETAINED_ROUND_BYTES);
+        written
+    }
+}
+
 struct Link {
-    writer: BufWriter<TcpStream>,
+    writer: RoundBuffer<TcpStream>,
     generation: u64,
 }
 
@@ -231,7 +278,7 @@ impl Link {
     /// parked on the cloned read half, and the peer observes EOF exactly as
     /// it would for a killed OS process.
     fn shutdown(&self) {
-        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+        let _ = self.writer.socket().shutdown(Shutdown::Both);
     }
 }
 
@@ -250,7 +297,7 @@ impl Table {
     fn write(
         &mut self,
         peer: NodeId,
-        op: impl FnOnce(&mut BufWriter<TcpStream>) -> io::Result<()>,
+        op: impl FnOnce(&mut RoundBuffer<TcpStream>) -> io::Result<()>,
     ) -> bool {
         let Some(link) = self.links.get_mut(&peer) else {
             return false;
@@ -264,8 +311,8 @@ impl Table {
     }
 }
 
-/// The shared table of outbound halves of the mesh, one buffered writer
-/// per peer ([module docs](self), "Writing").
+/// The shared table of outbound halves of the mesh, one round buffer per
+/// peer ([module docs](self), "Writing").
 ///
 /// Write and flush failures mark the link dead (the reader thread on the
 /// same socket reports `Closed` with the cause); the round loop then decides
@@ -297,7 +344,7 @@ impl Links {
         table.next_generation += 1;
         let generation = table.next_generation;
         let link = Link {
-            writer: BufWriter::new(stream),
+            writer: RoundBuffer::new(stream),
             generation,
         };
         if let Some(replaced) = table.links.insert(peer, link) {
@@ -340,26 +387,25 @@ impl Links {
     }
 
     /// Queues `frame` on the link of every peer in `peers`: encoded once,
-    /// its bytes appended to each link's buffer under one table lock.
-    /// Nothing reaches a socket before [`flush`](Self::flush) unless a
-    /// buffer fills up. A link whose write fails is dropped as in
-    /// [`send`](Self::send), and so is every addressed link if the frame
+    /// its bytes appended to each link's round buffer under one table lock.
+    /// Nothing reaches a socket before [`flush`](Self::flush). Every
+    /// addressed link is dropped as in [`send`](Self::send) if the frame
     /// exceeds `MAX_FRAME`. Returns the frame's wire size (0 if refused).
     pub(crate) fn queue(&self, peers: impl IntoIterator<Item = NodeId>, frame: &Frame) -> usize {
         let encoded = encode_frame(frame);
         let mut table = self.table();
         for peer in peers {
-            table.write(peer, |writer| match &encoded {
-                Ok(bytes) => writer.write_all(bytes),
-                Err(refused) => Err(refused.kind().into()),
+            table.write(peer, |writer| {
+                writer.queue(encoded.as_ref().map_err(|refused| refused.kind())?);
+                Ok(())
             });
         }
         encoded.map_or(0, |bytes| bytes.len())
     }
 
-    /// Hands every link's queued bytes to its socket: one `write` per link
-    /// with anything queued. A link whose flush fails is dropped as in
-    /// [`send`](Self::send).
+    /// Hands every link's queued round to its socket: one `write_all` per
+    /// link with anything queued, however large the round. A link whose
+    /// flush fails is dropped as in [`send`](Self::send).
     pub(crate) fn flush(&self) {
         self.table().links.retain(|_, link| {
             let flushed = link.writer.flush().is_ok();
@@ -378,20 +424,20 @@ impl Links {
     pub fn send(&self, peer: NodeId, frame: &Frame) -> bool {
         let encoded = encode_frame(frame);
         self.table().write(peer, |writer| {
-            writer.write_all(&encoded?)?;
+            writer.queue(&encoded?);
             writer.flush()
         })
     }
 
     /// Writes `bytes` to `peer`'s socket as they are, bypassing the frame
     /// codec and its bounds — how a scripted
-    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. The link's
-    /// queued frames are flushed first, so the bytes land exactly between
-    /// two frames. `false` if no live link took them.
+    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. They go
+    /// out behind the link's queued frames, in the same write, so they land
+    /// exactly between two frames. `false` if no live link took them.
     pub(crate) fn send_raw(&self, peer: NodeId, bytes: &[u8]) -> bool {
         self.table().write(peer, |writer| {
-            writer.flush()?;
-            writer.get_mut().write_all(bytes)
+            writer.queue(bytes);
+            writer.flush()
         })
     }
 
@@ -942,6 +988,37 @@ mod tests {
         assert_eq!(links.queue([peer], &huge), 0);
         assert!(links.connected().is_empty());
         assert!(matches!(read_frame(&mut theirs), Ok(None)), "clean EOF");
+    }
+
+    #[test]
+    fn a_link_keeps_at_most_the_cap_after_a_one_mib_round() {
+        let peer = NodeId::new(2);
+        let (links, theirs) = linked(peer);
+        let round: Vec<Frame> = (0..128)
+            .map(|i| Frame::Data {
+                round: 1,
+                payload: vec![i; 8 * 1024],
+            })
+            .chain([DONE])
+            .collect();
+        // The peer drains the round while it is written.
+        let mut reader = BufReader::new(theirs);
+        let frames = round.len();
+        let reading = thread::spawn(move || -> Vec<_> {
+            (0..frames)
+                .map(|_| read_frame(&mut reader).unwrap())
+                .collect()
+        });
+        for frame in &round {
+            links.queue([peer], frame);
+        }
+        let retained = || links.table().links[&peer].writer.queued.capacity();
+        assert!(retained() > 1 << 20, "the buffer grew to the round");
+        links.flush();
+        links.flush(); // the next round, with nothing queued
+        assert!(retained() <= RETAINED_ROUND_BYTES, "{} kept", retained());
+        let received: Vec<Frame> = reading.join().unwrap().into_iter().flatten().collect();
+        assert!(received == round, "the round arrived whole and in order");
     }
 
     #[test]

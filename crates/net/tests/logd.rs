@@ -2,6 +2,7 @@
 //! client load, checked for the service's core promise — **every acked
 //! submission appears exactly once in exactly one shard's finalized
 //! prefix, and all nodes agree on every shard's prefix** (DESIGN.md §12).
+//! Small records, and 8 KiB ones whose rounds outgrow any fixed buffer.
 //!
 //! Plus the scripted client conversations: a submit while an ordering
 //! round is in flight, duplicate-submit dedup re-acking the original
@@ -40,14 +41,15 @@ fn spawn(seed: u64, nodes: usize, shards: u32, ingest_until: u64) -> LogCluster<
     .expect("cluster spawns")
 }
 
-/// Submits `count` records round-robin across every node's client
-/// listener; returns the acked `(shard, key, payload, ingress node)`
-/// slots. Stops early (without failing) if ingest closes mid-way — the
-/// invariant under test is about *acked* submissions only.
+/// Submits `count` records, the `i`-th carrying `payload(i)`, round-robin
+/// across every node's client listener; returns the acked `(shard, key,
+/// payload)` slots. Stops early (without failing) if ingest closes mid-way
+/// — the invariant under test is about *acked* submissions only.
 fn submit_load(
     cluster: &LogCluster<NoopTracer>,
     count: usize,
     keys: usize,
+    payload: impl Fn(usize) -> Vec<u8>,
 ) -> Vec<(u32, String, Vec<u8>)> {
     let addrs: Vec<_> = cluster.client_addrs().values().copied().collect();
     let mut clients: Vec<LogClient> = addrs
@@ -57,7 +59,7 @@ fn submit_load(
     let mut acked = Vec::new();
     for i in 0..count {
         let key = format!("key-{}", i % keys);
-        let payload = format!("payload-{i}").into_bytes();
+        let payload = payload(i);
         let slot = i % clients.len();
         let client = &mut clients[slot];
         match client.submit(&key, &payload).expect("submit I/O") {
@@ -123,9 +125,17 @@ fn assert_exactly_once(acked: &[(u32, String, Vec<u8>)], prefixes: &[Vec<Record>
     );
 }
 
-fn run_end_to_end(seed: u64, shards: u32) {
+/// Runs a 3-node cluster under `count` submissions (the `i`-th carrying
+/// `payload(i)`) and checks agreement and exactly-once on what clients read
+/// back; returns how many submissions were acked.
+fn run_end_to_end(
+    seed: u64,
+    shards: u32,
+    count: usize,
+    payload: impl Fn(usize) -> Vec<u8>,
+) -> usize {
     let mut cluster = spawn(seed, 3, shards, 30);
-    let acked = submit_load(&cluster, 60, 24);
+    let acked = submit_load(&cluster, count, 24, payload);
     assert!(
         !acked.is_empty(),
         "the ingest window closed before any submission was acked"
@@ -149,16 +159,34 @@ fn run_end_to_end(seed: u64, shards: u32) {
     );
     assert_exactly_once(&acked, &prefixes, shards);
     cluster.shutdown();
+    acked.len()
+}
+
+fn small_payload(i: usize) -> Vec<u8> {
+    format!("payload-{i}").into_bytes()
 }
 
 #[test]
 fn three_nodes_one_shard_exactly_once() {
-    run_end_to_end(7, 1);
+    run_end_to_end(7, 1, 60, small_payload);
 }
 
 #[test]
 fn three_nodes_four_shards_exactly_once() {
-    run_end_to_end(11, 4);
+    run_end_to_end(11, 4, 60, small_payload);
+}
+
+/// Records of 8 KiB, each a distinct byte pattern: every consensus wave
+/// carries its batch in its messages, so a round puts well over 8 KiB on
+/// each link, and every payload crosses the codec as one byte vector on
+/// the way in, between the members and on the way out. Exactly-once
+/// compares the payloads clients read back with the acked ones byte for
+/// byte.
+#[test]
+fn three_nodes_one_shard_order_eight_kib_records_exactly_once() {
+    let payload = |i: usize| (0..8 * 1024).map(|j| (i * 131 + j * 7) as u8).collect();
+    let acked = run_end_to_end(13, 1, 48, payload);
+    assert!(acked >= 40, "only {acked} of 48 large records were acked");
 }
 
 #[test]
