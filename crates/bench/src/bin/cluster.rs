@@ -58,9 +58,10 @@
 //! nodes.
 //!
 //! With `--byzantine F`, `F` of the `--nodes` members are replaced by
-//! scripted hostile [`ByzantineNode`](uba_net::ByzantineNode)s (the
-//! population is split exactly like the experiment harness, so `--nodes 7
-//! --byzantine 2` is the classic `n = 3f + 1` grid). `--attack
+//! hostile [`ByzantineNode`](uba_net::ByzantineNode)s, which run the
+//! honest round driver with an attack script and leave with the cluster.
+//! The population is split exactly like the experiment harness, so
+//! `--nodes 7 --byzantine 2` is the classic `n = 3f + 1` grid. `--attack
 //! NAME[,NAME...]` picks the scripts (default `equivocate`); the cluster
 //! runs once per attack and prints a verdict table attributing **malice**
 //! (misbehavior strikes, evictions) separately from **omission** (barrier

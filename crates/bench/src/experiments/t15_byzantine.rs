@@ -2,9 +2,9 @@
 //! against hardened honest nodes.
 //!
 //! Claims validated (DESIGN.md §13):
-//! - under **rushing equivocation** (the wire twin of
-//!   [`ConsensusEquivocator`](uba_adversary::attacks::ConsensusEquivocator))
-//!   the honest members of a mixed cluster decide **byte-identically** to a
+//! - under **equivocation** (the simulator's own
+//!   [`ConsensusEquivocator`](uba_adversary::attacks::ConsensusEquivocator),
+//!   run by the hostile member on the wire) the honest members of a mixed cluster decide **byte-identically** to a
 //!   [`SyncEngine`](uba_sim::SyncEngine) run with the same seeded
 //!   population and the same adversary — model-allowed lying is absorbed
 //!   by `n > 3f`, with zero strikes and zero evictions;

@@ -49,12 +49,13 @@ pub struct ClusterSpec<P> {
     /// the proxy, if there is one (nobody dials a rejoiner, so the fronts'
     /// fixed relay targets stay correct across the restart).
     pub kill: Option<KillSpec<P>>,
-    /// One scripted [`ByzantineNode`] per member of the plan's conspirator
-    /// set, all executing the same seeded script (so they compute identical
+    /// One [`ByzantineNode`] per member of the plan's conspirator set, all
+    /// executing the same seeded script (so they compute identical
     /// equivocation splits, like the simulator's adversary acting for every
-    /// faulty node). An attacker crashing or erroring is equivalent to it
-    /// going silent, which the honest side already tolerates: it reports an
-    /// all-zero [`ByzReport`] and never fails the run.
+    /// faulty node). An attacker reads the run's abort flag but never
+    /// raises it: its thread panicking is equivalent to it going silent,
+    /// which the honest side already tolerates — it reports an all-zero
+    /// [`ByzReport`] and never fails the run.
     pub hostile: Option<AttackPlan>,
 }
 
@@ -266,13 +267,12 @@ where
             .flat_map(|plan| plan.byzantine.iter().map(move |&id| (id, plan.clone())))
             .zip(listeners)
             .map(|((id, plan), listener)| {
-                let node = ByzantineNode::new(id, plan, config.clone());
+                let node = ByzantineNode::new(id, plan, config.clone())
+                    .with_abort_flag(Arc::clone(&abort));
                 let roster = roster.clone();
-                // A flag of its own: the attacker's health never aborts
-                // the honest members.
-                spawn_member(id, &Arc::default(), move || {
-                    Ok(node.run(listener, &roster).unwrap_or_default())
-                })
+                // A panic guard of its own: the attacker's health never
+                // aborts the honest members.
+                spawn_member(id, &Arc::default(), move || Ok(node.run(listener, &roster)))
             })
             .collect();
         Ok(RunningCluster {

@@ -64,8 +64,6 @@
 //! There are three flush points: after the round's `Done` is queued, at
 //! the end of a `SyncTips` / `Backfill` reply, and in `Links::send_raw`,
 //! whose raw bytes go out behind what the link had queued.
-//! [`Links::send`] is queue-and-flush of one link, for callers that talk
-//! one frame at a time (the scripted `ByzantineNode`).
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -389,7 +387,7 @@ impl Links {
     /// Queues `frame` on the link of every peer in `peers`: encoded once,
     /// its bytes appended to each link's round buffer under one table lock.
     /// Nothing reaches a socket before [`flush`](Self::flush). Every
-    /// addressed link is dropped as in [`send`](Self::send) if the frame
+    /// addressed link is dropped, as on a failed write, if the frame
     /// exceeds `MAX_FRAME`. Returns the frame's wire size (0 if refused).
     pub(crate) fn queue(&self, peers: impl IntoIterator<Item = NodeId>, frame: &Frame) -> usize {
         let encoded = encode_frame(frame);
@@ -405,7 +403,8 @@ impl Links {
 
     /// Hands every link's queued round to its socket: one `write_all` per
     /// link with anything queued, however large the round. A link whose
-    /// flush fails is dropped as in [`send`](Self::send).
+    /// flush fails is shut down and dropped (the reader thread on the same
+    /// socket reports the close).
     pub(crate) fn flush(&self) {
         self.table().links.retain(|_, link| {
             let flushed = link.writer.flush().is_ok();
@@ -416,24 +415,11 @@ impl Links {
         });
     }
 
-    /// Queues one frame for `peer` and flushes that link, so the frame —
-    /// and anything queued before it, in order — is on the socket when this
-    /// returns. Returns `false` if no live link exists or the write failed
-    /// (the link is shut down and dropped; the reader thread reports the
-    /// close).
-    pub fn send(&self, peer: NodeId, frame: &Frame) -> bool {
-        let encoded = encode_frame(frame);
-        self.table().write(peer, |writer| {
-            writer.queue(&encoded?);
-            writer.flush()
-        })
-    }
-
     /// Writes `bytes` to `peer`'s socket as they are, bypassing the frame
-    /// codec and its bounds — how a scripted
-    /// [`ByzantineNode`](crate::ByzantineNode) poisons a stream. They go
-    /// out behind the link's queued frames, in the same write, so they land
-    /// exactly between two frames. `false` if no live link took them.
+    /// codec and its bounds — how a hostile member
+    /// ([`crate::byzantine`]) poisons a stream. They go out behind the
+    /// link's queued frames, in the same write, so they land exactly
+    /// between two frames. `false` if no live link took them.
     pub(crate) fn send_raw(&self, peer: NodeId, bytes: &[u8]) -> bool {
         self.table().write(peer, |writer| {
             writer.queue(bytes);
@@ -925,7 +911,8 @@ mod tests {
             oldest_retained: 1,
             decided: false,
         };
-        assert!(links.send(peer, &tips), "send flushes its own link");
+        links.queue([peer], &tips);
+        links.flush();
         for frame in [data(1, 1), data(1, 2), tips] {
             assert_eq!(read_frame(&mut theirs).unwrap(), Some(frame));
         }
@@ -971,8 +958,10 @@ mod tests {
             links.flush();
         }
         assert_eq!(links.connected(), vec![stays], "only the dead link went");
-        assert!(!links.send(gone, &DONE));
-        for _ in 0..rounds {
+        // The next round reaches the live link alone.
+        links.queue([gone, stays], &DONE);
+        links.flush();
+        for _ in 0..=rounds {
             assert_eq!(read_frame(&mut kept).unwrap(), Some(DONE));
         }
     }
@@ -1076,7 +1065,8 @@ mod tests {
             round: 1,
             decided: false,
         };
-        assert!(alice_mesh.links.send(bob, &done));
+        alice_mesh.links.queue([bob], &done);
+        alice_mesh.links.flush();
         match bob_mesh.next_event(wait).unwrap() {
             LinkEvent::Frame {
                 from,

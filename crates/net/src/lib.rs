@@ -48,11 +48,12 @@
 //!   (phase timings, per-peer byte/frame counters) to live scrapes, and
 //!   [`serve_cluster_metrics`], one such endpoint per cluster member on
 //!   consecutive ports;
-//! * [`byzantine`] — [`ByzantineNode`], a scripted hostile member driven by
-//!   a seeded [`AttackPlan`] mirroring the simulator's adversary
-//!   vocabulary (equivocation, replay, corruption, floods, stalls,
-//!   backfill abuse) — the T15 experiment and the threat model in
-//!   DESIGN.md §13 build on it.
+//! * [`byzantine`] — [`ByzantineNode`], a hostile member: a [`NetNode`]
+//!   on the same round driver as the honest ones, whose process and
+//!   per-round wire hook play a seeded [`AttackPlan`] (the simulator's own
+//!   `ConsensusEquivocator`, replay, corruption, floods, stalls, backfill
+//!   abuse) — the T15 experiment and the threat model in DESIGN.md §13
+//!   build on it.
 //!
 //! ## Starting a cluster
 //!
@@ -64,7 +65,8 @@
 //! * `proxy` — front every member with the WAN [`FaultProxy`];
 //! * `kill` — the crash-recovery drill: durable journals, one scripted
 //!   crash, rejoin over the backfill protocol ([`KillSpec`]);
-//! * `hostile` — scripted [`ByzantineNode`]s beside the honest members.
+//! * `hostile` — [`ByzantineNode`]s beside the honest members, on the
+//!   same round driver, leaving with the cluster.
 //!
 //! The result is one [`ClusterRun`]: the honest members' reports, the
 //! proxy's link events, the hostile members' summaries. The harness binds
@@ -129,7 +131,7 @@ pub mod service;
 pub mod sync;
 pub mod wire;
 
-pub use byzantine::{equivocation_frames, AttackKind, AttackPlan, ByzReport, ByzantineNode};
+pub use byzantine::{AttackKind, AttackPlan, ByzReport, ByzantineNode};
 pub use cluster::{
     decisions, journal_path, run_local_cluster, run_local_cluster_with_metrics, ClusterRun,
     ClusterSpec, KillSpec, ProxySpec, RunSummary, RunningCluster,

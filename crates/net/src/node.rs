@@ -20,6 +20,11 @@
 //! round limit: once, at the head of a round). Per-peer state is one `Peer`
 //! record per handshaken id. Frame handlers return `Result<(), Strike>`, and
 //! the one receiver of the `Err` charges it (DESIGN.md §8, §13).
+//!
+//! A hostile member ([`crate::byzantine`]) runs the same session; only the
+//! send phase (its redials and its script's wire hook), a closed link (not
+//! waited on until redialed) and a strike (it charges none) ask whether it
+//! is.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -38,6 +43,7 @@ use uba_trace::{
     RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer,
 };
 
+use crate::byzantine::AttackKind;
 use crate::conn::{LinkEvent, Mesh, RetryPolicy};
 use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer, DEFAULT_ROUND_WINDOW};
 use crate::wire::{Frame, FrameFault, Wire};
@@ -257,6 +263,16 @@ pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     journal: Option<RoundJournal>,
     kill_at: Option<u64>,
     abort: Option<Arc<AtomicBool>>,
+    hostile: Option<Hostile>,
+}
+
+/// What makes a session hostile: the script whose wire half it plays, the
+/// addresses it redials, and the peers whose link closed (or was poisoned)
+/// since its last send phase, to be redialed in the next one.
+struct Hostile {
+    kind: AttackKind,
+    roster: BTreeMap<NodeId, SocketAddr>,
+    closed: BTreeSet<NodeId>,
 }
 
 impl<P: Process> NetNode<P, NoopTracer> {
@@ -271,6 +287,7 @@ impl<P: Process> NetNode<P, NoopTracer> {
             journal: None,
             kill_at: None,
             abort: None,
+            hostile: None,
         }
     }
 }
@@ -289,6 +306,7 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
             journal: self.journal,
             kill_at: self.kill_at,
             abort: self.abort,
+            hostile: self.hostile,
         }
     }
 
@@ -341,6 +359,21 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// panicked.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
+        self
+    }
+
+    /// Makes the node a hostile member playing `kind`'s wire half, which
+    /// redials its peers at their `roster` addresses ([`crate::byzantine`]).
+    pub(crate) fn with_attack(
+        mut self,
+        kind: AttackKind,
+        roster: BTreeMap<NodeId, SocketAddr>,
+    ) -> Self {
+        self.hostile = Some(Hostile {
+            kind,
+            roster,
+            closed: BTreeSet::new(),
+        });
         self
     }
 
@@ -655,14 +688,21 @@ where
             let step_micros = micros_since(phase);
 
             // Queue the round's data, publish the barrier marker behind it,
-            // then put the round on the wire: one write per link.
+            // then put the round on the wire: one write per link. A hostile
+            // member's script acts here instead, claiming `decided`.
             let phase = Instant::now();
             for outgoing in sends {
                 self.dispatch(outgoing);
             }
-            let decided = self.node.stepper.decided_round().is_some();
-            self.queue(None, &Frame::Done { round, decided });
-            self.flush();
+            let decided = if self.node.hostile.is_none() {
+                let decided = self.node.stepper.decided_round().is_some();
+                self.queue(None, &Frame::Done { round, decided });
+                self.flush();
+                decided
+            } else {
+                self.play(round);
+                true
+            };
             self.history.entry(round).or_default().done = Some(decided);
             let send_micros = micros_since(phase);
 
@@ -885,7 +925,7 @@ where
             // The writer table already dropped the link (generation
             // guarded). The peer may redial; if it stays silent the barrier
             // timeout and the give-up budget take over.
-            LinkEvent::Closed { .. } => return,
+            LinkEvent::Closed { peer, .. } => return self.link_closed(peer),
             LinkEvent::Corrupt {
                 peer, kind, info, ..
             } => {
@@ -1164,10 +1204,11 @@ where
     /// Charges one misbehavior strike against `from`: bumps the
     /// `net_misbehavior_total{kind,peer}` counter, traces a
     /// `net_byz_misbehavior` event, and evicts the peer once its strike
-    /// budget ([`STRIKE_LIMIT`]) is spent. A no-op for an evicted peer.
+    /// budget ([`STRIKE_LIMIT`]) is spent. A no-op for an evicted peer, and
+    /// for a hostile member, which strikes nobody.
     fn misbehave(&mut self, from: NodeId, Strike { kind, info }: Strike) {
         let peer = self.peers.entry(from).or_default();
-        if peer.banned {
+        if peer.banned || self.node.hostile.is_some() {
             return;
         }
         peer.strikes = peer.strikes.saturating_add(1);
@@ -1181,6 +1222,61 @@ where
         });
         if strikes >= STRIKE_LIMIT {
             self.evict(from);
+        }
+    }
+
+    /// A hostile member lost its link to `peer` (not one a redial replaced):
+    /// it stops expecting the peer until its next send phase redials it, so
+    /// it never waits on a `Done` the closed link lost.
+    fn link_closed(&mut self, peer: NodeId) {
+        let Some(hostile) = &mut self.node.hostile else {
+            return;
+        };
+        let expected = self.sync.expected().any(|p| p == peer);
+        if expected && !self.mesh.links.connected().contains(&peer) {
+            self.sync.peer_gone(peer);
+            hostile.closed.insert(peer);
+        }
+    }
+
+    /// A hostile member's send phase. It redials, once and without retries,
+    /// every peer whose link closed since the last round (a poison victim
+    /// needs a fresh link; a peer that finished stays written off), then
+    /// queues its script's frames, `Done` claiming `decided`, one flush and
+    /// the poison in a write of its own — or, for a stall, nothing at all.
+    /// The victim is the lowest-id expected peer.
+    fn play(&mut self, round: u64) {
+        let Some(hostile) = &mut self.node.hostile else {
+            return;
+        };
+        let once = RetryPolicy {
+            budget: Duration::ZERO,
+            ..self.node.config.retry
+        };
+        for peer in std::mem::take(&mut hostile.closed) {
+            match self.mesh.dial(hostile.roster[&peer], peer, once, |_| {}) {
+                Ok(_) => self.sync.peer_rejoined(peer),
+                Err(_) => self.sync.peer_gone(peer),
+            }
+        }
+        let victim = self.sync.expected().next();
+        let Some((frames, poison)) = hostile.kind.wire_act(round, victim) else {
+            return;
+        };
+        // The poison costs the victim this link: the next send phase
+        // redials it whether or not the close has been seen by then.
+        let poisoned = victim.filter(|_| !poison.is_empty());
+        hostile.closed.extend(poisoned);
+        for (to, frame) in frames {
+            self.queue(to, &frame);
+        }
+        let decided = true;
+        self.queue(None, &Frame::Done { round, decided });
+        self.flush();
+        if let Some(victim) = poisoned {
+            if self.mesh.links.send_raw(victim, poison) {
+                self.node.metrics(|m| m.inc(POISON_WRITES));
+            }
         }
     }
 
@@ -1240,7 +1336,7 @@ fn single_node_view<P: Process>(round: u64, node: &Stepper<P>) -> MonitorView<'_
 /// Derives the per-(dialer, peer) retry policy: same base schedule, but a
 /// jitter stream seeded from the pair, so a mass restart spreads its
 /// redials instead of hammering every listener in lockstep.
-pub(crate) fn pair_retry(base: RetryPolicy, dialer: NodeId, peer: NodeId) -> RetryPolicy {
+fn pair_retry(base: RetryPolicy, dialer: NodeId, peer: NodeId) -> RetryPolicy {
     base.with_jitter_seed(base.jitter_seed ^ dialer.raw().rotate_left(32) ^ peer.raw())
 }
 
@@ -1259,6 +1355,8 @@ const PHASE_SEND: &str = "net_round_phase_micros{phase=\"send\"}";
 const PHASE_DELIVER: &str = "net_round_phase_micros{phase=\"deliver\"}";
 const PHASE_BARRIER: &str = "net_round_phase_micros{phase=\"barrier\"}";
 const PHASE_JOURNAL: &str = "net_round_phase_micros{phase=\"journal\"}";
+/// The runtime counter of the raw poison writes a hostile session made.
+pub(crate) const POISON_WRITES: &str = "net_poison_writes_total";
 
 /// Elapsed microseconds since `from`, saturated into `u64`.
 fn micros_since(from: Instant) -> u64 {

@@ -62,7 +62,8 @@ pub struct AdversaryOutbox<M> {
 }
 
 impl<M: Payload> AdversaryOutbox<M> {
-    pub(crate) fn new(faulty: &BTreeSet<NodeId>) -> Self {
+    /// An empty outbox accepting sends from the nodes in `faulty`.
+    pub fn new(faulty: &BTreeSet<NodeId>) -> Self {
         AdversaryOutbox {
             faulty: faulty.clone(),
             items: Vec::new(),
@@ -117,7 +118,8 @@ impl<M: Payload> AdversaryOutbox<M> {
         );
     }
 
-    pub(crate) fn into_items(self) -> Vec<(NodeId, Outgoing<M>)> {
+    /// The queued messages, each with its faulty sender, in send order.
+    pub fn into_items(self) -> Vec<(NodeId, Outgoing<M>)> {
         self.items
     }
 }
