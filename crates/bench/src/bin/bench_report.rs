@@ -18,13 +18,7 @@ use uba_bench::cli::{parse_bench_report_args, BenchReportMode};
 use uba_bench::report::{bench_path, run_reports};
 
 fn main() -> ExitCode {
-    let mode = match parse_bench_report_args(std::env::args().skip(1)) {
-        Ok(mode) => mode,
-        Err(err) => {
-            eprintln!("{err}\nusage: bench-report [--write | --check]");
-            return ExitCode::from(2);
-        }
-    };
+    let mode = parse_bench_report_args(std::env::args().skip(1)).unwrap_or_else(|err| err.exit());
     let mut drifted = false;
     for report in run_reports() {
         println!("{}", report.table());

@@ -79,6 +79,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use uba_bench::cli::{parse_value, Argv, CliError};
 use uba_bench::experiments::grid::{
     run_twin_with, Duty, Hostile, Kill, Scenario, TwinCell, TwinOutcome, Wan,
 };
@@ -110,8 +111,7 @@ struct Args {
     attacks: Vec<AttackKind>,
 }
 
-fn usage() -> String {
-    "usage: cluster [--nodes N] [--algo consensus|reliable|approx] [--seed S]\n\
+const USAGE: &str = "usage: cluster [--nodes N] [--algo consensus|reliable|approx] [--seed S]\n\
      \x20              [--timeout-ms MS] [--max-rounds R] [--trace-out PREFIX]\n\
      \x20              [--kill ROUND] [--restart-at ROUND] [--victim IDX]\n\
      \x20              [--journal-dir DIR] [--tear-journal]\n\
@@ -121,9 +121,7 @@ fn usage() -> String {
      \x20      cluster scrape --addr HOST:PORT --nodes N [--interval-ms MS] [--count K]\n\
      link-plan keys: seed=S latency-ms=L jitter-ms=J loss-ppm=P\n\
      \x20               bandwidth=BYTES_PER_SEC partition=FROM..TO\n\
-     attacks: equivocate replay corrupt oversize flood stall backfill-spam"
-        .to_string()
-}
+     attacks: equivocate replay corrupt oversize flood stall backfill-spam";
 
 /// Parses `--link-plan KEY=VAL,...` (commas or whitespace between
 /// entries): a uniform spec on every link plus an optional round-window
@@ -138,48 +136,30 @@ fn parse_link_plan(spec: &str, default_seed: u64) -> Result<Wan, String> {
     {
         let (key, value) = pair
             .split_once('=')
-            .ok_or_else(|| format!("invalid --link-plan entry {pair:?} (expected KEY=VAL)"))?;
-        let parse_u64 = |what: &str| {
-            value
-                .parse::<u64>()
-                .map_err(|e| format!("invalid --link-plan {what}: {e}"))
-        };
+            .ok_or_else(|| format!("--link-plan entry {pair:?} is not KEY=VAL"))?;
+        let what = format!("--link-plan {key}");
+        let number = |value: &str, min| parse_value::<u64>(&what, value, min);
+        let millis = |value| number(value, None).map(Duration::from_millis);
         match key {
-            "seed" => seed = parse_u64("seed")?,
-            "latency-ms" => {
-                link = link.with_latency(Duration::from_millis(parse_u64("latency-ms")?))
-            }
-            "jitter-ms" => link = link.with_jitter(Duration::from_millis(parse_u64("jitter-ms")?)),
-            "loss-ppm" => {
-                let ppm = parse_u64("loss-ppm")?;
-                if ppm >= 1_000_000 {
-                    return Err("--link-plan loss-ppm must be below 1000000".into());
-                }
-                link = link.with_loss_ppm(ppm as u32);
-            }
-            "bandwidth" => {
-                let bps = parse_u64("bandwidth")?;
-                if bps == 0 {
-                    return Err("--link-plan bandwidth must be positive".into());
-                }
-                link = link.with_bandwidth(bps);
-            }
+            "seed" => seed = number(value, None)?,
+            "latency-ms" => link = link.with_latency(millis(value)?),
+            "jitter-ms" => link = link.with_jitter(millis(value)?),
+            "loss-ppm" => match u32::try_from(number(value, None)?) {
+                Ok(ppm) if ppm < 1_000_000 => link = link.with_loss_ppm(ppm),
+                _ => return Err(format!("{what} must be below 1000000")),
+            },
+            "bandwidth" => link = link.with_bandwidth(number(value, Some(1))?),
             "partition" => {
-                let (from, to) = value.split_once("..").ok_or_else(|| {
-                    "invalid --link-plan partition (expected FROM..TO)".to_string()
-                })?;
-                let from: u64 = from
-                    .parse()
-                    .map_err(|e| format!("invalid --link-plan partition start: {e}"))?;
-                let to: u64 = to
-                    .parse()
-                    .map_err(|e| format!("invalid --link-plan partition end: {e}"))?;
+                let (from, to) = value
+                    .split_once("..")
+                    .ok_or_else(|| format!("{what} {value:?} is not FROM..TO"))?;
+                let (from, to) = (number(from, None)?, number(to, None)?);
                 if from >= to {
-                    return Err("--link-plan partition window is empty".into());
+                    return Err(format!("{what} window {value:?} is empty"));
                 }
                 partition = Some((from, to));
             }
-            other => return Err(format!("unknown --link-plan key {other:?}\n{}", usage())),
+            _ => return Err(format!("unknown --link-plan key {key:?}")),
         }
     }
     Ok(Wan::Custom {
@@ -189,7 +169,8 @@ fn parse_link_plan(spec: &str, default_seed: u64) -> Result<Wan, String> {
     })
 }
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
+    let mut argv = Argv::new(argv, USAGE);
     let mut args = Args {
         nodes: 4,
         algo: Algo::Consensus,
@@ -210,120 +191,54 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     };
     let mut link_plan = None;
     let mut wan_profile = None;
-    while let Some(flag) = argv.next() {
-        let mut value = |flag: &str| {
-            argv.next()
-                .ok_or_else(|| format!("missing value for {flag}\n{}", usage()))
-        };
+    while let Some(flag) = argv.next_arg()? {
         match flag.as_str() {
-            "--nodes" => {
-                args.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes: {e}"))?;
-                if args.nodes < 2 {
-                    return Err("--nodes must be at least 2".to_string());
-                }
-            }
+            "--nodes" => args.nodes = argv.parse_min(2)?,
             "--algo" => {
-                args.algo = match value("--algo")?.as_str() {
+                args.algo = match argv.value()?.as_str() {
                     "consensus" => Algo::Consensus,
                     "reliable" => Algo::Reliable,
                     "approx" => Algo::Approx,
                     other => {
-                        return Err(format!(
+                        return Err(argv.error(format!(
                             "invalid --algo {other:?} (expected consensus, reliable or approx)"
-                        ))
+                        )))
                     }
                 };
             }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?;
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = value("--timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("invalid --timeout-ms: {e}"))?;
-            }
-            "--max-rounds" => {
-                args.max_rounds = value("--max-rounds")?
-                    .parse()
-                    .map_err(|e| format!("invalid --max-rounds: {e}"))?;
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value("--trace-out")?);
-            }
-            "--kill" => {
-                let round: u64 = value("--kill")?
-                    .parse()
-                    .map_err(|e| format!("invalid --kill: {e}"))?;
-                if round < 2 {
-                    return Err("--kill must be at least 2 (round 1 has no journal yet)".into());
-                }
-                args.kill = Some(round);
-            }
-            "--restart-at" => {
-                args.restart_at = Some(
-                    value("--restart-at")?
-                        .parse()
-                        .map_err(|e| format!("invalid --restart-at: {e}"))?,
-                );
-            }
-            "--victim" => {
-                args.victim = Some(
-                    value("--victim")?
-                        .parse()
-                        .map_err(|e| format!("invalid --victim: {e}"))?,
-                );
-            }
-            "--journal-dir" => {
-                args.journal_dir = Some(PathBuf::from(value("--journal-dir")?));
-            }
-            "--tear-journal" => {
-                args.tear_journal = true;
-            }
-            "--metrics-addr" => {
-                args.metrics_addr = Some(value("--metrics-addr")?);
-            }
-            "--history-rounds" => {
-                let depth: usize = value("--history-rounds")?
-                    .parse()
-                    .map_err(|e| format!("invalid --history-rounds: {e}"))?;
-                if depth == 0 {
-                    return Err("--history-rounds must be at least 1".into());
-                }
-                args.history_rounds = Some(depth);
-            }
-            "--link-plan" => {
-                link_plan = Some(value("--link-plan")?);
-            }
+            "--seed" => args.seed = argv.parse()?,
+            "--timeout-ms" => args.timeout_ms = argv.parse()?,
+            "--max-rounds" => args.max_rounds = argv.parse()?,
+            "--trace-out" => args.trace_out = Some(argv.value()?),
+            // Round 1 has no journal yet.
+            "--kill" => args.kill = Some(argv.parse_min(2)?),
+            "--restart-at" => args.restart_at = Some(argv.parse()?),
+            "--victim" => args.victim = Some(argv.parse()?),
+            "--journal-dir" => args.journal_dir = Some(PathBuf::from(argv.value()?)),
+            "--tear-journal" => args.tear_journal = true,
+            "--metrics-addr" => args.metrics_addr = Some(argv.value()?),
+            "--history-rounds" => args.history_rounds = Some(argv.parse_min(1)?),
+            "--link-plan" => link_plan = Some(argv.value()?),
             "--wan-profile" => {
-                let name = value("--wan-profile")?;
+                let name = argv.value()?;
                 wan_profile = Some(WanProfile::parse(&name).ok_or_else(|| {
-                    format!("invalid --wan-profile {name:?} (expected geo, lossy or partition)")
+                    argv.error(format!(
+                        "invalid --wan-profile {name:?} (expected geo, lossy or partition)"
+                    ))
                 })?);
             }
-            "--byzantine" => {
-                args.byzantine = value("--byzantine")?
-                    .parse()
-                    .map_err(|e| format!("invalid --byzantine: {e}"))?;
-                if args.byzantine == 0 {
-                    return Err("--byzantine must be at least 1".into());
-                }
-            }
+            "--byzantine" => args.byzantine = argv.parse_min(1)?,
             "--attack" => {
-                for name in value("--attack")?.split(',').filter(|n| !n.is_empty()) {
+                for name in argv.value()?.split(',').filter(|n| !n.is_empty()) {
                     args.attacks.push(AttackKind::parse(name).ok_or_else(|| {
-                        format!(
+                        argv.error(format!(
                             "invalid --attack {name:?} (expected one of {})",
                             AttackKind::all_names().join(", ")
-                        )
+                        ))
                     })?);
                 }
             }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
+            _ => return Err(argv.unknown()),
         }
     }
     let drill_only = args.restart_at.is_some()
@@ -331,43 +246,45 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         || args.journal_dir.is_some()
         || args.victim.is_some();
     if args.kill.is_none() && drill_only {
-        return Err("--restart-at/--tear-journal/--journal-dir/--victim require --kill".into());
+        return Err(argv.error("--restart-at/--tear-journal/--journal-dir/--victim require --kill"));
     }
     if let (Some(kill), Some(restart)) = (args.kill, args.restart_at) {
         if restart < kill {
-            return Err("--restart-at must not precede --kill".into());
+            return Err(argv.error("--restart-at must not precede --kill"));
         }
     }
     if args
         .victim
         .is_some_and(|victim| victim as u64 >= args.nodes)
     {
-        return Err("--victim index out of range".into());
+        return Err(argv.error("--victim index out of range"));
     }
     args.wan = match (wan_profile, link_plan) {
         (Some(_), Some(_)) => {
-            return Err("--link-plan and --wan-profile are mutually exclusive".into())
+            return Err(argv.error("--link-plan and --wan-profile are mutually exclusive"))
         }
         (Some(profile), None) => Some(Wan::Profile(profile)),
-        (None, Some(spec)) => Some(parse_link_plan(&spec, args.seed)?),
+        (None, Some(spec)) => Some(parse_link_plan(&spec, args.seed).map_err(|e| argv.error(e))?),
         (None, None) => None,
     };
     if !args.attacks.is_empty() && args.byzantine == 0 {
-        return Err("--attack requires --byzantine".into());
+        return Err(argv.error("--attack requires --byzantine"));
     }
     if args.byzantine > 0 {
         if args.kill.is_some() || args.wan.is_some() {
-            return Err("--byzantine is incompatible with --kill and the WAN proxy flags".into());
+            return Err(
+                argv.error("--byzantine is incompatible with --kill and the WAN proxy flags")
+            );
         }
         if args.metrics_addr.is_some() {
-            return Err("--metrics-addr is not served with --byzantine".into());
+            return Err(argv.error("--metrics-addr is not served with --byzantine"));
         }
         if args.nodes <= 3 * args.byzantine {
-            return Err(format!(
+            return Err(argv.error(format!(
                 "--byzantine {} needs --nodes > {} (the n > 3f resilience bound)",
                 args.byzantine,
                 3 * args.byzantine
-            ));
+            )));
         }
         if args.attacks.is_empty() {
             args.attacks
@@ -444,41 +361,25 @@ struct ScrapeArgs {
     count: u64,
 }
 
-fn parse_scrape_args(mut argv: impl Iterator<Item = String>) -> Result<ScrapeArgs, String> {
+fn parse_scrape_args(argv: impl IntoIterator<Item = String>) -> Result<ScrapeArgs, CliError> {
+    let mut argv = Argv::new(argv, USAGE);
     let mut args = ScrapeArgs {
         addr: String::new(),
         nodes: 0,
         interval_ms: 1_000,
         count: 1,
     };
-    while let Some(flag) = argv.next() {
-        let mut value = |flag: &str| {
-            argv.next()
-                .ok_or_else(|| format!("missing value for {flag}\n{}", usage()))
-        };
+    while let Some(flag) = argv.next_arg()? {
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--nodes" => {
-                args.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes: {e}"))?;
-            }
-            "--interval-ms" => {
-                args.interval_ms = value("--interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("invalid --interval-ms: {e}"))?;
-            }
-            "--count" => {
-                args.count = value("--count")?
-                    .parse()
-                    .map_err(|e| format!("invalid --count: {e}"))?;
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
+            "--addr" => args.addr = argv.value()?,
+            "--nodes" => args.nodes = argv.parse()?,
+            "--interval-ms" => args.interval_ms = argv.parse()?,
+            "--count" => args.count = argv.parse()?,
+            _ => return Err(argv.unknown()),
         }
     }
     if args.addr.is_empty() || args.nodes == 0 {
-        return Err(format!("scrape requires --addr and --nodes\n{}", usage()));
+        return Err(argv.error("scrape requires --addr and --nodes"));
     }
     Ok(args)
 }
@@ -773,9 +674,9 @@ fn judged(cell: &TwinCell, run: &TwinOutcome<RingTracer>) -> bool {
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1).peekable();
-    if argv.peek().map(String::as_str) == Some("scrape") {
-        argv.next();
-        return match parse_scrape_args(argv).and_then(|args| run_scrape(&args)) {
+    if argv.next_if_eq("scrape").is_some() {
+        let args = parse_scrape_args(argv).unwrap_or_else(|err| err.exit());
+        return match run_scrape(&args) {
             Ok(()) => ExitCode::SUCCESS,
             Err(message) => {
                 eprintln!("{message}");
@@ -783,13 +684,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let args = match parse_args(argv) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args(argv).unwrap_or_else(|err| err.exit());
     let result = if args.byzantine > 0 {
         run_attacks(&args)
     } else {
@@ -809,7 +704,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, String> {
+    fn parse(args: &[&str]) -> Result<Args, CliError> {
         parse_args(args.iter().map(|s| s.to_string()))
     }
 
@@ -826,8 +721,9 @@ mod tests {
 
     #[test]
     fn help_is_the_usage_text() {
-        assert_eq!(parse(&["--help"]).unwrap_err(), usage());
-        assert_eq!(parse(&["-h"]).unwrap_err(), usage());
+        for help in ["--help", "-h"] {
+            assert_eq!(parse(&[help]).unwrap_err().to_string(), USAGE);
+        }
     }
 
     #[test]
@@ -851,8 +747,8 @@ mod tests {
         }
         let err = parse(&["--nodes", "7", "--byzantine", "2", "--metrics-addr", "x:1"]);
         assert_eq!(
-            err.unwrap_err(),
-            "--metrics-addr is not served with --byzantine"
+            err.unwrap_err().message(),
+            Some("--metrics-addr is not served with --byzantine")
         );
     }
 

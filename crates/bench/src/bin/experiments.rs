@@ -26,10 +26,7 @@ fn main() {
         trace_out,
         trace_last_n,
         jobs,
-    } = parse_experiments_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("{err}");
-        std::process::exit(2);
-    });
+    } = parse_experiments_args(std::env::args().skip(1)).unwrap_or_else(|err| err.exit());
     if selected.is_empty() {
         selected = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }

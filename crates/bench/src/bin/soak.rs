@@ -37,10 +37,7 @@ fn main() -> ExitCode {
         trace_out,
         trace_last_n,
         jobs,
-    } = parse_soak_args(std::env::args().skip(1)).unwrap_or_else(|err| {
-        eprintln!("{err}");
-        std::process::exit(2);
-    });
+    } = parse_soak_args(std::env::args().skip(1)).unwrap_or_else(|err| err.exit());
     if algos.is_empty() {
         algos = Algo::ALL.to_vec();
     }

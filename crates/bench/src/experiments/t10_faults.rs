@@ -695,28 +695,40 @@ pub fn soak(algo: Algo, sweep: Sweep, seeds: u64) -> SweepReport {
 /// pass runs once on the smallest failing seed, so the report is
 /// byte-identical to the sequential run.
 pub fn soak_jobs(algo: Algo, sweep: Sweep, seeds: u64, jobs: usize) -> SweepReport {
+    sweep_report(algo, sweep, seeds, jobs, |seed| {
+        build_plan(algo, &sweep, seed)
+    })
+}
+
+/// Runs `algo` on `sweep` under `plan_of(seed)` for every seed below
+/// `seeds` (on up to `jobs` workers), counts the failing seeds and shrinks
+/// the smallest one into the report's [`FailureRepro`].
+fn sweep_report(
+    algo: Algo,
+    sweep: Sweep,
+    seeds: u64,
+    jobs: usize,
+    plan_of: impl Fn(u64) -> FaultPlan + Sync,
+) -> SweepReport {
     let results = crate::runner::run_indexed(jobs, seeds as usize, |i| {
         let seed = i as u64;
-        let plan = build_plan(algo, &sweep, seed);
+        let plan = plan_of(seed);
         run_case(algo, &sweep, seed, &plan).map(|failure| (seed, plan, failure))
     });
-    let mut failures = 0;
-    let mut first_failure = None;
-    for (seed, plan, failure) in results.into_iter().flatten() {
-        failures += 1;
-        if first_failure.is_none() {
-            let shrunk = shrink_plan(|p| run_case(algo, &sweep, seed, p), &plan);
-            let after = run_case(algo, &sweep, seed, &shrunk).unwrap_or(failure);
-            first_failure = Some(Box::new(FailureRepro {
-                seed,
-                round: after.round,
-                monitor: after.monitor,
-                nodes: after.nodes,
-                detail: after.detail,
-                plan: shrunk,
-            }));
-        }
-    }
+    let failing: Vec<_> = results.into_iter().flatten().collect();
+    let failures = failing.len() as u64;
+    let first_failure = failing.into_iter().next().map(|(seed, plan, failure)| {
+        let shrunk = shrink_plan(|p| run_case(algo, &sweep, seed, p), &plan);
+        let after = run_case(algo, &sweep, seed, &shrunk).unwrap_or(failure);
+        Box::new(FailureRepro {
+            seed,
+            round: after.round,
+            monitor: after.monitor,
+            nodes: after.nodes,
+            detail: after.detail,
+            plan: shrunk,
+        })
+    });
     SweepReport {
         algo,
         sweep,
@@ -738,33 +750,9 @@ pub const CRASH_RECOVER_SEEDS: u64 = 50;
 /// each run against the algorithm's attack with the monitors installed.
 pub fn crash_recover_family(algo: Algo, seeds: u64) -> SweepReport {
     let sweep = Sweep::HEALTHY;
-    let mut failures = 0;
-    let mut first_failure = None;
-    for seed in 0..seeds {
-        let plan = build_crash_recover_plan(algo, &sweep, seed);
-        if let Some(failure) = run_case(algo, &sweep, seed, &plan) {
-            failures += 1;
-            if first_failure.is_none() {
-                let shrunk = shrink_plan(|p| run_case(algo, &sweep, seed, p), &plan);
-                let after = run_case(algo, &sweep, seed, &shrunk).unwrap_or(failure);
-                first_failure = Some(Box::new(FailureRepro {
-                    seed,
-                    round: after.round,
-                    monitor: after.monitor,
-                    nodes: after.nodes,
-                    detail: after.detail,
-                    plan: shrunk,
-                }));
-            }
-        }
-    }
-    SweepReport {
-        algo,
-        sweep,
-        cases: seeds,
-        failures,
-        first_failure,
-    }
+    sweep_report(algo, sweep, seeds, 1, |seed| {
+        build_crash_recover_plan(algo, &sweep, seed)
+    })
 }
 
 /// Runs experiment T10.

@@ -37,7 +37,10 @@ use uba_core::parallel::ParMsg;
 use uba_core::reliable::{RbMsg, ReliableBroadcast};
 use uba_core::trb::{TerminatingBroadcast, TrbMsg};
 use uba_core::vector::{VcMsg, VectorConsensus};
-use uba_sim::{sparse_ids, Context, Envelope, NodeId, Outbox, Process, SyncEngine};
+use uba_sim::trace::SharedTracer;
+use uba_sim::{
+    sparse_ids, Context, Envelope, NodeId, Outbox, Process, SyncEngine, TraceEvent, Tracer,
+};
 
 static CLONES: AtomicU64 = AtomicU64::new(0);
 static HASHES: AtomicU64 = AtomicU64::new(0);
@@ -136,21 +139,31 @@ fn round_cost<P: Process + Clone>(
     })
 }
 
+/// A tracer that counts the [`TraceEvent::Send`]s whose payload carries a
+/// value and drops every other event.
+#[derive(Default)]
+struct ValueSends(usize);
+
+impl Tracer for ValueSends {
+    fn record(&mut self, event: TraceEvent) {
+        if let TraceEvent::Send { payload, .. } = event {
+            self.0 += usize::from(payload.contains("Counted("));
+        }
+    }
+}
+
 /// Runs `nodes` to completion under the engine and requires exactly one
 /// payload hash per send operation whose message carries a value.
 fn assert_one_hash_per_value_send<P: Process>(name: &str, nodes: impl Iterator<Item = P>) {
+    let sends = SharedTracer::new(ValueSends::default());
     let mut engine = SyncEngine::builder()
         .correct_many(nodes)
-        .trace(true)
+        .tracer(sends.clone())
         .build();
     take_counts();
     engine.run_to_completion(40).expect("terminates");
     let (_, hashes, _) = take_counts();
-    let value_sends = engine
-        .sent_records()
-        .iter()
-        .filter(|record| format!("{:?}", record.msg).contains("Counted("))
-        .count();
+    let value_sends = sends.with(|sends| sends.0);
     assert!(value_sends > 0, "{name}: the run carried values");
     assert_eq!(
         hashes, value_sends as u64,

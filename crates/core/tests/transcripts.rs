@@ -42,11 +42,38 @@ use uba_core::ordering::TotalOrdering;
 use uba_core::parallel::{ParMsg, ParallelConsensus};
 use uba_core::trb::{TerminatingBroadcast, TrbMsg};
 use uba_core::vector::{VcMsg, VectorConsensus};
-use uba_sim::trace::{RingTracer, SharedTracer};
+use uba_sim::trace::SharedTracer;
 use uba_sim::{
-    sparse_ids, Adversary, AdversaryOutbox, AdversaryView, ChurnSchedule, Dest, EngineBuilder,
-    FnAdversary, NodeId, Process, SentRecord, SyncEngine, TraceEvent,
+    sparse_ids, Adversary, AdversaryOutbox, AdversaryView, ChurnSchedule, EngineBuilder,
+    FnAdversary, NodeId, Process, SyncEngine, TraceEvent, Tracer,
 };
+
+/// A tracer that keeps only the [`TraceEvent::Send`] events: the send
+/// operations a transcript is made of, in the order the engine saw them.
+#[derive(Default)]
+struct Sends(Vec<TraceEvent>);
+
+impl Tracer for Sends {
+    fn record(&mut self, event: TraceEvent) {
+        if let TraceEvent::Send { .. } = event {
+            self.0.push(event);
+        }
+    }
+}
+
+/// The fields of a [`TraceEvent::Send`].
+fn send_fields(event: &TraceEvent) -> (u64, u64, Option<u64>, &str, bool) {
+    match event {
+        TraceEvent::Send {
+            round,
+            from,
+            to,
+            payload,
+            adversary,
+        } => (*round, *from, *to, payload, *adversary),
+        other => unreachable!("{} is not a send", other.kind()),
+    }
+}
 
 /// One send operation as a transcript line (`*` = broadcast).
 fn send_line(
@@ -69,23 +96,14 @@ where
     P::Output: Debug,
     A: Adversary<P::Msg>,
 {
-    let tracer = SharedTracer::new(RingTracer::new(1 << 20));
-    let mut engine = builder.tracer(tracer.clone()).build();
+    let sends = SharedTracer::new(Sends::default());
+    let mut engine = builder.tracer(sends.clone()).build();
     let done = engine.run_to_completion(max_rounds).expect("terminates");
     let mut text = String::new();
-    tracer.with(|ring| {
-        assert_eq!(ring.dropped(), 0, "ring must hold the whole run");
-        for event in ring.events() {
-            if let TraceEvent::Send {
-                round,
-                from,
-                to,
-                payload,
-                adversary,
-            } = event
-            {
-                send_line(&mut text, *round, *from, *to, payload, *adversary);
-            }
+    sends.with(|sends| {
+        for send in &sends.0 {
+            let (round, from, to, payload, adversary) = send_fields(send);
+            send_line(&mut text, round, from, to, payload, adversary);
         }
     });
     for (id, output) in &done.outputs {
@@ -96,11 +114,15 @@ where
 }
 
 /// `EarlyConsensus<u64>` on `setup` (alternating 0/1 inputs) against
-/// `adversary`, run to completion with every send recorded.
-fn run_early<A>(setup: &Setup, adversary: A) -> SyncEngine<EarlyConsensus<u64>, A>
+/// `adversary`, run to completion: the engine and its send events.
+fn run_early<A>(
+    setup: &Setup,
+    adversary: A,
+) -> (SyncEngine<EarlyConsensus<u64>, A>, Vec<TraceEvent>)
 where
     A: Adversary<ConsensusMsg<u64>>,
 {
+    let sends = SharedTracer::new(Sends::default());
     let mut engine = SyncEngine::builder()
         .correct_many(
             setup
@@ -111,44 +133,34 @@ where
         )
         .faulty_many(setup.faulty.iter().copied())
         .adversary(adversary)
-        .trace(true)
+        .tracer(sends.clone())
         .build();
     engine.run_to_completion(400).expect("terminates");
-    engine
+    let sends = sends.with(|sends| sends.0.clone());
+    (engine, sends)
 }
 
 /// The compact transcript of a finished [`run_early`]: per round the number
 /// of send operations and the FNV-1a hash of their lines — the line format
 /// of [`transcript`], in engine order — then every correct node's decision
 /// round, output and frozen `n_v`.
-fn digest<A>(engine: &SyncEngine<EarlyConsensus<u64>, A>) -> String
+fn digest<A>((engine, sends): &(SyncEngine<EarlyConsensus<u64>, A>, Vec<TraceEvent>)) -> String
 where
     A: Adversary<ConsensusMsg<u64>>,
 {
     let mut text = String::new();
     let mut line = String::new();
-    for sends in engine.sent_records().chunk_by(|a, b| a.round == b.round) {
+    for sends in sends.chunk_by(|a, b| a.round() == b.round()) {
         let mut hash = 0xcbf2_9ce4_8422_2325_u64;
         for send in sends {
-            let to = match send.dest {
-                Dest::Broadcast => None,
-                Dest::To(id) => Some(id.raw()),
-            };
-            let payload = format_args!("{:?}", send.msg);
+            let (round, from, to, payload, adversary) = send_fields(send);
             line.clear();
-            send_line(
-                &mut line,
-                send.round,
-                send.from.raw(),
-                to,
-                payload,
-                send.from_adversary,
-            );
+            send_line(&mut line, round, from, to, payload, adversary);
             for byte in line.bytes() {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
             }
         }
-        let (round, count) = (sends[0].round, sends.len());
+        let (round, count) = (sends[0].round(), sends.len());
         writeln!(text, "r{round}: {count} sends, fnv1a {hash:016x}").unwrap();
     }
     let decided = engine.decided_rounds();
@@ -397,16 +409,20 @@ fn early_consensus_with_echoed_candidates_that_are_not_members() {
     for faulty in [2, 3] {
         let setup = Setup::new(9 - faulty, faulty, 14);
         let adversary = GhostCandidateAdversary::new(5, 16, 14);
-        let ghost = ConsensusMsg::RotorEcho(adversary.ghosts()[0]);
-        let engine = run_early(&setup, adversary);
-        let re_echoed = |s: &SentRecord<ConsensusMsg<u64>>| !s.from_adversary && s.msg == ghost;
+        let ghost = format!(
+            "{:?}",
+            ConsensusMsg::<u64>::RotorEcho(adversary.ghosts()[0])
+        );
+        let run = run_early(&setup, adversary);
+        let re_echoed =
+            |s: &TraceEvent| matches!(send_fields(s), (.., payload, false) if payload == ghost);
         assert_eq!(
-            engine.sent_records().iter().any(re_echoed),
+            run.1.iter().any(re_echoed),
             faulty == 3,
             "correct nodes re-echo a ghost iff it reaches n_v/3"
         );
         writeln!(text, "== {faulty} of 9 faulty ==").unwrap();
-        text.push_str(&digest(&engine));
+        text.push_str(&digest(&run));
     }
     assert_eq!(text.matches("(n_v 9)").count(), 7 + 6, "faulty ids count");
     check("early-ghost-candidates-n9", &text);

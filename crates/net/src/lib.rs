@@ -40,8 +40,9 @@
 //!   [`TotalOrdering`](uba_core::ordering::TotalOrdering) instances over
 //!   one round loop, [`serve_clients`] answers the client frames
 //!   (`Submit`/`SubmitAck`, `ReadPrefix`/`PrefixChunk`), and
-//!   [`spawn_log_cluster`] stands up a whole `logd` cluster (the `logd`
-//!   and `loadgen` binaries wrap it — DESIGN.md §12);
+//!   [`spawn_log_cluster`] stands up a whole `logd` cluster (the
+//!   `uba-bench` crate's `logd` and `loadgen` binaries wrap it — DESIGN.md
+//!   §12);
 //! * [`metrics_http`] — [`serve_metrics`], a tiny Prometheus text-format
 //!   exposition endpoint publishing a node's wall-clock
 //!   [`SharedRuntimeMetrics`](uba_trace::SharedRuntimeMetrics) registry

@@ -119,24 +119,6 @@ fn fault_to_trace(round: u64, fault: &Fault) -> TraceEvent {
     }
 }
 
-/// A record of one send operation, kept when tracing is enabled.
-///
-/// A traced send may still be suppressed by the round's [`FaultPlan`] before
-/// delivery; the trace records intent, not receipt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SentRecord<M> {
-    /// Round in which the message was sent (delivered in `round + 1`).
-    pub round: u64,
-    /// Sender.
-    pub from: NodeId,
-    /// Destination.
-    pub dest: Dest,
-    /// Payload.
-    pub msg: M,
-    /// Whether the sender was adversary-controlled.
-    pub from_adversary: bool,
-}
-
 /// Why the engine aborted a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
@@ -251,7 +233,6 @@ pub struct EngineBuilder<P: Process, A> {
     churn: ChurnSchedule<P>,
     faults: FaultPlan,
     monitor: Option<Box<dyn RoundMonitor<P>>>,
-    trace: bool,
     tracer: Box<dyn Tracer>,
     observe: Option<ObserveFn<P>>,
     runtime: Option<SharedRuntimeMetrics>,
@@ -267,7 +248,6 @@ impl<P: Process> EngineBuilder<P, NoAdversary> {
             churn: ChurnSchedule::new(),
             faults: FaultPlan::new(),
             monitor: None,
-            trace: false,
             tracer: Box::new(NoopTracer),
             observe: None,
             runtime: None,
@@ -310,7 +290,6 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
             churn: self.churn,
             faults: self.faults,
             monitor: self.monitor,
-            trace: self.trace,
             tracer: self.tracer,
             observe: self.observe,
             runtime: self.runtime,
@@ -343,13 +322,6 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
     /// [`EngineError::InvariantViolated`].
     pub fn monitor<M: RoundMonitor<P> + 'static>(mut self, monitor: M) -> Self {
         self.monitor = Some(Box::new(monitor));
-        self
-    }
-
-    /// Enables recording of every send operation (see
-    /// [`SyncEngine::sent_records`]). Default off.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
         self
     }
 
@@ -413,7 +385,6 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
             faults: self.faults,
             monitor: self.monitor,
             enforce_acquaintance: self.enforce_acquaintance,
-            trace: self.trace.then(Vec::new),
             tracer: self.tracer,
             observe: self.observe,
             runtime: self.runtime,
@@ -456,7 +427,6 @@ pub struct SyncEngine<P: Process, A> {
     faults: FaultPlan,
     monitor: Option<Box<dyn RoundMonitor<P>>>,
     enforce_acquaintance: bool,
-    trace: Option<Vec<SentRecord<P::Msg>>>,
     tracer: Box<dyn Tracer>,
     observe: Option<ObserveFn<P>>,
     /// Wall-clock runtime registry (`sim_*` families), never part of the
@@ -578,11 +548,6 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             }
         }
         map
-    }
-
-    /// The send records, if tracing was enabled at build time.
-    pub fn sent_records(&self) -> &[SentRecord<P::Msg>] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Whether every present correct node has terminated.
@@ -781,15 +746,6 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
 
         for (sends, from_adversary) in traffic.into_iter().zip([false, true]) {
             for (from, Outgoing { dest, msg }) in sends {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.push(SentRecord {
-                        round,
-                        from,
-                        dest,
-                        msg: msg.clone(),
-                        from_adversary,
-                    });
-                }
                 if omissions.silenced.contains(&from) {
                     continue; // send omission: everything from this node is lost
                 }
@@ -1381,18 +1337,37 @@ mod tests {
         assert!(!engine.correct_ids().contains(&NodeId::new(1)));
     }
 
+    /// A tracer that keeps only the [`TraceEvent::Send`] events.
+    #[derive(Default)]
+    struct Sends(Vec<TraceEvent>);
+
+    impl Tracer for Sends {
+        fn record(&mut self, event: TraceEvent) {
+            if let TraceEvent::Send { .. } = event {
+                self.0.push(event);
+            }
+        }
+    }
+
     #[test]
     fn trace_records_sends() {
+        let sends = uba_trace::SharedTracer::new(Sends::default());
         let mut engine = SyncEngine::builder()
             .correct(CollectAll::new(NodeId::new(1), 2))
-            .trace(true)
+            .tracer(sends.clone())
             .build();
         engine.run_rounds(2);
-        let records = engine.sent_records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].round, 1);
-        assert_eq!(records[0].from, NodeId::new(1));
-        assert!(!records[0].from_adversary);
+        let records = sends.with(|sends| sends.0.clone());
+        assert_eq!(
+            records,
+            [TraceEvent::Send {
+                round: 1,
+                from: 1,
+                to: None,
+                payload: "1".to_string(),
+                adversary: false,
+            }]
+        );
     }
 
     #[test]

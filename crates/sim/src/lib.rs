@@ -71,7 +71,7 @@ pub mod testutil;
 pub use adversary::{Adversary, AdversaryOutbox, AdversaryView, FnAdversary, NoAdversary};
 pub use churn::{ChurnAction, ChurnSchedule};
 pub use delayed::{DelayModel, DelayedEngine, FixedDelay, PartitionDelay, UniformDelay};
-pub use engine::{Completion, EngineBuilder, EngineError, ObserveFn, SentRecord, SyncEngine};
+pub use engine::{Completion, EngineBuilder, EngineError, ObserveFn, SyncEngine};
 pub use faults::{Fault, FaultPlan, FaultUniverse};
 pub use id::{consecutive_ids, sparse_ids, IdAllocator, NodeId};
 pub use message::{Dest, Envelope, Inbox, InboxIter, MsgRef, Outbox, Outgoing, Payload, Segment};
