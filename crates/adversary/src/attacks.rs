@@ -7,8 +7,6 @@
 //! every algorithm against its matching attack, both below and above the
 //! `n > 3f` threshold.
 
-use std::collections::BTreeSet;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uba_sim::{Adversary, AdversaryOutbox, AdversaryView, NodeId, Payload};
@@ -248,14 +246,6 @@ impl Adversary<OrderedF64> for ApproxExtremist {
     }
 }
 
-/// The set of correct nodes observed by an attack helper; exposed for tests
-/// that want to assert which half saw which value.
-pub fn lower_half(correct: &BTreeSet<NodeId>) -> Vec<NodeId> {
-    let v: Vec<NodeId> = correct.iter().copied().collect();
-    let half = v.len() / 2;
-    v.into_iter().take(half).collect()
-}
-
 /// Attacks the standalone rotor-coordinator as a *malicious coordinator*:
 /// faulty nodes join the candidate set like correct ones (`init`), and in
 /// every round each sends `opinion(a)` to the lower half of the correct
@@ -308,6 +298,7 @@ impl<V: Value> Adversary<RotorMsg<V>> for ByzantineCoordinator<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use uba_core::approx::ApproxAgreement;
     use uba_core::consensus::EarlyConsensus;
     use uba_core::harness::{assert_agreement, output_range, Setup};

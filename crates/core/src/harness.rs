@@ -87,13 +87,6 @@ pub fn assert_agreement<V: PartialEq + Clone + Debug>(outputs: &BTreeMap<NodeId,
     first.clone()
 }
 
-/// Checks agreement without panicking; returns the common value if any.
-pub fn check_agreement<V: PartialEq + Clone>(outputs: &BTreeMap<NodeId, V>) -> Option<V> {
-    let mut iter = outputs.values();
-    let first = iter.next()?;
-    iter.all(|v| v == first).then(|| first.clone())
-}
-
 /// The `(min, max)` of a set of real-valued outputs.
 ///
 /// # Panics
@@ -154,8 +147,6 @@ mod tests {
         outputs.insert(NodeId::new(1), 5u8);
         outputs.insert(NodeId::new(2), 5u8);
         assert_eq!(assert_agreement(&outputs), 5);
-        outputs.insert(NodeId::new(3), 6u8);
-        assert_eq!(check_agreement(&outputs), None);
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl<I: Value, V: Value> ParallelConsensusCore<I, V> {
         self.done.take()
     }
 
-    /// Instance ids this node is currently participating in.
-    pub fn active_instances(&self) -> Vec<I> {
-        self.instances.keys().cloned().collect()
-    }
-
     /// Per-instance results so far, including `⊥` outcomes.
     pub fn finished_instances(&self) -> &BTreeMap<I, Option<V>> {
         &self.finished

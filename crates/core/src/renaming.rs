@@ -86,11 +86,6 @@ impl Renaming {
         }
     }
 
-    /// The identifier set accumulated so far.
-    pub fn current_set(&self) -> &BTreeSet<NodeId> {
-        &self.s
-    }
-
     fn outcome(&self, round: u64) -> RenamingOutcome {
         let ranks: BTreeMap<NodeId, usize> = self
             .s

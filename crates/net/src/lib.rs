@@ -41,12 +41,15 @@
 //!   one round loop, [`serve_clients`] answers the client frames
 //!   (`Submit`/`SubmitAck`, `ReadPrefix`/`PrefixChunk`), and
 //!   [`spawn_log_cluster`] stands up a whole `logd` cluster (the
-//!   `uba-bench` crate's `logd` and `loadgen` binaries wrap it — DESIGN.md
-//!   §12);
+//!   `uba-bench` crate's `logd` and `loadgen` binaries wrap it). The
+//!   service observes itself through the runtime registry only: its
+//!   `logd_*{shard}` families, no trace events (DESIGN.md §12);
 //! * [`metrics_http`] — [`serve_metrics`], a tiny Prometheus text-format
 //!   exposition endpoint publishing a node's wall-clock
 //!   [`SharedRuntimeMetrics`](uba_trace::SharedRuntimeMetrics) registry
-//!   (phase timings, per-peer byte/frame counters) to live scrapes, and
+//!   (phase timings, per-peer byte/frame counters) to live scrapes — a
+//!   member's peer ledger merges its per-peer families once per round, so
+//!   a scrape lags the wire by at most one round — and
 //!   [`serve_cluster_metrics`], one such endpoint per cluster member on
 //!   consecutive ports;
 //! * [`byzantine`] — [`ByzantineNode`], a hostile member: a [`NetNode`]

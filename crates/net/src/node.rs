@@ -18,8 +18,10 @@
 //! `round_pace` window are one loop that never blocks longer than
 //! `ABORT_POLL` and reads the abort flag every iteration (kill round and
 //! round limit: once, at the head of a round). Per-peer state is one `Peer`
-//! record per handshaken id. Frame handlers return `Result<(), Strike>`, and
-//! the one receiver of the `Err` charges it (DESIGN.md §8, §13).
+//! record per handshaken id, the only per-peer account: the ingress quota,
+//! the sent tallies and the per-peer events reach the runtime registry in
+//! one visit per round. Frame handlers return `Result<(), Strike>`, and the
+//! one receiver of the `Err` charges it (DESIGN.md §8, §13).
 //!
 //! A hostile member ([`crate::byzantine`]) runs the same session; only the
 //! send phase (its redials and its script's wire hook), a closed link (not
@@ -214,16 +216,14 @@ struct RoundHistory {
 }
 
 /// The ledger entry of one peer (DESIGN.md §13), keyed by its handshaken
-/// id — never by a socket, so a reconnect resets none of it. The frame/byte
-/// counters reset at every round advance; the rest is for the whole run.
+/// id — never by a socket, so a reconnect resets none of it. `round` starts
+/// over at every round advance; the rest is for the whole run.
 #[derive(Debug, Default)]
 struct Peer {
     /// Handshaken before: setup waits for it, later ones are reconnects.
     seen: bool,
-    /// Frames received from the peer within the current round.
-    frames: u64,
-    /// Wire bytes received within the current round.
-    bytes: u64,
+    /// The current round's account.
+    round: PeerRound,
     /// Lifetime misbehavior strikes; [`STRIKE_LIMIT`] of them evict.
     strikes: u32,
     /// Evicted: link torn down, frames ignored, redials refused.
@@ -233,6 +233,90 @@ struct Peer {
     solicited: bool,
     /// Round in which its `SyncRequest` was last served (no repeats).
     served: Option<u64>,
+}
+
+impl Peer {
+    /// Counts one event of the per-peer counter `family` (`kind`: the
+    /// event's `kind` label) for the current round.
+    fn count(&mut self, family: &'static str, kind: Option<&'static str>) {
+        *self.round.events.entry((family, kind)).or_default() += 1;
+    }
+}
+
+/// One peer's account of one round: the ingress quota's charges and
+/// everything the runtime registry has not been told yet.
+#[derive(Debug, Default)]
+struct PeerRound {
+    /// Frames received from the peer.
+    frames: u64,
+    /// Wire bytes received.
+    bytes: u64,
+    /// Frames queued for the peer; tallied only with a registry attached.
+    sent_frames: u64,
+    /// Wire bytes queued for the peer, likewise.
+    sent_bytes: u64,
+    /// Events by counter family and `kind` label: connects, reconnects,
+    /// omission timeouts, banned-frame drops, evictions, misbehavior.
+    events: BTreeMap<(&'static str, Option<&'static str>), u64>,
+}
+
+/// The peer ledger: one [`Peer`] per sender id ever heard of, and the only
+/// per-peer account a session keeps. Its `net_*{peer}` families reach the
+/// runtime registry in one visit per round, and once more when the ledger
+/// is dropped — so a session that ends on any path, an error included,
+/// leaves its last counts in the registry.
+struct Ledger {
+    peers: BTreeMap<NodeId, Peer>,
+    runtime: Option<SharedRuntimeMetrics>,
+}
+
+impl Ledger {
+    /// The entry of `id`, created on first mention.
+    fn peer(&mut self, id: NodeId) -> &mut Peer {
+        self.peers.entry(id).or_default()
+    }
+
+    /// Closes every peer's round: adds its counts to the registry, if one
+    /// is attached, and starts the next round — the ingress quota window —
+    /// from zero. A series appears once its first count does, as if every
+    /// event had visited the registry itself.
+    fn publish(&mut self) {
+        let Some(runtime) = &self.runtime else {
+            for peer in self.peers.values_mut() {
+                peer.round = PeerRound::default();
+            }
+            return;
+        };
+        runtime.with(|m| {
+            for (id, peer) in &mut self.peers {
+                let round = std::mem::take(&mut peer.round);
+                let peer = id.raw().to_string();
+                let label = [("peer", peer.as_str())];
+                let mut add = |family, value| m.add(&metric_name(family, &label), value);
+                if round.frames > 0 {
+                    add("net_frames_received_total", round.frames);
+                    add("net_bytes_received_total", round.bytes);
+                }
+                if round.sent_frames > 0 {
+                    add("net_frames_sent_total", round.sent_frames);
+                    add("net_bytes_sent_total", round.sent_bytes);
+                }
+                for ((family, kind), n) in round.events {
+                    let name = match kind {
+                        Some(kind) => metric_name(family, &[("kind", kind), label[0]]),
+                        None => metric_name(family, &label),
+                    };
+                    m.add(&name, n);
+                }
+            }
+        });
+    }
+}
+
+impl Drop for Ledger {
+    fn drop(&mut self) {
+        self.publish();
+    }
 }
 
 /// One charge of wire misbehavior, as a frame handler reports it: the
@@ -312,11 +396,14 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
 
     /// Attaches a wall-clock runtime metrics registry: per-round phase
     /// timings, per-peer byte/frame counters, reconnect/backfill/omission
-    /// counters, and the retained-history gauge. Strictly separate from the
-    /// deterministic tracer — runtime metrics read the monotonic clock and
-    /// never feed the trace event stream, so attaching one cannot perturb
-    /// byte-identical traces or decisions (DESIGN.md §10). Share one clone
-    /// with a [`crate::serve_metrics`] endpoint to expose it live.
+    /// counters, and the retained-history gauge. The per-peer families are
+    /// merged from the peer ledger at every round advance and when the run
+    /// ends, however it ends, so a live scrape lags them by at most one
+    /// round. Strictly separate from the deterministic tracer — runtime
+    /// metrics read the monotonic clock and never feed the trace event
+    /// stream, so attaching one cannot perturb byte-identical traces or
+    /// decisions (DESIGN.md §10). Share one clone with a
+    /// [`crate::serve_metrics`] endpoint to expose it live.
     pub fn with_runtime_metrics(mut self, runtime: SharedRuntimeMetrics) -> Self {
         self.runtime = Some(runtime);
         self
@@ -461,9 +548,9 @@ where
         // Wait for the full mesh. Fast peers may already be sending round-1
         // traffic while we wait, so frames are processed, not discarded.
         let deadline = Instant::now() + session.node.config.setup_timeout;
-        session.pump(deadline, |s| s.peers.values().all(|peer| peer.seen))?;
+        session.pump(deadline, |s| s.ledger.peers.values().all(|peer| peer.seen))?;
         for peer in peers {
-            if !session.peers[&peer].seen {
+            if !session.ledger.peers[&peer].seen {
                 // Never came up: run without it, as if it crashed before round 1.
                 session.sync.peer_gone(peer);
                 let info = || "unreachable during setup".to_string();
@@ -541,9 +628,9 @@ where
         // the peers we asked may answer with Backfill frames.
         let request = Frame::SyncRequest { since: next_round };
         session.queue(None, &request);
-        session.flush();
+        session.mesh.links.flush();
         for peer in session.sync.expected() {
-            session.peers.entry(peer).or_default().solicited = true;
+            session.ledger.peer(peer).solicited = true;
         }
         session.net_event(NetEventKind::Resume, None, || {
             let torn = if recovery.torn {
@@ -599,16 +686,11 @@ struct Session<P: Process, T: Tracer> {
     node: NetNode<P, T>,
     sync: RoundSynchronizer<P::Msg>,
     mesh: Mesh,
-    /// The peer ledger: one record per sender id ever heard of.
-    peers: BTreeMap<NodeId, Peer>,
+    ledger: Ledger,
     /// Raw ids of evicted peers, in eviction order (for the report).
     evicted: Vec<u64>,
     /// Own traffic of the last `history_rounds` rounds, for backfills.
     history: BTreeMap<u64, RoundHistory>,
-    /// Frames and wire bytes queued per peer since the last
-    /// [`flush`](Self::flush), which moves them into the runtime registry.
-    /// Stays empty without a registry.
-    queued: BTreeMap<NodeId, (u64, u64)>,
 }
 
 impl<P, T> Session<P, T>
@@ -623,14 +705,17 @@ where
         let id = node.id();
         let sync = RoundSynchronizer::resume_at(id, peers.iter().copied(), first_round)
             .with_round_window(node.config.history_rounds as u64);
+        let ledger = Ledger {
+            peers: peers.iter().map(|&p| (p, Peer::default())).collect(),
+            runtime: node.runtime.clone(),
+        };
         Session {
             node,
             sync,
             mesh,
-            peers: peers.iter().map(|&p| (p, Peer::default())).collect(),
+            ledger,
             evicted: Vec::new(),
             history: BTreeMap::new(),
-            queued: BTreeMap::new(),
         }
     }
 
@@ -697,7 +782,7 @@ where
             let decided = if self.node.hostile.is_none() {
                 let decided = self.node.stepper.decided_round().is_some();
                 self.queue(None, &Frame::Done { round, decided });
-                self.flush();
+                self.mesh.links.flush();
                 decided
             } else {
                 self.play(round);
@@ -717,12 +802,9 @@ where
             let finished = self.sync.all_decided(decided);
             let delivered = self.sync.advance();
 
-            // The ingress quota window is one round: reset the per-peer
-            // frame/byte counters (strikes are lifetime and stay).
-            for peer in self.peers.values_mut() {
-                peer.frames = 0;
-                peer.bytes = 0;
-            }
+            // The ingress quota window is one round: every peer's round
+            // account closes into the registry (strikes are lifetime).
+            self.ledger.publish();
 
             // Commit the round durably before acting on it: the journal
             // entry holds the inbox the *next* round will consume, so a
@@ -815,7 +897,9 @@ where
             .metrics(|m| m.observe_micros("net_omission_wait_micros", waited.as_micros() as u64));
         let give_up_after = self.node.config.give_up_after;
         for &peer in &missed {
-            self.inc_peer("net_omission_timeouts_total", peer);
+            self.ledger
+                .peer(peer)
+                .count("net_omission_timeouts_total", None);
             self.net_event(NetEventKind::Timeout, Some(peer), || {
                 format!("silent at barrier after {}ms", waited.as_millis())
             });
@@ -857,9 +941,9 @@ where
     }
 
     /// Queues one frame on the link of `to` — `None`: of every peer
-    /// expected at the barrier — without writing to a socket;
-    /// [`flush`](Self::flush) does that. With a runtime registry attached
-    /// the frame is tallied per addressed peer, link or no link.
+    /// expected at the barrier — without writing to a socket; the links'
+    /// `flush` does that. With a runtime registry attached the frame is
+    /// tallied in the ledger per addressed peer, link or no link.
     fn queue(&mut self, to: Option<NodeId>, frame: &Frame) {
         // `to` alone, or everyone expected when there is no `to`.
         let addressed = || {
@@ -867,42 +951,13 @@ where
             to.into_iter().chain(everyone)
         };
         let bytes = self.mesh.links.queue(addressed(), frame) as u64;
-        if self.node.runtime.is_some() {
+        if self.ledger.runtime.is_some() {
             for peer in addressed() {
-                let (frames, wire_bytes) = self.queued.entry(peer).or_default();
-                *frames += 1;
-                *wire_bytes += bytes;
+                let round = &mut self.ledger.peer(peer).round;
+                round.sent_frames += 1;
+                round.sent_bytes += bytes;
             }
         }
-    }
-
-    /// Puts everything queued on the wire, one write per link, and adds
-    /// the tallies of [`queue`](Self::queue) to
-    /// `net_frames_sent_total{peer}` / `net_bytes_sent_total{peer}` — one
-    /// registry visit per flush instead of one per frame.
-    fn flush(&mut self) {
-        self.mesh.links.flush();
-        let queued = std::mem::take(&mut self.queued);
-        self.node.metrics(|m| {
-            for (peer, (frames, bytes)) in queued {
-                let peer = peer.raw().to_string();
-                m.add(
-                    &metric_name("net_frames_sent_total", &[("peer", &peer)]),
-                    frames,
-                );
-                m.add(
-                    &metric_name("net_bytes_sent_total", &[("peer", &peer)]),
-                    bytes,
-                );
-            }
-        });
-    }
-
-    /// Bumps the per-peer runtime counter `name{peer}`, if a registry is
-    /// attached.
-    fn inc_peer(&self, name: &str, peer: NodeId) {
-        self.node
-            .metrics(|m| m.inc(&metric_name(name, &[("peer", &peer.raw().to_string())])));
     }
 
     /// Records one transport-level event at the synchronizer's current
@@ -949,7 +1004,7 @@ where
 
     /// A connection to `peer` completed its handshake.
     fn on_connected(&mut self, peer: NodeId) {
-        let entry = self.peers.entry(peer).or_default();
+        let entry = self.ledger.peer(peer);
         if entry.banned {
             // An evicted peer redialed: refuse it — the ban is for the rest
             // of the run, not for one socket's lifetime.
@@ -957,12 +1012,12 @@ where
             return;
         }
         let seen_before = std::mem::replace(&mut entry.seen, true);
-        let name = if seen_before {
+        let family = if seen_before {
             "net_reconnects_total"
         } else {
             "net_connects_total"
         };
-        self.inc_peer(name, peer);
+        entry.count(family, None);
         self.net_event(NetEventKind::Connect, Some(peer), String::new);
     }
 
@@ -971,26 +1026,21 @@ where
     /// its kind.
     fn on_frame(&mut self, from: NodeId, frame: Frame, wire_bytes: u64) -> Result<(), Strike> {
         let max_frames = self.node.config.max_frames_per_round;
-        let peer = self.peers.entry(from).or_default();
+        let peer = self.ledger.peer(from);
         if peer.banned {
             // Frames already in flight when the eviction landed (or pushed
             // through a fresh socket): ignored wholesale.
-            self.inc_peer("net_banned_frames_dropped_total", from);
+            peer.count("net_banned_frames_dropped_total", None);
             return Ok(());
         }
         // Per-peer ingress quota: one round's worth of frames and bytes.
         // Every frame past the quota is dropped and charged as a flood
         // strike, so a flooder burns through its strike budget within the
         // same round it floods.
-        peer.frames += 1;
-        peer.bytes += wire_bytes;
-        let over_quota = peer.frames > max_frames || peer.bytes > MAX_BYTES_PER_ROUND;
-        self.node.metrics(|m| {
-            let peer = [("peer", &*from.raw().to_string())];
-            m.inc(&metric_name("net_frames_received_total", &peer));
-            m.add(&metric_name("net_bytes_received_total", &peer), wire_bytes);
-        });
-        if over_quota {
+        let round = &mut peer.round;
+        round.frames += 1;
+        round.bytes += wire_bytes;
+        if round.frames > max_frames || round.bytes > MAX_BYTES_PER_ROUND {
             let info = format!(
                 "ingress quota exceeded ({max_frames} frames max, \
                  {MAX_BYTES_PER_ROUND} bytes max per round)"
@@ -1097,7 +1147,7 @@ where
         // One rejoin per peer per round: a crashed node asks once, so
         // repeats within the same round are spam against the (relatively
         // expensive) backfill path.
-        let peer = self.peers.entry(from).or_default();
+        let peer = self.ledger.peer(from);
         if peer.served == Some(current) {
             return Err(Strike {
                 kind: "sync_spam",
@@ -1149,7 +1199,7 @@ where
         }
         // The whole reply goes out together; nothing else is queued while
         // the node waits in `pump`.
-        self.flush();
+        self.mesh.links.flush();
         Ok(())
     }
 
@@ -1165,7 +1215,12 @@ where
         done: Option<bool>,
         payloads: &[Vec<u8>],
     ) -> Result<(), Strike> {
-        if !self.peers.get(&from).is_some_and(|peer| peer.solicited) {
+        if !self
+            .ledger
+            .peers
+            .get(&from)
+            .is_some_and(|peer| peer.solicited)
+        {
             return Err(Strike {
                 kind: "unsolicited_backfill",
                 info: format!("backfill for round {round} never requested"),
@@ -1201,22 +1256,19 @@ where
         Ok(())
     }
 
-    /// Charges one misbehavior strike against `from`: bumps the
-    /// `net_misbehavior_total{kind,peer}` counter, traces a
+    /// Charges one misbehavior strike against `from`: counts it for
+    /// `net_misbehavior_total{kind,peer}`, traces a
     /// `net_byz_misbehavior` event, and evicts the peer once its strike
     /// budget ([`STRIKE_LIMIT`]) is spent. A no-op for an evicted peer, and
     /// for a hostile member, which strikes nobody.
     fn misbehave(&mut self, from: NodeId, Strike { kind, info }: Strike) {
-        let peer = self.peers.entry(from).or_default();
+        let peer = self.ledger.peer(from);
         if peer.banned || self.node.hostile.is_some() {
             return;
         }
         peer.strikes = peer.strikes.saturating_add(1);
+        peer.count("net_misbehavior_total", Some(kind));
         let strikes = peer.strikes;
-        self.node.metrics(|m| {
-            let labels = [("kind", kind), ("peer", &from.raw().to_string())];
-            m.inc(&metric_name("net_misbehavior_total", &labels));
-        });
         self.net_event(NetEventKind::Misbehavior, Some(from), || {
             format!("{kind} (strike {strikes}/{STRIKE_LIMIT}): {info}")
         });
@@ -1272,7 +1324,7 @@ where
         }
         let decided = true;
         self.queue(None, &Frame::Done { round, decided });
-        self.flush();
+        self.mesh.links.flush();
         if let Some(victim) = poisoned {
             if self.mesh.links.send_raw(victim, poison) {
                 self.node.metrics(|m| m.inc(POISON_WRITES));
@@ -1286,11 +1338,12 @@ where
     /// attributable malice — in contrast to the omission accounting of a
     /// barrier timeout ([`NetEventKind::Timeout`] / `PeerGone`).
     fn evict(&mut self, from: NodeId) {
-        self.peers.entry(from).or_default().banned = true;
+        let peer = self.ledger.peer(from);
+        peer.banned = true;
+        peer.count("net_byz_evictions_total", None);
         self.mesh.links.shutdown_peer(from);
         self.sync.peer_gone(from);
         self.evicted.push(from.raw());
-        self.inc_peer("net_byz_evictions_total", from);
         self.net_event(NetEventKind::ByzEvict, Some(from), || {
             "strike budget exhausted; link torn down".to_string()
         });
@@ -1404,7 +1457,7 @@ mod tests {
         let mesh = Mesh::open(me, None).unwrap();
         let mut session = Session::new(node, mesh, &[asked, other], 5);
         // What `resume` does for every peer it sends a SyncRequest to.
-        session.peers.get_mut(&asked).unwrap().solicited = true;
+        session.ledger.peer(asked).solicited = true;
 
         let backfill = |from| {
             let frame = Frame::Backfill {
@@ -1417,14 +1470,17 @@ mod tests {
         };
         session.on_event(backfill(asked));
         session.on_event(backfill(other));
-        assert_eq!(session.peers[&asked].strikes, 0);
-        assert_eq!(session.peers[&other].strikes, 1, "unsolicited_backfill");
+        assert_eq!(session.ledger.peers[&asked].strikes, 0);
+        assert_eq!(
+            session.ledger.peers[&other].strikes, 1,
+            "unsolicited_backfill"
+        );
         // Only the solicited peer's round made it into the synchronizer.
         assert_eq!(session.sync.missing(), vec![other]);
         assert_eq!(session.sync.advance().len(), 1);
 
         // The one field decides: flip it and the same frame is welcome.
-        session.peers.get_mut(&other).unwrap().solicited = true;
+        session.ledger.peer(other).solicited = true;
         let next = Frame::Backfill {
             round: 6,
             done: false,
@@ -1432,7 +1488,7 @@ mod tests {
             payloads: Vec::new(),
         };
         session.on_event(received(other, next));
-        assert_eq!(session.peers[&other].strikes, 1, "no further strike");
+        assert_eq!(session.ledger.peers[&other].strikes, 1, "no further strike");
     }
 
     #[test]
@@ -1485,7 +1541,7 @@ mod tests {
             assert!(exact <= old_estimate, "{frame:?}: {exact} > {old_estimate}");
             session.on_event(received(peer, frame));
             charged += exact;
-            assert_eq!(session.peers[&peer].bytes, charged);
+            assert_eq!(session.ledger.peers[&peer].round.bytes, charged);
         }
     }
 

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use uba_core::ordering::{OrderMsg, TotalOrdering};
 use uba_sim::{Context, Dest, NodeId, Process};
-use uba_trace::{metric_name, NetEventKind, NoopTracer, SharedRuntimeMetrics, TraceEvent, Tracer};
+use uba_trace::{metric_name, SharedRuntimeMetrics, Tracer};
 
 use crate::cluster::{ClusterSpec, RunningCluster};
 use crate::conn::{accept_loop, AcceptLoop};
@@ -301,7 +301,7 @@ impl LogIngress {
 ///
 /// Output: the per-shard finalized record prefixes — the ingress's, read
 /// once — when every instance has reached the horizon and they are sealed.
-pub struct ShardedLog<T: Tracer = NoopTracer> {
+pub struct ShardedLog {
     me: NodeId,
     ingress: LogIngress,
     instances: Vec<TotalOrdering<Batch>>,
@@ -310,10 +310,9 @@ pub struct ShardedLog<T: Tracer = NoopTracer> {
     published: Vec<usize>,
     ingest_until: u64,
     runtime: Option<SharedRuntimeMetrics>,
-    tracer: T,
 }
 
-impl ShardedLog<NoopTracer> {
+impl ShardedLog {
     /// A founding service node: one genesis ordering instance per ingress
     /// shard, all terminating at `horizon`, batching new submissions up to
     /// and including round `ingest_until` (use [`service_horizon`] to
@@ -329,23 +328,6 @@ impl ShardedLog<NoopTracer> {
             instances,
             ingest_until,
             runtime: None,
-            tracer: NoopTracer,
-        }
-    }
-}
-
-impl<T: Tracer> ShardedLog<T> {
-    /// Attaches a tracer for the service-level events
-    /// ([`NetEventKind::ShardBatch`]).
-    pub fn with_tracer<U: Tracer>(self, tracer: U) -> ShardedLog<U> {
-        ShardedLog {
-            me: self.me,
-            ingress: self.ingress,
-            instances: self.instances,
-            published: self.published,
-            ingest_until: self.ingest_until,
-            runtime: self.runtime,
-            tracer,
         }
     }
 
@@ -363,7 +345,7 @@ impl<T: Tracer> ShardedLog<T> {
     }
 }
 
-impl<T: Tracer + 'static> Process for ShardedLog<T> {
+impl Process for ShardedLog {
     type Msg = (u32, OrderMsg<Batch>);
     type Output = Vec<Vec<Record>>;
 
@@ -398,32 +380,17 @@ impl<T: Tracer + 'static> Process for ShardedLog<T> {
                 if batch.is_empty() {
                     continue;
                 }
-                let size = batch.len();
-                let slot = self.instances[shard].enqueue_event(batch);
+                let size = batch.len() as u64;
+                let queued = self.instances[shard].enqueue_event(batch).is_some();
                 debug_assert!(
-                    slot.is_some(),
+                    queued,
                     "acked batch dropped: instance terminated before the ingest cutoff"
                 );
-                if let Some(slot) = slot {
-                    if self.tracer.enabled() {
-                        self.tracer.record(TraceEvent::Net {
-                            round,
-                            kind: NetEventKind::ShardBatch,
-                            node: self.me.raw(),
-                            peer: None,
-                            info: format!("shard {shard}: {size} records for round {slot}"),
-                        });
-                    }
-                    if let Some(rt) = &self.runtime {
-                        let label = [("shard", shard.to_string())];
-                        let label: Vec<(&str, &str)> =
-                            label.iter().map(|(k, v)| (*k, v.as_str())).collect();
-                        rt.inc(&metric_name("logd_batches_total", &label));
-                        rt.add(
-                            &metric_name("logd_batch_records_total", &label),
-                            size as u64,
-                        );
-                    }
+                if let (true, Some(rt)) = (queued, &self.runtime) {
+                    let shard = shard.to_string();
+                    let label = [("shard", shard.as_str())];
+                    rt.inc(&metric_name("logd_batches_total", &label));
+                    rt.add(&metric_name("logd_batch_records_total", &label), size);
                 }
             }
         } else {
@@ -474,14 +441,13 @@ impl<T: Tracer + 'static> Process for ShardedLog<T> {
 /// The per-connection client protocol loop: `Submit → SubmitAck` (or
 /// disconnect once ingest closed), `ReadPrefix → PrefixChunk`. Any other
 /// frame is a protocol violation and drops the connection.
-fn serve_connection<T: Tracer>(
+fn serve_connection(
     stream: TcpStream,
     ingress: LogIngress,
     node: u64,
     runtime: Option<SharedRuntimeMetrics>,
-    tracer: Arc<Mutex<T>>,
 ) {
-    serve_frames(&stream, ingress, node, runtime, tracer);
+    serve_frames(&stream, ingress, node, runtime);
     // The shutdown handle in the server's connection table holds a clone of
     // this socket, so dropping our handle alone would NOT close the
     // connection — shut the socket down explicitly or the client never
@@ -489,19 +455,12 @@ fn serve_connection<T: Tracer>(
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn serve_frames<T: Tracer>(
+fn serve_frames(
     mut stream: &TcpStream,
     ingress: LogIngress,
     node: u64,
     runtime: Option<SharedRuntimeMetrics>,
-    tracer: Arc<Mutex<T>>,
 ) {
-    let trace = |event: &dyn Fn() -> TraceEvent| {
-        let mut tracer = tracer.lock().expect("client tracer lock poisoned");
-        if tracer.enabled() {
-            tracer.record(event());
-        }
-    };
     loop {
         match read_frame(&mut stream) {
             Ok(Some(Frame::Submit { key, payload })) => {
@@ -515,13 +474,6 @@ fn serve_frames<T: Tracer>(
                             };
                             rt.inc(&metric_name(name, &[("shard", &shard.to_string())]));
                         }
-                        trace(&|| TraceEvent::Net {
-                            round: 0,
-                            kind: NetEventKind::ClientSubmit,
-                            node,
-                            peer: None,
-                            info: format!("shard={shard} seq={seq} fresh={fresh}"),
-                        });
                         if write_frame(&mut stream, &Frame::SubmitAck { shard, seq }).is_err() {
                             return;
                         }
@@ -532,7 +484,6 @@ fn serve_frames<T: Tracer>(
             }
             Ok(Some(Frame::ReadPrefix { shard, from })) => {
                 let (records, sealed) = ingress.page_from(shard, from, CHUNK_BYTES);
-                let served = records.len();
                 let chunk = Frame::PrefixChunk {
                     shard,
                     from,
@@ -545,13 +496,6 @@ fn serve_frames<T: Tracer>(
                         &[("shard", &shard.to_string())],
                     ));
                 }
-                trace(&|| TraceEvent::Net {
-                    round: 0,
-                    kind: NetEventKind::PrefixRead,
-                    node,
-                    peer: None,
-                    info: format!("shard={shard} from={from} served={served} sealed={sealed}"),
-                });
                 if write_frame(&mut stream, &chunk).is_err() {
                     return;
                 }
@@ -570,13 +514,12 @@ type Connections = Arc<Mutex<Vec<(TcpStream, thread::JoinHandle<()>)>>>;
 /// Handle to one node's client-serving listener; shut it down with
 /// [`ClientServer::shutdown`] once readers are done (the ordering run
 /// finishing does *not* stop it — sealed prefixes stay readable).
-pub struct ClientServer<T: Tracer> {
+pub struct ClientServer {
     acceptor: AcceptLoop,
     connections: Connections,
-    tracer: Arc<Mutex<T>>,
 }
 
-impl<T: Tracer> std::fmt::Debug for ClientServer<T> {
+impl std::fmt::Debug for ClientServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientServer")
             .field("addr", &self.addr())
@@ -586,24 +529,19 @@ impl<T: Tracer> std::fmt::Debug for ClientServer<T> {
 
 /// Serves the client protocol on `listener` against `ingress`, one thread
 /// per connection. `node` attributes acked records; `runtime` receives the
-/// per-shard `logd_*` families; `tracer` the
-/// [`ClientSubmit`](NetEventKind::ClientSubmit)/
-/// [`PrefixRead`](NetEventKind::PrefixRead) events (returned by
-/// [`ClientServer::shutdown`]).
+/// per-shard `logd_*` families, the service's only observation channel.
 ///
 /// # Errors
 ///
 /// Propagates the listener's local-address lookup failure.
-pub fn serve_clients<T: Tracer + Send + 'static>(
+pub fn serve_clients(
     listener: TcpListener,
     ingress: LogIngress,
     node: u64,
     runtime: Option<SharedRuntimeMetrics>,
-    tracer: T,
-) -> io::Result<ClientServer<T>> {
+) -> io::Result<ClientServer> {
     let connections: Connections = Arc::new(Mutex::new(Vec::new()));
-    let tracer = Arc::new(Mutex::new(tracer));
-    let (table, shared_tracer) = (Arc::clone(&connections), Arc::clone(&tracer));
+    let table = Arc::clone(&connections);
     let acceptor = accept_loop(listener, move |stream| {
         // Request/response over tiny frames: Nagle + delayed ACK would put
         // ~40ms under every ack.
@@ -612,10 +550,7 @@ pub fn serve_clients<T: Tracer + Send + 'static>(
             return;
         };
         let (ingress, runtime) = (ingress.clone(), runtime.clone());
-        let tracer = Arc::clone(&shared_tracer);
-        let handle = thread::spawn(move || {
-            serve_connection(stream, ingress, node, runtime, tracer);
-        });
+        let handle = thread::spawn(move || serve_connection(stream, ingress, node, runtime));
         table
             .lock()
             .expect("connection table lock poisoned")
@@ -624,19 +559,18 @@ pub fn serve_clients<T: Tracer + Send + 'static>(
     Ok(ClientServer {
         acceptor,
         connections,
-        tracer,
     })
 }
 
-impl<T: Tracer> ClientServer<T> {
+impl ClientServer {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.acceptor.addr()
     }
 
-    /// Stops accepting, severs the live connections, joins every serving
-    /// thread, and returns the tracer with the recorded client events.
-    pub fn shutdown(self) -> T {
+    /// Stops accepting, severs the live connections and joins every serving
+    /// thread.
+    pub fn shutdown(self) {
         self.acceptor.stop();
         let connections = std::mem::take(
             &mut *self
@@ -648,10 +582,6 @@ impl<T: Tracer> ClientServer<T> {
             let _ = stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
-        Arc::try_unwrap(self.tracer)
-            .unwrap_or_else(|_| panic!("client threads still hold the tracer"))
-            .into_inner()
-            .expect("client tracer lock poisoned")
     }
 }
 
@@ -893,7 +823,7 @@ pub struct LogCluster<T: Tracer> {
     /// The ordering loops, until [`join_ordering`](Self::join_ordering)
     /// collects them.
     ordering: Option<RunningCluster<Vec<Vec<Record>>, T>>,
-    servers: Vec<ClientServer<NoopTracer>>,
+    servers: Vec<ClientServer>,
 }
 
 impl<T: Tracer> std::fmt::Debug for LogCluster<T> {
@@ -947,13 +877,7 @@ where
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
         let runtime = metrics_for(id);
         let ingress = LogIngress::new(shards);
-        let server = serve_clients(
-            client_listener,
-            ingress.clone(),
-            id.raw(),
-            runtime.clone(),
-            NoopTracer,
-        )?;
+        let server = serve_clients(client_listener, ingress.clone(), id.raw(), runtime.clone())?;
         client_addrs.insert(id, server.addr());
         ingresses.insert(id, ingress.clone());
         servers.push(server);
@@ -1086,7 +1010,7 @@ mod tests {
         assert_eq!(page.len(), 1, "a page always carries a record");
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = serve_clients(listener, ingress, 1, None, NoopTracer).expect("serves");
+        let server = serve_clients(listener, ingress, 1, None).expect("serves");
         let mut client = LogClient::connect(server.addr()).expect("connects");
         let read = client.read_sealed_prefix(0, Duration::from_secs(60));
         server.shutdown();

@@ -412,8 +412,10 @@ fn wait_for(want: u64, read: impl Fn() -> u64) -> u64 {
 #[test]
 fn strikes_and_the_ban_belong_to_the_peer_not_to_its_socket() {
     // The node (id 2) accepts from a hostile peer (0) and from a keeper (1)
-    // that withholds its round-1 Done, so the node stays at that barrier
-    // (10 s budget) while the hostile peer works through three sockets.
+    // whose Done markers pace the rounds (10 s budget each), while the
+    // hostile peer works through three sockets. The ledger reaches the
+    // registry once per round, so a count is read after a round advance;
+    // an eviction shows at once as the node shutting the socket.
     let (me, hostile, keeper) = (NodeId::new(2), NodeId::new(0), NodeId::new(1));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -427,7 +429,7 @@ fn strikes_and_the_ban_belong_to_the_peer_not_to_its_socket() {
         ..hardened_config(10)
     };
     let handle = std::thread::spawn(move || {
-        NetNode::new(Counter::new(me, 1), config)
+        NetNode::new(Counter::new(me, 2), config)
             .with_tracer(RingTracer::new(4096))
             .with_runtime_metrics(rt)
             .run(listener, &roster)
@@ -442,66 +444,87 @@ fn strikes_and_the_ban_belong_to_the_peer_not_to_its_socket() {
         round: 1000,
         decided: false,
     };
+    let done = |round| Frame::Done {
+        round,
+        decided: false,
+    };
 
-    // Socket 1: two strikes, one short of the limit, then the link drops.
+    // Socket 1: two strikes, one short of the limit, then both peers'
+    // round-1 markers close the round and the link drops.
     let mut first = script_dial(addr, hostile);
     write_frame(&mut first, &out_of_window).unwrap();
     write_frame(&mut first, &out_of_window).unwrap();
+    write_frame(&mut first, &done(1)).unwrap();
+    write_frame(&mut keeper_stream, &done(1)).unwrap();
     assert_eq!(wait_for(2, || strikes(&metrics, "done_out_of_window")), 2);
     drop(first);
 
     // Socket 2: the reconnect did not reset the count — the very next
-    // strike evicts. The frames behind it in the same write are already in
-    // the node's reader when the eviction lands: dropped as a banned
-    // peer's, never delivered, never struck again.
+    // strike evicts, and the node shuts the socket (after its own round-2
+    // frames, if the reconnect beat the round's write). The round-2 frames
+    // behind the strike in the same write are already in the node's
+    // reader when the eviction lands: dropped as a banned peer's, never
+    // delivered, never struck again.
     let mut second = script_dial(addr, hostile);
     let mut burst = Vec::new();
     write_frame(&mut burst, &out_of_window).unwrap();
     for i in 0..20u64 {
         let frame = Frame::Data {
-            round: 1,
+            round: 2,
             payload: i.to_le_bytes().to_vec(),
         };
         write_frame(&mut burst, &frame).unwrap();
     }
     second.write_all(&burst).unwrap();
-    assert_eq!(wait_for(1, || counter("net_byz_evictions_total")), 1);
-    assert_eq!(wait_for(1, || counter("net_reconnects_total")), 1);
-    assert!(wait_for(1, || counter("net_banned_frames_dropped_total")) >= 1);
+    frames_until_shut(&mut second);
 
     // Socket 3: the acceptor still handshakes (it knows no ledger), but the
     // node shuts the link on arrival — the redialer reads EOF or a reset,
     // not a timeout, and whatever it pushed meanwhile changes nothing.
     let mut third = script_dial(addr, hostile);
     let _ = write_frame(&mut third, &out_of_window);
-    third
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    match read_frame(&mut third) {
-        Ok(None) => {}
-        Ok(Some(frame)) => panic!("a banned peer was sent {frame:?}"),
-        Err(err) => assert!(
-            !matches!(
-                err.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
-            "the redial was left open: {err}"
-        ),
-    }
+    let sent = frames_until_shut(&mut third);
+    assert!(sent.is_empty(), "a banned peer was sent {sent:?}");
 
-    // The keeper lets the node finish: round 1, then the deciding round 2.
-    for (round, decided) in [(1, false), (2, true)] {
+    // The keeper lets the node finish: round 2, then the deciding round 3.
+    for (round, decided) in [(2, false), (3, true)] {
         write_frame(&mut keeper_stream, &Frame::Done { round, decided }).unwrap();
     }
     let report = handle.join().unwrap().expect("node finishes");
     assert_eq!(report.evicted, vec![0], "evicted once, for the whole run");
-    assert_eq!(report.output, Some(1), "only its own broadcast delivered");
+    assert_eq!(report.output, Some(2), "only its own broadcasts delivered");
     assert_eq!(
         strikes(&metrics, "done_out_of_window"),
         3,
         "no strike after the ban"
     );
     assert_eq!(counter("net_byz_evictions_total"), 1);
+    assert_eq!(counter("net_reconnects_total"), 1, "socket 3 was refused");
+    assert!(counter("net_banned_frames_dropped_total") >= 1);
+}
+
+/// Reads `stream` until the node shuts it — EOF or a reset, not a read
+/// timeout — and returns the frames read before.
+fn frames_until_shut(stream: &mut TcpStream) -> Vec<Frame> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(stream) {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => return frames,
+            Err(err) => {
+                let kind = err.kind();
+                let timed_out = matches!(
+                    kind,
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                );
+                assert!(!timed_out, "the link was left open: {err}");
+                return frames;
+            }
+        }
+    }
 }
 
 #[test]

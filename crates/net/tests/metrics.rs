@@ -6,18 +6,26 @@
 //! partial state mid-run without perturbing the round loop (the registry is
 //! wall-clock-only and never touches the deterministic event stream, so a
 //! scraped run still decides exactly what an unscraped one does).
+//!
+//! The per-peer families come from each member's peer ledger, merged once
+//! per round and once more when the session ends: what one member counts
+//! as sent to a peer, that peer counts as received, and a session cut
+//! short mid-round still leaves that round's counts behind.
 
 use std::collections::BTreeMap;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    decisions, family_sum, run_local_cluster_with_metrics, scrape_metrics, series_value,
-    serve_metrics, NetConfig,
+    decisions, family_sum, read_frame, run_local_cluster_with_metrics, scrape_metrics,
+    series_value, serve_metrics, write_frame, Frame, NetConfig, NetError, NetNode,
 };
 use uba_sim::{sparse_ids, NodeId};
-use uba_trace::{NoopTracer, SharedRuntimeMetrics};
+use uba_trace::{metric_name, NoopTracer, SharedRuntimeMetrics};
 
 /// Generous timeouts: this test asserts observability, not latency.
 fn test_config() -> NetConfig {
@@ -160,4 +168,101 @@ fn uninstrumented_nodes_cost_nothing_and_instrumented_runs_still_decide() {
     assert!(snapshot.counter("net_rounds_total") >= 1);
     let body = snapshot.render_prometheus();
     assert!(body.contains("net_round_micros_bucket"));
+}
+
+/// `family{peer="<peer>"}` in `registry`.
+fn peer_counter(registry: &SharedRuntimeMetrics, family: &str, peer: NodeId) -> u64 {
+    let name = metric_name(family, &[("peer", &peer.raw().to_string())]);
+    registry.snapshot().counter(&name)
+}
+
+#[test]
+fn every_frame_one_member_counts_as_sent_its_peer_counts_as_received() {
+    // A clean cluster's members all finish in the same round, and the last
+    // thing a member sends a peer is the Done that peer waits for before it
+    // finishes: nothing is lost on the wire, so for every ordered pair
+    // (a, b) the two ledgers must agree. A round whose publish went
+    // missing on either side breaks the equality.
+    let ids = sparse_ids(4, 42);
+    let registries: BTreeMap<NodeId, SharedRuntimeMetrics> = ids
+        .iter()
+        .map(|&id| (id, SharedRuntimeMetrics::new()))
+        .collect();
+    let members = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| EarlyConsensus::new(id, (i % 2) as u64));
+    let reports = run_local_cluster_with_metrics(
+        members,
+        test_config(),
+        |_| NoopTracer,
+        |id| registries.get(&id).cloned(),
+    )
+    .expect("cluster run completes");
+    assert_eq!(decisions(&reports).len(), 4, "every member decided");
+
+    for (&a, sender) in &registries {
+        for (&b, receiver) in registries.iter().filter(|(&b, _)| b != a) {
+            for (sent, received) in [
+                ("net_frames_sent_total", "net_frames_received_total"),
+                ("net_bytes_sent_total", "net_bytes_received_total"),
+            ] {
+                let out = peer_counter(sender, sent, b);
+                assert!(out > 0, "{a} sent {b} nothing");
+                assert_eq!(
+                    out,
+                    peer_counter(receiver, received, a),
+                    "{a}'s {sent} for {b} against {b}'s {received} for {a}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_session_aborted_mid_round_leaves_its_last_counts_in_the_registry() {
+    // One node and a scripted peer that reads the node's round-1 traffic
+    // and never answers it: the node waits at the round-1 barrier, which
+    // never completes, so round 1 never advances. The abort flag ends the
+    // session there, through an error return — and the registry must still
+    // hold exactly what the peer read off the wire.
+    let (me, peer) = (NodeId::new(1), NodeId::new(0));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let roster = BTreeMap::from([(me, addr), (peer, "127.0.0.1:1".parse().unwrap())]);
+    let registry = SharedRuntimeMetrics::new();
+    let abort = Arc::new(AtomicBool::new(false));
+    let node = NetNode::new(EarlyConsensus::new(me, 1u64), test_config())
+        .with_runtime_metrics(registry.clone())
+        .with_abort_flag(Arc::clone(&abort));
+    let handle = thread::spawn(move || node.run(listener, &roster));
+
+    let mut stream = TcpStream::connect(addr).expect("scripted peer dial");
+    write_frame(&mut stream, &Frame::Hello { node: peer }).unwrap();
+    let mut frames = 0;
+    let mut bytes = 0;
+    loop {
+        let frame = read_frame(&mut stream).unwrap().expect("a frame");
+        let mut encoded = Vec::new();
+        write_frame(&mut encoded, &frame).unwrap();
+        if matches!(frame, Frame::Hello { .. }) {
+            continue; // the handshake's, which no ledger counts
+        }
+        frames += 1;
+        bytes += encoded.len() as u64;
+        if matches!(frame, Frame::Done { round: 1, .. }) {
+            break;
+        }
+    }
+    abort.store(true, Ordering::Relaxed);
+    let ended = handle.join().expect("node thread");
+    assert!(matches!(ended, Err(NetError::Aborted)), "{ended:?}");
+
+    assert_eq!(
+        peer_counter(&registry, "net_frames_sent_total", peer),
+        frames
+    );
+    assert_eq!(peer_counter(&registry, "net_bytes_sent_total", peer), bytes);
+    assert_eq!(peer_counter(&registry, "net_connects_total", peer), 1);
+    assert_eq!(registry.snapshot().counter("net_rounds_total"), 0);
 }

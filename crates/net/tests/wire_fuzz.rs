@@ -312,7 +312,7 @@ proptest! {
         garbage in vec(0u8..=255, 1..64),
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let server = serve_clients(listener, LogIngress::new(2), 1, None, NoopTracer).unwrap();
+        let server = serve_clients(listener, LogIngress::new(2), 1, None).unwrap();
         let addr = server.addr();
 
         // A hostile client writes garbage and hangs up; the handler must

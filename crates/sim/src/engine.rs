@@ -478,23 +478,9 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         &self.stats
     }
 
-    /// Present correct node ids that have not terminated.
-    pub fn active_correct_ids(&self) -> BTreeSet<NodeId> {
-        self.correct
-            .iter()
-            .filter(|(_, n)| n.decided_round().is_none())
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// All present correct node ids (terminated or not).
     pub fn correct_ids(&self) -> BTreeSet<NodeId> {
         self.correct.keys().copied().collect()
-    }
-
-    /// Present faulty node ids.
-    pub fn faulty_ids(&self) -> &BTreeSet<NodeId> {
-        &self.faulty
     }
 
     /// The acquaintance relation as observed so far: for each node, the set
@@ -548,11 +534,6 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             }
         }
         map
-    }
-
-    /// Whether every present correct node has terminated.
-    pub fn all_correct_decided(&self) -> bool {
-        self.correct.values().all(|n| n.decided_round().is_some())
     }
 
     /// The correct nodes that take part in a round, in id order: present,

@@ -181,7 +181,10 @@ pub enum TraceEvent {
 }
 
 /// The transport-level event kinds a real network transport reports (the
-/// [`TraceEvent::Net`] variant).
+/// [`TraceEvent::Net`] variant): a member's round driver and the WAN fault
+/// proxy, each stamping the round it is in. The `logd` service layer above
+/// them emits none; its client and batch activity is wall-clock-ordered and
+/// goes to the runtime registry only (DESIGN.md §10, §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEventKind {
     /// A connection to a peer was established (dialed or accepted).
@@ -236,17 +239,6 @@ pub enum NetEventKind {
     /// The first frame crossed a link again after a partition window ended —
     /// the heal, observed from the proxy's side.
     LinkHeal,
-    /// A `logd` service node accepted a client `Submit` frame and assigned it
-    /// a `(shard, seq)` slot (the `info` field carries `shard=<s> seq=<q>`).
-    ClientSubmit,
-    /// A `logd` service node sealed one shard's pending submissions into the
-    /// batch proposed for the next ordering round (`info` carries the batch
-    /// size).
-    ShardBatch,
-    /// A `logd` service node answered a client `ReadPrefix` with a
-    /// `PrefixChunk` of its finalized shard prefix (`info` carries the range
-    /// served).
-    PrefixRead,
     /// A peer violated the wire protocol in a way no honest node can
     /// (malformed/oversized frame, out-of-window round, post-`Done` data
     /// injection, barrier equivocation, ingress-quota flood, backfill
@@ -281,9 +273,6 @@ impl NetEventKind {
             NetEventKind::LinkThrottle => "link_throttle",
             NetEventKind::LinkPartition => "link_partition",
             NetEventKind::LinkHeal => "link_heal",
-            NetEventKind::ClientSubmit => "client_submit",
-            NetEventKind::ShardBatch => "shard_batch",
-            NetEventKind::PrefixRead => "prefix_read",
             NetEventKind::Misbehavior => "byz_misbehavior",
             NetEventKind::ByzEvict => "byz_evict",
         }
@@ -366,9 +355,6 @@ impl TraceEvent {
                 NetEventKind::LinkThrottle => "net_link_throttle",
                 NetEventKind::LinkPartition => "net_link_partition",
                 NetEventKind::LinkHeal => "net_link_heal",
-                NetEventKind::ClientSubmit => "net_client_submit",
-                NetEventKind::ShardBatch => "net_shard_batch",
-                NetEventKind::PrefixRead => "net_prefix_read",
                 NetEventKind::Misbehavior => "net_byz_misbehavior",
                 NetEventKind::ByzEvict => "net_byz_evict",
             },
@@ -440,9 +426,6 @@ mod tests {
             NetEventKind::LinkThrottle,
             NetEventKind::LinkPartition,
             NetEventKind::LinkHeal,
-            NetEventKind::ClientSubmit,
-            NetEventKind::ShardBatch,
-            NetEventKind::PrefixRead,
             NetEventKind::Misbehavior,
             NetEventKind::ByzEvict,
         ];
