@@ -54,7 +54,7 @@ fn run_consensus(seed: u64, plan: &FaultPlan, traced: bool) -> Observation {
     Observation {
         outcome,
         stats: engine.stats().clone(),
-        acquaintance: engine.acquaintance().clone(),
+        acquaintance: engine.acquaintance(),
         jsonl: handle
             .map(|h| h.with(|ring| ring.events().map(to_json).collect::<Vec<_>>().join("\n"))),
     }

@@ -2,10 +2,12 @@
 //!
 //! # Delivery memory model
 //!
-//! A payload is cloned **at most once per send operation**, never per
-//! recipient: the engine wraps each outgoing payload in a [`MsgRef`] (an
-//! `Arc` plus a memoized hash) that the round's one dedup entry for the send
-//! and every envelope carrying it share.
+//! A payload is never cloned by delivery. It is **hashed once per send and
+//! wrapped once per distinct (sender, payload) per round**: the first send
+//! of a pair wraps the payload in a [`MsgRef`] (an `Arc` plus the memoized
+//! hash) that the round's dedup entry for the pair keeps, and every envelope
+//! of the pair, at every recipient, shares it. A repeated send of the pair
+//! only hashes its payload, finds the entry and drops its own copy.
 //!
 //! An envelope is stored **once per broadcast**, not once per recipient: a
 //! broadcast that is fresh at every recipient of a round without
@@ -42,11 +44,12 @@ impl<T: Clone + Eq + Hash + Debug + 'static> Payload for T {}
 /// A shared, hash-memoized payload: the unit the engine actually delivers.
 ///
 /// Wraps the payload in an [`Arc`] and records its hash once at
-/// construction, so the engine's per-send duplicate lookup costs a refcount
-/// bump and a 64-bit hash write instead of a deep clone and a full re-hash.
-/// Equality still compares the payloads themselves (the memoized hash is
-/// only a fast path), so dedup semantics are exactly the model's
-/// per-round `(sender, payload)` rule.
+/// construction. The engine hashes a payload once per send and wraps it
+/// once per distinct (sender, payload) per round: the round's dedup map is
+/// keyed by the sender and this hash, and holds the pair's one `MsgRef`,
+/// which every envelope of the pair shares. Equality still compares the
+/// payloads themselves (the memoized hash is only a fast path), so dedup
+/// semantics are exactly the model's per-round `(sender, payload)` rule.
 pub struct MsgRef<M> {
     hash: u64,
     msg: Arc<M>,
@@ -55,18 +58,31 @@ pub struct MsgRef<M> {
 impl<M: Hash> MsgRef<M> {
     /// Wraps `msg`, memoizing its hash.
     pub fn new(msg: M) -> Self {
+        let hash = Self::hash_of(&msg);
+        Self::with_hash(msg, hash)
+    }
+
+    /// The hash [`new`](Self::new) memoizes for `msg`, computed without
+    /// wrapping it: the engine hashes every send but wraps only the first
+    /// send of each pair.
+    pub(crate) fn hash_of(msg: &M) -> u64 {
         // DefaultHasher::new() uses fixed keys: the memoized hash is
-        // deterministic within a run, which is all the dedup set needs.
+        // deterministic within a run, which is all the dedup map needs.
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         msg.hash(&mut hasher);
-        MsgRef {
-            hash: hasher.finish(),
-            msg: Arc::new(msg),
-        }
+        hasher.finish()
     }
 }
 
 impl<M> MsgRef<M> {
+    /// Wraps `msg` with the hash [`hash_of`](Self::hash_of) gave for it.
+    pub(crate) fn with_hash(msg: M, hash: u64) -> Self {
+        MsgRef {
+            hash,
+            msg: Arc::new(msg),
+        }
+    }
+
     /// The shared payload.
     pub fn get(&self) -> &M {
         &self.msg
@@ -350,8 +366,8 @@ impl Dest {
 /// One outgoing message: destination plus payload.
 ///
 /// Outgoing payloads stay owned (processes and adversaries build them
-/// freely); the engine wraps each one in a [`MsgRef`] exactly once when it
-/// enters delivery.
+/// freely); delivery hashes each one once and wraps it in a [`MsgRef`] only
+/// if its (sender, payload) pair is new in the round.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Outgoing<M> {
     /// Destination of the message.
