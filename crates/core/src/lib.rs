@@ -48,8 +48,10 @@
 //! also the one place that counts the rotor's echoes — most of every inbox
 //! — and it counts by *member slot* ([`tracker`]: ids numbered in
 //! first-heard order): one membership lookup per run of envelopes from the
-//! same sender, one bit per (candidate, member) in a single flat matrix, and
-//! a tally's silent members read off a sender bitset. Slot numbers are
+//! same sender (the slot after the previous sender's is tried first), one
+//! bit per (candidate, member) in a single flat matrix, no count at all for
+//! an echo of a candidate already in `C_v` (its row is closed), and a
+//! tally's silent members read off a sender bitset. Slot numbers are
 //! bookkeeping and never reach a message or a decision. And nesting has
 //! one convention: a protocol that is ever embedded
 //! ([`EarlyConsensus::step`](consensus::EarlyConsensus::step),

@@ -62,10 +62,19 @@ pub fn tally<V: Ord, I: IntoIterator<Item = V>>(values: I) -> BTreeMap<V, usize>
 /// only matters in deliberately broken (`n ≤ 3f`) configurations, where the
 /// algorithms must still behave deterministically rather than panic.
 pub fn max_tally<V: Ord + Clone>(tally: &BTreeMap<V, usize>) -> Option<(V, usize)> {
-    tally
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-        .map(|(v, c)| (v.clone(), *c))
+    first_max(tally.iter().map(|(v, &c)| (v, c))).map(|(v, c)| (v.clone(), c))
+}
+
+/// [`max_tally`]'s rule over `(value, count)` pairs given in ascending
+/// value order: the highest count, the first (smallest) value among equals.
+pub(crate) fn first_max<V>(ascending: impl IntoIterator<Item = (V, usize)>) -> Option<(V, usize)> {
+    let mut best: Option<(V, usize)> = None;
+    for (v, count) in ascending {
+        if best.as_ref().is_none_or(|&(_, top)| count > top) {
+            best = Some((v, count));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
