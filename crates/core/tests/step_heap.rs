@@ -7,13 +7,14 @@
 //! matrix, the candidate index and the membership freeze — a few growing
 //! vectors and map nodes, bounded here by `1 · n` allocations per node —
 //! and an echo that is delivered again sets a bit that is already set.
-//! (Measured: 36 per node, 2,304 for the 64 nodes. Counting in a set of
-//! sender ids per candidate cost ≈ `n²/6` for the same round: 660 per node,
-//! 42,240 for the 64.)
+//! (Measured: 28 per node, 1,792 for the 64 nodes; 36 while the freeze
+//! cloned the membership's map. Counting in a set of sender ids per
+//! candidate cost ≈ `n²/6` for the same round: 660 per node, 42,240 for the
+//! 64.)
 //!
 //! A Byzantine member may echo ids nobody owns. Each is a row of the same
 //! matrix and an entry of the candidate index, so 10,000 of them cost a
-//! fraction of an allocation each (1,692 for the round; 11,667 when every
+//! fraction of an allocation each (1,693 for the round; 11,667 when every
 //! candidate had a heap object of its own).
 //!
 //! One file, one test: the counter is per thread, and the one test's thread
