@@ -45,17 +45,17 @@
 //! means the crash was invisible to the protocol's outcome.
 //!
 //! With `--wan-profile geo|lossy|partition` (or a custom `--link-plan
-//! KEY=VAL,...`), every member is fronted by the deterministic WAN fault
-//! proxy (DESIGN.md §11): seeded per-link latency/jitter/loss/bandwidth
-//! shaping and round-keyed partitions, applied between the sockets and
-//! the framed codec. Under an impairing plan the sim-twin comparison
-//! becomes informational and the exit code instead asserts the protocol's
-//! own guarantee — every member decided, and the decisions agree. A
-//! zero-impairment `--link-plan` keeps the strict byte-identity check and
-//! proves the proxy invisible. With `--trace-out`, the proxy's
-//! `net_link_*` events land in `PREFIX-links.jsonl`; with
-//! `--metrics-addr`, its per-link counters are served on base port +
-//! nodes.
+//! KEY=VAL,...`), every member's links are shaped by a deterministic WAN
+//! plan (DESIGN.md §11): seeded per-link latency/jitter/loss/bandwidth
+//! shaping and round-keyed partitions, applied by each connection's
+//! reader before a frame reaches the round driver. Under an impairing
+//! plan the sim-twin comparison becomes informational and the exit code
+//! instead asserts the protocol's own guarantee — every member decided,
+//! and the decisions agree. A zero-impairment `--link-plan` keeps the
+//! strict byte-identity check and proves the shaping invisible. With
+//! `--trace-out`, the links' `net_link_*` events land in
+//! `PREFIX-links.jsonl`; with `--metrics-addr`, their per-link counters
+//! are served on base port + nodes.
 //!
 //! With `--byzantine F`, `F` of the `--nodes` members are replaced by
 //! hostile [`ByzantineNode`](uba_net::ByzantineNode)s, which run the
@@ -72,8 +72,8 @@
 //! merged misbehavior counters in `PREFIX-<attack>-misbehavior.prom`
 //! (Prometheus text format), the postmortem artifacts the `byz-smoke` CI
 //! job uploads. Requires `n > 3f`; not offered together with `--kill`, the
-//! WAN proxy flags and `--metrics-addr` (the harness composes the first
-//! three, this command line does not yet).
+//! WAN flags and `--metrics-addr` (the harness composes the first three,
+//! this command line does not yet).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -272,9 +272,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
     }
     if args.byzantine > 0 {
         if args.kill.is_some() || args.wan.is_some() {
-            return Err(
-                argv.error("--byzantine is incompatible with --kill and the WAN proxy flags")
-            );
+            return Err(argv.error("--byzantine is incompatible with --kill and the WAN flags"));
         }
         if args.metrics_addr.is_some() {
             return Err(argv.error("--metrics-addr is not served with --byzantine"));
@@ -495,7 +493,7 @@ fn run_cell(args: &Args) -> Result<bool, String> {
         (_, Some(plan)) => println!("wan: custom link plan (seed {})", plan.seed()),
         _ => {}
     }
-    // One exposition endpoint per member, plus the proxy's link registry
+    // One exposition endpoint per member, plus the links' registry
     // after them under a link plan.
     let endpoints = args
         .metrics_addr
@@ -534,7 +532,7 @@ fn run_cell(args: &Args) -> Result<bool, String> {
             write(&format!("{prefix}-{id}.jsonl"), tracer.to_jsonl())?;
         }
         if plan.is_some() {
-            // The proxy's own view of the run: drops, delays, partitions
+            // The links' own view of the run: drops, delays, partitions
             // and heals, in the same JSONL vocabulary as the node traces.
             let lines = run.link_events.iter().map(|e| to_json(e) + "\n");
             write(&format!("{prefix}-links.jsonl"), lines.collect())?;

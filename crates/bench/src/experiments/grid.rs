@@ -9,7 +9,7 @@
 //! - a **cell** ([`TwinCell`]) is `(algo, n, seed, scenario)` plus its
 //!   obligation; the grid files it under the experiment whose tables it
 //!   feeds;
-//! - its **scenario** is [`ClusterSpec`]`{ proxy, kill, hostile }` written
+//! - its **scenario** is [`ClusterSpec`]`{ wan, kill, hostile }` written
 //!   down as data, plus the [`NetConfig`] the surroundings need;
 //! - its **obligation** is what must hold of the outcome — a [`Duty`]
 //!   (engine identity, or agreement only where faults sever deliveries the
@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
 
 use uba_adversary::attacks::ConsensusEquivocator;
@@ -37,8 +37,8 @@ use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
 use uba_core::reliable::ReliableBroadcast;
 use uba_net::{
-    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkSpec, NetConfig, NetError,
-    ProxySpec, RunSummary, WanProfile, Wire,
+    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkShaping, LinkSpec, NetConfig,
+    NetError, RunSummary, WanProfile, Wire,
 };
 use uba_sim::{Adversary, ChurnSchedule, EngineBuilder, NodeId, Process, SyncEngine};
 use uba_trace::{NoopTracer, RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer};
@@ -56,10 +56,10 @@ pub(crate) enum Family {
     T15,
 }
 
-/// Link shaping through the [`uba_net::FaultProxy`].
+/// The WAN plan every member's links are shaped by ([`uba_net::wan`]).
 #[derive(Debug, Clone, Copy)]
 pub enum Wan {
-    /// The zero-impairment control: the relay hop alone.
+    /// The zero-impairment control: the shapers alone.
     Clean,
     /// A named impairment profile.
     Profile(WanProfile),
@@ -137,7 +137,7 @@ pub struct Hostile {
 /// [`ClusterSpec`] as data, and the transport config that goes with them.
 #[derive(Clone)]
 pub struct Scenario {
-    /// The WAN proxy in front of every member, if any.
+    /// The WAN plan on every member's links, if any.
     pub wan: Option<Wan>,
     /// The crash drill, if any.
     pub kill: Option<Kill>,
@@ -457,8 +457,8 @@ pub(crate) static GRID: LazyLock<[Cell; 27]> = LazyLock::new(|| {
         t13(GEO, Algo::Reliable, 4, 42, None),
         t13(LOSSY, Algo::Reliable, 4, 42, None),
         t13(PARTITION, Algo::Reliable, 5, 11, None),
-        // T12's drill behind the relay: the rejoiner dials outward and the
-        // relay fronts stay fixed, so the kill is still invisible.
+        // T12's drill over shaped links: the reborn member shapes its links
+        // by the same plan, so the kill is still invisible.
         t13(Wan::Clean, Algo::Consensus, 4, 42, Some(kill(3, 0, false))),
         t14(1),
         t14(4),
@@ -522,7 +522,7 @@ pub struct TwinOutcome<T = NoopTracer> {
     pub bytes_sent: u64,
     /// `net_misbehavior_total`, likewise.
     pub strikes: u64,
-    /// `net_link_frames_forwarded_total`, over the proxy's directed links.
+    /// `net_link_frames_forwarded_total`, over the shaped directed links.
     pub forwarded: u64,
     /// `net_link_frames_dropped_total`, likewise.
     pub dropped: u64,
@@ -532,7 +532,7 @@ pub struct TwinOutcome<T = NoopTracer> {
     pub byz_frames: u64,
     /// Each honest member's tracer, out of its report.
     pub tracers: BTreeMap<NodeId, T>,
-    /// The proxy's link-shaping trace events; empty without a proxy.
+    /// The links' shaping trace events; empty without a plan.
     pub link_events: Vec<TraceEvent>,
 }
 
@@ -585,8 +585,8 @@ pub fn run_twin(cell: &TwinCell) -> TwinOutcome {
 /// Runs one cell: the engine twin(s) the scenario has, then the cluster.
 ///
 /// `tracer_for` and `metrics_for` equip each honest member as in
-/// [`ClusterSpec::run`]; under a proxy, `metrics_for(None)` is asked for
-/// its link registry. The outcome's counters are summed over every
+/// [`ClusterSpec::run`]; under a link plan, `metrics_for(None)` is asked
+/// for the links' registry. The outcome's counters are summed over every
 /// registry handed out, so each call must hand out a registry of its own.
 /// The crash drill's journals go to [`TwinCell::journal_dir`]: a directory
 /// the caller named is kept, a scratch one is removed after the run.
@@ -697,10 +697,9 @@ where
         registry
     };
     let spec = ClusterSpec {
-        proxy: cell.link_plan().map(|plan| ProxySpec {
-            plan,
-            link_metrics: Some(hand_out(None)),
-        }),
+        wan: cell
+            .link_plan()
+            .map(|plan| Arc::new(LinkShaping::new(plan, Some(hand_out(None))))),
         kill: kill.map(|kill| KillSpec {
             victim: setup.correct[kill.victim_idx],
             reborn: reborn(kill),
@@ -785,7 +784,7 @@ impl TwinCell {
         Some(AttackKind::parse(hostile.attack).expect("cells name known attack scripts"))
     }
 
-    /// The proxy's plan over every member, honest and hostile.
+    /// The link plan over every member, honest and hostile.
     pub fn link_plan(&self) -> Option<LinkPlan> {
         let Setup { correct, faulty } = self.setup();
         let everyone = [correct, faulty].concat();

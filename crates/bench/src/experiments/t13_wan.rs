@@ -2,11 +2,11 @@
 //! impairment on real sockets.
 //!
 //! Claims validated (DESIGN.md §11):
-//! - under **zero impairment** the [`uba_net::FaultProxy`] relay is
-//!   invisible: a
-//!   cluster running through it decides byte-identically to both the
-//!   direct-TCP run and the [`SyncEngine`](uba_sim::SyncEngine) twin (the
-//!   T11 claim survives an extra hop);
+//! - under **zero impairment** link shaping ([`uba_net::wan`]) is
+//!   invisible: a cluster whose readers shape every link decides
+//!   byte-identically to both the unshaped run and the
+//!   [`SyncEngine`](uba_sim::SyncEngine) twin (the T11 claim survives the
+//!   shapers);
 //! - under the **geo** profile (latency + jitter, no loss) decisions are
 //!   *still* engine-identical — latency inside the round budget only
 //!   stretches wall-clock, never outcomes;
@@ -14,9 +14,9 @@
 //!   faults, now injected on the wire instead of in the engine) every
 //!   member still terminates and the safety monitors' agreement/validity
 //!   obligations hold: impairment costs rounds and timeouts, not safety;
-//! - a member killed and rejoined *through* the proxy (T12's drill behind
+//! - a member killed and rejoined over shaped links (T12's drill under
 //!   WAN emulation) still converges engine-identically, because the
-//!   rejoiner dials outward and the relay fronts stay fixed.
+//!   reborn member shapes its links by the same plan.
 //!
 //! The fault table is deterministic per seed — drops, severed frames, and
 //! decisions are pure functions of the [`LinkPlan`](uba_net::LinkPlan) seed
@@ -35,7 +35,7 @@ use crate::Table;
 /// Runs experiment T13.
 pub fn run() -> Vec<Table> {
     let mut faults = Table::new(
-        "T13 — WAN fault soaks: seeded link impairment (FaultProxy) vs the SyncEngine twin; \
+        "T13 — WAN fault soaks: seeded link impairment (shaped links) vs the SyncEngine twin; \
          clean/geo must match the engine, lossy/partition must keep agreement",
         &[
             "profile",
@@ -55,7 +55,7 @@ pub fn run() -> Vec<Table> {
         &["profile", "algorithm", "n", "mean us/round", "max us/round"],
     );
     let mut rejoin = Table::new(
-        "T13 — kill/rejoin through the proxy: T12's drill behind a zero-impairment relay",
+        "T13 — kill/rejoin over shaped links: T12's drill under a zero-impairment plan",
         &["algorithm", "n", "seed", "kill@", "rounds", "decisions"],
     );
     for cell in twins(Family::T13) {
@@ -74,7 +74,7 @@ pub fn run() -> Vec<Table> {
         let wan = cell
             .scenario
             .wan
-            .expect("every T13 cell runs through the proxy");
+            .expect("every T13 cell runs under a link plan");
         let profile = wan.name().to_string();
         latency.row(&[
             profile.clone(),

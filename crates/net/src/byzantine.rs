@@ -21,6 +21,7 @@ use uba_sim::{Adversary, AdversaryOutbox, AdversaryView, Context, NodeId, Proces
 use uba_trace::SharedRuntimeMetrics;
 
 use crate::node::{NetConfig, NetNode, POISON_WRITES};
+use crate::wan::LinkShaping;
 use crate::wire::{Frame, Wire};
 
 /// One scripted hostile behavior, the wire-level mirror of the simulator's
@@ -193,6 +194,7 @@ pub struct ByzantineNode {
     plan: AttackPlan,
     config: NetConfig,
     abort: Option<Arc<AtomicBool>>,
+    wan: Option<Arc<LinkShaping>>,
 }
 
 impl ByzantineNode {
@@ -204,12 +206,19 @@ impl ByzantineNode {
             plan,
             config,
             abort: None,
+            wan: None,
         }
     }
 
     /// Reads a harness abort flag, as [`NetNode::with_abort_flag`] does.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
+        self
+    }
+
+    /// Shapes the links into this member, as [`NetNode::with_links`] does.
+    pub fn with_links(mut self, wan: Arc<LinkShaping>) -> Self {
+        self.wan = Some(wan);
         self
     }
 
@@ -234,6 +243,9 @@ impl ByzantineNode {
             .with_attack(plan.kind, roster.clone());
         if let Some(flag) = self.abort {
             node = node.with_abort_flag(flag);
+        }
+        if let Some(wan) = self.wan {
+            node = node.with_links(wan);
         }
         let _ = node.run(listener, &roster);
         let sent = registry.snapshot();

@@ -240,7 +240,7 @@ fn member_port(base: u16, index: u64) -> Option<u16> {
 pub struct ClusterMetrics {
     /// Each member's registry, keyed by id.
     pub members: BTreeMap<NodeId, SharedRuntimeMetrics>,
-    /// The fault proxy's `net_link_*` registry, if one was asked for.
+    /// The WAN links' `net_link_*` registry, if one was asked for.
     pub links: Option<SharedRuntimeMetrics>,
     servers: Vec<MetricsServer>,
 }
@@ -256,7 +256,7 @@ impl ClusterMetrics {
 
 /// Serves a fresh registry per member of `ids` on the
 /// [`consecutive_endpoints`] of `addr`: the member with the i-th smallest
-/// id on `PORT + i` and, with `links`, the fault proxy's registry on the
+/// id on `PORT + i` and, with `links`, the WAN links' registry on the
 /// port after the last member's. The whole range is validated before
 /// anything binds, and every bound endpoint is announced on stdout as
 /// `metrics: node <id> on http://<addr>/metrics` (`metrics: links on …`).

@@ -48,6 +48,7 @@ use uba_trace::{
 use crate::byzantine::AttackKind;
 use crate::conn::{LinkEvent, Mesh, RetryPolicy};
 use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer, DEFAULT_ROUND_WINDOW};
+use crate::wan::LinkShaping;
 use crate::wire::{Frame, FrameFault, Wire};
 
 /// Per-peer ingress quota: bytes accepted from one peer within one round
@@ -348,6 +349,7 @@ pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     kill_at: Option<u64>,
     abort: Option<Arc<AtomicBool>>,
     hostile: Option<Hostile>,
+    wan: Option<Arc<LinkShaping>>,
 }
 
 /// What makes a session hostile: the script whose wire half it plays, the
@@ -372,6 +374,7 @@ impl<P: Process> NetNode<P, NoopTracer> {
             kill_at: None,
             abort: None,
             hostile: None,
+            wan: None,
         }
     }
 }
@@ -391,6 +394,7 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
             kill_at: self.kill_at,
             abort: self.abort,
             hostile: self.hostile,
+            wan: self.wan,
         }
     }
 
@@ -446,6 +450,15 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// panicked.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
+        self
+    }
+
+    /// Shapes every link into this node by `wan`'s plan: each connection's
+    /// reader applies the link's impairments before the frame reaches the
+    /// round driver ([`crate::wan`]). Hand every member of a cluster the
+    /// same value.
+    pub fn with_links(mut self, wan: Arc<LinkShaping>) -> Self {
+        self.wan = Some(wan);
         self
     }
 
@@ -658,7 +671,7 @@ where
         round: u64,
     ) -> io::Result<(Mesh, Vec<(NodeId, io::Error)>)> {
         let id = self.id();
-        let mesh = Mesh::open(id, listener)?;
+        let mesh = Mesh::open(id, listener, self.wan.clone())?;
         let mut unreachable = Vec::new();
         for peer in targets {
             let retry = pair_retry(self.config.retry, id, peer);
@@ -1454,7 +1467,7 @@ mod tests {
     fn backfill_is_accepted_only_from_peers_the_ledger_marks_solicited() {
         let (me, asked, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mesh = Mesh::open(me, None).unwrap();
+        let mesh = Mesh::open(me, None, None).unwrap();
         let mut session = Session::new(node, mesh, &[asked, other], 5);
         // What `resume` does for every peer it sends a SyncRequest to.
         session.ledger.peer(asked).solicited = true;
@@ -1534,7 +1547,7 @@ mod tests {
         ];
         let (me, peer) = (NodeId::new(1), NodeId::new(2));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mut session = Session::new(node, Mesh::open(me, None).unwrap(), &[peer], 5);
+        let mut session = Session::new(node, Mesh::open(me, None, None).unwrap(), &[peer], 5);
         let mut charged = 0;
         for (frame, old_estimate) in frames {
             let exact = encode_frame(&frame).unwrap().len() as u64;

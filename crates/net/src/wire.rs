@@ -561,9 +561,9 @@ pub(crate) fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
 }
 
 /// Writes one length-prefixed frame with a single `write_all` and flushes
-/// the writer: the frame-at-a-time path of the handshake, the fault proxy
-/// and the client port. A node's round traffic is queued and flushed once
-/// per round instead ([`crate::conn::Links`]).
+/// the writer: the frame-at-a-time path of the handshake and the client
+/// port. A node's round traffic is queued and flushed once per round
+/// instead ([`crate::conn::Links`]).
 ///
 /// # Errors
 ///

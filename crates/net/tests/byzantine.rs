@@ -12,12 +12,13 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
     read_frame, write_frame, AttackKind, AttackPlan, ClusterSpec, Frame, FrameFault, LinkPlan,
-    NetConfig, NetNode, ProxySpec, RetryPolicy,
+    LinkShaping, NetConfig, NetNode, RetryPolicy,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process};
 use uba_trace::{metric_name, RingTracer, SharedRuntimeMetrics, TraceEvent};
@@ -564,12 +565,12 @@ fn adversarial_cluster(
     adversarial_run(kind, config, None).reports
 }
 
-/// [`adversarial_cluster`], optionally through a WAN proxy, returning the
-/// whole run.
+/// [`adversarial_cluster`], optionally over shaped WAN links, returning
+/// the whole run.
 fn adversarial_run(
     kind: AttackKind,
     config: NetConfig,
-    proxy: Option<ProxySpec>,
+    wan: Option<Arc<LinkShaping>>,
 ) -> uba_net::ClusterRun<u64, RingTracer> {
     let ids = sparse_ids(5, 41);
     let byz = ids[2];
@@ -579,7 +580,7 @@ fn adversarial_run(
         .enumerate()
         .map(|(i, &id)| EarlyConsensus::new(id, (i % 2) as u64));
     let spec = ClusterSpec {
-        proxy,
+        wan,
         hostile: Some(AttackPlan::new(41, kind, [byz])),
         ..ClusterSpec::default()
     };
@@ -611,33 +612,30 @@ fn equivocating_member_cannot_break_honest_agreement() {
         assert!(report.evicted.is_empty(), "equivocation is tolerated");
     }
 
-    // `proxy` and `hostile` compose: the same script behind a
-    // zero-impairment relay is the same run — same honest decisions in the
-    // same rounds, still no strike — and the relay had nothing to report.
-    let proxied = adversarial_run(
+    // `wan` and `hostile` compose: the same script over zero-impairment
+    // links is the same run — same honest decisions in the same rounds,
+    // still no strike — and the links had nothing to report.
+    let shaped = adversarial_run(
         equivocate,
         config,
-        Some(ProxySpec {
-            plan: LinkPlan::new(41),
-            link_metrics: None,
-        }),
+        Some(Arc::new(LinkShaping::new(LinkPlan::new(41), None))),
     );
     let outcome = |r: &uba_net::NetReport<u64, RingTracer>| (r.output, r.decided_round);
     assert_eq!(
-        proxied.reports.values().map(outcome).collect::<Vec<_>>(),
+        shaped.reports.values().map(outcome).collect::<Vec<_>>(),
         direct.values().map(outcome).collect::<Vec<_>>(),
     );
-    for report in proxied.reports.values() {
+    for report in shaped.reports.values() {
         assert!(report.evicted.is_empty(), "still tolerated");
         let kinds = kinds(&report.tracer);
         assert!(!kinds.contains(&"net_byz_misbehavior"), "0 strikes");
     }
     assert!(
-        proxied.link_events.is_empty(),
+        shaped.link_events.is_empty(),
         "no drop, no sever: {:?}",
-        proxied.link_events
+        shaped.link_events
     );
-    assert_eq!(proxied.byzantine.len(), 1, "the hostile member reported");
+    assert_eq!(shaped.byzantine.len(), 1, "the hostile member reported");
 }
 
 #[test]
