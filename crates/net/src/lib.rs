@@ -38,7 +38,8 @@
 //! * [`service`] — the ordering stack productized as a long-lived,
 //!   key-sharded "log as a service": [`ShardedLog`] multiplexes many
 //!   [`TotalOrdering`](uba_core::ordering::TotalOrdering) instances over
-//!   one round loop, [`serve_clients`] answers the client frames
+//!   one round loop, sending each round's shard traffic for a destination
+//!   as one bundle, [`serve_clients`] answers the client frames
 //!   (`Submit`/`SubmitAck`, `ReadPrefix`/`PrefixChunk`), and
 //!   [`spawn_log_cluster`] stands up a whole `logd` cluster (the
 //!   `uba-bench` crate's `logd` and `loadgen` binaries wrap it). The

@@ -6,14 +6,20 @@
 //!
 //! Plus the scripted client conversations: a submit while an ordering
 //! round is in flight, duplicate-submit dedup re-acking the original
-//! slot, and a read of a not-yet-finalized prefix.
+//! slot, and a read of a not-yet-finalized prefix; and a many-shard
+//! cluster whose honest traffic must stay inside the ingress quota.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
+use std::thread;
 use std::time::Duration;
 
-use uba_net::{shard_of, spawn_log_cluster, LogClient, LogCluster, NetConfig, Record};
-use uba_sim::sparse_ids;
-use uba_trace::NoopTracer;
+use uba_net::{
+    check_exactly_once, closed_loop, shard_of, spawn_log_cluster, LogClient, LogCluster, NetConfig,
+    Record,
+};
+use uba_sim::{sparse_ids, NodeId};
+use uba_trace::{NoopTracer, SharedRuntimeMetrics};
 
 /// Service config for tests: generous timeouts (decisions, not latency),
 /// and a round pace wide enough that client submissions reliably land
@@ -242,5 +248,73 @@ fn scripted_client_conversation() {
     // Exactly one record per acked slot, duplicate folded in.
     let alphas: Vec<&Record> = sealed.iter().filter(|r| r.key == "alpha").collect();
     assert_eq!(alphas.len(), 2, "two distinct payloads, duplicate deduped");
+    cluster.shutdown();
+}
+
+/// Many shards, with paced clients at every member: a round's shard traffic
+/// between two honest members must stay inside the ingress quota. The
+/// quota is lowered to 64 frames so that a short run is enough: when every
+/// shard message travelled as a frame of its own, 16 busy shards put more
+/// than 64 frames on a link in one round, and the members charged each
+/// other `flood` strikes and evicted each other.
+#[test]
+fn many_busy_shards_stay_inside_the_ingress_quota() {
+    let shards = 16;
+    let ids = sparse_ids(4, 44);
+    let registries: BTreeMap<NodeId, SharedRuntimeMetrics> = ids
+        .iter()
+        .map(|&id| (id, SharedRuntimeMetrics::new()))
+        .collect();
+    let config = NetConfig {
+        max_frames_per_round: 64,
+        ..service_config()
+    };
+    let mut cluster = spawn_log_cluster(
+        &ids,
+        shards,
+        30,
+        config,
+        |_| NoopTracer,
+        |id| Some(registries[&id].clone()),
+    )
+    .expect("cluster spawns");
+    let stop = AtomicBool::new(false);
+    let acked: Vec<_> = thread::scope(|scope| {
+        let clients: Vec<_> = cluster
+            .client_addrs()
+            .values()
+            .enumerate()
+            .map(|(i, &addr)| {
+                let stop = &stop;
+                let pace = Some(Duration::from_millis(3));
+                scope.spawn(move || closed_loop(addr, i, 150, 512, pace, stop))
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().expect("client thread").expect("submit I/O").0)
+            .collect()
+    });
+    assert!(!acked.is_empty(), "no submission was acked");
+    let reports = cluster.join_ordering().expect("ordering completes");
+
+    for (id, registry) in &registries {
+        let snapshot = registry.snapshot();
+        let strikes: Vec<_> = snapshot
+            .counters()
+            .filter(|(name, _)| name.starts_with("net_misbehavior_total"))
+            .collect();
+        assert!(
+            strikes.is_empty(),
+            "member {id} charged honest peers with misbehavior: {strikes:?}"
+        );
+    }
+    let outputs: Vec<_> = reports.values().map(|r| r.output.clone()).collect();
+    assert_eq!(outputs.len(), ids.len(), "every member reports");
+    for output in &outputs {
+        assert_eq!(output, &outputs[0], "member outputs diverge");
+    }
+    let prefixes = outputs[0].clone().expect("members terminated");
+    check_exactly_once(&acked, &prefixes, shards).expect("every acked record ordered once");
     cluster.shutdown();
 }
