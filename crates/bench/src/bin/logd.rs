@@ -1,8 +1,8 @@
 //! `logd` — run a localhost `uba-net` log-service cluster.
 //!
-//! Every node runs `--shards` independent total-ordering instances
-//! (DESIGN.md §12), accepts client submissions over the wire, and serves
-//! finalized per-shard prefixes. Drive it with the `loadgen` binary from
+//! Every node runs one total-ordering instance whose records `--shards`
+//! key shards partition (DESIGN.md §12), accepts client submissions over
+//! the wire, and serves finalized per-shard prefixes. Drive it with the `loadgen` binary from
 //! another terminal. Exit code 0 means every member terminated and all
 //! members finalized identical per-shard prefixes; 1 means they diverged;
 //! 2 is a usage or transport error.

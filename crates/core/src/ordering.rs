@@ -260,9 +260,9 @@ impl<V: Value> TotalOrdering<V> {
     /// Executes one round on this round's delivered messages; outgoing
     /// messages are appended to `out`. The protocol keeps its own loop round
     /// and reads no engine round, so this is the whole protocol: the
-    /// [`Process`] impl adapts the engine's context to it, and a host that
-    /// multiplexes several instances (the `uba-net` log service) calls it
-    /// with each instance's share of its own inbox.
+    /// [`Process`] impl adapts the engine's context to it, and a host whose
+    /// messages wrap the instance's (the `uba-net` log service, which
+    /// bundles them) calls it with the unwrapped messages of its inbox.
     pub fn step<'a>(
         &mut self,
         inbox: impl IntoIterator<Item = (NodeId, &'a OrderMsg<V>)>,

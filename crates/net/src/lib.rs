@@ -36,10 +36,10 @@
 //!   applies to its inbound link before the frame reaches the round driver
 //!   (a zero-impairment plan is invisible — DESIGN.md §11);
 //! * [`service`] — the ordering stack productized as a long-lived,
-//!   key-sharded "log as a service": [`ShardedLog`] multiplexes many
-//!   [`TotalOrdering`](uba_core::ordering::TotalOrdering) instances over
-//!   one round loop, sending each round's shard traffic for a destination
-//!   as one bundle, [`serve_clients`] answers the client frames
+//!   key-sharded "log as a service": [`ShardedLog`] runs one
+//!   [`TotalOrdering`](uba_core::ordering::TotalOrdering) instance whose
+//!   records the shards partition by key, sending each round's traffic
+//!   for a destination as one bundle, [`serve_clients`] answers the client frames
 //!   (`Submit`/`SubmitAck`, `ReadPrefix`/`PrefixChunk`), and
 //!   [`spawn_log_cluster`] stands up a whole `logd` cluster (the
 //!   `uba-bench` crate's `logd` and `loadgen` binaries wrap it). The

@@ -251,12 +251,14 @@ fn scripted_client_conversation() {
     cluster.shutdown();
 }
 
-/// Many shards, with paced clients at every member: a round's shard traffic
+/// Many shards, with paced clients at every member: a round's traffic
 /// between two honest members must stay inside the ingress quota. The
 /// quota is lowered to 64 frames so that a short run is enough: when every
-/// shard message travelled as a frame of its own, 16 busy shards put more
-/// than 64 frames on a link in one round, and the members charged each
-/// other `flood` strikes and evicted each other.
+/// member ran one instance per shard and every message travelled as a
+/// frame of its own, 16 busy shards put more than 64 frames on a link in
+/// one round, and the members charged each other `flood` strikes and
+/// evicted each other. Now a member runs one instance whatever the shard
+/// count and sends a round's traffic to a peer in a bundle.
 #[test]
 fn many_busy_shards_stay_inside_the_ingress_quota() {
     let shards = 16;
