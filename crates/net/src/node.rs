@@ -14,10 +14,12 @@
 //!
 //! `run`/`resume` wrap the node in one private `Session` (synchronizer,
 //! `Mesh`, peer ledger, backfill history) whose round loop consumes it.
-//! Waiting is `pump(deadline, until)` — mesh setup, the barrier and the
-//! `round_pace` window are one loop that never blocks longer than
+//! Waiting is `pump(deadline, timed, until)` — mesh setup, the barrier and
+//! the `round_pace` window are one loop that never blocks longer than
 //! `ABORT_POLL` and reads the abort flag every iteration (kill round and
-//! round limit: once, at the head of a round). Per-peer state is one `Peer`
+//! round limit: once, at the head of a round). One `Laps` chain times each
+//! round in four contiguous phases, step, send, barrier and journal, that
+//! sum to the round's total (DESIGN.md §10). Per-peer state is one `Peer`
 //! record per handshaken id, the only per-peer account: the ingress quota,
 //! the sent tallies and the per-peer events reach the runtime registry in
 //! one visit per round. Frame handlers return `Result<(), Strike>`, and the
@@ -41,7 +43,7 @@ use uba_sim::{
     ViolationReport,
 };
 use uba_trace::{
-    metric_name, JournalEntry, JournalRecovery, NetEventKind, NoopTracer, RoundJournal,
+    metric_name, JournalEntry, JournalRecovery, Laps, NetEventKind, NoopTracer, RoundJournal,
     RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer,
 };
 
@@ -561,7 +563,9 @@ where
         // Wait for the full mesh. Fast peers may already be sending round-1
         // traffic while we wait, so frames are processed, not discarded.
         let deadline = Instant::now() + session.node.config.setup_timeout;
-        session.pump(deadline, |s| s.ledger.peers.values().all(|peer| peer.seen))?;
+        session.pump(deadline, false, |s| {
+            s.ledger.peers.values().all(|peer| peer.seen)
+        })?;
         for peer in peers {
             if !session.ledger.peers[&peer].seen {
                 // Never came up: run without it, as if it crashed before round 1.
@@ -735,9 +739,14 @@ where
     /// The one wait loop: hands link events to the session until `until`
     /// holds or `deadline` passes, never blocking longer than
     /// [`ABORT_POLL`] and reading the abort flag on every iteration.
-    /// Returns the microseconds spent handling events (the round's deliver
-    /// phase).
-    fn pump(&mut self, deadline: Instant, until: impl Fn(&Self) -> bool) -> Result<u64, NetError> {
+    /// With `timed`, returns the microseconds spent handling events (the
+    /// round's deliver phase); otherwise 0, with no clock read per event.
+    fn pump(
+        &mut self,
+        deadline: Instant,
+        timed: bool,
+        until: impl Fn(&Self) -> bool,
+    ) -> Result<u64, NetError> {
         let mut handling_micros = 0;
         loop {
             self.node.check_abort()?;
@@ -746,9 +755,9 @@ where
                 return Ok(handling_micros);
             }
             if let Some(event) = self.mesh.next_event(remaining.min(ABORT_POLL)) {
-                let handling = Instant::now();
+                let handling = timed.then(Laps::start);
                 self.on_event(event);
-                handling_micros += micros_since(handling);
+                handling_micros += handling.map_or(0, |mut laps| laps.lap());
             }
         }
     }
@@ -778,17 +787,18 @@ where
             if round > self.node.config.max_rounds {
                 return Err(NetError::RoundLimit(self.node.config.max_rounds));
             }
-            let started = Instant::now();
+            // One lap chain times the round: each phase ends where the next
+            // begins, so the four phases sum to the round's total.
+            let mut laps = Laps::start();
+            let started = laps.started();
             trace(&mut self.node.tracer, || TraceEvent::RoundBegin { round });
 
-            let phase = Instant::now();
             let sends = self.node.stepper.step(round, &inbox);
-            let step_micros = micros_since(phase);
+            let step_micros = laps.lap();
 
             // Queue the round's data, publish the barrier marker behind it,
             // then put the round on the wire: one write per link. A hostile
             // member's script acts here instead, claiming `decided`.
-            let phase = Instant::now();
             for outgoing in sends {
                 self.dispatch(outgoing);
             }
@@ -802,27 +812,28 @@ where
                 true
             };
             self.history.entry(round).or_default().done = Some(decided);
-            let send_micros = micros_since(phase);
+            let send_micros = laps.lap();
 
-            // Wait at the barrier. Time spent handing received frames to the
-            // synchronizer is additionally accounted as the deliver phase.
-            let phase = Instant::now();
+            // Wait at the barrier, charge whoever missed it, and advance.
+            // Time spent handing received frames to the synchronizer is
+            // also accounted as the deliver phase, nested in this one.
             let deadline = started + self.node.config.round_timeout;
-            let deliver_micros = self.pump(deadline, |s| s.sync.barrier_complete())?;
-            let barrier_micros = micros_since(phase);
+            let timed = self.node.runtime.is_some();
+            let deliver_micros = self.pump(deadline, timed, |s| s.sync.barrier_complete())?;
             timeouts += self.charge_omissions(started);
 
             let finished = self.sync.all_decided(decided);
             let delivered = self.sync.advance();
+            let barrier_micros = laps.lap();
 
-            // The ingress quota window is one round: every peer's round
-            // account closes into the registry (strikes are lifetime).
+            // The journal phase runs from here to the round's end. The
+            // ingress quota window is one round: every peer's round account
+            // closes into the registry (strikes are lifetime).
             self.ledger.publish();
 
             // Commit the round durably before acting on it: the journal
             // entry holds the inbox the *next* round will consume, so a
             // crash at any later point replays to exactly this state.
-            let phase = Instant::now();
             if let Some(journal) = self.node.journal.as_mut() {
                 let entry = JournalEntry {
                     round,
@@ -834,7 +845,6 @@ where
                 };
                 journal.append(&entry)?;
             }
-            let journal_micros = micros_since(phase);
             // Backfill history is bounded; rounds older than the window are
             // unrecoverable for rejoiners (an omission, which the model
             // already tolerates).
@@ -848,10 +858,11 @@ where
             });
             self.node
                 .net_event(round, NetEventKind::RoundAdvance, None, String::new);
-            round_micros.push(started.elapsed().as_micros() as u64);
+            let journal_micros = laps.lap();
+            round_micros.push(laps.total());
             self.node.metrics(|m| {
                 m.inc("net_rounds_total");
-                m.observe_micros("net_round_micros", micros_since(started));
+                m.observe_micros("net_round_micros", laps.total());
                 m.observe_micros(PHASE_STEP, step_micros);
                 m.observe_micros(PHASE_SEND, send_micros);
                 m.observe_micros(PHASE_DELIVER, deliver_micros);
@@ -890,7 +901,7 @@ where
             // arriving meanwhile belong to the next round (every peer paces
             // identically) and are handed to the synchronizer as they come —
             // it buffers by round. Outside every round timer.
-            self.pump(started + self.node.config.round_pace, |_| false)?;
+            self.pump(started + self.node.config.round_pace, false, |_| false)?;
         }
     }
 
@@ -1423,11 +1434,6 @@ const PHASE_BARRIER: &str = "net_round_phase_micros{phase=\"barrier\"}";
 const PHASE_JOURNAL: &str = "net_round_phase_micros{phase=\"journal\"}";
 /// The runtime counter of the raw poison writes a hostile session made.
 pub(crate) const POISON_WRITES: &str = "net_poison_writes_total";
-
-/// Elapsed microseconds since `from`, saturated into `u64`.
-fn micros_since(from: Instant) -> u64 {
-    u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
 
 #[cfg(test)]
 mod tests {

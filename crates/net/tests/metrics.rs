@@ -170,6 +170,59 @@ fn uninstrumented_nodes_cost_nothing_and_instrumented_runs_still_decide() {
     assert!(body.contains("net_round_micros_bucket"));
 }
 
+#[test]
+fn every_members_round_phases_sum_to_its_round_time() {
+    // The four outer phases are consecutive laps of one chain per round,
+    // so over any set of rounds their sums add up to the round time's sum
+    // exactly, as integers. `deliver` is frame handling nested inside the
+    // barrier wait, and the report's per-round times are the registry's.
+    let ids = sparse_ids(4, 11);
+    let registries: BTreeMap<NodeId, SharedRuntimeMetrics> = ids
+        .iter()
+        .map(|&id| (id, SharedRuntimeMetrics::new()))
+        .collect();
+    let members = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| EarlyConsensus::new(id, (i % 2) as u64));
+    let reports = run_local_cluster_with_metrics(
+        members,
+        test_config(),
+        |_| NoopTracer,
+        |id| registries.get(&id).cloned(),
+    )
+    .expect("cluster run completes");
+    assert_eq!(decisions(&reports).len(), 4, "every member decided");
+
+    for (id, registry) in &registries {
+        let m = registry.snapshot();
+        let sum = |name: &str| m.timing(name).map_or(0, |h| h.sum());
+        let phase = |p: &str| sum(&metric_name("net_round_phase_micros", &[("phase", p)]));
+        let total = sum("net_round_micros");
+        let outer: u64 = ["step", "send", "barrier", "journal"]
+            .map(phase)
+            .into_iter()
+            .sum();
+        assert_eq!(outer, total, "{id}: step + send + barrier + journal");
+        assert!(
+            phase("deliver") <= phase("barrier"),
+            "{id}: deliver {} > barrier {}",
+            phase("deliver"),
+            phase("barrier")
+        );
+        let report = &reports[id];
+        assert_eq!(
+            report.round_micros.len() as u64,
+            m.counter("net_rounds_total")
+        );
+        assert_eq!(
+            report.round_micros.iter().sum::<u64>(),
+            total,
+            "{id}: report"
+        );
+    }
+}
+
 /// `family{peer="<peer>"}` in `registry`.
 fn peer_counter(registry: &SharedRuntimeMetrics, family: &str, peer: NodeId) -> u64 {
     let name = metric_name(family, &[("peer", &peer.raw().to_string())]);

@@ -22,7 +22,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-use uba_trace::{NodeSnapshot, NoopTracer, SharedRuntimeMetrics, Stopwatch, TraceEvent, Tracer};
+use uba_trace::{Laps, NodeSnapshot, NoopTracer, SharedRuntimeMetrics, TraceEvent, Tracer};
 
 use crate::adversary::{Adversary, AdversaryOutbox, AdversaryView, NoAdversary};
 use crate::churn::{ChurnAction, ChurnSchedule};
@@ -1077,19 +1077,15 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         if traced {
             self.tracer.record(TraceEvent::RoundBegin { round });
         }
-        // Wall-clock timers exist only while a runtime registry is
-        // attached; otherwise the hot path never reads the clock.
-        let round_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
-        let mut step_micros = 0u64;
-        let mut adversary_micros = 0u64;
-        let mut deliver_micros = 0u64;
+        // The lap chain exists only while a runtime registry is attached;
+        // otherwise the hot path never reads the clock.
+        let mut laps = self.runtime.as_ref().map(|_| Laps::start());
 
         let mut delivered = std::mem::take(&mut self.inboxes);
 
         // Step 1: correct nodes compute and queue messages (in id order —
         // deterministic, and irrelevant to semantics since delivery is
         // simultaneous). Crashed nodes neither compute nor send.
-        let step_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
         let mut correct_traffic: Traffic<P::Msg> = Vec::new();
         let active: Vec<NodeId> = self.live_undecided().collect();
         for id in active {
@@ -1122,14 +1118,11 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             }
         }
 
-        if let Some(timer) = step_timer {
-            step_micros = timer.elapsed_micros();
-        }
+        let step_micros = laps.as_mut().map_or(0, Laps::lap);
 
         // Step 2: the rushing adversary sees this round's correct traffic and
         // the faulty nodes' inboxes, then queues the faulty nodes' messages.
         // Crashed faulty nodes are hidden from the view and must stay silent.
-        let adversary_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
         let present_faulty: BTreeSet<NodeId> = self
             .faulty
             .iter()
@@ -1170,13 +1163,10 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             }
         }
 
-        if let Some(timer) = adversary_timer {
-            adversary_micros = timer.elapsed_micros();
-        }
+        let adversary_micros = laps.as_mut().map_or(0, Laps::lap);
 
         // Step 3: delivery. The round's transient faults filter here — after
         // the adversary has committed, so attacks and faults compose.
-        let deliver_timer = self.runtime.as_ref().map(|_| Stopwatch::start());
         let duplicate_drops = self.deliver(
             round,
             [correct_traffic, adversary_traffic],
@@ -1184,9 +1174,7 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
             &present_faulty,
             traced,
         );
-        if let Some(timer) = deliver_timer {
-            deliver_micros = timer.elapsed_micros();
-        }
+        let deliver_micros = laps.as_mut().map_or(0, Laps::lap);
 
         // Emit node-state transitions: one event per present correct node
         // whose observed snapshot changed this round (in id order).
@@ -1237,7 +1225,10 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
         }
         if let Some(rt) = &self.runtime {
             let deliveries = self.stats.deliveries_by_round.last().copied().unwrap_or(0);
-            let total = round_timer.map_or(0, |t| t.elapsed_micros());
+            let total = laps.map_or(0, |mut laps| {
+                laps.lap();
+                laps.total()
+            });
             rt.with(|m| {
                 m.inc("sim_rounds_total");
                 m.observe_micros("sim_round_micros", total);
@@ -2206,5 +2197,45 @@ mod tests {
             .filter(|e| e.from == NodeId::new(2))
             .count();
         assert!(heard_from_2 > 0, "the rejoined node speaks again");
+    }
+
+    #[test]
+    fn a_registry_gets_one_observation_per_round_and_phase() {
+        // Every round lands in the registry once: the round counter, the
+        // round-time histogram and each phase histogram. The phases are
+        // consecutive laps of one chain, so they cannot exceed the round.
+        let rounds = 6;
+        let adv = FnAdversary::new(
+            |view: &AdversaryView<'_, u64>, out: &mut AdversaryOutbox<u64>| {
+                for &from in view.faulty {
+                    out.broadcast(from, view.round);
+                }
+            },
+        );
+        let registry = SharedRuntimeMetrics::new();
+        let mut engine = SyncEngine::builder()
+            .correct_many((1..=4).map(|raw| CollectAll::new(NodeId::new(raw), 100)))
+            .faulty(NodeId::new(9))
+            .adversary(adv)
+            .runtime_metrics(registry.clone())
+            .build();
+        engine.run_rounds(rounds);
+
+        let m = registry.snapshot();
+        assert_eq!(m.counter("sim_rounds_total"), rounds);
+        let round = m.timing("sim_round_micros").expect("round histogram");
+        assert_eq!(round.count(), rounds);
+        let mut phases = 0;
+        for phase in ["step", "adversary", "deliver"] {
+            let name = format!("sim_round_phase_micros{{phase=\"{phase}\"}}");
+            let histogram = m.timing(&name).expect("phase histogram");
+            assert_eq!(histogram.count(), rounds, "{name}");
+            phases += histogram.sum();
+        }
+        assert!(
+            phases <= round.sum(),
+            "phases {phases} > round {}",
+            round.sum()
+        );
     }
 }

@@ -23,10 +23,11 @@
 //!    with crash-safe torn-tail recovery — the persistence half of the
 //!    `uba-net` crash-recovery rejoin protocol.
 //! 5. **A wall-clock runtime registry** ([`RuntimeMetrics`] behind the
-//!    thread-safe [`SharedRuntimeMetrics`] handle, with [`Stopwatch`] and
-//!    RAII [`Span`] timers): monotonic-clock timing histograms in
-//!    microseconds plus transport counters and gauges, rendered in the
-//!    Prometheus text exposition format.
+//!    thread-safe [`SharedRuntimeMetrics`] handle): monotonic-clock timing
+//!    histograms in microseconds plus transport counters and gauges,
+//!    rendered in the Prometheus text exposition format. Round drivers time
+//!    their phases with one [`Laps`] chain per round, so the phases
+//!    partition the round and their microseconds sum to its total.
 //!
 //! Everything in the **event stream** is deterministic for a fixed seed:
 //! events carry no wall-clock timestamps, maps are ordered, and the JSONL
@@ -69,7 +70,5 @@ pub use event::{NetEventKind, NodeSnapshot, TraceEvent};
 pub use journal::{JournalEntry, JournalRecovery, RoundJournal};
 pub use json::to_json;
 pub use metrics::{Histogram, Metrics};
-pub use runtime::{
-    metric_name, RuntimeMetrics, SharedRuntimeMetrics, Span, Stopwatch, TIMING_BUCKETS_US,
-};
+pub use runtime::{metric_name, Laps, RuntimeMetrics, SharedRuntimeMetrics, TIMING_BUCKETS_US};
 pub use tracer::{Fanout, NoopTracer, RingTracer, SharedTracer, Tracer};

@@ -1,4 +1,4 @@
-//! Wall-clock runtime metrics: timing spans and a thread-safe registry.
+//! Wall-clock runtime metrics: a lap timer and a thread-safe registry.
 //!
 //! This module is the **second** registry of the crate, deliberately kept
 //! apart from the deterministic [`Metrics`](crate::Metrics) registry that
@@ -19,15 +19,14 @@
 //! # Examples
 //!
 //! ```
-//! use uba_trace::SharedRuntimeMetrics;
+//! use uba_trace::{Laps, SharedRuntimeMetrics};
 //!
 //! let rt = SharedRuntimeMetrics::new();
 //! rt.inc("net_frames_sent_total{peer=\"5\"}");
 //! rt.set_gauge("net_history_rounds_retained", 64);
-//! {
-//!     let _span = rt.span("net_round_phase_micros{phase=\"send\"}");
-//!     // ... timed work; the span records on drop ...
-//! }
+//! let mut laps = Laps::start();
+//! // ... timed work ...
+//! rt.observe_micros("net_round_phase_micros{phase=\"send\"}", laps.lap());
 //! let text = rt.render_prometheus();
 //! assert!(text.contains("net_frames_sent_total{peer=\"5\"} 1"));
 //! ```
@@ -47,43 +46,70 @@ pub const TIMING_BUCKETS_US: &[u64] = &[
     500_000, 1_000_000, 5_000_000,
 ];
 
-/// A started monotonic clock; the read side of a [`Span`], usable directly
-/// when the measured region does not nest lexically.
+/// One chain of laps over the monotonic clock: each [`lap`](Self::lap)
+/// ends where the previous one (or the start) ended, so a driver that laps
+/// through its phases times the whole of its round with no gap between
+/// them. Every reading is kept as whole microseconds since the start, and a
+/// lap is the difference of two such readings, so the laps of a chain add
+/// up to its [`total`](Self::total) exactly, as integers.
 ///
 /// # Examples
 ///
 /// ```
-/// use uba_trace::Stopwatch;
+/// use uba_trace::Laps;
 ///
-/// let sw = Stopwatch::start();
-/// let micros = sw.elapsed_micros();
-/// assert!(micros < 1_000_000);
+/// let mut laps = Laps::start();
+/// let first = laps.lap();
+/// let second = laps.lap();
+/// assert_eq!(first + second, laps.total());
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Instant);
+pub struct Laps {
+    started: Instant,
+    /// Microseconds from `started` to the end of the last lap.
+    total: u64,
+}
 
-impl Stopwatch {
-    /// Starts the clock.
+impl Laps {
+    /// Starts the chain: one clock reading.
     pub fn start() -> Self {
-        Stopwatch(Instant::now())
+        Laps {
+            started: Instant::now(),
+            total: 0,
+        }
     }
 
-    /// Time elapsed since [`start`](Self::start).
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
+    /// The reading the chain started at, for deadlines counted from it.
+    pub fn started(&self) -> Instant {
+        self.started
     }
 
-    /// Elapsed microseconds, saturated into `u64` (584 millennia of
-    /// headroom — the cast is for histogram convenience, not a real limit).
-    pub fn elapsed_micros(&self) -> u64 {
-        u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
+    /// Ends the current lap now (one clock reading) and returns its
+    /// microseconds; the next lap starts where this one ends.
+    pub fn lap(&mut self) -> u64 {
+        self.lap_at(Instant::now())
+    }
+
+    /// Ends the current lap at `now`. A reading before the previous one
+    /// makes a zero-length lap rather than a negative one.
+    fn lap_at(&mut self, now: Instant) -> u64 {
+        let total = micros(now.saturating_duration_since(self.started)).max(self.total);
+        let lap = total - self.total;
+        self.total = total;
+        lap
+    }
+
+    /// Microseconds from the start to the end of the last lap: the sum of
+    /// every lap so far. Reads no clock.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 }
 
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
+/// Whole microseconds of `elapsed`, saturated into `u64` (584 millennia of
+/// headroom: the cast is for histogram convenience, not a real limit).
+fn micros(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Builds a full metric name from a base and label pairs, with Prometheus
@@ -366,16 +392,6 @@ impl SharedRuntimeMetrics {
         self.with(|m| m.observe_micros(name, micros));
     }
 
-    /// Starts a timing span that records its elapsed microseconds into the
-    /// named histogram when dropped.
-    pub fn span(&self, name: impl Into<String>) -> Span {
-        Span {
-            registry: self.clone(),
-            name: name.into(),
-            stopwatch: Stopwatch::start(),
-        }
-    }
-
     /// A point-in-time copy of the registry.
     pub fn snapshot(&self) -> RuntimeMetrics {
         self.with(|m| m.clone())
@@ -384,30 +400,6 @@ impl SharedRuntimeMetrics {
     /// Renders the current registry state in Prometheus text format.
     pub fn render_prometheus(&self) -> String {
         self.with(|m| m.render_prometheus())
-    }
-}
-
-/// An RAII timing span: created via [`SharedRuntimeMetrics::span`], it
-/// records the wall-clock microseconds between construction and drop into
-/// its histogram.
-#[derive(Debug)]
-pub struct Span {
-    registry: SharedRuntimeMetrics,
-    name: String,
-    stopwatch: Stopwatch,
-}
-
-impl Span {
-    /// Elapsed microseconds so far (the span keeps running).
-    pub fn elapsed_micros(&self) -> u64 {
-        self.stopwatch.elapsed_micros()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let micros = self.stopwatch.elapsed_micros();
-        self.registry.observe_micros(&self.name, micros);
     }
 }
 
@@ -521,13 +513,40 @@ mod tests {
     }
 
     #[test]
-    fn shared_handle_spans_record_on_drop() {
-        let rt = SharedRuntimeMetrics::new();
-        {
-            let _span = rt.span("work_micros");
-        }
-        let snapshot = rt.snapshot();
-        assert_eq!(snapshot.timing("work_micros").unwrap().count(), 1);
+    fn laps_telescope_to_the_total() {
+        let mut laps = Laps::start();
+        let t0 = laps.started();
+        // Sub-microsecond remainders carry into the next lap instead of
+        // being dropped: 0.6 + 0.6 + 0.6 µs reads as 0 + 1 + 0.
+        let readings = [600, 1_200, 1_800, 2_500_400].map(Duration::from_nanos);
+        let laps_taken: Vec<u64> = readings.iter().map(|&at| laps.lap_at(t0 + at)).collect();
+        assert_eq!(laps_taken, [0, 1, 0, 2_499]);
+        assert_eq!(laps_taken.iter().sum::<u64>(), laps.total());
+        assert_eq!(laps.total(), 2_500);
+
+        let mut live = Laps::start();
+        let sum: u64 = (0..4).map(|_| live.lap()).sum();
+        assert_eq!(sum, live.total());
+    }
+
+    #[test]
+    fn laps_may_be_empty_and_never_run_backwards() {
+        let mut laps = Laps::start();
+        assert_eq!(laps.total(), 0);
+        let t0 = laps.started();
+        assert_eq!(laps.lap_at(t0), 0);
+        assert_eq!(laps.lap_at(t0 + Duration::from_micros(7)), 7);
+        assert_eq!(laps.lap_at(t0 + Duration::from_micros(7)), 0);
+        // An earlier reading is a zero-length lap, not a negative one.
+        assert_eq!(laps.lap_at(t0), 0);
+        assert_eq!(laps.total(), 7);
+    }
+
+    #[test]
+    fn lap_micros_saturate_instead_of_panicking() {
+        assert_eq!(micros(Duration::MAX), u64::MAX);
+        assert_eq!(micros(Duration::from_micros(u64::MAX)), u64::MAX);
+        assert_eq!(micros(Duration::from_nanos(1_999)), 1);
     }
 
     #[test]
