@@ -86,7 +86,7 @@ use uba_bench::experiments::grid::{
 use uba_bench::experiments::t10_faults::Algo;
 use uba_net::{
     consecutive_endpoints, family_sum, scrape_metrics, series_value, serve_cluster_metrics,
-    AttackKind, LinkSpec, NetConfig, WanProfile,
+    AttackKind, LinkSpec, NetConfig,
 };
 use uba_trace::{to_json, RingTracer, SharedRuntimeMetrics};
 
@@ -128,7 +128,7 @@ const USAGE: &str = "usage: cluster [--nodes N] [--algo consensus|reliable|appro
 /// partition severing the first half of the sorted ids from the second.
 fn parse_link_plan(spec: &str, default_seed: u64) -> Result<Wan, String> {
     let mut seed = default_seed;
-    let mut link = LinkSpec::zero();
+    let mut link = LinkSpec::default();
     let mut partition = None;
     for pair in spec
         .split(|c: char| c == ',' || c.is_whitespace())
@@ -142,13 +142,13 @@ fn parse_link_plan(spec: &str, default_seed: u64) -> Result<Wan, String> {
         let millis = |value| number(value, None).map(Duration::from_millis);
         match key {
             "seed" => seed = number(value, None)?,
-            "latency-ms" => link = link.with_latency(millis(value)?),
-            "jitter-ms" => link = link.with_jitter(millis(value)?),
+            "latency-ms" => link.latency = millis(value)?,
+            "jitter-ms" => link.jitter = millis(value)?,
             "loss-ppm" => match u32::try_from(number(value, None)?) {
-                Ok(ppm) if ppm < 1_000_000 => link = link.with_loss_ppm(ppm),
+                Ok(ppm) if ppm < 1_000_000 => link.loss_ppm = ppm,
                 _ => return Err(format!("{what} must be below 1000000")),
             },
-            "bandwidth" => link = link.with_bandwidth(number(value, Some(1))?),
+            "bandwidth" => link.bandwidth = Some(number(value, Some(1))?),
             "partition" => {
                 let (from, to) = value
                     .split_once("..")
@@ -221,7 +221,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
             "--link-plan" => link_plan = Some(argv.value()?),
             "--wan-profile" => {
                 let name = argv.value()?;
-                wan_profile = Some(WanProfile::parse(&name).ok_or_else(|| {
+                wan_profile = Some(Wan::parse(&name).ok_or_else(|| {
                     argv.error(format!(
                         "invalid --wan-profile {name:?} (expected geo, lossy or partition)"
                     ))
@@ -263,7 +263,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
         (Some(_), Some(_)) => {
             return Err(argv.error("--link-plan and --wan-profile are mutually exclusive"))
         }
-        (Some(profile), None) => Some(Wan::Profile(profile)),
+        (Some(profile), None) => Some(profile),
         (None, Some(spec)) => Some(parse_link_plan(&spec, args.seed).map_err(|e| argv.error(e))?),
         (None, None) => None,
     };
@@ -487,10 +487,10 @@ fn run_cell(args: &Args) -> Result<bool, String> {
     let ids = cell.setup().correct;
     let plan = cell.link_plan();
     match (cell.scenario.wan, &plan) {
-        (Some(Wan::Profile(profile)), Some(plan)) => {
-            println!("wan: profile {} (seed {})", profile.name(), plan.seed());
+        (Some(Wan::Custom { .. }), Some(plan)) => {
+            println!("wan: custom link plan (seed {})", plan.seed());
         }
-        (_, Some(plan)) => println!("wan: custom link plan (seed {})", plan.seed()),
+        (Some(wan), Some(plan)) => println!("wan: profile {} (seed {})", wan.name(), plan.seed()),
         _ => {}
     }
     // One exposition endpoint per member, plus the links' registry

@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use uba_bench::cli::{Argv, CliError};
-use uba_net::{serve_cluster_metrics, spawn_log_cluster, NetConfig, RetryPolicy};
+use uba_net::{serve_cluster_metrics, spawn_log_cluster, NetConfig};
 use uba_sim::sparse_ids;
 use uba_trace::NoopTracer;
 
@@ -85,7 +85,6 @@ fn run(args: &Args) -> Result<bool, String> {
     let ids = sparse_ids(args.nodes as usize, args.seed);
     let config = NetConfig {
         round_timeout: Duration::from_millis(args.timeout_ms),
-        retry: RetryPolicy::default(),
         max_rounds: args.max_rounds,
         round_pace: Duration::from_millis(args.pace_ms),
         ..NetConfig::default()

@@ -171,7 +171,7 @@ impl AttackPlan {
 
     /// The correct (honest) members of `roster` under this plan, sorted by
     /// id — the same view the sim adversary's `view.correct` exposes.
-    pub fn correct_of(&self, roster: &BTreeMap<NodeId, SocketAddr>) -> Vec<NodeId> {
+    fn correct_of(&self, roster: &BTreeMap<NodeId, SocketAddr>) -> Vec<NodeId> {
         roster
             .keys()
             .copied()

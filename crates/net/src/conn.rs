@@ -9,10 +9,10 @@
 //! peer with a *smaller* id, so each unordered pair gets exactly one
 //! connection and no tie-breaking is needed.
 //!
-//! Each established connection gets a **generation number**. Reader threads
-//! stamp their close notifications with the generation they served, so a
-//! stale `Closed` event from a connection that was already replaced by a
-//! reconnect cannot tear down the fresh link.
+//! Each established connection gets a **generation number**. A reader that
+//! ends removes its link from the table only if the link still serves its
+//! generation, so a connection that was already replaced by a reconnect
+//! cannot tear down the fresh link.
 //!
 //! # The accept loop
 //!
@@ -85,43 +85,12 @@ use uba_sim::NodeId;
 use crate::wan::{LinkShaping, Shaper};
 use crate::wire::{encode_frame, read_frame, read_sized_frame, write_frame, Frame, FrameFault};
 
-/// Backoff schedule for dialing a peer that is not accepting yet.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Delay before the second attempt; doubles each failure.
-    pub initial_backoff: Duration,
-    /// Ceiling for the per-attempt delay (before jitter; the slept delay is
-    /// at most 1.5× this).
-    pub max_backoff: Duration,
-    /// Total time budget across all attempts before giving up.
-    pub budget: Duration,
-    /// Seed for the deterministic per-attempt jitter. Dialers derive it
-    /// from the (dialer, peer) pair so that many nodes restarting at once —
-    /// the crash-recovery rejoin scenario — spread their reconnect attempts
-    /// instead of thundering-herding the listener in lockstep.
-    pub jitter_seed: u64,
-}
+/// Delay before the second dial attempt; it doubles after each failure.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            budget: Duration::from_secs(10),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Returns the policy with its jitter stream seeded from `seed` (pure
-    /// derivation: the same seed always yields the same backoff schedule,
-    /// keeping retry timing reproducible in tests).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-}
+/// Ceiling of the per-attempt delay before jitter (the slept delay is at
+/// most 1.5× this).
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
 /// One step of the splitmix64 output function: a cheap, well-mixed pure
 /// hash, good enough to decorrelate backoff schedules across (seed,
@@ -147,19 +116,25 @@ fn jittered(backoff: Duration, seed: u64, attempt: u32) -> Duration {
     backoff + Duration::from_nanos(draw % (nanos / 2 + 1))
 }
 
-/// Dials `addr` until it accepts or the policy's budget runs out, calling
-/// `on_retry(attempt)` before each backoff sleep.
+/// Dials `addr` until it accepts or `budget` runs out, calling
+/// `on_retry(attempt)` before each backoff sleep. The backoff doubles from
+/// [`INITIAL_BACKOFF`] to [`MAX_BACKOFF`], plus a jitter drawn from
+/// `jitter_seed`: dialers seed it from the (dialer, peer) pair, so that
+/// many nodes restarting at once — the crash-recovery rejoin scenario —
+/// spread their reconnect attempts instead of thundering-herding the
+/// listener in lockstep.
 ///
 /// # Errors
 ///
 /// The last connection error once the budget is exhausted.
-pub fn connect_with_retry(
+fn connect_with_retry(
     addr: SocketAddr,
-    policy: RetryPolicy,
+    budget: Duration,
+    jitter_seed: u64,
     mut on_retry: impl FnMut(u32),
 ) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + policy.budget;
-    let mut backoff = policy.initial_backoff;
+    let deadline = Instant::now() + budget;
+    let mut backoff = INITIAL_BACKOFF;
     let mut attempt: u32 = 0;
     loop {
         match TcpStream::connect(addr) {
@@ -172,13 +147,13 @@ pub fn connect_with_retry(
             }
             Err(err) => {
                 attempt += 1;
-                let delay = jittered(backoff, policy.jitter_seed, attempt);
+                let delay = jittered(backoff, jitter_seed, attempt);
                 if Instant::now() + delay > deadline {
                     return Err(err);
                 }
                 on_retry(attempt);
                 thread::sleep(delay);
-                backoff = (backoff * 2).min(policy.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
         }
     }
@@ -186,7 +161,7 @@ pub fn connect_with_retry(
 
 /// Events a connection's reader thread reports to the node's main loop.
 #[derive(Debug)]
-pub enum LinkEvent {
+pub(crate) enum LinkEvent {
     /// A decoded frame from an established, handshaken connection.
     Frame {
         /// The peer the connection is pinned to (from its `Hello`).
@@ -200,28 +175,22 @@ pub enum LinkEvent {
     Connected {
         /// The peer.
         peer: NodeId,
-        /// The link generation installed in the [`Links`] table.
-        generation: u64,
     },
-    /// The connection serving `generation` ended (clean EOF or error).
-    /// Stale generations must be ignored — a reconnect may already have
-    /// replaced the link.
+    /// A connection to `peer` ended (clean EOF or error). Its reader has
+    /// already removed its own link from the [`Links`] table, and only its
+    /// own: a reconnect may have replaced it.
     Closed {
         /// The peer.
         peer: NodeId,
-        /// The generation that closed.
-        generation: u64,
     },
     /// The connection's reader hit a frame no honest peer can produce — an
     /// oversized length prefix or an undecodable body. TCP checksums make
     /// accidental corruption on a live stream vanishingly unlikely, so this
     /// is attributable misbehavior, reported *before* the trailing
-    /// [`Closed`](Self::Closed) for the same generation.
+    /// [`Closed`](Self::Closed) of the same connection.
     Corrupt {
         /// The peer the connection is pinned to.
         peer: NodeId,
-        /// The generation that read the bad bytes.
-        generation: u64,
         /// Which bound the bytes violated, as the decoder raised it.
         kind: FrameFault,
         /// The decoder's error message, for the trace.
@@ -328,16 +297,11 @@ impl Table {
 /// leaves the table for any reason other than its own reader ending is shut
 /// down on the way out — the invariant [`close`](Self::close) relies on.
 #[derive(Clone, Default)]
-pub struct Links {
+pub(crate) struct Links {
     table: Arc<Mutex<Table>>,
 }
 
 impl Links {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Every update leaves the table valid, so a lock poisoned by a
     /// panicking holder is still good — and `close` runs in `Drop`, which
     /// must not panic.
@@ -345,13 +309,9 @@ impl Links {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Installs (or replaces) the writer for `peer`, returning the new
-    /// link's generation. A replaced link is shut down.
-    pub fn install(&self, peer: NodeId, stream: TcpStream) -> u64 {
-        self.insert(peer, stream, None)
-    }
-
-    /// [`install`](Self::install), the link holding its reader's `wake`.
+    /// Installs (or replaces) the writer for `peer`, the link holding its
+    /// reader's `wake`, and returns the new link's generation. A replaced
+    /// link is shut down.
     fn insert(&self, peer: NodeId, stream: TcpStream, wake: Option<Sender<()>>) -> u64 {
         let mut table = self.table();
         table.next_generation += 1;
@@ -371,13 +331,13 @@ impl Links {
     /// writer, reports [`LinkEvent::Connected`], and spawns the reader
     /// thread on a clone of the stream, shaping the inbound link with
     /// `shaper` if there is one.
-    pub(crate) fn adopt(
+    fn adopt(
         &self,
         peer: NodeId,
         stream: TcpStream,
         events: &Sender<LinkEvent>,
         shaper: Option<Shaper>,
-    ) -> io::Result<u64> {
+    ) -> io::Result<()> {
         let reader_half = stream.try_clone()?;
         // Boxed, so that shaping does not grow the reader's stack frame:
         // the n² pooled readers of a mesh each pay for the stack pages they
@@ -390,7 +350,7 @@ impl Links {
             })
             .unzip();
         let generation = self.insert(peer, stream, wake);
-        let _ = events.send(LinkEvent::Connected { peer, generation });
+        let _ = events.send(LinkEvent::Connected { peer });
         let reader = spawn_reader(
             reader_half,
             peer,
@@ -403,12 +363,12 @@ impl Links {
         // Reconnects must not grow the list without bound.
         table.readers.retain(|reader| !reader.is_finished());
         table.readers.push(reader);
-        Ok(generation)
+        Ok(())
     }
 
     /// Drops the writer for `peer` if (and only if) it still serves
     /// `generation`.
-    pub fn remove(&self, peer: NodeId, generation: u64) {
+    fn remove(&self, peer: NodeId, generation: u64) {
         let mut table = self.table();
         if table
             .links
@@ -466,7 +426,7 @@ impl Links {
     /// the readers to end — steps 2 and 3 of the teardown in the [module
     /// docs](self). Must not race a connection being adopted: a `Mesh`
     /// stops its acceptor first.
-    pub fn close(&self) {
+    fn close(&self) {
         let (links, readers) = {
             let mut table = self.table();
             let links: Vec<Link> = table.links.drain().map(|(_, link)| link).collect();
@@ -486,14 +446,14 @@ impl Links {
     /// Shuts down `peer`'s connection (any generation) and drops its
     /// writer: the eviction path for a misbehaving peer, who observes a
     /// hard close immediately.
-    pub fn shutdown_peer(&self, peer: NodeId) {
+    pub(crate) fn shutdown_peer(&self, peer: NodeId) {
         if let Some(link) = self.table().links.remove(&peer) {
             link.shutdown();
         }
     }
 
     /// The peers with a live link, in no particular order.
-    pub fn connected(&self) -> Vec<NodeId> {
+    pub(crate) fn connected(&self) -> Vec<NodeId> {
         self.table().links.keys().copied().collect()
     }
 }
@@ -506,7 +466,7 @@ impl Links {
 /// I/O errors, a non-`Hello` first frame, or a clean close before the
 /// peer's `Hello` (all reported as [`io::ErrorKind::InvalidData`] /
 /// [`io::ErrorKind::UnexpectedEof`]).
-pub fn handshake(stream: &mut TcpStream, me: NodeId) -> io::Result<NodeId> {
+fn handshake(stream: &mut TcpStream, me: NodeId) -> io::Result<NodeId> {
     write_frame(stream, &Frame::Hello { node: me })?;
     match read_frame(stream)? {
         Some(Frame::Hello { node }) => Ok(node),
@@ -569,7 +529,6 @@ fn spawn_reader(
                     if let Some(kind) = FrameFault::of(&err) {
                         let _ = events.send(LinkEvent::Corrupt {
                             peer,
-                            generation,
                             kind,
                             info: err.to_string(),
                         });
@@ -579,7 +538,7 @@ fn spawn_reader(
             }
         }
         links.remove(peer, generation);
-        let _ = events.send(LinkEvent::Closed { peer, generation });
+        let _ = events.send(LinkEvent::Closed { peer });
     })
 }
 
@@ -705,9 +664,9 @@ impl AcceptLoop {
 
 /// Upper bound on the inbound handshake, which runs inline in the accept
 /// loop: a connector that never sends its `Hello` must not park the loop
-/// (and with it the node's teardown) forever. As long as the default dial
-/// budget — a dialer that cannot say `Hello` within the time it would
-/// itself keep retrying is not a peer.
+/// (and with it the node's teardown) forever. As long as the default
+/// `setup_timeout`, which is also the dial budget — a dialer that cannot say
+/// `Hello` within the time it would itself keep retrying is not a peer.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One node's live transport: the writer table, the channel its readers
@@ -729,7 +688,7 @@ impl Mesh {
     /// is handshaken (under [`HANDSHAKE_TIMEOUT`]) and adopted as a link —
     /// which is also how reconnects work: a peer that lost its socket
     /// simply dials again, and the fresh link replaces the dead one (whose
-    /// reader's `Closed` event carries a stale generation and is ignored).
+    /// reader, ending, removes only its own generation from the table).
     /// Without one (a rejoiner: nobody dials it) the mesh only dials.
     /// With `wan`, every link's reader shapes the link into `me`.
     ///
@@ -741,7 +700,7 @@ impl Mesh {
         listener: Option<TcpListener>,
         wan: Option<Arc<LinkShaping>>,
     ) -> io::Result<Mesh> {
-        let links = Links::new();
+        let links = Links::default();
         let (events_tx, events) = mpsc::channel();
         let acceptor = match listener {
             None => None,
@@ -773,9 +732,10 @@ impl Mesh {
         })
     }
 
-    /// Dials `peer` at `addr` (with retry, `on_retry(attempt)` before each
-    /// backoff sleep), handshakes, verifies the announced id, and adopts
-    /// the connection as a link, returning its generation.
+    /// Dials `peer` at `addr` (retrying for up to `budget`, with
+    /// `on_retry(attempt)` before each backoff sleep and a jitter stream of
+    /// this (dialer, peer) pair), handshakes, verifies the announced id, and
+    /// adopts the connection as a link.
     ///
     /// # Errors
     ///
@@ -786,10 +746,11 @@ impl Mesh {
         &self,
         addr: SocketAddr,
         peer: NodeId,
-        policy: RetryPolicy,
+        budget: Duration,
         on_retry: impl FnMut(u32),
-    ) -> io::Result<u64> {
-        let mut stream = connect_with_retry(addr, policy, on_retry)?;
+    ) -> io::Result<()> {
+        let jitter_seed = self.me.raw().rotate_left(32) ^ peer.raw();
+        let mut stream = connect_with_retry(addr, budget, jitter_seed, on_retry)?;
         let announced = handshake(&mut stream, self.me)?;
         if announced != peer {
             return Err(io::Error::new(
@@ -821,6 +782,9 @@ impl Drop for Mesh {
 mod tests {
     use super::*;
 
+    /// The default `setup_timeout`, which bounds a node's dials.
+    const DIAL_BUDGET: Duration = Duration::from_secs(10);
+
     #[test]
     fn retry_backs_off_then_succeeds() {
         // Reserve a port, then keep it closed for the first attempts.
@@ -832,13 +796,7 @@ mod tests {
             TcpListener::bind(addr).unwrap().accept().unwrap();
         });
         let mut retries = 0;
-        let policy = RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(20),
-            budget: Duration::from_secs(5),
-            jitter_seed: 42,
-        };
-        let stream = connect_with_retry(addr, policy, |_| retries += 1);
+        let stream = connect_with_retry(addr, Duration::from_secs(5), 42, |_| retries += 1);
         assert!(stream.is_ok());
         assert!(retries >= 1, "the port was closed at first");
         opener.join().unwrap();
@@ -849,13 +807,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         drop(listener); // nobody will ever listen here
-        let policy = RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(10),
-            budget: Duration::from_millis(30),
-            jitter_seed: 7,
-        };
-        assert!(connect_with_retry(addr, policy, |_| {}).is_err());
+        assert!(connect_with_retry(addr, Duration::from_millis(30), 7, |_| {}).is_err());
     }
 
     #[test]
@@ -888,15 +840,15 @@ mod tests {
 
     #[test]
     fn close_shuts_every_link_down_and_clears_the_table() {
-        let links = Links::new();
+        let links = Links::default();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let a = TcpStream::connect(addr).unwrap();
         let b = TcpStream::connect(addr).unwrap();
         let (a_accepted, _) = listener.accept().unwrap();
         let (_b_accepted, _) = listener.accept().unwrap();
-        links.install(NodeId::new(1), a);
-        links.install(NodeId::new(2), b);
+        links.insert(NodeId::new(1), a, None);
+        links.insert(NodeId::new(2), b, None);
         links.close();
         assert!(links.connected().is_empty());
         // The peer side of a shut-down socket reads EOF, like a dead process.
@@ -910,8 +862,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (theirs, _) = listener.accept().unwrap();
-        let links = Links::new();
-        links.install(peer, ours);
+        let links = Links::default();
+        links.insert(peer, ours, None);
         (links, theirs)
     }
 
@@ -986,10 +938,10 @@ mod tests {
     fn a_broadcast_is_queued_on_every_addressed_link_and_no_other() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let links = Links::new();
+        let links = Links::default();
         let mut theirs = Vec::new();
         for id in 1..=3 {
-            links.install(NodeId::new(id), TcpStream::connect(addr).unwrap());
+            links.insert(NodeId::new(id), TcpStream::connect(addr).unwrap(), None);
             theirs.push(listener.accept().unwrap().0);
         }
         // Peer 4 has no link: skipped, as a failed `send` would be.
@@ -1006,9 +958,10 @@ mod tests {
         let (gone, stays) = (NodeId::new(2), NodeId::new(3));
         let (links, theirs) = linked(gone);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        links.install(
+        links.insert(
             stays,
             TcpStream::connect(listener.local_addr().unwrap()).unwrap(),
+            None,
         );
         let (mut kept, _) = listener.accept().unwrap();
         drop(theirs);
@@ -1081,9 +1034,7 @@ mod tests {
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
         let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
         let alice_mesh = Mesh::open(alice, None, None).unwrap();
-        alice_mesh
-            .dial(addr, bob, RetryPolicy::default(), |_| {})
-            .unwrap();
+        alice_mesh.dial(addr, bob, DIAL_BUDGET, |_| {}).unwrap();
         alice_mesh.links.queue([bob], &data(1, 5));
         alice_mesh.links.queue([bob], &DONE);
         alice_mesh.links.flush();
@@ -1109,9 +1060,7 @@ mod tests {
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
         let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
         let alice_mesh = Mesh::open(alice, None, None).unwrap();
-        alice_mesh
-            .dial(addr, bob, RetryPolicy::default(), |_| {})
-            .unwrap();
+        alice_mesh.dial(addr, bob, DIAL_BUDGET, |_| {}).unwrap();
 
         // Both sides report Connected with the right peer.
         let wait = Duration::from_secs(5);
@@ -1160,7 +1109,7 @@ mod tests {
         let err = Mesh::open(NodeId::new(1), None, None)
             .unwrap()
             // address book says 2, endpoint says 9
-            .dial(addr, NodeId::new(2), RetryPolicy::default(), |_| {})
+            .dial(addr, NodeId::new(2), DIAL_BUDGET, |_| {})
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1180,14 +1129,14 @@ mod tests {
 
     #[test]
     fn stale_generation_close_does_not_remove_a_fresh_link() {
-        let links = Links::new();
+        let links = Links::default();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let peer = NodeId::new(5);
         let a = TcpStream::connect(addr).unwrap();
         let b = TcpStream::connect(addr).unwrap();
-        let old_generation = links.install(peer, a);
-        let new_generation = links.install(peer, b); // reconnect replaced it
+        let old_generation = links.insert(peer, a, None);
+        let new_generation = links.insert(peer, b, None); // reconnect replaced it
         assert_ne!(old_generation, new_generation);
         links.remove(peer, old_generation); // stale close: must be a no-op
         assert_eq!(links.connected(), vec![peer]);

@@ -16,13 +16,13 @@
 //!   transport format (`Hello` handshake, `Data`, `Done` barrier marker);
 //! * [`codec`] — `Wire` impls for the `uba-core` protocol payloads, so the
 //!   bundled algorithms run over TCP out of the box;
-//! * [`conn`] — dialing with retry/backoff, the handshake that pins each
-//!   connection to a sender id, per-connection reader threads, the
+//! * `conn` (private) — dialing with retry/backoff, the handshake that pins
+//!   each connection to a sender id, per-connection reader threads, the
 //!   generation-guarded writer table that makes reconnects safe, the one
 //!   stoppable accept loop every listener in the crate runs, and the mesh
 //!   teardown that gives a finished node's sockets and threads back;
-//! * [`sync`] — the [`RoundSynchronizer`], a pure state machine enforcing
-//!   the send/deliver barrier (unit-testable without sockets);
+//! * `sync` (private) — the round synchronizer, a pure state machine
+//!   enforcing the send/deliver barrier (unit-testable without sockets);
 //! * [`node`] — [`NetNode`], one cluster member: a process plus the round
 //!   driver — one session per run, one wait loop (`pump`) for mesh setup,
 //!   barrier and pace window, one ledger record per peer, one place where
@@ -78,7 +78,7 @@
 //! every listener before any thread starts, guards every member thread
 //! against panics ([`NetError::MemberPanicked`]), and holds no descriptor
 //! or thread once `run` returns: every node tears its own mesh down
-//! however its run ends ([`conn`] documents the order).
+//! however its run ends (DESIGN.md §8 gives the order).
 //! [`run_local_cluster`] and [`run_local_cluster_with_metrics`] are the
 //! default spec spelled as functions.
 //!
@@ -89,9 +89,9 @@
 //! deadline is treated as silent for that round, and its late frames are
 //! dropped. Both effects are **omission faults**, which the paper's
 //! Byzantine fault model already subsumes — a mistimed timeout can cost
-//! liveness (more rounds) but never safety, and the `uba-core` monitors
-//! and spec checkers apply to networked runs unchanged. DESIGN.md §8
-//! develops this mapping.
+//! liveness (more rounds) but never safety, so the agreement checks the
+//! harnesses run on a cluster's decisions apply to networked runs
+//! unchanged. DESIGN.md §8 develops this mapping.
 //!
 //! ## Equivalence with the simulator
 //!
@@ -124,24 +124,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod byzantine;
 pub mod cluster;
 pub mod codec;
-pub mod conn;
+mod conn;
 pub mod metrics_http;
 pub mod node;
 pub mod service;
-pub mod sync;
+mod sync;
 pub mod wan;
 pub mod wire;
 
 pub use byzantine::{AttackKind, AttackPlan, ByzReport, ByzantineNode};
 pub use cluster::{
-    decisions, journal_path, run_local_cluster, run_local_cluster_with_metrics, ClusterRun,
-    ClusterSpec, KillSpec, RunSummary, RunningCluster,
+    decisions, run_local_cluster, run_local_cluster_with_metrics, ClusterRun, ClusterSpec,
+    KillSpec, RunSummary, RunningCluster,
 };
-pub use conn::{connect_with_retry, LinkEvent, Links, RetryPolicy};
 pub use metrics_http::{
     consecutive_endpoints, family_sum, scrape_metrics, series_value, serve_cluster_metrics,
     serve_metrics, ClusterMetrics, MetricsServer,
@@ -151,6 +151,5 @@ pub use service::{
     check_exactly_once, closed_loop, serve_clients, service_horizon, shard_of, spawn_log_cluster,
     Batch, ClientServer, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
-pub use sync::{DataOutcome, DoneOutcome, RoundSynchronizer};
-pub use wan::{LinkPlan, LinkShaping, LinkSpec, Partition, WanProfile};
+pub use wan::{LinkPlan, LinkShaping, LinkSpec};
 pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

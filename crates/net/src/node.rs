@@ -8,7 +8,7 @@
 //! charged with an **omission** for the round (its traffic, if any, arrives
 //! too late and is dropped) — precisely a fault the paper's model already
 //! accounts for, which is why correctness does not depend on tuning the
-//! timeout and why `uba-core`'s monitors attach unchanged.
+//! timeout.
 //!
 //! # The round driver
 //!
@@ -38,17 +38,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use uba_sim::{
-    Envelope, MonitorView, MsgRef, NodeId, Outgoing, Process, RoundMonitor, Stepper,
-    ViolationReport,
-};
+use uba_sim::{Envelope, MsgRef, NodeId, Outgoing, Process, Stepper};
 use uba_trace::{
     metric_name, JournalEntry, JournalRecovery, Laps, NetEventKind, NoopTracer, RoundJournal,
     RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer,
 };
 
 use crate::byzantine::AttackKind;
-use crate::conn::{LinkEvent, Mesh, RetryPolicy};
+use crate::conn::{LinkEvent, Mesh};
 use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer, DEFAULT_ROUND_WINDOW};
 use crate::wan::LinkShaping;
 use crate::wire::{Frame, FrameFault, Wire};
@@ -74,11 +71,10 @@ pub struct NetConfig {
     /// How long to wait at the round barrier before charging the missing
     /// peers with an omission for the round.
     pub round_timeout: Duration,
-    /// Backoff schedule for dialing peers (initial mesh setup and
-    /// mid-run redials).
-    pub retry: RetryPolicy,
-    /// Additional budget for the initial full-mesh setup: peers of a
-    /// just-launched cluster come up in arbitrary order.
+    /// Budget for the initial full-mesh setup: peers of a just-launched
+    /// cluster come up in arbitrary order. It also bounds each dial — at
+    /// setup and on a rejoin — to a peer that is not accepting yet, which
+    /// is retried with a jittered exponential backoff until then.
     pub setup_timeout: Duration,
     /// Abort with [`NetError::RoundLimit`] if no decision was reached after
     /// this many rounds (safety net against livelock, like the engine's
@@ -115,7 +111,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             round_timeout: Duration::from_secs(2),
-            retry: RetryPolicy::default(),
             setup_timeout: Duration::from_secs(10),
             max_rounds: 10_000,
             give_up_after: 5,
@@ -133,8 +128,6 @@ pub enum NetError {
     Io(io::Error),
     /// The round limit elapsed without the cluster reaching a decision.
     RoundLimit(u64),
-    /// An attached [`RoundMonitor`] flagged an invariant violation.
-    InvariantViolated(ViolationReport),
     /// The node was killed by fault injection ([`NetNode::kill_at_round`])
     /// at the start of the given round: sockets are shut down, peers see
     /// EOF, and the process can later be rebuilt from its journal via
@@ -162,7 +155,6 @@ impl fmt::Display for NetError {
             NetError::RoundLimit(limit) => {
                 write!(f, "no decision within the {limit}-round limit")
             }
-            NetError::InvariantViolated(report) => write!(f, "{report}"),
             NetError::Killed(round) => {
                 write!(f, "killed by fault injection at the start of round {round}")
             }
@@ -340,13 +332,12 @@ struct Strike {
 /// whole localhost cluster; `NetNode` is the building block when each
 /// member runs in its own OS process. However a run ends, the node closes
 /// its sockets, stops its accept loop and waits for its readers on the way
-/// out ([`crate::conn`] documents the order).
+/// out, in the order DESIGN.md §8 gives.
 pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     stepper: Stepper<P>,
     config: NetConfig,
     tracer: T,
     runtime: Option<SharedRuntimeMetrics>,
-    monitor: Option<Box<dyn RoundMonitor<P> + Send>>,
     journal: Option<RoundJournal>,
     kill_at: Option<u64>,
     abort: Option<Arc<AtomicBool>>,
@@ -371,7 +362,6 @@ impl<P: Process> NetNode<P, NoopTracer> {
             config,
             tracer: NoopTracer,
             runtime: None,
-            monitor: None,
             journal: None,
             kill_at: None,
             abort: None,
@@ -391,7 +381,6 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
             config: self.config,
             tracer,
             runtime: self.runtime,
-            monitor: self.monitor,
             journal: self.journal,
             kill_at: self.kill_at,
             abort: self.abort,
@@ -412,15 +401,6 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// [`crate::serve_metrics`] endpoint to expose it live.
     pub fn with_runtime_metrics(mut self, runtime: SharedRuntimeMetrics) -> Self {
         self.runtime = Some(runtime);
-        self
-    }
-
-    /// Attaches an online invariant monitor, checked after every round
-    /// against this node's local state (a single-process
-    /// [`MonitorView`]; global properties such as agreement need a view of
-    /// the whole cluster and are checked by the harness after the run).
-    pub fn with_monitor(mut self, monitor: impl RoundMonitor<P> + Send + 'static) -> Self {
-        self.monitor = Some(Box::new(monitor));
         self
     }
 
@@ -541,9 +521,9 @@ where
     ///
     /// # Errors
     ///
-    /// [`NetError::RoundLimit`] if the cluster never decides,
-    /// [`NetError::InvariantViolated`] from an attached monitor, or
-    /// [`NetError::Io`] if the transport fails outright.
+    /// [`NetError::RoundLimit`] if the cluster never decides, or
+    /// [`NetError::Io`] if the transport fails outright — a peer with a
+    /// larger id that does not accept within `setup_timeout` among them.
     pub fn run(
         mut self,
         listener: TcpListener,
@@ -663,10 +643,9 @@ where
     }
 
     /// Opens this node's [`Mesh`] — accepting on `listener`, if it has one —
-    /// and dials `targets`, tracing every retry against `round`. Each pair
-    /// gets its own jitter stream so simultaneous (re)starts spread out.
-    /// Returns the mesh and the targets that stayed unreachable for the
-    /// whole retry budget, with the last error.
+    /// and dials `targets`, tracing every retry against `round`. Returns the
+    /// mesh and the targets that stayed unreachable for the whole
+    /// `setup_timeout`, with the last error.
     fn open_mesh(
         &mut self,
         listener: Option<TcpListener>,
@@ -677,9 +656,9 @@ where
         let id = self.id();
         let mesh = Mesh::open(id, listener, self.wan.clone())?;
         let mut unreachable = Vec::new();
+        let budget = self.config.setup_timeout;
         for peer in targets {
-            let retry = pair_retry(self.config.retry, id, peer);
-            let dialed = mesh.dial(roster[&peer], peer, retry, |attempt| {
+            let dialed = mesh.dial(roster[&peer], peer, budget, |attempt| {
                 self.metrics(|m| m.inc("net_dial_retries_total"));
                 let info = || format!("dial attempt {attempt} failed");
                 self.net_event(round, NetEventKind::Retry, Some(peer), info);
@@ -870,14 +849,6 @@ where
                 m.observe_micros(PHASE_JOURNAL, journal_micros);
                 m.set_gauge("net_history_rounds_retained", self.history.len() as u64);
             });
-
-            if let Some(monitor) = &mut self.node.monitor {
-                let view = single_node_view(round, &self.node.stepper);
-                if let Err(report) = monitor.check(&view) {
-                    trace(&mut self.node.tracer, || report.verdict_event());
-                    return Err(NetError::InvariantViolated(report));
-                }
-            }
 
             if finished {
                 return Ok(NetReport {
@@ -1325,13 +1296,12 @@ where
         let Some(hostile) = &mut self.node.hostile else {
             return;
         };
-        let once = RetryPolicy {
-            budget: Duration::ZERO,
-            ..self.node.config.retry
-        };
         for peer in std::mem::take(&mut hostile.closed) {
-            match self.mesh.dial(hostile.roster[&peer], peer, once, |_| {}) {
-                Ok(_) => self.sync.peer_rejoined(peer),
+            match self
+                .mesh
+                .dial(hostile.roster[&peer], peer, Duration::ZERO, |_| {})
+            {
+                Ok(()) => self.sync.peer_rejoined(peer),
                 Err(_) => self.sync.peer_gone(peer),
             }
         }
@@ -1394,27 +1364,6 @@ fn journaled_inbox<M: Wire + std::hash::Hash>(
         Ok(Envelope::new(NodeId::new(*from), msg))
     };
     entry.inbox.iter().map(decode).collect()
-}
-
-/// Builds the single-process [`MonitorView`] a networked node can offer.
-fn single_node_view<P: Process>(round: u64, node: &Stepper<P>) -> MonitorView<'_, P> {
-    static EMPTY: std::sync::OnceLock<BTreeSet<NodeId>> = std::sync::OnceLock::new();
-    let empty = EMPTY.get_or_init(BTreeSet::new);
-    let id = node.process().id();
-    MonitorView {
-        round,
-        processes: BTreeMap::from([(id, node.process())]),
-        decided_rounds: node.decided_round().map(|r| (id, r)).into_iter().collect(),
-        faulty: empty,
-        crashed: empty,
-    }
-}
-
-/// Derives the per-(dialer, peer) retry policy: same base schedule, but a
-/// jitter stream seeded from the pair, so a mass restart spreads its
-/// redials instead of hammering every listener in lockstep.
-fn pair_retry(base: RetryPolicy, dialer: NodeId, peer: NodeId) -> RetryPolicy {
-    base.with_jitter_seed(base.jitter_seed ^ dialer.raw().rotate_left(32) ^ peer.raw())
 }
 
 /// Records an event only if the tracer is enabled, so a [`NoopTracer`]

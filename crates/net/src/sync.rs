@@ -55,11 +55,11 @@ use uba_sim::{MsgRef, NodeId, Payload};
 
 /// Default round window, and the default of `NetConfig::history_rounds`
 /// (the deepest backfill any honest peer can serve): the two must match.
-pub const DEFAULT_ROUND_WINDOW: u64 = 64;
+pub(crate) const DEFAULT_ROUND_WINDOW: u64 = 64;
 
 /// What became of one incoming `Data` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataOutcome {
+pub(crate) enum DataOutcome {
     /// Accepted: the payload will appear in the inbox of `round + 1`.
     Delivered,
     /// A `(sender, payload)` pair already seen this round — discarded, per
@@ -86,7 +86,7 @@ impl DataOutcome {
     /// The misbehavior this outcome is charged as — the `kind` label of
     /// `net_misbehavior_total` — if it is a protocol violation no honest
     /// peer can produce; `None` for a benign race or duplicate.
-    pub fn strike(self) -> Option<&'static str> {
+    pub(crate) fn strike(self) -> Option<&'static str> {
         match self {
             DataOutcome::Stale => Some("stale_replay"),
             DataOutcome::FarFuture => Some("far_future"),
@@ -98,7 +98,7 @@ impl DataOutcome {
 
 /// What became of one incoming `Done` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DoneOutcome {
+pub(crate) enum DoneOutcome {
     /// Recorded for the current or a legitimately-future round.
     Accepted,
     /// Marker for an already-released barrier; ignored (benign race).
@@ -116,7 +116,7 @@ pub enum DoneOutcome {
 impl DoneOutcome {
     /// The misbehavior this outcome is charged as, like
     /// [`DataOutcome::strike`].
-    pub fn strike(self) -> Option<&'static str> {
+    pub(crate) fn strike(self) -> Option<&'static str> {
         match self {
             DoneOutcome::OutOfWindow => Some("done_out_of_window"),
             DoneOutcome::Conflict => Some("done_conflict"),
@@ -152,29 +152,8 @@ impl<M> RoundBucket<M> {
 /// payloads arrived (with duplicate suppression), and which peers the node
 /// still expects at the barrier. See the [module docs](self) for the
 /// protocol.
-///
-/// # Examples
-///
-/// ```
-/// use uba_net::{DataOutcome, RoundSynchronizer};
-/// use uba_sim::{MsgRef, NodeId};
-///
-/// let me = NodeId::new(1);
-/// let peer = NodeId::new(2);
-/// let mut sync = RoundSynchronizer::<u64>::new(me, [peer]);
-///
-/// // Peer sends its round-1 traffic, then its barrier marker.
-/// assert_eq!(sync.accept_data(peer, 1, MsgRef::new(7)), DataOutcome::Delivered);
-/// assert_eq!(sync.accept_data(peer, 1, MsgRef::new(7)), DataOutcome::Duplicate);
-/// sync.accept_done(peer, 1, false);
-///
-/// assert!(sync.barrier_complete());
-/// let inbox = sync.advance();
-/// assert_eq!(inbox.len(), 1);
-/// assert_eq!(sync.current_round(), 2);
-/// ```
 #[derive(Debug)]
-pub struct RoundSynchronizer<M> {
+pub(crate) struct RoundSynchronizer<M> {
     me: NodeId,
     round: u64,
     expected: BTreeSet<NodeId>,
@@ -191,7 +170,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// Creates a synchronizer for node `me` expecting `peers` at every
     /// barrier, positioned at round 1 (the first round processes an empty
     /// inbox, exactly like the engine).
-    pub fn new(me: NodeId, peers: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn new(me: NodeId, peers: impl IntoIterator<Item = NodeId>) -> Self {
         let expected: BTreeSet<NodeId> = peers.into_iter().filter(|&p| p != me).collect();
         let silent = expected.iter().map(|&p| (p, 0)).collect();
         RoundSynchronizer {
@@ -209,7 +188,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// any honest peer can serve.
     ///
     /// [`NetNode`]: crate::NetNode
-    pub fn with_round_window(mut self, rounds: u64) -> Self {
+    pub(crate) fn with_round_window(mut self, rounds: u64) -> Self {
         self.round_window = rounds.max(1);
         self
     }
@@ -220,7 +199,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// the rounds it missed while down arrive via `Backfill` frames, which
     /// feed [`accept_data`](Self::accept_data) /
     /// [`accept_done`](Self::accept_done) exactly like live traffic.
-    pub fn resume_at(
+    pub(crate) fn resume_at(
         me: NodeId,
         peers: impl IntoIterator<Item = NodeId>,
         first_round: u64,
@@ -233,7 +212,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// Starts expecting `peer` at barriers again (it completed a rejoin
     /// handshake after previously being declared gone), with a fresh
     /// silence counter. A no-op if the peer was never dropped.
-    pub fn peer_rejoined(&mut self, peer: NodeId) {
+    pub(crate) fn peer_rejoined(&mut self, peer: NodeId) {
         if peer == self.me {
             return;
         }
@@ -242,24 +221,24 @@ impl<M: Payload> RoundSynchronizer<M> {
     }
 
     /// This node's id.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.me
     }
 
     /// The round currently being collected (1-based).
-    pub fn current_round(&self) -> u64 {
+    pub(crate) fn current_round(&self) -> u64 {
         self.round
     }
 
     /// The peers currently expected at the barrier, in ascending id order.
-    pub fn expected(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn expected(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.expected.iter().copied()
     }
 
     /// Records a payload this node sent to itself (the engine's broadcast
     /// self-delivery: a broadcast reaches every present node including the
     /// sender). Subject to the same duplicate rule as remote traffic.
-    pub fn self_deliver(&mut self, msg: MsgRef<M>) -> DataOutcome {
+    pub(crate) fn self_deliver(&mut self, msg: MsgRef<M>) -> DataOutcome {
         let round = self.round;
         self.insert(self.me, round, msg)
     }
@@ -271,7 +250,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// [`DataOutcome::Late`]. Frames outside the window, or arriving after
     /// the sender's own `Done` for that round, are misbehavior (see the
     /// [module docs](self)).
-    pub fn accept_data(&mut self, from: NodeId, round: u64, msg: MsgRef<M>) -> DataOutcome {
+    pub(crate) fn accept_data(&mut self, from: NodeId, round: u64, msg: MsgRef<M>) -> DataOutcome {
         if round > self.round.saturating_add(self.round_window) {
             return DataOutcome::FarFuture;
         }
@@ -306,7 +285,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// are ignored (the barrier they belonged to already released);
     /// out-of-window rounds and conflicting `decided` flags are misbehavior
     /// and leave the recorded state untouched (first writer wins).
-    pub fn accept_done(&mut self, from: NodeId, round: u64, decided: bool) -> DoneOutcome {
+    pub(crate) fn accept_done(&mut self, from: NodeId, round: u64, decided: bool) -> DoneOutcome {
         if round > self.round.saturating_add(self.round_window) {
             return DoneOutcome::OutOfWindow;
         }
@@ -333,7 +312,7 @@ impl<M: Payload> RoundSynchronizer<M> {
 
     /// Whether every expected peer has delivered its `Done` marker for the
     /// current round (the barrier may release).
-    pub fn barrier_complete(&self) -> bool {
+    pub(crate) fn barrier_complete(&self) -> bool {
         match self.pending.get(&self.round) {
             Some(bucket) => self.expected.iter().all(|p| bucket.done.contains_key(p)),
             None => self.expected.is_empty(),
@@ -342,7 +321,7 @@ impl<M: Payload> RoundSynchronizer<M> {
 
     /// The expected peers whose `Done` marker for the current round has not
     /// arrived, in ascending id order.
-    pub fn missing(&self) -> Vec<NodeId> {
+    pub(crate) fn missing(&self) -> Vec<NodeId> {
         let done = self.pending.get(&self.round).map(|b| &b.done);
         self.expected
             .iter()
@@ -355,7 +334,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// caller's barrier timeout fired). Each missed barrier increments the
     /// peer's consecutive-silence counter; a peer that shows up again resets
     /// it at the next [`advance`](Self::advance). Returns the peers charged.
-    pub fn timed_out(&mut self) -> Vec<NodeId> {
+    pub(crate) fn timed_out(&mut self) -> Vec<NodeId> {
         let missing = self.missing();
         for &peer in &missing {
             *self.silent.entry(peer).or_insert(0) += 1;
@@ -364,14 +343,14 @@ impl<M: Payload> RoundSynchronizer<M> {
     }
 
     /// How many consecutive barriers `peer` has missed.
-    pub fn silent_rounds(&self, peer: NodeId) -> u64 {
+    pub(crate) fn silent_rounds(&self, peer: NodeId) -> u64 {
         self.silent.get(&peer).copied().unwrap_or(0)
     }
 
     /// Stops expecting `peer` at future barriers (its connection closed for
     /// good, or it exceeded the configured silence budget). Pending data
     /// already accepted from it still delivers.
-    pub fn peer_gone(&mut self, peer: NodeId) {
+    pub(crate) fn peer_gone(&mut self, peer: NodeId) {
         self.expected.remove(&peer);
         self.silent.remove(&peer);
     }
@@ -383,7 +362,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// barrier, so (absent timeouts) they reach the verdict in unison — the
     /// distributed analogue of the engine noticing that every process
     /// terminated.
-    pub fn all_decided(&self, self_decided: bool) -> bool {
+    pub(crate) fn all_decided(&self, self_decided: bool) -> bool {
         if !self_decided {
             return false;
         }
@@ -400,7 +379,7 @@ impl<M: Payload> RoundSynchronizer<M> {
     /// the inbox for the next round, ordered by sender id then send order
     /// (the engine's delivery order). Peers that made this barrier have
     /// their silence counter reset.
-    pub fn advance(&mut self) -> Vec<(NodeId, MsgRef<M>)> {
+    pub(crate) fn advance(&mut self) -> Vec<(NodeId, MsgRef<M>)> {
         let bucket = self.pending.remove(&self.round);
         if let Some(bucket) = &bucket {
             for (&peer, count) in self.silent.iter_mut() {
@@ -452,7 +431,9 @@ mod tests {
         assert_eq!(sync.accept_data(peer, 1, msg(7)), DataOutcome::Delivered);
         assert_eq!(sync.accept_data(peer, 1, msg(7)), DataOutcome::Duplicate);
         sync.accept_done(peer, 1, false);
+        assert!(sync.barrier_complete());
         assert_eq!(sync.advance().len(), 1);
+        assert_eq!(sync.current_round(), 2);
         // Same payload in the next round is a fresh message.
         assert_eq!(sync.accept_data(peer, 2, msg(7)), DataOutcome::Delivered);
     }

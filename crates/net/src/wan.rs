@@ -5,7 +5,7 @@
 //! and a [`LinkShaping`] hands one plan — with an optional counter
 //! registry and the trace events the links emit — to every member of a
 //! cluster. The plan is applied where a frame arrives: the reader thread
-//! of each connection ([`crate::conn`]) decodes a frame of `peer -> me`,
+//! of each connection decodes a frame of `peer -> me`,
 //! passes it through that link's shaper — sever, seeded `Data` loss,
 //! bandwidth queue, then latency plus jitter — and reports the survivors
 //! to its node once their delivery instant has come. Everything above
@@ -71,37 +71,8 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// Zero impairment (the default): deliver at full speed.
-    pub fn zero() -> Self {
-        Self::default()
-    }
-
-    /// Sets the fixed one-way latency.
-    pub fn with_latency(mut self, latency: Duration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Sets the jitter window.
-    pub fn with_jitter(mut self, jitter: Duration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Sets the `Data`-frame loss probability in parts per million.
-    pub fn with_loss_ppm(mut self, ppm: u32) -> Self {
-        self.loss_ppm = ppm;
-        self
-    }
-
-    /// Sets the bandwidth cap in bytes per second.
-    pub fn with_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.bandwidth = Some(bytes_per_sec);
-        self
-    }
-
     /// Whether this spec impairs nothing.
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         *self == Self::default()
     }
 }
@@ -112,11 +83,11 @@ impl LinkSpec {
 /// wall-clock windows is what keeps the schedule deterministic; the heal
 /// is the end of the range.
 #[derive(Debug, Clone)]
-pub struct Partition {
+struct Partition {
     /// Rounds (half-open) during which the cut is in force.
-    pub rounds: Range<u64>,
+    rounds: Range<u64>,
     /// One side of the cut; every link to a node outside it is severed.
-    pub side: BTreeSet<NodeId>,
+    side: BTreeSet<NodeId>,
 }
 
 impl Partition {
@@ -144,9 +115,17 @@ impl Partition {
 /// use uba_sim::NodeId;
 ///
 /// let (a, b) = (NodeId::new(1), NodeId::new(2));
+/// let slow = LinkSpec {
+///     latency: Duration::from_millis(5),
+///     ..LinkSpec::default()
+/// };
+/// let lossy = LinkSpec {
+///     loss_ppm: 20_000,
+///     ..LinkSpec::default()
+/// };
 /// let plan = LinkPlan::new(42)
-///     .with_default(LinkSpec::zero().with_latency(Duration::from_millis(5)))
-///     .with_link(a, b, LinkSpec::zero().with_loss_ppm(20_000))
+///     .with_default(slow)
+///     .with_link(a, b, lossy)
 ///     .with_partition(3..5, [a]);
 /// assert!(plan.severed(a, b, 3) && !plan.severed(a, b, 5));
 /// ```
@@ -223,91 +202,6 @@ impl LinkPlan {
     /// The deterministic draw stream seed of one directed link.
     fn link_seed(&self, from: NodeId, to: NodeId) -> u64 {
         splitmix64(self.seed ^ from.raw().rotate_left(32) ^ to.raw())
-    }
-}
-
-/// Canned WAN profiles for the `cluster` binary and experiment T13. The
-/// exact numbers are documented in EXPERIMENTS.md (T13's profile tables);
-/// they are sized so a smoke run finishes in seconds while still
-/// exercising every impairment path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WanProfile {
-    /// A three-region geo-distribution: members are assigned to regions
-    /// round-robin (in id order); intra-region links are fast, inter-region
-    /// links carry 10–25ms of latency plus proportional jitter. No loss —
-    /// a geo run under a sufficient round timeout stays byte-identical to
-    /// the simulator.
-    Geo,
-    /// A uniformly bad network: small latency and jitter, 2% `Data` loss,
-    /// and a 256 KiB/s bandwidth cap per link.
-    Lossy,
-    /// A clean network with one scheduled cut: the first half of the
-    /// members (in id order) is partitioned from the second half for
-    /// rounds 3 and 4, then the cut heals.
-    Partition,
-}
-
-impl WanProfile {
-    /// Parses a profile name as the `cluster` binary's `--wan-profile`
-    /// flag spells it.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "geo" => Some(WanProfile::Geo),
-            "lossy" => Some(WanProfile::Lossy),
-            "partition" => Some(WanProfile::Partition),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this profile.
-    pub fn name(self) -> &'static str {
-        match self {
-            WanProfile::Geo => "geo",
-            WanProfile::Lossy => "lossy",
-            WanProfile::Partition => "partition",
-        }
-    }
-
-    /// Materializes the profile into a [`LinkPlan`] over `ids` (the region
-    /// assignment and the partition cut follow the sorted id order).
-    pub fn plan(self, seed: u64, ids: &[NodeId]) -> LinkPlan {
-        let mut sorted: Vec<NodeId> = ids.to_vec();
-        sorted.sort_unstable();
-        match self {
-            WanProfile::Geo => {
-                // Latency between regions r0..r2, in milliseconds; the
-                // diagonal is the intra-region delay.
-                const LATENCY_MS: [[u64; 3]; 3] = [[2, 10, 25], [10, 2, 15], [25, 15, 2]];
-                let region = |node: NodeId| sorted.iter().position(|&n| n == node).unwrap_or(0) % 3;
-                let mut plan = LinkPlan::new(seed);
-                for &from in &sorted {
-                    for &to in &sorted {
-                        if from == to {
-                            continue;
-                        }
-                        let ms = LATENCY_MS[region(from)][region(to)];
-                        let spec = LinkSpec::zero()
-                            .with_latency(Duration::from_millis(ms))
-                            .with_jitter(Duration::from_millis(ms / 5));
-                        plan = plan.with_link(from, to, spec);
-                    }
-                }
-                plan
-            }
-            WanProfile::Lossy => LinkPlan::new(seed).with_default(
-                LinkSpec::zero()
-                    .with_latency(Duration::from_millis(2))
-                    .with_jitter(Duration::from_millis(1))
-                    .with_loss_ppm(20_000)
-                    .with_bandwidth(256 * 1024),
-            ),
-            WanProfile::Partition => {
-                let side: Vec<NodeId> = sorted[..sorted.len() / 2].to_vec();
-                LinkPlan::new(seed)
-                    .with_default(LinkSpec::zero().with_latency(Duration::from_millis(2)))
-                    .with_partition(3..5, side)
-            }
-        }
     }
 }
 
@@ -532,14 +426,13 @@ fn jitter_draw(link_seed: u64, index: u64, jitter: Duration) -> Duration {
 mod tests {
     use super::*;
 
-    fn ids(n: u64) -> Vec<NodeId> {
-        (1..=n).map(NodeId::new).collect()
-    }
-
     #[test]
     fn zero_impairment_plan_reports_itself() {
         assert!(LinkPlan::new(7).is_zero_impairment());
-        let lossy = LinkPlan::new(7).with_default(LinkSpec::zero().with_loss_ppm(1));
+        let lossy = LinkPlan::new(7).with_default(LinkSpec {
+            loss_ppm: 1,
+            ..LinkSpec::default()
+        });
         assert!(!lossy.is_zero_impairment());
         let partitioned = LinkPlan::new(7).with_partition(2..3, [NodeId::new(1)]);
         assert!(!partitioned.is_zero_impairment());
@@ -583,29 +476,5 @@ mod tests {
             assert!(a <= window);
         }
         assert_eq!(jitter_draw(9, 0, Duration::ZERO), Duration::ZERO);
-    }
-
-    #[test]
-    fn wan_profiles_parse_and_materialize() {
-        for profile in [WanProfile::Geo, WanProfile::Lossy, WanProfile::Partition] {
-            assert_eq!(WanProfile::parse(profile.name()), Some(profile));
-        }
-        assert_eq!(WanProfile::parse("dialup"), None);
-
-        let ids = ids(4);
-        let geo = WanProfile::Geo.plan(1, &ids);
-        // Nodes 1 and 4 share region 0 (round-robin of 4 over 3 regions);
-        // 1 -> 2 crosses regions 0 -> 1.
-        assert_eq!(geo.spec(ids[0], ids[3]).latency, Duration::from_millis(2));
-        assert_eq!(geo.spec(ids[0], ids[1]).latency, Duration::from_millis(10));
-        assert!(!geo.is_zero_impairment());
-
-        let lossy = WanProfile::Lossy.plan(1, &ids);
-        assert_eq!(lossy.spec(ids[0], ids[1]).loss_ppm, 20_000);
-
-        let partition = WanProfile::Partition.plan(1, &ids);
-        assert!(partition.severed(ids[0], ids[2], 3));
-        assert!(!partition.severed(ids[0], ids[1], 3), "same side");
-        assert!(!partition.severed(ids[0], ids[2], 5), "healed");
     }
 }

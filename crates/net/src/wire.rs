@@ -563,7 +563,7 @@ pub(crate) fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
 /// Writes one length-prefixed frame with a single `write_all` and flushes
 /// the writer: the frame-at-a-time path of the handshake and the client
 /// port. A node's round traffic is queued and flushed once per round
-/// instead ([`crate::conn::Links`]).
+/// instead, in one write per link.
 ///
 /// # Errors
 ///

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
     read_frame, write_frame, AttackKind, AttackPlan, ClusterSpec, Frame, FrameFault, LinkPlan,
-    LinkShaping, NetConfig, NetNode, RetryPolicy,
+    LinkShaping, NetConfig, NetNode,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process};
 use uba_trace::{metric_name, RingTracer, SharedRuntimeMetrics, TraceEvent};
@@ -81,12 +81,6 @@ fn script_dial(addr: std::net::SocketAddr, me: NodeId) -> TcpStream {
 fn hardened_config(give_up_after: u64) -> NetConfig {
     NetConfig {
         round_timeout: Duration::from_millis(200),
-        retry: RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(50),
-            budget: Duration::from_secs(5),
-            jitter_seed: 0,
-        },
         setup_timeout: Duration::from_secs(5),
         max_rounds: 50,
         give_up_after,

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use uba_core::consensus::{ConsensusMsg, EarlyConsensus};
 use uba_net::{
     read_frame, write_frame, AttackKind, AttackPlan, ByzantineNode, ClusterRun, ClusterSpec, Frame,
-    FrameFault, NetConfig, NetError, RetryPolicy, Wire,
+    FrameFault, NetConfig, NetError, Wire,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process};
 use uba_trace::NoopTracer;
@@ -40,21 +40,16 @@ enum Read {
     Silence,
 }
 
-/// Short barrier timeouts, a give-up budget deeper than the pinned rounds
-/// (no peer is written off for the silence a poison close costs) and a
-/// short dial budget, so the attacker ends soon after its peers are gone.
+/// Short barrier timeouts and a give-up budget deeper than the pinned
+/// rounds (no peer is written off for the silence a poison close costs).
+/// The attacker's mid-run redials try once, without retries, so it ends
+/// soon after its peers are gone.
 fn pin_config() -> NetConfig {
     NetConfig {
         round_timeout: Duration::from_millis(200),
         setup_timeout: Duration::from_secs(2),
         give_up_after: 4,
         max_rounds: 50,
-        retry: RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(50),
-            budget: Duration::from_millis(200),
-            jitter_seed: 0,
-        },
         ..NetConfig::default()
     }
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkShaping, NetConfig, WanProfile,
+    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkPlan, LinkShaping, LinkSpec, NetConfig,
 };
 use uba_sim::sparse_ids;
 use uba_trace::NoopTracer;
@@ -99,7 +99,13 @@ fn finished_clusters_hold_no_descriptor_and_no_thread_of_their_own() {
     );
 
     let ids = sparse_ids(4, 42);
-    let plan = WanProfile::Lossy.plan(42, &ids);
+    // The lossy WAN profile of experiment T13.
+    let plan = LinkPlan::new(42).with_default(LinkSpec {
+        latency: Duration::from_millis(2),
+        jitter: Duration::from_millis(1),
+        loss_ppm: 20_000,
+        bandwidth: Some(256 * 1024),
+    });
     let lossy = ClusterSpec {
         wan: Some(Arc::new(LinkShaping::new(plan, None))),
         ..ClusterSpec::default()

@@ -16,7 +16,7 @@ use std::time::Duration;
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
     decisions, read_frame, run_local_cluster, write_frame, Frame, NetConfig, NetError, NetNode,
-    NetReport, RetryPolicy, Wire,
+    NetReport, Wire,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process};
 use uba_trace::NoopTracer;
@@ -59,10 +59,6 @@ const PEER: NodeId = NodeId::new(0);
 fn quick_config() -> NetConfig {
     NetConfig {
         round_timeout: Duration::from_millis(200),
-        retry: RetryPolicy {
-            budget: Duration::from_secs(5),
-            ..RetryPolicy::default()
-        },
         setup_timeout: Duration::from_secs(5),
         max_rounds: 50,
         give_up_after: 2,
@@ -165,6 +161,9 @@ fn a_killed_node_leaves_nothing_of_the_killed_round_on_the_wire() {
     );
     let result = handle.join().unwrap();
     assert!(matches!(result, Err(NetError::Killed(2))), "{result:?}");
+    // The run ended in an error and still gave its sockets back: the peer
+    // read a clean EOF above, and the listener is gone.
+    assert!(TcpStream::connect(addr).is_err(), "listener closed");
 }
 
 #[test]

@@ -2,19 +2,19 @@
 //! raw-TCP peers: a peer that misses the barrier (timeout → omission), a
 //! peer that duplicates frames (dropped per the model's per-round rule),
 //! a peer that drops its connection mid-run and redials (reconnect), a
-//! monitor that rejects a round (typed error, traced verdict, closed
-//! sockets), and a harness abort raised while the node waits (at a busy
-//! barrier, in the pace window).
+//! peer that never accepts (given up after `setup_timeout`), and a harness
+//! abort raised while the node waits (at a busy barrier, in the pace
+//! window).
 
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use uba_net::{read_frame, write_frame, Frame, NetConfig, NetError, NetNode, RetryPolicy};
-use uba_sim::{Context, MonitorView, NodeId, Process, ViolationReport};
-use uba_trace::{RingTracer, SharedRuntimeMetrics, TraceEvent, Tracer};
+use uba_net::{read_frame, write_frame, Frame, NetConfig, NetError, NetNode};
+use uba_sim::{Context, NodeId, Process};
+use uba_trace::{RingTracer, SharedRuntimeMetrics, TraceEvent};
 
 /// A minimal networked process: broadcasts its round number for `rounds`
 /// rounds, then outputs the total number of messages it received.
@@ -73,12 +73,6 @@ fn script_dial(addr: std::net::SocketAddr, me: NodeId) -> TcpStream {
 fn quick_config(give_up_after: u64) -> NetConfig {
     NetConfig {
         round_timeout: Duration::from_millis(200),
-        retry: RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(50),
-            budget: Duration::from_secs(5),
-            jitter_seed: 0,
-        },
         setup_timeout: Duration::from_secs(5),
         max_rounds: 50,
         give_up_after,
@@ -385,93 +379,30 @@ fn reconnecting_peer_keeps_its_identity_across_links() {
     assert!(connects >= 2, "both links traced, saw {connects}");
 }
 
-/// A tracer whose events outlive the node: a run that ends in `Err` takes
-/// its own tracer down with it.
-#[derive(Clone, Default)]
-struct SharedTracer(Arc<Mutex<Vec<TraceEvent>>>);
-
-impl Tracer for SharedTracer {
-    fn record(&mut self, event: TraceEvent) {
-        self.0.lock().unwrap().push(event);
-    }
-}
-
 #[test]
-fn monitor_violation_is_a_typed_error_a_traced_verdict_and_closed_sockets() {
-    let me = NodeId::new(1);
-    let peer = NodeId::new(0);
+fn a_peer_that_never_accepts_is_given_up_after_the_setup_timeout() {
+    let (me, peer) = (NodeId::new(1), NodeId::new(2));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let roster: BTreeMap<NodeId, std::net::SocketAddr> =
-        [(me, addr), (peer, "127.0.0.1:1".parse().unwrap())].into();
-    let events = SharedTracer::default();
-    let tracer = events.clone();
-    let handle = std::thread::spawn(move || {
-        NetNode::new(Counter::new(me, 5), quick_config(10))
-            .with_tracer(tracer)
-            .with_monitor(move |view: &MonitorView<'_, Counter>| {
-                if view.round < 2 {
-                    return Ok(());
-                }
-                Err(ViolationReport {
-                    round: view.round,
-                    spec: "round two never ends".to_string(),
-                    nodes: vec![me],
-                    violations: vec!["it ended".to_string()],
-                })
-            })
-            .run(listener, &roster)
-    });
-
-    // Make both barriers, so the monitor sees round 2 end.
-    let mut stream = script_dial(addr, peer);
-    for round in 1..=2 {
-        let done = Frame::Done {
-            round,
-            decided: false,
-        };
-        write_frame(&mut stream, &done).unwrap();
-    }
-
-    match handle.join().unwrap() {
-        Err(NetError::InvariantViolated(report)) => {
-            assert_eq!((report.round, report.nodes), (2, vec![me]));
-        }
-        other => panic!(
-            "expected InvariantViolated, got {:?}",
-            other.map(|r| r.output)
-        ),
-    }
-    let verdicts: Vec<TraceEvent> = events
-        .0
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|e| e.kind() == "monitor_verdict")
-        .cloned()
-        .collect();
+    // The peer has the larger id, so the node dials it — at an address
+    // where nothing listens any more.
+    let vacated = TcpListener::bind("127.0.0.1:0").unwrap();
+    let nowhere = vacated.local_addr().unwrap();
+    drop(vacated);
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> = [(me, addr), (peer, nowhere)].into();
+    let config = NetConfig {
+        setup_timeout: Duration::from_millis(300),
+        ..NetConfig::default()
+    };
+    let started = Instant::now();
+    let result = NetNode::new(Counter::new(me, 5), config).run(listener, &roster);
+    let took = started.elapsed();
     assert!(
-        matches!(
-            verdicts[..],
-            [TraceEvent::MonitorVerdict {
-                round: 2,
-                ok: false,
-                ..
-            }]
-        ),
-        "exactly the failing verdict is traced: {verdicts:?}"
+        matches!(result, Err(NetError::Io(_))),
+        "expected Io, got {:?}",
+        result.map(|r| r.output)
     );
-
-    // The node gave its sockets back on the way out: after the frames it
-    // had already sent, the peer reads EOF (not a timeout), and the
-    // listener is gone.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    while let Some(frame) = read_frame(&mut stream).expect("EOF, not a timeout") {
-        assert!(matches!(frame, Frame::Data { .. } | Frame::Done { .. }));
-    }
-    assert!(TcpStream::connect(addr).is_err(), "listener closed");
+    assert!(took < Duration::from_secs(2), "dialed for {took:?}");
 }
 
 /// Starts a [`NetNode`] with an abort flag, a metrics registry and

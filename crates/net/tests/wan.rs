@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
     decisions, read_frame, run_local_cluster, write_frame, ClusterRun, ClusterSpec, Frame,
-    LinkPlan, LinkShaping, LinkSpec, NetConfig, NetError, NetNode, RetryPolicy, WanProfile, Wire,
+    LinkPlan, LinkShaping, LinkSpec, NetConfig, NetError, NetNode, Wire,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process, SyncEngine};
 use uba_trace::{metric_name, NoopTracer, RingTracer, SharedRuntimeMetrics, TraceEvent};
@@ -75,12 +75,6 @@ fn test_config() -> NetConfig {
 fn quick_config(give_up_after: u64) -> NetConfig {
     NetConfig {
         round_timeout: Duration::from_millis(200),
-        retry: RetryPolicy {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(50),
-            budget: Duration::from_secs(5),
-            jitter_seed: 0,
-        },
         setup_timeout: Duration::from_secs(5),
         max_rounds: 50,
         give_up_after,
@@ -205,7 +199,11 @@ fn loss_is_asymmetric_per_direction() {
     let peer = NodeId::new(0);
     // 100% Data loss on peer -> node only; the reverse direction and all
     // control frames are untouched.
-    let plan = LinkPlan::new(9).with_link(peer, me, LinkSpec::zero().with_loss_ppm(1_000_000));
+    let lost = LinkSpec {
+        loss_ppm: 1_000_000,
+        ..LinkSpec::default()
+    };
+    let plan = LinkPlan::new(9).with_link(peer, me, lost);
     let registry = SharedRuntimeMetrics::new();
     let (addr, shaping, handle) =
         spawn_shaped_node(1, quick_config(10), plan, Some(registry.clone()));
@@ -332,11 +330,21 @@ fn partition_severs_mid_run_then_heals() {
     );
 }
 
+/// The lossy WAN profile of experiment T13: small latency and jitter, 2%
+/// `Data` loss and a 256 KiB/s cap on every link.
+fn lossy_plan(seed: u64) -> LinkPlan {
+    LinkPlan::new(seed).with_default(LinkSpec {
+        latency: Duration::from_millis(2),
+        jitter: Duration::from_millis(1),
+        loss_ppm: 20_000,
+        bandwidth: Some(256 * 1024),
+    })
+}
+
 #[test]
 fn lossy_profile_cluster_still_agrees() {
     let seed = 42;
-    let ids = sparse_ids(4, seed);
-    let plan = WanProfile::Lossy.plan(seed, &ids);
+    let plan = lossy_plan(seed);
     let registry = SharedRuntimeMetrics::new();
     let lossy = ClusterSpec {
         wan: Some(Arc::new(LinkShaping::new(plan, Some(registry.clone())))),
@@ -384,15 +392,13 @@ const D: u64 = 17_057_574_109_182_124_193;
 /// A seed-determined link event: `(kind, round, node, peer)`.
 type LinkFact = (&'static str, u64, u64, Option<u64>);
 
-/// Runs `profile` (seed 42, n = 4 [`EarlyConsensus`]) and returns the
+/// Runs `plan` (seed 42, n = 4 [`EarlyConsensus`]) and returns the
 /// sorted seed-determined link events — drops, cuts and heals — with the
 /// dropped and severed frame sums. Forwarded counts and delay events are
 /// left out: they follow wall-clock arrival (DESIGN.md §11).
-fn profile_facts(profile: WanProfile, config: NetConfig) -> (Vec<LinkFact>, u64, u64) {
+fn profile_facts(plan: LinkPlan, config: NetConfig) -> (Vec<LinkFact>, u64, u64) {
     let seed = 42;
-    let ids = sparse_ids(4, seed);
     let registry = SharedRuntimeMetrics::new();
-    let plan = profile.plan(seed, &ids);
     let spec = ClusterSpec {
         wan: Some(Arc::new(LinkShaping::new(plan, Some(registry.clone())))),
         ..ClusterSpec::default()
@@ -424,7 +430,7 @@ fn profile_facts(profile: WanProfile, config: NetConfig) -> (Vec<LinkFact>, u64,
 
 #[test]
 fn lossy_profile_drops_the_pinned_frames() {
-    let (facts, dropped, severed) = profile_facts(WanProfile::Lossy, test_config());
+    let (facts, dropped, severed) = profile_facts(lossy_plan(42), test_config());
     let expected = vec![
         ("net_link_drop", 1, A, Some(D)),
         ("net_link_drop", 2, C, Some(D)),
@@ -440,9 +446,17 @@ fn partition_profile_cuts_and_heals_the_pinned_links() {
         give_up_after: 10,
         ..test_config()
     };
-    let (facts, dropped, severed) = profile_facts(WanProfile::Partition, config);
-    // {A, B} is cut from {C, D} for rounds 3 and 4; every crossing link
-    // heals with its first round-5 frame.
+    // The partition WAN profile of experiment T13: 2 ms links, and {A, B}
+    // cut from {C, D} for rounds 3 and 4.
+    let slow = LinkSpec {
+        latency: Duration::from_millis(2),
+        ..LinkSpec::default()
+    };
+    let plan = LinkPlan::new(42)
+        .with_default(slow)
+        .with_partition(3..5, [A, B].map(NodeId::new));
+    let (facts, dropped, severed) = profile_facts(plan, config);
+    // Every crossing link heals with its first round-5 frame.
     let crossing = [
         (A, C),
         (A, D),
@@ -474,8 +488,10 @@ const HELD_LINKS_BOUND: Duration = Duration::from_secs(30);
 #[test]
 fn a_cluster_whose_links_hold_every_frame_for_an_hour_still_returns() {
     let seed = 42;
-    let plan =
-        LinkPlan::new(seed).with_default(LinkSpec::zero().with_latency(Duration::from_secs(3600)));
+    let plan = LinkPlan::new(seed).with_default(LinkSpec {
+        latency: Duration::from_secs(3600),
+        ..LinkSpec::default()
+    });
     let config = NetConfig {
         round_timeout: Duration::from_millis(200),
         max_rounds: 20,

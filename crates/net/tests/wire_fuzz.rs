@@ -16,8 +16,7 @@ use std::time::Duration;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use uba_net::{
-    read_frame, serve_clients, write_frame, Frame, LogIngress, NetConfig, NetNode, RetryPolicy,
-    MAX_FRAME,
+    read_frame, serve_clients, write_frame, Frame, LogIngress, NetConfig, NetNode, MAX_FRAME,
 };
 use uba_sim::{Context, NodeId, Process};
 use uba_trace::NoopTracer;
@@ -274,12 +273,6 @@ proptest! {
             [(me, addr), (peer, "127.0.0.1:1".parse().unwrap())].into();
         let config = NetConfig {
             round_timeout: Duration::from_millis(100),
-            retry: RetryPolicy {
-                initial_backoff: Duration::from_millis(5),
-                max_backoff: Duration::from_millis(20),
-                budget: Duration::from_secs(2),
-                jitter_seed: 0,
-            },
             setup_timeout: Duration::from_secs(2),
             max_rounds: 30,
             give_up_after: 1,
