@@ -100,3 +100,49 @@ fn uba_demo_without_a_command_prints_the_usage_and_exits_2() {
         assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
     }
 }
+
+/// `uba-demo trap`'s sweep, as it prints it: the cliff sits at the
+/// decision horizon (patience + 1), for an even and an uneven split.
+const TRAP_PATIENCE_4: &str = "\
+two groups of 3 vs 4, patience 4, decision horizon 5 ticks
+cross-delay | outcome
+          1 | agreement
+          2 | agreement
+          3 | agreement
+          4 | agreement
+          5 | agreement
+          6 | DISAGREEMENT
+          7 | DISAGREEMENT
+          8 | DISAGREEMENT
+";
+
+const TRAP_5_NODES_PATIENCE_2: &str = "\
+two groups of 2 vs 3, patience 2, decision horizon 3 ticks
+cross-delay | outcome
+          1 | agreement
+          2 | agreement
+          3 | agreement
+          4 | DISAGREEMENT
+          5 | DISAGREEMENT
+          6 | DISAGREEMENT
+";
+
+#[test]
+fn uba_demo_trap_prints_the_pinned_sweep() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["trap", "--patience", "4"], TRAP_PATIENCE_4),
+        (
+            &["trap", "--nodes", "5", "--patience", "2"],
+            TRAP_5_NODES_PATIENCE_2,
+        ),
+    ];
+    for (args, expected) in cases {
+        let Output { status, stdout, .. } = Command::new(env!("CARGO_BIN_EXE_uba-demo"))
+            .args(args)
+            .output()
+            .expect("runs");
+        assert!(status.success(), "{args:?}: {status}");
+        let stdout = String::from_utf8(stdout).expect("utf-8 stdout");
+        assert_eq!(stdout, expected, "{args:?}");
+    }
+}
