@@ -16,20 +16,22 @@
 //!   silent toward arbitrary subsets, and lie about received messages —
 //!   but unable to forge the sender id of a direct message;
 //! - dynamic membership ([`ChurnSchedule`]) with adversary-chosen joins and
-//!   leaves,
+//!   leaves, and
 //! - deterministic benign-fault injection ([`FaultPlan`]: crash-stop,
 //!   crash-recovery, omission and lossy links) with online invariant
-//!   monitoring ([`RoundMonitor`]), and
-//! - semi-synchronous / asynchronous execution ([`DelayedEngine`],
-//!   [`DelayModel`]) for the paper's impossibility results.
+//!   monitoring ([`RoundMonitor`]).
 //!
-//! Protocols implement [`Process`] and are driven by an engine; the
+//! The paper's impossibility runs need no second engine: a cross-partition
+//! delay of `d` rounds is a [`FaultPlan`] that drops every cross-partition
+//! message sent before round `d` (`uba-core`'s `lower_bounds`).
+//!
+//! Protocols implement [`Process`] and are driven by the engine; the
 //! algorithms themselves live in the `uba-core` crate. What one round does
 //! to one process — receive what was sent to it in the previous round,
 //! compute, queue its sends, and leave the computation once terminated — is
-//! defined once, by [`Stepper`]: both engines, the churn restart and the
+//! defined once, by [`Stepper`]: the engine, its churn restart and the
 //! `uba-net` transport (live rounds and journal replay) step and replay
-//! through it, and add only delivery, faults, delays or sockets around it.
+//! through it, and add only delivery, faults or sockets around it.
 //!
 //! # Example
 //!
@@ -57,7 +59,6 @@
 
 mod adversary;
 mod churn;
-mod delayed;
 mod engine;
 mod faults;
 mod id;
@@ -70,7 +71,6 @@ pub mod testutil;
 
 pub use adversary::{Adversary, AdversaryOutbox, AdversaryView, FnAdversary, NoAdversary};
 pub use churn::{ChurnAction, ChurnSchedule};
-pub use delayed::{DelayModel, DelayedEngine, FixedDelay, PartitionDelay, UniformDelay};
 pub use engine::{Completion, EngineBuilder, EngineError, ObserveFn, SyncEngine};
 pub use faults::{Fault, FaultPlan, FaultUniverse};
 pub use id::{consecutive_ids, sparse_ids, IdAllocator, NodeId};
@@ -81,8 +81,7 @@ pub use rng::{derive, seeded};
 pub use stats::Stats;
 
 /// The structured tracing vocabulary and tracers (re-exported from
-/// [`uba_trace`]); install one via [`EngineBuilder::tracer`] /
-/// [`DelayedEngine::with_tracer`] and an observe hook via
-/// [`EngineBuilder::observe`].
+/// [`uba_trace`]); install one via [`EngineBuilder::tracer`] and an observe
+/// hook via [`EngineBuilder::observe`].
 pub use uba_trace as trace;
 pub use uba_trace::{NodeSnapshot, NoopTracer, TraceEvent, Tracer};

@@ -215,7 +215,7 @@ impl<M> Segment<M> {
 
 /// The messages delivered to one process in one round, in send order: a
 /// borrowed view over the [`Segment`]s the engine delivered, or over a plain
-/// slice of envelopes (the TCP node, the delayed engine, tests).
+/// slice of envelopes (the TCP node, tests).
 ///
 /// `Copy`, so [`Context::inbox`](crate::Context::inbox) hands it out by value
 /// and it can be iterated as often as a protocol likes.

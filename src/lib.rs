@@ -12,7 +12,7 @@
 //!
 //! - [`sim`] ([`uba_sim`]) — the synchronous round engine, the
 //!   full-information rushing Byzantine adversary interface, dynamic
-//!   membership, and the semi-synchronous/asynchronous engine;
+//!   membership, and deterministic fault injection;
 //! - [`core`] ([`uba_core`]) — the paper's algorithms: reliable broadcast,
 //!   rotor-coordinator, `O(f)` consensus, approximate agreement, parallel
 //!   consensus, total ordering in dynamic networks, the appendix extensions
