@@ -2,7 +2,8 @@
 //! raw-TCP peers: a peer that misses the barrier (timeout → omission), a
 //! peer that duplicates frames (dropped per the model's per-round rule),
 //! a peer that drops its connection mid-run and redials (reconnect), a
-//! peer that never accepts (given up after `setup_timeout`), and a harness
+//! peer that never accepts (given up after `setup_timeout`), a connector
+//! that never says `Hello` (the next peer is still answered), and a harness
 //! abort raised while the node waits (at a busy barrier, in the pace
 //! window).
 
@@ -381,28 +382,38 @@ fn reconnecting_peer_keeps_its_identity_across_links() {
 
 #[test]
 fn a_peer_that_never_accepts_is_given_up_after_the_setup_timeout() {
-    let (me, peer) = (NodeId::new(1), NodeId::new(2));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    // The peer has the larger id, so the node dials it — at an address
-    // where nothing listens any more.
-    let vacated = TcpListener::bind("127.0.0.1:0").unwrap();
-    let nowhere = vacated.local_addr().unwrap();
-    drop(vacated);
-    let roster: BTreeMap<NodeId, std::net::SocketAddr> = [(me, addr), (peer, nowhere)].into();
-    let config = NetConfig {
-        setup_timeout: Duration::from_millis(300),
-        ..NetConfig::default()
-    };
-    let started = Instant::now();
-    let result = NetNode::new(Counter::new(me, 5), config).run(listener, &roster);
-    let took = started.elapsed();
-    assert!(
-        matches!(result, Err(NetError::Io(_))),
-        "expected Io, got {:?}",
-        result.map(|r| r.output)
-    );
-    assert!(took < Duration::from_secs(2), "dialed for {took:?}");
+    // The dials share one setup deadline: sixteen unreachable peers cost
+    // one `setup_timeout`, not sixteen. (A dial that gets a budget of its
+    // own gives up after about 190 ms of its 300, so sixteen of them take
+    // about 3 s.)
+    for unreachable in [1, 16] {
+        let me = NodeId::new(1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The peers have larger ids, so the node dials them — at addresses
+        // where nothing listens any more.
+        let mut roster: BTreeMap<NodeId, std::net::SocketAddr> = [(me, addr)].into();
+        for raw in 2..2 + unreachable {
+            let vacated = TcpListener::bind("127.0.0.1:0").unwrap();
+            roster.insert(NodeId::new(raw), vacated.local_addr().unwrap());
+        }
+        let config = NetConfig {
+            setup_timeout: Duration::from_millis(300),
+            ..NetConfig::default()
+        };
+        let started = Instant::now();
+        let result = NetNode::new(Counter::new(me, 5), config).run(listener, &roster);
+        let took = started.elapsed();
+        assert!(
+            matches!(result, Err(NetError::Io(_))),
+            "{unreachable} unreachable: expected Io, got {:?}",
+            result.map(|r| r.output)
+        );
+        assert!(
+            took < Duration::from_secs(2),
+            "{unreachable} unreachable: dialed for {took:?}"
+        );
+    }
 }
 
 /// Starts a [`NetNode`] with an abort flag, a metrics registry and
@@ -498,6 +509,41 @@ fn abort_is_noticed_at_a_barrier_that_keeps_receiving_frames() {
     assert_aborts_promptly(&flag, handle);
     stop.store(true, Ordering::SeqCst);
     chatter.join().unwrap();
+}
+
+#[test]
+fn a_silent_connector_does_not_hold_up_the_next_peer() {
+    // Regression: the inbound handshake ran inline in the accept loop, so
+    // a connection that never says `Hello` kept the peer that dialed next
+    // waiting for the node's `Hello` for the whole 10 s handshake timeout.
+    let config = NetConfig {
+        round_timeout: Duration::from_secs(10),
+        ..quick_config(10)
+    };
+    let (addr, flag, _metrics, handle) = spawn_abortable(config);
+    let _silent = TcpStream::connect(addr).unwrap();
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    let hello = Frame::Hello {
+        node: NodeId::new(0),
+    };
+    write_frame(&mut stream, &hello).unwrap();
+    let answer = read_frame(&mut stream);
+    let took = started.elapsed();
+    assert!(
+        matches!(answer, Ok(Some(Frame::Hello { node })) if node == NodeId::new(1)),
+        "expected the node's Hello, got {answer:?}"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "Hello came back after {took:?}"
+    );
+    // The silent connection is still in its handshake: the teardown must
+    // end it rather than wait it out.
+    assert_aborts_promptly(&flag, handle);
 }
 
 #[test]
