@@ -39,10 +39,9 @@ impl NodeSnapshot {
 
 /// One structured event of an engine run.
 ///
-/// Rounds are 1-based engine rounds (ticks, for the delayed engine). A
-/// delivery is attributed to the round its message was *sent* in — it
-/// physically arrives at the start of the next round — matching the
-/// round-attribution of the engine's statistics.
+/// Rounds are 1-based engine rounds. A delivery is attributed to the round
+/// its message was *sent* in — it physically arrives at the start of the
+/// next round — matching the round-attribution of the engine's statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A round started executing (after churn and fault application).
