@@ -35,7 +35,7 @@
 //! - [`harness`] — convenience runners used by tests, examples and
 //!   benchmarks.
 //!
-//! All protocols implement [`uba_sim::Process`] and run on the engines of
+//! All protocols implement [`uba_sim::Process`] and run on the engine of
 //! the [`uba_sim`] crate.
 //!
 //! Two things exist once for several algorithms. The three rotor-driven

@@ -1,8 +1,8 @@
 //! Connection management: dialing with retry/backoff, the `Hello`
-//! handshake, per-connection reader threads (which also apply a WAN
+//! handshake, the crate's one way of serving a connection and its one
+//! accept loop, per-link readers (which also apply a WAN
 //! [`LinkPlan`](crate::LinkPlan) to their inbound link — [`crate::wan`]),
-//! the shared writer table, the crate's one accept loop, and the `Mesh`
-//! that owns a node's sockets.
+//! the shared writer table, and the `Mesh` that owns a node's sockets.
 //!
 //! Topology is a full mesh with a deterministic dialing convention: each
 //! node **dials** every peer with a *larger* id and **accepts** from every
@@ -14,51 +14,51 @@
 //! generation, so a connection that was already replaced by a reconnect
 //! cannot tear down the fresh link.
 //!
-//! # The accept loop
+//! # Serving a connection
 //!
-//! Every listener in the crate — a node's mesh listener, the log
-//! service's client port, the metrics endpoint — runs `accept_loop`: one
-//! thread that hands each accepted stream to a closure. The contract is
-//! the closure's: it **must return in bounded time** (hand long
-//! conversations to a thread of their own, put a timeout on anything read
-//! inline), because `AcceptLoop::stop` sets the stop flag, wakes the
-//! blocked `accept` with a throwaway connection to the listener's own
-//! address, and then *waits for the loop to end*. The loop re-checks the
-//! flag after every wake, before touching the stream, so the wake
-//! connection (or a real one racing it) is never served once stop began.
+//! Every connection the crate holds — a mesh link either way, a log
+//! client, a metrics scrape — is a job of a [`Connections`] set: `serve`
+//! keeps the socket under a ticket while a pooled thread (`run_pooled`)
+//! runs the job, and drops it when the job ends, so a connection holds its
+//! descriptor exactly as long as it is served. A listener — a node's mesh
+//! listener, the log service's client port, the metrics endpoint — feeds
+//! its set from one accept loop, which serves each accepted stream as a job
+//! and so never waits on a peer. The loop is stopped by a flag and a
+//! throwaway connection to the listener's own address that wakes the
+//! blocked `accept`; it re-checks the flag after every wake, before
+//! touching the stream, so the wake connection (or a real one racing it) is
+//! never served once stop began. A [`Server`] is a listener with its set.
 //!
 //! # Teardown
 //!
 //! A `Mesh` gives everything back when it is dropped, on every exit path
-//! of the code that owns it (return, `?`, panic unwind), in this order:
+//! of the code that owns it (return, `?`, panic unwind); a [`Server`] on
+//! `shutdown`. Both run the set's teardown, the mesh with one extra step:
 //!
-//! 1. **stop the acceptor** — once it has ended no new link can appear;
-//! 2. **shut every socket down** (both directions), those of inbound
-//!    connections still in their handshake included — peers read EOF, and
-//!    the local readers and handshakes parked on the cloned read halves
-//!    wake up;
-//! 3. **drop the links, then wait for the readers to end**, each dropping
-//!    its half first. A reader holding a frame for a shaping delay waits
-//!    on its link's wake channel, not on a timer, and dropping the link
-//!    wakes it at once.
+//! 1. **stop the accept loop** and wait for it — no new job can appear;
+//! 2. **shut every socket of the set down** (both directions), those still
+//!    in their handshake included — peers read EOF, and the jobs parked on
+//!    the sockets wake up;
+//! 3. (mesh) **drop the links**: a reader holding a frame for a shaping
+//!    delay waits on its link's wake channel, not on a timer, and dropping
+//!    the link wakes it at once;
+//! 4. **wait for the jobs to end**.
 //!
-//! Step 3 cannot hang because every socket a reader may be parked on is
-//! either in the [`Links`] table or still in its handshake (both shut down
-//! in step 2) or was shut down when it left the table (replaced by a
-//! reconnect, failed write, eviction), and every link that left the table
-//! was dropped, waking a reader parked in a delay. A handshake that ends
-//! after step 2 took its socket installs no link. A node must only drop its
-//! mesh after its last frame is *flushed*: [`Links`] buffers what it is
-//! given, and teardown shuts the sockets down without flushing (a killed
-//! node says no goodbye). What was flushed before the drop reaches the peer
-//! ahead of the EOF.
+//! Step 4 cannot hang because every socket a job may be parked on is in
+//! the set (shut down in step 2), and every link is dropped by then — in
+//! step 3, or earlier when it left the table (replaced by a reconnect,
+//! failed write, eviction). The table refuses links once closed, so a
+//! handshake that ends after step 3 installs none. A node must only drop its mesh after its last frame is
+//! *flushed*: [`Links`] buffers what it is given, and teardown shuts the
+//! sockets down without flushing (a killed node says no goodbye). What was
+//! flushed before the drop reaches the peer ahead of the EOF.
 //!
-//! Descriptors go back to the OS; the accept-loop and reader *threads* go
-//! back to a process-wide pool (`run_pooled`) and serve the next
-//! connection. An n-node mesh is n² short-lived blocking threads, and
-//! creating and exiting them costs more than everything else in setting a
-//! mesh up and tearing it down (DESIGN.md §8 has the n=16 numbers) — so a
-//! process keeps as many parked threads as its busiest moment needed.
+//! Descriptors go back to the OS; the threads go back to a process-wide
+//! pool (`run_pooled`) and serve the next connection. An n-node mesh is n²
+//! short-lived blocking threads, and creating and exiting them costs more
+//! than everything else in setting a mesh up and tearing it down (DESIGN.md
+//! §8 has the n=16 numbers) — so a process keeps as many parked threads as
+//! its busiest moment needed.
 //!
 //! # Writing
 //!
@@ -119,46 +119,39 @@ fn jittered(backoff: Duration, seed: u64, attempt: u32) -> Duration {
     backoff + Duration::from_nanos(draw % (nanos / 2 + 1))
 }
 
-/// Dials `addr` until it accepts or `deadline` passes, calling
-/// `on_retry(attempt)` before each backoff sleep. The backoff doubles from
+/// Dials `addr` until it accepts or `deadline` passes. After each failed
+/// attempt `pause(attempt, delay)` waits out the backoff before the next
+/// one, or returns `false` to give up. The backoff doubles from
 /// [`INITIAL_BACKOFF`] to [`MAX_BACKOFF`], plus a jitter drawn from
 /// `jitter_seed`: dialers seed it from the (dialer, peer) pair, so that
 /// many nodes restarting at once — the crash-recovery rejoin scenario —
 /// spread their reconnect attempts instead of thundering-herding the
-/// listener in lockstep.
+/// listener in lockstep. A delay that would run past `deadline` is cut to
+/// end there, and the last attempt is made at the deadline.
 ///
 /// # Errors
 ///
-/// The last connection error once the next attempt would start after
-/// `deadline`; the first attempt is made whenever the deadline is.
+/// The last connection error once the deadline has passed or `pause` gave
+/// up; the first attempt is made whenever the deadline is.
 fn connect_with_retry(
     addr: SocketAddr,
     deadline: Instant,
     jitter_seed: u64,
-    mut on_retry: impl FnMut(u32),
+    mut pause: impl FnMut(u32, Duration) -> bool,
 ) -> io::Result<TcpStream> {
     let mut backoff = INITIAL_BACKOFF;
     let mut attempt: u32 = 0;
     loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                // Frames are small and latency-critical: round progress waits
-                // on `Done` markers, so Nagle batching would put a ~40ms
-                // floor under every barrier.
-                stream.set_nodelay(true)?;
-                return Ok(stream);
-            }
-            Err(err) => {
-                attempt += 1;
-                let delay = jittered(backoff, jitter_seed, attempt);
-                if Instant::now() + delay > deadline {
-                    return Err(err);
-                }
-                on_retry(attempt);
-                thread::sleep(delay);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-            }
+        let err = match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(err) => err,
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        attempt += 1;
+        if left.is_zero() || !pause(attempt, jittered(backoff, jitter_seed, attempt).min(left)) {
+            return Err(err);
         }
+        backoff = (backoff * 2).min(MAX_BACKOFF);
     }
 }
 
@@ -254,9 +247,9 @@ struct Link {
 
 impl Link {
     /// Shuts the socket down in both directions. `TcpStream::shutdown` acts
-    /// on the underlying descriptor, so it also unblocks the reader thread
-    /// parked on the cloned read half, and the peer observes EOF exactly as
-    /// it would for a killed OS process.
+    /// on the underlying socket, so it also unblocks the reader parked on
+    /// the same connection, and the peer observes EOF exactly as it would
+    /// for a killed OS process.
     fn shutdown(&self) {
         let _ = self.writer.socket().shutdown(Shutdown::Both);
     }
@@ -266,13 +259,9 @@ impl Link {
 struct Table {
     links: HashMap<NodeId, Link>,
     next_generation: u64,
-    /// Readers started by [`Links::adopt`] and [`Links::greet`], awaited by
-    /// [`Links::close`].
-    readers: Vec<Task>,
-    /// The read halves of inbound connections still in their handshake,
-    /// under a ticket drawn from the generations; [`Links::close`] shuts
-    /// them down to end the handshakes at once.
-    greeting: HashMap<u64, TcpStream>,
+    /// Set by [`Links::close`]: a handshake that ends after the teardown
+    /// dropped the links installs none.
+    closed: bool,
 }
 
 impl Table {
@@ -290,13 +279,6 @@ impl Table {
             replaced.shutdown();
         }
         self.next_generation
-    }
-
-    /// Keeps `reader` for [`Links::close`] to wait on. Reconnects must not
-    /// grow the list without bound, so ended readers are dropped here.
-    fn track(&mut self, reader: Task) {
-        self.readers.retain(|reader| !reader.is_finished());
-        self.readers.push(reader);
     }
 
     /// Runs `op` on `peer`'s writer. `false` if there is no live link or
@@ -322,11 +304,11 @@ impl Table {
 /// The shared table of outbound halves of the mesh, one round buffer per
 /// peer ([module docs](self), "Writing").
 ///
-/// Write and flush failures mark the link dead (the reader thread on the
-/// same socket reports `Closed` with the cause); the round loop then decides
+/// Write and flush failures mark the link dead (the reader on the same
+/// socket reports `Closed` with the cause); the round loop then decides
 /// between waiting for a reconnect and declaring the peer gone. A link that
-/// leaves the table for any reason other than its own reader ending is shut
-/// down on the way out — the invariant [`close`](Self::close) relies on.
+/// leaves the table for any reason other than its own reader ending or the
+/// teardown (which shut it down first) is shut down on the way out.
 #[derive(Clone, Default)]
 pub(crate) struct Links {
     table: Arc<Mutex<Table>>,
@@ -338,76 +320,6 @@ impl Links {
     /// must not panic.
     fn table(&self) -> MutexGuard<'_, Table> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Turns a dialed, handshaken connection into a live link: installs the
-    /// writer, reports [`LinkEvent::Connected`], and starts the reader on a
-    /// pooled thread, on a clone of the stream, shaping the inbound link
-    /// with `shaper` if there is one.
-    fn adopt(
-        &self,
-        peer: NodeId,
-        stream: TcpStream,
-        events: &Sender<LinkEvent>,
-        shaper: Option<Shaper>,
-    ) -> io::Result<()> {
-        let reader_half = stream.try_clone()?;
-        let (wake, shaping) = shaping(shaper);
-        let generation = self.table().insert(peer, stream, wake);
-        let _ = events.send(LinkEvent::Connected { peer });
-        let (links, events) = (self.clone(), events.clone());
-        let reader = run_pooled(move || {
-            read_link(reader_half, peer, generation, links, events, shaping);
-        });
-        self.table().track(reader);
-        Ok(())
-    }
-
-    /// Serves an accepted connection on a pooled thread: the handshake as
-    /// `me` (under [`HANDSHAKE_TIMEOUT`]), then — on the same thread — the
-    /// reader of the link it becomes, shaped by `wan` if given. The caller
-    /// returns at once, so a connector that never says `Hello` holds up no
-    /// other. Until the handshake ends, [`close`](Self::close) shuts the
-    /// connection down and waits for it like for any reader.
-    fn greet(
-        &self,
-        mut stream: TcpStream,
-        me: NodeId,
-        events: &Sender<LinkEvent>,
-        wan: Option<Arc<LinkShaping>>,
-    ) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let reader_half = stream.try_clone()?;
-        let ticket = {
-            let mut table = self.table();
-            table.next_generation += 1;
-            let ticket = table.next_generation;
-            table.greeting.insert(ticket, reader_half);
-            ticket
-        };
-        let (links, events) = (self.clone(), events.clone());
-        let reader = run_pooled(move || {
-            let greeted = handshake(&mut stream, me)
-                .and_then(|peer| stream.set_read_timeout(None).map(|()| peer));
-            let Ok(peer) = greeted else {
-                links.table().greeting.remove(&ticket);
-                return; // not a protocol peer; drop the connection
-            };
-            let (wake, shaping) = shaping(wan.map(|wan| Shaper::new(&wan, peer, me)));
-            let (reader_half, generation) = {
-                let mut table = links.table();
-                // Gone if `close` took it: the mesh is being torn down.
-                let Some(reader_half) = table.greeting.remove(&ticket) else {
-                    return;
-                };
-                (reader_half, table.insert(peer, stream, wake))
-            };
-            let _ = events.send(LinkEvent::Connected { peer });
-            read_link(reader_half, peer, generation, links, events, shaping);
-        });
-        self.table().track(reader);
-        Ok(())
     }
 
     /// Drops the writer for `peer` if (and only if) it still serves
@@ -442,8 +354,8 @@ impl Links {
 
     /// Hands every link's queued round to its socket: one `write_all` per
     /// link with anything queued, however large the round. A link whose
-    /// flush fails is shut down and dropped (the reader thread on the same
-    /// socket reports the close).
+    /// flush fails is shut down and dropped (the reader on the same socket
+    /// reports the close).
     pub(crate) fn flush(&self) {
         self.table().links.retain(|_, link| {
             let flushed = link.writer.flush().is_ok();
@@ -466,28 +378,14 @@ impl Links {
         })
     }
 
-    /// Shuts down every live connection, clears the table, and waits for
-    /// the readers to end — steps 2 and 3 of the teardown in the [module
-    /// docs](self). Must not race a connection being adopted or a greeting
-    /// being started: a `Mesh` stops its acceptor first.
+    /// Drops every link and refuses new ones — step 3 of the teardown in
+    /// the [module docs](self).
     fn close(&self) {
-        let (links, readers) = {
-            let mut table = self.table();
-            for (_, greeting) in table.greeting.drain() {
-                let _ = greeting.shutdown(Shutdown::Both);
-            }
-            let links: Vec<Link> = table.links.drain().map(|(_, link)| link).collect();
-            (links, std::mem::take(&mut table.readers))
-        };
-        // Outside the lock: every woken reader takes it to remove itself.
-        for link in &links {
-            link.shutdown();
-        }
-        // Before the wait: dropping a link wakes its reader out of a delay.
-        drop(links);
-        for reader in readers {
-            reader.wait();
-        }
+        let mut table = self.table();
+        table.closed = true;
+        let _links = std::mem::take(&mut table.links);
+        // The links drop outside the lock: every woken reader takes it.
+        drop(table);
     }
 
     /// Shuts down `peer`'s connection (any generation) and drops its
@@ -505,18 +403,30 @@ impl Links {
     }
 }
 
-/// Performs the symmetric handshake on a fresh connection: writes our
-/// `Hello`, reads the peer's, and returns the peer's announced id.
+/// Upper bound on a handshake, dialed or accepted: a peer that never says
+/// `Hello` holds neither a pooled thread nor a dialing node longer. As long
+/// as the default `setup_timeout` — a peer that cannot say `Hello` within
+/// the time a dialer would itself keep retrying is not a peer.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Performs the symmetric handshake on a fresh connection, dialed and
+/// accepted alike: writes our `Hello`, reads the peer's within
+/// [`HANDSHAKE_TIMEOUT`], and returns the peer's announced id.
 ///
 /// # Errors
 ///
-/// I/O errors, a non-`Hello` first frame, or a clean close before the
-/// peer's `Hello` (all reported as [`io::ErrorKind::InvalidData`] /
-/// [`io::ErrorKind::UnexpectedEof`]).
-fn handshake(stream: &mut TcpStream, me: NodeId) -> io::Result<NodeId> {
-    write_frame(stream, &Frame::Hello { node: me })?;
-    match read_frame(stream)? {
-        Some(Frame::Hello { node }) => Ok(node),
+/// I/O errors (a peer silent past the timeout among them), a non-`Hello`
+/// first frame, or a clean close before the peer's `Hello` (reported as
+/// [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`]).
+fn handshake(mut stream: &TcpStream, me: NodeId) -> io::Result<NodeId> {
+    // Frames are small and latency-critical: round progress waits on
+    // `Done` markers, so Nagle batching would put a ~40ms floor under
+    // every barrier.
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    write_frame(&mut stream, &Frame::Hello { node: me })?;
+    match read_frame(&mut stream)? {
+        Some(Frame::Hello { node }) => stream.set_read_timeout(None).map(|()| node),
         Some(_) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "expected Hello as the first frame",
@@ -545,62 +455,94 @@ fn shaping(shaper: Option<Shaper>) -> (Option<Sender<()>>, Option<Shaping>) {
         .unzip()
 }
 
-/// The reader of an established connection: decodes frames into
-/// [`LinkEvent::Frame`]s until EOF or error, then reports
-/// [`LinkEvent::Closed`] and removes the link (generation-guarded).
-///
-/// With `shaping`, each frame first passes the inbound link's shaper: a
-/// lost frame is skipped, a delayed one is held until its delivery
-/// instant — on the wake channel, so that the link leaving the table ends
-/// the wait, and the reader with it.
-fn read_link(
-    stream: TcpStream,
-    peer: NodeId,
-    generation: u64,
+/// What a mesh's connection jobs share: the node, its writer table, the
+/// channel the readers report into, and the WAN shaping they apply.
+#[derive(Clone)]
+struct Wiring {
+    me: NodeId,
     links: Links,
     events: Sender<LinkEvent>,
-    mut shaping: Option<Shaping>,
-) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_sized_frame(&mut reader) {
-            Ok(Some((frame, wire_bytes))) => {
-                if let Some((shaper, wake)) = shaping.as_deref_mut() {
-                    let Some(deliver_at) = shaper.shape(&frame, wire_bytes as u64) else {
-                        continue; // lost or severed
+    wan: Option<Arc<LinkShaping>>,
+}
+
+impl Wiring {
+    /// Makes the handshaken `stream` the link to `peer`: installs a writer
+    /// on a clone of it (replacing an older link), reports
+    /// [`LinkEvent::Connected`], and returns the link's generation and its
+    /// reader's shaping. Fails if the clone does, and once the mesh is
+    /// being torn down.
+    fn install(&self, peer: NodeId, stream: &TcpStream) -> io::Result<(u64, Option<Shaping>)> {
+        let writer = stream.try_clone()?;
+        let shaper = self.wan.as_ref().map(|wan| Shaper::new(wan, peer, self.me));
+        let (wake, shaping) = shaping(shaper);
+        let generation = {
+            let mut table = self.links.table();
+            if table.closed {
+                return Err(io::ErrorKind::NotConnected.into());
+            }
+            table.insert(peer, writer, wake)
+        };
+        let _ = self.events.send(LinkEvent::Connected { peer });
+        Ok((generation, shaping))
+    }
+
+    /// The reader of an established connection: decodes frames into
+    /// [`LinkEvent::Frame`]s until EOF or error, then reports
+    /// [`LinkEvent::Closed`] and removes the link (generation-guarded).
+    ///
+    /// With `shaping`, each frame first passes the inbound link's shaper: a
+    /// lost frame is skipped, a delayed one is held until its delivery
+    /// instant — on the wake channel, so that the link leaving the table
+    /// ends the wait, and the reader with it.
+    fn read_link(
+        &self,
+        stream: &TcpStream,
+        peer: NodeId,
+        generation: u64,
+        mut shaping: Option<Shaping>,
+    ) {
+        let mut reader = BufReader::new(stream);
+        loop {
+            match read_sized_frame(&mut reader) {
+                Ok(Some((frame, wire_bytes))) => {
+                    if let Some((shaper, wake)) = shaping.as_deref_mut() {
+                        let Some(deliver_at) = shaper.shape(&frame, wire_bytes as u64) else {
+                            continue; // lost or severed
+                        };
+                        let hold = deliver_at.saturating_duration_since(Instant::now());
+                        if !hold.is_zero()
+                            && wake.recv_timeout(hold) != Err(RecvTimeoutError::Timeout)
+                        {
+                            break; // the link is gone
+                        }
+                    }
+                    let event = LinkEvent::Frame {
+                        from: peer,
+                        frame,
+                        wire_bytes,
                     };
-                    let hold = deliver_at.saturating_duration_since(Instant::now());
-                    if !hold.is_zero() && wake.recv_timeout(hold) != Err(RecvTimeoutError::Timeout)
-                    {
-                        break; // the link is gone
+                    if self.events.send(event).is_err() {
+                        break; // node loop is gone; stop pumping
                     }
                 }
-                let event = LinkEvent::Frame {
-                    from: peer,
-                    frame,
-                    wire_bytes,
-                };
-                if events.send(event).is_err() {
-                    break; // node loop is gone; stop pumping
+                Ok(None) => break, // clean EOF
+                Err(err) => {
+                    // The codec refusing bytes no honest peer can send:
+                    // attribute it before closing.
+                    if let Some(kind) = FrameFault::of(&err) {
+                        let _ = self.events.send(LinkEvent::Corrupt {
+                            peer,
+                            kind,
+                            info: err.to_string(),
+                        });
+                    }
+                    break;
                 }
-            }
-            Ok(None) => break, // clean EOF
-            Err(err) => {
-                // The codec refusing bytes no honest peer can send:
-                // attribute it before closing.
-                if let Some(kind) = FrameFault::of(&err) {
-                    let _ = events.send(LinkEvent::Corrupt {
-                        peer,
-                        kind,
-                        info: err.to_string(),
-                    });
-                }
-                break;
             }
         }
+        self.links.remove(peer, generation);
+        let _ = self.events.send(LinkEvent::Closed { peer });
     }
-    links.remove(peer, generation);
-    let _ = events.send(LinkEvent::Closed { peer });
 }
 
 /// A pooled job; it hands back the sender whose drop marks it ended.
@@ -658,100 +600,162 @@ pub(crate) fn run_pooled(job: impl FnOnce() + Send + 'static) -> Task {
     Task { done }
 }
 
+/// A set of served connections, each one a job on a pooled thread whose
+/// socket the set keeps until the job ends, and the accept loop feeding
+/// the set, if it has one ([module docs](self)).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Connections {
+    set: Arc<Mutex<Served>>,
+}
+
+#[derive(Debug, Default)]
+struct Served {
+    next_ticket: u64,
+    /// The socket of every running job, under its ticket.
+    sockets: HashMap<u64, Arc<TcpStream>>,
+    jobs: Vec<Task>,
+    /// The accept loop's address, stop flag and task.
+    acceptor: Option<(SocketAddr, Arc<AtomicBool>, Task)>,
+}
+
 /// How long an accept loop sleeps after a failed `accept` (descriptor
 /// exhaustion is the realistic cause) before trying again, so a transient
 /// failure neither kills the listener nor spins a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// A running [`accept_loop`]; [`stop`](Self::stop) it to get the listener's
-/// descriptor and thread back. Dropping the handle instead leaves the loop
-/// serving until the process exits.
-#[derive(Debug)]
-pub(crate) struct AcceptLoop {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    running: Task,
-}
+impl Connections {
+    /// Every update leaves the set valid, so a lock poisoned by a panicking
+    /// holder is still good — and the mesh tears its set down in `Drop`.
+    fn set(&self) -> MutexGuard<'_, Served> {
+        self.set.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Runs `on_stream` for every connection `listener` accepts, on one
-/// pooled thread, until [`AcceptLoop::stop`]. See the [module
-/// docs](self) for the contract `on_stream` must keep.
-///
-/// # Errors
-///
-/// Propagates the listener's local-address lookup failure.
-pub(crate) fn accept_loop(
-    listener: TcpListener,
-    mut on_stream: impl FnMut(TcpStream) + Send + 'static,
-) -> io::Result<AcceptLoop> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stopping = Arc::clone(&stop);
-    let running = run_pooled(move || {
-        for stream in listener.incoming() {
-            if stopping.load(Ordering::SeqCst) {
-                break;
+    /// Runs `job` on `stream` on a pooled thread. The set keeps the socket
+    /// until the job ends, so that the teardown can wake the job; ended
+    /// jobs are pruned here, so a long-lived listener's set holds only its
+    /// live connections.
+    fn serve(&self, stream: TcpStream, job: impl FnOnce(&TcpStream) + Send + 'static) {
+        let stream = Arc::new(stream);
+        let mut set = self.set();
+        set.next_ticket += 1;
+        let ticket = set.next_ticket;
+        set.sockets.insert(ticket, Arc::clone(&stream));
+        let connections = self.clone();
+        let task = run_pooled(move || {
+            job(&stream);
+            connections.set().sockets.remove(&ticket);
+        });
+        set.jobs.retain(|job| !job.is_finished());
+        set.jobs.push(task);
+    }
+
+    /// Serves every connection `listener` accepts as a job that runs
+    /// `handler` on it, from one pooled thread, until the teardown; returns
+    /// the listener's address, or the failure to look it up.
+    fn accept(
+        &self,
+        listener: TcpListener,
+        handler: impl Fn(&TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<SocketAddr> {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let (stopping, connections, handler) = (Arc::clone(&stop), self.clone(), Arc::new(handler));
+        let running = run_pooled(move || {
+            for stream in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
+                        let handler = Arc::clone(&handler);
+                        connections.serve(stream, move |stream| handler(stream));
+                    }
+                    Err(_) => thread::sleep(ACCEPT_BACKOFF),
+                }
             }
-            match stream {
-                Ok(stream) => on_stream(stream),
-                Err(_) => thread::sleep(ACCEPT_BACKOFF),
+        });
+        self.set().acceptor = Some((addr, stop, running));
+        Ok(addr)
+    }
+
+    /// Steps 1 and 2 of the teardown ([module docs](self)); returns the
+    /// jobs to wait for. Without a wake connection the loop is left to end
+    /// at its next wake instead of blocking the caller forever.
+    fn shut_down(&self) -> Vec<Task> {
+        // Outside the lock: the loop takes it to serve what it accepted.
+        let acceptor = self.set().acceptor.take();
+        if let Some((addr, stop, running)) = acceptor {
+            stop.store(true, Ordering::SeqCst);
+            if TcpStream::connect(addr).is_ok() {
+                running.wait();
             }
         }
-    });
-    Ok(AcceptLoop {
-        addr,
-        stop,
-        running,
-    })
+        let mut set = self.set();
+        for (_, socket) in set.sockets.drain() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        std::mem::take(&mut set.jobs)
+    }
 }
 
-impl AcceptLoop {
-    /// The listener's bound address.
-    pub(crate) fn addr(&self) -> SocketAddr {
+/// A listener that serves every connection it accepts on a pooled thread
+/// of its own: what [`serve_clients`](crate::serve_clients) and
+/// [`serve_metrics`](crate::serve_metrics) return. A connection holds its
+/// descriptor and thread only while it is served.
+/// [`shutdown`](Self::shutdown) gives everything back; dropping the server
+/// instead leaves it serving until the process exits.
+#[derive(Debug)]
+pub struct Server {
+    addr: SocketAddr,
+    connections: Connections,
+}
+
+impl Server {
+    /// Runs `handler` on every connection `listener` accepts; fails only
+    /// to look up the listener's address.
+    pub(crate) fn start(
+        listener: TcpListener,
+        handler: impl Fn(&TcpStream) + Send + Sync + 'static,
+    ) -> io::Result<Server> {
+        let connections = Connections::default();
+        let addr = connections.accept(listener, handler)?;
+        Ok(Server { addr, connections })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Stops accepting and waits for the loop to end (flag, wake, join —
-    /// the [module docs](self)). If the wake connection cannot be made the
-    /// loop is left to end at its next wake instead of blocking the caller
-    /// forever.
-    pub(crate) fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if TcpStream::connect(self.addr).is_ok() {
-            self.running.wait();
+    /// Stops accepting, shuts every live connection down and waits for
+    /// their handlers to end.
+    pub fn shutdown(self) {
+        for job in self.connections.shut_down() {
+            job.wait();
         }
     }
 }
 
-/// Upper bound on an inbound handshake: a connector that never sends its
-/// `Hello` must not hold a pooled thread forever. As long as the default
-/// `setup_timeout`, which is also the dial budget — a dialer that cannot say
-/// `Hello` within the time it would itself keep retrying is not a peer.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// One node's live transport: the writer table, the channel its readers
-/// and acceptor report into, the accept loop, and the WAN shaping its
-/// readers apply, if any. Dropping it runs the teardown in the [module
-/// docs](self).
+/// report into, the set its connections are served in, and the WAN
+/// shaping its readers apply, if any. Dropping it runs the teardown in the
+/// [module docs](self).
 pub(crate) struct Mesh {
-    me: NodeId,
     /// The outbound halves, one per connected peer.
     pub(crate) links: Links,
-    events_tx: Sender<LinkEvent>,
+    wiring: Wiring,
     events: Receiver<LinkEvent>,
-    acceptor: Option<AcceptLoop>,
-    wan: Option<Arc<LinkShaping>>,
+    connections: Connections,
 }
 
 impl Mesh {
     /// Opens node `me`'s mesh. With a `listener`, every inbound connection
-    /// is handshaken on a pooled thread of its own ([`Links::greet`]) and
-    /// becomes a link —
-    /// which is also how reconnects work: a peer that lost its socket
-    /// simply dials again, and the fresh link replaces the dead one (whose
-    /// reader, ending, removes only its own generation from the table).
-    /// Without one (a rejoiner: nobody dials it) the mesh only dials.
-    /// With `wan`, every link's reader shapes the link into `me`.
+    /// is a job that handshakes and then reads the link it becomes — which
+    /// is also how reconnects work: a peer that lost its socket simply
+    /// dials again, and the fresh link replaces the dead one (whose reader,
+    /// ending, removes only its own generation from the table). Without one
+    /// (a rejoiner: nobody dials it) the mesh only dials. With `wan`, every
+    /// link's reader shapes the link into `me`.
     ///
     /// # Errors
     ///
@@ -761,31 +765,38 @@ impl Mesh {
         listener: Option<TcpListener>,
         wan: Option<Arc<LinkShaping>>,
     ) -> io::Result<Mesh> {
-        let links = Links::default();
         let (events_tx, events) = mpsc::channel();
-        let acceptor = match listener {
-            None => None,
-            Some(listener) => {
-                let (links, events, wan) = (links.clone(), events_tx.clone(), wan.clone());
-                Some(accept_loop(listener, move |stream| {
-                    let _ = links.greet(stream, me, &events, wan.clone());
-                })?)
-            }
-        };
-        Ok(Mesh {
+        let wiring = Wiring {
             me,
-            links,
-            events_tx,
-            events,
-            acceptor,
+            links: Links::default(),
+            events: events_tx,
             wan,
+        };
+        let connections = Connections::default();
+        if let Some(listener) = listener {
+            let wiring = wiring.clone();
+            connections.accept(listener, move |stream| {
+                let Ok(peer) = handshake(stream, me) else {
+                    return; // not a protocol peer; drop the connection
+                };
+                if let Ok((generation, shaping)) = wiring.install(peer, stream) {
+                    wiring.read_link(stream, peer, generation, shaping);
+                }
+            })?;
+        }
+        Ok(Mesh {
+            links: wiring.links.clone(),
+            wiring,
+            events,
+            connections,
         })
     }
 
     /// Dials `peer` at `addr` (retrying until `deadline`, with
-    /// `on_retry(attempt)` before each backoff sleep and a jitter stream of
-    /// this (dialer, peer) pair), handshakes, verifies the announced id, and
-    /// adopts the connection as a link.
+    /// `pause(attempt, delay)` waiting out each backoff and a jitter stream
+    /// of this (dialer, peer) pair), handshakes, verifies the announced id,
+    /// and installs the connection as a link whose reader is a job of the
+    /// mesh. The link is live when this returns.
     ///
     /// # Errors
     ///
@@ -797,19 +808,24 @@ impl Mesh {
         addr: SocketAddr,
         peer: NodeId,
         deadline: Instant,
-        on_retry: impl FnMut(u32),
+        pause: impl FnMut(u32, Duration) -> bool,
     ) -> io::Result<()> {
-        let jitter_seed = self.me.raw().rotate_left(32) ^ peer.raw();
-        let mut stream = connect_with_retry(addr, deadline, jitter_seed, on_retry)?;
-        let announced = handshake(&mut stream, self.me)?;
+        let me = self.wiring.me;
+        let jitter_seed = me.raw().rotate_left(32) ^ peer.raw();
+        let stream = connect_with_retry(addr, deadline, jitter_seed, pause)?;
+        let announced = handshake(&stream, me)?;
         if announced != peer {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("dialed {peer} but endpoint announced {announced}"),
             ));
         }
-        let shaper = self.wan.as_ref().map(|wan| Shaper::new(wan, peer, self.me));
-        self.links.adopt(peer, stream, &self.events_tx, shaper)
+        let (generation, shaping) = self.wiring.install(peer, &stream)?;
+        let wiring = self.wiring.clone();
+        self.connections.serve(stream, move |stream| {
+            wiring.read_link(stream, peer, generation, shaping);
+        });
+        Ok(())
     }
 
     /// The next link event, waiting at most `wait`. `None` is a timeout:
@@ -821,10 +837,11 @@ impl Mesh {
 
 impl Drop for Mesh {
     fn drop(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.stop();
-        }
+        let jobs = self.connections.shut_down();
         self.links.close();
+        for job in jobs {
+            job.wait();
+        }
     }
 }
 
@@ -835,6 +852,12 @@ mod tests {
     /// The dial deadline of a node with the default 10 s `setup_timeout`.
     fn dial_deadline() -> Instant {
         Instant::now() + Duration::from_secs(10)
+    }
+
+    /// A dial's `pause` that sleeps out every backoff.
+    fn sleep(_attempt: u32, delay: Duration) -> bool {
+        thread::sleep(delay);
+        true
     }
 
     #[test]
@@ -849,7 +872,10 @@ mod tests {
         });
         let mut retries = 0;
         let deadline = Instant::now() + Duration::from_secs(5);
-        let stream = connect_with_retry(addr, deadline, 42, |_| retries += 1);
+        let stream = connect_with_retry(addr, deadline, 42, |attempt, delay| {
+            retries += 1;
+            sleep(attempt, delay)
+        });
         assert!(stream.is_ok());
         assert!(retries >= 1, "the port was closed at first");
         opener.join().unwrap();
@@ -860,8 +886,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         drop(listener); // nobody will ever listen here
-        let deadline = Instant::now() + Duration::from_millis(30);
-        assert!(connect_with_retry(addr, deadline, 7, |_| {}).is_err());
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(30);
+        assert!(connect_with_retry(addr, deadline, 7, sleep).is_err());
+        // The last backoff is cut to end at the deadline, and tried there.
+        assert!(started.elapsed() >= Duration::from_millis(30));
     }
 
     #[test]
@@ -1090,7 +1119,7 @@ mod tests {
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
         let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
         let alice_mesh = Mesh::open(alice, None, None).unwrap();
-        alice_mesh.dial(addr, bob, dial_deadline(), |_| {}).unwrap();
+        alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
         alice_mesh.links.queue([bob], &data(1, 5));
         alice_mesh.links.queue([bob], &DONE);
         alice_mesh.links.flush();
@@ -1116,7 +1145,7 @@ mod tests {
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
         let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
         let alice_mesh = Mesh::open(alice, None, None).unwrap();
-        alice_mesh.dial(addr, bob, dial_deadline(), |_| {}).unwrap();
+        alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
 
         // Both sides report Connected with the right peer.
         let wait = Duration::from_secs(5);
@@ -1165,7 +1194,7 @@ mod tests {
         let err = Mesh::open(NodeId::new(1), None, None)
             .unwrap()
             // address book says 2, endpoint says 9
-            .dial(addr, NodeId::new(2), dial_deadline(), |_| {})
+            .dial(addr, NodeId::new(2), dial_deadline(), sleep)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1174,11 +1203,11 @@ mod tests {
     fn a_stopped_accept_loop_releases_its_port_and_serves_nothing_more() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (served_tx, served) = mpsc::channel();
-        let accepting = accept_loop(listener, move |_| served_tx.send(()).unwrap()).unwrap();
-        let addr = accepting.addr();
+        let server = Server::start(listener, move |_| served_tx.send(()).unwrap()).unwrap();
+        let addr = server.addr();
         TcpStream::connect(addr).unwrap();
         served.recv_timeout(Duration::from_secs(5)).unwrap();
-        accepting.stop();
+        server.shutdown();
         assert!(served.try_recv().is_err(), "the wake was not served");
         assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
     }

@@ -16,11 +16,13 @@
 //!   transport format (`Hello` handshake, `Data`, `Done` barrier marker);
 //! * [`codec`] — `Wire` impls for the `uba-core` protocol payloads, so the
 //!   bundled algorithms run over TCP out of the box;
-//! * `conn` (private) — dialing with retry/backoff, the handshake that pins
-//!   each connection to a sender id, per-connection reader threads, the
+//! * `conn` (private but for [`Server`]) — dialing with retry/backoff, the
+//!   one handshake that pins each connection to a sender id, the one
+//!   tracked set of pooled jobs that serves every connection in the crate
+//!   (mesh links both ways, log clients, metrics scrapes), the
 //!   generation-guarded writer table that makes reconnects safe, the one
-//!   stoppable accept loop every listener in the crate runs, and the mesh
-//!   teardown that gives a finished node's sockets and threads back;
+//!   stoppable accept loop every listener runs, and the teardown that gives
+//!   a finished node's or listener's sockets and threads back;
 //! * `sync` (private) — the round synchronizer, a pure state machine
 //!   enforcing the send/deliver barrier (unit-testable without sockets);
 //! * [`node`] — [`NetNode`], one cluster member: a process plus the round
@@ -142,14 +144,15 @@ pub use cluster::{
     decisions, run_local_cluster, run_local_cluster_with_metrics, ClusterRun, ClusterSpec,
     KillSpec, RunSummary, RunningCluster,
 };
+pub use conn::Server;
 pub use metrics_http::{
     consecutive_endpoints, family_sum, scrape_metrics, series_value, serve_cluster_metrics,
-    serve_metrics, ClusterMetrics, MetricsServer,
+    serve_metrics, ClusterMetrics,
 };
 pub use node::{NetConfig, NetError, NetNode, NetReport, MAX_BYTES_PER_ROUND, STRIKE_LIMIT};
 pub use service::{
     check_exactly_once, closed_loop, serve_clients, service_horizon, shard_of, spawn_log_cluster,
-    Batch, ClientServer, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
+    Batch, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
 pub use wan::{LinkPlan, LinkShaping, LinkSpec};
 pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

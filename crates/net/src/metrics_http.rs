@@ -2,9 +2,9 @@
 //!
 //! [`serve_metrics`] binds a listener and answers every `GET /metrics`
 //! (and `GET /`) with the current [`SharedRuntimeMetrics`] rendering in
-//! the Prometheus text format 0.0.4. One thread, one connection at a
-//! time, `Connection: close` — a scrape endpoint for a cluster node, not
-//! a web server. `std`-only like the rest of the crate.
+//! the Prometheus text format 0.0.4. One pooled thread per scrape, one
+//! request per connection, `Connection: close` — a scrape endpoint for a
+//! cluster node, not a web server. `std`-only like the rest of the crate.
 //!
 //! The endpoint holds a *clone* of the registry handle, so it observes
 //! every update the node (or engine) makes, live, without any
@@ -33,35 +33,17 @@ use std::time::Duration;
 use uba_sim::NodeId;
 use uba_trace::SharedRuntimeMetrics;
 
-use crate::conn::{accept_loop, AcceptLoop};
+use crate::conn::Server;
 
 /// How long one scrape connection may take to send its request line and
 /// headers before the server gives up on it.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// A running metrics endpoint; dropping it without
-/// [`shutdown`](Self::shutdown) leaves the acceptor thread serving until
-/// the process exits (harmless for a long-lived node, deliberate for
-/// short-lived tests that outlive their cluster).
-#[derive(Debug)]
-pub struct MetricsServer {
-    acceptor: AcceptLoop,
-}
-
-impl MetricsServer {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.acceptor.addr()
-    }
-
-    /// Stops the acceptor thread and joins it.
-    pub fn shutdown(self) {
-        self.acceptor.stop();
-    }
-}
-
-/// Binds `addr` and serves the registry's Prometheus rendering on it from
-/// a background thread.
+/// Binds `addr` and serves the registry's Prometheus rendering on it, each
+/// scrape on a pooled thread. Dropping the server without
+/// [`shutdown`](Server::shutdown) leaves it serving until the process
+/// exits (harmless for a long-lived node, deliberate for short-lived tests
+/// that outlive their cluster).
 ///
 /// # Errors
 ///
@@ -69,21 +51,17 @@ impl MetricsServer {
 pub fn serve_metrics(
     addr: impl ToSocketAddrs,
     registry: SharedRuntimeMetrics,
-) -> io::Result<MetricsServer> {
-    let listener = TcpListener::bind(addr)?;
-    // Serve inline: scrapes are rare and tiny (and bounded by
-    // `REQUEST_TIMEOUT`), so a thread per connection would buy nothing.
-    let acceptor = accept_loop(listener, move |stream| {
+) -> io::Result<Server> {
+    Server::start(TcpListener::bind(addr)?, move |stream| {
         let _ = serve_one(stream, &registry);
-    })?;
-    Ok(MetricsServer { acceptor })
+    })
 }
 
 /// Answers a single HTTP exchange on `stream`.
-fn serve_one(mut stream: TcpStream, registry: &SharedRuntimeMetrics) -> io::Result<()> {
+fn serve_one(mut stream: &TcpStream, registry: &SharedRuntimeMetrics) -> io::Result<()> {
     stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
-    let request = read_request_head(&mut stream)?;
+    let request = read_request_head(stream)?;
     let path = request_path(&request);
     let (status, body) = match path {
         Some("/") | Some("/metrics") => ("200 OK", registry.render_prometheus()),
@@ -102,7 +80,7 @@ fn serve_one(mut stream: TcpStream, registry: &SharedRuntimeMetrics) -> io::Resu
 }
 
 /// Reads until the end of the request headers (`\r\n\r\n`) or a size cap.
-fn read_request_head(stream: &mut TcpStream) -> io::Result<String> {
+fn read_request_head(mut stream: &TcpStream) -> io::Result<String> {
     let mut head = Vec::with_capacity(256);
     let mut buf = [0u8; 256];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
@@ -242,7 +220,7 @@ pub struct ClusterMetrics {
     pub members: BTreeMap<NodeId, SharedRuntimeMetrics>,
     /// The WAN links' `net_link_*` registry, if one was asked for.
     pub links: Option<SharedRuntimeMetrics>,
-    servers: Vec<MetricsServer>,
+    servers: Vec<Server>,
 }
 
 impl ClusterMetrics {
@@ -380,6 +358,19 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 404"));
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_silent_connection_holds_up_no_scrape() {
+        let server = serve_metrics("127.0.0.1:0", SharedRuntimeMetrics::new()).expect("bind");
+        // Sends nothing: its handler waits out `REQUEST_TIMEOUT` alone.
+        let _silent = TcpStream::connect(server.addr()).unwrap();
+        let started = std::time::Instant::now();
+        scrape_metrics(server.addr()).expect("scrape");
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "scraped after {took:?}");
+        // The silent connection is still being served: shutdown ends it.
         server.shutdown();
     }
 

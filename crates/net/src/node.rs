@@ -36,6 +36,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use uba_sim::{Envelope, MsgRef, NodeId, Outgoing, Process, Stepper};
@@ -473,6 +474,19 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
         }
     }
 
+    /// Sleeps for `wait`, re-reading the abort flag at least every
+    /// [`ABORT_POLL`]; `false`, as soon as it reads the flag up.
+    fn pause(&self, wait: Duration) -> bool {
+        let until = Instant::now() + wait;
+        while self.check_abort().is_ok() {
+            match until.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => thread::sleep(left.min(ABORT_POLL)),
+                _ => return true,
+            }
+        }
+        false
+    }
+
     /// Runs `record` on the runtime registry, if one is attached (so metric
     /// names are formatted, and frames measured, only in that case).
     fn metrics(&self, record: impl FnOnce(&mut RuntimeMetrics)) {
@@ -533,9 +547,11 @@ where
         let id = self.id();
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
 
-        // Dial every peer with a larger id; smaller ids dial us.
+        // Dial every peer with a larger id; smaller ids dial us. The dials
+        // and the wait for the full mesh share one setup deadline.
+        let deadline = Instant::now() + self.config.setup_timeout;
         let larger = peers.iter().copied().filter(|&p| p > id);
-        let (mesh, unreachable) = self.open_mesh(Some(listener), roster, larger, 0)?;
+        let (mesh, unreachable) = self.open_mesh(Some(listener), roster, larger, 0, deadline)?;
         if let Some((_, err)) = unreachable.into_iter().next() {
             return Err(err.into());
         }
@@ -543,7 +559,6 @@ where
 
         // Wait for the full mesh. Fast peers may already be sending round-1
         // traffic while we wait, so frames are processed, not discarded.
-        let deadline = Instant::now() + session.node.config.setup_timeout;
         session.pump(deadline, false, |s| {
             s.ledger.peers.values().all(|peer| peer.seen)
         })?;
@@ -610,8 +625,9 @@ where
         let next_round = recovery.last_round().map_or(1, |r| r + 1);
 
         let peers: Vec<NodeId> = roster.keys().copied().filter(|&p| p != id).collect();
+        let deadline = Instant::now() + self.config.setup_timeout;
         let (mesh, unreachable) =
-            self.open_mesh(None, roster, peers.iter().copied(), next_round)?;
+            self.open_mesh(None, roster, peers.iter().copied(), next_round, deadline)?;
         let mut session = Session::new(self, mesh, &peers, next_round);
         for (peer, _) in unreachable {
             // Unreachable while we were down (it may have crashed too, or
@@ -644,27 +660,30 @@ where
     }
 
     /// Opens this node's [`Mesh`] — accepting on `listener`, if it has one —
-    /// and dials `targets`, tracing every retry against `round`. The dials
-    /// share one `setup_timeout`: each gets what is left of it, and at
-    /// least one connect attempt. Returns the mesh and the targets that
-    /// stayed unreachable, with the last error.
+    /// and dials `targets` by `deadline`, tracing every retry against
+    /// `round`. Each dial gets what is left of the deadline and at least
+    /// one connect attempt, and its backoff reads the abort flag. Returns
+    /// the mesh and the targets that stayed unreachable, with the last
+    /// error, or [`NetError::Aborted`].
     fn open_mesh(
         &mut self,
         listener: Option<TcpListener>,
         roster: &BTreeMap<NodeId, SocketAddr>,
         targets: impl Iterator<Item = NodeId>,
         round: u64,
-    ) -> io::Result<(Mesh, Vec<(NodeId, io::Error)>)> {
+        deadline: Instant,
+    ) -> Result<(Mesh, Vec<(NodeId, io::Error)>), NetError> {
         let id = self.id();
         let mesh = Mesh::open(id, listener, self.wan.clone())?;
         let mut unreachable = Vec::new();
-        let deadline = Instant::now() + self.config.setup_timeout;
         for peer in targets {
-            let dialed = mesh.dial(roster[&peer], peer, deadline, |attempt| {
+            let dialed = mesh.dial(roster[&peer], peer, deadline, |attempt, backoff| {
                 self.metrics(|m| m.inc("net_dial_retries_total"));
                 let info = || format!("dial attempt {attempt} failed");
                 self.net_event(round, NetEventKind::Retry, Some(peer), info);
+                self.pause(backoff)
             });
+            self.check_abort()?;
             if let Err(err) = dialed {
                 unreachable.push((peer, err));
             }
@@ -1301,7 +1320,7 @@ where
         for peer in std::mem::take(&mut hostile.closed) {
             match self
                 .mesh
-                .dial(hostile.roster[&peer], peer, Instant::now(), |_| {})
+                .dial(hostile.roster[&peer], peer, Instant::now(), |_, _| false)
             {
                 Ok(()) => self.sync.peer_rejoined(peer),
                 Err(_) => self.sync.peer_gone(peer),

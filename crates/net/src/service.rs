@@ -38,7 +38,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -50,7 +50,7 @@ use uba_sim::{Context, Dest, Inbox, NodeId, Process};
 use uba_trace::{metric_name, SharedRuntimeMetrics, Tracer};
 
 use crate::cluster::{ClusterSpec, RunningCluster};
-use crate::conn::{accept_loop, AcceptLoop};
+use crate::conn::Server;
 use crate::node::{NetConfig, NetError, NetReport};
 use crate::wire::{read_frame, write_frame, Frame, Wire, MAX_FRAME};
 
@@ -560,32 +560,18 @@ impl Process for ShardedLog {
 /// The per-connection client protocol loop: `Submit → SubmitAck` (or
 /// disconnect once ingest closed), `ReadPrefix → PrefixChunk`. Any other
 /// frame is a protocol violation and drops the connection.
-fn serve_connection(
-    stream: TcpStream,
-    ingress: LogIngress,
-    node: u64,
-    runtime: Option<SharedRuntimeMetrics>,
-) {
-    serve_frames(&stream, ingress, node, runtime);
-    // The shutdown handle in the server's connection table holds a clone of
-    // this socket, so dropping our handle alone would NOT close the
-    // connection — shut the socket down explicitly or the client never
-    // sees the disconnect.
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
 fn serve_frames(
     mut stream: &TcpStream,
-    ingress: LogIngress,
+    ingress: &LogIngress,
     node: u64,
-    runtime: Option<SharedRuntimeMetrics>,
+    runtime: Option<&SharedRuntimeMetrics>,
 ) {
     loop {
         match read_frame(&mut stream) {
             Ok(Some(Frame::Submit { key, payload })) => {
                 match ingress.submit(key, payload, node) {
                     Some((shard, seq, fresh)) => {
-                        if let Some(rt) = &runtime {
+                        if let Some(rt) = runtime {
                             let name = if fresh {
                                 "logd_submits_total"
                             } else {
@@ -612,7 +598,7 @@ fn serve_frames(
                 // A shard that does not exist reads as empty but mints no
                 // series: a client looping over shard numbers would grow
                 // the registry without bound.
-                if let (Some(rt), true) = (&runtime, shard < ingress.shards()) {
+                if let (Some(rt), true) = (runtime, shard < ingress.shards()) {
                     rt.inc(&metric_name(
                         "logd_reads_total",
                         &[("shard", &shard.to_string())],
@@ -629,29 +615,12 @@ fn serve_frames(
     }
 }
 
-/// The live client connections of one [`ClientServer`]: each accepted
-/// stream (kept so shutdown can unblock its handler) with its thread.
-type Connections = Arc<Mutex<Vec<(TcpStream, thread::JoinHandle<()>)>>>;
-
-/// Handle to one node's client-serving listener; shut it down with
-/// [`ClientServer::shutdown`] once readers are done (the ordering run
-/// finishing does *not* stop it — sealed prefixes stay readable).
-pub struct ClientServer {
-    acceptor: AcceptLoop,
-    connections: Connections,
-}
-
-impl std::fmt::Debug for ClientServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientServer")
-            .field("addr", &self.addr())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Serves the client protocol on `listener` against `ingress`, one thread
-/// per connection. `node` attributes acked records; `runtime` receives the
-/// per-shard `logd_*` families, the service's only observation channel.
+/// Serves the client protocol on `listener` against `ingress`, each
+/// connection on a pooled thread of its own. `node` attributes acked
+/// records; `runtime` receives the per-shard `logd_*` families, the
+/// service's only observation channel. The ordering run finishing does
+/// *not* stop the server — sealed prefixes stay readable until
+/// [`Server::shutdown`].
 ///
 /// # Errors
 ///
@@ -661,50 +630,13 @@ pub fn serve_clients(
     ingress: LogIngress,
     node: u64,
     runtime: Option<SharedRuntimeMetrics>,
-) -> io::Result<ClientServer> {
-    let connections: Connections = Arc::new(Mutex::new(Vec::new()));
-    let table = Arc::clone(&connections);
-    let acceptor = accept_loop(listener, move |stream| {
+) -> io::Result<Server> {
+    Server::start(listener, move |stream| {
         // Request/response over tiny frames: Nagle + delayed ACK would put
         // ~40ms under every ack.
         let _ = stream.set_nodelay(true);
-        let Ok(watch) = stream.try_clone() else {
-            return;
-        };
-        let (ingress, runtime) = (ingress.clone(), runtime.clone());
-        let handle = thread::spawn(move || serve_connection(stream, ingress, node, runtime));
-        table
-            .lock()
-            .expect("connection table lock poisoned")
-            .push((watch, handle));
-    })?;
-    Ok(ClientServer {
-        acceptor,
-        connections,
+        serve_frames(stream, &ingress, node, runtime.as_ref());
     })
-}
-
-impl ClientServer {
-    /// The address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.acceptor.addr()
-    }
-
-    /// Stops accepting, severs the live connections and joins every serving
-    /// thread.
-    pub fn shutdown(self) {
-        self.acceptor.stop();
-        let connections = std::mem::take(
-            &mut *self
-                .connections
-                .lock()
-                .expect("connection table lock poisoned"),
-        );
-        for (stream, handle) in connections {
-            let _ = stream.shutdown(Shutdown::Both);
-            let _ = handle.join();
-        }
-    }
 }
 
 /// A blocking client of the `logd` service protocol.
@@ -944,7 +876,7 @@ pub struct LogCluster<T: Tracer> {
     /// The ordering loops, until [`join_ordering`](Self::join_ordering)
     /// collects them.
     ordering: Option<RunningCluster<Vec<Vec<Record>>, T>>,
-    servers: Vec<ClientServer>,
+    servers: Vec<Server>,
 }
 
 impl<T: Tracer> std::fmt::Debug for LogCluster<T> {

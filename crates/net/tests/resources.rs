@@ -2,7 +2,9 @@
 //! to the OS, its accept-loop and reader threads to the process-wide pool
 //! that the next cluster draws from — so after the first cluster has
 //! filled the pool, a process holds exactly as many descriptors *and*
-//! threads after a run as before it.
+//! threads after a run as before it. A log service's client connection
+//! gives its descriptors back as soon as its client is gone, while the
+//! service keeps serving.
 //!
 //! Teardown is synchronous — every node stops its acceptor and waits for
 //! its readers before it reports, the harness joins every node — so the
@@ -15,7 +17,8 @@ use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkPlan, LinkShaping, LinkSpec, NetConfig,
+    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkPlan, LinkShaping, LinkSpec, LogClient,
+    NetConfig,
 };
 use uba_sim::sparse_ids;
 use uba_trace::NoopTracer;
@@ -91,6 +94,23 @@ fn finished_clusters_hold_no_descriptor_and_no_thread_of_their_own() {
     )
     .expect("log cluster spawns");
     assert_eq!(cluster.join_ordering().expect("ordering ends").len(), 4);
+    // A client connection holds its descriptors only while it is served:
+    // a long-lived member's client port does not grow by one per client.
+    let addr = *cluster.client_addrs().values().next().expect("a member");
+    let before = held().0;
+    for _ in 0..100 {
+        let mut client = LogClient::connect(addr).expect("client connects");
+        client.read_prefix(0, 0).expect("the listener answers");
+    }
+    // Each handler ends when it reads its client's EOF, a moment after
+    // the drop; only that moment is waited out.
+    for _ in 0..1000 {
+        if held().0 <= before {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(held().0, before, "descriptors after 100 client connections");
     cluster.shutdown();
     assert_eq!(
         held_after_joins(warm.1),

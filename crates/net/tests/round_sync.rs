@@ -2,10 +2,11 @@
 //! raw-TCP peers: a peer that misses the barrier (timeout → omission), a
 //! peer that duplicates frames (dropped per the model's per-round rule),
 //! a peer that drops its connection mid-run and redials (reconnect), a
-//! peer that never accepts (given up after `setup_timeout`), a connector
-//! that never says `Hello` (the next peer is still answered), and a harness
-//! abort raised while the node waits (at a busy barrier, in the pace
-//! window).
+//! peer that never accepts (given up after `setup_timeout`), one whose
+//! listener never answers the handshake (given up after the handshake
+//! timeout), a connector that never says `Hello` (the next peer is still
+//! answered), and a harness abort raised while the node waits (at a busy
+//! barrier, in the pace window, in a dial's backoff).
 
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
@@ -385,7 +386,8 @@ fn a_peer_that_never_accepts_is_given_up_after_the_setup_timeout() {
     // The dials share one setup deadline: sixteen unreachable peers cost
     // one `setup_timeout`, not sixteen. (A dial that gets a budget of its
     // own gives up after about 190 ms of its 300, so sixteen of them take
-    // about 3 s.)
+    // about 3 s.) And the deadline is used up: the last backoff is cut to
+    // end there, and one more attempt is made.
     for unreachable in [1, 16] {
         let me = NodeId::new(1);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -410,28 +412,69 @@ fn a_peer_that_never_accepts_is_given_up_after_the_setup_timeout() {
             result.map(|r| r.output)
         );
         assert!(
-            took < Duration::from_secs(2),
+            took >= Duration::from_millis(270) && took < Duration::from_secs(2),
             "{unreachable} unreachable: dialed for {took:?}"
         );
     }
 }
 
-/// Starts a [`NetNode`] with an abort flag, a metrics registry and
-/// `config`; the scripted peer (id 0) dials the returned address. The
-/// thread resolves to the run's error, if it ended in one.
+#[test]
+fn a_peer_that_accepts_no_connection_is_given_up_after_the_handshake_timeout() {
+    // The peer's listener is bound, so the kernel completes the connect,
+    // but nothing ever answers the node's `Hello`: the dial's handshake
+    // must give up after its 10 s read bound, not wait forever.
+    let me = NodeId::new(1);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mute = TcpListener::bind("127.0.0.1:0").unwrap();
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> = [
+        (me, listener.local_addr().unwrap()),
+        (NodeId::new(2), mute.local_addr().unwrap()),
+    ]
+    .into();
+    let config = NetConfig {
+        setup_timeout: Duration::from_millis(300),
+        ..NetConfig::default()
+    };
+    let (done, result) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let run = NetNode::new(Counter::new(me, 5), config).run(listener, &roster);
+        let _ = done.send(run.map(|report| report.output));
+    });
+    let result = result
+        .recv_timeout(Duration::from_secs(15))
+        .expect("the run is still dialing after 15 s");
+    let took = started.elapsed();
+    assert!(
+        matches!(result, Err(NetError::Io(_))),
+        "expected Io, got {result:?}"
+    );
+    assert!(took < Duration::from_secs(12), "gave up after {took:?}");
+    drop(mute);
+}
+
+/// The peer of [`spawn_abortable`]'s node for the scripted-peer tests: id
+/// 0, so it is the dialer, at a placeholder address the node never dials.
+fn scripted_peer() -> (NodeId, std::net::SocketAddr) {
+    (NodeId::new(0), "127.0.0.1:1".parse().unwrap())
+}
+
+/// Starts a [`NetNode`] (id 1) with an abort flag, a metrics registry and
+/// `config`, whose roster holds `peer` beside it. The thread resolves to
+/// the run's error, if it ended in one.
 fn spawn_abortable(
     config: NetConfig,
+    (peer, peer_addr): (NodeId, std::net::SocketAddr),
 ) -> (
     std::net::SocketAddr,
     Arc<AtomicBool>,
     SharedRuntimeMetrics,
     std::thread::JoinHandle<Option<NetError>>,
 ) {
-    let (me, peer) = (NodeId::new(1), NodeId::new(0));
+    let me = NodeId::new(1);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let roster: BTreeMap<NodeId, std::net::SocketAddr> =
-        [(me, addr), (peer, "127.0.0.1:1".parse().unwrap())].into();
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> = [(me, addr), (peer, peer_addr)].into();
     let flag = Arc::new(AtomicBool::new(false));
     let metrics = SharedRuntimeMetrics::new();
     let (abort, rt) = (Arc::clone(&flag), metrics.clone());
@@ -484,7 +527,7 @@ fn abort_is_noticed_at_a_barrier_that_keeps_receiving_frames() {
         round_timeout: Duration::from_secs(10),
         ..quick_config(10)
     };
-    let (addr, flag, _metrics, handle) = spawn_abortable(config);
+    let (addr, flag, _metrics, handle) = spawn_abortable(config, scripted_peer());
     let mut stream = script_dial(addr, NodeId::new(0));
     let mut writer = stream.try_clone().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
@@ -520,7 +563,7 @@ fn a_silent_connector_does_not_hold_up_the_next_peer() {
         round_timeout: Duration::from_secs(10),
         ..quick_config(10)
     };
-    let (addr, flag, _metrics, handle) = spawn_abortable(config);
+    let (addr, flag, _metrics, handle) = spawn_abortable(config, scripted_peer());
     let _silent = TcpStream::connect(addr).unwrap();
     let started = Instant::now();
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -556,7 +599,7 @@ fn abort_is_noticed_inside_the_round_pace_window() {
         round_pace: Duration::from_secs(10),
         ..quick_config(10)
     };
-    let (addr, flag, metrics, handle) = spawn_abortable(config);
+    let (addr, flag, metrics, handle) = spawn_abortable(config, scripted_peer());
     let mut stream = script_dial(addr, NodeId::new(0));
     // Make the round-1 barrier. `net_rounds_total` ticks when the round is
     // over, which is right before the node parks in the pace window for
@@ -569,6 +612,27 @@ fn abort_is_noticed_inside_the_round_pace_window() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while metrics.snapshot().counter("net_rounds_total") == 0 {
         assert!(Instant::now() < deadline, "round 1 never completed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_aborts_promptly(&flag, handle);
+}
+
+#[test]
+fn abort_is_noticed_while_dialing_a_peer_that_is_not_there() {
+    // The peer has the larger id, so the node dials it, at an address
+    // where nothing listens any more: with a 10 s setup timeout the dial
+    // backs off for up to 10 s unless its sleeps read the flag.
+    let vacated = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer = (NodeId::new(2), vacated.local_addr().unwrap());
+    drop(vacated);
+    let config = NetConfig {
+        setup_timeout: Duration::from_secs(10),
+        ..quick_config(10)
+    };
+    let (_addr, flag, metrics, handle) = spawn_abortable(config, peer);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.snapshot().counter("net_dial_retries_total") < 3 {
+        assert!(Instant::now() < deadline, "the node never retried its dial");
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_aborts_promptly(&flag, handle);

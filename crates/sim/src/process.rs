@@ -1,7 +1,7 @@
 //! The [`Process`] trait: a node-local protocol state machine, the
 //! per-round [`Context`] through which it communicates, and the
 //! [`Stepper`] — the one definition of a round of a process, which every
-//! driver (both engines, the simulated restart, the TCP node and its
+//! driver (the engine, the simulated restart, the TCP node and its
 //! journal replay) calls instead of spelling the rule out itself.
 
 use crate::id::NodeId;

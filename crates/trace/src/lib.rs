@@ -1,7 +1,7 @@
 //! # uba-trace — deterministic event tracing and metrics
 //!
-//! A zero-dependency observability layer for the `uba` engines. The crate
-//! provides three things:
+//! A zero-dependency observability layer for the `uba` engine and its TCP
+//! transport. The crate provides five things:
 //!
 //! 1. **An event vocabulary** ([`TraceEvent`]): round boundaries, sends,
 //!    deliveries, duplicate drops, adversary activity, churn, injected
