@@ -33,7 +33,10 @@
 //!
 //! A `Mesh` gives everything back when it is dropped, on every exit path
 //! of the code that owns it (return, `?`, panic unwind); a [`Server`] on
-//! `shutdown`. Both run the set's teardown, the mesh with one extra step:
+//! `shutdown`. Both run the set's teardown; the mesh first takes its links
+//! out of the table (which then refuses new ones), so that the node thread
+//! that filled the round buffers frees them, not the readers step 2 wakes:
+//! freed on those threads, they raised net-clean-n16's peak RSS by 4.9 %.
 //!
 //! 1. **stop the accept loop** and wait for it — no new job can appear;
 //! 2. **shut every socket of the set down** (both directions), those still
@@ -47,8 +50,8 @@
 //! Step 4 cannot hang because every socket a job may be parked on is in
 //! the set (shut down in step 2), and every link is dropped by then — in
 //! step 3, or earlier when it left the table (replaced by a reconnect,
-//! failed write, eviction). The table refuses links once closed, so a
-//! handshake that ends after step 3 installs none. A node must only drop its mesh after its last frame is
+//! failed write, eviction), and a handshake that ends during the teardown
+//! installs none. A node must only drop its mesh after its last frame is
 //! *flushed*: [`Links`] buffers what it is given, and teardown shuts the
 //! sockets down without flushing (a killed node says no goodbye). What was
 //! flushed before the drop reaches the peer ahead of the EOF.
@@ -259,8 +262,8 @@ impl Link {
 struct Table {
     links: HashMap<NodeId, Link>,
     next_generation: u64,
-    /// Set by [`Links::close`]: a handshake that ends after the teardown
-    /// dropped the links installs none.
+    /// Set by [`Links::close`]: a handshake ending in the teardown installs
+    /// no link.
     closed: bool,
 }
 
@@ -378,14 +381,12 @@ impl Links {
         })
     }
 
-    /// Drops every link and refuses new ones — step 3 of the teardown in
-    /// the [module docs](self).
-    fn close(&self) {
+    /// Takes every link out of the table, for the caller to drop, and
+    /// refuses new ones ([module docs](self), "Teardown").
+    fn close(&self) -> HashMap<NodeId, Link> {
         let mut table = self.table();
         table.closed = true;
-        let _links = std::mem::take(&mut table.links);
-        // The links drop outside the lock: every woken reader takes it.
-        drop(table);
+        std::mem::take(&mut table.links)
     }
 
     /// Shuts down `peer`'s connection (any generation) and drops its
@@ -699,11 +700,10 @@ impl Connections {
 }
 
 /// A listener that serves every connection it accepts on a pooled thread
-/// of its own: what [`serve_clients`](crate::serve_clients) and
-/// [`serve_metrics`](crate::serve_metrics) return. A connection holds its
-/// descriptor and thread only while it is served.
-/// [`shutdown`](Self::shutdown) gives everything back; dropping the server
-/// instead leaves it serving until the process exits.
+/// of its own, holding its descriptor only while it is served: what
+/// [`serve_clients`](crate::serve_clients) and
+/// [`serve_metrics`](crate::serve_metrics) return. Dropping it without
+/// [`shutdown`](Self::shutdown) leaves it serving until the process exits.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -837,8 +837,9 @@ impl Mesh {
 
 impl Drop for Mesh {
     fn drop(&mut self) {
+        let links = self.links.close();
         let jobs = self.connections.shut_down();
-        self.links.close();
+        drop(links);
         for job in jobs {
             job.wait();
         }
@@ -932,7 +933,7 @@ mod tests {
         let (_b_accepted, _) = listener.accept().unwrap();
         links.table().insert(NodeId::new(1), a, None);
         links.table().insert(NodeId::new(2), b, None);
-        links.close();
+        drop(links.close());
         assert!(links.connected().is_empty());
         // The peer side of a shut-down socket reads EOF, like a dead process.
         let mut reader = BufReader::new(a_accepted);
