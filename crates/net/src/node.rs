@@ -426,12 +426,12 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
 
     /// Attaches a harness-controlled abort flag: once it reads `true`, the
     /// node shuts its sockets down and returns [`NetError::Aborted`]. Every
-    /// wait of the node — mesh setup, the round barrier, the `round_pace`
-    /// window — re-reads the flag at least every few tens of milliseconds
-    /// and after every link event, so the reaction time does not depend on
-    /// `round_timeout` or on how much the peers are sending. The cluster
-    /// harness uses this to tear down survivors after one member's thread
-    /// panicked.
+    /// wait of the node — a dial's backoff, mesh setup, the round barrier,
+    /// the `round_pace` window — re-reads the flag at least every few tens
+    /// of milliseconds and after every link event, so the reaction time
+    /// does not depend on `round_timeout` or on how much the peers are
+    /// sending. The cluster harness uses this to tear down survivors after
+    /// one member's thread panicked.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
