@@ -35,8 +35,8 @@
 //! of the code that owns it (return, `?`, panic unwind); a [`Server`] on
 //! `shutdown`. Both run the set's teardown; the mesh first takes its links
 //! out of the table (which then refuses new ones), so that the node thread
-//! that filled the round buffers frees them, not the readers step 2 wakes:
-//! freed on those threads, they raised net-clean-n16's peak RSS by 4.9 %.
+//! that filled the round buffers frees them, not the readers step 2 wakes
+//! (freed there, they cost net-clean-n16 4.9 % peak RSS on 2 cores).
 //!
 //! 1. **stop the accept loop** and wait for it — no new job can appear;
 //! 2. **shut every socket of the set down** (both directions), those still
@@ -310,8 +310,8 @@ impl Table {
 /// Write and flush failures mark the link dead (the reader on the same
 /// socket reports `Closed` with the cause); the round loop then decides
 /// between waiting for a reconnect and declaring the peer gone. A link that
-/// leaves the table for any reason other than its own reader ending or the
-/// teardown (which shut it down first) is shut down on the way out.
+/// leaves the table other than by its own reader ending or the teardown
+/// (which shuts it down before the drop) is shut down on the way out.
 #[derive(Clone, Default)]
 pub(crate) struct Links {
     table: Arc<Mutex<Table>>,
