@@ -18,7 +18,7 @@
 //!
 //! Every connection the crate holds — a mesh link either way, a log
 //! client, a metrics scrape — is a job of a [`Connections`] set: `serve`
-//! keeps the socket under a ticket while a pooled thread (`run_pooled`)
+//! keeps the socket under a ticket while a thread of its own (`run_job`)
 //! runs the job, and drops it when the job ends, so a connection holds its
 //! descriptor exactly as long as it is served. A listener — a node's mesh
 //! listener, the log service's client port, the metrics endpoint — feeds
@@ -56,12 +56,15 @@
 //! sockets down without flushing (a killed node says no goodbye). What was
 //! flushed before the drop reaches the peer ahead of the EOF.
 //!
-//! Descriptors go back to the OS; the threads go back to a process-wide
-//! pool (`run_pooled`) and serve the next connection. An n-node mesh is n²
-//! short-lived blocking threads, and creating and exiting them costs more
-//! than everything else in setting a mesh up and tearing it down (DESIGN.md
-//! §8 has the n=16 numbers) — so a process keeps as many parked threads as
-//! its busiest moment needed.
+//! Descriptors go back to the OS. A mesh's threads go back to a
+//! process-wide pool and serve the next mesh's connections: an n-node mesh
+//! is n² short-lived blocking threads, and creating and exiting them costs
+//! more than everything else in setting a mesh up and tearing it down
+//! (DESIGN.md §8 has the n=16 numbers) — so a process keeps as many parked
+//! threads as its busiest mesh moment needed. A [`Server`]'s threads end
+//! with their jobs instead: its listener is open to anyone, and a pool
+//! that never shrinks would let an outside client pin as many threads as
+//! it once held connections open, for the life of the process.
 //!
 //! # Writing
 //!
@@ -541,22 +544,28 @@ impl Wiring {
                 }
             }
         }
+        self.closed(peer, generation);
+    }
+
+    /// Ends `peer`'s link of `generation`: out of the table, unless a
+    /// reconnect replaced it, and [`LinkEvent::Closed`] reported.
+    fn closed(&self, peer: NodeId, generation: u64) {
         self.links.remove(peer, generation);
         let _ = self.events.send(LinkEvent::Closed { peer });
     }
 }
 
-/// A pooled job; it hands back the sender whose drop marks it ended.
+/// A job of [`run_job`]; it hands back the sender whose drop marks it ended.
 type Job = Box<dyn FnOnce() -> Sender<()> + Send>;
 
 /// The parked threads of the process-wide pool, each waiting on its inbox.
 static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
 
-/// A job running on a pooled thread.
+/// A job running on a thread of [`run_job`].
 #[derive(Debug)]
 pub(crate) struct Task {
     /// Disconnects once the job has ended, dropped everything it owned, and
-    /// its thread is parked again (or died of the job's panic).
+    /// its thread is parked again or ending (or died of the job's panic).
     done: Receiver<()>,
 }
 
@@ -570,10 +579,11 @@ impl Task {
     }
 }
 
-/// Runs `job` on a parked thread of the pool, or on a new one if none is
-/// parked; either way the thread parks again when the job ends (the [module
-/// docs](self) say why). A panicking job takes only its own thread down.
-pub(crate) fn run_pooled(job: impl FnOnce() + Send + 'static) -> Task {
+/// Runs `job` on a new thread that ends with it or, `pooled`, on a parked
+/// thread of the pool (a new one if none is parked) that parks again when
+/// the job ends ([module docs](self)). A panicking job takes only its own
+/// thread down. Fails, dropping the job unrun, if no thread can start.
+fn run_job(job: impl FnOnce() + Send + 'static, pooled: bool) -> io::Result<Task> {
     // Pushes and pops leave the list valid, so a poisoned lock is still good.
     let idle = || IDLE.lock().unwrap_or_else(PoisonError::into_inner);
     let (ended, done) = mpsc::channel();
@@ -581,32 +591,39 @@ pub(crate) fn run_pooled(job: impl FnOnce() + Send + 'static) -> Task {
         job();
         ended
     });
-    let parked = idle().pop();
+    let parked = if pooled { idle().pop() } else { None };
     match parked {
         // A parked thread is blocked on its inbox; it cannot have gone away.
         Some(parked) => parked.send(job).expect("parked pool thread is alive"),
-        // Detached on purpose: a pool thread lives as long as the process.
-        None => drop(thread::spawn(move || {
+        // Detached on purpose: a pool thread lives as long as the process,
+        // any other as long as its job.
+        None => drop(thread::Builder::new().spawn(move || {
             let (inbox, jobs) = mpsc::channel();
             let mut job = job;
             loop {
                 let ended = job();
+                if !pooled {
+                    return;
+                }
                 idle().push(inbox.clone());
                 drop(ended);
                 let Ok(next) = jobs.recv() else { return };
                 job = next;
             }
-        })),
+        })?),
     }
-    Task { done }
+    Ok(Task { done })
 }
 
-/// A set of served connections, each one a job on a pooled thread whose
-/// socket the set keeps until the job ends, and the accept loop feeding
-/// the set, if it has one ([module docs](self)).
+/// A set of served connections, each one a job on a thread of its own
+/// whose socket the set keeps until the job ends, and the accept loop
+/// feeding the set, if it has one ([module docs](self)).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Connections {
     set: Arc<Mutex<Served>>,
+    /// Whether the jobs run on the pool (a mesh's), not on threads that
+    /// end with them (a [`Server`]'s).
+    pooled: bool,
 }
 
 #[derive(Debug, Default)]
@@ -631,28 +648,35 @@ impl Connections {
         self.set.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs `job` on `stream` on a pooled thread. The set keeps the socket
-    /// until the job ends, so that the teardown can wake the job; ended
-    /// jobs are pruned here, so a long-lived listener's set holds only its
-    /// live connections.
-    fn serve(&self, stream: TcpStream, job: impl FnOnce(&TcpStream) + Send + 'static) {
+    /// Runs `job` on `stream` on a thread of its own, or closes `stream`
+    /// if no thread can start. The set keeps the socket until the job
+    /// ends, so that the teardown can wake the job; ended jobs are pruned
+    /// here, so a long-lived listener's set holds only its live connections.
+    fn serve(
+        &self,
+        stream: TcpStream,
+        job: impl FnOnce(&TcpStream) + Send + 'static,
+    ) -> io::Result<()> {
         let stream = Arc::new(stream);
         let mut set = self.set();
         set.next_ticket += 1;
         let ticket = set.next_ticket;
         set.sockets.insert(ticket, Arc::clone(&stream));
         let connections = self.clone();
-        let task = run_pooled(move || {
+        let job = move || {
             job(&stream);
             connections.set().sockets.remove(&ticket);
-        });
+        };
+        let task = run_job(job, self.pooled).inspect_err(|_| drop(set.sockets.remove(&ticket)))?;
         set.jobs.retain(|job| !job.is_finished());
         set.jobs.push(task);
+        Ok(())
     }
 
     /// Serves every connection `listener` accepts as a job that runs
-    /// `handler` on it, from one pooled thread, until the teardown; returns
-    /// the listener's address, or the failure to look it up.
+    /// `handler` on it, from one thread of its own, until the teardown (a
+    /// connection no thread can start for is closed); returns the
+    /// listener's address, or the failure to look it up or start the loop.
     fn accept(
         &self,
         listener: TcpListener,
@@ -661,20 +685,20 @@ impl Connections {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let (stopping, connections, handler) = (Arc::clone(&stop), self.clone(), Arc::new(handler));
-        let running = run_pooled(move || {
+        let accepting = move || {
             for stream in listener.incoming() {
                 if stopping.load(Ordering::SeqCst) {
                     break;
                 }
-                match stream {
-                    Ok(stream) => {
-                        let handler = Arc::clone(&handler);
-                        connections.serve(stream, move |stream| handler(stream));
-                    }
-                    Err(_) => thread::sleep(ACCEPT_BACKOFF),
+                let handler = Arc::clone(&handler);
+                let served = stream
+                    .and_then(|stream| connections.serve(stream, move |stream| handler(stream)));
+                if served.is_err() {
+                    thread::sleep(ACCEPT_BACKOFF);
                 }
             }
-        });
+        };
+        let running = run_job(accepting, self.pooled)?;
         self.set().acceptor = Some((addr, stop, running));
         Ok(addr)
     }
@@ -699,8 +723,8 @@ impl Connections {
     }
 }
 
-/// A listener that serves every connection it accepts on a pooled thread
-/// of its own, holding its descriptor only while it is served: what
+/// A listener that serves every connection it accepts on a thread of its
+/// own, holding its descriptor and its thread only while it is served: what
 /// [`serve_clients`](crate::serve_clients) and
 /// [`serve_metrics`](crate::serve_metrics) return. Dropping it without
 /// [`shutdown`](Self::shutdown) leaves it serving until the process exits.
@@ -712,7 +736,7 @@ pub struct Server {
 
 impl Server {
     /// Runs `handler` on every connection `listener` accepts; fails only
-    /// to look up the listener's address.
+    /// to look up the listener's address or to start the accept loop.
     pub(crate) fn start(
         listener: TcpListener,
         handler: impl Fn(&TcpStream) + Send + Sync + 'static,
@@ -741,8 +765,6 @@ impl Server {
 /// shaping its readers apply, if any. Dropping it runs the teardown in the
 /// [module docs](self).
 pub(crate) struct Mesh {
-    /// The outbound halves, one per connected peer.
-    pub(crate) links: Links,
     wiring: Wiring,
     events: Receiver<LinkEvent>,
     connections: Connections,
@@ -759,7 +781,8 @@ impl Mesh {
     ///
     /// # Errors
     ///
-    /// Propagates the listener's local-address lookup failure.
+    /// The listener's local-address lookup failure, or the failure to start
+    /// its accept loop.
     pub(crate) fn open(
         me: NodeId,
         listener: Option<TcpListener>,
@@ -772,7 +795,10 @@ impl Mesh {
             events: events_tx,
             wan,
         };
-        let connections = Connections::default();
+        let connections = Connections {
+            pooled: true,
+            ..Connections::default()
+        };
         if let Some(listener) = listener {
             let wiring = wiring.clone();
             connections.accept(listener, move |stream| {
@@ -785,11 +811,15 @@ impl Mesh {
             })?;
         }
         Ok(Mesh {
-            links: wiring.links.clone(),
             wiring,
             events,
             connections,
         })
+    }
+
+    /// The outbound halves, one per connected peer.
+    pub(crate) fn links(&self) -> &Links {
+        &self.wiring.links
     }
 
     /// Dials `peer` at `addr` (retrying until `deadline`, with
@@ -822,14 +852,17 @@ impl Mesh {
         }
         let (generation, shaping) = self.wiring.install(peer, &stream)?;
         let wiring = self.wiring.clone();
-        self.connections.serve(stream, move |stream| {
-            wiring.read_link(stream, peer, generation, shaping);
-        });
-        Ok(())
+        // Without a reader to end the link, it is ended here.
+        self.connections
+            .serve(stream, move |stream| {
+                wiring.read_link(stream, peer, generation, shaping)
+            })
+            .inspect_err(|_| self.wiring.closed(peer, generation))
     }
 
-    /// The next link event, waiting at most `wait`. `None` is a timeout:
-    /// the mesh holds a sender itself, so the channel cannot disconnect.
+    /// The next link event, waiting at most `wait` — with a zero `wait`,
+    /// one already queued. `None` is a timeout: the mesh holds a sender
+    /// itself, so the channel cannot disconnect.
     pub(crate) fn next_event(&self, wait: Duration) -> Option<LinkEvent> {
         self.events.recv_timeout(wait).ok()
     }
@@ -837,7 +870,7 @@ impl Mesh {
 
 impl Drop for Mesh {
     fn drop(&mut self) {
-        let links = self.links.close();
+        let links = self.wiring.links.close();
         let jobs = self.connections.shut_down();
         drop(links);
         for job in jobs {
@@ -1121,10 +1154,10 @@ mod tests {
         let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
         let alice_mesh = Mesh::open(alice, None, None).unwrap();
         alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
-        alice_mesh.links.queue([bob], &data(1, 5));
-        alice_mesh.links.queue([bob], &DONE);
-        alice_mesh.links.flush();
-        alice_mesh.links.queue([bob], &data(2, 6)); // never flushed
+        alice_mesh.links().queue([bob], &data(1, 5));
+        alice_mesh.links().queue([bob], &DONE);
+        alice_mesh.links().flush();
+        alice_mesh.links().queue([bob], &data(2, 6)); // never flushed
         drop(alice_mesh);
 
         let mut seen = Vec::new();
@@ -1164,8 +1197,8 @@ mod tests {
             round: 1,
             decided: false,
         };
-        alice_mesh.links.queue([bob], &done);
-        alice_mesh.links.flush();
+        alice_mesh.links().queue([bob], &done);
+        alice_mesh.links().flush();
         match bob_mesh.next_event(wait).unwrap() {
             LinkEvent::Frame {
                 from,

@@ -18,11 +18,11 @@
 //!   bundled algorithms run over TCP out of the box;
 //! * `conn` (private but for [`Server`]) — dialing with retry/backoff, the
 //!   one handshake that pins each connection to a sender id, the one
-//!   tracked set of pooled jobs that serves every connection in the crate
-//!   (mesh links both ways, log clients, metrics scrapes), the
-//!   generation-guarded writer table that makes reconnects safe, the one
-//!   stoppable accept loop every listener runs, and the teardown that gives
-//!   a finished node's or listener's sockets and threads back;
+//!   tracked set of jobs that serves every connection in the crate (mesh
+//!   links both ways on pooled threads, log clients and metrics scrapes),
+//!   the generation-guarded writer table that makes reconnects safe, the
+//!   one stoppable accept loop every listener runs, and the teardown that
+//!   gives a finished node's or listener's sockets and threads back;
 //! * `sync` (private) — the round synchronizer, a pure state machine
 //!   enforcing the send/deliver barrier (unit-testable without sockets);
 //! * [`node`] — [`NetNode`], one cluster member: a process plus the round

@@ -2,7 +2,7 @@
 //!
 //! [`serve_metrics`] binds a listener and answers every `GET /metrics`
 //! (and `GET /`) with the current [`SharedRuntimeMetrics`] rendering in
-//! the Prometheus text format 0.0.4. One pooled thread per scrape, one
+//! the Prometheus text format 0.0.4. One thread per scrape, one
 //! request per connection, `Connection: close` — a scrape endpoint for a
 //! cluster node, not a web server. `std`-only like the rest of the crate.
 //!
@@ -40,7 +40,7 @@ use crate::conn::Server;
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Binds `addr` and serves the registry's Prometheus rendering on it, each
-/// scrape on a pooled thread. Dropping the server without
+/// scrape on a thread of its own. Dropping the server without
 /// [`shutdown`](Server::shutdown) leaves it serving until the process
 /// exits (harmless for a long-lived node, deliberate for short-lived tests
 /// that outlive their cluster).
@@ -144,38 +144,25 @@ pub fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
 /// an exposition body. Helper for scrape consumers; returns the **last**
 /// occurrence, which in well-formed output is the only one.
 pub fn series_value(body: &str, name: &str) -> Option<u64> {
-    let mut found = None;
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix(name) {
-            if let Some(value) = rest.strip_prefix(' ') {
-                if let Ok(parsed) = value.trim().parse() {
-                    found = Some(parsed);
-                }
-            }
-        }
-    }
-    found
+    let value = |line: &str| {
+        line.strip_prefix(name)?
+            .strip_prefix(' ')?
+            .trim()
+            .parse()
+            .ok()
+    };
+    body.lines().rev().find_map(value)
 }
 
 /// Sums every series of a family (lines starting with `name{` or exactly
 /// `name `) in an exposition body — e.g. total frames sent across peers.
 pub fn family_sum(body: &str, name: &str) -> u64 {
-    let mut sum = 0u64;
-    for line in body.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let Some((series, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let family = series.split('{').next().unwrap_or(series);
-        if family == name {
-            if let Ok(parsed) = value.trim().parse::<u64>() {
-                sum += parsed;
-            }
-        }
-    }
-    sum
+    let value = |line: &str| {
+        let (series, value) = line.rsplit_once(' ')?;
+        let ours = !line.starts_with('#') && series.split('{').next() == Some(name);
+        ours.then(|| value.trim().parse::<u64>().ok()).flatten()
+    };
+    body.lines().filter_map(value).sum()
 }
 
 /// The endpoints `HOST:PORT`, `HOST:PORT+1`, … of `count` consecutive

@@ -430,8 +430,10 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// the `round_pace` window — re-reads the flag at least every few tens
     /// of milliseconds and after every link event, so the reaction time
     /// does not depend on `round_timeout` or on how much the peers are
-    /// sending. The cluster harness uses this to tear down survivors after
-    /// one member's thread panicked.
+    /// sending. The one exception is a dial's handshake: a peer that
+    /// accepted the connection but does not answer `Hello` holds the node
+    /// for up to the 10 s handshake bound, flag or not. The cluster harness
+    /// uses this to tear down survivors after one member's thread panicked.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
         self
@@ -642,7 +644,7 @@ where
         // the peers we asked may answer with Backfill frames.
         let request = Frame::SyncRequest { since: next_round };
         session.queue(None, &request);
-        session.mesh.links.flush();
+        session.mesh.links().flush();
         for peer in session.sync.expected() {
             session.ledger.peer(peer).solicited = true;
         }
@@ -737,10 +739,12 @@ where
     }
 
     /// The one wait loop: hands link events to the session until `until`
-    /// holds or `deadline` passes, never blocking longer than
-    /// [`ABORT_POLL`] and reading the abort flag on every iteration.
-    /// With `timed`, returns the microseconds spent handling events (the
-    /// round's deliver phase); otherwise 0, with no clock read per event.
+    /// holds, or `deadline` has passed and no event is left queued (one
+    /// that came while the node was busy, say dialing to the deadline, is
+    /// as live as any), never blocking longer than [`ABORT_POLL`] and
+    /// reading the abort flag on every iteration. With `timed`, returns the
+    /// microseconds spent handling events (the round's deliver phase);
+    /// otherwise 0, with no clock read per event.
     fn pump(
         &mut self,
         deadline: Instant,
@@ -750,14 +754,18 @@ where
         let mut handling_micros = 0;
         loop {
             self.node.check_abort()?;
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if until(self) || remaining.is_zero() {
+            if until(self) {
                 return Ok(handling_micros);
             }
-            if let Some(event) = self.mesh.next_event(remaining.min(ABORT_POLL)) {
-                let handling = timed.then(Laps::start);
-                self.on_event(event);
-                handling_micros += handling.map_or(0, |mut laps| laps.lap());
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match self.mesh.next_event(remaining.min(ABORT_POLL)) {
+                Some(event) => {
+                    let handling = timed.then(Laps::start);
+                    self.on_event(event);
+                    handling_micros += handling.map_or(0, |mut laps| laps.lap());
+                }
+                None if remaining.is_zero() => return Ok(handling_micros),
+                None => {}
             }
         }
     }
@@ -805,7 +813,7 @@ where
             let decided = if self.node.hostile.is_none() {
                 let decided = self.node.stepper.decided_round().is_some();
                 self.queue(None, &Frame::Done { round, decided });
-                self.mesh.links.flush();
+                self.mesh.links().flush();
                 decided
             } else {
                 self.play(round);
@@ -893,7 +901,9 @@ where
             // arriving meanwhile belong to the next round (every peer paces
             // identically) and are handed to the synchronizer as they come —
             // it buffers by round. Outside every round timer.
-            self.pump(started + self.node.config.round_pace, false, |_| false)?;
+            if !self.node.config.round_pace.is_zero() {
+                self.pump(started + self.node.config.round_pace, false, |_| false)?;
+            }
         }
     }
 
@@ -966,7 +976,7 @@ where
             let everyone = self.sync.expected().filter(move |_| to.is_none());
             to.into_iter().chain(everyone)
         };
-        let bytes = self.mesh.links.queue(addressed(), frame) as u64;
+        let bytes = self.mesh.links().queue(addressed(), frame) as u64;
         if self.ledger.runtime.is_some() {
             for peer in addressed() {
                 let round = &mut self.ledger.peer(peer).round;
@@ -1024,7 +1034,7 @@ where
         if entry.banned {
             // An evicted peer redialed: refuse it — the ban is for the rest
             // of the run, not for one socket's lifetime.
-            self.mesh.links.shutdown_peer(peer);
+            self.mesh.links().shutdown_peer(peer);
             return;
         }
         let seen_before = std::mem::replace(&mut entry.seen, true);
@@ -1215,7 +1225,7 @@ where
         }
         // The whole reply goes out together; nothing else is queued while
         // the node waits in `pump`.
-        self.mesh.links.flush();
+        self.mesh.links().flush();
         Ok(())
     }
 
@@ -1301,7 +1311,7 @@ where
             return;
         };
         let expected = self.sync.expected().any(|p| p == peer);
-        if expected && !self.mesh.links.connected().contains(&peer) {
+        if expected && !self.mesh.links().connected().contains(&peer) {
             self.sync.peer_gone(peer);
             hostile.closed.insert(peer);
         }
@@ -1339,9 +1349,9 @@ where
         }
         let decided = true;
         self.queue(None, &Frame::Done { round, decided });
-        self.mesh.links.flush();
+        self.mesh.links().flush();
         if let Some(victim) = poisoned {
-            if self.mesh.links.send_raw(victim, poison) {
+            if self.mesh.links().send_raw(victim, poison) {
                 self.node.metrics(|m| m.inc(POISON_WRITES));
             }
         }
@@ -1356,7 +1366,7 @@ where
         let peer = self.ledger.peer(from);
         peer.banned = true;
         peer.count("net_byz_evictions_total", None);
-        self.mesh.links.shutdown_peer(from);
+        self.mesh.links().shutdown_peer(from);
         self.sync.peer_gone(from);
         self.evicted.push(from.raw());
         self.net_event(NetEventKind::ByzEvict, Some(from), || {

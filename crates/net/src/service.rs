@@ -616,7 +616,7 @@ fn serve_frames(
 }
 
 /// Serves the client protocol on `listener` against `ingress`, each
-/// connection on a pooled thread of its own. `node` attributes acked
+/// connection on a thread of its own. `node` attributes acked
 /// records; `runtime` receives the per-shard `logd_*` families, the
 /// service's only observation channel. The ordering run finishing does
 /// *not* stop the server — sealed prefixes stay readable until

@@ -3,8 +3,8 @@
 //! that the next cluster draws from — so after the first cluster has
 //! filled the pool, a process holds exactly as many descriptors *and*
 //! threads after a run as before it. A log service's client connection
-//! gives its descriptors back as soon as its client is gone, while the
-//! service keeps serving.
+//! gives its descriptors and its thread back as soon as its client is
+//! gone, while the service keeps serving.
 //!
 //! Teardown is synchronous — every node stops its acceptor and waits for
 //! its readers before it reports, the harness joins every node — so the
@@ -12,6 +12,7 @@
 //! `#[test]` so that no sibling test's threads share the process.
 #![cfg(target_os = "linux")]
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,6 +40,20 @@ fn held() -> (usize, usize) {
 fn held_after_joins(threads_at_most: usize) -> (usize, usize) {
     for _ in 0..100 {
         if held().1 <= threads_at_most {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    held()
+}
+
+/// [`held`], once `settled` accepts it or a second has passed: a client
+/// handler ends, and gives its descriptors and thread back, a moment after
+/// its client leaves, and a new one starts a moment after it connects.
+/// Only that moment is waited out.
+fn held_once(settled: impl Fn((usize, usize)) -> bool) -> (usize, usize) {
+    for _ in 0..1000 {
+        if settled(held()) {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -102,15 +117,23 @@ fn finished_clusters_hold_no_descriptor_and_no_thread_of_their_own() {
         let mut client = LogClient::connect(addr).expect("client connects");
         client.read_prefix(0, 0).expect("the listener answers");
     }
-    // Each handler ends when it reads its client's EOF, a moment after
-    // the drop; only that moment is waited out.
-    for _ in 0..1000 {
-        if held().0 <= before {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(held().0, before, "descriptors after 100 client connections");
+    // Each handler ends when it reads its client's EOF.
+    let after = held_once(|(descriptors, _)| descriptors <= before);
+    assert_eq!(after.0, before, "descriptors after 100 client connections");
+    // So does its thread: 32 clients that connect at once and never send
+    // hold 32 threads while they stay, and none once they leave.
+    let before = held();
+    let silent: Vec<_> = (0..32)
+        .map(|_| TcpStream::connect(addr).expect("client connects"))
+        .collect();
+    let busy = held_once(|(_, threads)| threads >= before.1 + 32);
+    assert_eq!(busy.1, before.1 + 32, "threads serving 32 silent clients");
+    drop(silent);
+    assert_eq!(
+        held_once(|now| now == before),
+        before,
+        "(descriptors, threads) after 32 silent clients left"
+    );
     cluster.shutdown();
     assert_eq!(
         held_after_joins(warm.1),

@@ -637,3 +637,47 @@ fn abort_is_noticed_while_dialing_a_peer_that_is_not_there() {
     }
     assert_aborts_promptly(&flag, handle);
 }
+
+#[test]
+fn peers_whose_handshakes_end_past_the_setup_deadline_are_not_given_up() {
+    // The larger-id peer starts listening just before the 300 ms setup
+    // deadline and answers `Hello` only after it, so the node's dial, made
+    // at the deadline, ends with the deadline spent. Both peers' links are
+    // live by then (the smaller-id one dialed in at once), and neither may
+    // be written off as unreachable during setup.
+    let (me, early, late) = (NodeId::new(1), NodeId::new(0), NodeId::new(2));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let vacated = TcpListener::bind("127.0.0.1:0").unwrap();
+    let late_addr = vacated.local_addr().unwrap();
+    drop(vacated);
+    let roster: BTreeMap<NodeId, std::net::SocketAddr> = [
+        (me, addr),
+        (early, "127.0.0.1:1".parse().unwrap()),
+        (late, late_addr),
+    ]
+    .into();
+    let config = NetConfig {
+        setup_timeout: Duration::from_millis(300),
+        ..quick_config(1)
+    };
+    let started = Instant::now();
+    let node = std::thread::spawn(move || {
+        NetNode::new(Counter::new(me, 1), config)
+            .with_tracer(RingTracer::new(4096))
+            .run(listener, &roster)
+    });
+    let _early = script_dial(addr, early);
+    std::thread::sleep(Duration::from_millis(260).saturating_sub(started.elapsed()));
+    let (mut stream, _) = TcpListener::bind(late_addr).unwrap().accept().unwrap();
+    std::thread::sleep(Duration::from_millis(360).saturating_sub(started.elapsed()));
+    write_frame(&mut stream, &Frame::Hello { node: late }).unwrap();
+
+    let report = node.join().unwrap().expect("the node runs");
+    let gone_in_setup: Vec<_> = report
+        .tracer
+        .events()
+        .filter(|event| event.kind() == "net_peer_gone" && event.round() == 0)
+        .collect();
+    assert!(gone_in_setup.is_empty(), "{gone_in_setup:?}");
+}
