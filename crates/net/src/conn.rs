@@ -715,11 +715,18 @@ impl Connections {
                 running.wait();
             }
         }
-        let mut set = self.set();
-        for (_, socket) in set.sockets.drain() {
+        let (sockets, jobs) = {
+            let mut set = self.set();
+            (
+                std::mem::take(&mut set.sockets),
+                std::mem::take(&mut set.jobs),
+            )
+        };
+        // Outside the lock: every woken job takes it to leave the set.
+        for socket in sockets.values() {
             let _ = socket.shutdown(Shutdown::Both);
         }
-        std::mem::take(&mut set.jobs)
+        jobs
     }
 }
 

@@ -144,25 +144,38 @@ pub fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
 /// an exposition body. Helper for scrape consumers; returns the **last**
 /// occurrence, which in well-formed output is the only one.
 pub fn series_value(body: &str, name: &str) -> Option<u64> {
-    let value = |line: &str| {
-        line.strip_prefix(name)?
-            .strip_prefix(' ')?
-            .trim()
-            .parse()
-            .ok()
-    };
-    body.lines().rev().find_map(value)
+    let mut found = None;
+    for line in body.lines() {
+        if let Some(rest) = line.strip_prefix(name) {
+            if let Some(value) = rest.strip_prefix(' ') {
+                if let Ok(parsed) = value.trim().parse() {
+                    found = Some(parsed);
+                }
+            }
+        }
+    }
+    found
 }
 
 /// Sums every series of a family (lines starting with `name{` or exactly
 /// `name `) in an exposition body — e.g. total frames sent across peers.
 pub fn family_sum(body: &str, name: &str) -> u64 {
-    let value = |line: &str| {
-        let (series, value) = line.rsplit_once(' ')?;
-        let ours = !line.starts_with('#') && series.split('{').next() == Some(name);
-        ours.then(|| value.trim().parse::<u64>().ok()).flatten()
-    };
-    body.lines().filter_map(value).sum()
+    let mut sum = 0u64;
+    for line in body.lines() {
+        if line.starts_with('#') {
+            continue;
+        }
+        let Some((series, value)) = line.rsplit_once(' ') else {
+            continue;
+        };
+        let family = series.split('{').next().unwrap_or(series);
+        if family == name {
+            if let Ok(parsed) = value.trim().parse::<u64>() {
+                sum += parsed;
+            }
+        }
+    }
+    sum
 }
 
 /// The endpoints `HOST:PORT`, `HOST:PORT+1`, … of `count` consecutive
