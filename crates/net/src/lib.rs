@@ -152,7 +152,7 @@ pub use metrics_http::{
 pub use node::{NetConfig, NetError, NetNode, NetReport, MAX_BYTES_PER_ROUND, STRIKE_LIMIT};
 pub use service::{
     check_exactly_once, closed_loop, serve_clients, service_horizon, shard_of, spawn_log_cluster,
-    Batch, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
+    Batch, Digest, Item, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
 pub use wan::{LinkPlan, LinkShaping, LinkSpec};
 pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

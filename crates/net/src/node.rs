@@ -955,10 +955,17 @@ where
             self.sync.self_deliver(shared);
             return;
         }
-        let payload = shared.get().to_bytes();
+        // Queued first, the payload then moves into the history uncopied.
+        let frame = Frame::Data {
+            round,
+            payload: shared.get().to_bytes(),
+        };
+        self.queue(to, &frame);
+        let Frame::Data { payload, .. } = frame else {
+            unreachable!("built as Data above")
+        };
         let sends = &mut self.history.entry(round).or_default().sends;
-        sends.push((to, payload.clone()));
-        self.queue(to, &Frame::Data { round, payload });
+        sends.push((to, payload));
         if to.is_none() {
             // A broadcast reaches every present node including the sender
             // (the engine's self-delivery rule).

@@ -4,7 +4,10 @@
 //! off the input and copies them. So the bytes must be there before
 //! anything is allocated for them, or a four-byte length claiming
 //! `u32::MAX` would cost a 4 GiB allocation. (The per-item loop this
-//! replaced pre-allocated `min(len, 1024)` items on the claim alone.)
+//! replaced pre-allocated `min(len, 1024)` items on the claim alone.) The
+//! log service's bundles hold to the same rule: a batch length or an item
+//! count that claims more than the input holds allocates at most the
+//! input's size.
 //!
 //! One file, one test: the counters are per thread, and the one test's
 //! thread is the only one that reads them.
@@ -12,7 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use uba_net::{read_frame, FrameFault, Wire};
+use uba_core::ordering::OrderMsg;
+use uba_net::{read_frame, Digest, FrameFault, Item, Wire};
 
 thread_local! {
     /// Bytes this thread asked `alloc`/`realloc` for, in total and in its
@@ -93,4 +97,22 @@ fn a_length_claiming_u32_max_allocates_nothing() {
         "reading a {}-byte frame allocated {largest} bytes at once",
         stream.len()
     );
+
+    // A one-item bundle whose `Event` claims a `u32::MAX`-byte batch and
+    // carries 64 bytes of it, and a bundle that claims `u32::MAX` items
+    // and holds one.
+    let mut item = OrderMsg::Event(Digest::of(b"batch"), 5).to_bytes();
+    item.extend_from_slice(&[1, 0xff, 0xff, 0xff, 0xff]);
+    item.extend_from_slice(&[7; 64]);
+    let one = [&1u32.to_le_bytes()[..], &item].concat();
+    let many = [&u32::MAX.to_le_bytes()[..], &item].concat();
+    for bundle in [one, many] {
+        let (decoded, total, _) = requested(|| Vec::<Item>::from_bytes(&bundle));
+        assert_eq!(decoded, None);
+        assert!(
+            total <= bundle.len(),
+            "a refused {}-byte bundle allocated {total} bytes",
+            bundle.len()
+        );
+    }
 }
