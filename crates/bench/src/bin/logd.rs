@@ -25,7 +25,9 @@
 //! families (`net_*`) plus the per-shard service families
 //! (`logd_submits_total{shard=..}`, `logd_batches_total{shard=..}`,
 //! `logd_batch_records_total{shard=..}`, `logd_prefix_records{shard=..}`,
-//! `logd_reads_total{shard=..}`). `cluster scrape` works against them.
+//! `logd_reads_total{shard=..}`), and `logd_hidden_items_total` once a
+//! member hid a message naming a batch it could not resolve — which no
+//! honest cluster does. `cluster scrape` works against them.
 
 use std::process::ExitCode;
 use std::time::Duration;

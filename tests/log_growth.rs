@@ -8,7 +8,7 @@
 //! eight records and one of 512 records of 1 KiB. (When every round rebuilt
 //! the chain from the wave results and re-published the whole prefix, the
 //! same round allocated 105,188 bytes at 8 records and 2,441,356 at 512; it
-//! now allocates 41,744 at both, on x86-64 Linux.)
+//! now allocates 39,680 at both, on x86-64 Linux.)
 //!
 //! One file, one test: the counter is per thread, and the one test's thread
 //! is the only one that reads it.
