@@ -26,8 +26,7 @@
 //!    resolved and their records appended to their shards' record prefixes
 //!    — the member's one published copy of the log — which
 //!    [`Frame::ReadPrefix`] reads in [`Frame::PrefixChunk`] pages of at
-//!    most half a frame; a batch's copy is dropped once no message has
-//!    named it for the finality margin.
+//!    most half a frame; a batch's copy is dropped once its wave is final.
 //!
 //! Acknowledgements are durability promises: the service stops accepting
 //! new submissions strictly before the last round whose batch can still
@@ -293,15 +292,17 @@ impl Wire for Item {
 /// destination, in send order.
 type Bundle = Vec<Item>;
 
-/// The digest a message names: an event's, or a wave message's value
-/// (`None` for the paper's `⊥` and for messages without one).
-fn named(msg: &OrderMsg<Digest>) -> Option<&Digest> {
+/// The digest a message names and the wave it names it in: an event of
+/// round `r` belongs to wave `r + 1`, a wave message to its wave (`None`
+/// for the paper's `⊥` and for messages without a digest).
+fn named(msg: &OrderMsg<Digest>) -> Option<(u64, &Digest)> {
     match msg {
-        OrderMsg::Event(digest, _) | OrderMsg::Wave(_, ParMsg::Input(_, digest)) => Some(digest),
+        OrderMsg::Event(digest, round) => Some((round.saturating_add(1), digest)),
+        OrderMsg::Wave(wave, ParMsg::Input(_, digest)) => Some((*wave, digest)),
         OrderMsg::Wave(
-            _,
+            wave,
             ParMsg::Opinion(_, value) | ParMsg::Prefer(_, value) | ParMsg::StrongPrefer(_, value),
-        ) => value.as_ref(),
+        ) => value.as_ref().map(|digest| (*wave, digest)),
         _ => None,
     }
 }
@@ -380,19 +381,14 @@ pub fn shard_of(key: &str, shards: u32) -> u32 {
     (hash % u64::from(shards.max(1))) as u32
 }
 
-/// The rounds one batch needs from enqueue to finality: an event broadcast
-/// in round `w` lands in wave `w + 1`, which is final once
-/// `2(r - (w + 1)) > 5n + 4` (the bound behind
+/// The horizon a service run needs so that every batch enqueued up to and
+/// including round `ingest_until` finalizes before the instance
+/// terminates: an event broadcast in round `w` lands in wave `w + 1`, which
+/// is final once `2(r - (w + 1)) > 5n + 4` (the bound behind
 /// [`TotalOrdering::finality_round`]), plus slack for the join handshake
 /// rounds at the front of the run.
-fn finality_margin(members: usize) -> u64 {
-    (5 * members as u64 + 4) / 2 + 5
-}
-
-/// The horizon a service run needs so that every batch enqueued up to and
-/// including round `ingest_until` finalizes before the instance terminates.
 pub fn service_horizon(members: usize, ingest_until: u64) -> u64 {
-    ingest_until + finality_margin(members)
+    ingest_until + (5 * members as u64 + 4) / 2 + 5
 }
 
 /// Per-node ingress/egress state shared between the round loop and the
@@ -411,9 +407,10 @@ struct IngressState {
     pending: Batch,
     /// The finalized record prefix per shard (only ever grows).
     prefixes: Vec<Vec<Record>>,
-    /// `(key, payload) → (shard, seq)`: the idempotency table behind
-    /// duplicate-submit re-acks.
-    assigned: HashMap<(String, Vec<u8>), (u32, u64)>,
+    /// The digest of a `(key, payload)` pair's encoding → `(shard, seq)`:
+    /// the idempotency table behind duplicate-submit re-acks, which holds
+    /// 32 bytes of each acked pair, not the pair.
+    assigned: HashMap<Digest, (u32, u64)>,
 }
 
 /// Cloneable handle to one node's service state; the round loop drains
@@ -470,9 +467,11 @@ impl LogIngress {
     /// `false` for a duplicate re-ack.
     pub fn submit(&self, key: String, payload: Vec<u8>, node: u64) -> Option<(u32, u64, bool)> {
         let shard = shard_of(&key, self.shards);
+        let pair = (key, payload);
+        let hashed = Digest::of(&pair.to_bytes());
         let mut state = self.lock();
         let state = &mut *state;
-        match state.assigned.entry((key, payload)) {
+        match state.assigned.entry(hashed) {
             Entry::Occupied(slot) => {
                 let (shard, seq) = *slot.get();
                 Some((shard, seq, false))
@@ -481,14 +480,14 @@ impl LogIngress {
             Entry::Vacant(slot) => {
                 let seq = state.next_seq[shard as usize];
                 state.next_seq[shard as usize] += 1;
-                let (key, payload) = slot.key().clone();
+                slot.insert((shard, seq));
+                let (key, payload) = pair;
                 state.pending.push(Record {
                     key,
                     payload,
                     node,
                     seq,
                 });
-                slot.insert((shard, seq));
                 Some((shard, seq, true))
             }
         }
@@ -551,6 +550,14 @@ impl LogIngress {
     }
 }
 
+/// The batches a member holds, by wave and then digest: each one's encoding.
+type Store = BTreeMap<u64, HashMap<Digest, Arc<Vec<u8>>>>;
+
+/// The stored encoding of the batch a message names: its digest in its wave.
+fn resolve<'a>(store: &'a Store, (wave, digest): (u64, &Digest)) -> Option<&'a Arc<Vec<u8>>> {
+    store.get(&wave)?.get(digest)
+}
+
 /// One cluster node's service process: one [`TotalOrdering`] instance
 /// over a single round loop, fed from a [`LogIngress`] whose shards
 /// partition the keys.
@@ -571,8 +578,8 @@ impl LogIngress {
 /// of frames on a link per round whatever its shard count. Each round the
 /// digests the chain grew by are resolved into their records and split
 /// into the shard prefixes by [`shard_of`]; within a shard they stay in
-/// (wave, origin, submission) order. A stored batch is dropped once no
-/// message has named it for the finality margin.
+/// (wave, origin, submission) order. A stored batch is dropped once its
+/// wave is final.
 ///
 /// Output: the per-shard finalized record prefixes — the ingress's, read
 /// once — when the instance has reached the horizon and they are sealed.
@@ -580,14 +587,9 @@ pub struct ShardedLog {
     me: NodeId,
     ingress: LogIngress,
     log: TotalOrdering<Digest>,
-    /// The batches this member can resolve, by digest: each one's encoding
-    /// and the last round a message named it.
-    store: HashMap<Digest, (Arc<Vec<u8>>, u64)>,
-    /// The rounds a stored batch outlives the last message that named it:
-    /// the finality margin of the largest `S` this member has held. A wave
-    /// is final by the `|S|` it started with, which an `Absent` cannot
-    /// shrink afterwards, so the live `|S|` would prune too soon.
-    margin: u64,
+    /// The batches this member can resolve, by wave and digest: each one's
+    /// encoding, held from its arrival until its wave is final.
+    store: Store,
     /// How many events of the chain are already in the ingress prefixes.
     published: usize,
     ingest_until: u64,
@@ -604,8 +606,7 @@ impl ShardedLog {
             me,
             ingress,
             log: TotalOrdering::genesis(me).with_horizon(horizon),
-            store: HashMap::new(),
-            margin: finality_margin(1),
+            store: BTreeMap::new(),
             published: 0,
             ingest_until,
             runtime: None,
@@ -625,7 +626,7 @@ impl ShardedLog {
 
     /// The bytes of the batches this member holds for resolving digests.
     pub fn stored_bytes(&self) -> usize {
-        self.store.values().map(|(bytes, _)| bytes.len()).sum()
+        self.store.values().flatten().map(|(_, b)| b.len()).sum()
     }
 
     /// Counts a sealed batch under every shard it holds a record of: one
@@ -650,7 +651,7 @@ impl ShardedLog {
     /// §12 shows never happens to a message the instance sends.
     fn ship(&self, msg: OrderMsg<Digest>) -> Option<Item> {
         let batch = match named(&msg) {
-            Some(digest) if carries_batch(&msg) => Some(Arc::clone(&self.store.get(digest)?.0)),
+            Some(named) if carries_batch(&msg) => Some(Arc::clone(resolve(&self.store, named)?)),
             _ => None,
         };
         Some(Item { msg, batch })
@@ -682,50 +683,44 @@ impl Process for ShardedLog {
                 self.count_batch(&batch);
                 let bytes = batch.to_bytes();
                 let digest = Digest::of(&bytes);
-                self.store.insert(digest, (Arc::new(bytes), round));
-                let queued = self.log.enqueue_event(digest).is_some();
+                let queued = self.log.enqueue_event(digest);
                 debug_assert!(
-                    queued,
+                    queued.is_some(),
                     "acked batch dropped: instance terminated before the ingest cutoff"
                 );
+                if let Some(sent) = queued {
+                    let wave = self.store.entry(sent + 1).or_default();
+                    wave.insert(digest, Arc::new(bytes));
+                }
             }
         } else {
             self.ingress.close_ingest();
         }
 
-        // Store every batch that arrived and is not held yet, if its bytes
-        // match its digest; then step the instance on the messages whose
-        // digest resolves, hiding the rest.
+        // Store every batch that arrived for a wave in flight and is not
+        // held there yet, if its bytes match its digest; then step the
+        // instance on the messages whose digest resolves, hiding the rest.
         let inbox = ctx.inbox();
+        let in_flight = self.log.finality_round() + 1..=self.log.round() + 1;
         for item in inbox.iter().flat_map(|env| env.msg()) {
-            if let (Some(bytes), Some(&digest)) = (&item.batch, named(&item.msg)) {
-                if let Entry::Vacant(slot) = self.store.entry(digest) {
+            let named = named(&item.msg).filter(|(wave, _)| in_flight.contains(wave));
+            if let (Some(bytes), Some((wave, &digest))) = (&item.batch, named) {
+                if let Entry::Vacant(slot) = self.store.entry(wave).or_default().entry(digest) {
                     if Digest::of(bytes) == digest {
-                        slot.insert((Arc::clone(bytes), round));
+                        slot.insert(Arc::clone(bytes));
                     }
                 }
             }
         }
         let mut hidden = 0;
-        let store = &mut self.store;
+        let store = &self.store;
         let resolved = share(inbox).filter(|&(_, msg)| {
-            let Some(digest) = named(msg) else {
-                return true;
-            };
-            match store.get_mut(digest) {
-                Some((_, last_named)) => {
-                    *last_named = round;
-                    true
-                }
-                None => {
-                    hidden += 1;
-                    false
-                }
-            }
+            let resolves = named(msg).is_none_or(|named| resolve(store, named).is_some());
+            hidden += u64::from(!resolves);
+            resolves
         });
         let mut sends = Vec::new();
         self.log.step(resolved, &mut sends);
-        self.margin = self.margin.max(finality_margin(self.log.members().len()));
         if let (Some(rt), true) = (&self.runtime, hidden > 0) {
             rt.add("logd_hidden_items_total", hidden);
         }
@@ -750,13 +745,13 @@ impl Process for ShardedLog {
 
         // Append what the chain grew by this round — batches in wave order,
         // records in batch order — to the shard prefixes; then drop the
-        // batches no message named for the finality margin, and seal once
-        // the instance terminated.
+        // batches of every final wave, and seal once the instance
+        // terminated.
         let grown = &self.log.chain()[self.published..];
         self.published += grown.len();
         let store = &self.store;
         let lens = self.ingress.append(grown.iter().flat_map(|event| {
-            let bytes = store.get(&event.value).map(|(bytes, _)| bytes);
+            let bytes = resolve(store, (event.wave, &event.value));
             debug_assert!(bytes.is_some(), "a final batch left the store");
             // Bytes that match their digest but are no batch publish nothing,
             // the same at every member.
@@ -764,9 +759,7 @@ impl Process for ShardedLog {
                 .and_then(|bytes| Batch::from_bytes(bytes))
                 .unwrap_or_default()
         }));
-        let margin = self.margin;
-        self.store
-            .retain(|_, &mut (_, last_named)| round.saturating_sub(last_named) <= margin);
+        self.store = self.store.split_off(&(self.log.finality_round() + 1));
         if let Some(rt) = &self.runtime {
             for (shard, len) in lens.into_iter().enumerate() {
                 rt.set_gauge(
@@ -1604,6 +1597,35 @@ mod tests {
         assert!(fresh2);
         // Only one pending record per fresh slot.
         assert_eq!(ingress.take_batch().len(), 2);
+    }
+
+    #[test]
+    fn a_resubmitted_8_kib_pair_is_reacked_from_a_table_without_its_bytes() {
+        let pair = ("k".to_string(), vec![7u8; 8 << 10]);
+        let ingress = LogIngress::new(4);
+        let submit = || ingress.submit(pair.0.clone(), pair.1.clone(), 7);
+        let (shard, seq, fresh) = submit().expect("accepting");
+        assert!(fresh);
+        assert_eq!(submit(), Some((shard, seq, false)));
+        // The pending record owns the submitted payload: moved, not copied.
+        let payload = pair.1.clone();
+        let sent = payload.as_ptr();
+        let (.., fresh) = ingress
+            .submit("other".into(), payload, 7)
+            .expect("accepting");
+        assert!(fresh);
+        let batch = ingress.take_batch();
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch[1].payload.as_ptr(), sent);
+        drop(batch);
+        // The table keys each pair by its digest alone, and still re-acks
+        // it once the batch, the last copy of its bytes here, is gone.
+        let state = ingress.lock();
+        assert_eq!(state.assigned.len(), 2);
+        let slot = state.assigned.get(&Digest::of(&pair.to_bytes()));
+        assert_eq!(slot, Some(&(shard, seq)));
+        drop(state);
+        assert_eq!(submit(), Some((shard, seq, false)));
     }
 
     #[test]
