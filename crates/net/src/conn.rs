@@ -407,27 +407,26 @@ impl Links {
     }
 }
 
-/// Upper bound on a handshake, dialed or accepted: a peer that never says
-/// `Hello` holds neither a pooled thread nor a dialing node longer. As long
-/// as the default `setup_timeout` — a peer that cannot say `Hello` within
-/// the time a dialer would itself keep retrying is not a peer.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Performs the symmetric handshake on a fresh connection, dialed and
-/// accepted alike: writes our `Hello`, reads the peer's within
-/// [`HANDSHAKE_TIMEOUT`], and returns the peer's announced id.
+/// accepted alike: writes our `Hello`, reads the peer's within `timeout`
+/// (the node's `setup_timeout`: a peer that cannot say `Hello` within the
+/// time a dialer would itself keep retrying is not a peer, and holds
+/// neither a pooled thread nor a dialing node longer), and returns the
+/// peer's announced id.
 ///
 /// # Errors
 ///
 /// I/O errors (a peer silent past the timeout among them), a non-`Hello`
 /// first frame, or a clean close before the peer's `Hello` (reported as
 /// [`io::ErrorKind::InvalidData`] / [`io::ErrorKind::UnexpectedEof`]).
-fn handshake(mut stream: &TcpStream, me: NodeId) -> io::Result<NodeId> {
+fn handshake(mut stream: &TcpStream, me: NodeId, timeout: Duration) -> io::Result<NodeId> {
     // Frames are small and latency-critical: round progress waits on
     // `Done` markers, so Nagle batching would put a ~40ms floor under
     // every barrier.
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    // A socket refuses a zero read timeout; a zero budget waits the least
+    // it takes.
+    stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
     write_frame(&mut stream, &Frame::Hello { node: me })?;
     match read_frame(&mut stream)? {
         Some(Frame::Hello { node }) => stream.set_read_timeout(None).map(|()| node),
@@ -464,6 +463,8 @@ fn shaping(shaper: Option<Shaper>) -> (Option<Sender<()>>, Option<Shaping>) {
 #[derive(Clone)]
 struct Wiring {
     me: NodeId,
+    /// The bound on every handshake of the mesh, dialed or accepted.
+    handshake_timeout: Duration,
     links: Links,
     events: Sender<LinkEvent>,
     wan: Option<Arc<LinkShaping>>,
@@ -784,7 +785,8 @@ impl Mesh {
     /// dials again, and the fresh link replaces the dead one (whose reader,
     /// ending, removes only its own generation from the table). Without one
     /// (a rejoiner: nobody dials it) the mesh only dials. With `wan`, every
-    /// link's reader shapes the link into `me`.
+    /// link's reader shapes the link into `me`. Every handshake, dialed or
+    /// accepted, waits at most `handshake_timeout` for the peer's `Hello`.
     ///
     /// # Errors
     ///
@@ -794,10 +796,12 @@ impl Mesh {
         me: NodeId,
         listener: Option<TcpListener>,
         wan: Option<Arc<LinkShaping>>,
+        handshake_timeout: Duration,
     ) -> io::Result<Mesh> {
         let (events_tx, events) = mpsc::channel();
         let wiring = Wiring {
             me,
+            handshake_timeout,
             links: Links::default(),
             events: events_tx,
             wan,
@@ -809,7 +813,7 @@ impl Mesh {
         if let Some(listener) = listener {
             let wiring = wiring.clone();
             connections.accept(listener, move |stream| {
-                let Ok(peer) = handshake(stream, me) else {
+                let Ok(peer) = handshake(stream, me, wiring.handshake_timeout) else {
                     return; // not a protocol peer; drop the connection
                 };
                 if let Ok((generation, shaping)) = wiring.install(peer, stream) {
@@ -850,7 +854,7 @@ impl Mesh {
         let me = self.wiring.me;
         let jitter_seed = me.raw().rotate_left(32) ^ peer.raw();
         let stream = connect_with_retry(addr, deadline, jitter_seed, pause)?;
-        let announced = handshake(&stream, me)?;
+        let announced = handshake(&stream, me, self.wiring.handshake_timeout)?;
         if announced != peer {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -867,11 +871,15 @@ impl Mesh {
             .inspect_err(|_| self.wiring.closed(peer, generation))
     }
 
-    /// The next link event, waiting at most `wait` — with a zero `wait`,
-    /// one already queued. `None` is a timeout: the mesh holds a sender
-    /// itself, so the channel cannot disconnect.
+    /// The next link event, waiting at most `wait`. `None` is a timeout:
+    /// the mesh holds a sender itself, so the channel cannot disconnect.
     pub(crate) fn next_event(&self, wait: Duration) -> Option<LinkEvent> {
         self.events.recv_timeout(wait).ok()
+    }
+
+    /// A link event already queued, if there is one, without a clock read.
+    pub(crate) fn queued_event(&self) -> Option<LinkEvent> {
+        self.events.try_recv().ok()
     }
 }
 
@@ -890,9 +898,12 @@ impl Drop for Mesh {
 mod tests {
     use super::*;
 
-    /// The dial deadline of a node with the default 10 s `setup_timeout`.
+    /// The default `setup_timeout`: the handshake bound of the meshes here.
+    const SETUP: Duration = Duration::from_secs(10);
+
+    /// The dial deadline of a node with the default `setup_timeout`.
     fn dial_deadline() -> Instant {
-        Instant::now() + Duration::from_secs(10)
+        Instant::now() + SETUP
     }
 
     /// A dial's `pause` that sleeps out every backoff.
@@ -1158,8 +1169,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
-        let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
-        let alice_mesh = Mesh::open(alice, None, None).unwrap();
+        let bob_mesh = Mesh::open(bob, Some(listener), None, SETUP).unwrap();
+        let alice_mesh = Mesh::open(alice, None, None, SETUP).unwrap();
         alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
         alice_mesh.links().queue([bob], &data(1, 5));
         alice_mesh.links().queue([bob], &DONE);
@@ -1184,8 +1195,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
-        let bob_mesh = Mesh::open(bob, Some(listener), None).unwrap();
-        let alice_mesh = Mesh::open(alice, None, None).unwrap();
+        let bob_mesh = Mesh::open(bob, Some(listener), None, SETUP).unwrap();
+        let alice_mesh = Mesh::open(alice, None, None, SETUP).unwrap();
         alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
 
         // Both sides report Connected with the right peer.
@@ -1231,8 +1242,8 @@ mod tests {
     fn dialing_a_mislabeled_peer_is_refused() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let _nine = Mesh::open(NodeId::new(9), Some(listener), None).unwrap();
-        let err = Mesh::open(NodeId::new(1), None, None)
+        let _nine = Mesh::open(NodeId::new(9), Some(listener), None, SETUP).unwrap();
+        let err = Mesh::open(NodeId::new(1), None, None, SETUP)
             .unwrap()
             // address book says 2, endpoint says 9
             .dial(addr, NodeId::new(2), dial_deadline(), sleep)

@@ -432,7 +432,7 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
     /// does not depend on `round_timeout` or on how much the peers are
     /// sending. The one exception is a dial's handshake: a peer that
     /// accepted the connection but does not answer `Hello` holds the node
-    /// for up to the 10 s handshake bound, flag or not. The cluster harness
+    /// for up to one `setup_timeout`, flag or not. The cluster harness
     /// uses this to tear down survivors after one member's thread panicked.
     pub fn with_abort_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.abort = Some(flag);
@@ -676,7 +676,7 @@ where
         deadline: Instant,
     ) -> Result<(Mesh, Vec<(NodeId, io::Error)>), NetError> {
         let id = self.id();
-        let mesh = Mesh::open(id, listener, self.wan.clone())?;
+        let mesh = Mesh::open(id, listener, self.wan.clone(), self.config.setup_timeout)?;
         let mut unreachable = Vec::new();
         for peer in targets {
             let dialed = mesh.dial(roster[&peer], peer, deadline, |attempt, backoff| {
@@ -742,9 +742,10 @@ where
     /// holds, or `deadline` has passed and no event is left queued (one
     /// that came while the node was busy, say dialing to the deadline, is
     /// as live as any), never blocking longer than [`ABORT_POLL`] and
-    /// reading the abort flag on every iteration. With `timed`, returns the
-    /// microseconds spent handling events (the round's deliver phase);
-    /// otherwise 0, with no clock read per event.
+    /// reading the abort flag on every iteration. It drains what is queued
+    /// first and reads the clock only when it is about to block. With
+    /// `timed`, returns the microseconds spent handling events (the round's
+    /// deliver phase); otherwise 0, with no clock read per event.
     fn pump(
         &mut self,
         deadline: Instant,
@@ -757,16 +758,22 @@ where
             if until(self) {
                 return Ok(handling_micros);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.mesh.next_event(remaining.min(ABORT_POLL)) {
-                Some(event) => {
-                    let handling = timed.then(Laps::start);
-                    self.on_event(event);
-                    handling_micros += handling.map_or(0, |mut laps| laps.lap());
+            let event = match self.mesh.queued_event() {
+                Some(event) => event,
+                None => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Ok(handling_micros);
+                    }
+                    match self.mesh.next_event(remaining.min(ABORT_POLL)) {
+                        Some(event) => event,
+                        None => continue,
+                    }
                 }
-                None if remaining.is_zero() => return Ok(handling_micros),
-                None => {}
-            }
+            };
+            let handling = timed.then(Laps::start);
+            self.on_event(event);
+            handling_micros += handling.map_or(0, |mut laps| laps.lap());
         }
     }
 
@@ -1460,7 +1467,7 @@ mod tests {
     fn backfill_is_accepted_only_from_peers_the_ledger_marks_solicited() {
         let (me, asked, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mesh = Mesh::open(me, None, None).unwrap();
+        let mesh = Mesh::open(me, None, None, node.config.setup_timeout).unwrap();
         let mut session = Session::new(node, mesh, &[asked, other], 5);
         // What `resume` does for every peer it sends a SyncRequest to.
         session.ledger.peer(asked).solicited = true;
@@ -1540,7 +1547,8 @@ mod tests {
         ];
         let (me, peer) = (NodeId::new(1), NodeId::new(2));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mut session = Session::new(node, Mesh::open(me, None, None).unwrap(), &[peer], 5);
+        let mesh = Mesh::open(me, None, None, node.config.setup_timeout).unwrap();
+        let mut session = Session::new(node, mesh, &[peer], 5);
         let mut charged = 0;
         for (frame, old_estimate) in frames {
             let exact = encode_frame(&frame).unwrap().len() as u64;

@@ -3,8 +3,8 @@
 //! peer that duplicates frames (dropped per the model's per-round rule),
 //! a peer that drops its connection mid-run and redials (reconnect), a
 //! peer that never accepts (given up after `setup_timeout`), one whose
-//! listener never answers the handshake (given up after the handshake
-//! timeout), a connector that never says `Hello` (the next peer is still
+//! listener never answers the handshake (given up after `setup_timeout`
+//! too), a connector that never says `Hello` (the next peer is still
 //! answered), and a harness abort raised while the node waits (at a busy
 //! barrier, in the pace window, in a dial's backoff).
 
@@ -422,7 +422,7 @@ fn a_peer_that_never_accepts_is_given_up_after_the_setup_timeout() {
 fn a_peer_that_accepts_no_connection_is_given_up_after_the_handshake_timeout() {
     // The peer's listener is bound, so the kernel completes the connect,
     // but nothing ever answers the node's `Hello`: the dial's handshake
-    // must give up after its 10 s read bound, not wait forever.
+    // must give up after the 300 ms setup timeout, not wait forever.
     let me = NodeId::new(1);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let mute = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -449,7 +449,7 @@ fn a_peer_that_accepts_no_connection_is_given_up_after_the_handshake_timeout() {
         matches!(result, Err(NetError::Io(_))),
         "expected Io, got {result:?}"
     );
-    assert!(took < Duration::from_secs(12), "gave up after {took:?}");
+    assert!(took < Duration::from_secs(2), "gave up after {took:?}");
     drop(mute);
 }
 
