@@ -40,7 +40,7 @@ use uba_net::{
     AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkShaping, LinkSpec, NetConfig,
     NetError, RunSummary, Wire,
 };
-use uba_sim::{Adversary, ChurnSchedule, EngineBuilder, NodeId, Process, SyncEngine};
+use uba_sim::{Adversary, EngineBuilder, NodeId, Process, SyncEngine};
 use uba_trace::{NoopTracer, RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer};
 
 use crate::experiments::t10_faults::Algo;
@@ -223,7 +223,7 @@ pub struct Scenario {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Duty {
     /// Outputs and decision rounds equal the engine twin's, member by
-    /// member (and the churn-`Restart` twin's, when there is a kill).
+    /// member; a killed member's rejoined incarnation included.
     EngineIdentical,
     /// Loss, partitions and wire malice sever deliveries the engine twin
     /// performs, so only the safety obligation is comparable.
@@ -575,8 +575,6 @@ pub struct TwinOutcome<T = NoopTracer> {
     /// The engine twin; `None` where the attack script has no simulator
     /// counterpart.
     pub engine: Option<EngineRun>,
-    /// The engine with the scenario's kill scripted as a churn `Restart`.
-    pub restart_engine: Option<EngineRun>,
     /// The honest members of the TCP cluster.
     pub net: Outcomes,
     /// The figures of the honest members' reports.
@@ -604,12 +602,12 @@ pub struct TwinOutcome<T = NoopTracer> {
 }
 
 impl<T> TwinOutcome<T> {
-    /// The cluster reproduced the engine twin (and the churn-`Restart`
-    /// twin, if the scenario kills) member by member: same outputs, same
-    /// decision rounds.
+    /// The cluster reproduced the engine twin member by member: same
+    /// outputs, same decision rounds.
     pub fn engine_identical(&self) -> bool {
-        let mut twins = [&self.engine, &self.restart_engine].into_iter().flatten();
-        self.engine.is_some() && twins.all(|twin| twin.outcomes == self.net)
+        self.engine
+            .as_ref()
+            .is_some_and(|twin| twin.outcomes == self.net)
     }
 }
 
@@ -730,9 +728,8 @@ pub fn run_twin_with<T: Tracer + Send + 'static>(
     }
 }
 
-/// The algorithm-independent rest of [`run_twin_with`]: the
-/// churn-`Restart` twin, then `members()` inside the scenario's
-/// [`ClusterSpec`].
+/// The algorithm-independent rest of [`run_twin_with`]: `members()`
+/// inside the scenario's [`ClusterSpec`].
 fn run_both<P, T>(
     cell: &TwinCell,
     engine: Option<EngineRun>,
@@ -748,12 +745,6 @@ where
     T: Tracer + Send + 'static,
 {
     let Scenario { kill, .. } = cell.scenario;
-    let reborn = |kill: Kill| members().swap_remove(kill.victim_idx);
-    let restart_engine = kill.map(|kill| {
-        let mut churn = ChurnSchedule::new();
-        churn.restart(kill.at, reborn(kill));
-        engine_run(SyncEngine::builder().correct_many(members()).churn(churn))
-    });
 
     let setup = cell.setup();
     let journals = cell.journal_dir(journal_dir);
@@ -769,7 +760,7 @@ where
             .map(|plan| Arc::new(LinkShaping::new(plan, Some(hand_out(None))))),
         kill: kill.map(|kill| KillSpec {
             victim: setup.correct[kill.victim_idx],
-            reborn: reborn(kill),
+            reborn: members().swap_remove(kill.victim_idx),
             kill_at: kill.at,
             restart_delay: kill.down,
             journal_dir: journals.clone(),
@@ -794,7 +785,6 @@ where
     let sum = |family| metrics.family_sum(family);
     let mut outcome = TwinOutcome {
         engine,
-        restart_engine,
         net: Outcomes::new(),
         summary: RunSummary::of(&run.reports),
         frames_sent: sum("net_frames_sent_total"),
@@ -882,12 +872,8 @@ impl TwinCell {
     /// `MISMATCH`, `DISAGREEMENT` or `VIOLATION`, with the reason.
     pub fn judge<T>(&self, run: &TwinOutcome<T>) -> Result<&'static str, (&'static str, String)> {
         if self.duty == EngineIdentical && !run.engine_identical() {
-            let twins =
-                [&run.engine, &run.restart_engine].map(|twin| twin.as_ref().map(|t| &t.outcomes));
-            return Err((
-                "MISMATCH",
-                format!("engines {twins:?} vs net {:?}", run.net),
-            ));
+            let twin = run.engine.as_ref().map(|t| &t.outcomes);
+            return Err(("MISMATCH", format!("engine {twin:?} vs net {:?}", run.net)));
         }
         if !self.agreement(run) {
             return Err((

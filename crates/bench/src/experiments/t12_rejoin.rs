@@ -7,17 +7,14 @@
 //!   `SyncRequest`/`Backfill` protocol and decides **byte-identically** to
 //!   the *uninterrupted* simulator run — the crash is invisible to the
 //!   protocol's outcome;
-//! - the simulator's churn-schedule `Restart` action is a faithful twin of
-//!   that rejoin: replaying a fresh process through the recorded inbox
-//!   history reproduces the same outputs and decision rounds;
 //! - recovery tolerates a torn final journal line (the crash interrupted
 //!   the append): the victim resumes one round earlier, re-collects the
 //!   missing round from peer backfill, and still converges identically.
 //!
-//! Every cell runs the configuration three ways — plain engine, engine
-//! with a scripted `Restart`, TCP cluster with a scripted kill — and all
-//! three must agree on every output and on every decision round (the
-//! `EngineIdentical` duty of `grid`, where the cells live).
+//! Every cell runs the configuration twice — the uninterrupted engine and
+//! a TCP cluster with a scripted kill — and the two must agree on every
+//! output and on every decision round (the `EngineIdentical` duty of
+//! `grid`, where the cells live).
 
 use super::grid::{last_round, run_twin, twins, Family};
 use crate::Table;
@@ -25,7 +22,7 @@ use crate::Table;
 /// Runs experiment T12.
 pub fn run() -> Vec<Table> {
     let mut table = Table::new(
-        "T12 — crash-recovery rejoin: kill at round start, journal replay + backfill, vs the uninterrupted engine and the churn-Restart engine",
+        "T12 — crash-recovery rejoin: kill at round start, journal replay + backfill, vs the uninterrupted engine",
         &[
             "algorithm",
             "n",

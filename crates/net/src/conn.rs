@@ -89,7 +89,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use uba_sim::NodeId;
+use uba_sim::{derive, NodeId};
 
 use crate::wan::{LinkShaping, Shaper};
 use crate::wire::{encode_frame, read_frame, read_sized_frame, write_frame, Frame, FrameFault};
@@ -101,27 +101,20 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// most 1.5× this).
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
-/// One step of the splitmix64 output function: a cheap, well-mixed pure
-/// hash, good enough to decorrelate backoff schedules across (seed,
-/// attempt) pairs. The crate's whole RNG vocabulary — dial jitter here,
-/// the WAN links' loss and jitter draws in [`crate::wan`] — is
-/// built from this one function, so every randomized decision is a pure
-/// function of a seed and a counter.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The delay actually slept for an attempt: the exponential `backoff` plus
-/// a deterministic jitter in `[0, backoff/2]` drawn from `(seed, attempt)`.
+/// a deterministic jitter in `[0, backoff/2]` drawn from `(seed, attempt)`
+/// by [`derive`], the splitmix64 step the WAN links' loss and jitter draws
+/// in [`crate::wan`] use too: every randomized decision of the crate is a
+/// pure function of a seed and a counter.
 fn jittered(backoff: Duration, seed: u64, attempt: u32) -> Duration {
     let nanos = backoff.as_nanos() as u64;
     if nanos == 0 {
         return backoff;
     }
-    let draw = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let draw = derive(
+        seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        0,
+    );
     backoff + Duration::from_nanos(draw % (nanos / 2 + 1))
 }
 

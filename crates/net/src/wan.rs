@@ -16,9 +16,9 @@
 //!
 //! # Determinism
 //!
-//! Every random decision is a pure splitmix64 draw from
-//! `(plan seed, directed link, frame counter)` — the same vocabulary as
-//! the dial jitter and the simulator's `FaultPlan` sampling. Which `Data`
+//! Every random decision is a pure splitmix64 draw ([`uba_sim::derive`])
+//! from `(plan seed, directed link, frame counter)` — the same vocabulary
+//! as the dial jitter and the simulator's `FaultPlan` sampling. Which `Data`
 //! frames a lossy link drops is therefore a function of the seed and the
 //! (deterministic) frame sequence, not of wall-clock timing. Combined with
 //! two structural rules — loss applies to `Data` frames only (`Done`
@@ -37,10 +37,9 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use uba_sim::NodeId;
+use uba_sim::{derive, NodeId};
 use uba_trace::{metric_name, NetEventKind, SharedRuntimeMetrics, TraceEvent};
 
-use crate::conn::splitmix64;
 use crate::wire::Frame;
 
 /// The golden-ratio increment splitmix64 itself uses; decorrelates the
@@ -201,7 +200,7 @@ impl LinkPlan {
 
     /// The deterministic draw stream seed of one directed link.
     fn link_seed(&self, from: NodeId, to: NodeId) -> u64 {
-        splitmix64(self.seed ^ from.raw().rotate_left(32) ^ to.raw())
+        derive(self.seed ^ from.raw().rotate_left(32) ^ to.raw(), 0)
     }
 }
 
@@ -262,10 +261,8 @@ pub(crate) struct Shaper {
     /// Whether the previous round-carrying frame was severed (drives the
     /// one heal event per window).
     severing: bool,
-    /// Round of the last emitted delay / throttle / partition event, so
-    /// per-frame impairments trace at most once per round.
-    traced_delay: Option<u64>,
-    traced_throttle: Option<u64>,
+    /// Round of the last emitted partition event, so a severed round
+    /// traces once.
     traced_partition: Option<u64>,
 }
 
@@ -284,8 +281,6 @@ impl Shaper {
             frame_index: 0,
             busy_until: Instant::now(),
             severing: false,
-            traced_delay: None,
-            traced_throttle: None,
             traced_partition: None,
         }
     }
@@ -345,29 +340,19 @@ impl Shaper {
         let deliver_at = self.busy_until + self.spec.latency + jitter;
 
         self.count("net_link_frames_forwarded_total");
-        let delay = u64::try_from(deliver_at.saturating_duration_since(arrival).as_micros())
-            .unwrap_or(u64::MAX);
         if let Some(rt) = &self.shaping.metrics {
-            rt.observe_micros("net_link_delay_micros", delay);
+            let delay = deliver_at.saturating_duration_since(arrival).as_micros();
+            rt.observe_micros(
+                "net_link_delay_micros",
+                u64::try_from(delay).unwrap_or(u64::MAX),
+            );
         }
         if !self.spec.latency.is_zero() || !self.spec.jitter.is_zero() {
             self.count("net_link_frames_delayed_total");
-            if let Some(r) = round.filter(|&r| self.traced_delay != Some(r)) {
-                self.traced_delay = Some(r);
-                self.record(r, NetEventKind::LinkDelay, || {
-                    format!("round {r} delayed {delay}us on {label}")
-                });
-            }
         }
         if start > arrival {
             // The cap actually queued this frame behind an earlier one.
             self.count("net_link_frames_throttled_total");
-            if let Some(r) = round.filter(|&r| self.traced_throttle != Some(r)) {
-                self.traced_throttle = Some(r);
-                self.record(r, NetEventKind::LinkThrottle, || {
-                    format!("round {r} queued behind the bandwidth cap on {label}")
-                });
-            }
         }
         Some(deliver_at)
     }
@@ -408,7 +393,7 @@ fn frame_round(frame: &Frame) -> Option<u64> {
 /// The seeded loss draw for the `index`-th `Data` frame of a link, in
 /// parts per million.
 fn loss_draw(link_seed: u64, index: u64) -> u32 {
-    (splitmix64(link_seed ^ index.wrapping_mul(GOLDEN)) % 1_000_000) as u32
+    (derive(link_seed ^ index.wrapping_mul(GOLDEN), 0) % 1_000_000) as u32
 }
 
 /// The seeded jitter draw for the `index`-th frame of a link: uniform in
@@ -418,7 +403,7 @@ fn jitter_draw(link_seed: u64, index: u64, jitter: Duration) -> Duration {
     if nanos == 0 {
         return Duration::ZERO;
     }
-    let draw = splitmix64(link_seed ^ GOLDEN ^ index.wrapping_mul(GOLDEN));
+    let draw = derive(link_seed ^ GOLDEN ^ index.wrapping_mul(GOLDEN), 0);
     Duration::from_nanos(draw % (nanos + 1))
 }
 

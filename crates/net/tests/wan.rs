@@ -393,9 +393,9 @@ const D: u64 = 17_057_574_109_182_124_193;
 type LinkFact = (&'static str, u64, u64, Option<u64>);
 
 /// Runs `plan` (seed 42, n = 4 [`EarlyConsensus`]) and returns the
-/// sorted seed-determined link events — drops, cuts and heals — with the
-/// dropped and severed frame sums. Forwarded counts and delay events are
-/// left out: they follow wall-clock arrival (DESIGN.md §11).
+/// sorted link events — drops, cuts and heals, every kind a link traces is
+/// seed-determined — with the dropped and severed frame sums. Forwarded
+/// counts are left out: they follow wall-clock arrival (DESIGN.md §11).
 fn profile_facts(plan: LinkPlan, config: NetConfig) -> (Vec<LinkFact>, u64, u64) {
     let seed = 42;
     let registry = SharedRuntimeMetrics::new();
@@ -407,18 +407,14 @@ fn profile_facts(plan: LinkPlan, config: NetConfig) -> (Vec<LinkFact>, u64, u64)
         .run(consensus_cluster(seed, 4), config, |_| NoopTracer, |_| None)
         .expect("profile run decides");
     assert_eq!(decisions(&run.reports).len(), 4, "every member decided");
-    let deterministic = ["net_link_drop", "net_link_partition", "net_link_heal"];
     let mut facts: Vec<LinkFact> = run
         .link_events
         .iter()
-        .filter_map(|event| match *event {
+        .map(|event| match *event {
             TraceEvent::Net {
                 round, node, peer, ..
-            } => {
-                let kind = deterministic.into_iter().find(|&k| k == event.kind())?;
-                Some((kind, round, node, peer))
-            }
-            _ => None,
+            } => (event.kind(), round, node, peer),
+            _ => unreachable!("links trace only net events: {event:?}"),
         })
         .collect();
     facts.sort_unstable();

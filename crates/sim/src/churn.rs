@@ -20,14 +20,6 @@ pub enum ChurnAction<P> {
     JoinFaulty(NodeId),
     /// The node with this id leaves the system (correct or faulty).
     Leave(NodeId),
-    /// A present correct node crash-restarts before the round: its
-    /// in-memory state is discarded and rebuilt by replaying the given
-    /// fresh process (same id, initial state) through the inbox history the
-    /// engine recorded for it — the simulator's analogue of the net
-    /// transport's kill + journal-replay + backfill rejoin. The restart is
-    /// transparent: the node continues with its pending inbox and the run
-    /// stays byte-identical to one without the restart.
-    Restart(P),
 }
 
 /// A plan of membership changes keyed by the round *before* which they apply.
@@ -76,23 +68,6 @@ impl<P> ChurnSchedule<P> {
     /// Schedules a node to leave before round `round`.
     pub fn leave(&mut self, round: u64, id: NodeId) -> &mut Self {
         self.push(round, ChurnAction::Leave(id))
-    }
-
-    /// Schedules a crash-restart of a present correct node before `round`:
-    /// `process` must be the node's initial state (same constructor
-    /// arguments as the original); the engine replays it through the
-    /// node's recorded inbox history and swaps it in.
-    pub fn restart(&mut self, round: u64, process: P) -> &mut Self {
-        self.push(round, ChurnAction::Restart(process))
-    }
-
-    /// Whether any restart is scheduled (the engine records per-node inbox
-    /// histories only when one is).
-    pub fn has_restart(&self) -> bool {
-        self.events
-            .values()
-            .flatten()
-            .any(|a| matches!(a, ChurnAction::Restart(_)))
     }
 
     fn push(&mut self, round: u64, action: ChurnAction<P>) -> &mut Self {

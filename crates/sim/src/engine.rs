@@ -291,11 +291,6 @@ impl Omissions {
 /// [`TraceEvent::NodeState`] only on change.
 pub type ObserveFn<P> = Box<dyn Fn(&P) -> NodeSnapshot>;
 
-/// Per-node recorded inbox history — `(round, inbox)` pairs in execution
-/// order — kept by the engine only when the churn schedule contains a
-/// [`ChurnAction::Restart`] (see `SyncEngine::replay_log`).
-type ReplayLog<M> = BTreeMap<NodeId, Vec<(u64, Vec<Segment<M>>)>>;
-
 /// Hands every recipient one share of the open run of broadcasts, if any.
 fn close_run<M>(run: &mut Vec<Envelope<M>>, inboxes: &mut [Vec<Segment<M>>]) {
     if run.is_empty() {
@@ -580,10 +575,6 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
     ///
     /// Panics if two nodes (correct or faulty) share an identifier.
     pub fn build(self) -> SyncEngine<P, A> {
-        // Inbox histories are only worth recording when a restart will
-        // replay them; the decision is fixed here because the schedule
-        // cannot change after build.
-        let replay_log = self.churn.has_restart().then(BTreeMap::new);
         let mut engine = SyncEngine {
             correct: BTreeMap::new(),
             departed: BTreeMap::new(),
@@ -603,7 +594,6 @@ impl<P: Process, A: Adversary<P::Msg>> EngineBuilder<P, A> {
             observe: self.observe,
             runtime: self.runtime,
             last_snapshots: BTreeMap::new(),
-            replay_log,
         };
         for p in self.correct {
             engine.insert_correct(p);
@@ -651,13 +641,6 @@ pub struct SyncEngine<P: Process, A> {
     runtime: Option<SharedRuntimeMetrics>,
     /// Last emitted snapshot per node, for change-only `NodeState` events.
     last_snapshots: BTreeMap<NodeId, NodeSnapshot>,
-    /// Per-node inbox history, recorded only when the churn schedule
-    /// contains a [`ChurnAction::Restart`] — the simulator's stand-in for
-    /// the net layer's durable round journal (DESIGN.md §9). Entries are
-    /// `(round, inbox)` pairs in execution order: the segments the node
-    /// stepped on, moved in after the step, so recording copies nothing
-    /// and shared runs stay shared.
-    replay_log: Option<ReplayLog<P::Msg>>,
 }
 
 impl<P: Process> SyncEngine<P, NoAdversary> {
@@ -816,47 +799,9 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                     self.inboxes.remove(&id);
                     self.acquaintance.forget(id);
                     self.last_snapshots.remove(&id);
-                    if let Some(log) = self.replay_log.as_mut() {
-                        log.remove(&id);
-                    }
-                }
-                ChurnAction::Restart(p) => {
-                    if traced {
-                        self.tracer.record(TraceEvent::Fault {
-                            round,
-                            kind: "restart",
-                            node: p.id().raw(),
-                            peer: None,
-                        });
-                    }
-                    self.restart_node(p);
                 }
             }
         }
-    }
-
-    /// Rebuilds a present correct node from `fresh` (its initial state) by
-    /// [replaying](Stepper::replay) the node's recorded inbox history, so
-    /// the run continues as if the restart never happened — the same replay
-    /// the net transport's journal rejoin runs.
-    fn restart_node(&mut self, fresh: P) {
-        let id = fresh.id();
-        assert!(
-            self.correct.contains_key(&id),
-            "restart of absent or faulty node {id}"
-        );
-        let history = self
-            .replay_log
-            .as_ref()
-            .and_then(|log| log.get(&id))
-            .map_or(&[][..], Vec::as_slice);
-        let mut node = Stepper::new(fresh);
-        node.replay(
-            history
-                .iter()
-                .map(|(round, inbox)| (*round, inbox.as_slice())),
-        );
-        self.correct.insert(id, node);
     }
 
     /// Applies the fault plan's events for `round` and returns the round's
@@ -1095,9 +1040,6 @@ impl<P: Process, A: Adversary<P::Msg>> SyncEngine<P, A> {
                 .get_mut(&id)
                 .ok_or(EngineError::MissingNode { round, node: id })?;
             let sends = node.step(round, inbox.as_slice());
-            if let Some(log) = self.replay_log.as_mut() {
-                log.entry(id).or_default().push((round, inbox));
-            }
             for out in sends {
                 if self.enforce_acquaintance {
                     if let Dest::To(to) = out.dest {
@@ -2071,102 +2013,6 @@ mod tests {
                 to: two,
             }
         );
-    }
-
-    #[test]
-    fn restart_keeps_the_acquaintance_row() {
-        // A restart is the same incarnation replayed, so what it heard
-        // before the crash still licenses its point-to-point sends.
-        let (one, two) = (NodeId::new(1), NodeId::new(2));
-        let plain = |id| Greeter { id, greets: None };
-        let mut churn: ChurnSchedule<Greeter> = ChurnSchedule::new();
-        churn.restart(3, plain(one));
-        let mut engine = SyncEngine::builder()
-            .correct(plain(one))
-            .correct(plain(two))
-            .churn(churn)
-            .build();
-        engine.run_rounds(3);
-        assert!(engine.acquaintance()[&one].contains(&two));
-    }
-
-    #[test]
-    fn restart_replays_history_and_continues_byte_identically() {
-        // Twin runs of the same processes: one uninterrupted, one whose
-        // node 2 crash-restarts before round 3 and is rebuilt by replaying
-        // its recorded inboxes. The restart must be invisible: identical
-        // outputs and identical decision rounds.
-        let members = || ids(&[1, 2, 3]).into_iter().map(|id| CollectAll::new(id, 4));
-        let mut plain = SyncEngine::builder().correct_many(members()).build();
-        let reference = plain.run_to_completion(10).expect("completes");
-
-        let mut churn: ChurnSchedule<CollectAll> = ChurnSchedule::new();
-        churn.restart(3, CollectAll::new(NodeId::new(2), 4));
-        let mut engine = SyncEngine::builder()
-            .correct_many(members())
-            .churn(churn)
-            .build();
-        let done = engine.run_to_completion(10).expect("completes");
-        assert_eq!(done.outputs, reference.outputs);
-        assert_eq!(done.decided_round, reference.decided_round);
-    }
-
-    #[test]
-    fn restart_of_a_decided_node_recovers_its_decision() {
-        // Node 1 decides at round 2, then crash-restarts before round 4.
-        // The replay re-derives both its output and its original decision
-        // round — nothing is re-sent and nobody else notices.
-        let mut churn: ChurnSchedule<CollectAll> = ChurnSchedule::new();
-        churn.restart(4, CollectAll::new(NodeId::new(1), 2));
-        let mut engine = SyncEngine::builder()
-            .correct(CollectAll::new(NodeId::new(1), 2))
-            .correct(CollectAll::new(NodeId::new(2), 5))
-            .churn(churn)
-            .build();
-        let done = engine.run_to_completion(10).expect("completes");
-        assert_eq!(done.decided_round[&NodeId::new(1)], 2);
-        assert_eq!(done.outputs[&NodeId::new(1)].len(), 2);
-    }
-
-    #[test]
-    fn restart_emits_a_fault_trace_event() {
-        use uba_trace::{RingTracer, SharedTracer, TraceEvent};
-        let handle = SharedTracer::new(RingTracer::new(256));
-        let mut churn: ChurnSchedule<CollectAll> = ChurnSchedule::new();
-        churn.restart(2, CollectAll::new(NodeId::new(1), 3));
-        let mut engine = SyncEngine::builder()
-            .correct(CollectAll::new(NodeId::new(1), 3))
-            .correct(CollectAll::new(NodeId::new(2), 3))
-            .churn(churn)
-            .tracer(handle.clone())
-            .build();
-        engine.run_rounds(3);
-        let restarts: Vec<(u64, u64)> = handle.with(|ring| {
-            ring.events()
-                .filter_map(|e| match e {
-                    TraceEvent::Fault {
-                        round,
-                        kind: "restart",
-                        node,
-                        ..
-                    } => Some((*round, *node)),
-                    _ => None,
-                })
-                .collect()
-        });
-        assert_eq!(restarts, vec![(2, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "restart of absent or faulty node")]
-    fn restart_of_an_absent_node_panics() {
-        let mut churn: ChurnSchedule<CollectAll> = ChurnSchedule::new();
-        churn.restart(1, CollectAll::new(NodeId::new(99), 2));
-        let mut engine = SyncEngine::builder()
-            .correct(CollectAll::new(NodeId::new(1), 2))
-            .churn(churn)
-            .build();
-        engine.run_round();
     }
 
     #[test]

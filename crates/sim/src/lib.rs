@@ -29,9 +29,9 @@
 //! algorithms themselves live in the `uba-core` crate. What one round does
 //! to one process — receive what was sent to it in the previous round,
 //! compute, queue its sends, and leave the computation once terminated — is
-//! defined once, by [`Stepper`]: the engine, its churn restart and the
-//! `uba-net` transport (live rounds and journal replay) step and replay
-//! through it, and add only delivery, faults or sockets around it.
+//! defined once, by [`Stepper`]: the engine and the `uba-net` transport
+//! (live rounds and journal replay) step and replay through it, and add
+//! only delivery, faults or sockets around it.
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
 //! The [`Process`] trait: a node-local protocol state machine, the
 //! per-round [`Context`] through which it communicates, and the
 //! [`Stepper`] — the one definition of a round of a process, which every
-//! driver (the engine, the simulated restart, the TCP node and its
-//! journal replay) calls instead of spelling the rule out itself.
+//! driver (the engine, the TCP node and its journal replay) calls instead
+//! of spelling the rule out itself.
 
 use crate::id::NodeId;
 use crate::message::{Inbox, Outbox, Outgoing, Payload};
@@ -87,11 +87,11 @@ pub trait Process: 'static {
 /// of a process.
 ///
 /// [`step`](Self::step) is one live round, [`replay`](Self::replay) the same
-/// rounds again with the sends discarded. `SyncEngine`, its churn restart
-/// and `uba-net`'s `NetNode` (live and journal replay) all drive their
-/// processes through these two, so a restarted or rejoined incarnation
-/// converges to the crashed one's state by construction. Each driver adds
-/// only what is its own: delivery, fault filtering, sockets.
+/// rounds again with the sends discarded. `SyncEngine` and `uba-net`'s
+/// `NetNode` (live and journal replay) drive their processes through
+/// these two, so a restarted or rejoined incarnation converges to the
+/// crashed one's state by construction. Each driver adds only what is its
+/// own: delivery, fault filtering, sockets.
 #[derive(Debug)]
 pub struct Stepper<P: Process> {
     process: P,
@@ -227,7 +227,6 @@ impl<'a, M: Payload> Context<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::ChurnSchedule;
     use crate::engine::SyncEngine;
     use crate::message::Envelope;
     use crate::testutil::CollectAll;
@@ -350,16 +349,6 @@ mod tests {
 
         let mut sync = SyncEngine::builder().correct_many(members()).build();
         let done = sync.run_to_completion(10).expect("completes");
-        assert_eq!(done.decided_round, expected);
-
-        // Node 3 crash-restarts before round 3 and is replayed mid-run.
-        let mut churn: ChurnSchedule<CollectAll> = ChurnSchedule::new();
-        churn.restart(3, CollectAll::new(NodeId::new(3), 4));
-        let mut restarted = SyncEngine::builder()
-            .correct_many(members())
-            .churn(churn)
-            .build();
-        let done = restarted.run_to_completion(10).expect("completes");
         assert_eq!(done.decided_round, expected);
     }
 }

@@ -125,11 +125,9 @@ pub enum TraceEvent {
         /// Round the fault applies to.
         round: u64,
         /// Fault kind: `crash`, `recover`, `silence-send`, `drop-inbound`,
-        /// `drop-link`, `restart` (a crash-restart replayed from the
-        /// recorded inbox history — the churn schedule's simulator twin of
-        /// the net layer's journal rejoin), or `byzantine_evict` (a peer
-        /// disconnected for attributable wire misbehavior, as opposed to
-        /// the omission-charged silence of a timeout).
+        /// `drop-link`, or `byzantine_evict` (a peer disconnected for
+        /// attributable wire misbehavior, as opposed to the
+        /// omission-charged silence of a timeout).
         kind: &'static str,
         /// The node the fault is charged to.
         node: u64,
@@ -180,10 +178,11 @@ pub enum TraceEvent {
 }
 
 /// The transport-level event kinds a real network transport reports (the
-/// [`TraceEvent::Net`] variant): a member's round driver and the WAN fault
-/// proxy, each stamping the round it is in. The `logd` service layer above
-/// them emits none; its client and batch activity is wall-clock-ordered and
-/// goes to the runtime registry only (DESIGN.md §10, §12).
+/// [`TraceEvent::Net`] variant): a member's round driver and the link
+/// shaping in its connection readers, each stamping the round it is in.
+/// The `logd` service layer above them emits none; its client and batch
+/// activity is wall-clock-ordered and goes to the runtime registry only
+/// (DESIGN.md §10, §12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEventKind {
     /// A connection to a peer was established (dialed or accepted).
@@ -219,24 +218,17 @@ pub enum NetEventKind {
     /// barrier's expectations after it announced itself with a
     /// `SyncRequest`.
     Rejoin,
-    /// A WAN fault proxy dropped one frame on a link, per its seeded loss
-    /// draw (the networked analogue of a `drop-link` fault for a single
-    /// message).
+    /// A shaped link dropped one frame, per its seeded loss draw (the
+    /// networked analogue of a `drop-link` fault for a single message).
+    /// Delay and bandwidth throttling are wall-clock observations and
+    /// trace nothing: they live in the runtime metrics only.
     LinkDrop,
-    /// A WAN fault proxy began delaying a link's frames for a round (base
-    /// latency and/or jitter). Emitted once per (link, round), not per
-    /// frame — the per-frame counts live in the runtime metrics.
-    LinkDelay,
-    /// A WAN fault proxy throttled a link for a round: its bandwidth cap
-    /// added serialization delay on top of the base latency. Emitted once
-    /// per (link, round).
-    LinkThrottle,
     /// A scheduled partition severed a link for a round: every `Data`/`Done`
     /// frame of that round was discarded. Emitted once per (link, round) in
     /// the partition window.
     LinkPartition,
     /// The first frame crossed a link again after a partition window ended —
-    /// the heal, observed from the proxy's side.
+    /// the heal, observed by the receiving end's connection reader.
     LinkHeal,
     /// A peer violated the wire protocol in a way no honest node can
     /// (malformed/oversized frame, out-of-window round, post-`Done` data
@@ -250,32 +242,6 @@ pub enum NetEventKind {
     /// ignored. Distinct from [`PeerGone`](Self::PeerGone), which charges
     /// benign silence.
     ByzEvict,
-}
-
-impl NetEventKind {
-    /// Short machine-readable name (the suffix of the JSONL `ev` field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NetEventKind::Connect => "connect",
-            NetEventKind::Retry => "retry",
-            NetEventKind::Timeout => "timeout",
-            NetEventKind::LateDrop => "late_drop",
-            NetEventKind::RoundAdvance => "round_advance",
-            NetEventKind::PeerGone => "peer_gone",
-            NetEventKind::Resume => "resume",
-            NetEventKind::SyncRequest => "sync_request",
-            NetEventKind::SyncTips => "sync_tips",
-            NetEventKind::Backfill => "backfill",
-            NetEventKind::Rejoin => "rejoin",
-            NetEventKind::LinkDrop => "link_drop",
-            NetEventKind::LinkDelay => "link_delay",
-            NetEventKind::LinkThrottle => "link_throttle",
-            NetEventKind::LinkPartition => "link_partition",
-            NetEventKind::LinkHeal => "link_heal",
-            NetEventKind::Misbehavior => "byz_misbehavior",
-            NetEventKind::ByzEvict => "byz_evict",
-        }
-    }
 }
 
 impl TraceEvent {
@@ -350,8 +316,6 @@ impl TraceEvent {
                 NetEventKind::Backfill => "net_backfill",
                 NetEventKind::Rejoin => "net_rejoin",
                 NetEventKind::LinkDrop => "net_link_drop",
-                NetEventKind::LinkDelay => "net_link_delay",
-                NetEventKind::LinkThrottle => "net_link_throttle",
                 NetEventKind::LinkPartition => "net_link_partition",
                 NetEventKind::LinkHeal => "net_link_heal",
                 NetEventKind::Misbehavior => "net_byz_misbehavior",
@@ -421,8 +385,6 @@ mod tests {
             NetEventKind::Backfill,
             NetEventKind::Rejoin,
             NetEventKind::LinkDrop,
-            NetEventKind::LinkDelay,
-            NetEventKind::LinkThrottle,
             NetEventKind::LinkPartition,
             NetEventKind::LinkHeal,
             NetEventKind::Misbehavior,

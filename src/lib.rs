@@ -21,7 +21,7 @@
 //! - [`adversary`] ([`uba_adversary`]) — Byzantine strategies, generic and
 //!   protocol-aware;
 //! - [`net`] ([`uba_net`]) — the real TCP transport: framed codec, round
-//!   synchronizer, WAN fault proxy, and the key-sharded log service
+//!   synchronizer, seeded WAN link shaping, and the key-sharded log service
 //!   (`logd`/`loadgen`);
 //! - [`trace`] ([`uba_trace`]) — deterministic event traces and wall-clock
 //!   runtime metrics.
