@@ -52,10 +52,10 @@
 //! plan the sim-twin comparison becomes informational and the exit code
 //! instead asserts the protocol's own guarantee — every member decided,
 //! and the decisions agree. A zero-impairment `--link-plan` keeps the
-//! strict byte-identity check and proves the shaping invisible. With
-//! `--trace-out`, the links' `net_link_*` events land in
-//! `PREFIX-links.jsonl`; with `--metrics-addr`, their per-link counters
-//! are served on base port + nodes.
+//! strict byte-identity check and proves the shaping invisible. A link's
+//! `net_link_*` events and counters belong to the member it leads into:
+//! they land in that member's `PREFIX-N<id>.jsonl` and on its metrics
+//! endpoint.
 //!
 //! With `--byzantine F`, `F` of the `--nodes` members are replaced by
 //! hostile [`ByzantineNode`](uba_net::ByzantineNode)s, which run the
@@ -88,7 +88,7 @@ use uba_net::{
     consecutive_endpoints, family_sum, scrape_metrics, series_value, serve_cluster_metrics,
     AttackKind, LinkSpec, NetConfig,
 };
-use uba_trace::{to_json, RingTracer, SharedRuntimeMetrics};
+use uba_trace::{RingTracer, SharedRuntimeMetrics};
 
 /// Parsed command line.
 #[derive(Debug)]
@@ -493,12 +493,11 @@ fn run_cell(args: &Args) -> Result<bool, String> {
         (Some(wan), Some(plan)) => println!("wan: profile {} (seed {})", wan.name(), plan.seed()),
         _ => {}
     }
-    // One exposition endpoint per member, plus the links' registry
-    // after them under a link plan.
+    // One exposition endpoint per member.
     let endpoints = args
         .metrics_addr
         .as_deref()
-        .map(|addr| serve_cluster_metrics(addr, &ids, plan.is_some()))
+        .map(|addr| serve_cluster_metrics(addr, &ids))
         .transpose()
         .map_err(|e| format!("--metrics-addr: {e}"))?;
     if let Some(kill) = cell.scenario.kill {
@@ -512,30 +511,20 @@ fn run_cell(args: &Args) -> Result<bool, String> {
         );
     }
 
-    let served = |owner| {
-        let endpoints = endpoints.as_ref()?;
-        match owner {
-            Some(id) => endpoints.members.get(&id).cloned(),
-            None => endpoints.links.clone(),
-        }
-    };
     let run = run_twin_with(
         &cell,
         args.journal_dir.as_deref(),
         |_| full_trace(),
-        |owner| served(owner).unwrap_or_default(),
+        |id| {
+            let served = endpoints.as_ref().and_then(|e| e.members.get(&id));
+            served.cloned().unwrap_or_default()
+        },
     )
     .map_err(|e| format!("cluster run failed: {e}"))?;
 
     if let Some(prefix) = &args.trace_out {
         for (id, tracer) in &run.tracers {
             write(&format!("{prefix}-{id}.jsonl"), tracer.to_jsonl())?;
-        }
-        if plan.is_some() {
-            // The links' own view of the run: drops, delays, partitions
-            // and heals, in the same JSONL vocabulary as the node traces.
-            let lines = run.link_events.iter().map(|e| to_json(e) + "\n");
-            write(&format!("{prefix}-links.jsonl"), lines.collect())?;
         }
     }
 
@@ -545,13 +534,14 @@ fn run_cell(args: &Args) -> Result<bool, String> {
         args.nodes, summary.rounds, summary.timeouts, summary.mean_us, summary.max_us
     );
     if plan.is_some() {
+        let traced = run.tracers.values().flat_map(RingTracer::events);
         println!(
             "links: {} frames forwarded, {} dropped, {} severed, {} throttled ({} trace events)",
             run.forwarded,
             run.dropped,
             run.severed,
             run.metrics.family_sum("net_link_frames_throttled_total"),
-            run.link_events.len(),
+            traced.filter(|e| e.kind().starts_with("net_link_")).count(),
         );
     }
     let ok = judged(&cell, &run);

@@ -97,7 +97,7 @@ fn run(args: &Args) -> Result<bool, String> {
     let metrics = args
         .metrics_addr
         .as_deref()
-        .map(|addr| serve_cluster_metrics(addr, &ids, false))
+        .map(|addr| serve_cluster_metrics(addr, &ids))
         .transpose()
         .map_err(|e| format!("--metrics-addr: {e}"))?;
 

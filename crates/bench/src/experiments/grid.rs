@@ -37,11 +37,11 @@ use uba_core::consensus::EarlyConsensus;
 use uba_core::harness::Setup;
 use uba_core::reliable::ReliableBroadcast;
 use uba_net::{
-    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkShaping, LinkSpec, NetConfig,
-    NetError, RunSummary, Wire,
+    AttackKind, AttackPlan, ClusterSpec, KillSpec, LinkPlan, LinkSpec, NetConfig, NetError,
+    RunSummary, Wire,
 };
 use uba_sim::{Adversary, EngineBuilder, NodeId, Process, SyncEngine};
-use uba_trace::{NoopTracer, RuntimeMetrics, SharedRuntimeMetrics, TraceEvent, Tracer};
+use uba_trace::{NoopTracer, RuntimeMetrics, SharedRuntimeMetrics, Tracer};
 
 use crate::experiments::t10_faults::Algo;
 use crate::experiments::t14_logd::LogSpec;
@@ -587,7 +587,8 @@ pub struct TwinOutcome<T = NoopTracer> {
     pub bytes_sent: u64,
     /// `net_misbehavior_total`, likewise.
     pub strikes: u64,
-    /// `net_link_frames_forwarded_total`, over the shaped directed links.
+    /// `net_link_frames_forwarded_total`, over the shaped directed links
+    /// into honest members.
     pub forwarded: u64,
     /// `net_link_frames_dropped_total`, likewise.
     pub dropped: u64,
@@ -595,10 +596,9 @@ pub struct TwinOutcome<T = NoopTracer> {
     pub severed: u64,
     /// Frames (incl. raw poison writes) the hostile members sent.
     pub byz_frames: u64,
-    /// Each honest member's tracer, out of its report.
+    /// Each honest member's tracer, out of its report; a shaped link's
+    /// events are in its receiving member's.
     pub tracers: BTreeMap<NodeId, T>,
-    /// The links' shaping trace events; empty without a plan.
-    pub link_events: Vec<TraceEvent>,
 }
 
 impl<T> TwinOutcome<T> {
@@ -650,8 +650,7 @@ pub fn run_twin(cell: &TwinCell) -> TwinOutcome {
 /// Runs one cell: the engine twin(s) the scenario has, then the cluster.
 ///
 /// `tracer_for` and `metrics_for` equip each honest member as in
-/// [`ClusterSpec::run`]; under a link plan, `metrics_for(None)` is asked
-/// for the links' registry. The outcome's counters are summed over every
+/// [`ClusterSpec::run`]. The outcome's counters are summed over every
 /// registry handed out, so each call must hand out a registry of its own.
 /// The crash drill's journals go to [`TwinCell::journal_dir`]: a directory
 /// the caller named is kept, a scratch one is removed after the run.
@@ -663,7 +662,7 @@ pub fn run_twin_with<T: Tracer + Send + 'static>(
     cell: &TwinCell,
     journal_dir: Option<&Path>,
     tracer_for: impl FnMut(NodeId) -> T,
-    metrics_for: impl FnMut(Option<NodeId>) -> SharedRuntimeMetrics,
+    metrics_for: impl FnMut(NodeId) -> SharedRuntimeMetrics,
 ) -> Result<TwinOutcome<T>, NetError> {
     let setup = cell.setup();
     let attack = cell.attack();
@@ -736,7 +735,7 @@ fn run_both<P, T>(
     members: impl Fn() -> Vec<P>,
     journal_dir: Option<&Path>,
     tracer_for: impl FnMut(NodeId) -> T,
-    mut metrics_for: impl FnMut(Option<NodeId>) -> SharedRuntimeMetrics,
+    mut metrics_for: impl FnMut(NodeId) -> SharedRuntimeMetrics,
 ) -> Result<TwinOutcome<T>, NetError>
 where
     P: Process + Send,
@@ -748,16 +747,8 @@ where
 
     let setup = cell.setup();
     let journals = cell.journal_dir(journal_dir);
-    let mut handed = Vec::new();
-    let mut hand_out = |owner| {
-        let registry = metrics_for(owner);
-        handed.push(registry.clone());
-        registry
-    };
     let spec = ClusterSpec {
-        wan: cell
-            .link_plan()
-            .map(|plan| Arc::new(LinkShaping::new(plan, Some(hand_out(None))))),
+        wan: cell.link_plan().map(Arc::new),
         kill: kill.map(|kill| KillSpec {
             victim: setup.correct[kill.victim_idx],
             reborn: members().swap_remove(kill.victim_idx),
@@ -770,8 +761,11 @@ where
             .attack()
             .map(|kind| AttackPlan::new(cell.seed, kind, setup.faulty.iter().copied())),
     };
+    let mut handed = Vec::new();
     let run = spec.run(members(), cell.scenario.config.clone(), tracer_for, |id| {
-        Some(hand_out(Some(id)))
+        let registry = metrics_for(id);
+        handed.push(registry.clone());
+        Some(registry)
     });
     if kill.is_some() && journal_dir.is_none() {
         let _ = std::fs::remove_dir_all(&journals);
@@ -796,7 +790,6 @@ where
         byz_frames: run.byzantine.values().map(|r| r.frames_sent).sum(),
         metrics,
         tracers: BTreeMap::new(),
-        link_events: run.link_events,
     };
     for (id, report) in run.reports {
         if let Some(out) = &report.output {

@@ -31,7 +31,7 @@ use uba_sim::{
     Adversary, AdversaryOutbox, AdversaryView, EngineError, FaultPlan, FaultUniverse, FnAdversary,
     MonitorSet, NodeId, Process, SyncEngine,
 };
-use uba_trace::{to_json, Fanout, Metrics, RingTracer, SharedTracer, TraceEvent};
+use uba_trace::{Fanout, Metrics, RingTracer, SharedTracer};
 
 use crate::Table;
 
@@ -519,32 +519,11 @@ pub struct TracedCase {
     /// The case's outcome (identical to the untraced run — tracing never
     /// perturbs the schedule).
     pub failure: Option<CaseFailure>,
-    /// The retained trace window, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Events that fell out of the window (`--trace-last-n`).
-    pub dropped: u64,
+    /// The retained trace window (`--trace-last-n` events); its JSONL is
+    /// byte-identical across runs for a fixed `(algo, sweep, seed, plan)`.
+    pub trace: RingTracer,
     /// Metrics derived from the full event stream (dropped events included).
     pub metrics: Metrics,
-}
-
-impl TracedCase {
-    /// Renders the window as JSONL, with a `window` header line when events
-    /// were dropped — byte-identical across runs for a fixed
-    /// `(algo, sweep, seed, plan)`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!(
-                "{{\"ev\":\"window\",\"dropped\":{}}}\n",
-                self.dropped
-            ));
-        }
-        for event in &self.events {
-            out.push_str(&to_json(event));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Re-runs one case with the [`CaseTracer`] stack installed, keeping the
@@ -558,17 +537,10 @@ pub fn run_case_traced(
 ) -> TracedCase {
     let handle: CaseTracer = SharedTracer::new(Fanout(RingTracer::new(last_n), Metrics::default()));
     let failure = run_case_with(algo, sweep, seed, plan, Some(&handle));
-    let (events, dropped, metrics) = handle.with(|fan| {
-        (
-            fan.0.events().cloned().collect(),
-            fan.0.dropped(),
-            fan.1.clone(),
-        )
-    });
+    let (trace, metrics) = handle.with(|fan| (fan.0.clone(), fan.1.clone()));
     TracedCase {
         failure,
-        events,
-        dropped,
+        trace,
         metrics,
     }
 }
@@ -600,7 +572,7 @@ pub fn write_postmortem(
     let traced = run_case_traced(algo, sweep, repro.seed, &repro.plan, last_n);
     std::fs::create_dir_all(dir)?;
     let path = postmortem_path(dir, algo, sweep, repro.seed);
-    std::fs::write(&path, traced.to_jsonl())?;
+    std::fs::write(&path, traced.trace.to_jsonl())?;
     std::fs::write(
         path.with_extension("metrics.json"),
         traced.metrics.to_json(),

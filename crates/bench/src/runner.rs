@@ -10,13 +10,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads to use when the user asks for "all cores".
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs `task(0..count)` on up to `jobs` worker threads and returns the
 /// results in index order.
 ///
@@ -111,10 +104,5 @@ mod tests {
     fn zero_count_and_oversubscription_are_fine() {
         assert_eq!(run_indexed(8, 0, |i| i), Vec::<usize>::new());
         assert_eq!(run_indexed(64, 3, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
     }
 }

@@ -109,15 +109,15 @@ proptest! {
         let first = run_case_traced(algo, &Sweep::HEALTHY, seed, &plan, DEFAULT_TRACE_LAST_N);
         let second = run_case_traced(algo, &Sweep::HEALTHY, seed, &plan, DEFAULT_TRACE_LAST_N);
         prop_assert_eq!(
-            first.to_jsonl(),
-            second.to_jsonl(),
+            first.trace.to_jsonl(),
+            second.trace.to_jsonl(),
             "{} seed {}: trace not reproducible",
             algo.name(),
             seed
         );
         prop_assert_eq!(
-            Stats::from_events(&first.events),
-            Stats::from_events(&second.events)
+            Stats::from_events(first.trace.events()),
+            Stats::from_events(second.trace.events())
         );
     }
 }

@@ -48,8 +48,8 @@ fn delivery_reproduces_pinned_pre_refactor_traces() {
             algo.name(),
             traced.failure
         );
-        assert_eq!(traced.dropped, 0, "window must hold the whole run");
-        let jsonl = traced.to_jsonl();
+        assert_eq!(traced.trace.dropped(), 0, "window must hold the whole run");
+        let jsonl = traced.trace.to_jsonl();
         let path = golden_path(algo, seed);
         if bless {
             std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
@@ -72,7 +72,7 @@ fn delivery_reproduces_pinned_pre_refactor_traces() {
         // decisions and the same delivery counts; make the latter explicit by
         // folding the stream back into counters and sanity-checking it is
         // non-trivial.
-        let replayed = Stats::from_events(&traced.events);
+        let replayed = Stats::from_events(traced.trace.events());
         assert!(replayed.rounds > 0 && replayed.deliveries > 0);
     }
 }

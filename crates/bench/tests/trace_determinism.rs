@@ -28,8 +28,8 @@ fn assert_deterministic(algo: Algo, sweep: Sweep, seed: u64) {
         &plan,
         uba_bench::cli::DEFAULT_TRACE_LAST_N,
     );
-    let a = first.to_jsonl();
-    let b = second.to_jsonl();
+    let a = first.trace.to_jsonl();
+    let b = second.trace.to_jsonl();
     assert!(
         !a.is_empty(),
         "{}: traced run produced no events",
@@ -42,11 +42,11 @@ fn assert_deterministic(algo: Algo, sweep: Sweep, seed: u64) {
         algo.name()
     );
     assert!(
-        first.events.iter().any(|e| e.kind() == "round_begin"),
+        first.trace.events().any(|e| e.kind() == "round_begin"),
         "round structure reaches the trace"
     );
     assert!(
-        first.events.iter().any(|e| e.kind() == "node_state"),
+        first.trace.events().any(|e| e.kind() == "node_state"),
         "the observe hook reaches the trace"
     );
     assert_eq!(
@@ -92,7 +92,7 @@ fn forced_violation_postmortem_identifies_round_monitor_and_nodes() {
     );
 
     // The violation is the final event of the aborted run.
-    let last = traced.events.last().expect("non-empty trace");
+    let last = traced.trace.events().last().expect("non-empty trace");
     let TraceEvent::MonitorVerdict {
         round,
         monitor,

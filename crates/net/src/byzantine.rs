@@ -21,7 +21,7 @@ use uba_sim::{Adversary, AdversaryOutbox, AdversaryView, Context, NodeId, Proces
 use uba_trace::SharedRuntimeMetrics;
 
 use crate::node::{NetConfig, NetNode, POISON_WRITES};
-use crate::wan::LinkShaping;
+use crate::wan::LinkPlan;
 use crate::wire::{Frame, Wire};
 
 /// One scripted hostile behavior, the wire-level mirror of the simulator's
@@ -194,7 +194,7 @@ pub struct ByzantineNode {
     plan: AttackPlan,
     config: NetConfig,
     abort: Option<Arc<AtomicBool>>,
-    wan: Option<Arc<LinkShaping>>,
+    wan: Option<Arc<LinkPlan>>,
 }
 
 impl ByzantineNode {
@@ -217,7 +217,9 @@ impl ByzantineNode {
     }
 
     /// Shapes the links into this member, as [`NetNode::with_links`] does.
-    pub fn with_links(mut self, wan: Arc<LinkShaping>) -> Self {
+    /// Their counters stay in the member's private registry and their
+    /// events are not traced: a hostile member records no trace.
+    pub fn with_links(mut self, wan: Arc<LinkPlan>) -> Self {
         self.wan = Some(wan);
         self
     }

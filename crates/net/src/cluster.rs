@@ -25,25 +25,26 @@ use std::thread;
 use std::time::Duration;
 
 use uba_sim::{NodeId, Process};
-use uba_trace::{RoundJournal, SharedRuntimeMetrics, TraceEvent, Tracer};
+use uba_trace::{RoundJournal, SharedRuntimeMetrics, Tracer};
 
 use crate::byzantine::{AttackPlan, ByzReport, ByzantineNode};
 use crate::node::{NetConfig, NetError, NetNode, NetReport};
-use crate::wan::LinkShaping;
+use crate::wan::LinkPlan;
 use crate::wire::Wire;
 
 /// What surrounds the honest members of a cluster run. The three options
 /// are orthogonal; [`Default`] — none of them — is the plain run.
 pub struct ClusterSpec<P> {
     /// Shape every link of every member — honest, reborn or hostile — by
-    /// one WAN [`LinkPlan`](crate::LinkPlan): each member's connection
-    /// readers apply the plan to the links into it, and everything above
-    /// them runs unmodified (a zero-impairment plan is invisible — see
-    /// [`crate::wan`]). The links' trace events end up in
-    /// [`ClusterRun::link_events`]. Impairments that exceed the configured
-    /// timeouts (a partition outlasting `give_up_after`, say) can
-    /// legitimately end a run in [`NetError::RoundLimit`].
-    pub wan: Option<Arc<LinkShaping>>,
+    /// one WAN [`LinkPlan`]: each member's connection readers apply the
+    /// plan to the links into it, and everything above them runs
+    /// unmodified (a zero-impairment plan is invisible — see
+    /// [`crate::wan`]). A link's counters and trace events are the
+    /// receiving member's ([`NetNode::with_links`]). Impairments that
+    /// exceed the configured timeouts (a partition outlasting
+    /// `give_up_after`, say) can legitimately end a run in
+    /// [`NetError::RoundLimit`].
+    pub wan: Option<Arc<LinkPlan>>,
     /// The crash-recovery drill (DESIGN.md §9): every member keeps a
     /// durable round journal, and the victim is killed, held down, rebuilt
     /// from its journal and rejoins over the backfill protocol — over
@@ -106,10 +107,6 @@ pub struct ClusterRun<O, T> {
     /// The honest members' reports (with their per-node eviction ledgers),
     /// keyed by id.
     pub reports: BTreeMap<NodeId, NetReport<O, T>>,
-    /// The links' shaping trace events (drops, delays, partitions, heals)
-    /// in emission order, taken out of the spec's [`LinkShaping`]; empty
-    /// without one.
-    pub link_events: Vec<TraceEvent>,
     /// Each hostile member's observations, keyed by id; empty without
     /// hostile members.
     pub byzantine: BTreeMap<NodeId, ByzReport>,
@@ -122,7 +119,6 @@ type MemberHandle<R> = (NodeId, thread::JoinHandle<Result<R, NetError>>);
 pub struct RunningCluster<O, T> {
     members: Vec<MemberHandle<NetReport<O, T>>>,
     hostiles: Vec<MemberHandle<ByzReport>>,
-    wan: Option<Arc<LinkShaping>>,
 }
 
 impl<P> ClusterSpec<P>
@@ -265,17 +261,12 @@ where
                 spawn_member(id, &Arc::default(), move || Ok(node.run(listener, &roster)))
             })
             .collect();
-        Ok(RunningCluster {
-            members,
-            hostiles,
-            wan,
-        })
+        Ok(RunningCluster { members, hostiles })
     }
 }
 
 impl<O, T> RunningCluster<O, T> {
-    /// Joins every thread, takes the links' trace events, and folds the
-    /// results.
+    /// Joins every thread and folds the results.
     ///
     /// # Errors
     ///
@@ -290,12 +281,7 @@ impl<O, T> RunningCluster<O, T> {
                 (id, report.unwrap_or_default())
             })
             .collect();
-        let link_events = self.wan.map_or_else(Vec::new, |wan| wan.take_events());
-        reports.map(|reports| ClusterRun {
-            reports,
-            link_events,
-            byzantine,
-        })
+        reports.map(|reports| ClusterRun { reports, byzantine })
     }
 }
 

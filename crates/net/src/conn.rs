@@ -90,8 +90,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use uba_sim::{derive, NodeId};
+use uba_trace::{NetEventKind, SharedRuntimeMetrics};
 
-use crate::wan::{LinkShaping, Shaper};
+use crate::wan::{LinkPlan, Shaper};
 use crate::wire::{encode_frame, read_frame, read_sized_frame, write_frame, Frame, FrameFault};
 
 /// Delay before the second dial attempt; it doubles after each failure.
@@ -189,6 +190,18 @@ pub(crate) enum LinkEvent {
         /// Which bound the bytes violated, as the decoder raised it.
         kind: FrameFault,
         /// The decoder's error message, for the trace.
+        info: String,
+    },
+    /// The shaper of `from -> me` dropped, severed or healed the link: an
+    /// event of the member's own trace, stamped with the frame's round.
+    Shaped {
+        /// The sending end of the shaped link.
+        from: NodeId,
+        /// The round of the frame the event is about.
+        round: u64,
+        /// `LinkDrop`, `LinkPartition` or `LinkHeal`.
+        kind: NetEventKind,
+        /// The trace text.
         info: String,
     },
 }
@@ -452,7 +465,8 @@ fn shaping(shaper: Option<Shaper>) -> (Option<Sender<()>>, Option<Shaping>) {
 }
 
 /// What a mesh's connection jobs share: the node, its writer table, the
-/// channel the readers report into, and the WAN shaping they apply.
+/// channel the readers report into, the WAN plan they apply and the
+/// node's registry their shapers count into.
 #[derive(Clone)]
 struct Wiring {
     me: NodeId,
@@ -460,7 +474,8 @@ struct Wiring {
     handshake_timeout: Duration,
     links: Links,
     events: Sender<LinkEvent>,
-    wan: Option<Arc<LinkShaping>>,
+    wan: Option<Arc<LinkPlan>>,
+    metrics: Option<SharedRuntimeMetrics>,
 }
 
 impl Wiring {
@@ -471,7 +486,10 @@ impl Wiring {
     /// being torn down.
     fn install(&self, peer: NodeId, stream: &TcpStream) -> io::Result<(u64, Option<Shaping>)> {
         let writer = stream.try_clone()?;
-        let shaper = self.wan.as_ref().map(|wan| Shaper::new(wan, peer, self.me));
+        let shaper = self.wan.as_ref().map(|plan| {
+            let (metrics, events) = (self.metrics.clone(), self.events.clone());
+            Shaper::new(Arc::clone(plan), metrics, events, peer, self.me)
+        });
         let (wake, shaping) = shaping(shaper);
         let generation = {
             let mut table = self.links.table();
@@ -762,8 +780,8 @@ impl Server {
 }
 
 /// One node's live transport: the writer table, the channel its readers
-/// report into, the set its connections are served in, and the WAN
-/// shaping its readers apply, if any. Dropping it runs the teardown in the
+/// report into, the set its connections are served in, and the WAN plan
+/// its readers apply, if any. Dropping it runs the teardown in the
 /// [module docs](self).
 pub(crate) struct Mesh {
     wiring: Wiring,
@@ -778,8 +796,10 @@ impl Mesh {
     /// dials again, and the fresh link replaces the dead one (whose reader,
     /// ending, removes only its own generation from the table). Without one
     /// (a rejoiner: nobody dials it) the mesh only dials. With `wan`, every
-    /// link's reader shapes the link into `me`. Every handshake, dialed or
-    /// accepted, waits at most `handshake_timeout` for the peer's `Hello`.
+    /// link's reader shapes the link into `me`, counting into `me`'s
+    /// registry `metrics` and reporting [`LinkEvent::Shaped`] on the mesh's
+    /// channel. Every handshake, dialed or accepted, waits at most
+    /// `handshake_timeout` for the peer's `Hello`.
     ///
     /// # Errors
     ///
@@ -788,7 +808,8 @@ impl Mesh {
     pub(crate) fn open(
         me: NodeId,
         listener: Option<TcpListener>,
-        wan: Option<Arc<LinkShaping>>,
+        wan: Option<Arc<LinkPlan>>,
+        metrics: Option<SharedRuntimeMetrics>,
         handshake_timeout: Duration,
     ) -> io::Result<Mesh> {
         let (events_tx, events) = mpsc::channel();
@@ -798,6 +819,7 @@ impl Mesh {
             links: Links::default(),
             events: events_tx,
             wan,
+            metrics,
         };
         let connections = Connections {
             pooled: true,
@@ -1162,8 +1184,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
-        let bob_mesh = Mesh::open(bob, Some(listener), None, SETUP).unwrap();
-        let alice_mesh = Mesh::open(alice, None, None, SETUP).unwrap();
+        let bob_mesh = Mesh::open(bob, Some(listener), None, None, SETUP).unwrap();
+        let alice_mesh = Mesh::open(alice, None, None, None, SETUP).unwrap();
         alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
         alice_mesh.links().queue([bob], &data(1, 5));
         alice_mesh.links().queue([bob], &DONE);
@@ -1188,8 +1210,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (alice, bob) = (NodeId::new(1), NodeId::new(2));
-        let bob_mesh = Mesh::open(bob, Some(listener), None, SETUP).unwrap();
-        let alice_mesh = Mesh::open(alice, None, None, SETUP).unwrap();
+        let bob_mesh = Mesh::open(bob, Some(listener), None, None, SETUP).unwrap();
+        let alice_mesh = Mesh::open(alice, None, None, None, SETUP).unwrap();
         alice_mesh.dial(addr, bob, dial_deadline(), sleep).unwrap();
 
         // Both sides report Connected with the right peer.
@@ -1235,8 +1257,8 @@ mod tests {
     fn dialing_a_mislabeled_peer_is_refused() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let _nine = Mesh::open(NodeId::new(9), Some(listener), None, SETUP).unwrap();
-        let err = Mesh::open(NodeId::new(1), None, None, SETUP)
+        let _nine = Mesh::open(NodeId::new(9), Some(listener), None, None, SETUP).unwrap();
+        let err = Mesh::open(NodeId::new(1), None, None, None, SETUP)
             .unwrap()
             // address book says 2, endpoint says 9
             .dial(addr, NodeId::new(2), dial_deadline(), sleep)
@@ -1272,5 +1294,12 @@ mod tests {
         assert_eq!(links.connected(), vec![peer]);
         links.remove(peer, new_generation);
         assert!(links.connected().is_empty());
+    }
+
+    /// Every frame a reader reports travels as one `LinkEvent`, so a
+    /// variant that grew the enum would grow every frame's message.
+    #[test]
+    fn a_link_event_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<LinkEvent>(), 64);
     }
 }

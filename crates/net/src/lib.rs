@@ -34,9 +34,10 @@
 //!   `cluster` binary wraps it on the command line);
 //! * [`wan`] — deterministic WAN emulation: a seeded [`LinkPlan`] of
 //!   per-link latency/jitter/loss/bandwidth and scheduled partitions, which
-//!   a [`LinkShaping`] hands to every member and each connection's reader
-//!   applies to its inbound link before the frame reaches the round driver
-//!   (a zero-impairment plan is invisible — DESIGN.md §11);
+//!   every member holds and each connection's reader applies to its
+//!   inbound link before the frame reaches the round driver, reporting to
+//!   the receiving member's registry and trace (a zero-impairment plan is
+//!   invisible — DESIGN.md §11);
 //! * [`service`] — the ordering stack productized as a long-lived,
 //!   key-sharded "log as a service": [`ShardedLog`] runs one
 //!   [`TotalOrdering`](uba_core::ordering::TotalOrdering) instance whose
@@ -69,14 +70,15 @@
 //! [`join`](RunningCluster::join) later — what [`spawn_log_cluster`] does).
 //! Its three options are orthogonal and all off by default:
 //!
-//! * `wan` — shape every member's links by one [`LinkShaping`];
+//! * `wan` — shape every member's links by one [`LinkPlan`];
 //! * `kill` — the crash-recovery drill: durable journals, one scripted
 //!   crash, rejoin over the backfill protocol ([`KillSpec`]);
 //! * `hostile` — [`ByzantineNode`]s beside the honest members, on the
 //!   same round driver, leaving with the cluster.
 //!
-//! The result is one [`ClusterRun`]: the honest members' reports, the
-//! links' shaping events, the hostile members' summaries. The harness binds
+//! The result is one [`ClusterRun`]: the honest members' reports (a
+//! shaped link's events are in its receiving member's trace) and the
+//! hostile members' summaries. The harness binds
 //! every listener before any thread starts, guards every member thread
 //! against panics ([`NetError::MemberPanicked`]), and holds no descriptor
 //! or thread once `run` returns: every node tears its own mesh down
@@ -154,5 +156,5 @@ pub use service::{
     check_exactly_once, closed_loop, serve_clients, service_horizon, shard_of, spawn_log_cluster,
     Batch, Digest, Item, LogClient, LogCluster, LogIngress, PrefixPage, Record, ShardedLog,
 };
-pub use wan::{LinkPlan, LinkShaping, LinkSpec};
+pub use wan::{LinkPlan, LinkSpec};
 pub use wire::{read_frame, write_frame, Frame, FrameFault, Wire, MAX_FRAME};

@@ -212,14 +212,12 @@ fn member_port(base: u16, index: u64) -> Option<u16> {
         .and_then(|offset| base.checked_add(offset))
 }
 
-/// The live metrics endpoints of a localhost cluster, one registry each
-/// (see [`serve_cluster_metrics`]).
+/// The live metrics endpoints of a localhost cluster, one registry per
+/// member (see [`serve_cluster_metrics`]).
 #[derive(Debug)]
 pub struct ClusterMetrics {
     /// Each member's registry, keyed by id.
     pub members: BTreeMap<NodeId, SharedRuntimeMetrics>,
-    /// The WAN links' `net_link_*` registry, if one was asked for.
-    pub links: Option<SharedRuntimeMetrics>,
     servers: Vec<Server>,
 }
 
@@ -234,30 +232,22 @@ impl ClusterMetrics {
 
 /// Serves a fresh registry per member of `ids` on the
 /// [`consecutive_endpoints`] of `addr`: the member with the i-th smallest
-/// id on `PORT + i` and, with `links`, the WAN links' registry on the
-/// port after the last member's. The whole range is validated before
-/// anything binds, and every bound endpoint is announced on stdout as
-/// `metrics: node <id> on http://<addr>/metrics` (`metrics: links on …`).
+/// id on `PORT + i`. The whole range is validated before anything binds,
+/// and every bound endpoint is announced on stdout as
+/// `metrics: node <id> on http://<addr>/metrics`.
 ///
 /// # Errors
 ///
 /// As [`consecutive_endpoints`], then the first failed bind.
-pub fn serve_cluster_metrics(
-    addr: &str,
-    ids: &[NodeId],
-    links: bool,
-) -> io::Result<ClusterMetrics> {
+pub fn serve_cluster_metrics(addr: &str, ids: &[NodeId]) -> io::Result<ClusterMetrics> {
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
-    let endpoints = consecutive_endpoints(addr, sorted.len() as u64 + u64::from(links))?;
+    let endpoints = consecutive_endpoints(addr, sorted.len() as u64)?;
     let mut metrics = ClusterMetrics {
         members: BTreeMap::new(),
-        links: None,
         servers: Vec::new(),
     };
-    // `None` is the link registry, after every member.
-    let owners = sorted.into_iter().map(Some).chain(links.then_some(None));
-    for (owner, endpoint) in owners.zip(endpoints) {
+    for (id, endpoint) in sorted.into_iter().zip(endpoints) {
         let registry = SharedRuntimeMetrics::new();
         let server = serve_metrics(endpoint.as_str(), registry.clone()).map_err(|e| {
             io::Error::new(
@@ -265,17 +255,8 @@ pub fn serve_cluster_metrics(
                 format!("binding metrics endpoint {endpoint}: {e}"),
             )
         })?;
-        let url = format!("http://{}/metrics", server.addr());
-        match owner {
-            Some(id) => {
-                println!("metrics: node {id} on {url}");
-                metrics.members.insert(id, registry);
-            }
-            None => {
-                println!("metrics: links on {url}");
-                metrics.links = Some(registry);
-            }
-        }
+        println!("metrics: node {id} on http://{}/metrics", server.addr());
+        metrics.members.insert(id, registry);
         metrics.servers.push(server);
     }
     Ok(metrics)
@@ -315,17 +296,11 @@ mod tests {
     #[test]
     fn an_overflowing_layout_is_rejected_before_anything_binds() {
         let ids = [NodeId::new(9), NodeId::new(3)];
-        let too_far = [
-            serve_cluster_metrics("192.0.2.1:65535", &ids, false),
-            // The members fit exactly; the link endpoint after them does not.
-            serve_cluster_metrics("192.0.2.1:65534", &ids, true),
-        ];
-        for result in too_far {
-            let err = result.unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-            assert!(err.to_string().contains("exceeds port 65535"), "{err}");
-        }
-        let err = serve_cluster_metrics("192.0.2.1:65534", &ids, false).unwrap_err();
+        let err = serve_cluster_metrics("192.0.2.1:65535", &ids).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("exceeds port 65535"), "{err}");
+        // The members fit exactly: the first bind is attempted.
+        let err = serve_cluster_metrics("192.0.2.1:65534", &ids).unwrap_err();
         assert!(
             err.to_string().starts_with("binding metrics endpoint"),
             "{err}"

@@ -48,7 +48,7 @@ use uba_trace::{
 use crate::byzantine::AttackKind;
 use crate::conn::{LinkEvent, Mesh};
 use crate::sync::{DataOutcome, DoneOutcome, RoundSynchronizer, DEFAULT_ROUND_WINDOW};
-use crate::wan::LinkShaping;
+use crate::wan::LinkPlan;
 use crate::wire::{Frame, FrameFault, Wire};
 
 /// Per-peer ingress quota: bytes accepted from one peer within one round
@@ -344,7 +344,7 @@ pub struct NetNode<P: Process, T: Tracer = NoopTracer> {
     kill_at: Option<u64>,
     abort: Option<Arc<AtomicBool>>,
     hostile: Option<Hostile>,
-    wan: Option<Arc<LinkShaping>>,
+    wan: Option<Arc<LinkPlan>>,
 }
 
 /// What makes a session hostile: the script whose wire half it plays, the
@@ -439,11 +439,13 @@ impl<P: Process, T: Tracer> NetNode<P, T> {
         self
     }
 
-    /// Shapes every link into this node by `wan`'s plan: each connection's
-    /// reader applies the link's impairments before the frame reaches the
-    /// round driver ([`crate::wan`]). Hand every member of a cluster the
-    /// same value.
-    pub fn with_links(mut self, wan: Arc<LinkShaping>) -> Self {
+    /// Shapes every link into this node by `wan`: each connection's reader
+    /// applies the link's impairments before the frame reaches the round
+    /// driver ([`crate::wan`]), counts them into this node's runtime
+    /// registry (`net_link_*{link="peer->me"}`) and reports its drops,
+    /// cuts and heals to this node's trace. Hand every member of a cluster
+    /// the same plan.
+    pub fn with_links(mut self, wan: Arc<LinkPlan>) -> Self {
         self.wan = Some(wan);
         self
     }
@@ -676,7 +678,8 @@ where
         deadline: Instant,
     ) -> Result<(Mesh, Vec<(NodeId, io::Error)>), NetError> {
         let id = self.id();
-        let mesh = Mesh::open(id, listener, self.wan.clone(), self.config.setup_timeout)?;
+        let (wan, runtime) = (self.wan.clone(), self.runtime.clone());
+        let mesh = Mesh::open(id, listener, wan, runtime, self.config.setup_timeout)?;
         let mut unreachable = Vec::new();
         for peer in targets {
             let dialed = mesh.dial(roster[&peer], peer, deadline, |attempt, backoff| {
@@ -1031,6 +1034,12 @@ where
                 };
                 (peer, Err(Strike { kind, info }))
             }
+            LinkEvent::Shaped {
+                from,
+                round,
+                kind,
+                info,
+            } => return self.node.net_event(round, kind, Some(from), || info),
             LinkEvent::Frame {
                 from,
                 frame,
@@ -1467,7 +1476,7 @@ mod tests {
     fn backfill_is_accepted_only_from_peers_the_ledger_marks_solicited() {
         let (me, asked, other) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mesh = Mesh::open(me, None, None, node.config.setup_timeout).unwrap();
+        let mesh = Mesh::open(me, None, None, None, node.config.setup_timeout).unwrap();
         let mut session = Session::new(node, mesh, &[asked, other], 5);
         // What `resume` does for every peer it sends a SyncRequest to.
         session.ledger.peer(asked).solicited = true;
@@ -1547,7 +1556,7 @@ mod tests {
         ];
         let (me, peer) = (NodeId::new(1), NodeId::new(2));
         let node = NetNode::new(Idle(me), NetConfig::default());
-        let mesh = Mesh::open(me, None, None, node.config.setup_timeout).unwrap();
+        let mesh = Mesh::open(me, None, None, None, node.config.setup_timeout).unwrap();
         let mut session = Session::new(node, mesh, &[peer], 5);
         let mut charged = 0;
         for (frame, old_estimate) in frames {

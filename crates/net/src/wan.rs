@@ -2,17 +2,19 @@
 //! caps and scheduled partitions over real TCP.
 //!
 //! A [`LinkPlan`] scripts what the network does to each *directed* link,
-//! and a [`LinkShaping`] hands one plan — with an optional counter
-//! registry and the trace events the links emit — to every member of a
-//! cluster. The plan is applied where a frame arrives: the reader thread
-//! of each connection decodes a frame of `peer -> me`,
-//! passes it through that link's shaper — sever, seeded `Data` loss,
-//! bandwidth queue, then latency plus jitter — and reports the survivors
-//! to its node once their delivery instant has come. Everything above
-//! the reader runs unmodified, and the bytes reach the codec exactly as
-//! the sender wrote them, so a [`LinkPlan`] with zero impairment is
-//! invisible, which is what lets experiments T11/T12 run unchanged under
-//! one. Without a plan a reader pays one `Option` branch per frame.
+//! and every member of a cluster holds the same plan
+//! ([`NetNode::with_links`](crate::NetNode::with_links)). The plan is
+//! applied where a frame arrives: the reader thread of each connection
+//! decodes a frame of `peer -> me`, passes it through that link's shaper —
+//! sever, seeded `Data` loss, bandwidth queue, then latency plus jitter —
+//! and reports the survivors to its node once their delivery instant has
+//! come. What the plan does to `peer -> me` is an observation of `me`: the
+//! link's `net_link_*` counters go to `me`'s runtime registry, and its
+//! drop, partition and heal events to `me`'s trace. Everything above the
+//! reader runs unmodified, and the bytes reach the codec exactly as the
+//! sender wrote them, so a [`LinkPlan`] with zero impairment is invisible,
+//! which is what lets experiments T11/T12 run unchanged under one. Without
+//! a plan a reader pays one `Option` branch per frame.
 //!
 //! # Determinism
 //!
@@ -34,12 +36,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uba_sim::{derive, NodeId};
-use uba_trace::{metric_name, NetEventKind, SharedRuntimeMetrics, TraceEvent};
+use uba_trace::{metric_name, NetEventKind, SharedRuntimeMetrics};
 
+use crate::conn::LinkEvent;
 use crate::wire::Frame;
 
 /// The golden-ratio increment splitmix64 itself uses; decorrelates the
@@ -204,48 +208,16 @@ impl LinkPlan {
     }
 }
 
-/// The WAN emulation of a cluster: the plan, the optional registry of the
-/// `net_link_*` counter families, and the `net_link_*` trace events the
-/// links emit. One value is shared by every member of a cluster; each
-/// member's connection readers shape their inbound links with it.
-#[derive(Debug)]
-pub struct LinkShaping {
-    plan: LinkPlan,
-    metrics: Option<SharedRuntimeMetrics>,
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl LinkShaping {
-    /// Shaping by `plan`. Per-link counters land in `metrics` (families
-    /// `net_link_frames_{forwarded,delayed,dropped,severed,throttled}_total`
-    /// `{link="a->b"}` plus the `net_link_delay_micros` histogram), if
-    /// attached.
-    pub fn new(plan: LinkPlan, metrics: Option<SharedRuntimeMetrics>) -> Self {
-        LinkShaping {
-            plan,
-            metrics,
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes the `net_link_*` trace events collected so far (one link's
-    /// events are in order; the interleaving across links follows
-    /// wall-clock observation order).
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events())
-    }
-
-    /// Every push leaves the list valid, so a poisoned lock is still good.
-    fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
-        self.events.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// The shaping of one directed link `from -> to`, run by the reader of
 /// the link's receiving end: deterministic draw counters, the bandwidth
-/// queue, and the once-per-round trace dedup.
+/// queue, and the once-per-round trace dedup. It reports to the receiving
+/// member: counters into its registry, events over its link-event channel.
 pub(crate) struct Shaper {
-    shaping: Arc<LinkShaping>,
+    plan: Arc<LinkPlan>,
+    /// The receiving member's registry, if it has one.
+    metrics: Option<SharedRuntimeMetrics>,
+    /// The receiving member's link-event channel.
+    events: Sender<LinkEvent>,
     from: NodeId,
     to: NodeId,
     spec: LinkSpec,
@@ -267,15 +239,23 @@ pub(crate) struct Shaper {
 }
 
 impl Shaper {
-    /// The shaper of `from -> to` under `shaping`'s plan.
-    pub(crate) fn new(shaping: &Arc<LinkShaping>, from: NodeId, to: NodeId) -> Self {
-        let plan = &shaping.plan;
+    /// The shaper of `from -> to` under `plan`, reporting to the member
+    /// `to` through its registry `metrics` and its channel `events`.
+    pub(crate) fn new(
+        plan: Arc<LinkPlan>,
+        metrics: Option<SharedRuntimeMetrics>,
+        events: Sender<LinkEvent>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Self {
         Shaper {
-            shaping: Arc::clone(shaping),
-            from,
-            to,
             spec: plan.spec(from, to),
             link_seed: plan.link_seed(from, to),
+            plan,
+            metrics,
+            events,
+            from,
+            to,
             label: format!("{}->{}", from.raw(), to.raw()),
             data_index: 0,
             frame_index: 0,
@@ -294,7 +274,7 @@ impl Shaper {
 
         // Scheduled partitions: sever round traffic crossing the cut.
         if let Some(r) = round {
-            if self.shaping.plan.severed(self.from, self.to, r) {
+            if self.plan.severed(self.from, self.to, r) {
                 self.count("net_link_frames_severed_total");
                 if self.traced_partition != Some(r) {
                     self.traced_partition = Some(r);
@@ -340,7 +320,7 @@ impl Shaper {
         let deliver_at = self.busy_until + self.spec.latency + jitter;
 
         self.count("net_link_frames_forwarded_total");
-        if let Some(rt) = &self.shaping.metrics {
+        if let Some(rt) = &self.metrics {
             let delay = deliver_at.saturating_duration_since(arrival).as_micros();
             rt.observe_micros(
                 "net_link_delay_micros",
@@ -360,21 +340,20 @@ impl Shaper {
     /// Adds one to this link's series of a counter family, if a registry
     /// is attached.
     fn count(&self, family: &str) {
-        if let Some(rt) = &self.shaping.metrics {
+        if let Some(rt) = &self.metrics {
             rt.add(&metric_name(family, &[("link", &self.label)]), 1);
         }
     }
 
-    /// Records one `net_link_*` trace event of this link.
+    /// Reports one `net_link_*` trace event of this link to the receiving
+    /// member, which records it as its own (DESIGN.md §11).
     fn record(&self, round: u64, kind: NetEventKind, info: impl FnOnce() -> String) {
-        let event = TraceEvent::Net {
+        let _ = self.events.send(LinkEvent::Shaped {
+            from: self.from,
             round,
             kind,
-            node: self.from.raw(),
-            peer: Some(self.to.raw()),
             info: info(),
-        };
-        self.shaping.events().push(event);
+        });
     }
 }
 

@@ -18,8 +18,7 @@ use std::time::Duration;
 
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkPlan, LinkShaping, LinkSpec, LogClient,
-    NetConfig,
+    run_local_cluster, spawn_log_cluster, ClusterSpec, LinkPlan, LinkSpec, LogClient, NetConfig,
 };
 use uba_sim::sparse_ids;
 use uba_trace::NoopTracer;
@@ -150,7 +149,7 @@ fn finished_clusters_hold_no_descriptor_and_no_thread_of_their_own() {
         bandwidth: Some(256 * 1024),
     });
     let lossy = ClusterSpec {
-        wan: Some(Arc::new(LinkShaping::new(plan, None))),
+        wan: Some(Arc::new(plan)),
         ..ClusterSpec::default()
     };
     let members = ids

@@ -2,10 +2,11 @@
 //! checked against the engine over random seeds), loss is per
 //! *direction*, scheduled partitions sever and heal on round boundaries,
 //! a lossy-profile cluster still reaches agreement and drops the pinned
-//! frames, teardown never waits out a delay, and a panicking member
-//! surfaces as a typed error that promptly aborts the survivors.
+//! frames, a link's events and counters are the receiving member's,
+//! teardown never waits out a delay, and a panicking member surfaces as a
+//! typed error that promptly aborts the survivors.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,11 +14,13 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use uba_core::consensus::EarlyConsensus;
 use uba_net::{
-    decisions, read_frame, run_local_cluster, write_frame, ClusterRun, ClusterSpec, Frame,
-    LinkPlan, LinkShaping, LinkSpec, NetConfig, NetError, NetNode, Wire,
+    decisions, read_frame, run_local_cluster, write_frame, ClusterSpec, Frame, LinkPlan, LinkSpec,
+    NetConfig, NetError, NetNode, NetReport, Wire,
 };
 use uba_sim::{sparse_ids, Context, NodeId, Process, SyncEngine};
-use uba_trace::{metric_name, NoopTracer, RingTracer, SharedRuntimeMetrics, TraceEvent};
+use uba_trace::{
+    metric_name, NoopTracer, RingTracer, RuntimeMetrics, SharedRuntimeMetrics, TraceEvent,
+};
 
 /// Broadcasts its round number for `rounds` rounds, then outputs how many
 /// messages it received (own broadcasts self-deliver).
@@ -90,6 +93,26 @@ fn consensus_cluster(seed: u64, n: usize) -> Vec<EarlyConsensus<u64>> {
         .collect()
 }
 
+/// Every member's whole trace: a ring that never drops.
+fn full_trace(_: NodeId) -> RingTracer {
+    RingTracer::new(usize::MAX)
+}
+
+/// A link event: `(kind, round, node, peer)`, where `node` received (or
+/// lost) the frame `peer` sent.
+type LinkFact = (&'static str, u64, u64, Option<u64>);
+
+/// The `net_link_*` events of one member's trace.
+fn link_facts(tracer: &RingTracer) -> Vec<LinkFact> {
+    let facts = tracer.events().filter_map(|event| match *event {
+        TraceEvent::Net {
+            round, node, peer, ..
+        } if event.kind().starts_with("net_link_") => Some((event.kind(), round, node, peer)),
+        _ => None,
+    });
+    facts.collect()
+}
+
 /// Runs `factory()`'s processes in the engine and over TCP *under a
 /// zero-impairment plan*; returns `(sim_outputs, net_outputs)`.
 fn run_unimpaired<P, F>(
@@ -109,20 +132,20 @@ where
     let plan = LinkPlan::new(seed);
     assert!(plan.is_zero_impairment());
     let shaped = ClusterSpec {
-        wan: Some(Arc::new(LinkShaping::new(plan, None))),
+        wan: Some(Arc::new(plan)),
         ..ClusterSpec::default()
     };
-    let ClusterRun {
-        reports,
-        link_events: events,
-        ..
-    } = shaped
-        .run(factory(), test_config(), |_| NoopTracer, |_| None)
-        .expect("shaped run must complete");
-    assert!(
-        events.is_empty(),
-        "a zero-impairment plan records nothing: {events:?}"
-    );
+    let reports = shaped
+        .run(factory(), test_config(), full_trace, |_| None)
+        .expect("shaped run must complete")
+        .reports;
+    for report in reports.values() {
+        let facts = link_facts(&report.tracer);
+        assert!(
+            facts.is_empty(),
+            "a zero-impairment plan records nothing: {facts:?}"
+        );
+    }
     (sim.outputs, decisions(&reports))
 }
 
@@ -161,36 +184,37 @@ fn script_dial(addr: std::net::SocketAddr, me: NodeId) -> std::net::TcpStream {
 
 type NodeResult = Result<uba_net::NetReport<u64, RingTracer>, NetError>;
 
-/// Spawns a [`NetNode`] (id 1) whose links are shaped by `plan`, with the
-/// scripted peer (id 0) expected to dial the returned address. Returns
-/// `(addr, shaping, node_handle)`.
+/// Spawns a [`NetNode`] (id 1) whose links are shaped by `plan` and
+/// counted into `registry`, with the scripted peer (id 0) expected to dial
+/// the returned address. Returns `(addr, node_handle)`.
 fn spawn_shaped_node(
     rounds: u64,
     config: NetConfig,
     plan: LinkPlan,
-    metrics: Option<SharedRuntimeMetrics>,
-) -> (
-    std::net::SocketAddr,
-    Arc<LinkShaping>,
-    std::thread::JoinHandle<NodeResult>,
-) {
+    registry: SharedRuntimeMetrics,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<NodeResult>) {
     let me = NodeId::new(1);
     let peer = NodeId::new(0);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shaping = Arc::new(LinkShaping::new(plan, metrics));
     // The scripted peer has the smaller id, so the node accepts; its
     // roster address is never dialed and can be a placeholder.
     let roster: BTreeMap<NodeId, std::net::SocketAddr> =
         [(me, addr), (peer, "127.0.0.1:1".parse().unwrap())].into();
-    let links = Arc::clone(&shaping);
     let handle = std::thread::spawn(move || {
         NetNode::new(Counter::new(me, rounds), config)
             .with_tracer(RingTracer::new(4096))
-            .with_links(links)
+            .with_runtime_metrics(registry)
+            .with_links(Arc::new(plan))
             .run(listener, &roster)
     });
-    (addr, shaping, handle)
+    (addr, handle)
+}
+
+/// The link of a `net_link_*{link="a->b"}` series, as `("a", "b")`.
+fn link_of(series: &str) -> Option<(&str, &str)> {
+    let (_, label) = series.strip_prefix("net_link_")?.split_once("{link=\"")?;
+    label.strip_suffix("\"}")?.split_once("->")
 }
 
 #[test]
@@ -205,8 +229,7 @@ fn loss_is_asymmetric_per_direction() {
     };
     let plan = LinkPlan::new(9).with_link(peer, me, lost);
     let registry = SharedRuntimeMetrics::new();
-    let (addr, shaping, handle) =
-        spawn_shaped_node(1, quick_config(10), plan, Some(registry.clone()));
+    let (addr, handle) = spawn_shaped_node(1, quick_config(10), plan, registry.clone());
 
     let mut stream = script_dial(addr, peer);
     write_frame(
@@ -252,10 +275,11 @@ fn loss_is_asymmetric_per_direction() {
     assert_eq!(report.output, Some(1));
     assert_eq!(report.timeouts, 0, "control frames are never lossy");
 
-    let events = shaping.take_events();
-    assert!(
-        events.iter().any(|e| e.kind() == "net_link_drop"),
-        "the drop is traced: {events:?}"
+    // The drop is the node's own observation, of a frame from the peer.
+    assert_eq!(
+        link_facts(&report.tracer),
+        [("net_link_drop", 1, me.raw(), Some(peer.raw()))],
+        "the drop is traced by the node that lost the frame"
     );
     let snapshot = registry.snapshot();
     assert_eq!(
@@ -266,14 +290,13 @@ fn loss_is_asymmetric_per_direction() {
         1,
         "exactly the one Data frame dropped, on the lossy direction"
     );
-    assert_eq!(
-        snapshot.counter(&metric_name(
-            "net_link_frames_dropped_total",
-            &[("link", "1->0")]
-        )),
-        0,
-        "the reverse direction dropped nothing"
-    );
+    // The reverse direction is the peer's to shape and count: the node's
+    // registry holds only the link into it.
+    let links: BTreeSet<_> = snapshot
+        .counters()
+        .filter_map(|(s, _)| link_of(s))
+        .collect();
+    assert_eq!(links, BTreeSet::from([("0", "1")]));
 }
 
 #[test]
@@ -282,7 +305,7 @@ fn partition_severs_mid_run_then_heals() {
     let peer = NodeId::new(0);
     // Round 2 is cut off (half-open window 2..3); rounds 1 and 3 flow.
     let plan = LinkPlan::new(3).with_partition(2..3, [me]);
-    let (addr, shaping, handle) = spawn_shaped_node(3, quick_config(10), plan, None);
+    let (addr, handle) = spawn_shaped_node(3, quick_config(10), plan, SharedRuntimeMetrics::new());
 
     let mut stream = script_dial(addr, peer);
     for round in 1..=3u64 {
@@ -318,15 +341,15 @@ fn partition_severs_mid_run_then_heals() {
     assert_eq!(report.output, Some(5));
     assert!(report.timeouts >= 1, "the severed round missed its barrier");
 
-    let events = shaping.take_events();
-    let kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
-    assert!(
-        kinds.contains(&"net_link_partition"),
-        "the cut is traced: {kinds:?}"
-    );
-    assert!(
-        kinds.contains(&"net_link_heal"),
-        "the heal is traced: {kinds:?}"
+    // The cut of round 2 and the heal by round 3's first frame are the
+    // node's own observations of the link from the peer.
+    let (me, peer) = (me.raw(), Some(peer.raw()));
+    assert_eq!(
+        link_facts(&report.tracer),
+        [
+            ("net_link_partition", 2, me, peer),
+            ("net_link_heal", 3, me, peer)
+        ]
     );
 }
 
@@ -341,27 +364,56 @@ fn lossy_plan(seed: u64) -> LinkPlan {
     })
 }
 
+/// Runs `plan` over an n = 4 [`EarlyConsensus`] cluster of `seed`, each
+/// member tracing in full and counting into a registry of its own, and
+/// checks that every link reports through the member it leads into: each
+/// `net_link_*` event sits in the trace of the member it names as `node`,
+/// and each `net_link_*{link="a->b"}` series only in `b`'s registry.
+/// Returns the reports and the registries folded into one.
+fn shaped_cluster(
+    seed: u64,
+    plan: LinkPlan,
+    config: NetConfig,
+) -> (BTreeMap<NodeId, NetReport<u64, RingTracer>>, RuntimeMetrics) {
+    let spec = ClusterSpec {
+        wan: Some(Arc::new(plan)),
+        ..ClusterSpec::default()
+    };
+    let mut registries = BTreeMap::new();
+    let reports = spec
+        .run(consensus_cluster(seed, 4), config, full_trace, |id| {
+            let registry = SharedRuntimeMetrics::new();
+            registries.insert(id, registry.clone());
+            Some(registry)
+        })
+        .expect("shaped run must decide")
+        .reports;
+    for (id, report) in &reports {
+        for fact in link_facts(&report.tracer) {
+            assert_eq!(fact.2, id.raw(), "{fact:?} is in the trace of {id}");
+        }
+    }
+    let mut metrics = RuntimeMetrics::new();
+    for (id, registry) in &registries {
+        let snapshot = registry.snapshot();
+        for (series, _) in snapshot.counters() {
+            if let Some((_, to)) = link_of(series) {
+                assert_eq!(
+                    to,
+                    id.raw().to_string(),
+                    "{series} is in the registry of {id}"
+                );
+            }
+        }
+        metrics.merge(&snapshot);
+    }
+    (reports, metrics)
+}
+
 #[test]
 fn lossy_profile_cluster_still_agrees() {
     let seed = 42;
-    let plan = lossy_plan(seed);
-    let registry = SharedRuntimeMetrics::new();
-    let lossy = ClusterSpec {
-        wan: Some(Arc::new(LinkShaping::new(plan, Some(registry.clone())))),
-        ..ClusterSpec::default()
-    };
-    let ClusterRun {
-        reports,
-        link_events: events,
-        ..
-    } = lossy
-        .run(
-            consensus_cluster(seed, 4),
-            test_config(),
-            |_| NoopTracer,
-            |_| None,
-        )
-        .expect("lossy run must still decide");
+    let (reports, metrics) = shaped_cluster(seed, lossy_plan(seed), test_config());
 
     let net = decisions(&reports);
     assert_eq!(net.len(), 4, "termination under 2% loss");
@@ -371,16 +423,12 @@ fn lossy_profile_cluster_still_agrees() {
 
     // The links actually shaped traffic, and their trace matches their
     // counters: one net_link_drop event per dropped frame.
-    let snapshot = registry.snapshot();
-    let body = snapshot.render_prometheus();
-    let forwarded = uba_net::family_sum(&body, "net_link_frames_forwarded_total");
-    let dropped = uba_net::family_sum(&body, "net_link_frames_dropped_total");
+    let forwarded = metrics.family_sum("net_link_frames_forwarded_total");
+    let dropped = metrics.family_sum("net_link_frames_dropped_total");
     assert!(forwarded > 0, "frames passed the shapers");
-    let drop_events = events
-        .iter()
-        .filter(|e| e.kind() == "net_link_drop")
-        .count() as u64;
-    assert_eq!(dropped, drop_events, "counters and trace agree on drops");
+    let facts = reports.values().flat_map(|r| link_facts(&r.tracer));
+    let drops = facts.filter(|f| f.0 == "net_link_drop").count() as u64;
+    assert_eq!(dropped, drops, "counters and trace agree on drops");
 }
 
 /// `sparse_ids(4, 42)` in ascending order.
@@ -389,47 +437,31 @@ const B: u64 = 6_990_951_692_964_543_102;
 const C: u64 = 12_544_586_762_248_559_009;
 const D: u64 = 17_057_574_109_182_124_193;
 
-/// A seed-determined link event: `(kind, round, node, peer)`.
-type LinkFact = (&'static str, u64, u64, Option<u64>);
-
-/// Runs `plan` (seed 42, n = 4 [`EarlyConsensus`]) and returns the
-/// sorted link events — drops, cuts and heals, every kind a link traces is
+/// Runs `plan` (seed 42, n = 4 [`EarlyConsensus`]) through
+/// [`shaped_cluster`] and returns the sorted link events of the member
+/// traces — drops, cuts and heals, every kind a link traces is
 /// seed-determined — with the dropped and severed frame sums. Forwarded
 /// counts are left out: they follow wall-clock arrival (DESIGN.md §11).
 fn profile_facts(plan: LinkPlan, config: NetConfig) -> (Vec<LinkFact>, u64, u64) {
-    let seed = 42;
-    let registry = SharedRuntimeMetrics::new();
-    let spec = ClusterSpec {
-        wan: Some(Arc::new(LinkShaping::new(plan, Some(registry.clone())))),
-        ..ClusterSpec::default()
-    };
-    let run = spec
-        .run(consensus_cluster(seed, 4), config, |_| NoopTracer, |_| None)
-        .expect("profile run decides");
-    assert_eq!(decisions(&run.reports).len(), 4, "every member decided");
-    let mut facts: Vec<LinkFact> = run
-        .link_events
-        .iter()
-        .map(|event| match *event {
-            TraceEvent::Net {
-                round, node, peer, ..
-            } => (event.kind(), round, node, peer),
-            _ => unreachable!("links trace only net events: {event:?}"),
-        })
+    let (reports, metrics) = shaped_cluster(42, plan, config);
+    assert_eq!(decisions(&reports).len(), 4, "every member decided");
+    let mut facts: Vec<LinkFact> = reports
+        .values()
+        .flat_map(|r| link_facts(&r.tracer))
         .collect();
     facts.sort_unstable();
-    let snapshot = registry.snapshot();
-    let dropped = snapshot.family_sum("net_link_frames_dropped_total");
-    let severed = snapshot.family_sum("net_link_frames_severed_total");
+    let dropped = metrics.family_sum("net_link_frames_dropped_total");
+    let severed = metrics.family_sum("net_link_frames_severed_total");
     (facts, dropped, severed)
 }
 
 #[test]
 fn lossy_profile_drops_the_pinned_frames() {
     let (facts, dropped, severed) = profile_facts(lossy_plan(42), test_config());
+    // D lost A's frame in round 1 and C's in round 2.
     let expected = vec![
-        ("net_link_drop", 1, A, Some(D)),
-        ("net_link_drop", 2, C, Some(D)),
+        ("net_link_drop", 1, D, Some(A)),
+        ("net_link_drop", 2, D, Some(C)),
     ];
     assert_eq!(facts, expected);
     assert_eq!((dropped, severed), (2, 0));
@@ -494,7 +526,7 @@ fn a_cluster_whose_links_hold_every_frame_for_an_hour_still_returns() {
         ..test_config()
     };
     let spec = ClusterSpec {
-        wan: Some(Arc::new(LinkShaping::new(plan, None))),
+        wan: Some(Arc::new(plan)),
         ..ClusterSpec::default()
     };
     // The run goes on a thread of its own, so a teardown that waits out a

@@ -104,13 +104,6 @@ impl<M: Payload> AdversaryOutbox<M> {
         ));
     }
 
-    /// Sends `msg` from `from` to every node in `to`.
-    pub fn send_to_all<I: IntoIterator<Item = NodeId>>(&mut self, from: NodeId, to: I, msg: M) {
-        for t in to {
-            self.send(from, t, msg.clone());
-        }
-    }
-
     fn check(&self, from: NodeId) {
         assert!(
             self.faulty.contains(&from),
@@ -216,13 +209,5 @@ mod tests {
         let faulty = faulty_set(&[1]);
         let mut out = AdversaryOutbox::new(&faulty);
         out.broadcast(NodeId::new(3), "forged");
-    }
-
-    #[test]
-    fn send_to_all_fans_out() {
-        let faulty = faulty_set(&[1]);
-        let mut out = AdversaryOutbox::new(&faulty);
-        out.send_to_all(NodeId::new(1), [NodeId::new(4), NodeId::new(5)], 0u8);
-        assert_eq!(out.into_items().len(), 2);
     }
 }

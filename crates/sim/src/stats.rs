@@ -98,15 +98,6 @@ impl Stats {
         }
         stats
     }
-
-    /// Mean deliveries per executed round, or 0.0 for an empty run.
-    pub fn mean_deliveries_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.rounds as f64
-        }
-    }
 }
 
 impl std::fmt::Display for Stats {
@@ -140,12 +131,6 @@ mod tests {
         assert_eq!(s.correct_deliveries, 2);
         assert_eq!(s.adversary_deliveries, 1);
         assert_eq!(s.deliveries_by_round, vec![2, 1]);
-        assert!((s.mean_deliveries_per_round() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_run_mean_is_zero() {
-        assert_eq!(Stats::new().mean_deliveries_per_round(), 0.0);
     }
 
     #[cfg(debug_assertions)]
